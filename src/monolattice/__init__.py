@@ -68,7 +68,6 @@ from .training import (
     loss_slope,
     loss_value,
     model_objective,
-    objective,
     parallel_train,
     prepare_state,
     sgd_step,

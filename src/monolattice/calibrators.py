@@ -79,6 +79,11 @@ class FeatureSpec:
         return float(self.size - 1)
 
 
+def missing_vertex_dims(specs) -> frozenset[int]:
+    """Lattice dimensions whose top slice holds the missing-value vertex."""
+    return frozenset(d for d, s in enumerate(specs) if s.missing is MissingPolicy.VERTEX)
+
+
 def is_missing(raw) -> bool:
     if raw is None:
         return True

@@ -213,41 +213,32 @@ def evaluate_with_gradients(
     """
     location = locate_cell(shape, x)
     kind = InterpolationKind(kind)
-    if kind is InterpolationKind.SIMPLEX:
-        sw = simplex_weights(shape, location)
-        value = 0.0
-        for i, w in zip(sw.indices, sw.weights):
-            value += theta[i] * w
-        rs = location.residual
-        order = sorted(range(shape.ndim), key=lambda d: (-rs[d], d))
-        grad = [0.0] * shape.ndim
-        for j, d in enumerate(order):
-            # chain vertex j+1 differs from chain vertex j by one step in d
-            grad[d] = theta[sw.indices[j + 1]] - theta[sw.indices[j]]
-        return value, sw, grad
-
     sw = _WEIGHT_FNS[kind](shape, location)
     value = 0.0
     for i, w in zip(sw.indices, sw.weights):
         value += theta[i] * w
-    # slope in dimension d: doubling pass over the other dimensions gives the
-    # shared factors, each multiplying the difference across the d edge
-    grad = []
-    base_idx = sw.indices[0]
-    for d in range(shape.ndim):
-        sd = shape.strides[d]
-        idx = [base_idx]
-        ws = [1.0]
-        for m in range(shape.ndim):
-            if m == d:
-                continue
-            r = location.residual[m]
-            sm = shape.strides[m]
-            idx += [i + sm for i in idx]
-            far = [w * r for w in ws]
-            ws = [w - f for w, f in zip(ws, far)] + far
+    grad = [0.0] * shape.ndim
+    if kind is InterpolationKind.SIMPLEX:
+        # consecutive chain vertices differ by one step in one dimension
+        dim_of = {s: d for d, s in enumerate(shape.strides)}
+        for a, b in zip(sw.indices, sw.indices[1:]):
+            grad[dim_of[b - a]] = theta[b] - theta[a]
+        return value, sw, grad
+
+    # Collapse the cell one dimension at a time, highest bit first.  Summing
+    # the two halves of the weights leaves the weights over the lower
+    # dimensions; the slope in d pairs them with the edge differences across
+    # d of the vertex values already interpolated over the higher dimensions.
+    vals = [theta[i] for i in sw.indices]
+    ws = sw.weights
+    for d in reversed(range(shape.ndim)):
+        half = 1 << d
+        r = location.residual[d]
+        ws = [a + b for a, b in zip(ws[:half], ws[half:])]
+        diffs = [b - a for a, b in zip(vals[:half], vals[half:])]
         slope = 0.0
-        for i, w in zip(idx, ws):
-            slope += (theta[i + sd] - theta[i]) * w
-        grad.append(slope)
+        for w, diff in zip(ws, diffs):
+            slope += w * diff
+        grad[d] = slope
+        vals = [a + r * diff for a, diff in zip(vals[:half], diffs)]
     return value, sw, grad

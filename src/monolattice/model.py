@@ -18,9 +18,11 @@ from .calibrators import (
     CalibratorSet,
     CategoricalCalibrator,
     ContinuousCalibrator,
+    DataError,
     FeatureKind,
     FeatureSpec,
     MissingPolicy,
+    missing_vertex_dims,
 )
 from .interpolation import InterpolationKind, evaluate
 from .lattice import LatticeShape
@@ -43,15 +45,15 @@ class Model:
     kind: InterpolationKind = InterpolationKind.MULTILINEAR
     loss: Loss = Loss.SQUARED
     metadata: dict = field(default_factory=dict)
-    _theta_list: list | None = None
+    _theta_cache: tuple | None = None  # (theta object, its values as a list)
 
     # ---- prediction
 
     def predict_row(self, row, kind: InterpolationKind | None = None) -> float:
-        if self._theta_list is None:
-            self._theta_list = np.asarray(self.theta, dtype=float).tolist()
+        if self._theta_cache is None or self._theta_cache[0] is not self.theta:
+            self._theta_cache = (self.theta, np.asarray(self.theta, dtype=float).tolist())
         x = self.calibrators.calibrate_row(row)
-        return evaluate(self._theta_list, self.shape, x, kind or self.kind)
+        return evaluate(self._theta_cache[1], self.shape, x, kind or self.kind)
 
     def predict(self, data, kind: InterpolationKind | None = None) -> np.ndarray:
         return np.array(
@@ -61,11 +63,10 @@ class Model:
     # ---- feasibility
 
     def constraints(self):
-        missing_dims = frozenset(
-            d for d, s in enumerate(self.specs) if s.missing is MissingPolicy.VERTEX
-        )
         return build_constraints(
-            self.shape, tuple(s.monotone for s in self.specs), missing_dims
+            self.shape,
+            tuple(s.monotone for s in self.specs),
+            missing_vertex_dims(self.specs),
         )
 
     def violations(self, tolerance: float = 1e-12):
@@ -121,7 +122,13 @@ class Model:
 
     @classmethod
     def from_json(cls, text: str) -> "Model":
-        doc = json.loads(text)
+        try:
+            return cls._from_doc(json.loads(text))
+        except KeyError as e:
+            raise DataError(f"model file has no {e.args[0]!r} entry") from None
+
+    @classmethod
+    def _from_doc(cls, doc: dict) -> "Model":
         if doc.get("format") != FORMAT_NAME:
             raise ValueError(f"not a {FORMAT_NAME} file")
         if doc.get("version") != FORMAT_VERSION:

@@ -266,7 +266,30 @@ def project_update(
                 active.append(r)
                 if norm > 1e-12:
                     basis.append(normal / norm)
+    _remove_roundoff(th, constraints)
     return (th, active) if return_active else th
+
+
+def _remove_roundoff(th: np.ndarray, constraints: ConstraintSet) -> None:
+    """Make ``th`` exactly feasible, in place.
+
+    Moving along the orthogonalised directions leaves the constraints the
+    walk hit off by roundoff (~1e-18), in either direction.  Raising to the
+    lower bounds and then along the rows, then lowering to the upper bounds
+    and then against the rows, reaches a point that violates nothing
+    (whenever the set is nonempty).  It only copies existing values, so a
+    feasible point is unchanged and an infeasible one moves only as far as
+    its violations.
+    """
+    lo, hi = constraints.lo, constraints.hi
+    if constraints.lower is not None:
+        np.maximum(th, constraints.lower, out=th)
+    while np.any(th[hi] < th[lo]):
+        np.maximum.at(th, hi, th[lo])
+    if constraints.upper is not None:
+        np.minimum(th, constraints.upper, out=th)
+    while np.any(th[hi] < th[lo]):
+        np.minimum.at(th, lo, th[hi])
 
 
 def project_exact(

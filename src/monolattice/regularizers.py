@@ -41,6 +41,7 @@ class RegularizerConfig:
     sample_count: int | None = None  # None means use every term
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", RegularizerKind(self.kind))
         if self.weight < 0:
             raise ValueError("regularizer weight must be nonnegative")
         if self.sample_count is not None and self.sample_count < 1:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .calibrators import CalibratorSet, FeatureSpec, MissingPolicy
+from .calibrators import CalibratorSet, FeatureSpec, missing_vertex_dims
 from .data import Dataset, PairDataset
 from .interpolation import InterpolationKind, evaluate_with_gradients, interpolation_weights
 from .lattice import LatticeShape, locate_cell
@@ -185,9 +185,7 @@ def prepare_state(data: Dataset | PairDataset, specs: list[FeatureSpec], config:
         calibrators = CalibratorSet.fit(specs, data.fit_columns(), None)
     else:
         calibrators = CalibratorSet.fit(specs, data.columns, data.labels)
-    missing_dims = frozenset(
-        d for d, s in enumerate(specs) if s.missing is MissingPolicy.VERTEX
-    )
+    missing_dims = missing_vertex_dims(specs)
     directions = tuple(s.monotone for s in specs)
     theta_constraints = build_constraints(shape, directions, missing_dims)
     reg_terms = [
@@ -215,43 +213,36 @@ def prepare_state(data: Dataset | PairDataset, specs: list[FeatureSpec], config:
 
 
 def _sample_terms(state: TrainerState, i: int, want_feature_grads: bool):
-    """Loss pieces for sample i: (z, y, [(sign, weights, feature grads)])."""
-    cs = state.calibrators
+    """Loss pieces for sample i: (z, y, [(sign, weights, dz/dx, alpha partials)]).
+
+    A labelled row is one side with sign +1; a pair is its preferred row with
+    sign +1 and the other with sign -1, scored against y = 1.
+    """
     if isinstance(state.data, PairDataset):
-        sides = []
-        z = 0.0
-        for sign, row in ((1.0, state.data.plus_row(i)), (-1.0, state.data.minus_row(i))):
-            x = cs.calibrate_row(row)
-            if want_feature_grads:
-                v, sw, dfdx = evaluate_with_gradients(
-                    state.theta, state.shape, x, state.config.kind
-                )
-                entries = cs.row_gradients(row)
-            else:
-                sw = interpolation_weights(
-                    state.shape, locate_cell(state.shape, x), state.config.kind
-                )
-                v = 0.0
-                for j, w in zip(sw.indices, sw.weights):
-                    v += state.theta[j] * w
-                dfdx, entries = None, None
-            z += sign * v
-            sides.append((sign, sw, dfdx, entries))
-        return z, 1.0, sides
-    row = state.data.row(i)
-    x = cs.calibrate_row(row)
-    if want_feature_grads:
-        v, sw, dfdx = evaluate_with_gradients(state.theta, state.shape, x, state.config.kind)
-        entries = cs.row_gradients(row)
+        y = 1.0
+        sides = ((1.0, state.data.plus_row(i)), (-1.0, state.data.minus_row(i)))
     else:
-        sw = interpolation_weights(
-            state.shape, locate_cell(state.shape, x), state.config.kind
-        )
-        v = 0.0
-        for j, w in zip(sw.indices, sw.weights):
-            v += state.theta[j] * w
-        dfdx, entries = None, None
-    return v, float(state.data.labels[i]), [(1.0, sw, dfdx, entries)]
+        y = float(state.data.labels[i])
+        sides = ((1.0, state.data.row(i)),)
+    cs = state.calibrators
+    z = 0.0
+    terms = []
+    for sign, row in sides:
+        x = cs.calibrate_row(row)
+        if want_feature_grads:
+            v, sw, dfdx = evaluate_with_gradients(state.theta, state.shape, x, state.config.kind)
+            entries = cs.row_gradients(row)
+        else:
+            sw = interpolation_weights(
+                state.shape, locate_cell(state.shape, x), state.config.kind
+            )
+            v = 0.0
+            for j, w in zip(sw.indices, sw.weights):
+                v += state.theta[j] * w
+            dfdx, entries = None, None
+        z += sign * v
+        terms.append((sign, sw, dfdx, entries))
+    return z, y, terms
 
 
 def loss_gradients(state: TrainerState, minibatch) -> tuple[np.ndarray, np.ndarray]:
@@ -406,67 +397,53 @@ def _finish(state: TrainerState, specs, config: TrainConfig):
 # objective and metrics
 
 
-def objective(state: TrainerState, indices=None) -> float:
-    """Mean loss over the data plus weighted regularizer values."""
-    n = _num_samples(state.data)
-    if indices is None:
-        indices = range(n)
-    total = 0.0
-    count = 0
-    for i in indices:
-        z, y, _ = _sample_terms(state, i, False)
-        total += loss_value(state.config.loss, y, z)
-        count += 1
-    total /= max(count, 1)
-    for cfg, terms in state.reg_terms:
-        total += cfg.weight * regularizer_value(state.theta, terms)
-    return total
+def _scores(model, data) -> tuple[np.ndarray, np.ndarray]:
+    """Scores z and targets y per sample; a pair scores its preferred row
+    minus the other, against y = 1."""
+    if isinstance(data, PairDataset):
+        z = model.predict(Dataset(data.plus_columns, None)) - model.predict(
+            Dataset(data.minus_columns, None)
+        )
+        return z, np.ones(len(z))
+    if data.labels is None:
+        raise ValueError("dataset has no labels to evaluate against")
+    return model.predict(data), np.asarray(data.labels, dtype=float)
 
 
 def model_objective(model, data, config: TrainConfig) -> float:
-    """Objective of a finished model on ``data`` under ``config``'s loss."""
-    state = TrainerState(
-        shape=model.shape,
-        theta=np.asarray(model.theta, dtype=float),
-        calibrators=model.calibrators,
-        config=config,
-        data=data,
-        theta_constraints=ConstraintSet(model.shape.num_parameters),
-        alpha_constraints=ConstraintSet(model.calibrators.num_free),
-        reg_terms=[
-            (cfg, regularizer_terms(model.shape, cfg.kind)) for cfg in config.regularizers
-        ],
-    )
-    return objective(state)
+    """Mean loss of a finished model on ``data`` plus weighted regularizer
+    values: the objective that training under ``config`` minimises."""
+    z, y = _scores(model, data)
+    total = sum(loss_value(config.loss, float(yi), float(zi)) for yi, zi in zip(y, z))
+    total /= max(len(z), 1)
+    missing_dims = missing_vertex_dims(model.specs)
+    for cfg in config.regularizers:
+        terms = regularizer_terms(model.shape, cfg.kind, missing_dims)
+        total += cfg.weight * regularizer_value(model.theta, terms)
+    return total
 
 
 def evaluate_metrics(model, data) -> dict:
-    """RMSE for labeled rows (plus accuracy/log-loss when labels are {0,1});
-    pairwise accuracy for pair data, ties counted half."""
+    """RMSE for labeled rows, plus accuracy when labels are {0,1} (and
+    log-loss unless the model was trained with hinge loss); pairwise
+    accuracy for pair data, ties counted half."""
+    z, y = _scores(model, data)
+    n = len(z)
     if isinstance(data, PairDataset):
-        wins = 0.0
-        n = data.num_pairs
-        for i in range(n):
-            zp = model.predict_row(data.plus_row(i))
-            zm = model.predict_row(data.minus_row(i))
-            if zp > zm:
-                wins += 1.0
-            elif zp == zm:
-                wins += 0.5
-        return {"num_pairs": n, "pair_accuracy": wins / n if n else float("nan")}
-    if data.labels is None:
-        raise ValueError("dataset has no labels to evaluate against")
-    scores = np.array([model.predict_row(data.row(i)) for i in range(data.num_rows)])
-    labels = np.asarray(data.labels, dtype=float)
-    out: dict = {"num_rows": int(len(labels))}
-    out["rmse"] = float(np.sqrt(np.mean((scores - labels) ** 2)))
-    if np.isin(labels, (0.0, 1.0)).all() and len(labels):
+        wins = np.sum(z > 0) + 0.5 * np.sum(z == 0)
+        return {"num_pairs": n, "pair_accuracy": float(wins) / n if n else float("nan")}
+    out: dict = {"num_rows": n}
+    out["rmse"] = float(np.sqrt(np.mean((z - y) ** 2)))
+    if np.isin(y, (0.0, 1.0)).all() and n:
+        if model.loss is Loss.HINGE:
+            out["accuracy"] = float(np.mean((z >= 0.0) == (y == 1.0)))
+            return out
         if model.loss is Loss.LOGISTIC:
-            probs = 1.0 / (1.0 + np.exp(-scores))
+            probs = 1.0 / (1.0 + np.exp(-z))
         else:
-            probs = np.clip(scores, 1e-12, 1.0 - 1e-12)
-        out["accuracy"] = float(np.mean((probs >= 0.5) == (labels == 1.0)))
+            probs = np.clip(z, 1e-12, 1.0 - 1e-12)
+        out["accuracy"] = float(np.mean((probs >= 0.5) == (y == 1.0)))
         out["log_loss"] = float(
-            -np.mean(labels * np.log(probs) + (1.0 - labels) * np.log(1.0 - probs))
+            -np.mean(y * np.log(probs) + (1.0 - y) * np.log(1.0 - probs))
         )
     return out

@@ -190,6 +190,17 @@ class TestCheck:
         assert out.strip().endswith("1 violations")
 
 
+    def test_model_file_without_lattice_is_bad_input(self, workspace, capsys):
+        assert run_train(workspace) == 0
+        capsys.readouterr()
+        doc = json.loads((workspace / "model.json").read_text())
+        del doc["lattice"]
+        (workspace / "broken.json").write_text(json.dumps(doc))
+        code = main(["check", "--model", str(workspace / "broken.json")])
+        assert code == 2
+        assert "'lattice'" in capsys.readouterr().err
+
+
 class TestBench:
     def test_csv_output(self, workspace, capsys):
         code = main([

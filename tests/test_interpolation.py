@@ -254,13 +254,12 @@ class TestEvaluate:
 
 
 class TestPointGradients:
-    @pytest.mark.parametrize(
-        "kind", [InterpolationKind.MULTILINEAR, InterpolationKind.SIMPLEX]
-    )
+    @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_matches_finite_differences(self, kind):
         rng = np.random.default_rng(10)
-        for _ in range(60):
-            sh = random_shape(rng, max_d=4)
+        shapes = [random_shape(rng, max_d=4) for _ in range(60)]
+        shapes += [LatticeShape(rng.integers(2, 4, size=d)) for d in (8, 9, 10, 10)]
+        for sh in shapes:
             theta = rng.standard_normal(sh.num_parameters)
             # keep away from cell faces and simplex boundaries so the local
             # piece is smooth around x

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from monolattice import (
+    DataError,
     Dataset,
     Direction,
     FeatureKind,
@@ -161,6 +162,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             Model.from_json("not json at all")
 
+    @pytest.mark.parametrize("key", ["lattice", "theta", "features", "loss"])
+    def test_missing_key_is_a_data_error(self, trained, key):
+        doc = self.doc(trained)
+        del doc[key]
+        with pytest.raises(DataError, match=repr(key)):
+            Model.from_json(json.dumps(doc))
+
     def test_format_constants(self, trained):
         doc = self.doc(trained)
         assert doc["format"] == FORMAT_NAME
@@ -177,3 +185,14 @@ class TestLoadingViolatingFiles:
         doc["theta"] = [x for x in reversed(doc["theta"])]
         clone = Model.from_json(json.dumps(doc))
         assert len(clone.violations()) > 0
+
+
+class TestPredict:
+    def test_prediction_follows_theta_assignment(self):
+        data = Dataset([np.array([0.0, 1.0])], np.array([0.0, 1.0]))
+        specs = [FeatureSpec(name="x", bounds=(0.0, 1.0))]
+        model = train(data, specs, TrainConfig(epochs=1, step_size=0.0))
+        model.theta = np.array([0.0, 1.0])
+        assert model.predict_row([0.25]) == pytest.approx(0.25)
+        model.theta = np.array([1.0, 1.0])
+        assert model.predict_row([0.25]) == pytest.approx(1.0)

@@ -205,6 +205,30 @@ class TestProjectUpdate:
                 theta = project_update(theta, step, cs)
                 assert max_infeasibility(theta, cs) <= 1e-12
 
+    def test_chain_with_bounds_exactly_feasible(self):
+        # the calibrator layout: a nondecreasing chain bounded below at its
+        # first entry and above at its last, checked at tolerance 0
+        rng = np.random.default_rng(2)
+        for n in (2, 3, 5):
+            cs = chain(n)
+            cs.lower = np.full(n, -np.inf)
+            cs.upper = np.full(n, np.inf)
+            cs.lower[0], cs.upper[-1] = 0.0, 1.0
+            theta = np.linspace(0.0, 1.0, n)
+            for _ in range(300):
+                theta = project_update(theta, rng.standard_normal(n) * 0.5, cs)
+                assert max_infeasibility(theta, cs) == 0.0
+
+    def test_tight_row_next_to_clipped_bound(self):
+        # entry 0 sits a hair below its bound, tied to entry 1 by a tight
+        # row: lifting entry 0 alone would break the row
+        cs = chain(3)
+        cs.lower = np.array([0.0, -np.inf, -np.inf])
+        theta = np.array([-1e-19, -1e-19, 0.5])
+        out = project_update(theta, np.array([0.0, 0.0, 0.25]), cs)
+        assert out.tolist() == [0.0, 0.0, 0.75]
+        assert max_infeasibility(out, cs) == 0.0
+
     def test_single_hit_agrees_with_exact_projection(self):
         rng = np.random.default_rng(1)
         num_checked = 0

@@ -12,6 +12,7 @@ from monolattice import (
     InterpolationKind,
     LatticeShape,
     Loss,
+    MissingPolicy,
     PairDataset,
     RegularizerConfig,
     RegularizerKind,
@@ -25,6 +26,7 @@ from monolattice import (
     model_objective,
     parallel_train,
     regularizer_terms,
+    regularizer_value,
     train,
 )
 from monolattice.training import loss_gradients, prepare_state, sgd_step
@@ -320,6 +322,53 @@ class TestTrain:
         assert metrics["log_loss"] < math.log(2)
 
 
+    @pytest.mark.parametrize("loss", [Loss.LOGISTIC, Loss.HINGE])
+    def test_calibrator_bounds_hold_exactly(self, loss):
+        # the walk used to leave calibrator outputs about 1e-19 below their
+        # 0 bound, and locate_cell then rejected the calibrated coordinate
+        for seed in (1, 2, 3, 4):
+            rng = np.random.default_rng(seed)
+            a, b = rng.random(400), rng.random(400)
+            data = Dataset([a, b], (a + b > 1.0).astype(float))
+            specs = [spec(n, monotone=Direction.INCREASING, keypoints=4) for n in "ab"]
+            config = TrainConfig(loss=loss, epochs=30, step_size=0.2, seed=seed)
+            model = train(data, specs, config)
+            cal = model.calibrators
+            assert max_infeasibility(cal.alpha(), cal.constraints()) == 0.0
+            assert model.violations(0.0) == []
+
+    def test_string_regularizer_kind(self):
+        data = line_data(64, lambda a, b: a + b, seed=3, d=2)
+        reg = RegularizerConfig("torsion", 1e-3)
+        assert reg.kind is RegularizerKind.TORSION
+        model = train(data, [spec("a"), spec("b")], TrainConfig(epochs=1, regularizers=(reg,)))
+        assert model.metadata["regularizers"][0]["kind"] == "torsion"
+
+
+class TestObjective:
+    def test_regularizers_use_missing_vertex_dims(self):
+        rng = np.random.default_rng(5)
+        a, b = rng.random(80), rng.random(80)
+        b[rng.random(80) < 0.2] = np.nan
+        y = a + np.nan_to_num(b, nan=0.5)
+        data = Dataset([a, b], y)
+        specs = [spec("a", size=3), spec("b", size=3, missing=MissingPolicy.VERTEX)]
+        regs = (
+            RegularizerConfig(RegularizerKind.LAPLACIAN, 0.1),
+            RegularizerConfig(RegularizerKind.TORSION, 0.05),
+        )
+        config = TrainConfig(epochs=5, step_size=0.2, seed=4, regularizers=regs)
+        model = train(data, specs, config)
+        expected = np.mean((y - model.predict(data)) ** 2) + sum(
+            cfg.weight
+            * regularizer_value(
+                model.theta, regularizer_terms(model.shape, cfg.kind, frozenset({1}))
+            )
+            for cfg in regs
+        )
+        assert model_objective(model, data, config) == pytest.approx(expected, rel=1e-12)
+
+
 class TestParallel:
     def setup_problem(self):
         data = line_data(200, lambda a, b: a * b + 0.3 * a, seed=13, d=2, noise=0.1)
@@ -398,6 +447,18 @@ class TestRanking:
         assert metrics["pair_accuracy"] == pytest.approx(0.5)
 
 
+    def test_objective_scores_pair_differences(self):
+        pairs = self.make_pairs(n=60)
+        specs = [spec("score", monotone=Direction.INCREASING, keypoints=3)]
+        config = TrainConfig(loss=Loss.LOGISTIC, epochs=3, step_size=0.5, seed=2)
+        model = train(pairs, specs, config)
+        z = model.predict(Dataset(pairs.plus_columns, None)) - model.predict(
+            Dataset(pairs.minus_columns, None)
+        )
+        expected = np.mean([loss_value(Loss.LOGISTIC, 1.0, v) for v in z])
+        assert model_objective(model, pairs, config) == pytest.approx(expected, rel=1e-12)
+
+
 class TestMetrics:
     def test_perfect_fit_rmse_zero(self):
         data = line_data(32, lambda a: a)
@@ -417,3 +478,13 @@ class TestMetrics:
         metrics = evaluate_metrics(model, data)
         assert metrics["accuracy"] == 1.0
         assert "log_loss" in metrics and metrics["log_loss"] > 0
+
+    def test_hinge_accuracy_uses_sign_of_margin(self):
+        x = np.array([0.1, 0.2, 0.8, 0.9])
+        data = Dataset([x], np.array([0.0, 0.0, 1.0, 1.0]))
+        specs = [spec("x", bounds=(0.0, 1.0))]
+        model = train(data, specs, TrainConfig(loss=Loss.HINGE, epochs=1, step_size=0.0))
+        model.theta = [-0.5, 0.5]  # margins -0.4, -0.3, 0.3, 0.4
+        metrics = evaluate_metrics(model, data)
+        assert metrics["accuracy"] == 1.0
+        assert "log_loss" not in metrics
