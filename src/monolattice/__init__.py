@@ -23,6 +23,7 @@ from .interpolation import (
     evaluate,
     evaluate_batch,
     evaluate_with_gradients,
+    forward_backward_batch,
     interpolation_weights,
     multilinear_weights,
     multilinear_weights_naive,

@@ -90,6 +90,34 @@ def is_missing(raw) -> bool:
     return isinstance(raw, float) and math.isnan(raw)
 
 
+def _missing_coordinate(cal) -> float:
+    if cal.missing is MissingPolicy.CALIBRATED:
+        return float(cal.missing_value)
+    if cal.missing is MissingPolicy.VERTEX:
+        return float(cal.missing_vertex)
+    raise DataError("missing value in a feature with no missing policy")
+
+
+def _missing_gradient(cal) -> list[tuple[int, float]]:
+    if cal.missing is MissingPolicy.CALIBRATED:
+        return [(cal.num_free - 1, 1.0)]
+    return []
+
+
+def _batch_with_missing(cal, n: int, width: int, missing: np.ndarray):
+    """Coordinates, positions (-1 = no entry) and partials for a column of
+    n values, with the missing rows already filled in."""
+    coords = np.empty(n)
+    positions = np.full((n, width), -1, dtype=np.int64)
+    partials = np.zeros((n, width))
+    if missing.any():
+        coords[missing] = _missing_coordinate(cal)
+        for k, (pos, partial) in enumerate(_missing_gradient(cal)):
+            positions[missing, k] = pos
+            partials[missing, k] = partial
+    return coords, positions, partials
+
+
 # --------------------------------------------------------------------------
 # knot placement
 
@@ -151,11 +179,7 @@ class ContinuousCalibrator:
 
     def calibrate(self, raw) -> float:
         if is_missing(raw):
-            if self.missing is MissingPolicy.CALIBRATED:
-                return float(self.missing_value)
-            if self.missing is MissingPolicy.VERTEX:
-                return float(self.missing_vertex)
-            raise DataError("missing value in a feature with no missing policy")
+            return _missing_coordinate(self)
         x = float(raw)
         knots = self.knots
         if x <= knots[0]:
@@ -169,9 +193,7 @@ class ContinuousCalibrator:
     def gradient(self, raw) -> list[tuple[int, float]]:
         """Partials of calibrate(raw) w.r.t. the free parameters (sparse)."""
         if is_missing(raw):
-            if self.missing is MissingPolicy.CALIBRATED:
-                return [(self.num_free - 1, 1.0)]
-            return []
+            return _missing_gradient(self)
         x = float(raw)
         knots = self.knots
         last = len(knots) - 1
@@ -185,6 +207,39 @@ class ContinuousCalibrator:
         if 1 <= j + 1 <= last - 1 and t != 0.0:
             out.append((j, t))
         return out
+
+    def calibrate_batch(self, column):
+        """:meth:`calibrate` and :meth:`gradient` over a column, bit for bit.
+
+        Returns coordinates (n,), free-parameter positions (n, 2) and their
+        partials (n, 2); row i lists ``gradient`` of value i in order, with
+        position -1 where it has no entry.  Needs strictly increasing knots
+        (``searchsorted`` stands in for ``bisect_right``).
+        """
+        if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+            x = column.astype(float, copy=False)
+        else:
+            x = np.array([np.nan if is_missing(v) else float(v) for v in column])
+        missing = np.isnan(x)
+        coords, positions, partials = _batch_with_missing(self, len(x), 2, missing)
+        knots, outputs = self.knots, self.outputs
+        high = x >= knots[-1]
+        low = x <= knots[0]
+        coords[high] = outputs[-1]
+        coords[low] = outputs[0]
+        inner = ~(missing | low | high)
+        xi = x[inner]
+        j = np.searchsorted(knots, xi, side="right") - 1
+        t = (xi - knots[j]) / (knots[j + 1] - knots[j])
+        coords[inner] = (1.0 - t) * outputs[j] + t * outputs[j + 1]
+        last = len(knots) - 1
+        near = j >= 1
+        far = (j + 1 <= last - 1) & (t != 0.0)
+        positions[inner, 0] = np.where(near, j - 1, -1)
+        partials[inner, 0] = np.where(near, 1.0 - t, 0.0)
+        positions[inner, 1] = np.where(far, j, -1)
+        partials[inner, 1] = np.where(far, t, 0.0)
+        return coords, positions, partials
 
 
 @dataclass
@@ -232,19 +287,33 @@ class CategoricalCalibrator:
 
     def calibrate(self, raw) -> float:
         if is_missing(raw):
-            if self.missing is MissingPolicy.CALIBRATED:
-                return float(self.missing_value)
-            if self.missing is MissingPolicy.VERTEX:
-                return float(self.missing_vertex)
-            raise DataError("missing value in a feature with no missing policy")
+            return _missing_coordinate(self)
         return float(self.values[self._index(raw)])
 
     def gradient(self, raw) -> list[tuple[int, float]]:
         if is_missing(raw):
-            if self.missing is MissingPolicy.CALIBRATED:
-                return [(self.num_free - 1, 1.0)]
-            return []
+            return _missing_gradient(self)
         return [(self._index(raw), 1.0)]
+
+    def calibrate_batch(self, column):
+        """:meth:`calibrate` and :meth:`gradient` over a column, bit for bit:
+        coordinates (n,), positions (n, 1) (-1 = no entry) and partials (n, 1).
+        The first bad value raises the ``DataError`` that ``calibrate`` raises."""
+        unknown = -2 if self.other_index is None else self.other_index
+        codes = np.array(
+            [-1 if is_missing(v) else self._lookup.get(str(v), unknown) for v in column],
+            dtype=np.int64,
+        )
+        missing = codes == -1
+        bad = (codes == -2) | (missing & (self.missing is MissingPolicy.NONE))
+        if bad.any():
+            self.calibrate(column[int(np.argmax(bad))])
+        coords, positions, partials = _batch_with_missing(self, len(codes), 1, missing)
+        known = ~missing
+        coords[known] = self.values[codes[known]]
+        positions[known, 0] = codes[known]
+        partials[known, 0] = 1.0
+        return coords, positions, partials
 
 
 # --------------------------------------------------------------------------
@@ -403,6 +472,27 @@ class CalibratorSet:
         for cal, off, v in zip(self.calibrators, self.offsets, row):
             out.append([(off + p, g) for p, g in cal.gradient(v)])
         return out
+
+    def calibrate_batch(self, columns):
+        """:meth:`calibrate_row` and :meth:`row_gradients` over whole columns.
+
+        Returns coordinates (n, D) and, per feature, global alpha positions
+        (n, k) (-1 = no entry) and their partials (n, k), all equal to the
+        row-wise results.  A bad value raises the ``DataError`` that
+        ``calibrate_row`` raises on the first bad row.
+        """
+        try:
+            per_feature = [cal.calibrate_batch(col) for cal, col in zip(self.calibrators, columns)]
+        except DataError:
+            for i in range(len(columns[0])):
+                self.calibrate_row([col[i] for col in columns])
+            raise
+        coords = np.stack([c for c, _, _ in per_feature], axis=1)
+        grads = [
+            (np.where(pos >= 0, pos + off, -1), partials)
+            for off, (_, pos, partials) in zip(self.offsets, per_feature)
+        ]
+        return coords, grads
 
     def constraints(self) -> ConstraintSet:
         """Nondecreasing chains, declared category orders, and box bounds."""

@@ -18,6 +18,14 @@ parameters:
 All three produce nonnegative weights that sum to 1 and average the residual
 back exactly (linear precision), so piecing cells together yields a
 continuous surface.
+
+The scalar kernels above work on one point.  ``forward_backward_batch`` runs
+the same arithmetic on an (n, D) array of points in numpy, one column
+operation per scalar step, and sums every vertex product left to right as
+the scalar loops do, so its values, weights and slopes equal the scalar
+ones bit for bit.  Training, ``evaluate_batch`` and batch prediction go
+through it; the scalar kernels serve single-row prediction and act as its
+oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import CellLocation, LatticeShape, locate_cell, vertex_index
+from .lattice import CellLocation, LatticeShape, locate_cell, locate_cells, vertex_index
 
 
 class InterpolationKind(str, enum.Enum):
@@ -190,10 +198,20 @@ def evaluate_batch(
     theta, shape: LatticeShape, points: np.ndarray,
     kind: InterpolationKind = InterpolationKind.MULTILINEAR,
 ) -> np.ndarray:
-    """Row-wise :func:`evaluate` over an (n, D) array of points."""
+    """:func:`evaluate` over an (n, D) array of points, bit for bit.
+
+    Runs in chunks of about ``CHUNK_ENTRIES`` vertex weights, so the n x
+    (cell size) temporaries stay small whatever n is.
+    """
     pts = np.asarray(points, dtype=float)
-    th = theta if isinstance(theta, list) else np.asarray(theta, dtype=float).tolist()
-    return np.array([evaluate(th, shape, row, kind) for row in pts])
+    th = np.asarray(theta, dtype=float)
+    step = chunk_rows(shape, kind)
+    out = np.empty(len(pts))
+    for start in range(0, len(pts), step):
+        out[start : start + step] = forward_backward_batch(
+            th, shape, pts[start : start + step], kind
+        )[0]
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -242,3 +260,103 @@ def evaluate_with_gradients(
         grad[d] = slope
         vals = [a + r * diff for a, diff in zip(vals[:half], diffs)]
     return value, sw, grad
+
+
+# --------------------------------------------------------------------------
+# batched forward/backward
+
+CHUNK_ENTRIES = 1 << 15  # vertex weights per chunk of rows
+
+
+def chunk_rows(shape: LatticeShape, kind: InterpolationKind) -> int:
+    """Rows per chunk that keep a chunk near ``CHUNK_ENTRIES`` weights; a
+    point touches D+1 vertices for simplex, 2^D otherwise."""
+    if InterpolationKind(kind) is InterpolationKind.SIMPLEX:
+        return max(1, CHUNK_ENTRIES // (shape.ndim + 1))
+    return max(1, CHUNK_ENTRIES >> shape.ndim)
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    # Left-to-right sum of each row from 0.0, as the scalar loops add: cumsum
+    # accumulates sequentially, and adding 0.0 turns a -0.0 total into the
+    # +0.0 that a sum started at 0.0 gives.  Overwrites ``a``.
+    return np.cumsum(a, axis=1, out=a)[:, -1] + 0.0
+
+
+def _doubled_offsets(shape: LatticeShape) -> np.ndarray:
+    # flat offsets of the 2^D cell vertices from the base, in the bit order of
+    # the naive weight vector
+    offsets = np.zeros(1, dtype=np.int64)
+    for sd in shape.strides:
+        offsets = np.concatenate([offsets, offsets + sd])
+    return offsets
+
+
+def _doubling_weights(residual: np.ndarray) -> np.ndarray:
+    # multilinear_weights' doubling pass, one column per list entry
+    n, D = residual.shape
+    w = np.empty((n, 1 << D))
+    w[:, 0] = 1.0
+    for d in range(D):
+        half = 1 << d
+        np.multiply(w[:, :half], residual[:, d : d + 1], out=w[:, half : 2 * half])
+        np.subtract(w[:, :half], w[:, half : 2 * half], out=w[:, :half])
+    return w
+
+
+def _multilinear_slopes(vals: np.ndarray, ws: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    # evaluate_with_gradients' highest-bit-first collapse, one column per entry
+    n, D = residual.shape
+    slopes = np.empty((n, D))
+    for d in reversed(range(D)):
+        half = 1 << d
+        ws = ws[:, :half] + ws[:, half:]
+        diffs = vals[:, half:] - vals[:, :half]
+        slopes[:, d] = _row_sums(ws * diffs)
+        vals = vals[:, :half] + residual[:, d : d + 1] * diffs
+    return slopes
+
+
+def forward_backward_batch(
+    theta, shape: LatticeShape, points: np.ndarray,
+    kind: InterpolationKind = InterpolationKind.MULTILINEAR,
+    want_slopes: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """Values, vertex indices, vertex weights and (optionally) d(value)/dx
+    for an (n, D) array of points.
+
+    Returns ``(values (n,), indices (n, k), weights (n, k), slopes (n, D) or
+    None)``, where row i of ``indices``/``weights`` lists the vertices in the
+    order the scalar kernel of ``kind`` lists them.  Every entry equals what
+    :func:`evaluate_with_gradients` gives for row i, bit for bit.
+    """
+    kind = InterpolationKind(kind)
+    th = np.asarray(theta, dtype=float)
+    base, residual = locate_cells(shape, points)
+    strides = np.asarray(shape.strides, dtype=np.int64)
+    base_idx = base @ strides
+    if kind is InterpolationKind.SIMPLEX:
+        # stable sort: ties keep ascending dimension order, as simplex_weights
+        order = np.argsort(-residual, axis=1, kind="stable")
+        r = np.take_along_axis(residual, order, axis=1)
+        weights = np.concatenate([1.0 - r[:, :1], r[:, :-1] - r[:, 1:], r[:, -1:]], axis=1)
+        indices = np.concatenate(
+            [base_idx[:, None], base_idx[:, None] + np.cumsum(strides[order], axis=1)], axis=1
+        )
+    else:
+        if kind is InterpolationKind.MULTILINEAR:
+            weights = _doubling_weights(residual)
+        else:
+            weights = multilinear_weights_naive_batch(residual)
+        indices = base_idx[:, None] + _doubled_offsets(shape)[None, :]
+    vals = th[indices]
+    values = _row_sums(vals * weights)
+    if not want_slopes:
+        return values, indices, weights, None
+    if kind is InterpolationKind.SIMPLEX:
+        # consecutive chain vertices differ by one step in dimension order[j]
+        slopes = np.empty(residual.shape)
+        np.put_along_axis(slopes, order, vals[:, 1:] - vals[:, :-1], axis=1)
+    else:
+        slopes = _multilinear_slopes(vals, weights, residual)
+    return values, indices, weights, slopes

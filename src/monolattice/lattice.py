@@ -128,13 +128,20 @@ def locate_cell(shape: LatticeShape, x) -> CellLocation:
 
 
 def locate_cells(shape: LatticeShape, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`locate_cell` for an (n, D) array of points."""
+    """Vectorized :func:`locate_cell` for an (n, D) array of points: base
+    vertices (n, D) and residuals (n, D), equal to the scalar ones.  The
+    first coordinate outside the box, in row order, is reported as
+    :func:`locate_cell` reports it."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != shape.ndim:
         raise ValueError(f"expected an (n, {shape.ndim}) array, got {pts.shape}")
     top = np.asarray(shape.sizes, dtype=float) - 1.0
-    if np.any(pts < 0.0) or np.any(pts > top):
-        raise ValueError("points outside the lattice box")
+    outside = ~((pts >= 0.0) & (pts <= top))  # NaN is outside too
+    if outside.any():
+        i, d = divmod(int(np.argmax(outside)), shape.ndim)
+        raise ValueError(
+            f"coordinate {float(pts[i, d])} outside [0, {shape.sizes[d] - 1}] in dimension {d}"
+        )
     base = np.minimum(np.floor(pts), top - 1.0).astype(np.int64)
     residual = pts - base
     return base, residual

@@ -24,7 +24,7 @@ from .calibrators import (
     MissingPolicy,
     missing_vertex_dims,
 )
-from .interpolation import InterpolationKind, evaluate
+from .interpolation import InterpolationKind, evaluate, evaluate_batch
 from .lattice import LatticeShape
 from .monotonicity import (
     build_constraints,
@@ -56,9 +56,10 @@ class Model:
         return evaluate(self._theta_cache[1], self.shape, x, kind or self.kind)
 
     def predict(self, data, kind: InterpolationKind | None = None) -> np.ndarray:
-        return np.array(
-            [self.predict_row(data.row(i), kind) for i in range(data.num_rows)]
-        )
+        """Scores of every row of ``data``, equal to :meth:`predict_row` bit
+        for bit, through the batched calibrators and kernel."""
+        x, _ = self.calibrators.calibrate_batch(data.columns)
+        return evaluate_batch(self.theta, self.shape, x, kind or self.kind)
 
     # ---- feasibility
 
@@ -130,9 +131,9 @@ class Model:
     @classmethod
     def _from_doc(cls, doc: dict) -> "Model":
         if doc.get("format") != FORMAT_NAME:
-            raise ValueError(f"not a {FORMAT_NAME} file")
+            raise DataError(f"not a {FORMAT_NAME} file")
         if doc.get("version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported model version {doc.get('version')!r}")
+            raise DataError(f"unsupported model version {doc.get('version')!r}")
         specs = []
         cals = []
         for entry in doc["features"]:
@@ -170,14 +171,21 @@ class Model:
                 )
             if spec.missing is MissingPolicy.VERTEX:
                 cal.missing_vertex = float(spec.size - 1)
+            _check_calibrator(spec, cal)
             specs.append(spec)
             cals.append(cal)
         shape = LatticeShape(doc["lattice"])
+        if list(shape.sizes) != [s.size for s in specs]:
+            raise DataError(
+                f"lattice sizes {list(shape.sizes)} do not match the feature sizes "
+                f"{[s.size for s in specs]}"
+            )
         theta = np.asarray(doc["theta"], dtype=float)
         if theta.shape != (shape.num_parameters,):
-            raise ValueError(
+            raise DataError(
                 f"theta has {theta.shape[0]} entries, lattice needs {shape.num_parameters}"
             )
+        _check_finite("theta", theta)
         return cls(
             specs=specs,
             shape=shape,
@@ -191,3 +199,58 @@ class Model:
     @classmethod
     def load(cls, path) -> "Model":
         return cls.from_json(Path(path).read_text())
+
+
+# --------------------------------------------------------------------------
+# validation on load
+
+
+def _check_finite(field: str, values) -> None:
+    bad = np.nonzero(~np.isfinite(np.asarray(values, dtype=float).reshape(-1)))[0]
+    if len(bad):
+        raise DataError(f"{field}[{bad[0]}] is not finite")
+
+
+def _check_calibrator(spec: FeatureSpec, cal) -> None:
+    """Raise a DataError naming the feature and the field unless ``cal`` is a
+    calibrator training could have produced: finite, monotone and inside
+    its axis.  Batch calibration's ``searchsorted`` relies on sorted knots."""
+    where = f"feature {spec.name!r}"
+    top = spec.axis_top
+    if isinstance(cal, ContinuousCalibrator):
+        knots, outputs = cal.knots, cal.outputs
+        if knots.ndim != 1 or len(knots) < 2 or knots.shape != outputs.shape:
+            raise DataError(
+                f"{where}: {knots.size} knots and {outputs.size} outputs; "
+                "need the same number, at least 2"
+            )
+        _check_finite(f"{where}: knots", knots)
+        _check_finite(f"{where}: outputs", outputs)
+        if np.any(np.diff(knots) <= 0.0):
+            raise DataError(f"{where}: knots are not strictly increasing")
+        if np.any(np.diff(outputs) < 0.0):
+            raise DataError(f"{where}: outputs decrease")
+        if outputs[0] < 0.0 or outputs[-1] > top:
+            raise DataError(f"{where}: outputs leave [0, {top:g}]")
+    else:
+        values = cal.values
+        _check_finite(f"{where}: category_values", values)
+        if np.any(values < 0.0) or np.any(values > top):
+            raise DataError(f"{where}: category_values leave [0, {top:g}]")
+        position = {c: i for i, c in enumerate(cal.categories)}
+        other = cal.other_index
+        if other is not None and not (isinstance(other, int) and 0 <= other < len(values)):
+            raise DataError(f"{where}: other_index {other!r} is out of range")
+        for a, b in cal.order_pairs:
+            if a not in position or b not in position:
+                raise DataError(f"{where}: order pair ({a!r}, {b!r}) names an unknown category")
+            if values[position[a]] > values[position[b]]:
+                raise DataError(
+                    f"{where}: category_values break the order pair ({a!r}, {b!r})"
+                )
+    if spec.missing is MissingPolicy.CALIBRATED:
+        value = cal.missing_value
+        if not isinstance(value, (int, float)) or not 0.0 <= value <= spec.size - 1:
+            raise DataError(
+                f"{where}: missing_value {value!r} is not a number in [0, {spec.size - 1}]"
+            )

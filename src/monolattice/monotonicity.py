@@ -177,6 +177,14 @@ def _constraint_rows(constraints: ConstraintSet):
     return rows
 
 
+def _finite_bounds(bounds) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the finite entries of a bound vector, and their values."""
+    if bounds is None:
+        return np.empty(0, dtype=np.int64), np.empty(0)
+    positions = np.nonzero(np.isfinite(bounds))[0]
+    return positions, bounds[positions]
+
+
 def _robust_norm(vec: np.ndarray) -> float:
     """Euclidean norm that survives entries whose squares overflow."""
     peak = float(np.max(np.abs(vec))) if vec.size else 0.0
@@ -209,63 +217,65 @@ def project_update(
     if max_infeasibility(th, constraints) > _FEASIBLE_INPUT_TOL:
         raise ValueError("theta violates the constraints it is supposed to satisfy")
 
-    rows = _constraint_rows(constraints)
+    # Rows in _constraint_rows order: pairwise rows, then finite lower
+    # bounds, then finite upper bounds.  Each pass computes every row's slack
+    # and rate at once, with the arithmetic the per-row form uses.
+    lo, hi = constraints.lo, constraints.hi
+    lower_j, lower = _finite_bounds(constraints.lower)
+    upper_j, upper = _finite_bounds(constraints.upper)
+    num_rows = len(lo) + len(lower_j) + len(upper_j)
     active: list[int] = []
+    inactive = np.ones(num_rows, dtype=bool)
     basis: list[np.ndarray] = []  # orthonormalized active normals
     remaining = st
     step_scale = _robust_norm(st)
-    if step_scale == 0.0 or not rows:
+    if step_scale == 0.0 or num_rows == 0:
         th += st
         return (th, active) if return_active else th
 
-    def slack_and_rate(row, vec):
-        ids, coeffs, offset = row
-        s = -offset
-        rate = 0.0
-        for j, c in zip(ids, coeffs):
-            s += c * th[j]
-            rate += c * vec[j]
-        return s, rate
+    def row_normal(r: int) -> np.ndarray:
+        normal = np.zeros_like(th)
+        if r < len(lo):
+            normal[hi[r]] = 1.0
+            normal[lo[r]] = -1.0
+        elif r < len(lo) + len(lower_j):
+            normal[lower_j[r - len(lo)]] = 1.0
+        else:
+            normal[upper_j[r - len(lo) - len(lower_j)]] = -1.0
+        return normal
 
-    for _ in range(len(rows) + 2):
+    for _ in range(num_rows + 2):
         direction = remaining.copy()
         for q in basis:
             direction -= q.dot(direction) * q
         if _robust_norm(direction) <= 1e-13 * step_scale:
             break
-        t_min = 1.0
-        hit_any = False
-        hit_ts = {}
-        for r, row in enumerate(rows):
-            if r in hit_ts or r in active:
-                continue
-            s, rate = slack_and_rate(row, direction)
-            if rate >= 0.0:
-                continue
-            t = max(s, 0.0) / -rate
-            if t <= 1.0:
-                hit_ts[r] = t
-                if t < t_min:
-                    t_min = t
-                hit_any = True
-        if not hit_any:
+        slack = np.concatenate([th[hi] - th[lo], th[lower_j] - lower, upper - th[upper_j]])
+        rate = np.concatenate([direction[hi] - direction[lo], direction[lower_j], -direction[upper_j]])
+        candidates = np.nonzero(inactive & (rate < 0.0))[0]
+        # max(s, 0.0) keeps s when s is not below 0, as Python's max does; a
+        # rate so small that t overflows to inf is never hit within the step
+        s = slack[candidates]
+        with np.errstate(over="ignore"):
+            t = np.where(s < 0.0, 0.0, s) / -rate[candidates]
+        hits = candidates[t <= 1.0]
+        t = t[t <= 1.0]
+        if len(hits) == 0:
             th += direction
             remaining = np.zeros_like(remaining)
             break
+        t_min = float(t[np.argmin(t)])  # the first smallest, as a strict-< scan finds
         th += t_min * direction
         remaining = (1.0 - t_min) * direction
-        for r, t in hit_ts.items():
-            if t <= t_min + _HIT_TOL:
-                ids, coeffs, _ = rows[r]
-                normal = np.zeros_like(th)
-                for j, c in zip(ids, coeffs):
-                    normal[j] = c
-                for q in basis:
-                    normal -= q.dot(normal) * q
-                norm = np.linalg.norm(normal)
-                active.append(r)
-                if norm > 1e-12:
-                    basis.append(normal / norm)
+        for r in hits[t <= t_min + _HIT_TOL].tolist():
+            normal = row_normal(r)
+            for q in basis:
+                normal -= q.dot(normal) * q
+            norm = np.linalg.norm(normal)
+            active.append(r)
+            inactive[r] = False
+            if norm > 1e-12:
+                basis.append(normal / norm)
     _remove_roundoff(th, constraints)
     return (th, active) if return_active else th
 

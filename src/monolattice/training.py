@@ -9,6 +9,13 @@ iterate satisfies its constraints.  Lattice and calibrator parameters are
 updated jointly in the same step, the calibrator step scaled by a separate
 factor (scale 0 freezes the calibrators).
 
+The loss subgradient is one batched pass: the minibatch's sides (a row, or
+a pair's preferred row then the other, with signs +1 and -1) are
+calibrated, located, weighted and differentiated as arrays, and the
+gradients are scattered in sample, side, vertex order, so the result is the
+per-sample loop's bit for bit.  Objective and metrics score through
+``Model.predict``, which uses the same kernel.
+
 ``parallel_train`` shards the dataset over K workers; each synchronization
 round, every worker trains from the consensus parameters on its own shard,
 and the consensus becomes the elementwise average of the workers (feasible,
@@ -27,8 +34,12 @@ import numpy as np
 
 from .calibrators import CalibratorSet, FeatureSpec, missing_vertex_dims
 from .data import Dataset, PairDataset
-from .interpolation import InterpolationKind, evaluate_with_gradients, interpolation_weights
-from .lattice import LatticeShape, locate_cell
+from .interpolation import InterpolationKind, chunk_rows, forward_backward_batch
+
+# The benchmark's span tracer (perfbench/spans.py) patches these names on
+# this module to time the scalar kernels; training runs the batched kernel.
+from .interpolation import evaluate_with_gradients, interpolation_weights  # noqa: F401
+from .lattice import LatticeShape, locate_cell  # noqa: F401
 from .monotonicity import (
     ConstraintSet,
     Direction,
@@ -212,60 +223,70 @@ def prepare_state(data: Dataset | PairDataset, specs: list[FeatureSpec], config:
 # gradients and steps
 
 
-def _sample_terms(state: TrainerState, i: int, want_feature_grads: bool):
-    """Loss pieces for sample i: (z, y, [(sign, weights, dz/dx, alpha partials)]).
+def _take(column, rows):
+    if isinstance(column, np.ndarray):
+        return column[rows]
+    return [column[i] for i in rows]
 
-    A labelled row is one side with sign +1; a pair is its preferred row with
-    sign +1 and the other with sign -1, scored against y = 1.
-    """
-    if isinstance(state.data, PairDataset):
-        y = 1.0
-        sides = ((1.0, state.data.plus_row(i)), (-1.0, state.data.minus_row(i)))
-    else:
-        y = float(state.data.labels[i])
-        sides = ((1.0, state.data.row(i)),)
-    cs = state.calibrators
-    z = 0.0
-    terms = []
-    for sign, row in sides:
-        x = cs.calibrate_row(row)
-        if want_feature_grads:
-            v, sw, dfdx = evaluate_with_gradients(state.theta, state.shape, x, state.config.kind)
-            entries = cs.row_gradients(row)
-        else:
-            sw = interpolation_weights(
-                state.shape, locate_cell(state.shape, x), state.config.kind
-            )
-            v = 0.0
-            for j, w in zip(sw.indices, sw.weights):
-                v += state.theta[j] * w
-            dfdx, entries = None, None
-        z += sign * v
-        terms.append((sign, sw, dfdx, entries))
-    return z, y, terms
+
+def _interleave(a, b):
+    if isinstance(a, np.ndarray):
+        return np.stack([a, b], axis=1).ravel()
+    return [v for ab in zip(a, b) for v in ab]
+
+
+def _sides(data, batch: np.ndarray):
+    """Feature columns of the sides of ``batch``, sample by sample, and the
+    targets.  A labelled row is one side with sign +1; a pair is its
+    preferred row with sign +1, then the other with sign -1, scored against
+    y = 1."""
+    if isinstance(data, PairDataset):
+        columns = [
+            _interleave(_take(p, batch), _take(m, batch))
+            for p, m in zip(data.plus_columns, data.minus_columns)
+        ]
+        return columns, np.ones(len(batch))
+    return [_take(c, batch) for c in data.columns], np.asarray(data.labels, dtype=float)[batch]
 
 
 def loss_gradients(state: TrainerState, minibatch) -> tuple[np.ndarray, np.ndarray]:
-    """Minibatch-mean loss subgradient w.r.t. theta and the calibrator vector."""
+    """Minibatch-mean loss subgradient w.r.t. theta and the calibrator vector.
+
+    The minibatch runs through the batched kernels in chunks.  Each sample's
+    loss slope comes from the scalar ``loss_slope``, and the parameter
+    gradients are scattered sample by sample, side by side, vertex by vertex,
+    so every entry is the sum a per-sample loop would form, in its order.
+    """
+    batch = np.asarray(minibatch, dtype=np.int64)
     g_theta = np.zeros_like(state.theta)
     g_alpha = np.zeros(state.calibrators.num_free)
     want = state.trains_calibrators
-    scale = 1.0 / len(minibatch)
-    for i in minibatch:
-        z, y, sides = _sample_terms(state, i, want)
-        slope = loss_slope(state.config.loss, y, z) * scale
-        if slope == 0.0:
-            continue
-        for sign, sw, dfdx, entries in sides:
-            s = sign * slope
-            for j, w in zip(sw.indices, sw.weights):
-                g_theta[j] += s * w
-            if want:
-                for d, per_feature in enumerate(entries):
-                    if not per_feature or dfdx[d] == 0.0:
-                        continue
-                    for pos, partial in per_feature:
-                        g_alpha[pos] += s * dfdx[d] * partial
+    scale = 1.0 / len(batch)
+    loss = state.config.loss
+    n_sides = 2 if isinstance(state.data, PairDataset) else 1
+    step = max(1, chunk_rows(state.shape, state.config.kind) // n_sides)
+    for start in range(0, len(batch), step):
+        columns, y = _sides(state.data, batch[start : start + step])
+        x, alpha_grads = state.calibrators.calibrate_batch(columns)
+        values, indices, weights, dfdx = forward_backward_batch(
+            state.theta, state.shape, x, state.config.kind, want_slopes=want
+        )
+        # z = 0.0 + sum of sign * value over the sides; values are never -0.0
+        z = values if n_sides == 1 else values[0::2] - values[1::2]
+        slope = [loss_slope(loss, yi, zi) * scale for yi, zi in zip(y.tolist(), z.tolist())]
+        s = np.repeat(slope, n_sides)  # sign * slope, side by side
+        if n_sides == 2:
+            s[1::2] = -s[1::2]
+        live = s != 0.0
+        np.add.at(g_theta, indices[live].ravel(), (s[live, None] * weights[live]).ravel())
+        if want:
+            for d, (positions, partials) in enumerate(alpha_grads):
+                rows, cols = np.nonzero((positions >= 0) & (live & (dfdx[:, d] != 0.0))[:, None])
+                np.add.at(
+                    g_alpha,
+                    positions[rows, cols],
+                    s[rows] * dfdx[rows, d] * partials[rows, cols],
+                )
     return g_theta, g_alpha
 
 

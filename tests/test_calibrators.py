@@ -293,3 +293,113 @@ class TestCalibratorSet:
         cs = CalibratorSet.fit(specs, [np.array([0.0, 5.0, 9.0])], np.array([0, 1, 2]))
         assert cs.num_free == 0
         assert cs.constraints().is_empty()
+
+
+def batch_rows(cal, column):
+    """calibrate_batch of a column, as (coordinate, gradient list) per row."""
+    coords, positions, partials = cal.calibrate_batch(column)
+    return [
+        (c, [(p, g) for p, g in zip(pos, part) if p >= 0])
+        for c, pos, part in zip(coords.tolist(), positions.tolist(), partials.tolist())
+    ]
+
+
+def scalar_rows(cal, column):
+    return [(cal.calibrate(v), cal.gradient(v)) for v in column]
+
+
+class TestCalibrateBatch:
+    @pytest.mark.parametrize("missing", list(MissingPolicy))
+    def test_continuous_matches_scalar(self, missing):
+        size = 3 if missing is MissingPolicy.VERTEX else 4
+        spec = cont_spec(keypoints=6, size=size, missing=missing)
+        rng = np.random.default_rng(3)
+        cal = build_continuous_calibrator(spec, rng.random(200) * 10)
+        k = len(cal.outputs)
+        cal.outputs[1:-1] = np.sort(rng.random(k - 2)) * cal.axis_top  # learned outputs
+        if missing is MissingPolicy.CALIBRATED:
+            cal.missing_value = 1.7
+        knots = cal.knots
+        column = np.concatenate([
+            rng.random(100) * 12 - 1,  # interior and beyond both bounds
+            knots,  # exactly on every knot
+            np.nextafter(knots, np.inf),
+            np.nextafter(knots, -np.inf),
+            [-np.inf, np.inf, knots[0] - 5, knots[-1] + 5],
+        ])
+        if missing is not MissingPolicy.NONE:
+            column[::7] = np.nan
+        assert batch_rows(cal, column) == scalar_rows(cal, column)
+        # a plain list with None for missing gives the same
+        as_list = [None if np.isnan(v) else float(v) for v in column]
+        assert batch_rows(cal, as_list) == scalar_rows(cal, column)
+
+    def test_two_knot_continuous_has_no_partials(self):
+        cal = build_continuous_calibrator(cont_spec(size=3), np.array([0.0, 4.0]))
+        column = np.array([-1.0, 0.0, 1.0, 2.5, 4.0, 9.0])
+        assert batch_rows(cal, column) == scalar_rows(cal, column)
+
+    @pytest.mark.parametrize("missing", list(MissingPolicy))
+    @pytest.mark.parametrize("allow_unseen", [False, True])
+    def test_categorical_matches_scalar(self, missing, allow_unseen):
+        size = 3 if missing is MissingPolicy.VERTEX else 2
+        spec = cat_spec(size=size, missing=missing, allow_unseen=allow_unseen)
+        fit = ["a", "b", "c", "a", "b"] * 40 + (["rare"] if allow_unseen else [])
+        labels = np.linspace(0.0, 1.0, len(fit))
+        cal = build_categorical_calibrator(spec, fit, labels)
+        cal.values[:] = np.linspace(0.1, cal.axis_top - 0.2, len(cal.values))
+        if missing is MissingPolicy.CALIBRATED:
+            cal.missing_value = 0.3
+        column = ["c", "a", "b", "a"]
+        if allow_unseen:
+            column += ["rare", "never seen", OTHER_CATEGORY]
+        if missing is not MissingPolicy.NONE:
+            column += [None, "b", float("nan")]
+        assert batch_rows(cal, column) == scalar_rows(cal, column)
+
+    def test_missing_without_policy_raises_the_same_error(self):
+        cal = build_continuous_calibrator(cont_spec(), np.array([0.0, 1.0]))
+        with pytest.raises(DataError) as scalar:
+            cal.calibrate(float("nan"))
+        with pytest.raises(DataError) as batch:
+            cal.calibrate_batch(np.array([0.5, np.nan]))
+        assert str(batch.value) == str(scalar.value)
+
+    def test_first_bad_category_raises_the_same_error(self):
+        cal = build_categorical_calibrator(cat_spec(), ["x", "y"], np.array([0.0, 1.0]))
+        for column, first_bad in ((["x", "zzz", None], "zzz"), (["x", None, "zzz"], None)):
+            with pytest.raises(DataError) as scalar:
+                cal.calibrate(first_bad)
+            with pytest.raises(DataError) as batch:
+                cal.calibrate_batch(column)
+            assert str(batch.value) == str(scalar.value)
+
+    def test_set_matches_rows(self):
+        cs = TestCalibratorSet().build()
+        rng = np.random.default_rng(4)
+        columns = [
+            rng.random(60) * 12 - 1,
+            list(rng.choice(["x", "y", "z"], size=60)),
+            np.where(rng.random(60) < 0.3, np.nan, rng.random(60)),
+        ]
+        coords, grads = cs.calibrate_batch(columns)
+        for i in range(60):
+            row = [col[i] for col in columns]
+            assert coords[i].tolist() == cs.calibrate_row(row)
+            got = [
+                [(p, g) for p, g in zip(pos[i].tolist(), part[i].tolist()) if p >= 0]
+                for pos, part in grads
+            ]
+            assert got == cs.row_gradients(row)
+
+    def test_set_reports_the_first_bad_row(self):
+        # row 0 has an unknown category in feature b, row 1 a missing value
+        # in feature a (which has no missing policy): row order decides
+        cs = TestCalibratorSet().build()
+        columns = [np.array([1.0, np.nan]), ["nope", "x"], np.array([0.5, 0.5])]
+        with pytest.raises(DataError) as scalar:
+            cs.calibrate_row([1.0, "nope", 0.5])
+        with pytest.raises(DataError) as batch:
+            cs.calibrate_batch(columns)
+        assert str(batch.value) == str(scalar.value)
+        assert "unknown category" in str(batch.value)

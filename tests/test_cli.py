@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from monolattice import Model
+from monolattice import DataError, Model
 from monolattice.cli import main
 
 
@@ -369,3 +369,84 @@ class TestMissingToken:
         model = Model.load(tmp_path / "m.json")
         assert model.violations() == []
         assert np.isfinite(model.predict_row([float("nan")]))
+
+
+@pytest.fixture(scope="module")
+def mixed_model_doc():
+    """A trained model with a PWL calibrator (learned missing value), a
+    categorical one with an order pair, and a two-knot one, as JSON."""
+    from monolattice import Dataset, FeatureSpec, TrainConfig, train
+
+    rng = np.random.default_rng(5)
+    n = 90
+    signal = rng.random(n) * 5
+    signal[::9] = np.nan
+    bucket = list(rng.choice(["low", "mid", "high"], size=n))
+    y = np.nan_to_num(signal / 5, nan=0.4) + np.where([b == "high" for b in bucket], 0.5, 0.0)
+    specs = [
+        FeatureSpec(name="signal", size=3, keypoints=4, monotone="increasing", missing="calibrated"),
+        FeatureSpec(name="bucket", kind="categorical", size=2, order_pairs=[("low", "high")]),
+        FeatureSpec(name="plain", size=2),
+    ]
+    data = Dataset([signal, bucket, rng.random(n)], y)
+    model = train(data, specs, TrainConfig(epochs=3, step_size=0.2, seed=1))
+    return json.loads(model.to_json())
+
+
+def _set(path, value):
+    def corrupt(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value(target[path[-1]]) if callable(value) else value
+
+    return corrupt
+
+
+SIGNAL = ("features", 0, "calibrator")
+BUCKET = ("features", 1, "calibrator", "category_values")
+
+# (corruption, what the error names)
+CORRUPTIONS = {
+    "nan-theta": (_set(("theta", 2), float("nan")), "theta[2] is not finite"),
+    "inf-output": (_set((*SIGNAL, "outputs", 1), float("inf")), "'signal': outputs[1] is not finite"),
+    "nan-knot": (_set((*SIGNAL, "knots", 2), float("nan")), "'signal': knots[2] is not finite"),
+    "reversed-knots": (_set((*SIGNAL, "knots"), lambda k: k[::-1]), "'signal': knots are not strictly"),
+    "knot-count": (_set((*SIGNAL, "knots"), lambda k: k[:-1]), "'signal': 3 knots and 4 outputs"),
+    "decreasing-outputs": (_set((*SIGNAL, "outputs"), [0.0, 1.5, 0.5, 2.0]), "'signal': outputs decrease"),
+    "output-below-axis": (_set((*SIGNAL, "outputs", 0), -5.0), "'signal': outputs leave [0, 2]"),
+    "output-above-axis": (_set((*SIGNAL, "outputs", 3), 2.5), "'signal': outputs leave [0, 2]"),
+    "missing-value-range": (_set((*SIGNAL, "missing_value"), 9.0), "'signal': missing_value 9.0"),
+    "missing-value-nan": (_set((*SIGNAL, "missing_value"), float("nan")), "'signal': missing_value nan"),
+    "category-range": (_set((*BUCKET, "mid"), 1.5), "'bucket': category_values leave [0, 1]"),
+    "category-nan": (_set((*BUCKET, "mid"), float("nan")), "'bucket': category_values[1] is not finite"),
+    "order-pair": (
+        lambda doc: (_set((*BUCKET, "low"), 1.0)(doc), _set((*BUCKET, "high"), 0.0)(doc)),
+        "'bucket': category_values break the order pair ('low', 'high')",
+    ),
+    "order-pair-unknown": (
+        _set(("features", 1, "order"), [["low", "nowhere"]]),
+        "'bucket': order pair ('low', 'nowhere') names an unknown category",
+    ),
+    "lattice-size": (_set(("lattice", 0), 4), "do not match the feature sizes"),
+}
+
+
+class TestCorruptedModelFiles:
+    @pytest.mark.parametrize("case", list(CORRUPTIONS))
+    def test_check_exits_two_and_names_the_field(self, mixed_model_doc, tmp_path, capsys, case):
+        corrupt, message = CORRUPTIONS[case]
+        doc = json.loads(json.dumps(mixed_model_doc))
+        corrupt(doc)
+        with pytest.raises(DataError) as err:
+            Model.from_json(json.dumps(doc))
+        assert message in str(err.value)
+        path = tmp_path / "corrupt.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", "--model", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_uncorrupted_file_passes(self, mixed_model_doc, tmp_path, capsys):
+        path = tmp_path / "clean.json"
+        path.write_text(json.dumps(mixed_model_doc))
+        assert main(["check", "--model", str(path)]) == 0

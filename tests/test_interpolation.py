@@ -10,6 +10,7 @@ from monolattice import (
     evaluate,
     evaluate_batch,
     evaluate_with_gradients,
+    forward_backward_batch,
     interpolation_weights,
     locate_cell,
     multilinear_weights,
@@ -19,6 +20,7 @@ from monolattice import (
     vertex_coords,
     vertex_index,
 )
+from monolattice.interpolation import chunk_rows
 
 ALL_KINDS = list(InterpolationKind)
 
@@ -68,9 +70,7 @@ class TestNaive:
             batch = multilinear_weights_naive_batch(rs)
             assert batch.shape == (50, 1 << d)
             for i in range(50):
-                assert batch[i] == pytest.approx(
-                    multilinear_weights_naive(rs[i]), abs=1e-15
-                )
+                assert batch[i].tolist() == multilinear_weights_naive(rs[i])
 
 
 class TestFastMultilinear:
@@ -243,14 +243,94 @@ class TestEvaluate:
             assert vl == pytest.approx(vr, abs=1e-12)
 
     def test_batch_matches_scalar(self):
-        sh = LatticeShape([3, 2, 2])
         rng = np.random.default_rng(9)
-        theta = rng.standard_normal(12)
-        pts = rng.random((100, 3)) * (np.array(sh.sizes) - 1.0)
-        for kind in ALL_KINDS:
-            batch = evaluate_batch(theta, sh, pts, kind)
-            scalar = [evaluate(theta, sh, x, kind) for x in pts]
-            assert batch == pytest.approx(scalar, abs=0)
+        for sh in batch_shapes(rng):
+            theta = rng.standard_normal(sh.num_parameters)
+            pts = batch_points(rng, sh)
+            for kind in ALL_KINDS:
+                batch = evaluate_batch(theta, sh, pts, kind)
+                assert batch.tolist() == [evaluate(theta, sh, x, kind) for x in pts]
+                # a list theta (as predict_row keeps it) gives the same bits
+                assert evaluate_batch(theta.tolist(), sh, pts, kind).tolist() == batch.tolist()
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_batch_keeps_the_sign_of_zero_sums(self, kind):
+        # a scalar sum starts at +0.0, so it is never -0.0, even when every
+        # term is -0.0
+        sh = LatticeShape([3, 2, 2])
+        rng = np.random.default_rng(14)
+        theta = np.full(12, -0.0)
+        pts = batch_points(rng, sh)
+        scalar = np.array([evaluate(theta, sh, x, kind) for x in pts])
+        assert evaluate_batch(theta, sh, pts, kind).tobytes() == scalar.tobytes()
+        values, _, _, slopes = forward_backward_batch(theta, sh, pts, kind, want_slopes=True)
+        grads = np.array([evaluate_with_gradients(theta, sh, x, kind)[2] for x in pts])
+        assert slopes.tobytes() == grads.tobytes()
+
+    def test_batch_spans_several_chunks(self):
+        sh = LatticeShape([2] * 10)
+        rng = np.random.default_rng(12)
+        theta = rng.standard_normal(sh.num_parameters)
+        pts = rng.random((3 * chunk_rows(sh, InterpolationKind.MULTILINEAR) + 5, 10))
+        batch = evaluate_batch(theta, sh, pts)
+        assert batch.tolist() == [evaluate(theta, sh, x) for x in pts]
+
+    def test_batch_of_no_points(self):
+        sh = LatticeShape([3, 2])
+        assert evaluate_batch(np.zeros(6), sh, np.empty((0, 2))).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [-1e-300, 2.5, np.nan])
+    def test_batch_reports_the_first_bad_coordinate(self, bad):
+        sh = LatticeShape([3, 2])
+        pts = np.array([[0.5, 0.5], [1.0, bad], [bad, 0.0]])
+        with pytest.raises(ValueError) as scalar:
+            locate_cell(sh, pts[1])
+        with pytest.raises(ValueError) as batch:
+            evaluate_batch(np.zeros(6), sh, pts)
+        assert str(batch.value) == str(scalar.value)
+
+
+def batch_shapes(rng):
+    """Random shapes up to D=4, then one per D up to 10."""
+    shapes = [random_shape(rng, max_d=4) for _ in range(12)]
+    return shapes + [LatticeShape(rng.integers(2, 4, size=d)) for d in range(5, 11)]
+
+
+def batch_points(rng, sh, n=40):
+    """Random points, points on interior cell faces, on the top face of the
+    box, on vertices, and with tied residuals (simplex chain ties)."""
+    top = np.array(sh.sizes) - 1.0
+    pts = rng.random((n, sh.ndim)) * top
+    pts[: n // 4] = np.floor(pts[: n // 4])  # vertices and cell faces
+    pts[n // 4 : n // 2, 0] = top[0]  # top face in dimension 0
+    pts[n // 2 : n // 2 + 2] = top  # top corner
+    tied = pts[n // 2 + 2 : 3 * n // 4]
+    tied[:] = np.floor(tied) + rng.random((len(tied), 1))
+    np.minimum(tied, top, out=tied)
+    return pts
+
+
+class TestForwardBackwardBatch:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_matches_evaluate_with_gradients(self, kind):
+        rng = np.random.default_rng(13)
+        for sh in batch_shapes(rng):
+            theta = rng.standard_normal(sh.num_parameters)
+            pts = batch_points(rng, sh)
+            values, indices, weights, slopes = forward_backward_batch(
+                theta, sh, pts, kind, want_slopes=True
+            )
+            for i, x in enumerate(pts):
+                value, sw, grad = evaluate_with_gradients(theta, sh, x, kind)
+                assert values[i] == value
+                assert indices[i].tolist() == sw.indices
+                assert weights[i].tolist() == sw.weights
+                assert slopes[i].tolist() == grad
+
+    def test_slopes_only_on_request(self):
+        sh = LatticeShape([3, 3])
+        out = forward_backward_batch(np.zeros(9), sh, np.array([[0.5, 1.5]]))
+        assert out[3] is None
 
 
 class TestPointGradients:

@@ -16,6 +16,8 @@ from monolattice import (
     vertex_coords,
 )
 
+from scalar_reference import reference_project_update
+
 INC = Direction.INCREASING
 DEC = Direction.DECREASING
 FREE = Direction.NONE
@@ -243,6 +245,57 @@ class TestProjectUpdate:
             exact = project_exact(theta + step, cs)
             assert out == pytest.approx(exact, abs=1e-10)
             num_checked += 1
+
+
+class TestWalkMatchesRowScan:
+    """The array scan in project_update against the row-at-a-time walk."""
+
+    def sets(self, rng):
+        for n in (2, 3, 6, 12):
+            cs = chain(n)
+            cs.lower = np.where(rng.random(n) < 0.5, -1.0, -np.inf)
+            cs.upper = np.where(rng.random(n) < 0.5, 1.0, np.inf)
+            yield cs
+        for sizes, dirs in (
+            ([3, 3], (INC, INC)),
+            ([2, 3, 4], (INC, DEC, FREE)),
+            ([2] * 6, (INC,) * 6),
+            ([3, 2, 2, 2], (DEC, INC, INC, FREE)),
+        ):
+            cs = build_constraints(LatticeShape(sizes), dirs)
+            p = cs.num_parameters
+            cs.lower = np.where(rng.random(p) < 0.3, -1.0, -np.inf)
+            cs.upper = np.where(rng.random(p) < 0.3, 1.0, np.inf)
+            yield cs
+
+    def test_walks_agree_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        multi_hit = 0
+        for cs in self.sets(rng):
+            p = cs.num_parameters
+            # feasible starts with every row tight (some slacks -0.0), the
+            # last one on every lower bound, so one step can hit several at once
+            signed_zeros = np.where(rng.random(p) < 0.5, -0.0, 0.0)
+            for theta in (np.zeros(p), signed_zeros, np.full(p, -1.0)):
+                for _ in range(60):
+                    step = rng.standard_normal(p) * rng.choice([0.01, 0.3, 2.0])
+                    if rng.random() < 0.3:
+                        step = np.round(step)  # whole steps: ties between hit times
+                    got, active = project_update(theta, step, cs, return_active=True)
+                    ref, ref_active = reference_project_update(theta, step, cs, return_active=True)
+                    assert got.tobytes() == ref.tobytes()
+                    assert active == ref_active
+                    multi_hit += len(active) > 1
+                    theta = got
+        assert multi_hit > 50
+
+    def test_no_rows_or_zero_step(self):
+        cs = ConstraintSet(3)
+        theta = np.array([0.0, 1.0, 2.0])
+        for step in (np.zeros(3), np.array([1.0, -1.0, 0.5])):
+            got = project_update(theta, step, cs, return_active=True)
+            ref = reference_project_update(theta, step, cs, return_active=True)
+            assert got[0].tolist() == ref[0].tolist() and got[1] == ref[1]
 
 
 class TestProjectExact:

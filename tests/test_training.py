@@ -25,11 +25,14 @@ from monolattice import (
     max_infeasibility,
     model_objective,
     parallel_train,
+    project_update,
     regularizer_terms,
     regularizer_value,
     train,
 )
+from monolattice import training
 from monolattice.training import loss_gradients, prepare_state, sgd_step
+from scalar_reference import reference_loss_gradients, reference_project_update
 
 
 def spec(name, **kw):
@@ -488,3 +491,100 @@ class TestMetrics:
         metrics = evaluate_metrics(model, data)
         assert metrics["accuracy"] == 1.0
         assert "log_loss" not in metrics
+
+
+def mixed_problem(pairs: bool, loss: Loss, n=120, seed=0):
+    """Three features covering a calibrated-missing PWL chain, a categorical
+    with an order pair and an OTHER bucket (one rare category folds into it),
+    and a missing vertex; rows with labels fitting ``loss``, or pairs.  The
+    labels rise with the category, so the fitted start meets the order pair."""
+    rng = np.random.default_rng(seed)
+
+    def columns():
+        a = rng.random(n) * 4
+        a[rng.random(n) < 0.1] = np.nan
+        b = rng.integers(0, 3, size=n)
+        c = rng.random(n)
+        c[rng.random(n) < 0.1] = np.nan
+        names = [f"c{k}" for k in b]
+        names[5] = "rare"
+        return [a, names, c], b
+
+    specs = [
+        spec("a", size=3, keypoints=5, monotone=Direction.INCREASING,
+             missing=MissingPolicy.CALIBRATED),
+        FeatureSpec(name="b", kind=FeatureKind.CATEGORICAL, size=2,
+                    order_pairs=[("c0", "c2")], allow_unseen=True),
+        spec("c", size=3, keypoints=3, missing=MissingPolicy.VERTEX),
+    ]
+    if pairs:
+        return PairDataset(columns()[0], columns()[0]), specs
+    cols, b = columns()
+    score = rng.random(n) * 0.5 + 0.25 * b
+    labels = score if loss is Loss.SQUARED else (score > 0.5).astype(float)
+    return Dataset(cols, labels), specs
+
+
+def perturbed_state(data, specs, config, seed=1):
+    """Training state with random theta and random feasible calibrators."""
+    state = prepare_state(data, specs, config)
+    rng = np.random.default_rng(seed)
+    state.theta = rng.standard_normal(state.theta.size) * 2
+    alpha = state.calibrators.alpha()
+    state.calibrators.set_alpha(
+        project_update(alpha, rng.standard_normal(alpha.size), state.alpha_constraints)
+    )
+    return state
+
+
+def assert_same_gradients(state, minibatch):
+    got = loss_gradients(state, minibatch)
+    ref = reference_loss_gradients(state, minibatch)
+    assert got[0].tobytes() == ref[0].tobytes()
+    assert got[1].tobytes() == ref[1].tobytes()
+
+
+class TestBatchedStepMatchesReference:
+    """The batched training step against the per-sample scalar loop."""
+
+    @pytest.mark.parametrize("scale", [1.0, 0.0], ids=["calibrators-trained", "frozen"])
+    @pytest.mark.parametrize("kind", list(InterpolationKind))
+    @pytest.mark.parametrize("loss", list(Loss))
+    @pytest.mark.parametrize("pairs", [False, True], ids=["rows", "pairs"])
+    def test_loss_gradients(self, pairs, loss, kind, scale):
+        data, specs = mixed_problem(pairs, loss)
+        config = TrainConfig(loss=loss, kind=kind, calibrator_step_scale=scale)
+        state = perturbed_state(data, specs, config)
+        assert state.trains_calibrators == (scale != 0.0)
+        rng = np.random.default_rng(2)
+        for size in (1, 17, 64):
+            assert_same_gradients(state, rng.integers(0, 120, size=size))
+        assert_same_gradients(state, np.arange(120))
+
+    @pytest.mark.parametrize("pairs", [False, True], ids=["rows", "pairs"])
+    def test_minibatch_spanning_several_chunks(self, pairs):
+        rng = np.random.default_rng(3)
+        n = 100
+        specs = [spec(f"x{d}", keypoints=3) for d in range(10)]
+        cols = lambda: [rng.random(n) for _ in range(10)]  # noqa: E731
+        data = PairDataset(cols(), cols()) if pairs else Dataset(cols(), rng.random(n))
+        config = TrainConfig(loss=Loss.LOGISTIC if pairs else Loss.SQUARED)
+        state = perturbed_state(data, specs, config)
+        assert_same_gradients(state, rng.integers(0, n, size=90))
+
+    @pytest.mark.parametrize(
+        "pairs, loss, kind, workers",
+        [
+            (False, Loss.SQUARED, InterpolationKind.MULTILINEAR, 1),
+            (False, Loss.HINGE, InterpolationKind.SIMPLEX, 2),
+            (True, Loss.LOGISTIC, InterpolationKind.SIMPLEX, 2),
+        ],
+    )
+    def test_trained_model_bytes(self, monkeypatch, pairs, loss, kind, workers):
+        data, specs = mixed_problem(pairs, loss)
+        config = TrainConfig(loss=loss, kind=kind, epochs=4, minibatch_size=16,
+                             step_size=0.5, seed=9, workers=workers, sync_rounds=2)
+        batched = parallel_train(data, specs, config).to_json()
+        monkeypatch.setattr(training, "loss_gradients", reference_loss_gradients)
+        monkeypatch.setattr(training, "project_update", reference_project_update)
+        assert parallel_train(data, specs, config).to_json() == batched
