@@ -96,17 +96,6 @@ def multilinear_weights_naive_batch(residuals: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cell_vertex_indices(shape: LatticeShape, base) -> list[int]:
-    # flat indices of all 2^D cell vertices, in the same bit order as the
-    # naive weight vector
-    base_idx = vertex_index(shape, base)
-    indices = [base_idx]
-    for d in range(shape.ndim):
-        sd = shape.strides[d]
-        indices += [i + sd for i in indices]
-    return indices
-
-
 # --------------------------------------------------------------------------
 # fast multilinear
 
@@ -165,7 +154,7 @@ def simplex_weights(shape: LatticeShape, location: CellLocation) -> SparseWeight
 
 def _naive_sparse(shape: LatticeShape, location: CellLocation) -> SparseWeights:
     return SparseWeights(
-        _cell_vertex_indices(shape, location.base),
+        (vertex_index(shape, location.base) + _doubled_offsets(shape)).tolist(),
         multilinear_weights_naive(location.residual),
     )
 
