@@ -18,11 +18,7 @@ import numpy as np
 from .interpolation import InterpolationKind, evaluate
 from .lattice import LatticeShape
 
-DEFAULT_KINDS = (
-    InterpolationKind.MULTILINEAR_NAIVE,
-    InterpolationKind.MULTILINEAR,
-    InterpolationKind.SIMPLEX,
-)
+DEFAULT_KINDS = (InterpolationKind.MULTILINEAR, InterpolationKind.SIMPLEX)
 
 
 @dataclass(frozen=True)

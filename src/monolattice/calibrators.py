@@ -337,13 +337,39 @@ def build_continuous_calibrator(spec: FeatureSpec, column) -> ContinuousCalibrat
     return cal
 
 
+def _respect_order_pairs(spec: FeatureSpec, ordered: list[str]) -> list[str]:
+    """``ordered`` reordered so that a comes before b for every declared pair
+    (a, b): a topological sort that always takes the earliest category that
+    is ready, so an order that already satisfies every pair is kept as is."""
+    before: dict[str, set[str]] = {c: set() for c in ordered}
+    for a, b in spec.order_pairs:
+        for c in (a, b):
+            if c not in before:
+                raise DataError(f"feature {spec.name}: order pair names unknown category {c!r}")
+        if a != b:
+            before[b].add(a)
+    out: list[str] = []
+    rest = list(ordered)
+    while rest:
+        ready = next((c for c in rest if not before[c]), None)
+        if ready is None:
+            raise DataError(f"feature {spec.name}: order pairs form a cycle among {sorted(rest)}")
+        out.append(ready)
+        rest.remove(ready)
+        for c in rest:
+            before[c].discard(ready)
+    return out
+
+
 def build_categorical_calibrator(
     spec: FeatureSpec, column, labels=None
 ) -> CategoricalCalibrator:
     """Category map initialized by mean label order, evenly spread on the axis.
 
     Categories with no labels to average (explicitly declared but absent from
-    the data, or label-free ranking data) fall back to name order.  With
+    the data, or label-free ranking data) fall back to name order.  Declared
+    order pairs then move categories as little as needed to hold, so the
+    start satisfies every pair; cyclic pairs raise a ``DataError``.  With
     ``allow_unseen``, a dedicated OTHER bucket absorbs categories rarer than
     1% of rows during fitting and any unknown category later.
     """
@@ -388,6 +414,7 @@ def build_categorical_calibrator(
         ordered = [c for _, c in keyed]
     else:
         ordered = sorted(kept)
+    ordered = _respect_order_pairs(spec, ordered)
 
     top = spec.axis_top
     if len(ordered) >= 2:
@@ -400,11 +427,6 @@ def build_categorical_calibrator(
         ordered = ordered + [OTHER_CATEGORY]
         values = np.append(values, top / 2.0)
         other_index = len(ordered) - 1
-
-    for a, b in spec.order_pairs:
-        for c in (a, b):
-            if c not in ordered:
-                raise DataError(f"feature {spec.name}: order pair names unknown category {c!r}")
 
     cal = CategoricalCalibrator(
         categories=ordered,

@@ -21,7 +21,7 @@ from .lattice import vertex_index
 from .model import Model
 from .monotonicity import parse_direction
 from .regularizers import RegularizerConfig, RegularizerKind
-from .training import Loss, TrainConfig, TrainingError, evaluate_metrics, parallel_train
+from .training import Loss, TrainConfig, TrainingError, evaluate_metrics, train
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -142,7 +142,7 @@ def cmd_train(args) -> int:
         workers=args.workers,
         sync_rounds=args.sync_rounds,
     )
-    model = parallel_train(data, specs, config)
+    model = train(data, specs, config)
     model.save(args.out)
     metrics = evaluate_metrics(model, data)
     print(json.dumps({"model": args.out, "train_metrics": metrics}, sort_keys=True))

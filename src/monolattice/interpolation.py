@@ -1,23 +1,21 @@
 """Interpolation kernels over lattice cells.
 
-Three ways to turn a cell location into a convex combination of vertex
-parameters:
+Two kinds of interpolation turn a cell location into a convex combination
+of vertex parameters:
 
-* ``multilinear_weights_naive`` - direct product form: the weight on cell
-  vertex v is prod_d residual[d]^v[d] * (1-residual[d])^(1-v[d]), evaluated
-  one vertex at a time.  O(D * 2^D).  Kept as the correctness oracle and as
-  the baseline in benchmarks.
-* ``multilinear_weights`` - same weights via a doubling pass: process one
-  dimension at a time, splitting every partial weight into its (1-r) and r
-  halves.  O(2^D).
+* ``multilinear_weights`` - the product-form weights via a doubling pass:
+  process one dimension at a time, splitting every partial weight into its
+  (1-r) and r halves.  O(2^D).  ``multilinear_weights_naive`` evaluates the
+  product one vertex at a time, O(D * 2^D); it is not a kind but the oracle
+  the doubling pass is tested against.
 * ``simplex_weights`` - locally linear instead of multilinear: sort the
   residual, walk the chain of vertices from the cell base to its far corner
   in sorted order, and weight each chain vertex by a difference of
   consecutive sorted residuals.  O(D log D), touches D+1 vertices.
 
-All three produce nonnegative weights that sum to 1 and average the residual
-back exactly (linear precision), so piecing cells together yields a
-continuous surface.
+Both produce nonnegative weights that sum to 1 and average the residual back
+exactly (linear precision), so piecing cells together yields a continuous
+surface.
 
 The scalar kernels above work on one point.  ``forward_backward_batch`` runs
 the same arithmetic on an (n, D) array of points in numpy, one column
@@ -39,7 +37,6 @@ from .lattice import CellLocation, LatticeShape, locate_cell, locate_cells, vert
 
 
 class InterpolationKind(str, enum.Enum):
-    MULTILINEAR_NAIVE = "multilinear-naive"
     MULTILINEAR = "multilinear"
     SIMPLEX = "simplex"
 
@@ -53,7 +50,7 @@ class SparseWeights:
 
 
 # --------------------------------------------------------------------------
-# naive multilinear (oracle / baseline)
+# naive multilinear (oracle)
 
 
 def multilinear_weights_naive(residual) -> list[float]:
@@ -152,15 +149,7 @@ def simplex_weights(shape: LatticeShape, location: CellLocation) -> SparseWeight
 # evaluation
 
 
-def _naive_sparse(shape: LatticeShape, location: CellLocation) -> SparseWeights:
-    return SparseWeights(
-        (vertex_index(shape, location.base) + _doubled_offsets(shape)).tolist(),
-        multilinear_weights_naive(location.residual),
-    )
-
-
 _WEIGHT_FNS = {
-    InterpolationKind.MULTILINEAR_NAIVE: _naive_sparse,
     InterpolationKind.MULTILINEAR: multilinear_weights,
     InterpolationKind.SIMPLEX: simplex_weights,
 }
@@ -273,8 +262,8 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
 
 
 def _doubled_offsets(shape: LatticeShape) -> np.ndarray:
-    # flat offsets of the 2^D cell vertices from the base, in the bit order of
-    # the naive weight vector
+    # flat offsets of the 2^D cell vertices from the base, in the order of
+    # the doubling pass (bit d set = far side in dimension d)
     offsets = np.zeros(1, dtype=np.int64)
     for sd in shape.strides:
         offsets = np.concatenate([offsets, offsets + sd])
@@ -333,10 +322,7 @@ def forward_backward_batch(
             [base_idx[:, None], base_idx[:, None] + np.cumsum(strides[order], axis=1)], axis=1
         )
     else:
-        if kind is InterpolationKind.MULTILINEAR:
-            weights = _doubling_weights(residual)
-        else:
-            weights = multilinear_weights_naive_batch(residual)
+        weights = _doubling_weights(residual)
         indices = base_idx[:, None] + _doubled_offsets(shape)[None, :]
     vals = th[indices]
     values = _row_sums(vals * weights)

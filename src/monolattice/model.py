@@ -27,6 +27,7 @@ from .calibrators import (
 from .interpolation import InterpolationKind, evaluate, evaluate_batch
 from .lattice import LatticeShape
 from .monotonicity import (
+    Direction,
     build_constraints,
     describe_violations,
 )
@@ -137,14 +138,15 @@ class Model:
         specs = []
         cals = []
         for entry in doc["features"]:
+            where = f"feature {entry['name']!r}:"
             spec = FeatureSpec(
                 name=entry["name"],
-                kind=FeatureKind(entry["kind"]),
+                kind=_member(FeatureKind, entry["kind"], f"{where} kind"),
                 size=int(entry["size"]),
                 keypoints=int(entry["keypoints"]),
                 bounds=None if entry["bounds"] is None else tuple(entry["bounds"]),
-                monotone=entry["monotone"],
-                missing=MissingPolicy(entry["missing"]),
+                monotone=_member(Direction, entry["monotone"], f"{where} monotone"),
+                missing=_member(MissingPolicy, entry["missing"], f"{where} missing"),
                 categories=entry["categories"],
                 order_pairs=[tuple(p) for p in entry["order"]],
                 allow_unseen=bool(entry["allow_unseen"]),
@@ -191,8 +193,8 @@ class Model:
             shape=shape,
             theta=theta,
             calibrators=CalibratorSet(specs, cals),
-            kind=InterpolationKind(doc["interpolation"]),
-            loss=Loss(doc["loss"]),
+            kind=_member(InterpolationKind, doc["interpolation"], "interpolation"),
+            loss=_member(Loss, doc["loss"], "loss"),
             metadata=doc.get("metadata", {}),
         )
 
@@ -203,6 +205,14 @@ class Model:
 
 # --------------------------------------------------------------------------
 # validation on load
+
+
+def _member(enum_cls, value, field: str):
+    try:
+        return enum_cls(value)
+    except ValueError:
+        choices = ", ".join(m.value for m in enum_cls)
+        raise DataError(f"{field} {value!r} is not one of {choices}") from None
 
 
 def _check_finite(field: str, values) -> None:

@@ -28,8 +28,6 @@ class Direction(str, enum.Enum):
     NONE = "none"
 
 
-MonotonicitySpec = tuple  # of Direction, one per lattice dimension
-
 _DIRECTION_ALIASES = {
     "+": Direction.INCREASING,
     "increasing": Direction.INCREASING,

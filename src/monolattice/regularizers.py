@@ -182,14 +182,10 @@ def sample_regularizer_subgradient(
     """
     if sample_count < 1:
         raise ValueError("sample count must be positive")
-    th = np.asarray(theta, dtype=float)
-    grad = np.zeros_like(th)
     m = len(terms)
     if m == 0:
-        return grad
+        return regularizer_gradient(theta, terms)
     picks = rng.integers(0, m, size=sample_count)
-    idx = terms.indices[picks]
-    combos = th[idx] @ terms.signs
-    np.add.at(grad, idx, 2.0 * combos[:, None] * terms.signs[None, :])
+    grad = regularizer_gradient(theta, TermSet(terms.indices[picks], terms.signs))
     grad *= m / sample_count
     return grad

@@ -16,11 +16,12 @@ gradients are scattered in sample, side, vertex order, so the result is the
 per-sample loop's bit for bit.  Objective and metrics score through
 ``Model.predict``, which uses the same kernel.
 
-``parallel_train`` shards the dataset over K workers; each synchronization
-round, every worker trains from the consensus parameters on its own shard,
-and the consensus becomes the elementwise average of the workers (feasible,
-since the constraint set is convex).  Workers draw from independent child
-streams of the seed, so runs are reproducible.
+``train`` shards the dataset over K workers; each synchronization round,
+every worker trains from the consensus parameters on its own shard, and the
+consensus becomes the elementwise average of the workers (feasible, since
+the constraint set is convex).  One worker is the plain case of the same
+loop.  Workers draw from independent child streams of the seed, so runs are
+reproducible.  ``parallel_train`` is another name for ``train``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import copy
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -341,52 +342,33 @@ def _num_samples(data) -> int:
     return data.num_pairs if isinstance(data, PairDataset) else data.num_rows
 
 
-def _train_workers(data, specs, config: TrainConfig) -> TrainerState:
+def train(data, specs: list[FeatureSpec], config: TrainConfig):
+    """Train ``config.workers`` shards, averaged after each of
+    ``config.sync_rounds`` rounds.  One worker trains on every sample in
+    index order, and the mean of its one vector is that vector bit for bit."""
+    from .model import Model
+
     state = prepare_state(data, specs, config)
     n = _num_samples(data)
     if n == 0:
         raise ValueError("training data is empty")
     K = config.workers
-    streams = np.random.SeedSequence(config.seed).spawn(K)
-    rngs = [np.random.default_rng(s) for s in streams]
+    streams = np.random.SeedSequence(config.seed).spawn(K + 1)
+    rngs = [np.random.default_rng(s) for s in streams[:K]]
     if K == 1:
         shards = [np.arange(n)]
     else:
-        order = np.random.default_rng(
-            np.random.SeedSequence(config.seed).spawn(K + 1)[K]
-        ).permutation(n)
+        order = np.random.default_rng(streams[K]).permutation(n)
         shards = [order[k::K] for k in range(K)]
-    rounds = config.sync_rounds
-    base, extra = divmod(config.epochs, rounds)
-    for r in range(rounds):
+    base, extra = divmod(config.epochs, config.sync_rounds)
+    for r in range(config.sync_rounds):
         epochs = base + (1 if r < extra else 0)
-        workers = [state if K == 1 else state.clone() for _ in range(K)]
-        for k in range(K):
-            _run_epochs(workers[k], shards[k], epochs, rngs[k])
-        if K > 1:
-            state.theta = np.mean([w.theta for w in workers], axis=0)
-            if state.calibrators.num_free:
-                state.calibrators.set_alpha(
-                    np.mean([w.calibrators.alpha() for w in workers], axis=0)
-                )
-    return state
-
-
-def train(data, specs: list[FeatureSpec], config: TrainConfig):
-    """Train on one worker (any ``workers`` setting in the config is ignored)."""
-    if config.workers != 1:
-        config = replace(config, workers=1)
-    return _finish(_train_workers(data, specs, config), specs, config)
-
-
-def parallel_train(data, specs: list[FeatureSpec], config: TrainConfig):
-    """Train with config.workers shards and averaging; K=1 matches train()."""
-    return _finish(_train_workers(data, specs, config), specs, config)
-
-
-def _finish(state: TrainerState, specs, config: TrainConfig):
-    from .model import Model
-
+        workers = [state.clone() for _ in range(K)]
+        for worker, shard, rng in zip(workers, shards, rngs):
+            _run_epochs(worker, shard, epochs, rng)
+        state.theta = np.mean([w.theta for w in workers], axis=0)
+        if state.calibrators.num_free:
+            state.calibrators.set_alpha(np.mean([w.calibrators.alpha() for w in workers], axis=0))
     return Model(
         specs=list(specs),
         shape=state.shape,
@@ -412,6 +394,9 @@ def _finish(state: TrainerState, specs, config: TrainConfig):
             ],
         },
     )
+
+
+parallel_train = train
 
 
 # --------------------------------------------------------------------------

@@ -206,6 +206,19 @@ class TestCategorical:
                 cat_spec(categories=["p"]), ["p", "q"], np.array([0.0, 1.0])
             )
 
+    def test_order_pairs_move_only_what_they_must(self):
+        col = ["a", "b", "c", "d"]
+        labels = np.array([0.0, 1.0, 2.0, 3.0])
+        cal = build_categorical_calibrator(cat_spec(order_pairs=[("c", "a")]), col, labels)
+        assert cal.categories == ["b", "c", "a", "d"]
+        kept = build_categorical_calibrator(cat_spec(order_pairs=[("a", "c")]), col, labels)
+        assert kept.categories == ["a", "b", "c", "d"]
+
+    def test_cyclic_order_pairs_are_a_data_error(self):
+        spec = cat_spec(name="tier", order_pairs=[("x", "y"), ("y", "z"), ("z", "x")])
+        with pytest.raises(DataError, match="feature tier: order pairs form a cycle"):
+            build_categorical_calibrator(spec, ["x", "y", "z"], None)
+
 
 class TestMissingPolicies:
     def test_vertex_policy_rescales_and_reserves_top(self):

@@ -429,6 +429,23 @@ CORRUPTIONS = {
         "'bucket': order pair ('low', 'nowhere') names an unknown category",
     ),
     "lattice-size": (_set(("lattice", 0), 4), "do not match the feature sizes"),
+    "naive-interpolation": (
+        _set(("interpolation",), "multilinear-naive"),
+        "interpolation 'multilinear-naive' is not one of multilinear, simplex",
+    ),
+    "loss": (_set(("loss",), "cubic"), "loss 'cubic' is not one of squared, logistic, hinge"),
+    "feature-kind": (
+        _set(("features", 0, "kind"), "ordinal"),
+        "feature 'signal': kind 'ordinal' is not one of continuous, categorical",
+    ),
+    "feature-monotone": (
+        _set(("features", 0, "monotone"), "up"),
+        "feature 'signal': monotone 'up' is not one of increasing, decreasing, none",
+    ),
+    "feature-missing": (
+        _set(("features", 0, "missing"), "drop"),
+        "feature 'signal': missing 'drop' is not one of none, calibrated, vertex",
+    ),
 }
 
 

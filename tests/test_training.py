@@ -347,6 +347,14 @@ class TestTrain:
         model = train(data, [spec("a"), spec("b")], TrainConfig(epochs=1, regularizers=(reg,)))
         assert model.metadata["regularizers"][0]["kind"] == "torsion"
 
+    def test_pair_against_mean_label_order_trains(self):
+        data = Dataset([["hi", "lo", "hi", "lo"]], [0, 1, 0, 1])
+        specs = [FeatureSpec("b", "categorical", order_pairs=[("lo", "hi")])]
+        model = train(data, specs, TrainConfig(epochs=1))
+        value = dict(zip(model.calibrators.calibrators[0].categories,
+                         model.calibrators.calibrators[0].values))
+        assert value["lo"] <= value["hi"]
+
 
 class TestObjective:
     def test_regularizers_use_missing_vertex_dims(self):
@@ -414,6 +422,14 @@ class TestParallel:
         assert np.array_equal(np.asarray(a.theta), np.asarray(b.theta))
         assert a.to_json() == b.to_json()
 
+    def test_train_honours_workers(self):
+        data, specs = self.setup_problem()
+        config = TrainConfig(epochs=2, workers=2, sync_rounds=2, seed=0)
+        model = train(data, specs, config)
+        assert model.metadata["workers"] == 2
+        assert model.to_json() == parallel_train(data, specs, config).to_json()
+        assert parallel_train is train
+
     def test_worker_count_recorded(self):
         data, specs = self.setup_problem()
         config = TrainConfig(epochs=2, workers=2, sync_rounds=2, seed=0)
@@ -460,6 +476,19 @@ class TestRanking:
         )
         expected = np.mean([loss_value(Loss.LOGISTIC, 1.0, v) for v in z])
         assert model_objective(model, pairs, config) == pytest.approx(expected, rel=1e-12)
+
+    def test_order_pair_against_name_order(self):
+        # name order puts "easy" below "hard"; the declared pair wants the reverse
+        rng = np.random.default_rng(4)
+        n = 80
+        plus = [list(rng.choice(["easy", "hard"], size=n))]
+        minus = [["hard" if v == "easy" else "easy" for v in plus[0]]]
+        pairs = PairDataset(plus, minus)
+        specs = [spec("level", kind=FeatureKind.CATEGORICAL, order_pairs=[("hard", "easy")])]
+        model = train(pairs, specs, TrainConfig(loss=Loss.LOGISTIC, epochs=2, seed=1))
+        value = dict(zip(model.calibrators.calibrators[0].categories,
+                         model.calibrators.calibrators[0].values))
+        assert value["hard"] <= value["easy"]
 
 
 class TestMetrics:
