@@ -219,6 +219,27 @@ class TestCategorical:
         with pytest.raises(DataError, match="feature tier: order pairs form a cycle"):
             build_categorical_calibrator(spec, ["x", "y", "z"], None)
 
+    def test_start_satisfies_random_acyclic_pairs(self):
+        rng = np.random.default_rng(17)
+        names = [f"c{i}" for i in range(6)]
+        for _ in range(50):
+            hidden = list(rng.permutation(names))
+            pairs = []
+            for _ in range(int(rng.integers(1, 8))):
+                i, j = sorted(rng.choice(len(names), size=2, replace=False))
+                pairs.append((hidden[i], hidden[j]))
+            col = names + list(rng.choice(names, size=60))
+            labels = rng.random(len(col)) if rng.random() < 0.5 else None
+            cal = build_categorical_calibrator(cat_spec(order_pairs=pairs), col, labels)
+            value = dict(zip(cal.categories, cal.values))
+            assert all(value[a] < value[b] for a, b in pairs)
+
+    def test_order_pair_naming_other_bucket_is_unknown(self):
+        # the OTHER bucket sits outside the placed order, so no pair may name it
+        spec = cat_spec(allow_unseen=True, order_pairs=[("x", OTHER_CATEGORY)])
+        with pytest.raises(DataError, match="unknown category '<OTHER>'"):
+            build_categorical_calibrator(spec, ["x", "y"], np.array([0.0, 1.0]))
+
 
 class TestMissingPolicies:
     def test_vertex_policy_rescales_and_reserves_top(self):

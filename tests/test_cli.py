@@ -221,6 +221,24 @@ class TestBench:
             assert kind in ("multilinear", "simplex")
             assert float(ns) > 0
 
+    def test_default_kinds(self, capsys):
+        code = main(["bench", "--min-d", "2", "--max-d", "2",
+                     "--target-time", "0.001", "--repeats", "1"])
+        assert code == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["multilinear", "simplex"]
+
+    def test_product_form_kernel_is_no_kind(self, workspace, capsys):
+        # it stays a test oracle; neither bench nor predict serves it
+        code = main(["bench", "--min-d", "2", "--max-d", "2", "--kinds", "multilinear-naive",
+                     "--target-time", "0.001", "--repeats", "1"])
+        assert code == 2
+        assert "'multilinear-naive'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as err:
+            main(["predict", "--model", str(workspace / "m.json"),
+                  "--data", str(workspace / "train.csv"), "--kind", "multilinear-naive"])
+        assert err.value.code == 2
+
 
 class TestErrors:
     def test_missing_data_file(self, workspace, capsys):

@@ -183,6 +183,24 @@ class TestSampling:
         se = np.sqrt(np.maximum(acc_sq / draws - mean**2, 0.0) / draws)
         assert np.all(np.abs(mean - full) <= 5 * se + 1e-9)
 
+    @pytest.mark.parametrize("kind", [LAP, HES, TOR])
+    def test_estimate_sums_the_drawn_terms(self, kind):
+        # m / k times the gradient of the k drawn terms, a term drawn twice
+        # counting twice; the draws are rng.integers(0, m, size=k)
+        sh = LatticeShape([3, 3, 2])
+        terms = regularizer_terms(sh, kind)
+        theta = np.random.default_rng(6).standard_normal(sh.num_parameters)
+        m = len(terms)
+        k = 2 * m + 1
+        expect = np.zeros(sh.num_parameters)
+        for p in np.random.default_rng(7).integers(0, m, size=k):
+            idx = terms.indices[p]
+            combo = sum(theta[i] * s for i, s in zip(idx, terms.signs))
+            for i, s in zip(idx, terms.signs):
+                expect[i] += 2.0 * combo * s
+        got = sample_regularizer_subgradient(theta, terms, k, np.random.default_rng(7))
+        assert got == pytest.approx(expect * m / k, rel=1e-12, abs=1e-12)
+
     def test_rejects_nonpositive_count(self):
         terms = regularizer_terms(LatticeShape([2, 2]), LAP)
         with pytest.raises(ValueError):
