@@ -13,10 +13,21 @@ one-dimensional transform:
 Missing values are handled per feature, either by learning the axis value to
 impute (``calibrated``) or by reserving the top lattice slice as a dedicated
 missing vertex and rescaling real values to [0, M_d - 2] (``vertex``).
+
+Batch calibration has two halves.  *Locate* depends only on the values and
+the fixed knots or categories: per value it finds two indices into a flat
+table of parameters, a fraction t, an inner flag, and the free-parameter
+positions and partials of the gradient (a :class:`CalibrationPlan`).
+*Apply* reads the current parameters: ``x = P[lo]``, and on inner entries
+``x = (1 - t) * P[lo] + t * P[hi]``, the formula of ``calibrate``.  Table P
+holds every feature's outputs or values, each followed by its missing
+coordinate, so one gather calibrates all features.  Training locates its
+samples once per run and applies the plan at every step.
 """
 
 from __future__ import annotations
 
+import copy
 import enum
 import math
 from bisect import bisect_right
@@ -43,6 +54,8 @@ OTHER_CATEGORY = "<OTHER>"
 
 class DataError(ValueError):
     """Data does not match the schema (bad cell, unknown category, ...)."""
+
+    row: int | None = None  # index of the first bad row of a batch, when known
 
 
 @dataclass
@@ -95,7 +108,19 @@ def _missing_coordinate(cal) -> float:
         return float(cal.missing_value)
     if cal.missing is MissingPolicy.VERTEX:
         return float(cal.missing_vertex)
-    raise DataError("missing value in a feature with no missing policy")
+    raise DataError(f"feature {cal.name}: missing value but no missing policy")
+
+
+def _missing_slot(cal) -> float:
+    """The table entry after a calibrator's points: its missing coordinate
+    (NaN, never read, without a missing policy)."""
+    return np.nan if cal.missing is MissingPolicy.NONE else _missing_coordinate(cal)
+
+
+def _apply(table: np.ndarray, lo, hi, t, inner) -> np.ndarray:
+    """Coordinates of located values under the parameters in ``table``."""
+    at_lo = table[lo]
+    return np.where(inner, (1.0 - t) * at_lo + t * table[hi], at_lo)
 
 
 def _missing_gradient(cal) -> list[tuple[int, float]]:
@@ -104,18 +129,15 @@ def _missing_gradient(cal) -> list[tuple[int, float]]:
     return []
 
 
-def _batch_with_missing(cal, n: int, width: int, missing: np.ndarray):
-    """Coordinates, positions (-1 = no entry) and partials for a column of
-    n values, with the missing rows already filled in."""
-    coords = np.empty(n)
-    positions = np.full((n, width), -1, dtype=np.int64)
-    partials = np.zeros((n, width))
+def _fill_missing(cal, missing: np.ndarray, slot: int, lo, positions, partials) -> None:
+    """Point the missing rows of a located column at the table's missing
+    slot, with the missing value's gradient entries."""
     if missing.any():
-        coords[missing] = _missing_coordinate(cal)
+        _missing_coordinate(cal)  # raises without a missing policy
+        lo[missing] = slot
         for k, (pos, partial) in enumerate(_missing_gradient(cal)):
             positions[missing, k] = pos
             partials[missing, k] = partial
-    return coords, positions, partials
 
 
 # --------------------------------------------------------------------------
@@ -146,8 +168,23 @@ def fit_knots(column, keypoints: int, bounds: tuple[float, float] | None = None)
 # calibrators
 
 
+class _Calibrator:
+    """What both calibrators share: their block of the parameter table
+    (``points``, then the missing slot) and batch calibration."""
+
+    def table(self) -> np.ndarray:
+        """This calibrator's block of the parameter table."""
+        return np.append(self.points, _missing_slot(self))
+
+    def calibrate_batch(self, column):
+        """:meth:`calibrate` and :meth:`gradient` over a column, bit for bit:
+        coordinates (n,) and the positions and partials of ``locate``."""
+        lo, hi, t, inner, positions, partials = self.locate(column)
+        return _apply(self.table(), lo, hi, t, inner), positions, partials
+
+
 @dataclass
-class ContinuousCalibrator:
+class ContinuousCalibrator(_Calibrator):
     """Piecewise-linear map from a raw value to a lattice coordinate."""
 
     knots: np.ndarray  # strictly increasing, len >= 2
@@ -156,6 +193,7 @@ class ContinuousCalibrator:
     missing: MissingPolicy = MissingPolicy.NONE
     missing_value: float | None = None  # learned coordinate (calibrated policy)
     missing_vertex: float | None = None  # fixed coordinate (vertex policy)
+    name: str = ""  # the feature's, for error messages
 
     @property
     def num_free(self) -> int:
@@ -208,42 +246,50 @@ class ContinuousCalibrator:
             out.append((j, t))
         return out
 
-    def calibrate_batch(self, column):
-        """:meth:`calibrate` and :meth:`gradient` over a column, bit for bit.
+    @property
+    def points(self) -> np.ndarray:
+        return self.outputs
 
-        Returns coordinates (n,), free-parameter positions (n, 2) and their
-        partials (n, 2); row i lists ``gradient`` of value i in order, with
-        position -1 where it has no entry.  Needs strictly increasing knots
-        (``searchsorted`` stands in for ``bisect_right``).
+    def fork(self) -> "ContinuousCalibrator":
+        """A calibrator sharing the knots, with its own outputs."""
+        out = copy.copy(self)
+        out.outputs = self.outputs.copy()
+        return out
+
+    def locate(self, column):
+        """The parameter-free half of :meth:`calibrate_batch`.
+
+        Per value: indices ``lo`` and ``hi`` into :meth:`table`, fraction
+        ``t`` and the inner flag (strictly between the end knots), then the
+        free-parameter positions (n, 2) and partials (n, 2) that list
+        ``gradient`` in order, with position -1 where it has no entry.
+        Needs strictly increasing knots (``searchsorted`` stands in for
+        ``bisect_right``).
         """
         if isinstance(column, np.ndarray) and column.dtype.kind == "f":
             x = column.astype(float, copy=False)
         else:
             x = np.array([np.nan if is_missing(v) else float(v) for v in column])
-        missing = np.isnan(x)
-        coords, positions, partials = _batch_with_missing(self, len(x), 2, missing)
-        knots, outputs = self.knots, self.outputs
-        high = x >= knots[-1]
-        low = x <= knots[0]
-        coords[high] = outputs[-1]
-        coords[low] = outputs[0]
-        inner = ~(missing | low | high)
-        xi = x[inner]
-        j = np.searchsorted(knots, xi, side="right") - 1
-        t = (xi - knots[j]) / (knots[j + 1] - knots[j])
-        coords[inner] = (1.0 - t) * outputs[j] + t * outputs[j + 1]
+        knots = self.knots
         last = len(knots) - 1
-        near = j >= 1
-        far = (j + 1 <= last - 1) & (t != 0.0)
-        positions[inner, 0] = np.where(near, j - 1, -1)
-        partials[inner, 0] = np.where(near, 1.0 - t, 0.0)
-        positions[inner, 1] = np.where(far, j, -1)
-        partials[inner, 1] = np.where(far, t, 0.0)
-        return coords, positions, partials
+        inner = (x > knots[0]) & (x < knots[-1])
+        # the segment bisect_right gives inner values, clipped to [0, last - 1]
+        # for the rest (NaN included)
+        j = np.searchsorted(knots[1:-1], x, side="right")
+        xj = knots[j]
+        t = (np.where(inner, x, xj) - xj) / (knots[j + 1] - xj)  # 0 where not inner
+        lo = np.where(inner, j, np.where(x >= knots[-1], last, 0))
+        near = inner & (j >= 1)
+        far = inner & (j + 1 <= last - 1) & (t != 0.0)
+        positions = np.stack([np.where(near, j - 1, -1), np.where(far, j, -1)], axis=1)
+        partials = np.stack([np.where(near, 1.0 - t, 0.0), np.where(far, t, 0.0)], axis=1)
+        _fill_missing(self, np.isnan(x), last + 1, lo, positions, partials)
+        hi = np.where(inner, j + 1, lo)
+        return lo, hi, t, inner, positions, partials
 
 
 @dataclass
-class CategoricalCalibrator:
+class CategoricalCalibrator(_Calibrator):
     """One learned lattice coordinate per category."""
 
     categories: list[str]
@@ -254,6 +300,7 @@ class CategoricalCalibrator:
     missing_vertex: float | None = None
     other_index: int | None = None  # bucket for unseen categories
     order_pairs: list[tuple[str, str]] = field(default_factory=list)
+    name: str = ""  # the feature's, for error messages
 
     def __post_init__(self):
         self._lookup = {c: i for i, c in enumerate(self.categories)}
@@ -282,7 +329,7 @@ class CategoricalCalibrator:
         if i is None:
             if self.other_index is not None:
                 return self.other_index
-            raise DataError(f"unknown category {raw!r}")
+            raise DataError(f"feature {self.name}: unknown category {raw!r}")
         return i
 
     def calibrate(self, raw) -> float:
@@ -295,10 +342,21 @@ class CategoricalCalibrator:
             return _missing_gradient(self)
         return [(self._index(raw), 1.0)]
 
-    def calibrate_batch(self, column):
-        """:meth:`calibrate` and :meth:`gradient` over a column, bit for bit:
-        coordinates (n,), positions (n, 1) (-1 = no entry) and partials (n, 1).
-        The first bad value raises the ``DataError`` that ``calibrate`` raises."""
+    @property
+    def points(self) -> np.ndarray:
+        return self.values
+
+    def fork(self) -> "CategoricalCalibrator":
+        """A calibrator sharing categories and lookup, with its own values."""
+        out = copy.copy(self)
+        out.values = self.values.copy()
+        return out
+
+    def locate(self, column):
+        """The parameter-free half of :meth:`calibrate_batch`, laid out as
+        :meth:`ContinuousCalibrator.locate` (``hi`` = ``lo``, t = 0, never
+        inner).  The first bad value raises the ``DataError`` that
+        ``calibrate`` raises."""
         unknown = -2 if self.other_index is None else self.other_index
         codes = np.array(
             [-1 if is_missing(v) else self._lookup.get(str(v), unknown) for v in column],
@@ -308,12 +366,11 @@ class CategoricalCalibrator:
         bad = (codes == -2) | (missing & (self.missing is MissingPolicy.NONE))
         if bad.any():
             self.calibrate(column[int(np.argmax(bad))])
-        coords, positions, partials = _batch_with_missing(self, len(codes), 1, missing)
-        known = ~missing
-        coords[known] = self.values[codes[known]]
-        positions[known, 0] = codes[known]
-        partials[known, 0] = 1.0
-        return coords, positions, partials
+        n = len(codes)
+        positions = np.stack([codes, np.full(n, -1)], axis=1)
+        partials = np.stack([np.where(missing, 0.0, 1.0), np.zeros(n)], axis=1)
+        _fill_missing(self, missing, len(self.values), codes, positions, partials)
+        return codes, codes, np.zeros(n), np.zeros(n, dtype=bool), positions, partials
 
 
 # --------------------------------------------------------------------------
@@ -329,6 +386,7 @@ def build_continuous_calibrator(spec: FeatureSpec, column) -> ContinuousCalibrat
         outputs=outputs,
         axis_top=top,
         missing=spec.missing,
+        name=spec.name,
     )
     if spec.missing is MissingPolicy.CALIBRATED:
         cal.missing_value = (spec.size - 1) / 2.0
@@ -371,7 +429,8 @@ def build_categorical_calibrator(
     order pairs then move categories as little as needed to hold, so the
     start satisfies every pair; cyclic pairs raise a ``DataError``.  With
     ``allow_unseen``, a dedicated OTHER bucket absorbs categories rarer than
-    1% of rows during fitting and any unknown category later.
+    1% of rows during fitting, any unknown category later, and values that
+    are literally ``<OTHER>``.
     """
     observed: dict[str, int] = {}
     for raw in column:
@@ -396,6 +455,9 @@ def build_categorical_calibrator(
             threshold = max(1, math.ceil(0.01 * sum(observed.values())))
             kept = [c for c in kept if observed[c] >= threshold]
 
+    if spec.allow_unseen:
+        # a value spelled like the bucket is the bucket, not a second category
+        kept = [c for c in kept if c != OTHER_CATEGORY]
     if not kept and not spec.allow_unseen:
         raise DataError(f"feature {spec.name}: no categories in the data")
 
@@ -435,6 +497,7 @@ def build_categorical_calibrator(
         missing=spec.missing,
         order_pairs=[(str(a), str(b)) for a, b in spec.order_pairs],
         other_index=other_index,
+        name=spec.name,
     )
     if spec.missing is MissingPolicy.CALIBRATED:
         cal.missing_value = (spec.size - 1) / 2.0
@@ -447,6 +510,36 @@ def build_categorical_calibrator(
 # the per-model collection
 
 
+@dataclass(frozen=True)
+class CalibrationPlan:
+    """Where a batch of rows sits on the calibrators: the half of batch
+    calibration that does not depend on the parameters.
+
+    ``lo``, ``hi``, ``t`` and ``inner`` are (n, D): indices into
+    :meth:`CalibratorSet.table`, fraction and inner flag per row and feature.
+    ``positions`` (D, n, 2) holds each value's global free-parameter
+    positions in ``gradient`` order (-1 = no entry), ``partials`` (D, n, 2)
+    their partials; feature-major, so a scatter runs feature, row, entry.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    t: np.ndarray
+    inner: np.ndarray
+    positions: np.ndarray
+    partials: np.ndarray
+
+    def take(self, rows) -> "CalibrationPlan":
+        return CalibrationPlan(
+            self.lo[rows],
+            self.hi[rows],
+            self.t[rows],
+            self.inner[rows],
+            self.positions[:, rows],
+            self.partials[:, rows],
+        )
+
+
 class CalibratorSet:
     """All feature calibrators plus their shared free-parameter vector."""
 
@@ -456,11 +549,21 @@ class CalibratorSet:
         self.specs = specs
         self.calibrators = calibrators
         self.offsets = []
-        total = 0
+        self.table_offsets = []
+        total = self.table_size = 0
         for cal in calibrators:
             self.offsets.append(total)
+            self.table_offsets.append(self.table_size)
             total += cal.num_free
+            self.table_size += len(cal.points) + 1
         self.num_free = total
+
+    def fork(self) -> "CalibratorSet":
+        """A set sharing specs, knots, categories and lookups with this one
+        and owning its parameters, so training it leaves this one as is."""
+        out = copy.copy(self)
+        out.calibrators = [cal.fork() for cal in self.calibrators]
+        return out
 
     @classmethod
     def fit(cls, specs: list[FeatureSpec], columns: list, labels=None) -> "CalibratorSet":
@@ -495,26 +598,57 @@ class CalibratorSet:
             out.append([(off + p, g) for p, g in cal.gradient(v)])
         return out
 
-    def calibrate_batch(self, columns):
-        """:meth:`calibrate_row` and :meth:`row_gradients` over whole columns.
+    def table(self) -> np.ndarray:
+        """The current parameters as one flat table: per feature its outputs
+        or values, then its missing coordinate."""
+        out = np.empty(self.table_size)
+        for cal, start in zip(self.calibrators, self.table_offsets):
+            end = start + len(cal.points)
+            out[start:end] = cal.points
+            out[end] = _missing_slot(cal)
+        return out
 
-        Returns coordinates (n, D) and, per feature, global alpha positions
-        (n, k) (-1 = no entry) and their partials (n, k), all equal to the
-        row-wise results.  A bad value raises the ``DataError`` that
-        ``calibrate_row`` raises on the first bad row.
-        """
+    def locate(self, columns) -> CalibrationPlan:
+        """Locate every row of ``columns`` (one column per feature).  A bad
+        value raises the ``DataError`` that :meth:`calibrate_row` raises on
+        the first bad row, with that row's index as its ``row``."""
         try:
-            per_feature = [cal.calibrate_batch(col) for cal, col in zip(self.calibrators, columns)]
+            per_feature = [cal.locate(col) for cal, col in zip(self.calibrators, columns)]
         except DataError:
             for i in range(len(columns[0])):
-                self.calibrate_row([col[i] for col in columns])
+                try:
+                    self.calibrate_row([col[i] for col in columns])
+                except DataError as e:
+                    e.row = i
+                    raise
             raise
-        coords = np.stack([c for c, _, _ in per_feature], axis=1)
-        grads = [
-            (np.where(pos >= 0, pos + off, -1), partials)
-            for off, (_, pos, partials) in zip(self.offsets, per_feature)
-        ]
-        return coords, grads
+        lo, hi, t, inner, positions, partials = zip(*per_feature)
+        blocks = np.asarray(self.table_offsets, dtype=np.int64)
+        return CalibrationPlan(
+            lo=np.stack(lo, axis=1) + blocks,
+            hi=np.stack(hi, axis=1) + blocks,
+            t=np.stack(t, axis=1),
+            inner=np.stack(inner, axis=1),
+            positions=np.stack(
+                [np.where(pos >= 0, pos + off, -1) for pos, off in zip(positions, self.offsets)]
+            ),
+            partials=np.stack(partials),
+        )
+
+    def apply(self, plan: CalibrationPlan) -> np.ndarray:
+        """Coordinates (n, D) of located rows under the current parameters."""
+        return _apply(self.table(), plan.lo, plan.hi, plan.t, plan.inner)
+
+    def calibrate_batch(self, columns):
+        """:meth:`calibrate_row` and :meth:`row_gradients` over whole columns:
+        :meth:`locate`, then :meth:`apply`.
+
+        Returns coordinates (n, D) and, per feature, global alpha positions
+        (n, 2) (-1 = no entry) and their partials (n, 2), all equal to the
+        row-wise results.
+        """
+        plan = self.locate(columns)
+        return self.apply(plan), list(zip(plan.positions, plan.partials))
 
     def constraints(self) -> ConstraintSet:
         """Nondecreasing chains, declared category orders, and box bounds."""

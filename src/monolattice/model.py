@@ -159,6 +159,7 @@ class Model:
                     axis_top=spec.axis_top,
                     missing=spec.missing,
                     missing_value=state["missing_value"],
+                    name=spec.name,
                 )
             else:
                 order = state["category_order"]
@@ -170,6 +171,7 @@ class Model:
                     missing_value=state["missing_value"],
                     other_index=state["other_index"],
                     order_pairs=[tuple(p) for p in entry["order"]],
+                    name=spec.name,
                 )
             if spec.missing is MissingPolicy.VERTEX:
                 cal.missing_vertex = float(spec.size - 1)

@@ -9,10 +9,16 @@ iterate satisfies its constraints.  Lattice and calibrator parameters are
 updated jointly in the same step, the calibrator step scaled by a separate
 factor (scale 0 freezes the calibrators).
 
-The loss subgradient is one batched pass: the minibatch's sides (a row, or
-a pair's preferred row then the other, with signs +1 and -1) are
-calibrated, located, weighted and differentiated as arrays, and the
-gradients are scattered in sample, side, vertex order, so the result is the
+Everything about the training samples that stays fixed during a run is
+worked out once, in ``prepare_state``: the *plan* locates every side (a
+row, or a pair's preferred row then the other) on the calibrators' knots
+and categories (``CalibratorSet.locate``), and holds the targets as floats.
+Clones share it.  The loss subgradient is then one batched pass: the
+minibatch's sides are gathered from the plan and calibrated under the
+current parameters (``CalibratorSet.apply``, with signs +1 and -1 for the
+two sides of a pair), then located, weighted and differentiated as arrays.
+Gradients are scattered in sample, side, vertex order for the lattice and
+feature, side, entry order for the calibrators, so the result is the
 per-sample loop's bit for bit.  Objective and metrics score through
 ``Model.predict``, which uses the same kernel.
 
@@ -26,14 +32,20 @@ reproducible.  ``parallel_train`` is another name for ``train``.
 
 from __future__ import annotations
 
-import copy
+import dataclasses
 import enum
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibrators import CalibratorSet, FeatureSpec, missing_vertex_dims
+from .calibrators import (
+    CalibrationPlan,
+    CalibratorSet,
+    DataError,
+    FeatureSpec,
+    missing_vertex_dims,
+)
 from .data import Dataset, PairDataset
 from .interpolation import InterpolationKind, chunk_rows, forward_backward_batch
 
@@ -137,18 +149,15 @@ class TrainerState:
     data: Dataset | PairDataset
     theta_constraints: ConstraintSet
     alpha_constraints: ConstraintSet
+    plan: CalibrationPlan  # every side of ``data``, located once per run
+    targets: np.ndarray  # float target per sample (1.0 for a pair)
     reg_terms: list[tuple[RegularizerConfig, TermSet]] = field(default_factory=list)
 
     def clone(self) -> "TrainerState":
-        return TrainerState(
-            shape=self.shape,
-            theta=self.theta.copy(),
-            calibrators=copy.deepcopy(self.calibrators),
-            config=self.config,
-            data=self.data,
-            theta_constraints=self.theta_constraints,
-            alpha_constraints=self.alpha_constraints,
-            reg_terms=self.reg_terms,
+        """A state with its own theta and calibrator parameters; everything
+        else, the plan included, is shared read-only."""
+        return dataclasses.replace(
+            self, theta=self.theta.copy(), calibrators=self.calibrators.fork()
         )
 
     @property
@@ -190,13 +199,43 @@ def init_lattice(shape: LatticeShape, directions) -> np.ndarray:
     return theta
 
 
+def _interleave(a, b):
+    if isinstance(a, np.ndarray):
+        return np.stack([a, b], axis=1).ravel()
+    return [v for ab in zip(a, b) for v in ab]
+
+
+def _plan(calibrators: CalibratorSet, data) -> tuple[CalibrationPlan, np.ndarray]:
+    """Locate every side of ``data`` and convert its targets.  A labelled
+    row is one side; a pair is its preferred row, then the other, scored
+    against y = 1.  The first bad row or pair is named by its index."""
+    pairs = isinstance(data, PairDataset)
+    if pairs:
+        columns = [_interleave(p, m) for p, m in zip(data.plus_columns, data.minus_columns)]
+        targets = np.ones(data.num_pairs)
+    else:
+        if data.labels is None:
+            raise DataError("training rows have no labels")
+        columns, targets = data.columns, np.asarray(data.labels, dtype=float)
+    try:
+        return calibrators.locate(columns), targets
+    except DataError as e:
+        if e.row is None:
+            raise
+        i, side = divmod(e.row, 2)
+        where = f"pair {i} ({('preferred', 'other')[side]} row)" if pairs else f"row {e.row}"
+        raise DataError(f"training {where}: {e}") from None
+
+
 def prepare_state(data: Dataset | PairDataset, specs: list[FeatureSpec], config: TrainConfig) -> TrainerState:
-    """Fit calibrators to the data and assemble a feasible starting state."""
+    """Fit calibrators to the data, locate the training samples on them,
+    and assemble a feasible starting state."""
     shape = LatticeShape([s.size for s in specs])
     if isinstance(data, PairDataset):
         calibrators = CalibratorSet.fit(specs, data.fit_columns(), None)
     else:
         calibrators = CalibratorSet.fit(specs, data.columns, data.labels)
+    plan, targets = _plan(calibrators, data)
     missing_dims = missing_vertex_dims(specs)
     directions = tuple(s.monotone for s in specs)
     theta_constraints = build_constraints(shape, directions, missing_dims)
@@ -204,10 +243,8 @@ def prepare_state(data: Dataset | PairDataset, specs: list[FeatureSpec], config:
         (cfg, regularizer_terms(shape, cfg.kind, missing_dims))
         for cfg in config.regularizers
     ]
-    if config.loss in (Loss.LOGISTIC, Loss.HINGE) and not isinstance(data, PairDataset):
-        labels = np.asarray(data.labels, dtype=float)
-        if not np.isin(labels, (0.0, 1.0)).all():
-            raise ValueError(f"{config.loss.value} loss needs binary {{0,1}} labels")
+    if config.loss in (Loss.LOGISTIC, Loss.HINGE) and not np.isin(targets, (0.0, 1.0)).all():
+        raise ValueError(f"{config.loss.value} loss needs binary {{0,1}} labels")
     return TrainerState(
         shape=shape,
         theta=init_lattice(shape, directions),
@@ -216,6 +253,8 @@ def prepare_state(data: Dataset | PairDataset, specs: list[FeatureSpec], config:
         data=data,
         theta_constraints=theta_constraints,
         alpha_constraints=calibrators.constraints(),
+        plan=plan,
+        targets=targets,
         reg_terms=reg_terms,
     )
 
@@ -223,40 +262,18 @@ def prepare_state(data: Dataset | PairDataset, specs: list[FeatureSpec], config:
 # --------------------------------------------------------------------------
 # gradients and steps
 
-
-def _take(column, rows):
-    if isinstance(column, np.ndarray):
-        return column[rows]
-    return [column[i] for i in rows]
-
-
-def _interleave(a, b):
-    if isinstance(a, np.ndarray):
-        return np.stack([a, b], axis=1).ravel()
-    return [v for ab in zip(a, b) for v in ab]
-
-
-def _sides(data, batch: np.ndarray):
-    """Feature columns of the sides of ``batch``, sample by sample, and the
-    targets.  A labelled row is one side with sign +1; a pair is its
-    preferred row with sign +1, then the other with sign -1, scored against
-    y = 1."""
-    if isinstance(data, PairDataset):
-        columns = [
-            _interleave(_take(p, batch), _take(m, batch))
-            for p, m in zip(data.plus_columns, data.minus_columns)
-        ]
-        return columns, np.ones(len(batch))
-    return [_take(c, batch) for c in data.columns], np.asarray(data.labels, dtype=float)[batch]
+_SIDES = np.array([0, 1])  # plan rows 2i and 2i + 1 are the sides of pair i
 
 
 def loss_gradients(state: TrainerState, minibatch) -> tuple[np.ndarray, np.ndarray]:
     """Minibatch-mean loss subgradient w.r.t. theta and the calibrator vector.
 
-    The minibatch runs through the batched kernels in chunks.  Each sample's
-    loss slope comes from the scalar ``loss_slope``, and the parameter
-    gradients are scattered sample by sample, side by side, vertex by vertex,
-    so every entry is the sum a per-sample loop would form, in its order.
+    The minibatch's sides are gathered from the state's plan and run
+    through the batched kernels in chunks.  Each sample's loss slope comes
+    from the scalar ``loss_slope``.  Theta gradients are scattered sample by
+    sample, side by side, vertex by vertex, and each chunk's calibrator
+    gradients feature by feature, side by side, entry by entry, so every
+    entry is the sum a per-sample loop would form, in its order.
     """
     batch = np.asarray(minibatch, dtype=np.int64)
     g_theta = np.zeros_like(state.theta)
@@ -267,13 +284,15 @@ def loss_gradients(state: TrainerState, minibatch) -> tuple[np.ndarray, np.ndarr
     n_sides = 2 if isinstance(state.data, PairDataset) else 1
     step = max(1, chunk_rows(state.shape, state.config.kind) // n_sides)
     for start in range(0, len(batch), step):
-        columns, y = _sides(state.data, batch[start : start + step])
-        x, alpha_grads = state.calibrators.calibrate_batch(columns)
+        samples = batch[start : start + step]
+        sides = state.plan.take(samples if n_sides == 1 else (2 * samples[:, None] + _SIDES).ravel())
+        x = state.calibrators.apply(sides)
         values, indices, weights, dfdx = forward_backward_batch(
             state.theta, state.shape, x, state.config.kind, want_slopes=want
         )
         # z = 0.0 + sum of sign * value over the sides; values are never -0.0
         z = values if n_sides == 1 else values[0::2] - values[1::2]
+        y = state.targets[samples]
         slope = [loss_slope(loss, yi, zi) * scale for yi, zi in zip(y.tolist(), z.tolist())]
         s = np.repeat(slope, n_sides)  # sign * slope, side by side
         if n_sides == 2:
@@ -281,13 +300,11 @@ def loss_gradients(state: TrainerState, minibatch) -> tuple[np.ndarray, np.ndarr
         live = s != 0.0
         np.add.at(g_theta, indices[live].ravel(), (s[live, None] * weights[live]).ravel())
         if want:
-            for d, (positions, partials) in enumerate(alpha_grads):
-                rows, cols = np.nonzero((positions >= 0) & (live & (dfdx[:, d] != 0.0))[:, None])
-                np.add.at(
-                    g_alpha,
-                    positions[rows, cols],
-                    s[rows] * dfdx[rows, d] * partials[rows, cols],
-                )
+            keep = (sides.positions >= 0) & (live[:, None] & (dfdx != 0.0)).T[:, :, None]
+            d, r, e = np.nonzero(keep)
+            np.add.at(
+                g_alpha, sides.positions[d, r, e], s[r] * dfdx[r, d] * sides.partials[d, r, e]
+            )
     return g_theta, g_alpha
 
 

@@ -234,6 +234,19 @@ class TestCategorical:
             value = dict(zip(cal.categories, cal.values))
             assert all(value[a] < value[b] for a, b in pairs)
 
+    def test_values_spelled_like_the_bucket_fold_into_it(self):
+        spec = cat_spec(allow_unseen=True)
+        col = ["a"] * 200 + [OTHER_CATEGORY] * 100 + ["b"] * 200
+        labels = np.array([0.0] * 200 + [0.5] * 100 + [1.0] * 200)
+        cal = build_categorical_calibrator(spec, col, labels)
+        assert cal.categories == ["a", "b", OTHER_CATEGORY]
+        assert cal.other_index == 2
+        assert cal.gradient(OTHER_CATEGORY) == [(2, 1.0)]
+        schema = build_categorical_calibrator(
+            cat_spec(allow_unseen=True, categories=["a", OTHER_CATEGORY, "b"]), col, labels
+        )
+        assert schema.categories.count(OTHER_CATEGORY) == 1
+
     def test_order_pair_naming_other_bucket_is_unknown(self):
         # the OTHER bucket sits outside the placed order, so no pair may name it
         spec = cat_spec(allow_unseen=True, order_pairs=[("x", OTHER_CATEGORY)])
@@ -437,3 +450,29 @@ class TestCalibrateBatch:
             cs.calibrate_batch(columns)
         assert str(batch.value) == str(scalar.value)
         assert "unknown category" in str(batch.value)
+
+
+class TestErrorsNameTheFeature:
+    """Both calibration paths say which feature a bad value belongs to."""
+
+    def build(self):
+        specs = [cont_spec(name="price", keypoints=3), cat_spec(name="country")]
+        columns = [np.array([0.0, 1.0, 2.0]), ["us", "de", "us"]]
+        return CalibratorSet.fit(specs, columns, np.array([0.0, 1.0, 0.5]))
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([float("nan"), "us"], "feature price: missing value but no missing policy"),
+            ([1.0, "fr"], "feature country: unknown category 'fr'"),
+        ],
+    )
+    def test_row_and_batch_paths(self, row, message):
+        cs = self.build()
+        with pytest.raises(DataError, match=message):
+            cs.calibrate_row(row)
+        good = [1.5, "de"]
+        columns = [np.array([good[0], row[0]]), [good[1], row[1]]]
+        with pytest.raises(DataError, match=message) as batch:
+            cs.calibrate_batch(columns)
+        assert batch.value.row == 1

@@ -117,6 +117,18 @@ class TestRoundTrip:
         text = model.to_json()
         assert Model.from_json(text).to_json() == text
 
+    def test_bucket_spelled_category_round_trips(self, tmp_path):
+        # a data value that is literally "<OTHER>" is the OTHER bucket
+        rng = np.random.default_rng(3)
+        col = list(rng.choice(["a", "<OTHER>", "b"], size=90, p=[0.4, 0.2, 0.4]))
+        data = Dataset([col], np.array([{"a": 0.1, "<OTHER>": 0.5, "b": 0.9}[c] for c in col]))
+        specs = [FeatureSpec("g", FeatureKind.CATEGORICAL, size=2, allow_unseen=True)]
+        model = train(data, specs, TrainConfig(epochs=3, minibatch_size=8, seed=1))
+        assert model.calibrators.calibrators[0].categories.count("<OTHER>") == 1
+        path = tmp_path / "m.json"
+        model.save(path)
+        assert Model.load(path).to_json() == model.to_json()
+
     def test_save_and_load_files(self, trained, tmp_path):
         model, data = trained
         path = tmp_path / "m.json"

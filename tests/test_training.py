@@ -5,6 +5,7 @@ import pytest
 
 from monolattice import (
     CalibratorSet,
+    DataError,
     Dataset,
     Direction,
     FeatureKind,
@@ -31,6 +32,7 @@ from monolattice import (
     train,
 )
 from monolattice import training
+from monolattice.calibrators import CategoricalCalibrator, ContinuousCalibrator
 from monolattice.training import loss_gradients, prepare_state, sgd_step
 from scalar_reference import reference_loss_gradients, reference_project_update
 
@@ -436,6 +438,87 @@ class TestParallel:
         model = parallel_train(data, specs, config)
         assert model.metadata["workers"] == 2
         assert model.metadata["sync_rounds"] == 2
+
+
+class TestPlan:
+    """Training locates its samples on the calibrators once per run."""
+
+    def test_train_builds_the_plan_once_and_steps_only_apply_it(self, monkeypatch):
+        counts = {"steps": 0, "locate": 0, "calibrate_batch": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(training, "sgd_step", counting("steps", training.sgd_step))
+        monkeypatch.setattr(CalibratorSet, "locate", counting("locate", CalibratorSet.locate))
+        for cls in (CalibratorSet, ContinuousCalibrator, CategoricalCalibrator):
+            monkeypatch.setattr(
+                cls, "calibrate_batch", counting("calibrate_batch", cls.calibrate_batch)
+            )
+        data, specs = mixed_problem(True, Loss.LOGISTIC)
+        config = TrainConfig(loss=Loss.LOGISTIC, epochs=2, minibatch_size=16, workers=2,
+                             sync_rounds=2, seed=4)
+        parallel_train(data, specs, config)
+        assert counts["steps"] == 16  # 2 workers x 2 epochs x ceil(60 / 16)
+        assert counts["locate"] == 1
+        assert counts["calibrate_batch"] == 0
+
+    def test_plan_holds_interleaved_pair_sides_and_float_targets(self):
+        data, specs = mixed_problem(True, Loss.LOGISTIC, n=30)
+        state = prepare_state(data, specs, TrainConfig(loss=Loss.LOGISTIC))
+        cs = state.calibrators
+        x = cs.apply(state.plan)
+        for i in (0, 7, 29):
+            assert x[2 * i].tolist() == cs.calibrate_row(data.plus_row(i))
+            assert x[2 * i + 1].tolist() == cs.calibrate_row(data.minus_row(i))
+        assert state.targets.dtype == float and state.targets.tolist() == [1.0] * 30
+        rows, _ = mixed_problem(False, Loss.SQUARED, n=30)
+        state = prepare_state(rows, specs, TrainConfig())
+        assert state.targets.tolist() == np.asarray(rows.labels, dtype=float).tolist()
+
+    def test_bad_training_row_fails_at_prepare_state_by_index(self):
+        data = line_data(50, lambda a: a)
+        data.columns[0][37] = np.nan  # feature "x" has no missing policy
+        with pytest.raises(DataError, match="training row 37: feature x: missing value"):
+            prepare_state(data, [spec("x", keypoints=3)], TrainConfig())
+        # every run fails, even one whose minibatches would never draw row 37
+        with pytest.raises(DataError, match="training row 37"):
+            train(data, [spec("x", keypoints=3)], TrainConfig(epochs=1, minibatch_size=1))
+        with pytest.raises(DataError, match="training rows have no labels"):
+            prepare_state(Dataset([np.arange(5.0)], None), [spec("x")], TrainConfig())
+
+    def test_bad_training_pair_names_the_pair_and_side(self):
+        rng = np.random.default_rng(0)
+        plus, minus = rng.random(20), rng.random(20)
+        minus[11] = np.nan
+        data = PairDataset([plus], [minus])
+        with pytest.raises(DataError, match=r"training pair 11 \(other row\): feature x"):
+            prepare_state(data, [spec("x", keypoints=3)], TrainConfig(loss=Loss.LOGISTIC))
+
+    def test_training_a_clone_leaves_the_original_unchanged(self):
+        data, specs = mixed_problem(False, Loss.SQUARED)
+        state = prepare_state(data, specs, TrainConfig(step_size=0.5))
+        theta, alpha = state.theta.copy(), state.calibrators.alpha()
+        clone = state.clone()
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            sgd_step(clone, rng.integers(0, 120, size=16), rng)
+        assert not np.array_equal(clone.theta, theta)
+        assert not np.array_equal(clone.calibrators.alpha(), alpha)
+        assert state.theta.tobytes() == theta.tobytes()
+        assert state.calibrators.alpha().tobytes() == alpha.tobytes()
+        # what does not move during training is shared, not copied
+        assert clone.plan is state.plan and clone.data is state.data
+        for a, b in zip(state.calibrators.calibrators, clone.calibrators.calibrators):
+            assert a is not b
+            if hasattr(a, "knots"):
+                assert a.knots is b.knots
+            else:
+                assert a._lookup is b._lookup
 
 
 class TestRanking:
