@@ -218,7 +218,10 @@ class ContinuousCalibrator(_Calibrator):
     def calibrate(self, raw) -> float:
         if is_missing(raw):
             return _missing_coordinate(self)
-        x = float(raw)
+        try:
+            x = float(raw)
+        except (TypeError, ValueError):
+            raise DataError(f"feature {self.name}: {raw!r} is not a number") from None
         knots = self.knots
         if x <= knots[0]:
             return float(self.outputs[0])
@@ -269,7 +272,12 @@ class ContinuousCalibrator(_Calibrator):
         if isinstance(column, np.ndarray) and column.dtype.kind == "f":
             x = column.astype(float, copy=False)
         else:
-            x = np.array([np.nan if is_missing(v) else float(v) for v in column])
+            try:
+                x = np.array([np.nan if is_missing(v) else float(v) for v in column])
+            except (TypeError, ValueError):
+                for v in column:
+                    self.calibrate(v)  # raises the DataError of the first bad value
+                raise
         knots = self.knots
         last = len(knots) - 1
         inner = (x > knots[0]) & (x < knots[-1])
@@ -377,8 +385,25 @@ class CategoricalCalibrator(_Calibrator):
 # fitting to data
 
 
+def _numbers(column) -> np.ndarray:
+    """``column`` as floats for knot fitting, NaN where a value is not a
+    number: ``locate`` then reports the first such value with its row."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return column
+    out = np.empty(len(column))
+    for i, v in enumerate(column):
+        try:
+            out[i] = float(v)
+        except (TypeError, ValueError):
+            out[i] = np.nan
+    return out
+
+
 def build_continuous_calibrator(spec: FeatureSpec, column) -> ContinuousCalibrator:
-    knots = fit_knots(column, spec.keypoints, spec.bounds)
+    try:
+        knots = fit_knots(_numbers(column), spec.keypoints, spec.bounds)
+    except ValueError as e:
+        raise DataError(f"feature {spec.name}: {e}") from None
     top = spec.axis_top
     outputs = np.linspace(0.0, top, len(knots))
     cal = ContinuousCalibrator(
@@ -588,7 +613,14 @@ class CalibratorSet:
             if cal.num_free:
                 cal.set_free_parameters(vec[off : off + cal.num_free])
 
+    def _check_width(self, count: int, unit: str) -> None:
+        if count != len(self.calibrators):
+            raise DataError(
+                f"got {count} {unit} for a model with {len(self.calibrators)} features"
+            )
+
     def calibrate_row(self, row) -> list[float]:
+        self._check_width(len(row), "values")
         return [cal.calibrate(v) for cal, v in zip(self.calibrators, row)]
 
     def row_gradients(self, row) -> list[list[tuple[int, float]]]:
@@ -612,6 +644,7 @@ class CalibratorSet:
         """Locate every row of ``columns`` (one column per feature).  A bad
         value raises the ``DataError`` that :meth:`calibrate_row` raises on
         the first bad row, with that row's index as its ``row``."""
+        self._check_width(len(columns), "columns")
         try:
             per_feature = [cal.locate(col) for cal, col in zip(self.calibrators, columns)]
         except DataError:

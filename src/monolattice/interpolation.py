@@ -22,13 +22,18 @@ the same arithmetic on an (n, D) array of points in numpy, one column
 operation per scalar step, and sums every vertex product left to right as
 the scalar loops do, so its values, weights and slopes equal the scalar
 ones bit for bit.  Training, ``evaluate_batch`` and batch prediction go
-through it; the scalar kernels serve single-row prediction and act as its
-oracle.
+through it; the scalar kernels act as its oracle.
+
+Single-row prediction uses the scalar kernels on small cells, where Python
+lists beat numpy's per-call overhead.  From ``ROW_NUMPY_MIN_VERTICES`` cell
+vertices on, multilinear rows go through ``evaluate_multilinear_row``: the
+same doubling pass on one 1-D numpy array, again equal bit for bit.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,6 +197,29 @@ def evaluate_batch(
     return out
 
 
+# Multilinear cells with at least this many vertices (2^7: D >= 7) are
+# faster through evaluate_multilinear_row than through the scalar lists.
+ROW_NUMPY_MIN_VERTICES = 1 << 7
+
+
+def evaluate_multilinear_row(theta: np.ndarray, shape: LatticeShape, x) -> float:
+    """Multilinear :func:`evaluate` at one point with numpy, bit for bit.
+
+    ``multilinear_weights``' doubling pass on one 1-D array, writing each
+    pass's far and near halves in place, one gather of the 2^D vertex
+    values, and a left-to-right sum.  ``theta`` is a float64 array.
+    """
+    location = locate_cell(shape, x)
+    w = np.empty(1 << shape.ndim)
+    w[0] = 1.0
+    for d, r in enumerate(location.residual):
+        near, far = w[: 1 << d], w[1 << d : 2 << d]
+        np.multiply(near, r, out=far)
+        np.subtract(near, far, out=near)
+    vals = theta[vertex_index(shape, location.base) + _doubled_offsets(shape)]
+    return float(np.cumsum(np.multiply(vals, w, out=vals))[-1] + 0.0)
+
+
 # --------------------------------------------------------------------------
 # gradients w.r.t. the point
 
@@ -261,12 +289,15 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     return np.cumsum(a, axis=1, out=a)[:, -1] + 0.0
 
 
+@functools.lru_cache(maxsize=64)
 def _doubled_offsets(shape: LatticeShape) -> np.ndarray:
     # flat offsets of the 2^D cell vertices from the base, in the order of
-    # the doubling pass (bit d set = far side in dimension d)
+    # the doubling pass (bit d set = far side in dimension d); cached per
+    # shape, so read-only
     offsets = np.zeros(1, dtype=np.int64)
     for sd in shape.strides:
         offsets = np.concatenate([offsets, offsets + sd])
+    offsets.flags.writeable = False
     return offsets
 
 

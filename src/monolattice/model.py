@@ -4,6 +4,13 @@ The file stores the feature specs, the fitted calibrators, the lattice sizes
 and the parameter vector (stride order).  Floats are written with Python's
 shortest round-trip representation, so saving and loading reproduces every
 parameter bit for bit.
+
+``Model.predict`` scores a batch through the batched calibrators and kernel.
+``Model.predict_row`` scores one row through the scalar calibrators, then
+the numpy row kernel for multilinear cells of ``ROW_NUMPY_MIN_VERTICES``
+vertices or more and the scalar kernels otherwise; both give the same bits.
+``theta`` is stored as a read-only float64 copy on every assignment, so the
+list form the scalar kernels read cannot fall out of date.
 """
 
 from __future__ import annotations
@@ -24,7 +31,13 @@ from .calibrators import (
     MissingPolicy,
     missing_vertex_dims,
 )
-from .interpolation import InterpolationKind, evaluate, evaluate_batch
+from .interpolation import (
+    ROW_NUMPY_MIN_VERTICES,
+    InterpolationKind,
+    evaluate,
+    evaluate_batch,
+    evaluate_multilinear_row,
+)
 from .lattice import LatticeShape
 from .monotonicity import (
     Direction,
@@ -46,15 +59,31 @@ class Model:
     kind: InterpolationKind = InterpolationKind.MULTILINEAR
     loss: Loss = Loss.SQUARED
     metadata: dict = field(default_factory=dict)
-    _theta_cache: tuple | None = None  # (theta object, its values as a list)
+    # theta as a list for the scalar kernels; None until predict_row needs it
+    _theta_cache: list | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __setattr__(self, name, value):
+        # theta is a read-only float64 copy, so the list cache cannot go stale
+        if name == "theta":
+            value = np.array(value, dtype=float)
+            value.flags.writeable = False
+            object.__setattr__(self, "_theta_cache", None)
+        object.__setattr__(self, name, value)
 
     # ---- prediction
 
     def predict_row(self, row, kind: InterpolationKind | None = None) -> float:
-        if self._theta_cache is None or self._theta_cache[0] is not self.theta:
-            self._theta_cache = (self.theta, np.asarray(self.theta, dtype=float).tolist())
+        """Score of one row, equal to :meth:`predict` bit for bit.  Large
+        multilinear cells go through the numpy row kernel, the rest through
+        the scalar kernels on the list form of theta."""
         x = self.calibrators.calibrate_row(row)
-        return evaluate(self._theta_cache[1], self.shape, x, kind or self.kind)
+        kind = kind or self.kind
+        large = 1 << self.shape.ndim >= ROW_NUMPY_MIN_VERTICES
+        if large and kind == InterpolationKind.MULTILINEAR:
+            return evaluate_multilinear_row(self.theta, self.shape, x)
+        if self._theta_cache is None:
+            self._theta_cache = self.theta.tolist()
+        return evaluate(self._theta_cache, self.shape, x, kind)
 
     def predict(self, data, kind: InterpolationKind | None = None) -> np.ndarray:
         """Scores of every row of ``data``, equal to :meth:`predict_row` bit
