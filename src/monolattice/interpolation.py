@@ -18,11 +18,15 @@ exactly (linear precision), so piecing cells together yields a continuous
 surface.
 
 The scalar kernels above work on one point.  ``forward_backward_batch`` runs
-the same arithmetic on an (n, D) array of points in numpy, one column
-operation per scalar step, and sums every vertex product left to right as
+the same arithmetic on an (n, D) array of points in numpy, one array
+operation per scalar step, and sums every vertex product in list order as
 the scalar loops do, so its values, weights and slopes equal the scalar
 ones bit for bit.  Training, ``evaluate_batch`` and batch prediction go
-through it; the scalar kernels act as its oracle.
+through it; the scalar kernels act as its oracle.  Multilinear chunks are
+stored vertex-major, as C-contiguous (2^D, n) arrays, so each doubling,
+collapse and sum step works on whole rows; numpy's ``add.reduce`` over the
+rows then adds them top to bottom.  A one-column chunk is the exception:
+numpy would sum its single column pairwise, so it goes through ``cumsum``.
 
 Single-row prediction uses the scalar kernels on small cells, where Python
 lists beat numpy's per-call overhead.  From ``ROW_NUMPY_MIN_VERTICES`` cell
@@ -301,28 +305,48 @@ def _doubled_offsets(shape: LatticeShape) -> np.ndarray:
     return offsets
 
 
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    # Top-to-bottom sum of each column of a C-contiguous (k, n) array from
+    # 0.0, as the scalar loops add.  For n >= 2, add.reduce over axis 0 adds
+    # whole rows in order; a single column would be summed pairwise, with
+    # other bits, so n = 1 goes through the sequential cumsum.  Adding 0.0
+    # turns a -0.0 total into the +0.0 that a sum started at 0.0 gives.
+    if a.shape[1] == 1:
+        return np.cumsum(a, axis=0)[-1] + 0.0
+    return np.add.reduce(a, axis=0) + 0.0
+
+
 def _doubling_weights(residual: np.ndarray) -> np.ndarray:
-    # multilinear_weights' doubling pass, one column per list entry
-    n, D = residual.shape
-    w = np.empty((n, 1 << D))
-    w[:, 0] = 1.0
+    # multilinear_weights' doubling pass on (D, n) residuals, one row of the
+    # (2^D, n) result per list entry
+    D, n = residual.shape
+    w = np.empty((1 << D, n))
+    w[0] = 1.0
     for d in range(D):
         half = 1 << d
-        np.multiply(w[:, :half], residual[:, d : d + 1], out=w[:, half : 2 * half])
-        np.subtract(w[:, :half], w[:, half : 2 * half], out=w[:, :half])
+        np.multiply(w[:half], residual[d], out=w[half : 2 * half])
+        np.subtract(w[:half], w[half : 2 * half], out=w[:half])
     return w
 
 
-def _multilinear_slopes(vals: np.ndarray, ws: np.ndarray, residual: np.ndarray) -> np.ndarray:
-    # evaluate_with_gradients' highest-bit-first collapse, one column per entry
-    n, D = residual.shape
-    slopes = np.empty((n, D))
+def _multilinear_slopes(vals: np.ndarray, w: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    # evaluate_with_gradients' highest-bit-first collapse, one row per list
+    # entry, in place: ``vals`` (overwritten) holds the vertex values still
+    # to collapse and, in its upper half, each pass's products; ``ws`` the
+    # summed weights; ``diffs`` the edge differences.  Returns (D, n) slopes.
+    D, n = residual.shape
+    slopes = np.empty((D, n))
+    ws = np.empty((1 << (D - 1), n))
+    diffs = np.empty_like(ws)
+    src = w
     for d in reversed(range(D)):
         half = 1 << d
-        ws = ws[:, :half] + ws[:, half:]
-        diffs = vals[:, half:] - vals[:, :half]
-        slopes[:, d] = _row_sums(ws * diffs)
-        vals = vals[:, :half] + residual[:, d : d + 1] * diffs
+        lo, hi, wd, dd = vals[:half], vals[half : 2 * half], ws[:half], diffs[:half]
+        np.add(src[:half], src[half : 2 * half], out=wd)
+        src = ws
+        np.subtract(hi, lo, out=dd)
+        slopes[d] = _column_sums(np.multiply(wd, dd, out=hi))
+        lo += np.multiply(dd, residual[d], out=dd)
     return slopes
 
 
@@ -338,6 +362,10 @@ def forward_backward_batch(
     None)``, where row i of ``indices``/``weights`` lists the vertices in the
     order the scalar kernel of ``kind`` lists them.  Every entry equals what
     :func:`evaluate_with_gradients` gives for row i, bit for bit.
+
+    The multilinear kernel works vertex-major, on (2^D, n) arrays, and
+    returns their transposed views; sums over a single point's column run
+    through ``cumsum``, since numpy sums one column pairwise.
     """
     kind = InterpolationKind(kind)
     th = np.asarray(theta, dtype=float)
@@ -353,16 +381,19 @@ def forward_backward_batch(
             [base_idx[:, None], base_idx[:, None] + np.cumsum(strides[order], axis=1)], axis=1
         )
     else:
-        weights = _doubling_weights(residual)
-        indices = base_idx[:, None] + _doubled_offsets(shape)[None, :]
+        # vertex-major: one C-contiguous row of n entries per cell vertex
+        residual_t = np.ascontiguousarray(residual.T)
+        weights = _doubling_weights(residual_t)
+        indices = _doubled_offsets(shape)[:, None] + base_idx[None, :]
+        vals = th[indices]
+        values = _column_sums(vals * weights)
+        slopes = _multilinear_slopes(vals, weights, residual_t) if want_slopes else None
+        return values, indices.T, weights.T, None if slopes is None else slopes.T
     vals = th[indices]
     values = _row_sums(vals * weights)
     if not want_slopes:
         return values, indices, weights, None
-    if kind is InterpolationKind.SIMPLEX:
-        # consecutive chain vertices differ by one step in dimension order[j]
-        slopes = np.empty(residual.shape)
-        np.put_along_axis(slopes, order, vals[:, 1:] - vals[:, :-1], axis=1)
-    else:
-        slopes = _multilinear_slopes(vals, weights, residual)
+    # consecutive chain vertices differ by one step in dimension order[j]
+    slopes = np.empty(residual.shape)
+    np.put_along_axis(slopes, order, vals[:, 1:] - vals[:, :-1], axis=1)
     return values, indices, weights, slopes

@@ -70,6 +70,12 @@ class Model:
             object.__setattr__(self, "_theta_cache", None)
         object.__setattr__(self, name, value)
 
+    def __eq__(self, other):
+        # identical models are those that write identical model files
+        if not isinstance(other, Model):
+            return NotImplemented
+        return self.to_json() == other.to_json()
+
     # ---- prediction
 
     def predict_row(self, row, kind: InterpolationKind | None = None) -> float:

@@ -297,9 +297,11 @@ def loss_gradients(state: TrainerState, minibatch) -> tuple[np.ndarray, np.ndarr
         s = np.repeat(slope, n_sides)  # sign * slope, side by side
         if n_sides == 2:
             s[1::2] = -s[1::2]
-        live = s != 0.0
-        np.add.at(g_theta, indices[live].ravel(), (s[live, None] * weights[live]).ravel())
+        # a zero slope adds +-0.0 to a sum that starts at +0.0, which leaves
+        # every bit as it is, so the theta scatter needs no mask
+        np.add.at(g_theta, indices.ravel(), (s[:, None] * weights).ravel())
         if want:
+            live = s != 0.0
             keep = (sides.positions >= 0) & (live[:, None] & (dfdx != 0.0)).T[:, :, None]
             d, r, e = np.nonzero(keep)
             np.add.at(

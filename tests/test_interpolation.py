@@ -350,6 +350,35 @@ class TestForwardBackwardBatch:
                 assert weights[i].tolist() == sw.weights
                 assert slopes[i].tolist() == grad
 
+    @pytest.mark.parametrize("size", [2, 3])
+    @pytest.mark.parametrize("D", range(3, 11))
+    def test_batches_of_one_and_two_rows(self, D, size):
+        # numpy sums a single column pairwise, not top to bottom, so one-row
+        # batches take their own summation path
+        sh = LatticeShape([size] * D)
+        rng = np.random.default_rng(100 * D + size)
+        theta = rng.standard_normal(sh.num_parameters)
+        pts = rng.random((40, D)) * (size - 1)
+        for batch in [pts[i : i + 1] for i in range(30)] + [pts[30:32], pts[32:34]]:
+            values, indices, weights, slopes = forward_backward_batch(
+                theta, sh, batch, want_slopes=True
+            )
+            scalar = [evaluate_with_gradients(theta, sh, x) for x in batch]
+            assert values.tobytes() == np.array([v for v, _, _ in scalar]).tobytes()
+            assert indices.tolist() == [sw.indices for _, sw, _ in scalar]
+            assert weights.tobytes() == np.array([sw.weights for _, sw, _ in scalar]).tobytes()
+            assert slopes.tobytes() == np.array([g for _, _, g in scalar]).tobytes()
+
+    @pytest.mark.parametrize("size", [2, 3])
+    @pytest.mark.parametrize("D", range(3, 11))
+    def test_chunk_ending_in_one_row(self, D, size):
+        sh = LatticeShape([size] * D)
+        rng = np.random.default_rng(200 * D + size)
+        theta = rng.standard_normal(sh.num_parameters)
+        pts = rng.random((chunk_rows(sh, InterpolationKind.MULTILINEAR) + 1, D)) * (size - 1)
+        scalar = np.array([evaluate(theta, sh, x) for x in pts])
+        assert evaluate_batch(theta, sh, pts).tobytes() == scalar.tobytes()
+
     def test_slopes_only_on_request(self):
         sh = LatticeShape([3, 3])
         out = forward_backward_batch(np.zeros(9), sh, np.array([[0.5, 1.5]]))

@@ -139,6 +139,22 @@ class TestRoundTrip:
         clone = Model.load(path)
         assert np.array_equal(clone.predict(data), model.predict(data))
 
+    def test_round_trip_compares_equal(self, trained, tmp_path):
+        model, _ = trained
+        path = tmp_path / "m.json"
+        model.save(path)
+        assert Model.load(path) == model
+        assert Model.from_json(model.to_json()) == model
+
+    def test_one_changed_parameter_compares_unequal(self, trained):
+        model, _ = trained
+        other = Model.from_json(model.to_json())
+        theta = np.array(other.theta)
+        theta[3] = np.nextafter(theta[3], np.inf)
+        other.theta = theta
+        assert other != model
+        assert model != model.to_json()
+
     def test_save_twice_is_byte_identical(self, trained, tmp_path):
         model, _ = trained
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -30,6 +30,7 @@ from monolattice import (
     regularizer_terms,
     regularizer_value,
     train,
+    vertex_coords,
 )
 from monolattice import training
 from monolattice.calibrators import CategoricalCalibrator, ContinuousCalibrator
@@ -683,6 +684,66 @@ class TestBatchedStepMatchesReference:
         config = TrainConfig(loss=Loss.LOGISTIC if pairs else Loss.SQUARED)
         state = perturbed_state(data, specs, config)
         assert_same_gradients(state, rng.integers(0, n, size=90))
+
+    @pytest.mark.parametrize("d", [3, 10])
+    def test_one_sample_minibatches_on_large_cells(self, d):
+        # a one-sample chunk reaches the kernel as a single column
+        rng = np.random.default_rng(4)
+        n = 40
+        specs = [spec(f"x{k}", keypoints=3) for k in range(d)]
+        data = Dataset([rng.random(n) for _ in range(d)], rng.random(n))
+        state = perturbed_state(data, specs, TrainConfig())
+        for i in range(n):
+            assert_same_gradients(state, [i])
+
+    @staticmethod
+    def hinge_state(pairs, x0):
+        """Hinge loss on a 2^3 lattice whose value is -5 + 10 * x0.  Rows
+        with x0 <= 0.2 or >= 0.8 lie at margin 3 or more, rows near 0.5 below
+        1.  A pair's preferred side has x0 and its other side 1 - x0, so its
+        margin is 20 * x0 - 10: 6 or more for x0 >= 0.8, below 1 otherwise."""
+        rng = np.random.default_rng(6)
+        x0 = np.asarray(x0, dtype=float)
+
+        def columns(first):
+            return [first, rng.random(len(first)), rng.random(len(first))]
+
+        specs = [spec(f"x{k}", bounds=(0.0, 1.0)) for k in range(3)]
+        if pairs:
+            data = PairDataset(columns(x0), columns(1.0 - x0))
+        else:
+            data = Dataset(columns(x0), (x0 > 0.5).astype(float))
+        state = prepare_state(data, specs, TrainConfig(loss=Loss.HINGE))
+        sh = state.shape
+        state.theta = np.array(
+            [5.0 if vertex_coords(sh, j)[0] else -5.0 for j in range(sh.num_parameters)]
+        )
+        return state
+
+    @pytest.mark.parametrize("pairs", [False, True], ids=["rows", "pairs"])
+    def test_minibatch_without_live_samples_has_zero_gradient_bits(self, pairs):
+        # every sample adds +0.0 (rows) or -0.0 (the second side of a pair)
+        # times its weights to a gradient that starts at +0.0
+        x0 = np.concatenate([np.linspace(0.0, 0.2, 20), np.linspace(0.8, 1.0, 20)])
+        if pairs:
+            x0 = x0[20:]
+        state = self.hinge_state(pairs, x0)
+        batch = np.arange(len(x0))
+        g_theta, g_alpha = loss_gradients(state, batch)
+        assert g_theta.tobytes() == np.zeros(state.theta.size).tobytes()
+        assert g_alpha.tobytes() == np.zeros(state.calibrators.num_free).tobytes()
+        assert_same_gradients(state, batch)
+
+    @pytest.mark.parametrize("pairs", [False, True], ids=["rows", "pairs"])
+    def test_minibatch_of_live_and_dead_samples(self, pairs):
+        x0 = np.concatenate([np.linspace(0.0, 0.2, 10), np.linspace(0.45, 0.55, 10),
+                             np.linspace(0.8, 1.0, 10)])
+        state = self.hinge_state(pairs, x0)
+        rng = np.random.default_rng(7)
+        g_theta, _ = loss_gradients(state, np.arange(30))
+        assert np.count_nonzero(g_theta) > 0
+        assert_same_gradients(state, np.arange(30))
+        assert_same_gradients(state, rng.permutation(30))
 
     @pytest.mark.parametrize(
         "pairs, loss, kind, workers",
