@@ -14,15 +14,22 @@ Missing values are handled per feature, either by learning the axis value to
 impute (``calibrated``) or by reserving the top lattice slice as a dedicated
 missing vertex and rescaling real values to [0, M_d - 2] (``vertex``).
 
-Batch calibration has two halves.  *Locate* depends only on the values and
-the fixed knots or categories: per value it finds two indices into a flat
-table of parameters, a fraction t, an inner flag, and the free-parameter
-positions and partials of the gradient (a :class:`CalibrationPlan`).
-*Apply* reads the current parameters: ``x = P[lo]``, and on inner entries
-``x = (1 - t) * P[lo] + t * P[hi]``, the formula of ``calibrate``.  Table P
-holds every feature's outputs or values, each followed by its missing
-coordinate, so one gather calibrates all features.  Training locates its
-samples once per run and applies the plan at every step.
+Batch calibration has three parts.  *Locate* depends only on the values
+and the fixed knots or categories: per value it finds two indices into a
+flat table of parameters, a fraction t and an inner flag (a
+:class:`Location`).  *Apply* reads the current parameters: ``x = P[lo]``,
+and on inner entries ``x = (1 - t) * P[lo] + t * P[hi]``, the formula of
+``calibrate``.  Table P holds every feature's outputs or values, each
+followed by its missing coordinate, so one gather calibrates all features.
+The *gradient layout*, the free-parameter positions and partials of each
+value, follows from a location alone (the segment ``lo`` and ``t`` of a
+continuous value, the code of a categorical one, the missing slot), so only
+training derives it: once per run, into a :class:`CalibrationPlan` whose
+rows every step applies.  Prediction locates and applies and never builds
+the layout, which would be most of its calibration time.  Nor does the
+kernel after it rely on calibration's allocations: the multilinear kernel
+keeps its chunk buffers for a whole call or training run (see
+``interpolation``), so its speed does not depend on what was freed before.
 """
 
 from __future__ import annotations
@@ -129,12 +136,17 @@ def _missing_gradient(cal) -> list[tuple[int, float]]:
     return []
 
 
-def _fill_missing(cal, missing: np.ndarray, slot: int, lo, positions, partials) -> None:
+def _locate_missing(cal, missing: np.ndarray, slot: int, lo) -> None:
     """Point the missing rows of a located column at the table's missing
-    slot, with the missing value's gradient entries."""
+    slot; raises without a missing policy."""
     if missing.any():
-        _missing_coordinate(cal)  # raises without a missing policy
+        _missing_coordinate(cal)
         lo[missing] = slot
+
+
+def _missing_layout(cal, missing: np.ndarray, positions, partials) -> None:
+    """The missing value's gradient entries on the missing rows."""
+    if missing.any():
         for k, (pos, partial) in enumerate(_missing_gradient(cal)):
             positions[missing, k] = pos
             partials[missing, k] = partial
@@ -178,8 +190,10 @@ class _Calibrator:
 
     def calibrate_batch(self, column):
         """:meth:`calibrate` and :meth:`gradient` over a column, bit for bit:
-        coordinates (n,) and the positions and partials of ``locate``."""
-        lo, hi, t, inner, positions, partials = self.locate(column)
+        coordinates (n,) and the positions and partials of
+        :meth:`gradient_layout`."""
+        lo, hi, t, inner = self.locate(column)
+        positions, partials = self.gradient_layout(lo, t, inner)
         return _apply(self.table(), lo, hi, t, inner), positions, partials
 
 
@@ -260,14 +274,12 @@ class ContinuousCalibrator(_Calibrator):
         return out
 
     def locate(self, column):
-        """The parameter-free half of :meth:`calibrate_batch`.
+        """The parameter-free half of :meth:`calibrate`.
 
         Per value: indices ``lo`` and ``hi`` into :meth:`table`, fraction
-        ``t`` and the inner flag (strictly between the end knots), then the
-        free-parameter positions (n, 2) and partials (n, 2) that list
-        ``gradient`` in order, with position -1 where it has no entry.
-        Needs strictly increasing knots (``searchsorted`` stands in for
-        ``bisect_right``).
+        ``t`` (0 unless inner) and the inner flag (strictly between the end
+        knots).  An inner value's ``lo`` is its segment.  Needs strictly
+        increasing knots (``searchsorted`` stands in for ``bisect_right``).
         """
         if isinstance(column, np.ndarray) and column.dtype.kind == "f":
             x = column.astype(float, copy=False)
@@ -287,13 +299,22 @@ class ContinuousCalibrator(_Calibrator):
         xj = knots[j]
         t = (np.where(inner, x, xj) - xj) / (knots[j + 1] - xj)  # 0 where not inner
         lo = np.where(inner, j, np.where(x >= knots[-1], last, 0))
-        near = inner & (j >= 1)
-        far = inner & (j + 1 <= last - 1) & (t != 0.0)
-        positions = np.stack([np.where(near, j - 1, -1), np.where(far, j, -1)], axis=1)
-        partials = np.stack([np.where(near, 1.0 - t, 0.0), np.where(far, t, 0.0)], axis=1)
-        _fill_missing(self, np.isnan(x), last + 1, lo, positions, partials)
+        _locate_missing(self, np.isnan(x), last + 1, lo)
         hi = np.where(inner, j + 1, lo)
-        return lo, hi, t, inner, positions, partials
+        return lo, hi, t, inner
+
+    def gradient_layout(self, lo, t, inner):
+        """Free-parameter positions (n, 2) and partials (n, 2) of located
+        values, listing :meth:`gradient` in order, with position -1 where it
+        has no entry: the segment's near and far interior outputs, or the
+        learned missing value."""
+        last = len(self.knots) - 1
+        near = inner & (lo >= 1)
+        far = inner & (lo + 1 <= last - 1) & (t != 0.0)
+        positions = np.stack([np.where(near, lo - 1, -1), np.where(far, lo, -1)], axis=1)
+        partials = np.stack([np.where(near, 1.0 - t, 0.0), np.where(far, t, 0.0)], axis=1)
+        _missing_layout(self, lo == last + 1, positions, partials)
+        return positions, partials
 
 
 @dataclass
@@ -361,24 +382,39 @@ class CategoricalCalibrator(_Calibrator):
         return out
 
     def locate(self, column):
-        """The parameter-free half of :meth:`calibrate_batch`, laid out as
-        :meth:`ContinuousCalibrator.locate` (``hi`` = ``lo``, t = 0, never
-        inner).  The first bad value raises the ``DataError`` that
-        ``calibrate`` raises."""
+        """The parameter-free half of :meth:`calibrate`, laid out as
+        :meth:`ContinuousCalibrator.locate` (``lo`` = ``hi`` = the code, t = 0,
+        never inner).  Each distinct value is looked up once.  The first bad
+        value raises the ``DataError`` that ``calibrate`` raises."""
         unknown = -2 if self.other_index is None else self.other_index
-        codes = np.array(
-            [-1 if is_missing(v) else self._lookup.get(str(v), unknown) for v in column],
-            dtype=np.int64,
-        )
+        keys = column
+        distinct = dict.fromkeys(keys)
+        if not all(isinstance(v, str) or is_missing(v) for v in distinct):
+            # values that compare equal can print apart (1 and 1.0, 0.0 and
+            # -0.0), and a category is named by its text
+            keys = [v if is_missing(v) else str(v) for v in column]
+            distinct = dict.fromkeys(keys)
+        lookup = self._lookup
+        code_of = {v: -1 if is_missing(v) else lookup.get(v, unknown) for v in distinct}
+        codes = np.fromiter(map(code_of.__getitem__, keys), dtype=np.int64, count=len(keys))
         missing = codes == -1
         bad = (codes == -2) | (missing & (self.missing is MissingPolicy.NONE))
         if bad.any():
             self.calibrate(column[int(np.argmax(bad))])
+        _locate_missing(self, missing, len(self.values), codes)
         n = len(codes)
-        positions = np.stack([codes, np.full(n, -1)], axis=1)
+        return codes, codes, np.zeros(n), np.zeros(n, dtype=bool)
+
+    def gradient_layout(self, lo, t, inner):
+        """Positions and partials of located values, laid out as
+        :meth:`ContinuousCalibrator.gradient_layout`: the code, or the
+        learned missing value."""
+        missing = lo == len(self.values)
+        n = len(lo)
+        positions = np.stack([np.where(missing, -1, lo), np.full(n, -1)], axis=1)
         partials = np.stack([np.where(missing, 0.0, 1.0), np.zeros(n)], axis=1)
-        _fill_missing(self, missing, len(self.values), codes, positions, partials)
-        return codes, codes, np.zeros(n), np.zeros(n, dtype=bool), positions, partials
+        _missing_layout(self, missing, positions, partials)
+        return positions, partials
 
 
 # --------------------------------------------------------------------------
@@ -536,21 +572,29 @@ def build_categorical_calibrator(
 
 
 @dataclass(frozen=True)
-class CalibrationPlan:
-    """Where a batch of rows sits on the calibrators: the half of batch
-    calibration that does not depend on the parameters.
+class Location:
+    """Where a batch of rows sits on the calibrators: what batch calibration
+    needs that does not depend on the parameters.
 
     ``lo``, ``hi``, ``t`` and ``inner`` are (n, D): indices into
     :meth:`CalibratorSet.table`, fraction and inner flag per row and feature.
-    ``positions`` (D, n, 2) holds each value's global free-parameter
-    positions in ``gradient`` order (-1 = no entry), ``partials`` (D, n, 2)
-    their partials; feature-major, so a scatter runs feature, row, entry.
     """
 
     lo: np.ndarray
     hi: np.ndarray
     t: np.ndarray
     inner: np.ndarray
+
+
+@dataclass(frozen=True)
+class CalibrationPlan(Location):
+    """A :class:`Location` with its gradient layout, for training.
+
+    ``positions`` (D, n, 2) holds each value's global free-parameter
+    positions in ``gradient`` order (-1 = no entry), ``partials`` (D, n, 2)
+    their partials; feature-major, so a scatter runs feature, row, entry.
+    """
+
     positions: np.ndarray
     partials: np.ndarray
 
@@ -640,7 +684,7 @@ class CalibratorSet:
             out[end] = _missing_slot(cal)
         return out
 
-    def locate(self, columns) -> CalibrationPlan:
+    def locate(self, columns) -> Location:
         """Locate every row of ``columns`` (one column per feature).  A bad
         value raises the ``DataError`` that :meth:`calibrate_row` raises on
         the first bad row, with that row's index as its ``row``."""
@@ -655,33 +699,48 @@ class CalibratorSet:
                     e.row = i
                     raise
             raise
-        lo, hi, t, inner, positions, partials = zip(*per_feature)
+        lo, hi, t, inner = zip(*per_feature)
         blocks = np.asarray(self.table_offsets, dtype=np.int64)
-        return CalibrationPlan(
+        return Location(
             lo=np.stack(lo, axis=1) + blocks,
             hi=np.stack(hi, axis=1) + blocks,
             t=np.stack(t, axis=1),
             inner=np.stack(inner, axis=1),
-            positions=np.stack(
-                [np.where(pos >= 0, pos + off, -1) for pos, off in zip(positions, self.offsets)]
-            ),
-            partials=np.stack(partials),
         )
 
-    def apply(self, plan: CalibrationPlan) -> np.ndarray:
+    def plan(self, location: Location) -> CalibrationPlan:
+        """``location`` with the gradient layout of every value, from each
+        calibrator's :meth:`gradient_layout` at global alpha positions."""
+        positions, partials = [], []
+        for d, (cal, block, off) in enumerate(
+            zip(self.calibrators, self.table_offsets, self.offsets)
+        ):
+            pos, part = cal.gradient_layout(
+                location.lo[:, d] - block, location.t[:, d], location.inner[:, d]
+            )
+            positions.append(np.where(pos >= 0, pos + off, -1))
+            partials.append(part)
+        return CalibrationPlan(
+            location.lo, location.hi, location.t, location.inner,
+            positions=np.stack(positions), partials=np.stack(partials),
+        )
+
+    def apply(self, location: Location) -> np.ndarray:
         """Coordinates (n, D) of located rows under the current parameters."""
-        return _apply(self.table(), plan.lo, plan.hi, plan.t, plan.inner)
+        return _apply(self.table(), location.lo, location.hi, location.t, location.inner)
 
     def calibrate_batch(self, columns):
         """:meth:`calibrate_row` and :meth:`row_gradients` over whole columns:
-        :meth:`locate`, then :meth:`apply`.
+        :meth:`locate`, then :meth:`apply`, then :meth:`plan`.
 
         Returns coordinates (n, D) and, per feature, global alpha positions
         (n, 2) (-1 = no entry) and their partials (n, 2), all equal to the
         row-wise results.
         """
-        plan = self.locate(columns)
-        return self.apply(plan), list(zip(plan.positions, plan.partials))
+        location = self.locate(columns)
+        x = self.apply(location)
+        plan = self.plan(location)
+        return x, list(zip(plan.positions, plan.partials))
 
     def constraints(self) -> ConstraintSet:
         """Nondecreasing chains, declared category orders, and box bounds."""

@@ -28,6 +28,20 @@ collapse and sum step works on whole rows; numpy's ``add.reduce`` over the
 rows then adds them top to bottom.  A one-column chunk is the exception:
 numpy would sum its single column pairwise, so it goes through ``cumsum``.
 
+A multilinear chunk's (2^D, n) arrays (weights, vertex indices, gathered
+values, and a scratch array for the products and the slope collapse) come
+from a :class:`ChunkBuffers` set and are reused from chunk to chunk: one
+set lives for one ``evaluate_batch`` call, and one for a whole training run
+(held on the run's state).  At D = 10 each array is 256 KB, above glibc's
+initial mmap threshold, so arrays made afresh for every chunk would be
+mapped, page-faulted and unmapped chunk after chunk, and the kernel would
+run at half speed unless some earlier, larger free had raised the
+threshold.  ``forward_backward_batch`` itself draws a fresh set per call,
+so the arrays it returns are the caller's.  The vertex values are gathered
+with ``take(mode="clip")`` into their buffer, which writes there directly
+only because nothing can be clipped: the cells' far corners are checked
+against ``theta`` first, so a short ``theta`` still raises ``IndexError``.
+
 Single-row prediction uses the scalar kernels on small cells, where Python
 lists beat numpy's per-call overhead.  From ``ROW_NUMPY_MIN_VERTICES`` cell
 vertices on, multilinear rows go through ``evaluate_multilinear_row``: the
@@ -193,10 +207,11 @@ def evaluate_batch(
     pts = np.asarray(points, dtype=float)
     th = np.asarray(theta, dtype=float)
     step = chunk_rows(shape, kind)
+    buffers = ChunkBuffers()  # one set for all chunks of this call
     out = np.empty(len(pts))
     for start in range(0, len(pts), step):
-        out[start : start + step] = forward_backward_batch(
-            th, shape, pts[start : start + step], kind
+        out[start : start + step] = _forward_backward(
+            th, shape, pts[start : start + step], kind, False, buffers
         )[0]
     return out
 
@@ -305,22 +320,53 @@ def _doubled_offsets(shape: LatticeShape) -> np.ndarray:
     return offsets
 
 
-def _column_sums(a: np.ndarray) -> np.ndarray:
+def _column_sums(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # Top-to-bottom sum of each column of a C-contiguous (k, n) array from
     # 0.0, as the scalar loops add.  For n >= 2, add.reduce over axis 0 adds
     # whole rows in order; a single column would be summed pairwise, with
     # other bits, so n = 1 goes through the sequential cumsum.  Adding 0.0
     # turns a -0.0 total into the +0.0 that a sum started at 0.0 gives.
     if a.shape[1] == 1:
-        return np.cumsum(a, axis=0)[-1] + 0.0
-    return np.add.reduce(a, axis=0) + 0.0
+        total = np.cumsum(a, axis=0)[-1]
+    else:
+        total = np.add.reduce(a, axis=0, out=out)
+    return np.add(total, 0.0, out=out)
 
 
-def _doubling_weights(residual: np.ndarray) -> np.ndarray:
+class ChunkBuffers:
+    """The multilinear kernel's (2^D, n) chunk arrays, kept from one chunk
+    to the next.
+
+    Each array is the front of a flat buffer, so it is C-contiguous whatever
+    its shape; a buffer is allocated when a chunk first needs more than it
+    holds.  The last view of each buffer is kept, since a run's chunks mostly
+    share one shape.  What a chunk leaves in them is overwritten by the next.
+    """
+
+    def __init__(self) -> None:
+        self._flat: dict[str, np.ndarray] = {}
+        self._views: dict[str, np.ndarray] = {}
+
+    def get(self, name: str, rows: int, cols: int, dtype=float) -> np.ndarray:
+        view = self._views.get(name)
+        if view is None or view.shape != (rows, cols):
+            size = rows * cols
+            flat = self._flat.get(name)
+            if flat is None or flat.size < size:
+                flat = self._flat[name] = self._allocate(size, dtype)
+            view = self._views[name] = flat[:size].reshape(rows, cols)
+        return view
+
+    @staticmethod
+    def _allocate(size: int, dtype) -> np.ndarray:
+        return np.empty(size, dtype=dtype)
+
+
+def _doubling_weights(residual: np.ndarray, buffers: ChunkBuffers) -> np.ndarray:
     # multilinear_weights' doubling pass on (D, n) residuals, one row of the
     # (2^D, n) result per list entry
     D, n = residual.shape
-    w = np.empty((1 << D, n))
+    w = buffers.get("weights", 1 << D, n)
     w[0] = 1.0
     for d in range(D):
         half = 1 << d
@@ -329,15 +375,17 @@ def _doubling_weights(residual: np.ndarray) -> np.ndarray:
     return w
 
 
-def _multilinear_slopes(vals: np.ndarray, w: np.ndarray, residual: np.ndarray) -> np.ndarray:
+def _multilinear_slopes(
+    vals: np.ndarray, w: np.ndarray, residual: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
     # evaluate_with_gradients' highest-bit-first collapse, one row per list
     # entry, in place: ``vals`` (overwritten) holds the vertex values still
     # to collapse and, in its upper half, each pass's products; ``ws`` the
-    # summed weights; ``diffs`` the edge differences.  Returns (D, n) slopes.
+    # summed weights and ``diffs`` the edge differences, the two halves of
+    # ``scratch`` (2^D, n).  Returns (D, n) slopes.
     D, n = residual.shape
     slopes = np.empty((D, n))
-    ws = np.empty((1 << (D - 1), n))
-    diffs = np.empty_like(ws)
+    ws, diffs = scratch[: 1 << (D - 1)], scratch[1 << (D - 1) :]
     src = w
     for d in reversed(range(D)):
         half = 1 << d
@@ -345,7 +393,7 @@ def _multilinear_slopes(vals: np.ndarray, w: np.ndarray, residual: np.ndarray) -
         np.add(src[:half], src[half : 2 * half], out=wd)
         src = ws
         np.subtract(hi, lo, out=dd)
-        slopes[d] = _column_sums(np.multiply(wd, dd, out=hi))
+        _column_sums(np.multiply(wd, dd, out=hi), out=slopes[d])
         lo += np.multiply(dd, residual[d], out=dd)
     return slopes
 
@@ -365,8 +413,16 @@ def forward_backward_batch(
 
     The multilinear kernel works vertex-major, on (2^D, n) arrays, and
     returns their transposed views; sums over a single point's column run
-    through ``cumsum``, since numpy sums one column pairwise.
+    through ``cumsum``, since numpy sums one column pairwise.  The arrays
+    belong to the caller: this call's chunk buffers are its own.
     """
+    return _forward_backward(theta, shape, points, kind, want_slopes, ChunkBuffers())
+
+
+def _forward_backward(theta, shape, points, kind, want_slopes, buffers: ChunkBuffers):
+    # forward_backward_batch, with the multilinear chunk arrays drawn from
+    # ``buffers``: its indices and weights are views into them, valid until
+    # the next call with the same buffers
     kind = InterpolationKind(kind)
     th = np.asarray(theta, dtype=float)
     base, residual = locate_cells(shape, points)
@@ -382,12 +438,17 @@ def forward_backward_batch(
         )
     else:
         # vertex-major: one C-contiguous row of n entries per cell vertex
+        k, n = 1 << shape.ndim, len(base_idx)
         residual_t = np.ascontiguousarray(residual.T)
-        weights = _doubling_weights(residual_t)
-        indices = _doubled_offsets(shape)[:, None] + base_idx[None, :]
-        vals = th[indices]
-        values = _column_sums(vals * weights)
-        slopes = _multilinear_slopes(vals, weights, residual_t) if want_slopes else None
+        weights = _doubling_weights(residual_t, buffers)
+        offsets = _doubled_offsets(shape)
+        indices = buffers.get("indices", k, n, np.int64)
+        np.add(offsets[:, None], base_idx[None, :], out=indices)
+        vals = _gather(th, indices, base_idx, offsets[-1], buffers.get("vals", k, n))
+        # the products, then (once summed) the slope collapse's halves
+        scratch = buffers.get("scratch", k, n)
+        values = _column_sums(np.multiply(vals, weights, out=scratch))
+        slopes = _multilinear_slopes(vals, weights, residual_t, scratch) if want_slopes else None
         return values, indices.T, weights.T, None if slopes is None else slopes.T
     vals = th[indices]
     values = _row_sums(vals * weights)
@@ -397,3 +458,13 @@ def forward_backward_batch(
     slopes = np.empty(residual.shape)
     np.put_along_axis(slopes, order, vals[:, 1:] - vals[:, :-1], axis=1)
     return values, indices, weights, slopes
+
+
+def _gather(th: np.ndarray, indices: np.ndarray, base_idx: np.ndarray, far: int, out) -> np.ndarray:
+    # th[indices] into ``out``.  take buffers its output unless it cannot
+    # fail, so the highest vertex of any cell (base + far) is checked here
+    # and the gather itself runs with mode="clip"; no index is negative,
+    # since locate_cells keeps every point inside the box.
+    if len(base_idx) and base_idx.max() + far >= len(th):
+        raise IndexError(f"cell vertex index out of bounds for theta of size {len(th)}")
+    return th.take(indices, out=out, mode="clip")

@@ -93,8 +93,10 @@ class Model:
 
     def predict(self, data, kind: InterpolationKind | None = None) -> np.ndarray:
         """Scores of every row of ``data``, equal to :meth:`predict_row` bit
-        for bit, through the batched calibrators and kernel."""
-        x, _ = self.calibrators.calibrate_batch(data.columns)
+        for bit: the rows are located on the calibrators and calibrated
+        (coordinates only, no gradient layout), then scored by the batched
+        kernel."""
+        x = self.calibrators.apply(self.calibrators.locate(data.columns))
         return evaluate_batch(self.theta, self.shape, x, kind or self.kind)
 
     # ---- feasibility

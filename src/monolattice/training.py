@@ -12,11 +12,14 @@ factor (scale 0 freezes the calibrators).
 Everything about the training samples that stays fixed during a run is
 worked out once, in ``prepare_state``: the *plan* locates every side (a
 row, or a pair's preferred row then the other) on the calibrators' knots
-and categories (``CalibratorSet.locate``), and holds the targets as floats.
-Clones share it.  The loss subgradient is then one batched pass: the
-minibatch's sides are gathered from the plan and calibrated under the
-current parameters (``CalibratorSet.apply``, with signs +1 and -1 for the
-two sides of a pair), then located, weighted and differentiated as arrays.
+and categories (``CalibratorSet.locate``), adds the calibrator gradient
+layout of every side (``CalibratorSet.plan``), and holds the targets as
+floats.  Clones share it, and so do the multilinear kernel's chunk
+buffers, which every step of the run reuses.  The loss subgradient is then
+one batched pass: the minibatch's sides are gathered from the plan and
+calibrated under the current parameters (``CalibratorSet.apply``, with
+signs +1 and -1 for the two sides of a pair), then located, weighted and
+differentiated as arrays.
 Gradients are scattered in sample, side, vertex order for the lattice and
 feature, side, entry order for the calibrators, so the result is the
 per-sample loop's bit for bit.  Objective and metrics score through
@@ -47,7 +50,7 @@ from .calibrators import (
     missing_vertex_dims,
 )
 from .data import Dataset, PairDataset
-from .interpolation import InterpolationKind, chunk_rows, forward_backward_batch
+from .interpolation import ChunkBuffers, InterpolationKind, _forward_backward, chunk_rows
 
 # The benchmark's span tracer (perfbench/spans.py) patches these names on
 # this module to time the scalar kernels; training runs the batched kernel.
@@ -152,10 +155,13 @@ class TrainerState:
     plan: CalibrationPlan  # every side of ``data``, located once per run
     targets: np.ndarray  # float target per sample (1.0 for a pair)
     reg_terms: list[tuple[RegularizerConfig, TermSet]] = field(default_factory=list)
+    # the multilinear kernel's chunk arrays, kept for the whole run; clones
+    # share them, which is safe because workers run one after another
+    buffers: ChunkBuffers = field(default_factory=ChunkBuffers, repr=False, compare=False)
 
     def clone(self) -> "TrainerState":
         """A state with its own theta and calibrator parameters; everything
-        else, the plan included, is shared read-only."""
+        else, the plan and the kernel's buffers included, is shared."""
         return dataclasses.replace(
             self, theta=self.theta.copy(), calibrators=self.calibrators.fork()
         )
@@ -206,9 +212,10 @@ def _interleave(a, b):
 
 
 def _plan(calibrators: CalibratorSet, data) -> tuple[CalibrationPlan, np.ndarray]:
-    """Locate every side of ``data`` and convert its targets.  A labelled
-    row is one side; a pair is its preferred row, then the other, scored
-    against y = 1.  The first bad row or pair is named by its index."""
+    """Locate every side of ``data``, derive its gradient layout, and
+    convert its targets.  A labelled row is one side; a pair is its
+    preferred row, then the other, scored against y = 1.  The first bad row
+    or pair is named by its index."""
     pairs = isinstance(data, PairDataset)
     if pairs:
         columns = [_interleave(p, m) for p, m in zip(data.plus_columns, data.minus_columns)]
@@ -218,13 +225,14 @@ def _plan(calibrators: CalibratorSet, data) -> tuple[CalibrationPlan, np.ndarray
             raise DataError("training rows have no labels")
         columns, targets = data.columns, np.asarray(data.labels, dtype=float)
     try:
-        return calibrators.locate(columns), targets
+        location = calibrators.locate(columns)
     except DataError as e:
         if e.row is None:
             raise
         i, side = divmod(e.row, 2)
         where = f"pair {i} ({('preferred', 'other')[side]} row)" if pairs else f"row {e.row}"
         raise DataError(f"training {where}: {e}") from None
+    return calibrators.plan(location), targets
 
 
 def prepare_state(data: Dataset | PairDataset, specs: list[FeatureSpec], config: TrainConfig) -> TrainerState:
@@ -287,8 +295,8 @@ def loss_gradients(state: TrainerState, minibatch) -> tuple[np.ndarray, np.ndarr
         samples = batch[start : start + step]
         sides = state.plan.take(samples if n_sides == 1 else (2 * samples[:, None] + _SIDES).ravel())
         x = state.calibrators.apply(sides)
-        values, indices, weights, dfdx = forward_backward_batch(
-            state.theta, state.shape, x, state.config.kind, want_slopes=want
+        values, indices, weights, dfdx = _forward_backward(
+            state.theta, state.shape, x, state.config.kind, want, state.buffers
         )
         # z = 0.0 + sum of sign * value over the sides; values are never -0.0
         z = values if n_sides == 1 else values[0::2] - values[1::2]

@@ -404,6 +404,16 @@ class TestCalibrateBatch:
             column += [None, "b", float("nan")]
         assert batch_rows(cal, column) == scalar_rows(cal, column)
 
+    def test_categorical_keys_values_by_their_text(self):
+        # 1, 1.0 and True are one dict key, and 0.0 == -0.0, but each prints
+        # as another category
+        spec = cat_spec(categories=["1", "1.0", "0.0"], allow_unseen=True)
+        cal = build_categorical_calibrator(spec, ["1", "1.0", "0.0"])
+        cal.values[:] = [0.1, 0.2, 0.3, 0.4]
+        column = [1, 1.0, "1.0", True, 0.0, -0.0, "1", "0.0"]
+        assert batch_rows(cal, column) == scalar_rows(cal, column)
+        assert batch_rows(cal, column[::-1]) == scalar_rows(cal, column[::-1])
+
     def test_missing_without_policy_raises_the_same_error(self):
         cal = build_continuous_calibrator(cont_spec(), np.array([0.0, 1.0]))
         with pytest.raises(DataError) as scalar:

@@ -21,7 +21,7 @@ from monolattice import (
     vertex_coords,
     vertex_index,
 )
-from monolattice.interpolation import chunk_rows
+from monolattice.interpolation import ChunkBuffers, chunk_rows
 
 ALL_KINDS = list(InterpolationKind)
 # the product-form kernel is no served kind, only the oracle of the fast
@@ -378,6 +378,55 @@ class TestForwardBackwardBatch:
         pts = rng.random((chunk_rows(sh, InterpolationKind.MULTILINEAR) + 1, D)) * (size - 1)
         scalar = np.array([evaluate(theta, sh, x) for x in pts])
         assert evaluate_batch(theta, sh, pts).tobytes() == scalar.tobytes()
+
+    def test_evaluate_batch_allocates_each_chunk_buffer_once(self, monkeypatch):
+        allocations = []
+
+        def counting(size, dtype):
+            allocations.append(size)
+            return np.empty(size, dtype=dtype)
+
+        monkeypatch.setattr(ChunkBuffers, "_allocate", staticmethod(counting))
+        sh = LatticeShape([2] * 8)
+        rng = np.random.default_rng(15)
+        theta = rng.standard_normal(sh.num_parameters)
+        step = chunk_rows(sh, InterpolationKind.MULTILINEAR)
+        evaluate_batch(theta, sh, rng.random((step, 8)))
+        one_chunk = len(allocations)
+        assert one_chunk > 0
+        allocations.clear()
+        pts = rng.random((3 * step + 5, 8))
+        batch = evaluate_batch(theta, sh, pts)
+        assert len(allocations) == one_chunk
+        assert batch.tobytes() == np.array([evaluate(theta, sh, x) for x in pts]).tobytes()
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_successive_calls_return_separate_arrays(self, kind):
+        sh = LatticeShape([2] * 6)
+        rng = np.random.default_rng(16)
+        theta = rng.standard_normal(sh.num_parameters)
+        first = forward_backward_batch(theta, sh, rng.random((20, 6)), kind, want_slopes=True)
+        kept = [a.copy() for a in first]
+        second = forward_backward_batch(theta, sh, rng.random((20, 6)), kind, want_slopes=True)
+        for a in first:
+            for b in second:
+                assert not np.shares_memory(a, b)
+        for a, b in zip(first, kept):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_short_theta_raises_index_error(self, kind):
+        # every point's cell holds the last vertex, which a theta one entry
+        # short lacks; a gather that clamps or wraps would return a value
+        sh = LatticeShape([3, 3, 2])
+        rng = np.random.default_rng(17)
+        theta = rng.standard_normal(sh.num_parameters - 1)
+        pts = np.array([[2.0, 2.0, 1.0], [1.5, 1.5, 0.5]])
+        for batch in (pts, pts[:1], pts[1:]):
+            with pytest.raises(IndexError):
+                evaluate_batch(theta, sh, batch, kind)
+            with pytest.raises(IndexError):
+                forward_backward_batch(theta, sh, batch, kind, want_slopes=True)
 
     def test_slopes_only_on_request(self):
         sh = LatticeShape([3, 3])

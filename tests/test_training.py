@@ -34,6 +34,7 @@ from monolattice import (
 )
 from monolattice import training
 from monolattice.calibrators import CategoricalCalibrator, ContinuousCalibrator
+from monolattice.interpolation import ChunkBuffers
 from monolattice.training import loss_gradients, prepare_state, sgd_step
 from scalar_reference import reference_loss_gradients, reference_project_update
 
@@ -467,6 +468,55 @@ class TestPlan:
         assert counts["steps"] == 16  # 2 workers x 2 epochs x ceil(60 / 16)
         assert counts["locate"] == 1
         assert counts["calibrate_batch"] == 0
+
+    def test_predict_locates_once_and_derives_no_layout(self, monkeypatch):
+        data, specs = mixed_problem(False, Loss.SQUARED)
+        model = train(data, specs, TrainConfig(epochs=1, seed=2))
+        counts = {"locate": 0, "layout": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(CalibratorSet, "locate", counting("locate", CalibratorSet.locate))
+        monkeypatch.setattr(CalibratorSet, "plan", counting("layout", CalibratorSet.plan))
+        for cls in (ContinuousCalibrator, CategoricalCalibrator):
+            monkeypatch.setattr(
+                cls, "gradient_layout", counting("layout", cls.gradient_layout)
+            )
+        model.predict(data)
+        assert counts == {"locate": 1, "layout": 0}
+
+    def test_buffers_are_allocated_once_per_run(self, monkeypatch):
+        # every minibatch has 8 samples, so no step needs more room than the
+        # first one of the run
+        allocations = []
+
+        def counting(size, dtype):
+            allocations.append(size)
+            return np.empty(size, dtype=dtype)
+
+        monkeypatch.setattr(ChunkBuffers, "_allocate", staticmethod(counting))
+        data, specs = mixed_problem(False, Loss.SQUARED, n=60)
+        config = TrainConfig(epochs=2, minibatch_size=8, workers=2, sync_rounds=2, seed=1)
+        state = prepare_state(data, specs, config)
+        loss_gradients(state, np.arange(8))
+        one_step = len(allocations)
+        assert one_step > 0
+        allocations.clear()
+        steps = []
+
+        def stepping(*args):
+            steps.append(args)
+            return sgd_step(*args)
+
+        monkeypatch.setattr(training, "sgd_step", stepping)
+        train(data, specs, config)
+        assert len(steps) == 16  # 2 workers x 2 epochs x ceil(30 / 8)
+        assert len(allocations) == one_step
 
     def test_plan_holds_interleaved_pair_sides_and_float_targets(self):
         data, specs = mixed_problem(True, Loss.LOGISTIC, n=30)
