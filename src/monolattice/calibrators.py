@@ -21,15 +21,16 @@ flat table of parameters, a fraction t and an inner flag (a
 and on inner entries ``x = (1 - t) * P[lo] + t * P[hi]``, the formula of
 ``calibrate``.  Table P holds every feature's outputs or values, each
 followed by its missing coordinate, so one gather calibrates all features.
-The *gradient layout*, the free-parameter positions and partials of each
-value, follows from a location alone (the segment ``lo`` and ``t`` of a
-continuous value, the code of a categorical one, the missing slot), so only
-training derives it: once per run, into a :class:`CalibrationPlan` whose
-rows every step applies.  Prediction locates and applies and never builds
-the layout, which would be most of its calibration time.  Nor does the
-kernel after it rely on calibration's allocations: the multilinear kernel
-keeps its chunk buffers for a whole call or training run (see
-``interpolation``), so its speed does not depend on what was freed before.
+The *gradient layout* of a value is apply's derivative, 1 - t at ``lo`` and
+t at ``hi``, mapped through the set's free map: the position in alpha (the
+free parameters) of each table entry, or -1 for a fixed one.  It follows
+from a location alone, so only training derives it: once per run, into a
+:class:`CalibrationPlan` whose rows every step applies.  Prediction
+locates and applies and never builds the layout, which would be most of its
+calibration time.  Nor does the kernel after it rely on calibration's
+allocations: the multilinear kernel keeps its chunk buffers for a whole call
+or training run (see ``interpolation``), so its speed does not depend on
+what was freed before.
 """
 
 from __future__ import annotations
@@ -118,18 +119,6 @@ def _missing_coordinate(cal) -> float:
     raise DataError(f"feature {cal.name}: missing value but no missing policy")
 
 
-def _missing_slot(cal) -> float:
-    """The table entry after a calibrator's points: its missing coordinate
-    (NaN, never read, without a missing policy)."""
-    return np.nan if cal.missing is MissingPolicy.NONE else _missing_coordinate(cal)
-
-
-def _apply(table: np.ndarray, lo, hi, t, inner) -> np.ndarray:
-    """Coordinates of located values under the parameters in ``table``."""
-    at_lo = table[lo]
-    return np.where(inner, (1.0 - t) * at_lo + t * table[hi], at_lo)
-
-
 def _missing_gradient(cal) -> list[tuple[int, float]]:
     if cal.missing is MissingPolicy.CALIBRATED:
         return [(cal.num_free - 1, 1.0)]
@@ -142,14 +131,6 @@ def _locate_missing(cal, missing: np.ndarray, slot: int, lo) -> None:
     if missing.any():
         _missing_coordinate(cal)
         lo[missing] = slot
-
-
-def _missing_layout(cal, missing: np.ndarray, positions, partials) -> None:
-    """The missing value's gradient entries on the missing rows."""
-    if missing.any():
-        for k, (pos, partial) in enumerate(_missing_gradient(cal)):
-            positions[missing, k] = pos
-            partials[missing, k] = partial
 
 
 # --------------------------------------------------------------------------
@@ -180,25 +161,8 @@ def fit_knots(column, keypoints: int, bounds: tuple[float, float] | None = None)
 # calibrators
 
 
-class _Calibrator:
-    """What both calibrators share: their block of the parameter table
-    (``points``, then the missing slot) and batch calibration."""
-
-    def table(self) -> np.ndarray:
-        """This calibrator's block of the parameter table."""
-        return np.append(self.points, _missing_slot(self))
-
-    def calibrate_batch(self, column):
-        """:meth:`calibrate` and :meth:`gradient` over a column, bit for bit:
-        coordinates (n,) and the positions and partials of
-        :meth:`gradient_layout`."""
-        lo, hi, t, inner = self.locate(column)
-        positions, partials = self.gradient_layout(lo, t, inner)
-        return _apply(self.table(), lo, hi, t, inner), positions, partials
-
-
 @dataclass
-class ContinuousCalibrator(_Calibrator):
+class ContinuousCalibrator:
     """Piecewise-linear map from a raw value to a lattice coordinate."""
 
     knots: np.ndarray  # strictly increasing, len >= 2
@@ -276,7 +240,8 @@ class ContinuousCalibrator(_Calibrator):
     def locate(self, column):
         """The parameter-free half of :meth:`calibrate`.
 
-        Per value: indices ``lo`` and ``hi`` into :meth:`table`, fraction
+        Per value: indices ``lo`` and ``hi`` into the calibrator's block of
+        :meth:`CalibratorSet.table` (``points``, then the missing slot), fraction
         ``t`` (0 unless inner) and the inner flag (strictly between the end
         knots).  An inner value's ``lo`` is its segment.  Needs strictly
         increasing knots (``searchsorted`` stands in for ``bisect_right``).
@@ -303,22 +268,9 @@ class ContinuousCalibrator(_Calibrator):
         hi = np.where(inner, j + 1, lo)
         return lo, hi, t, inner
 
-    def gradient_layout(self, lo, t, inner):
-        """Free-parameter positions (n, 2) and partials (n, 2) of located
-        values, listing :meth:`gradient` in order, with position -1 where it
-        has no entry: the segment's near and far interior outputs, or the
-        learned missing value."""
-        last = len(self.knots) - 1
-        near = inner & (lo >= 1)
-        far = inner & (lo + 1 <= last - 1) & (t != 0.0)
-        positions = np.stack([np.where(near, lo - 1, -1), np.where(far, lo, -1)], axis=1)
-        partials = np.stack([np.where(near, 1.0 - t, 0.0), np.where(far, t, 0.0)], axis=1)
-        _missing_layout(self, lo == last + 1, positions, partials)
-        return positions, partials
-
 
 @dataclass
-class CategoricalCalibrator(_Calibrator):
+class CategoricalCalibrator:
     """One learned lattice coordinate per category."""
 
     categories: list[str]
@@ -387,16 +339,10 @@ class CategoricalCalibrator(_Calibrator):
         never inner).  Each distinct value is looked up once.  The first bad
         value raises the ``DataError`` that ``calibrate`` raises."""
         unknown = -2 if self.other_index is None else self.other_index
-        keys = column
-        distinct = dict.fromkeys(keys)
-        if not all(isinstance(v, str) or is_missing(v) for v in distinct):
-            # values that compare equal can print apart (1 and 1.0, 0.0 and
-            # -0.0), and a category is named by its text
-            keys = [v if is_missing(v) else str(v) for v in column]
-            distinct = dict.fromkeys(keys)
+        texts, index = _distinct_texts(column)
         lookup = self._lookup
-        code_of = {v: -1 if is_missing(v) else lookup.get(v, unknown) for v in distinct}
-        codes = np.fromiter(map(code_of.__getitem__, keys), dtype=np.int64, count=len(keys))
+        code_of = [-1 if v is None else lookup.get(v, unknown) for v in texts]
+        codes = np.array(code_of, dtype=np.int64)[index]
         missing = codes == -1
         bad = (codes == -2) | (missing & (self.missing is MissingPolicy.NONE))
         if bad.any():
@@ -405,16 +351,20 @@ class CategoricalCalibrator(_Calibrator):
         n = len(codes)
         return codes, codes, np.zeros(n), np.zeros(n, dtype=bool)
 
-    def gradient_layout(self, lo, t, inner):
-        """Positions and partials of located values, laid out as
-        :meth:`ContinuousCalibrator.gradient_layout`: the code, or the
-        learned missing value."""
-        missing = lo == len(self.values)
-        n = len(lo)
-        positions = np.stack([np.where(missing, -1, lo), np.full(n, -1)], axis=1)
-        partials = np.stack([np.where(missing, 0.0, 1.0), np.zeros(n)], axis=1)
-        _missing_layout(self, missing, positions, partials)
-        return positions, partials
+
+def _distinct_texts(column) -> tuple[list, np.ndarray]:
+    """A categorical column's distinct values as text (None for missing) in
+    first-seen order, and each row's index into them."""
+    keys = column
+    distinct = dict.fromkeys(keys)
+    if not all(isinstance(v, str) or is_missing(v) for v in distinct):
+        # values that compare equal can print apart (1 and 1.0, 0.0 and
+        # -0.0), and a category is named by its text
+        keys = [None if is_missing(v) else str(v) for v in column]
+        distinct = dict.fromkeys(keys)
+    index_of = {v: i for i, v in enumerate(distinct)}
+    index = np.fromiter(map(index_of.__getitem__, keys), dtype=np.int64, count=len(keys))
+    return [None if is_missing(v) else v for v in distinct], index
 
 
 # --------------------------------------------------------------------------
@@ -493,15 +443,11 @@ def build_categorical_calibrator(
     1% of rows during fitting, any unknown category later, and values that
     are literally ``<OTHER>``.
     """
-    observed: dict[str, int] = {}
-    for raw in column:
-        if is_missing(raw):
-            if spec.missing is MissingPolicy.NONE:
-                raise DataError(
-                    f"feature {spec.name}: missing value but no missing policy"
-                )
-            continue
-        observed[str(raw)] = observed.get(str(raw), 0) + 1
+    texts, index = _distinct_texts(column)
+    if None in texts and spec.missing is MissingPolicy.NONE:
+        raise DataError(f"feature {spec.name}: missing value but no missing policy")
+    counts = np.bincount(index, minlength=len(texts))
+    observed = {c: int(k) for c, k in zip(texts, counts) if c is not None}
 
     if spec.categories is not None:
         kept = list(dict.fromkeys(spec.categories))
@@ -523,18 +469,17 @@ def build_categorical_calibrator(
         raise DataError(f"feature {spec.name}: no categories in the data")
 
     # order by mean label where labels exist, then by name for determinism
-    keyed = []
-    overall = None
     if labels is not None:
         lab = np.asarray(labels, dtype=float)
-        col = [None if is_missing(r) else str(r) for r in column]
         overall = float(lab.mean()) if len(lab) else 0.0
-        for c in kept:
-            mask = [v == c for v in col]
-            mean = float(lab[mask].mean()) if any(mask) else overall
-            keyed.append((mean, c))
-        keyed.sort()
-        ordered = [c for _, c in keyed]
+        # each category's labels in row order, so np.mean sums them as it
+        # sums a masked column
+        rows = np.argsort(index, kind="stable")
+        mean_of = {
+            c: float(lab[rows[end - k : end]].mean())
+            for c, k, end in zip(texts, counts, np.cumsum(counts))
+        }
+        ordered = [c for _, c in sorted((mean_of.get(c, overall), c) for c in kept)]
     else:
         ordered = sorted(kept)
     ordered = _respect_order_pairs(spec, ordered)
@@ -620,12 +565,20 @@ class CalibratorSet:
         self.offsets = []
         self.table_offsets = []
         total = self.table_size = 0
+        free = []
         for cal in calibrators:
             self.offsets.append(total)
             self.table_offsets.append(self.table_size)
             total += cal.num_free
             self.table_size += len(cal.points) + 1
+            block = [True] * len(cal.points) + [cal.missing is MissingPolicy.CALIBRATED]
+            if isinstance(cal, ContinuousCalibrator):
+                block[0] = block[-2] = False  # the pinned end outputs
+            free += block
         self.num_free = total
+        # per table entry its alpha position, -1 where the entry is fixed
+        free = np.array(free, dtype=bool)
+        self.free_position = np.where(free, np.cumsum(free) - 1, -1)
 
     def fork(self) -> "CalibratorSet":
         """A set sharing specs, knots, categories and lookups with this one
@@ -676,12 +629,13 @@ class CalibratorSet:
 
     def table(self) -> np.ndarray:
         """The current parameters as one flat table: per feature its outputs
-        or values, then its missing coordinate."""
+        or values, then its missing coordinate (NaN, never read, without a
+        missing policy)."""
         out = np.empty(self.table_size)
         for cal, start in zip(self.calibrators, self.table_offsets):
             end = start + len(cal.points)
             out[start:end] = cal.points
-            out[end] = _missing_slot(cal)
+            out[end] = np.nan if cal.missing is MissingPolicy.NONE else _missing_coordinate(cal)
         return out
 
     def locate(self, columns) -> Location:
@@ -709,25 +663,26 @@ class CalibratorSet:
         )
 
     def plan(self, location: Location) -> CalibrationPlan:
-        """``location`` with the gradient layout of every value, from each
-        calibrator's :meth:`gradient_layout` at global alpha positions."""
-        positions, partials = [], []
-        for d, (cal, block, off) in enumerate(
-            zip(self.calibrators, self.table_offsets, self.offsets)
-        ):
-            pos, part = cal.gradient_layout(
-                location.lo[:, d] - block, location.t[:, d], location.inner[:, d]
-            )
-            positions.append(np.where(pos >= 0, pos + off, -1))
-            partials.append(part)
+        """``location`` with the gradient layout of every value: the partials
+        of :meth:`apply`'s formula, 1 - t at ``lo`` and t at ``hi`` (t = 0 off
+        inner entries), at their free entries' alpha positions; ``hi`` only
+        where t != 0, as :meth:`row_gradients` lists it."""
+        lo, hi, t, inner = location.lo, location.hi, location.t, location.inner
+        near = self.free_position[lo]
+        far = np.where(inner & (t != 0.0), self.free_position[hi], -1)
         return CalibrationPlan(
-            location.lo, location.hi, location.t, location.inner,
-            positions=np.stack(positions), partials=np.stack(partials),
+            lo, hi, t, inner,
+            positions=np.stack([near.T, far.T], axis=2),
+            partials=np.stack(
+                [np.where(near >= 0, 1.0 - t, 0.0).T, np.where(far >= 0, t, 0.0).T], axis=2
+            ),
         )
 
     def apply(self, location: Location) -> np.ndarray:
         """Coordinates (n, D) of located rows under the current parameters."""
-        return _apply(self.table(), location.lo, location.hi, location.t, location.inner)
+        table, t = self.table(), location.t
+        at_lo = table[location.lo]
+        return np.where(location.inner, (1.0 - t) * at_lo + t * table[location.hi], at_lo)
 
     def calibrate_batch(self, columns):
         """:meth:`calibrate_row` and :meth:`row_gradients` over whole columns:

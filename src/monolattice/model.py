@@ -287,6 +287,9 @@ def _check_calibrator(spec: FeatureSpec, cal) -> None:
         if np.any(values < 0.0) or np.any(values > top):
             raise DataError(f"{where}: category_values leave [0, {top:g}]")
         position = {c: i for i, c in enumerate(cal.categories)}
+        if len(position) != len(cal.categories):
+            repeated = next(c for i, c in enumerate(cal.categories) if position[c] != i)
+            raise DataError(f"{where}: category_order repeats {repeated!r}")
         other = cal.other_index
         if other is not None and not (isinstance(other, int) and 0 <= other < len(values)):
             raise DataError(f"{where}: other_index {other!r} is out of range")

@@ -21,6 +21,7 @@ triples stay within the real-value span where "consecutive" is meaningful.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,8 @@ class RegularizerConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", RegularizerKind(self.kind))
-        if self.weight < 0:
-            raise ValueError("regularizer weight must be nonnegative")
+        if self.weight < 0 or not math.isfinite(self.weight):
+            raise ValueError("regularizer weight must be finite and nonnegative")
         if self.sample_count is not None and self.sample_count < 1:
             raise ValueError("sample count must be positive")
 

@@ -137,6 +137,8 @@ class TrainConfig:
             raise ValueError("minibatch size must be >= 1")
         if self.step_size < 0 or not math.isfinite(self.step_size):
             raise ValueError("step size must be finite and >= 0")
+        if self.calibrator_step_scale < 0 or not math.isfinite(self.calibrator_step_scale):
+            raise ValueError("calibrator step scale must be finite and >= 0")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.sync_rounds < 1:
@@ -224,6 +226,9 @@ def _plan(calibrators: CalibratorSet, data) -> tuple[CalibrationPlan, np.ndarray
         if data.labels is None:
             raise DataError("training rows have no labels")
         columns, targets = data.columns, np.asarray(data.labels, dtype=float)
+        bad = np.flatnonzero(~np.isfinite(targets))
+        if len(bad):
+            raise DataError(f"training row {bad[0]}: label {targets[bad[0]]} is not finite")
     try:
         location = calibrators.locate(columns)
     except DataError as e:

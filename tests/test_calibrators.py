@@ -15,6 +15,8 @@ from monolattice import (
 )
 from monolattice.calibrators import (
     OTHER_CATEGORY,
+    CategoricalCalibrator,
+    ContinuousCalibrator,
     build_categorical_calibrator,
     build_continuous_calibrator,
 )
@@ -247,6 +249,17 @@ class TestCategorical:
         )
         assert schema.categories.count(OTHER_CATEGORY) == 1
 
+    def test_values_that_print_apart_stay_apart(self):
+        # 1, 1.0 and True are one dict key, and 0.0 == -0.0, but a category
+        # is named by its text: six categories, placed by mean label
+        column = [1, 1.0, True, "1", 0.0, -0.0, "x"]
+        labels = np.array([0.5, 0.2, 0.9, 0.1, 0.4, 0.7, 0.3])
+        cal = build_categorical_calibrator(cat_spec(size=3), column, labels)
+        assert cal.categories == ["1.0", "1", "x", "0.0", "-0.0", "True"]
+        assert cal.values.tolist() == [0.0, 0.4, 0.8, 1.2000000000000002, 1.6, 2.0]
+        cal = build_categorical_calibrator(cat_spec(size=3), column, None)
+        assert cal.categories == ["-0.0", "0.0", "1", "1.0", "True", "x"]
+
     def test_order_pair_naming_other_bucket_is_unknown(self):
         # the OTHER bucket sits outside the placed order, so no pair may name it
         spec = cat_spec(allow_unseen=True, order_pairs=[("x", OTHER_CATEGORY)])
@@ -342,12 +355,13 @@ class TestCalibratorSet:
         assert cs.constraints().is_empty()
 
 
-def batch_rows(cal, column):
-    """calibrate_batch of a column, as (coordinate, gradient list) per row."""
-    coords, positions, partials = cal.calibrate_batch(column)
+def batch_rows(spec, cal, column):
+    """calibrate_batch of a column through a one-feature set, as
+    (coordinate, gradient list) per row."""
+    coords, [(positions, partials)] = CalibratorSet([spec], [cal]).calibrate_batch([column])
     return [
         (c, [(p, g) for p, g in zip(pos, part) if p >= 0])
-        for c, pos, part in zip(coords.tolist(), positions.tolist(), partials.tolist())
+        for c, pos, part in zip(coords[:, 0].tolist(), positions.tolist(), partials.tolist())
     ]
 
 
@@ -376,15 +390,16 @@ class TestCalibrateBatch:
         ])
         if missing is not MissingPolicy.NONE:
             column[::7] = np.nan
-        assert batch_rows(cal, column) == scalar_rows(cal, column)
+        assert batch_rows(spec, cal, column) == scalar_rows(cal, column)
         # a plain list with None for missing gives the same
         as_list = [None if np.isnan(v) else float(v) for v in column]
-        assert batch_rows(cal, as_list) == scalar_rows(cal, column)
+        assert batch_rows(spec, cal, as_list) == scalar_rows(cal, column)
 
     def test_two_knot_continuous_has_no_partials(self):
-        cal = build_continuous_calibrator(cont_spec(size=3), np.array([0.0, 4.0]))
+        spec = cont_spec(size=3)
+        cal = build_continuous_calibrator(spec, np.array([0.0, 4.0]))
         column = np.array([-1.0, 0.0, 1.0, 2.5, 4.0, 9.0])
-        assert batch_rows(cal, column) == scalar_rows(cal, column)
+        assert batch_rows(spec, cal, column) == scalar_rows(cal, column)
 
     @pytest.mark.parametrize("missing", list(MissingPolicy))
     @pytest.mark.parametrize("allow_unseen", [False, True])
@@ -402,7 +417,7 @@ class TestCalibrateBatch:
             column += ["rare", "never seen", OTHER_CATEGORY]
         if missing is not MissingPolicy.NONE:
             column += [None, "b", float("nan")]
-        assert batch_rows(cal, column) == scalar_rows(cal, column)
+        assert batch_rows(spec, cal, column) == scalar_rows(cal, column)
 
     def test_categorical_keys_values_by_their_text(self):
         # 1, 1.0 and True are one dict key, and 0.0 == -0.0, but each prints
@@ -411,24 +426,96 @@ class TestCalibrateBatch:
         cal = build_categorical_calibrator(spec, ["1", "1.0", "0.0"])
         cal.values[:] = [0.1, 0.2, 0.3, 0.4]
         column = [1, 1.0, "1.0", True, 0.0, -0.0, "1", "0.0"]
-        assert batch_rows(cal, column) == scalar_rows(cal, column)
-        assert batch_rows(cal, column[::-1]) == scalar_rows(cal, column[::-1])
+        assert batch_rows(spec, cal, column) == scalar_rows(cal, column)
+        assert batch_rows(spec, cal, column[::-1]) == scalar_rows(cal, column[::-1])
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_sets_match_rows(self, data):
+        specs, cals, columns = [], [], []
+        n = data.draw(st.integers(1, 12))
+        for d in range(data.draw(st.integers(1, 3))):
+            missing = data.draw(st.sampled_from(list(MissingPolicy)))
+            size = 3 if missing is MissingPolicy.VERTEX else data.draw(st.integers(2, 4))
+            top = float(size - 2 if missing is MissingPolicy.VERTEX else size - 1)
+            if data.draw(st.booleans()):
+                knots = np.array(sorted(data.draw(
+                    st.lists(st.floats(-100, 100), min_size=2, max_size=8, unique=True)
+                )))
+                k = len(knots)
+                outputs = np.array(sorted(data.draw(st.lists(
+                    st.floats(0.0, top), min_size=k, max_size=k
+                ))))
+                spec = cont_spec(name=f"f{d}", size=size, keypoints=k, missing=missing)
+                cal = ContinuousCalibrator(knots, outputs, top, missing, name=spec.name)
+                cell = st.one_of(
+                    st.sampled_from(knots.tolist()),  # exactly on a knot
+                    st.floats(knots[0] - 10, knots[-1] + 10),
+                    st.sampled_from([-np.inf, np.inf, knots[0] - 1e6, knots[-1] + 1e6]),
+                )
+            else:
+                names = data.draw(st.lists(
+                    st.sampled_from(["a", "b", "1", "1.0", "True", "0.0", "-0.0"]),
+                    min_size=1, max_size=5, unique=True,
+                ))
+                allow_unseen = data.draw(st.booleans())
+                if allow_unseen:
+                    names.append(OTHER_CATEGORY)
+                values = data.draw(st.lists(
+                    st.floats(0.0, top), min_size=len(names), max_size=len(names)
+                ))
+                spec = cat_spec(name=f"g{d}", size=size, missing=missing,
+                                allow_unseen=allow_unseen)
+                cal = CategoricalCalibrator(
+                    names, np.array(values), top, missing, name=spec.name,
+                    other_index=len(names) - 1 if allow_unseen else None,
+                )
+                raw = [1, 1.0, True, 0.0, -0.0]  # same text as a category name
+                known = names + [v for v in raw if str(v) in names]
+                cell = st.sampled_from(known + (["zz", 7] if allow_unseen else []))
+            if missing is MissingPolicy.CALIBRATED:
+                cal.missing_value = data.draw(st.floats(0.0, float(size - 1)))
+            elif missing is MissingPolicy.VERTEX:
+                cal.missing_vertex = float(size - 1)
+            if missing is not MissingPolicy.NONE:
+                cell = st.one_of(cell, st.sampled_from([None, float("nan")]))
+            specs.append(spec)
+            cals.append(cal)
+            columns.append(data.draw(st.lists(cell, min_size=n, max_size=n)))
+
+        cs = CalibratorSet(specs, cals)
+        location = cs.locate(columns)
+        x = cs.apply(location)
+        plan = cs.plan(location)
+        assert plan.positions.shape == plan.partials.shape == (len(cals), n, 2)
+        assert plan.positions.dtype == np.int64 and plan.partials.dtype == float
+        assert np.all(plan.partials[plan.positions < 0] == 0.0)
+        for i in range(n):
+            row = [col[i] for col in columns]
+            assert x[i].tolist() == cs.calibrate_row(row)
+            listed = [
+                [(p, g) for p, g in zip(pos.tolist(), part.tolist()) if p >= 0]
+                for pos, part in zip(plan.positions[:, i], plan.partials[:, i])
+            ]
+            assert listed == cs.row_gradients(row)
 
     def test_missing_without_policy_raises_the_same_error(self):
-        cal = build_continuous_calibrator(cont_spec(), np.array([0.0, 1.0]))
+        spec = cont_spec()
+        cal = build_continuous_calibrator(spec, np.array([0.0, 1.0]))
         with pytest.raises(DataError) as scalar:
             cal.calibrate(float("nan"))
         with pytest.raises(DataError) as batch:
-            cal.calibrate_batch(np.array([0.5, np.nan]))
+            CalibratorSet([spec], [cal]).calibrate_batch([np.array([0.5, np.nan])])
         assert str(batch.value) == str(scalar.value)
 
     def test_first_bad_category_raises_the_same_error(self):
-        cal = build_categorical_calibrator(cat_spec(), ["x", "y"], np.array([0.0, 1.0]))
+        spec = cat_spec()
+        cal = build_categorical_calibrator(spec, ["x", "y"], np.array([0.0, 1.0]))
         for column, first_bad in ((["x", "zzz", None], "zzz"), (["x", None, "zzz"], None)):
             with pytest.raises(DataError) as scalar:
                 cal.calibrate(first_bad)
             with pytest.raises(DataError) as batch:
-                cal.calibrate_batch(column)
+                CalibratorSet([spec], [cal]).calibrate_batch([column])
             assert str(batch.value) == str(scalar.value)
 
     def test_set_matches_rows(self):

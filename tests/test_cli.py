@@ -293,6 +293,15 @@ class TestErrors:
         assert code == 2
         assert "--pairs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("label", ["nan", "inf"])
+    def test_non_finite_label_exits_two(self, workspace, capsys, label):
+        with open(workspace / "train.csv") as fh:
+            rows = list(csv.reader(fh))
+        rows[6][2] = label  # data row 5
+        write_csv(workspace / "train.csv", rows[0], rows[1:])
+        assert run_train(workspace, "m.json") == 2
+        assert f"training row 5: label {label} is not finite" in capsys.readouterr().err
+
     def test_diverging_run_exits_three(self, workspace, capsys):
         with np.errstate(over="ignore", invalid="ignore"):
             code = run_train(workspace, "m.json", "--step-size", "1e200")
@@ -441,6 +450,10 @@ CORRUPTIONS = {
     "order-pair": (
         lambda doc: (_set((*BUCKET, "low"), 1.0)(doc), _set((*BUCKET, "high"), 0.0)(doc)),
         "'bucket': category_values break the order pair ('low', 'high')",
+    ),
+    "category-order-repeat": (
+        _set(("features", 1, "calibrator", "category_order"), lambda order: order + ["low"]),
+        "'bucket': category_order repeats 'low'",
     ),
     "order-pair-unknown": (
         _set(("features", 1, "order"), [["low", "nowhere"]]),

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,7 +34,6 @@ from monolattice import (
     vertex_coords,
 )
 from monolattice import training
-from monolattice.calibrators import CategoricalCalibrator, ContinuousCalibrator
 from monolattice.interpolation import ChunkBuffers
 from monolattice.training import loss_gradients, prepare_state, sgd_step
 from scalar_reference import reference_loss_gradients, reference_project_update
@@ -360,6 +360,30 @@ class TestTrain:
         assert value["lo"] <= value["hi"]
 
 
+class TestInputValidation:
+    """Bad labels and step knobs fail before the first step, as bad input."""
+
+    @pytest.mark.parametrize("label", [np.nan, np.inf, -np.inf])
+    def test_non_finite_label_is_a_data_error(self, label):
+        data = line_data(20, lambda a: a)
+        data.labels[13] = label
+        message = re.escape(f"training row 13: label {label} is not finite")
+        with pytest.raises(DataError, match=message):
+            prepare_state(data, [spec("x")], TrainConfig())
+        with pytest.raises(DataError, match=message):
+            train(data, [spec("x")], TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -5.0])
+    def test_calibrator_step_scale_must_be_finite_and_nonnegative(self, scale):
+        with pytest.raises(ValueError, match="calibrator step scale must be finite and >= 0"):
+            TrainConfig(calibrator_step_scale=scale)
+
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -1.0])
+    def test_regularizer_weight_must_be_finite_and_nonnegative(self, weight):
+        with pytest.raises(ValueError, match="regularizer weight must be finite and nonnegative"):
+            RegularizerConfig(RegularizerKind.TORSION, weight)
+
+
 class TestObjective:
     def test_regularizers_use_missing_vertex_dims(self):
         rng = np.random.default_rng(5)
@@ -457,10 +481,10 @@ class TestPlan:
 
         monkeypatch.setattr(training, "sgd_step", counting("steps", training.sgd_step))
         monkeypatch.setattr(CalibratorSet, "locate", counting("locate", CalibratorSet.locate))
-        for cls in (CalibratorSet, ContinuousCalibrator, CategoricalCalibrator):
-            monkeypatch.setattr(
-                cls, "calibrate_batch", counting("calibrate_batch", cls.calibrate_batch)
-            )
+        monkeypatch.setattr(
+            CalibratorSet, "calibrate_batch",
+            counting("calibrate_batch", CalibratorSet.calibrate_batch),
+        )
         data, specs = mixed_problem(True, Loss.LOGISTIC)
         config = TrainConfig(loss=Loss.LOGISTIC, epochs=2, minibatch_size=16, workers=2,
                              sync_rounds=2, seed=4)
@@ -483,10 +507,6 @@ class TestPlan:
 
         monkeypatch.setattr(CalibratorSet, "locate", counting("locate", CalibratorSet.locate))
         monkeypatch.setattr(CalibratorSet, "plan", counting("layout", CalibratorSet.plan))
-        for cls in (ContinuousCalibrator, CategoricalCalibrator):
-            monkeypatch.setattr(
-                cls, "gradient_layout", counting("layout", cls.gradient_layout)
-            )
         model.predict(data)
         assert counts == {"locate": 1, "layout": 0}
 
