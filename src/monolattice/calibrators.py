@@ -579,6 +579,16 @@ class CalibratorSet:
         # per table entry its alpha position, -1 where the entry is fixed
         free = np.array(free, dtype=bool)
         self.free_position = np.where(free, np.cumsum(free) - 1, -1)
+        self._free_entries = np.flatnonzero(free)  # alpha's table entries, in order
+        # per calibrator with free parameters: the free span of its points and
+        # where that span and its missing coordinate (or None) sit in alpha
+        self._alpha_blocks = []
+        for i, (cal, off) in enumerate(zip(calibrators, self.offsets)):
+            if cal.num_free:
+                inner = slice(1, -1) if isinstance(cal, ContinuousCalibrator) else slice(None)
+                span = len(cal.points[inner])
+                missing = off + span if cal.missing is MissingPolicy.CALIBRATED else None
+                self._alpha_blocks.append((i, inner, off, off + span, missing))
 
     def fork(self) -> "CalibratorSet":
         """A set sharing specs, knots, categories and lookups with this one
@@ -598,17 +608,18 @@ class CalibratorSet:
         return cls(specs, cals)
 
     def alpha(self) -> np.ndarray:
-        if self.num_free == 0:
-            return np.empty(0, dtype=float)
-        return np.concatenate([c.free_parameters() for c in self.calibrators if c.num_free])
+        """The free parameters, feature by feature: one gather from :meth:`table`."""
+        return self.table()[self._free_entries]
 
     def set_alpha(self, vec) -> None:
         vec = np.asarray(vec, dtype=float)
         if vec.shape != (self.num_free,):
             raise ValueError(f"expected {self.num_free} calibrator parameters")
-        for cal, off in zip(self.calibrators, self.offsets):
-            if cal.num_free:
-                cal.set_free_parameters(vec[off : off + cal.num_free])
+        for i, inner, start, stop, missing in self._alpha_blocks:
+            cal = self.calibrators[i]
+            cal.points[inner] = vec[start:stop]
+            if missing is not None:
+                cal.missing_value = float(vec[missing])
 
     def _check_width(self, count: int, unit: str) -> None:
         if count != len(self.calibrators):

@@ -112,12 +112,13 @@ def build_constraints(
 
 
 def check_monotonic(theta, constraints: ConstraintSet, tolerance: float = 1e-12) -> np.ndarray:
-    """Positions of rows with theta[hi] - theta[lo] < -tolerance."""
+    """Positions of rows with theta[hi] - theta[lo] < -tolerance, or not a
+    number (a row touching NaN, or +inf on both ends, is violated)."""
     th = np.asarray(theta, dtype=float)
     if constraints.num_rows == 0:
         return np.empty(0, dtype=np.int64)
     slack = th[constraints.hi] - th[constraints.lo]
-    return np.nonzero(slack < -tolerance)[0].astype(np.int64)
+    return np.nonzero(~(slack >= -tolerance))[0].astype(np.int64)
 
 
 def describe_violations(
@@ -135,8 +136,11 @@ def describe_violations(
 
 
 def max_infeasibility(theta, constraints: ConstraintSet) -> float:
-    """Largest constraint violation (0 when feasible); covers rows and bounds."""
+    """Largest constraint violation (0 when feasible); covers rows and bounds.
+    A theta with a non-finite entry is infinitely infeasible."""
     th = np.asarray(theta, dtype=float)
+    if not np.isfinite(th).all():
+        return math.inf
     worst = 0.0
     if constraints.num_rows:
         slack = th[constraints.hi] - th[constraints.lo]
@@ -183,6 +187,68 @@ def _finite_bounds(bounds) -> tuple[np.ndarray, np.ndarray]:
     return positions, bounds[positions]
 
 
+class _Rows:
+    """The walk's rows in ``_constraint_rows`` order (pairwise rows, then
+    finite lower bounds, then finite upper bounds), with each row's slack
+    and rate computed for all rows at once, in the arithmetic the per-row
+    form uses.  Built once per ``project_update`` call."""
+
+    def __init__(self, constraints: ConstraintSet) -> None:
+        self.lo, self.hi = constraints.lo, constraints.hi
+        self.lower_j, self.lower = _finite_bounds(constraints.lower)
+        self.upper_j, self.upper = _finite_bounds(constraints.upper)
+        self.has_bounds = len(self.lower_j) + len(self.upper_j) > 0
+        self.count = len(self.lo) + len(self.lower_j) + len(self.upper_j)
+
+    def slack(self, th: np.ndarray) -> np.ndarray:
+        pairs = th[self.hi] - th[self.lo]
+        if not self.has_bounds:
+            return pairs
+        return np.concatenate(
+            [pairs, th[self.lower_j] - self.lower, self.upper - th[self.upper_j]]
+        )
+
+    def rate(self, direction: np.ndarray) -> np.ndarray:
+        pairs = direction[self.hi] - direction[self.lo]
+        if not self.has_bounds:
+            return pairs
+        return np.concatenate([pairs, direction[self.lower_j], -direction[self.upper_j]])
+
+    def normal(self, r: int, size: int) -> np.ndarray:
+        normal = np.zeros(size)
+        if r < len(self.lo):
+            normal[self.hi[r]] = 1.0
+            normal[self.lo[r]] = -1.0
+        elif r < len(self.lo) + len(self.lower_j):
+            normal[self.lower_j[r - len(self.lo)]] = 1.0
+        else:
+            normal[self.upper_j[r - len(self.lo) - len(self.lower_j)]] = -1.0
+        return normal
+
+    def remove_roundoff(self, th: np.ndarray) -> None:
+        """Make ``th`` exactly feasible, in place.
+
+        Moving along the orthogonalised directions leaves the constraints the
+        walk hit off by roundoff (~1e-18), in either direction.  Raising to
+        the lower bounds and then along the rows, then lowering to the upper
+        bounds and then against the rows, reaches a point that violates
+        nothing (whenever the set is nonempty).  It only copies existing
+        values, so a feasible point is unchanged and an infeasible one moves
+        only as far as its violations.  The rows hold after the first scan,
+        so they are scanned again only when the upper bounds lowered an entry.
+        """
+        lo, hi = self.lo, self.hi
+        th[self.lower_j] = np.maximum(th[self.lower_j], self.lower)
+        while np.any(th[hi] < th[lo]):
+            np.maximum.at(th, hi, th[lo])
+        below = th[self.upper_j]
+        clipped = np.minimum(below, self.upper)
+        th[self.upper_j] = clipped
+        if np.any(clipped < below):
+            while np.any(th[hi] < th[lo]):
+                np.minimum.at(th, lo, th[hi])
+
+
 def _robust_norm(vec: np.ndarray) -> float:
     """Euclidean norm that survives entries whose squares overflow."""
     peak = float(np.max(np.abs(vec))) if vec.size else 0.0
@@ -203,6 +269,13 @@ def project_update(
     within one call, so the result can differ from the exact projection when
     several constraints interact, but it never leaves the feasible set and
     costs only one pass.
+
+    A theta or step with a non-finite entry, or a theta more than 1e-9 from
+    feasible, is a ``ValueError``.  The slack computed for that check is the
+    first pass's, and the first pass walks the step itself, whose norm is
+    already known, so a step that hits nothing costs one slack and one rate
+    over the rows and one norm of the step.  A final repair makes the result
+    exactly feasible (tolerance 0).
     """
     th = np.array(theta, dtype=float)
     st = np.array(step, dtype=float)
@@ -212,92 +285,57 @@ def project_update(
         raise ValueError(
             f"expected {constraints.num_parameters} parameters, got {th.shape[0]}"
         )
-    if max_infeasibility(th, constraints) > _FEASIBLE_INPUT_TOL:
+    if not np.isfinite(th).all():
+        raise ValueError("theta has a non-finite entry")
+    if not np.isfinite(st).all():
+        raise ValueError("step has a non-finite entry")
+    rows = _Rows(constraints)
+    slack = rows.slack(th)
+    if slack.size and slack.min() < -_FEASIBLE_INPUT_TOL:
         raise ValueError("theta violates the constraints it is supposed to satisfy")
 
-    # Rows in _constraint_rows order: pairwise rows, then finite lower
-    # bounds, then finite upper bounds.  Each pass computes every row's slack
-    # and rate at once, with the arithmetic the per-row form uses.
-    lo, hi = constraints.lo, constraints.hi
-    lower_j, lower = _finite_bounds(constraints.lower)
-    upper_j, upper = _finite_bounds(constraints.upper)
-    num_rows = len(lo) + len(lower_j) + len(upper_j)
     active: list[int] = []
-    inactive = np.ones(num_rows, dtype=bool)
-    basis: list[np.ndarray] = []  # orthonormalized active normals
-    remaining = st
-    step_scale = _robust_norm(st)
-    if step_scale == 0.0 or num_rows == 0:
+    step_scale = _robust_norm(st) if rows.count else 0.0
+    if step_scale == 0.0:
         th += st
         return (th, active) if return_active else th
 
-    def row_normal(r: int) -> np.ndarray:
-        normal = np.zeros_like(th)
-        if r < len(lo):
-            normal[hi[r]] = 1.0
-            normal[lo[r]] = -1.0
-        elif r < len(lo) + len(lower_j):
-            normal[lower_j[r - len(lo)]] = 1.0
-        else:
-            normal[upper_j[r - len(lo) - len(lower_j)]] = -1.0
-        return normal
-
-    for _ in range(num_rows + 2):
-        direction = remaining.copy()
-        for q in basis:
-            direction -= q.dot(direction) * q
-        if _robust_norm(direction) <= 1e-13 * step_scale:
+    inactive = np.ones(rows.count, dtype=bool)
+    basis: list[np.ndarray] = []  # orthonormalized active normals
+    direction, norm = st, step_scale  # the first pass walks the step itself
+    for _ in range(rows.count + 2):
+        if norm <= 1e-13 * step_scale:
             break
-        slack = np.concatenate([th[hi] - th[lo], th[lower_j] - lower, upper - th[upper_j]])
-        rate = np.concatenate([direction[hi] - direction[lo], direction[lower_j], -direction[upper_j]])
+        rate = rows.rate(direction)
         candidates = np.nonzero(inactive & (rate < 0.0))[0]
         # max(s, 0.0) keeps s when s is not below 0, as Python's max does; a
         # rate so small that t overflows to inf is never hit within the step
         s = slack[candidates]
         with np.errstate(over="ignore"):
             t = np.where(s < 0.0, 0.0, s) / -rate[candidates]
-        hits = candidates[t <= 1.0]
-        t = t[t <= 1.0]
+        within = t <= 1.0
+        hits, t = candidates[within], t[within]
         if len(hits) == 0:
             th += direction
-            remaining = np.zeros_like(remaining)
             break
         t_min = float(t[np.argmin(t)])  # the first smallest, as a strict-< scan finds
         th += t_min * direction
-        remaining = (1.0 - t_min) * direction
+        direction = (1.0 - t_min) * direction
         for r in hits[t <= t_min + _HIT_TOL].tolist():
-            normal = row_normal(r)
+            normal = rows.normal(r, th.size)
             for q in basis:
                 normal -= q.dot(normal) * q
-            norm = np.linalg.norm(normal)
+            length = np.linalg.norm(normal)
             active.append(r)
             inactive[r] = False
-            if norm > 1e-12:
-                basis.append(normal / norm)
-    _remove_roundoff(th, constraints)
+            if length > 1e-12:
+                basis.append(normal / length)
+        for q in basis:
+            direction -= q.dot(direction) * q
+        norm = _robust_norm(direction)
+        slack = rows.slack(th)
+    rows.remove_roundoff(th)
     return (th, active) if return_active else th
-
-
-def _remove_roundoff(th: np.ndarray, constraints: ConstraintSet) -> None:
-    """Make ``th`` exactly feasible, in place.
-
-    Moving along the orthogonalised directions leaves the constraints the
-    walk hit off by roundoff (~1e-18), in either direction.  Raising to the
-    lower bounds and then along the rows, then lowering to the upper bounds
-    and then against the rows, reaches a point that violates nothing
-    (whenever the set is nonempty).  It only copies existing values, so a
-    feasible point is unchanged and an infeasible one moves only as far as
-    its violations.
-    """
-    lo, hi = constraints.lo, constraints.hi
-    if constraints.lower is not None:
-        np.maximum(th, constraints.lower, out=th)
-    while np.any(th[hi] < th[lo]):
-        np.maximum.at(th, hi, th[lo])
-    if constraints.upper is not None:
-        np.minimum(th, constraints.upper, out=th)
-    while np.any(th[hi] < th[lo]):
-        np.minimum.at(th, lo, th[hi])
 
 
 def project_exact(

@@ -60,7 +60,6 @@ from .monotonicity import (
     ConstraintSet,
     Direction,
     build_constraints,
-    max_infeasibility,
     project_update,
 )
 from .regularizers import (
@@ -286,11 +285,15 @@ def loss_gradients(state: TrainerState, minibatch) -> tuple[np.ndarray, np.ndarr
     from the scalar ``loss_slope``.  Theta gradients are scattered sample by
     sample, side by side, vertex by vertex, and each chunk's calibrator
     gradients feature by feature, side by side, entry by entry, so every
-    entry is the sum a per-sample loop would form, in its order.
+    entry is the sum a per-sample loop would form, in its order.  Both
+    scatters take every term: the terms a loop would skip (zero slope, zero
+    dfdx) add +-0.0, and a plan entry without a free parameter (position -1)
+    lands in a spare slot past the end, which is dropped.
     """
     batch = np.asarray(minibatch, dtype=np.int64)
     g_theta = np.zeros_like(state.theta)
-    g_alpha = np.zeros(state.calibrators.num_free)
+    # one spare last slot, where the plan's -1 positions (no entry) land
+    g_alpha = np.zeros(state.calibrators.num_free + 1)
     want = state.trains_calibrators
     scale = 1.0 / len(batch)
     loss = state.config.loss
@@ -310,17 +313,13 @@ def loss_gradients(state: TrainerState, minibatch) -> tuple[np.ndarray, np.ndarr
         s = np.repeat(slope, n_sides)  # sign * slope, side by side
         if n_sides == 2:
             s[1::2] = -s[1::2]
-        # a zero slope adds +-0.0 to a sum that starts at +0.0, which leaves
-        # every bit as it is, so the theta scatter needs no mask
+        # a zero slope or a zero dfdx adds +-0.0 to a sum that starts at +0.0,
+        # which leaves every bit as it is, so neither scatter needs a mask
         np.add.at(g_theta, indices.ravel(), (s[:, None] * weights).ravel())
         if want:
-            live = s != 0.0
-            keep = (sides.positions >= 0) & (live[:, None] & (dfdx != 0.0)).T[:, :, None]
-            d, r, e = np.nonzero(keep)
-            np.add.at(
-                g_alpha, sides.positions[d, r, e], s[r] * dfdx[r, d] * sides.partials[d, r, e]
-            )
-    return g_theta, g_alpha
+            terms = (s[:, None] * dfdx).T[:, :, None] * sides.partials  # (D, n, 2)
+            np.add.at(g_alpha, sides.positions.ravel(), terms.ravel())
+    return g_theta, g_alpha[:-1]
 
 
 def sgd_step(state: TrainerState, minibatch, rng: np.random.Generator) -> TrainerState:
@@ -335,35 +334,45 @@ def sgd_step(state: TrainerState, minibatch, rng: np.random.Generator) -> Traine
     if not np.isfinite(g_theta).all() or not np.isfinite(g_alpha).all():
         raise TrainingError("non-finite gradient; lower the step size")
     eta = state.config.step_size
-    state.theta = project_update(state.theta, -eta * g_theta, state.theta_constraints)
-    if state.trains_calibrators:
-        alpha = state.calibrators.alpha()
-        alpha = project_update(
-            alpha,
-            -eta * state.config.calibrator_step_scale * g_alpha,
-            state.alpha_constraints,
-        )
+    trains_calibrators = state.trains_calibrators
+    # a product that overflows (step size times gradient, or step size times
+    # calibrator scale) makes a non-finite step, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta_step = -eta * g_theta
+        if trains_calibrators:
+            alpha_step = -eta * state.config.calibrator_step_scale * g_alpha
+    if not np.isfinite(theta_step).all() or (
+        trains_calibrators and not np.isfinite(alpha_step).all()
+    ):
+        raise TrainingError("non-finite step; lower the step size")
+    state.theta = project_update(state.theta, theta_step, state.theta_constraints)
+    if trains_calibrators:
+        alpha = project_update(state.calibrators.alpha(), alpha_step, state.alpha_constraints)
         state.calibrators.set_alpha(alpha)
     if not np.isfinite(state.theta).all():
         raise TrainingError("non-finite parameters; lower the step size")
     return state
 
 
-def _run_epochs(state: TrainerState, shard: np.ndarray, epochs: int, rng: np.random.Generator) -> None:
+def _run_epochs(
+    state: TrainerState, shard: np.ndarray, epochs: range, rng: np.random.Generator, where: str
+) -> None:
+    """Train ``state`` on ``shard`` for the run's ``epochs`` (numbered from
+    1).  A ``TrainingError`` gains ``where`` (round and worker), the epoch
+    and the step within it."""
     n = len(shard)
-    if n == 0 or epochs == 0:
+    if n == 0:
         return
     k = state.config.minibatch_size
-    if k >= n:
-        batch = shard  # deterministic full pass
-        for _ in range(epochs):
-            sgd_step(state, batch, rng)
-        return
-    steps = math.ceil(n / k)
-    for _ in range(epochs):
-        for _ in range(steps):
-            batch = shard[rng.integers(0, n, size=k)]
-            sgd_step(state, batch, rng)
+    full = k >= n  # one deterministic full pass per epoch
+    steps = 1 if full else math.ceil(n / k)
+    for epoch in epochs:
+        for step in range(1, steps + 1):
+            batch = shard if full else shard[rng.integers(0, n, size=k)]
+            try:
+                sgd_step(state, batch, rng)
+            except TrainingError as e:
+                raise TrainingError(f"{e} ({where}, epoch {epoch}, step {step})") from None
 
 
 # --------------------------------------------------------------------------
@@ -393,11 +402,14 @@ def train(data, specs: list[FeatureSpec], config: TrainConfig):
         order = np.random.default_rng(streams[K]).permutation(n)
         shards = [order[k::K] for k in range(K)]
     base, extra = divmod(config.epochs, config.sync_rounds)
+    done = 0  # epochs of the earlier rounds
     for r in range(config.sync_rounds):
-        epochs = base + (1 if r < extra else 0)
+        count = base + (1 if r < extra else 0)
+        epochs = range(done + 1, done + count + 1)
+        done += count
         workers = [state.clone() for _ in range(K)]
-        for worker, shard, rng in zip(workers, shards, rngs):
-            _run_epochs(worker, shard, epochs, rng)
+        for k, (worker, shard, rng) in enumerate(zip(workers, shards, rngs), 1):
+            _run_epochs(worker, shard, epochs, rng, f"round {r + 1}, worker {k}")
         state.theta = np.mean([w.theta for w in workers], axis=0)
         if state.calibrators.num_free:
             state.calibrators.set_alpha(np.mean([w.calibrators.alpha() for w in workers], axis=0))

@@ -1,10 +1,12 @@
 """Scalar references for the batched training step.
 
 ``reference_loss_gradients`` is the per-sample gradient loop over the scalar
-kernels (``evaluate_with_gradients``, ``calibrate_row``, ``row_gradients``)
-and ``reference_project_update`` is the walk that scans one constraint row
-at a time.  The batched ``loss_gradients`` and the array-scan
-``project_update`` must equal them bit for bit.
+kernels (``evaluate_with_gradients``, ``calibrate_row``, ``row_gradients``),
+``reference_project_update`` is the walk that scans one constraint row at a
+time, and ``reference_array_walk`` is the array-scan walk as it stood before
+its first pass reused the input check's slack: every pass recomputes slack,
+rate and norm, and the repair scans the rows twice.  The batched
+``loss_gradients`` and ``project_update`` must equal them bit for bit.
 """
 
 import numpy as np
@@ -14,7 +16,6 @@ from monolattice.monotonicity import (
     _FEASIBLE_INPUT_TOL,
     _HIT_TOL,
     _constraint_rows,
-    _remove_roundoff,
     _robust_norm,
     max_infeasibility,
 )
@@ -117,5 +118,89 @@ def reference_project_update(theta, step, constraints, *, return_active=False):
                 active.append(r)
                 if norm > 1e-12:
                     basis.append(normal / norm)
-    _remove_roundoff(th, constraints)
+    reference_remove_roundoff(th, constraints)
+    return (th, active) if return_active else th
+
+
+def reference_remove_roundoff(th, constraints):
+    """Clip to the lower bounds, raise along the rows, clip to the upper
+    bounds, lower against the rows; both row scans always run."""
+    lo, hi = constraints.lo, constraints.hi
+    if constraints.lower is not None:
+        np.maximum(th, constraints.lower, out=th)
+    while np.any(th[hi] < th[lo]):
+        np.maximum.at(th, hi, th[lo])
+    if constraints.upper is not None:
+        np.minimum(th, constraints.upper, out=th)
+    while np.any(th[hi] < th[lo]):
+        np.minimum.at(th, lo, th[hi])
+
+
+def _finite_bounds(bounds):
+    if bounds is None:
+        return np.empty(0, dtype=np.int64), np.empty(0)
+    positions = np.nonzero(np.isfinite(bounds))[0]
+    return positions, bounds[positions]
+
+
+def reference_array_walk(theta, step, constraints, *, return_active=False):
+    th = np.array(theta, dtype=float)
+    st = np.array(step, dtype=float)
+    if max_infeasibility(th, constraints) > _FEASIBLE_INPUT_TOL:
+        raise ValueError("theta violates the constraints it is supposed to satisfy")
+    lo, hi = constraints.lo, constraints.hi
+    lower_j, lower = _finite_bounds(constraints.lower)
+    upper_j, upper = _finite_bounds(constraints.upper)
+    num_rows = len(lo) + len(lower_j) + len(upper_j)
+    active = []
+    inactive = np.ones(num_rows, dtype=bool)
+    basis = []
+    remaining = st
+    step_scale = _robust_norm(st)
+    if step_scale == 0.0 or num_rows == 0:
+        th += st
+        return (th, active) if return_active else th
+
+    def row_normal(r):
+        normal = np.zeros_like(th)
+        if r < len(lo):
+            normal[hi[r]] = 1.0
+            normal[lo[r]] = -1.0
+        elif r < len(lo) + len(lower_j):
+            normal[lower_j[r - len(lo)]] = 1.0
+        else:
+            normal[upper_j[r - len(lo) - len(lower_j)]] = -1.0
+        return normal
+
+    for _ in range(num_rows + 2):
+        direction = remaining.copy()
+        for q in basis:
+            direction -= q.dot(direction) * q
+        if _robust_norm(direction) <= 1e-13 * step_scale:
+            break
+        slack = np.concatenate([th[hi] - th[lo], th[lower_j] - lower, upper - th[upper_j]])
+        rate = np.concatenate([direction[hi] - direction[lo], direction[lower_j], -direction[upper_j]])
+        candidates = np.nonzero(inactive & (rate < 0.0))[0]
+        s = slack[candidates]
+        with np.errstate(over="ignore"):
+            t = np.where(s < 0.0, 0.0, s) / -rate[candidates]
+        hits = candidates[t <= 1.0]
+        t = t[t <= 1.0]
+        if len(hits) == 0:
+            th += direction
+            remaining = np.zeros_like(remaining)
+            break
+        t_min = float(t[np.argmin(t)])
+        th += t_min * direction
+        remaining = (1.0 - t_min) * direction
+        for r in hits[t <= t_min + _HIT_TOL].tolist():
+            normal = row_normal(r)
+            for q in basis:
+                normal -= q.dot(normal) * q
+            norm = np.linalg.norm(normal)
+            active.append(r)
+            inactive[r] = False
+            if norm > 1e-12:
+                basis.append(normal / norm)
+    reference_remove_roundoff(th, constraints)
     return (th, active) if return_active else th

@@ -324,6 +324,38 @@ class TestCalibratorSet:
         cs.set_alpha(bumped)
         assert cs.calibrators[2].missing_value == 1.25
 
+    @pytest.mark.parametrize("missing", list(MissingPolicy))
+    def test_alpha_crossing_equals_per_calibrator_concatenation(self, missing):
+        size = 3 if missing is MissingPolicy.VERTEX else 2
+        specs = [
+            cont_spec(name="a", keypoints=5, size=size, missing=missing),
+            cat_spec(name="b", size=size, missing=missing, allow_unseen=True),
+            cont_spec(name="c", keypoints=2, size=size, missing=missing),
+        ]
+        rng = np.random.default_rng(5)
+        a = rng.random(80) * 4
+        b = list(rng.choice(["x", "y", "z"], size=80))
+        if missing is not MissingPolicy.NONE:
+            a[::7] = np.nan
+            b[3] = None
+        cs = CalibratorSet.fit(specs, [a, b, rng.random(80)], rng.random(80))
+
+        def concatenated(s):
+            blocks = [c.free_parameters() for c in s.calibrators if c.num_free]
+            return np.concatenate(blocks) if blocks else np.empty(0)
+
+        assert cs.alpha().tobytes() == concatenated(cs).tobytes()
+        fork = cs.fork()
+        for _ in range(3):
+            vec = rng.standard_normal(cs.num_free)
+            fork.set_alpha(vec)
+            for cal, off in zip(cs.calibrators, cs.offsets):
+                if cal.num_free:
+                    cal.set_free_parameters(vec[off : off + cal.num_free])
+            assert fork.alpha().tobytes() == vec.tobytes()
+            assert concatenated(fork).tobytes() == concatenated(cs).tobytes()
+            assert fork.table().tobytes() == cs.table().tobytes()
+
     def test_row_gradients_use_global_positions(self):
         cs = self.build()
         row = [3.0, "y", float("nan")]

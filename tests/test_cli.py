@@ -308,6 +308,24 @@ class TestErrors:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_overflowing_step_exits_three_and_says_where(self, tmp_path, capsys):
+        write_csv(tmp_path / "chain.csv", ["x", "y"], [["0.0", "1.0"], ["0.5", "0.0"], ["1.0", "1.0"]])
+        schema = {"label": "y", "features": [
+            {"name": "x", "monotone": "increasing", "size": 3, "bounds": [0.0, 1.0]}]}
+        (tmp_path / "chain.json").write_text(json.dumps(schema))
+        code = main([
+            "train",
+            "--data", str(tmp_path / "chain.csv"),
+            "--schema", str(tmp_path / "chain.json"),
+            "--out", str(tmp_path / "m.json"),
+            "--step-size", "1e308", "--calibrator-step-scale", "0", "--epochs", "2",
+            "--minibatch", "1", "--workers", "2", "--sync-rounds", "2",
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "non-finite step; lower the step size (round 2, worker 1, epoch 2, step 1)" in err
+        assert not (tmp_path / "m.json").exists()
+
 
 class TestRanking:
     def make_suffix_pairs(self, tmp_path, n=200, seed=3):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monolattice import (
     ConstraintSet,
@@ -16,7 +18,7 @@ from monolattice import (
     vertex_coords,
 )
 
-from scalar_reference import reference_project_update
+from scalar_reference import reference_array_walk, reference_project_update
 
 INC = Direction.INCREASING
 DEC = Direction.DECREASING
@@ -122,6 +124,16 @@ class TestCheckMonotonic:
         assert len(check_monotonic(theta, cs, tolerance=1e-12)) == 0
         assert len(check_monotonic(theta, cs, tolerance=1e-14)) == 1
 
+    def test_nan_row_is_violated(self):
+        cs = chain(3)
+        theta = np.array([0.0, np.nan, 1.0])
+        assert check_monotonic(theta, cs).tolist() == [0, 1]
+        assert max_infeasibility(theta, cs) == math.inf
+
+    def test_infinite_theta_is_infinitely_infeasible(self):
+        cs = ConstraintSet(2)
+        assert max_infeasibility(np.array([0.0, np.inf]), cs) == math.inf
+
 
 def chain(n):
     return ConstraintSet(
@@ -179,6 +191,16 @@ class TestProjectUpdate:
         cs = chain(2)
         with pytest.raises(ValueError):
             project_update(np.array([1.0, 0.0]), np.array([0.0, 0.0]), cs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_theta_rejected(self, bad):
+        with pytest.raises(ValueError, match="theta has a non-finite entry"):
+            project_update(np.array([0.0, bad, 1.0]), np.zeros(3), chain(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_step_rejected(self, bad):
+        with pytest.raises(ValueError, match="step has a non-finite entry"):
+            project_update(np.array([0.0, 0.5, 1.0]), np.array([0.1, bad, 0.0]), chain(3))
 
     def test_steps_too_large_to_square_still_walk(self):
         shape = LatticeShape((2, 2))
@@ -296,6 +318,70 @@ class TestWalkMatchesRowScan:
             got = project_update(theta, step, cs, return_active=True)
             ref = reference_project_update(theta, step, cs, return_active=True)
             assert got[0].tolist() == ref[0].tolist() and got[1] == ref[1]
+
+
+@st.composite
+def walk_problems(draw):
+    """A chain or a grid set, with or without box bounds, a feasible start
+    on the boundary (the oracle's walk from zero, or signed zeros), and
+    steps of several sizes: zero, small, and large enough to hit many rows
+    at once."""
+    if draw(st.booleans()):
+        cs = chain(draw(st.integers(2, 12)))
+    else:
+        sizes = draw(st.lists(st.integers(2, 3), min_size=1, max_size=4))
+        dirs = tuple(draw(st.sampled_from([INC, DEC, FREE])) for _ in sizes)
+        cs = build_constraints(LatticeShape(sizes), dirs)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = cs.num_parameters
+    if draw(st.booleans()):
+        # bounds at 0.0 meet entries at -0.0, which clipping turns into +0.0
+        cs.lower = np.where(rng.random(p) < 0.5, rng.choice([-1.0, 0.0], p), -np.inf)
+        cs.upper = np.where(rng.random(p) < 0.5, rng.choice([0.0, 1.0], p), np.inf)
+    if draw(st.booleans()):
+        start = reference_array_walk(np.zeros(p), rng.standard_normal(p), cs)
+    else:
+        start = np.where(rng.random(p) < 0.5, -0.0, 0.0)  # every row and 0.0 bound tight
+    scales = draw(st.lists(st.sampled_from([0.0, 1e-3, 0.1, 1.0, 10.0]), min_size=1, max_size=6))
+    steps = []
+    for scale in scales:
+        step = rng.standard_normal(p) * scale
+        if draw(st.booleans()):
+            step = np.round(step)  # whole steps: ties between hit times
+        steps.append(step)
+    return cs, start, steps
+
+
+class TestWalkMatchesOracle:
+    """project_update against the array walk it replaced, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(walk_problems())
+    def test_result_and_active_rows(self, problem):
+        cs, theta, steps = problem
+        for step in steps:
+            got, active = project_update(theta, step, cs, return_active=True)
+            ref, ref_active = reference_array_walk(theta, step, cs, return_active=True)
+            assert got.tobytes() == ref.tobytes()
+            assert active == ref_active
+            assert max_infeasibility(got, cs) == 0.0
+            theta = got
+
+    def test_hit_counts_covered(self):
+        # the strategy's steps reach no hit, one hit and many hits
+        rng = np.random.default_rng(3)
+        seen = set()
+        for scale in (1e-3, 0.1, 10.0):
+            cs = build_constraints(LatticeShape([3, 3]), (INC, INC))
+            theta = reference_array_walk(np.zeros(9), rng.standard_normal(9), cs)
+            for _ in range(20):
+                step = rng.standard_normal(9) * scale
+                got, active = project_update(theta, step, cs, return_active=True)
+                ref, ref_active = reference_array_walk(theta, step, cs, return_active=True)
+                assert got.tobytes() == ref.tobytes() and active == ref_active
+                seen.add(min(len(active), 2))
+                theta = got
+        assert seen == {0, 1, 2}
 
 
 class TestProjectExact:

@@ -33,10 +33,15 @@ from monolattice import (
     train,
     vertex_coords,
 )
-from monolattice import training
+from monolattice import monotonicity, training
+from monolattice.calibrators import CategoricalCalibrator, ContinuousCalibrator
 from monolattice.interpolation import ChunkBuffers
 from monolattice.training import loss_gradients, prepare_state, sgd_step
-from scalar_reference import reference_loss_gradients, reference_project_update
+from scalar_reference import (
+    reference_array_walk,
+    reference_loss_gradients,
+    reference_project_update,
+)
 
 
 def spec(name, **kw):
@@ -202,6 +207,42 @@ class TestGradients:
         state, _ = self.make_state(data, specs, minibatch_size=100, step_size=1e308)
         with pytest.raises(TrainingError), np.errstate(over="ignore", invalid="ignore"):
             sgd_step(state, np.array([0, 1]), np.random.default_rng(0))
+
+    def test_overflowing_calibrator_step_raises(self):
+        # step size times calibrator scale overflows; the gradient is finite
+        data, specs = mixed_problem(False, Loss.SQUARED)
+        state, _ = self.make_state(data, specs, step_size=10.0, calibrator_step_scale=1e308)
+        assert state.trains_calibrators
+        with pytest.raises(TrainingError, match="non-finite step; lower the step size"):
+            sgd_step(state, np.arange(16), np.random.default_rng(0))
+
+
+class TestTrainingErrors:
+    # a 3-vertex chain whose second round's first step overflows
+    DATA = Dataset([np.array([0.0, 0.5, 1.0])], np.array([1.0, 0.0, 1.0]))
+    SPECS = [spec("x", monotone=Direction.INCREASING, size=3, bounds=(0.0, 1.0))]
+    OVERFLOW = TrainConfig(step_size=1e308, calibrator_step_scale=0, epochs=2,
+                           minibatch_size=1, workers=2, sync_rounds=2)
+
+    def test_overflowing_step_fails_and_says_where(self):
+        message = "non-finite step; lower the step size (round 2, worker 1, epoch 2, step 1)"
+        with pytest.raises(TrainingError, match=re.escape(message)):
+            train(self.DATA, self.SPECS, self.OVERFLOW)
+
+    def test_steps_and_epochs_count_from_one_across_rounds(self, monkeypatch):
+        calls = []
+
+        def failing(state, batch, rng):
+            calls.append(len(batch))
+            if len(calls) == 5:
+                raise TrainingError("boom")
+            return state
+
+        monkeypatch.setattr(training, "sgd_step", failing)
+        config = TrainConfig(epochs=3, minibatch_size=1, workers=1, sync_rounds=2)
+        # round 1 runs epochs 1-2, three steps each; the fifth step is epoch 2, step 2
+        with pytest.raises(TrainingError, match=re.escape("boom (round 1, worker 1, epoch 2, step 2)")):
+            train(self.DATA, self.SPECS, config)
 
 
 class TestTrain:
@@ -493,6 +534,29 @@ class TestPlan:
         assert counts["locate"] == 1
         assert counts["calibrate_batch"] == 0
 
+    def test_steps_cross_alpha_whole_and_check_their_input_once(self, monkeypatch):
+        counts = {"project_update": 0, "max_infeasibility": 0, "per-calibrator": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(training, "project_update",
+                            counting("project_update", training.project_update))
+        monkeypatch.setattr(monotonicity, "max_infeasibility",
+                            counting("max_infeasibility", monotonicity.max_infeasibility))
+        for cls in (ContinuousCalibrator, CategoricalCalibrator):
+            for name in ("free_parameters", "set_free_parameters"):
+                monkeypatch.setattr(cls, name, counting("per-calibrator", getattr(cls, name)))
+        data, specs = mixed_problem(False, Loss.SQUARED)
+        config = TrainConfig(epochs=2, minibatch_size=16, workers=2, sync_rounds=2, seed=4)
+        parallel_train(data, specs, config)
+        # 2 workers x 2 epochs x ceil(60 / 16) steps, each projecting theta and alpha
+        assert counts == {"project_update": 32, "max_infeasibility": 0, "per-calibrator": 0}
+
     def test_predict_locates_once_and_derives_no_layout(self, monkeypatch):
         data, specs = mixed_problem(False, Loss.SQUARED)
         model = train(data, specs, TrainConfig(epochs=1, seed=2))
@@ -767,18 +831,21 @@ class TestBatchedStepMatchesReference:
             assert_same_gradients(state, [i])
 
     @staticmethod
-    def hinge_state(pairs, x0):
+    def hinge_state(pairs, x0, keypoints=2):
         """Hinge loss on a 2^3 lattice whose value is -5 + 10 * x0.  Rows
         with x0 <= 0.2 or >= 0.8 lie at margin 3 or more, rows near 0.5 below
         1.  A pair's preferred side has x0 and its other side 1 - x0, so its
-        margin is 20 * x0 - 10: 6 or more for x0 >= 0.8, below 1 otherwise."""
+        margin is 20 * x0 - 10: 6 or more for x0 >= 0.8, below 1 otherwise.
+        With more than 2 keypoints the calibrators have free parameters;
+        their start moves x0 by less than 0.07 on the inputs used here, which
+        keeps every margin on its side of 1."""
         rng = np.random.default_rng(6)
         x0 = np.asarray(x0, dtype=float)
 
         def columns(first):
             return [first, rng.random(len(first)), rng.random(len(first))]
 
-        specs = [spec(f"x{k}", bounds=(0.0, 1.0)) for k in range(3)]
+        specs = [spec(f"x{k}", bounds=(0.0, 1.0), keypoints=keypoints) for k in range(3)]
         if pairs:
             data = PairDataset(columns(x0), columns(1.0 - x0))
         else:
@@ -815,6 +882,25 @@ class TestBatchedStepMatchesReference:
         assert_same_gradients(state, np.arange(30))
         assert_same_gradients(state, rng.permutation(30))
 
+    @pytest.mark.parametrize("pairs", [False, True], ids=["rows", "pairs"])
+    def test_dead_samples_and_flat_features_leave_alpha_gradient_bits(self, pairs):
+        # hinge loss on a lattice that depends on x0 alone: every sample's
+        # dfdx is 0 along x1 and x2, whose calibrators have free parameters,
+        # and samples far from the margin have slope 0
+        x0 = np.concatenate([np.linspace(0.0, 0.2, 10), np.linspace(0.45, 0.55, 10),
+                             np.linspace(0.8, 1.0, 10)])
+        state = self.hinge_state(pairs, x0, keypoints=4)
+        assert state.trains_calibrators
+        batch = np.arange(30)
+        g_theta, g_alpha = loss_gradients(state, batch)
+        assert np.count_nonzero(g_theta) > 0
+        assert np.count_nonzero(g_alpha) > 0
+        # only x0's block moves; the flat features' blocks stay +0.0
+        flat = state.calibrators.offsets[1]
+        assert g_alpha[flat:].tobytes() == np.zeros(g_alpha.size - flat).tobytes()
+        assert_same_gradients(state, batch)
+        assert_same_gradients(state, np.random.default_rng(8).permutation(30))
+
     @pytest.mark.parametrize(
         "pairs, loss, kind, workers",
         [
@@ -829,5 +915,6 @@ class TestBatchedStepMatchesReference:
                              step_size=0.5, seed=9, workers=workers, sync_rounds=2)
         batched = parallel_train(data, specs, config).to_json()
         monkeypatch.setattr(training, "loss_gradients", reference_loss_gradients)
-        monkeypatch.setattr(training, "project_update", reference_project_update)
-        assert parallel_train(data, specs, config).to_json() == batched
+        for walk in (reference_project_update, reference_array_walk):
+            monkeypatch.setattr(training, "project_update", walk)
+            assert parallel_train(data, specs, config).to_json() == batched
