@@ -161,10 +161,16 @@ class Model:
 
     @classmethod
     def from_json(cls, text: str) -> "Model":
+        """Parse a model file; every way it can be malformed is a DataError."""
         try:
             return cls._from_doc(json.loads(text))
         except KeyError as e:
             raise DataError(f"model file has no {e.args[0]!r} entry") from None
+        except DataError:
+            raise
+        except (TypeError, AttributeError, ValueError, OverflowError) as e:
+            # a value of the wrong JSON type, e.g. a number where a list belongs
+            raise DataError(f"malformed model file: {e}") from None
 
     @classmethod
     def _from_doc(cls, doc: dict) -> "Model":
@@ -224,7 +230,7 @@ class Model:
         theta = np.asarray(doc["theta"], dtype=float)
         if theta.shape != (shape.num_parameters,):
             raise DataError(
-                f"theta has {theta.shape[0]} entries, lattice needs {shape.num_parameters}"
+                f"theta has shape {theta.shape}, lattice needs ({shape.num_parameters},)"
             )
         _check_finite("theta", theta)
         return cls(

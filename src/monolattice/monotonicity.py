@@ -62,13 +62,6 @@ class ConstraintSet:
     def num_rows(self) -> int:
         return len(self.lo)
 
-    def is_empty(self) -> bool:
-        return (
-            self.num_rows == 0
-            and (self.lower is None or not np.any(np.isfinite(self.lower)))
-            and (self.upper is None or not np.any(np.isfinite(self.upper)))
-        )
-
 
 # --------------------------------------------------------------------------
 # building and checking
@@ -214,28 +207,27 @@ class _Rows:
             return pairs
         return np.concatenate([pairs, direction[self.lower_j], -direction[self.upper_j]])
 
-    def normal(self, r: int, size: int) -> np.ndarray:
-        normal = np.zeros(size)
+    def ends(self, r: int, ground: int) -> tuple[int, int]:
+        """The two nodes row ``r`` ties together: ``(hi, lo)`` for a
+        pairwise row, ``(j, ground)`` for a bound on entry j."""
         if r < len(self.lo):
-            normal[self.hi[r]] = 1.0
-            normal[self.lo[r]] = -1.0
-        elif r < len(self.lo) + len(self.lower_j):
-            normal[self.lower_j[r - len(self.lo)]] = 1.0
-        else:
-            normal[self.upper_j[r - len(self.lo) - len(self.lower_j)]] = -1.0
-        return normal
+            return int(self.hi[r]), int(self.lo[r])
+        r -= len(self.lo)
+        if r < len(self.lower_j):
+            return int(self.lower_j[r]), ground
+        return int(self.upper_j[r - len(self.lower_j)]), ground
 
     def remove_roundoff(self, th: np.ndarray) -> None:
         """Make ``th`` exactly feasible, in place.
 
-        Moving along the orthogonalised directions leaves the constraints the
-        walk hit off by roundoff (~1e-18), in either direction.  Raising to
-        the lower bounds and then along the rows, then lowering to the upper
-        bounds and then against the rows, reaches a point that violates
-        nothing (whenever the set is nonempty).  It only copies existing
-        values, so a feasible point is unchanged and an infeasible one moves
-        only as far as its violations.  The rows hold after the first scan,
-        so they are scanned again only when the upper bounds lowered an entry.
+        Stopping at a hit time leaves the constraints the walk hit off by
+        roundoff (~1e-18), in either direction.  Raising to the lower bounds
+        and then along the rows, then lowering to the upper bounds and then
+        against the rows, reaches a point that violates nothing (whenever
+        the set is nonempty).  It only copies existing values, so a feasible
+        point is unchanged and an infeasible one moves only as far as its
+        violations.  The rows hold after the first scan, so they are scanned
+        again only when the upper bounds lowered an entry.
         """
         lo, hi = self.lo, self.hi
         th[self.lower_j] = np.maximum(th[self.lower_j], self.lower)
@@ -270,12 +262,23 @@ def project_update(
     several constraints interact, but it never leaves the feasible set and
     costs only one pass.
 
+    Every active normal is ``e_hi - e_lo`` for a pairwise row or ``+-e_j``
+    for a bound, so the orthogonal component is known in closed form.  Treat
+    each bound as an edge from j to a *ground* node (index P) held at zero:
+    a vector is orthogonal to every active normal exactly when it is
+    constant on each connected component of the active edges and zero on
+    the ground's component.  Each pass therefore replaces the rest of the
+    step by its mean over each component, and by 0 on the ground's.  Both
+    ends of an active row then move by the same value, so its rate is
+    exactly 0 and it is never hit again.  The component labels are
+    allocated at the first hit; a step that hits nothing never needs them.
+
     A theta or step with a non-finite entry, or a theta more than 1e-9 from
     feasible, is a ``ValueError``.  The slack computed for that check is the
     first pass's, and the first pass walks the step itself, whose norm is
     already known, so a step that hits nothing costs one slack and one rate
     over the rows and one norm of the step.  A final repair makes the result
-    exactly feasible (tolerance 0).
+    exactly feasible (tolerance 0), a zero step's result included.
     """
     th = np.array(theta, dtype=float)
     st = np.array(step, dtype=float)
@@ -298,16 +301,18 @@ def project_update(
     step_scale = _robust_norm(st) if rows.count else 0.0
     if step_scale == 0.0:
         th += st
+        if rows.count:
+            rows.remove_roundoff(th)
         return (th, active) if return_active else th
 
-    inactive = np.ones(rows.count, dtype=bool)
-    basis: list[np.ndarray] = []  # orthonormalized active normals
+    ground = th.size
+    component = None  # node -> component label, the ground node last
     direction, norm = st, step_scale  # the first pass walks the step itself
     for _ in range(rows.count + 2):
         if norm <= 1e-13 * step_scale:
             break
         rate = rows.rate(direction)
-        candidates = np.nonzero(inactive & (rate < 0.0))[0]
+        candidates = np.nonzero(rate < 0.0)[0]
         # max(s, 0.0) keeps s when s is not below 0, as Python's max does; a
         # rate so small that t overflows to inf is never hit within the step
         s = slack[candidates]
@@ -320,18 +325,16 @@ def project_update(
             break
         t_min = float(t[np.argmin(t)])  # the first smallest, as a strict-< scan finds
         th += t_min * direction
-        direction = (1.0 - t_min) * direction
+        if component is None:
+            component = np.arange(ground + 1)
         for r in hits[t <= t_min + _HIT_TOL].tolist():
-            normal = rows.normal(r, th.size)
-            for q in basis:
-                normal -= q.dot(normal) * q
-            length = np.linalg.norm(normal)
+            a, b = rows.ends(r, ground)
+            component[component == component[b]] = component[a]
             active.append(r)
-            inactive[r] = False
-            if length > 1e-12:
-                basis.append(normal / length)
-        for q in basis:
-            direction -= q.dot(direction) * q
+        sums = np.bincount(component, np.append((1.0 - t_min) * direction, 0.0))
+        sums[component[ground]] = 0.0
+        members = component[:-1]
+        direction = sums[members] / np.bincount(component)[members]
         norm = _robust_norm(direction)
         slack = rows.slack(th)
     rows.remove_roundoff(th)

@@ -1,12 +1,17 @@
 """Scalar references for the batched training step.
 
 ``reference_loss_gradients`` is the per-sample gradient loop over the scalar
-kernels (``evaluate_with_gradients``, ``calibrate_row``, ``row_gradients``),
-``reference_project_update`` is the walk that scans one constraint row at a
-time, and ``reference_array_walk`` is the array-scan walk as it stood before
-its first pass reused the input check's slack: every pass recomputes slack,
-rate and norm, and the repair scans the rows twice.  The batched
-``loss_gradients`` and ``project_update`` must equal them bit for bit.
+kernels (``evaluate_with_gradients``, ``calibrate_row``, ``row_gradients``);
+the batched ``loss_gradients`` must equal it bit for bit.
+
+``reference_component_walk`` scans one constraint row at a time and keeps
+the active rows' connected components in a dict; ``project_update`` must
+equal it bit for bit.  The two Gram-Schmidt walks ``project_update`` used
+before it averaged over components stay as agreement oracles:
+``reference_project_update`` scans one row at a time, and
+``reference_array_walk`` is the array scan in which every pass recomputes
+slack, rate and norm and the repair scans the rows twice.  Neither repairs
+the result of a zero step.
 """
 
 import numpy as np
@@ -202,5 +207,67 @@ def reference_array_walk(theta, step, constraints, *, return_active=False):
             inactive[r] = False
             if norm > 1e-12:
                 basis.append(normal / norm)
+    reference_remove_roundoff(th, constraints)
+    return (th, active) if return_active else th
+
+
+def reference_component_walk(theta, step, constraints, *, return_active=False):
+    """The component-averaging walk, one row at a time.  Bounds tie their
+    entry to a ground node P held at zero; each component's sum is formed
+    in ascending node order from 0.0, and its mean is the next direction."""
+    th = np.array(theta, dtype=float)
+    st = np.array(step, dtype=float)
+    if max_infeasibility(th, constraints) > _FEASIBLE_INPUT_TOL:
+        raise ValueError("theta violates the constraints it is supposed to satisfy")
+    rows = _constraint_rows(constraints)
+    active = []
+    ground = len(th)
+    label = {node: node for node in range(ground + 1)}
+    direction = st
+    step_scale = _robust_norm(st)
+    if step_scale == 0.0 or not rows:
+        th += st
+        reference_remove_roundoff(th, constraints)
+        return (th, active) if return_active else th
+
+    for _ in range(len(rows) + 2):
+        if _robust_norm(direction) <= 1e-13 * step_scale:
+            break
+        t_min = 1.0
+        hit_ts = {}
+        for r, (ids, coeffs, offset) in enumerate(rows):
+            s = -offset
+            rate = 0.0
+            for j, c in zip(ids, coeffs):
+                s += c * th[j]
+                rate += c * direction[j]
+            if rate >= 0.0:
+                continue
+            with np.errstate(over="ignore"):
+                t = max(s, 0.0) / -rate
+            if t <= 1.0:
+                hit_ts[r] = t
+                if t < t_min:
+                    t_min = t
+        if not hit_ts:
+            th += direction
+            break
+        th += t_min * direction
+        for r, t in hit_ts.items():
+            if t <= t_min + _HIT_TOL:
+                ids = rows[r][0]
+                a, b = ids if len(ids) == 2 else (ids[0], ground)
+                old, new = label[b], label[a]
+                for node in label:
+                    if label[node] == old:
+                        label[node] = new
+                active.append(r)
+        sums, counts = {}, {}
+        for node in range(ground):
+            value = float((1.0 - t_min) * direction[node])
+            sums[label[node]] = sums.get(label[node], 0.0) + value
+            counts[label[node]] = counts.get(label[node], 0) + 1
+        sums[label[ground]] = 0.0
+        direction = np.array([sums[label[node]] / counts[label[node]] for node in range(ground)])
     reference_remove_roundoff(th, constraints)
     return (th, active) if return_active else th

@@ -384,7 +384,9 @@ class TestCalibratorSet:
         specs = [cont_spec(name="only", keypoints=2)]
         cs = CalibratorSet.fit(specs, [np.array([0.0, 5.0, 9.0])], np.array([0, 1, 2]))
         assert cs.num_free == 0
-        assert cs.constraints().is_empty()
+        con = cs.constraints()
+        assert con.num_rows == 0
+        assert not np.isfinite(con.lower).any() and not np.isfinite(con.upper).any()
 
 
 def batch_rows(spec, cal, column):

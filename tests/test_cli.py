@@ -189,6 +189,14 @@ class TestCheck:
         assert "violation: theta[1, 0]=1 > theta[1, 1]=0.4 (gap 0.6)" in out
         assert out.strip().endswith("1 violations")
 
+    @pytest.mark.parametrize(
+        "text", ['{"format": "monolattice-model", "version": 1, "features": 5}', "[1]"]
+    )
+    def test_malformed_model_file_is_bad_input(self, tmp_path, capsys, text):
+        path = tmp_path / "malformed.json"
+        path.write_text(text)
+        assert main(["check", "--model", str(path)]) == 2
+        assert "error: malformed model file: " in capsys.readouterr().err
 
     def test_model_file_without_lattice_is_bad_input(self, workspace, capsys):
         assert run_train(workspace) == 0
@@ -478,6 +486,10 @@ CORRUPTIONS = {
         "'bucket': order pair ('low', 'nowhere') names an unknown category",
     ),
     "lattice-size": (_set(("lattice", 0), 4), "do not match the feature sizes"),
+    # values of the wrong type or arity fail inside parsing, not in a check
+    "order-pair-arity": (_set(("features", 1, "order"), [["low"]]), "malformed model file"),
+    "category-values-list": (_set(BUCKET, lambda values: list(values.values())), "malformed model file"),
+    "size-infinite": (_set(("features", 0, "size"), float("inf")), "malformed model file"),
     "naive-interpolation": (
         _set(("interpolation",), "multilinear-naive"),
         "interpolation 'multilinear-naive' is not one of multilinear, simplex",

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monolattice import (
     DataError,
@@ -163,6 +165,26 @@ class TestRoundTrip:
         assert a.read_bytes() == b.read_bytes()
 
 
+def _node_paths(node, path=()):
+    """The key path of every node of a JSON document, the root included."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _node_paths(child, (*path, key))
+
+
+def _json_type(value) -> str:
+    return {type(None): "null", bool: "boolean", int: "number", float: "number",
+            str: "string", list: "array", dict: "object"}[type(value)]
+
+
+# values of every JSON type, some at the edges of what a field accepts
+OTHER_TYPED_VALUES = [
+    None, True, False, 0, -1, 3, 0.5, -1e308, float("inf"), float("nan"),
+    "", "x", "increasing", [], [0.5], [["a"]], [[0.0, 1.0]], {}, {"a": 1},
+]
+
+
 class TestValidation:
     def doc(self, trained):
         model, _ = trained
@@ -196,6 +218,30 @@ class TestValidation:
         del doc[key]
         with pytest.raises(DataError, match=repr(key)):
             Model.from_json(json.dumps(doc))
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_mutated_file_loads_or_is_a_data_error(self, trained, data):
+        doc = self.doc(trained)
+        path = data.draw(st.sampled_from(list(_node_paths(doc))))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and path and data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            node = parent[path[-1]] if path else doc
+            value = data.draw(
+                st.sampled_from([v for v in OTHER_TYPED_VALUES if _json_type(v) != _json_type(node)])
+            )
+            if path:
+                parent[path[-1]] = value
+            else:
+                doc = value
+        try:
+            Model.from_json(json.dumps(doc))
+        except DataError:
+            pass
 
     def test_format_constants(self, trained):
         doc = self.doc(trained)

@@ -18,7 +18,11 @@ from monolattice import (
     vertex_coords,
 )
 
-from scalar_reference import reference_array_walk, reference_project_update
+from scalar_reference import (
+    reference_array_walk,
+    reference_component_walk,
+    reference_project_update,
+)
 
 INC = Direction.INCREASING
 DEC = Direction.DECREASING
@@ -157,6 +161,15 @@ class TestProjectUpdate:
         theta = np.array([0.0, 0.1, 0.2])
         assert project_update(theta, np.zeros(3), cs) == pytest.approx(theta, abs=0)
 
+    def test_zero_step_result_is_repaired(self):
+        # a theta inside the input tolerance comes back exactly feasible,
+        # whether or not the step moves it
+        cs = chain(2)
+        for step in ([0.0, 0.0], [0.0, 1e-20]):
+            out = project_update(np.array([1e-10, 0.0]), np.array(step), cs)
+            assert out.tolist() == [1e-10, 1e-10]
+            assert max_infeasibility(out, cs) == 0.0
+
     def test_corner_stops_motion(self):
         # pair constraint plus an upper bound meet at (1, 1); both freeze
         cs = ConstraintSet(
@@ -270,7 +283,8 @@ class TestProjectUpdate:
 
 
 class TestWalkMatchesRowScan:
-    """The array scan in project_update against the row-at-a-time walk."""
+    """The array scan in project_update against the row-at-a-time component
+    walk."""
 
     def sets(self, rng):
         for n in (2, 3, 6, 12):
@@ -304,7 +318,7 @@ class TestWalkMatchesRowScan:
                     if rng.random() < 0.3:
                         step = np.round(step)  # whole steps: ties between hit times
                     got, active = project_update(theta, step, cs, return_active=True)
-                    ref, ref_active = reference_project_update(theta, step, cs, return_active=True)
+                    ref, ref_active = reference_component_walk(theta, step, cs, return_active=True)
                     assert got.tobytes() == ref.tobytes()
                     assert active == ref_active
                     multi_hit += len(active) > 1
@@ -353,7 +367,7 @@ def walk_problems(draw):
 
 
 class TestWalkMatchesOracle:
-    """project_update against the array walk it replaced, byte for byte."""
+    """project_update against the row-scan component walk, byte for byte."""
 
     @settings(max_examples=300, deadline=None)
     @given(walk_problems())
@@ -361,7 +375,7 @@ class TestWalkMatchesOracle:
         cs, theta, steps = problem
         for step in steps:
             got, active = project_update(theta, step, cs, return_active=True)
-            ref, ref_active = reference_array_walk(theta, step, cs, return_active=True)
+            ref, ref_active = reference_component_walk(theta, step, cs, return_active=True)
             assert got.tobytes() == ref.tobytes()
             assert active == ref_active
             assert max_infeasibility(got, cs) == 0.0
@@ -377,11 +391,42 @@ class TestWalkMatchesOracle:
             for _ in range(20):
                 step = rng.standard_normal(9) * scale
                 got, active = project_update(theta, step, cs, return_active=True)
-                ref, ref_active = reference_array_walk(theta, step, cs, return_active=True)
+                ref, ref_active = reference_component_walk(theta, step, cs, return_active=True)
                 assert got.tobytes() == ref.tobytes() and active == ref_active
                 seen.add(min(len(active), 2))
                 theta = got
         assert seen == {0, 1, 2}
+
+
+class TestWalkMatchesGramSchmidt:
+    """project_update against the Gram-Schmidt walk that orthogonalised
+    each hit normal against the earlier ones."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(walk_problems())
+    def test_results_agree_on_non_whole_steps(self, problem):
+        # whole-number steps can tie hit times exactly, and there the old
+        # walk may freeze a row through a roundoff rate of about -1e-17
+        cs, theta, steps = problem
+        for step in steps:
+            got = project_update(theta, step, cs)
+            if not np.array_equal(step, np.round(step)):
+                ref = reference_array_walk(theta, step, cs)
+                assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.linalg.norm(step))
+            theta = got
+
+    def test_implied_row_is_never_hit(self):
+        # rows 0, 2 and 3 join all four vertices of the square, so row 1
+        # (vertex 2 to 3) is implied: both its ends move by the same mean.
+        # The old walk froze it through a roundoff rate.
+        cs = build_constraints(LatticeShape([2, 2]), (INC, INC))
+        theta = np.full(4, 0.625)
+        step = np.array([0.0, -0.375, -0.875, -0.75])
+        got, active = project_update(theta, step, cs, return_active=True)
+        ref, ref_active = reference_array_walk(theta, step, cs, return_active=True)
+        assert active == [0, 2, 3]
+        assert ref_active == [0, 2, 3, 1]
+        assert got.tolist() == ref.tolist() == [0.125] * 4
 
 
 class TestProjectExact:

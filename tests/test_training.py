@@ -39,6 +39,7 @@ from monolattice.interpolation import ChunkBuffers
 from monolattice.training import loss_gradients, prepare_state, sgd_step
 from scalar_reference import (
     reference_array_walk,
+    reference_component_walk,
     reference_loss_gradients,
     reference_project_update,
 )
@@ -915,6 +916,6 @@ class TestBatchedStepMatchesReference:
                              step_size=0.5, seed=9, workers=workers, sync_rounds=2)
         batched = parallel_train(data, specs, config).to_json()
         monkeypatch.setattr(training, "loss_gradients", reference_loss_gradients)
-        for walk in (reference_project_update, reference_array_walk):
+        for walk in (reference_component_walk, reference_project_update, reference_array_walk):
             monkeypatch.setattr(training, "project_update", walk)
             assert parallel_train(data, specs, config).to_json() == batched
