@@ -173,6 +173,15 @@ class ContinuousCalibrator:
     missing_vertex: float | None = None  # fixed coordinate (vertex policy)
     name: str = ""  # the feature's, for error messages
 
+    def __setattr__(self, name, value):
+        # knots are a read-only float64 copy, so the list that calibrate
+        # bisects cannot go stale unless they are assigned, which remakes it
+        if name == "knots":
+            value = np.array(value, dtype=float)
+            value.flags.writeable = False
+            object.__setattr__(self, "_knot_list", value.tolist())
+        object.__setattr__(self, name, value)
+
     @property
     def num_free(self) -> int:
         n = max(len(self.outputs) - 2, 0)
@@ -200,14 +209,16 @@ class ContinuousCalibrator:
             x = float(raw)
         except (TypeError, ValueError):
             raise DataError(f"feature {self.name}: {raw!r} is not a number") from None
-        knots = self.knots
+        if x != x:  # NaN text, such as "nan": missing, as locate reads it
+            return _missing_coordinate(self)
+        knots, outputs = self._knot_list, self.outputs
         if x <= knots[0]:
-            return float(self.outputs[0])
+            return float(outputs[0])
         if x >= knots[-1]:
-            return float(self.outputs[-1])
+            return float(outputs[-1])
         j = bisect_right(knots, x) - 1
         t = (x - knots[j]) / (knots[j + 1] - knots[j])
-        return float((1.0 - t) * self.outputs[j] + t * self.outputs[j + 1])
+        return (1.0 - t) * outputs.item(j) + t * outputs.item(j + 1)
 
     def gradient(self, raw) -> list[tuple[int, float]]:
         """Partials of calibrate(raw) w.r.t. the free parameters (sparse)."""

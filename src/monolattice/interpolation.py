@@ -42,10 +42,15 @@ with ``take(mode="clip")`` into their buffer, which writes there directly
 only because nothing can be clipped: the cells' far corners are checked
 against ``theta`` first, so a short ``theta`` still raises ``IndexError``.
 
-Single-row prediction uses the scalar kernels on small cells, where Python
-lists beat numpy's per-call overhead.  From ``ROW_NUMPY_MIN_VERTICES`` cell
-vertices on, multilinear rows go through ``evaluate_multilinear_row``: the
-same doubling pass on one 1-D numpy array, again equal bit for bit.
+Single-row prediction goes through a :class:`RowPlan`, built once per
+theta and shape.  It does the scalar kernels' float operations in their
+order, so it equals them bit for bit, without their generic steps: it
+locates the cell and its flat base index in one loop and keeps no
+``CellLocation`` or ``SparseWeights``.  Small cells run on Python lists,
+which beat numpy's per-call overhead there.  From ``ROW_NUMPY_MIN_VERTICES``
+cell vertices on, the multilinear doubling pass runs on one 1-D numpy
+array.  The scalar kernels stay as the plan's oracle and as what
+``bench_interpolation`` times.
 """
 
 from __future__ import annotations
@@ -217,26 +222,101 @@ def evaluate_batch(
 
 
 # Multilinear cells with at least this many vertices (2^7: D >= 7) are
-# faster through evaluate_multilinear_row than through the scalar lists.
+# faster through the row plan's numpy pass than through its lists.
 ROW_NUMPY_MIN_VERTICES = 1 << 7
 
 
-def evaluate_multilinear_row(theta: np.ndarray, shape: LatticeShape, x) -> float:
-    """Multilinear :func:`evaluate` at one point with numpy, bit for bit.
+class RowPlan:
+    """:func:`evaluate` at one point at a time for a fixed theta and shape,
+    bit for bit.
 
-    ``multilinear_weights``' doubling pass on one 1-D array, writing each
-    pass's far and near halves in place, one gather of the 2^D vertex
-    values, and a left-to-right sum.  ``theta`` is a float64 array.
+    Holds the shape's tops, strides and doubled offsets, and theta (a
+    float64 array the caller does not change) with its list form, made on
+    first use.  A call locates the cell and its flat base index in one loop,
+    with :func:`locate_cell`'s checks and messages.  Multilinear cells then
+    run :func:`multilinear_weights`' doubling pass on lists, or, from
+    ``ROW_NUMPY_MIN_VERTICES`` vertices on, on one numpy array, writing each
+    pass's far and near halves in place before one gather of the vertex
+    values.  Simplex cells walk :func:`simplex_weights`' sorted chain.  Each
+    sum runs left to right from 0.0, as :func:`evaluate`'s loop adds.
     """
-    location = locate_cell(shape, x)
-    w = np.empty(1 << shape.ndim)
-    w[0] = 1.0
-    for d, r in enumerate(location.residual):
-        near, far = w[: 1 << d], w[1 << d : 2 << d]
-        np.multiply(near, r, out=far)
-        np.subtract(near, far, out=near)
-    vals = theta[vertex_index(shape, location.base) + _doubled_offsets(shape)]
-    return float(np.cumsum(np.multiply(vals, w, out=vals))[-1] + 0.0)
+
+    def __init__(self, theta, shape: LatticeShape) -> None:
+        self._theta = np.asarray(theta, dtype=float)
+        self._values: list[float] | None = None
+        self._tops = [m - 1 for m in shape.sizes]
+        self._strides = list(shape.strides)
+        self._offsets = _doubled_offsets(shape)
+        self._numpy = len(self._offsets) >= ROW_NUMPY_MIN_VERTICES
+        self._offset_list = None if self._numpy else self._offsets.tolist()
+
+    def evaluate(self, x, kind: InterpolationKind = InterpolationKind.MULTILINEAR) -> float:
+        """Interpolated value at ``x`` (in lattice coordinates)."""
+        base, res = self._locate(x)
+        if kind is not InterpolationKind.MULTILINEAR and kind is not InterpolationKind.SIMPLEX:
+            kind = InterpolationKind(kind)
+        if kind is InterpolationKind.SIMPLEX:
+            return self._simplex(base, res)
+        if self._numpy:
+            return self._multilinear_array(base, res)
+        return self._multilinear_list(base, res)
+
+    def _locate(self, x) -> tuple[int, list[float]]:
+        # locate_cell and then vertex_index of its base, in one loop
+        if len(x) != len(self._tops):
+            raise ValueError(f"expected {len(self._tops)} coordinates, got {len(x)}")
+        base = 0
+        res = []
+        for d, (v, top, sd) in enumerate(zip(x, self._tops, self._strides)):
+            v = float(v)
+            if not 0.0 <= v <= top:
+                raise ValueError(f"coordinate {v} outside [0, {top}] in dimension {d}")
+            b = int(v)
+            if b >= top:
+                b = top - 1
+            res.append(v - b)
+            base += b * sd
+        return base, res
+
+    def _list(self) -> list[float]:
+        if self._values is None:
+            self._values = self._theta.tolist()
+        return self._values
+
+    def _multilinear_list(self, base: int, res: list[float]) -> float:
+        w = [1.0]
+        for r in res:
+            far = [a * r for a in w]
+            w = [a - f for a, f in zip(w, far)] + far
+        values = self._list()
+        total = 0.0
+        for o, a in zip(self._offset_list, w):
+            total += values[base + o] * a
+        return total
+
+    def _multilinear_array(self, base: int, res: list[float]) -> float:
+        # cumsum adds left to right; adding 0.0 turns a -0.0 total into +0.0
+        w = np.empty(len(self._offsets))
+        w[0] = 1.0
+        for d, r in enumerate(res):
+            near, far = w[: 1 << d], w[1 << d : 2 << d]
+            np.multiply(near, r, out=far)
+            np.subtract(near, far, out=near)
+        vals = self._theta[base + self._offsets]
+        return float(np.cumsum(np.multiply(vals, w, out=vals))[-1] + 0.0)
+
+    def _simplex(self, base: int, res: list[float]) -> float:
+        # a stable sort: tied residuals keep ascending dimension order
+        values = self._list()
+        total = 0.0
+        prev = 1.0
+        idx = base
+        for d in sorted(range(len(res)), key=res.__getitem__, reverse=True):
+            r = res[d]
+            total += values[idx] * (prev - r)
+            idx += self._strides[d]
+            prev = r
+        return total + values[idx] * prev
 
 
 # --------------------------------------------------------------------------

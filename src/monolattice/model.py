@@ -6,11 +6,11 @@ shortest round-trip representation, so saving and loading reproduces every
 parameter bit for bit.
 
 ``Model.predict`` scores a batch through the batched calibrators and kernel.
-``Model.predict_row`` scores one row through the scalar calibrators, then
-the numpy row kernel for multilinear cells of ``ROW_NUMPY_MIN_VERTICES``
-vertices or more and the scalar kernels otherwise; both give the same bits.
-``theta`` is stored as a read-only float64 copy on every assignment, so the
-list form the scalar kernels read cannot fall out of date.
+``Model.predict_row`` scores one row through one path: the calibrators'
+``calibrate_row``, then the model's :class:`~.interpolation.RowPlan`, built
+by the first call and dropped whenever ``theta`` or ``shape`` is assigned.
+The two give the same bits.  ``theta`` is stored as a read-only float64 copy
+on every assignment, so the plan's view of it cannot fall out of date.
 """
 
 from __future__ import annotations
@@ -31,13 +31,11 @@ from .calibrators import (
     MissingPolicy,
     missing_vertex_dims,
 )
-from .interpolation import (
-    ROW_NUMPY_MIN_VERTICES,
-    InterpolationKind,
-    evaluate,
-    evaluate_batch,
-    evaluate_multilinear_row,
-)
+from .interpolation import InterpolationKind, RowPlan, evaluate_batch
+
+# The benchmark's span tracer (perfbench/spans.py) patches this name on this
+# module; predict_row runs the row plan, not the scalar kernels.
+from .interpolation import evaluate  # noqa: F401
 from .lattice import LatticeShape
 from .monotonicity import (
     Direction,
@@ -59,15 +57,17 @@ class Model:
     kind: InterpolationKind = InterpolationKind.MULTILINEAR
     loss: Loss = Loss.SQUARED
     metadata: dict = field(default_factory=dict)
-    # theta as a list for the scalar kernels; None until predict_row needs it
-    _theta_cache: list | None = field(default=None, init=False, repr=False, compare=False)
+    # predict_row's plan over theta and shape; None until predict_row needs it
+    _row_plan: RowPlan | None = field(default=None, init=False, repr=False, compare=False)
 
     def __setattr__(self, name, value):
-        # theta is a read-only float64 copy, so the list cache cannot go stale
+        # theta is a read-only float64 copy, so the plan cannot go stale
+        # unless theta or shape is assigned, which drops it
         if name == "theta":
             value = np.array(value, dtype=float)
             value.flags.writeable = False
-            object.__setattr__(self, "_theta_cache", None)
+        if name in ("theta", "shape"):
+            object.__setattr__(self, "_row_plan", None)
         object.__setattr__(self, name, value)
 
     def __eq__(self, other):
@@ -79,17 +79,13 @@ class Model:
     # ---- prediction
 
     def predict_row(self, row, kind: InterpolationKind | None = None) -> float:
-        """Score of one row, equal to :meth:`predict` bit for bit.  Large
-        multilinear cells go through the numpy row kernel, the rest through
-        the scalar kernels on the list form of theta."""
+        """Score of one row, equal to :meth:`predict` bit for bit: the row
+        is calibrated, then scored by the model's row plan."""
         x = self.calibrators.calibrate_row(row)
-        kind = kind or self.kind
-        large = 1 << self.shape.ndim >= ROW_NUMPY_MIN_VERTICES
-        if large and kind == InterpolationKind.MULTILINEAR:
-            return evaluate_multilinear_row(self.theta, self.shape, x)
-        if self._theta_cache is None:
-            self._theta_cache = self.theta.tolist()
-        return evaluate(self._theta_cache, self.shape, x, kind)
+        plan = self._row_plan
+        if plan is None:
+            plan = self._row_plan = RowPlan(self.theta, self.shape)
+        return plan.evaluate(x, kind or self.kind)
 
     def predict(self, data, kind: InterpolationKind | None = None) -> np.ndarray:
         """Scores of every row of ``data``, equal to :meth:`predict_row` bit

@@ -156,8 +156,9 @@ class TrainerState:
     plan: CalibrationPlan  # every side of ``data``, located once per run
     targets: np.ndarray  # float target per sample (1.0 for a pair)
     reg_terms: list[tuple[RegularizerConfig, TermSet]] = field(default_factory=list)
-    # the multilinear kernel's chunk arrays, kept for the whole run; clones
-    # share them, which is safe because workers run one after another
+    # the multilinear kernel's chunk arrays and the theta scatter's
+    # sample-major copies of them, kept for the whole run; clones share
+    # them, which is safe because workers run one after another
     buffers: ChunkBuffers = field(default_factory=ChunkBuffers, repr=False, compare=False)
 
     def clone(self) -> "TrainerState":
@@ -315,7 +316,18 @@ def loss_gradients(state: TrainerState, minibatch) -> tuple[np.ndarray, np.ndarr
             s[1::2] = -s[1::2]
         # a zero slope or a zero dfdx adds +-0.0 to a sum that starts at +0.0,
         # which leaves every bit as it is, so neither scatter needs a mask
-        np.add.at(g_theta, indices.ravel(), (s[:, None] * weights).ravel())
+        if indices.flags.c_contiguous:  # already sample-major: simplex, or one sample
+            products = s[:, None] * weights
+        else:
+            # the multilinear kernel's vertex-major buffers, transposed: write
+            # them sample-major into the run's own buffers, one pass each, so
+            # the ravels below are views, not fresh transposing copies
+            rows, k = indices.shape
+            flat = state.buffers.get("scatter_indices", rows, k, np.int64)
+            np.copyto(flat, indices)
+            indices = flat
+            products = np.multiply(s[:, None], weights, out=state.buffers.get("products", rows, k))
+        np.add.at(g_theta, indices.ravel(), products.ravel())
         if want:
             terms = (s[:, None] * dfdx).T[:, :, None] * sides.partials  # (D, n, 2)
             np.add.at(g_alpha, sides.positions.ravel(), terms.ravel())

@@ -6,10 +6,13 @@ from hypothesis import strategies as st
 from monolattice import (
     CalibratorSet,
     DataError,
+    Dataset,
     Direction,
     FeatureKind,
     FeatureSpec,
+    LatticeShape,
     MissingPolicy,
+    Model,
     fit_knots,
     max_infeasibility,
 )
@@ -102,6 +105,32 @@ class TestContinuousCalibrate:
         cal = build_continuous_calibrator(spec, np.array([0.0, 1.0]))
         with pytest.raises(DataError):
             cal.calibrate(float("nan"))
+
+    def test_knots_are_a_read_only_float_copy(self):
+        source = np.array([0, 1, 10])
+        cal = build_continuous_calibrator(cont_spec(keypoints=3), np.arange(11.0))
+        cal.knots = source
+        source[1] = 5
+        assert cal.knots.dtype == np.float64
+        assert cal.knots.tolist() == [0.0, 1.0, 10.0]
+        with pytest.raises(ValueError):
+            cal.knots[1] = 2.0
+        with pytest.raises(ValueError):
+            cal.knots += 1.0
+        assert cal.fork().knots is cal.knots
+
+    def test_reassigned_knots_move_every_row_path(self):
+        spec = cont_spec(keypoints=3)
+        cal = build_continuous_calibrator(spec, np.array([0.0, 1.0, 10.0]))
+        cal.outputs = np.array([0.0, 0.8, 1.0])
+        cals = CalibratorSet([spec], [cal])
+        model = Model([spec], LatticeShape([2]), np.array([0.0, 1.0]), cals)
+        before = (cal.calibrate(5.0), cals.calibrate_row([5.0])[0], model.predict_row([5.0]))
+        assert before == (pytest.approx(0.8 + (4.0 / 9.0) * 0.2),) * 3
+        cal.knots = np.array([0.0, 6.0, 10.0])
+        after = (cal.calibrate(5.0), cals.calibrate_row([5.0])[0], model.predict_row([5.0]))
+        assert after == (pytest.approx(0.8 * 5.0 / 6.0),) * 3
+        assert model.predict(Dataset([np.array([5.0])], None)).tolist() == [after[2]]
 
 
 class TestContinuousGradient:

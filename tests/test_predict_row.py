@@ -1,8 +1,12 @@
-"""Single-row prediction: the numpy row kernel for large multilinear cells,
-the scalar kernels for the rest, and the checks on the row itself."""
+"""Single-row prediction: the row plan, held against the batch path and the
+scalar kernels, and the checks on the row itself."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monolattice import (
     CalibratorSet,
@@ -22,11 +26,7 @@ from monolattice import (
 )
 from monolattice import interpolation
 from monolattice.bench import bench_interpolation
-from monolattice.interpolation import (
-    ROW_NUMPY_MIN_VERTICES,
-    _doubled_offsets,
-    evaluate_multilinear_row,
-)
+from monolattice.interpolation import ROW_NUMPY_MIN_VERTICES, RowPlan, _doubled_offsets
 
 
 def unit_model(sizes, kind=InterpolationKind.MULTILINEAR, seed=0):
@@ -105,18 +105,143 @@ class TestPredictEqualsPredictRow:
         assert_paths_agree(model, data)
 
 
+MAX_DRAWN_PARAMETERS = 1 << 12  # keeps a drawn lattice small enough to score quickly
+CATEGORIES = ["a", "b", "c", "d"]
+
+
+def _shrink(sizes):
+    # sizes of 3 or 4 that would take the lattice past MAX_DRAWN_PARAMETERS become 2
+    out, total = [], 1
+    for m in sizes:
+        m = m if total * m <= MAX_DRAWN_PARAMETERS else 2
+        out.append(m)
+        total *= m
+    return out
+
+
+@st.composite
+def features(draw, size):
+    """A feature spec on an axis of ``size`` vertices, and how to draw its
+    values: "knot", "below", "above", "inside", "missing" or "unseen"."""
+    missing = draw(st.sampled_from(
+        [MissingPolicy.NONE, MissingPolicy.CALIBRATED]
+        + ([MissingPolicy.VERTEX] if size >= 3 else [])
+    ))
+    value_kinds = ["missing"] if missing is not MissingPolicy.NONE else []
+    if draw(st.booleans()):
+        unseen = draw(st.booleans())
+        spec = FeatureSpec("f", kind=FeatureKind.CATEGORICAL, size=size, missing=missing,
+                           allow_unseen=unseen)
+        value_kinds += ["inside"] + (["unseen"] if unseen else [])
+    else:
+        spec = FeatureSpec("f", size=size, keypoints=draw(st.integers(2, 5)), missing=missing)
+        value_kinds += ["knot", "below", "above", "inside"]
+    return spec, value_kinds
+
+
+@st.composite
+def scored_models(draw):
+    """A model with random calibrator parameters and theta, and rows that
+    hit knots, the ends of the box, top faces, unseen and missing values."""
+    D = draw(st.integers(1, 10))
+    sizes = _shrink(draw(st.lists(st.integers(2, 4), min_size=D, max_size=D)))
+    drawn = [draw(features(m)) for m in sizes]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    specs = []
+    for d, (spec, _) in enumerate(drawn):
+        spec.name = f"f{d}"
+        specs.append(spec)
+    columns = [
+        list(rng.choice(CATEGORIES, 12)) if s.kind is FeatureKind.CATEGORICAL
+        else (rng.random(12) * 10.0 - 5.0).tolist()
+        for s in specs
+    ]
+    calibrators = CalibratorSet.fit(specs, columns, rng.random(12))
+    for spec, cal in zip(specs, calibrators.calibrators):
+        # random monotone parameters, some exactly on the axis ends
+        top = spec.axis_top
+        points = np.sort(rng.choice([0.0, top, *(rng.random(4) * top)], len(cal.points)))
+        if spec.kind is FeatureKind.CONTINUOUS:
+            points[0], points[-1] = 0.0, top
+        cal.points[:] = points
+        if spec.missing is MissingPolicy.CALIBRATED:
+            cal.missing_value = float(rng.choice([0.0, 1.0, rng.random()]) * (spec.size - 1))
+    shape = LatticeShape(sizes)
+    theta = rng.standard_normal(shape.num_parameters)
+    theta[rng.random(len(theta)) < draw(st.sampled_from([0.0, 0.5, 1.0]))] = -0.0
+    kind = draw(st.sampled_from(list(InterpolationKind)))
+    model = Model(specs=specs, shape=shape, theta=theta, calibrators=calibrators, kind=kind)
+    n = draw(st.integers(1, 12))
+    cols = []
+    for (spec, value_kinds), cal in zip(drawn, calibrators.calibrators):
+        col = []
+        for how in rng.choice(value_kinds, n):
+            if how == "missing":
+                col.append(None if rng.random() < 0.5 else math.nan)
+            elif how == "unseen":
+                col.append("never seen")
+            elif spec.kind is FeatureKind.CATEGORICAL:
+                col.append(str(rng.choice(cal.categories)))
+            else:
+                knots = cal.knots
+                col.append({
+                    "knot": float(rng.choice(knots)),
+                    "below": float(knots[0]) - rng.random(),
+                    "above": float(knots[-1]) + rng.random(),
+                    "inside": float(knots[0] + rng.random() * (knots[-1] - knots[0])),
+                }[how])
+        cols.append(col)
+    override = draw(st.sampled_from([None, "multilinear", InterpolationKind.SIMPLEX]))
+    return model, Dataset(cols, None), override
+
+
+def _outcome(score):
+    """A score's hex (-0.0 and 0.0 differ), or the message of its ValueError."""
+    try:
+        return score().hex()
+    except ValueError as e:
+        return f"error: {e}"
+
+
+class TestRowPathProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(scored_models())
+    def test_predict_row_equals_predict_and_the_scalar_oracle(self, drawn):
+        model, data, kind = drawn
+        theta, cals = model.theta.tolist(), model.calibrators
+        rows = [data.row(i) for i in range(data.num_rows)]
+        oracle = [
+            _outcome(lambda: evaluate(theta, model.shape, cals.calibrate_row(r), kind or model.kind))
+            for r in rows
+        ]
+        assert [_outcome(lambda: model.predict_row(r, kind)) for r in rows] == oracle
+        # a calibrated coordinate can round past the top of its axis; then
+        # every path reports the first such row alike
+        errors = [o for o in oracle if o.startswith("error")]
+        try:
+            batch = [v.hex() for v in model.predict(data, kind).tolist()]
+        except ValueError as e:
+            assert errors[:1] == [f"error: {e}"]
+        else:
+            assert batch == oracle
+
+
 class TestRowKernel:
     @pytest.mark.parametrize(
         "x", [[0.5] * 6 + [-0.5], [0.5] * 6 + [1.5], [0.5] * 6 + [np.nan], [0.5] * 6]
     )
     def test_errors_match_the_scalar_path(self, x):
-        shape = LatticeShape([2] * 7)
-        theta = np.random.default_rng(0).random(shape.num_parameters)
-        with pytest.raises(ValueError) as scalar:
-            evaluate(theta.tolist(), shape, x)
-        with pytest.raises(ValueError) as row:
-            evaluate_multilinear_row(theta, shape, x)
-        assert str(row.value) == str(scalar.value)
+        # a coordinate below or above the box, a NaN one, and a wrong width
+        for sizes in ([2] * 7, [3, 2, 2, 4, 2, 2, 2]):
+            shape = LatticeShape(sizes)
+            theta = np.random.default_rng(0).random(shape.num_parameters)
+            plan = RowPlan(theta, shape)
+            for kind in InterpolationKind:
+                with pytest.raises(ValueError) as scalar:
+                    evaluate(theta.tolist(), shape, x, kind)
+                with pytest.raises(ValueError) as row:
+                    plan.evaluate(x, kind)
+                assert str(row.value) == str(scalar.value)
 
     def test_out_of_box_error_matches_through_the_model(self):
         model = unit_model([2] * 7)
@@ -147,26 +272,39 @@ class TestRowKernel:
 class TestWhichKernelRuns:
     @pytest.fixture
     def scalar_calls(self, monkeypatch):
+        """Calls into the scalar weight functions and cell lookup, per kind."""
         calls = []
-        scalar = interpolation._WEIGHT_FNS[InterpolationKind.MULTILINEAR]
 
-        def counted(*args):
-            calls.append(1)
-            return scalar(*args)
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
 
-        monkeypatch.setitem(interpolation._WEIGHT_FNS, InterpolationKind.MULTILINEAR, counted)
+            return wrapper
+
+        for kind, fn in list(interpolation._WEIGHT_FNS.items()):
+            monkeypatch.setitem(interpolation._WEIGHT_FNS, kind, counted(kind.value, fn))
+        monkeypatch.setattr(interpolation, "locate_cell", counted("locate_cell", locate_cell))
         return calls
 
     def test_bench_times_the_scalar_kernel_at_d10(self, scalar_calls):
         bench_interpolation(
-            min_d=10, max_d=10, kinds=["multilinear"], target_time=1e-6, repeats=1, points=2
+            min_d=10, max_d=10, kinds=["multilinear", "simplex"], target_time=1e-6, repeats=1,
+            points=2,
         )
-        assert len(scalar_calls) >= 2
+        assert scalar_calls.count("multilinear") >= 2
+        assert scalar_calls.count("simplex") >= 2
+        assert scalar_calls.count("locate_cell") >= 4
 
-    @pytest.mark.parametrize("D", [6, 7, 10])
-    def test_only_small_cells_use_the_scalar_kernel(self, scalar_calls, D):
-        unit_model([2] * D).predict_row([0.3] * D)
-        assert len(scalar_calls) == (1 if 1 << D < ROW_NUMPY_MIN_VERTICES else 0)
+    @pytest.mark.parametrize("D", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
+    def test_predict_row_never_reaches_the_scalar_kernels(self, scalar_calls, D):
+        for kind in InterpolationKind:
+            model = unit_model([2] * D, kind=kind)
+            model.predict_row([0.3] * D)
+            model.predict_row([0.3] * D, kind="simplex")
+            model.predict_row([1.0] * D, kind="multilinear")
+        assert scalar_calls == []
+        # the list/numpy crossover of the multilinear row pass, measured
         assert ROW_NUMPY_MIN_VERTICES == 1 << 7
 
 
@@ -200,11 +338,24 @@ class TestTheta:
         assert not Model.load(tmp_path / "m.json").theta.flags.writeable
 
     def test_list_cache_is_not_a_field_of_the_model(self):
+        # the row plan holds theta's list form; it is neither shown nor set
         model = unit_model([2, 2])
         model.predict_row([0.5, 0.5])
-        assert "_theta_cache" not in repr(model)
+        assert model._row_plan is not None
+        assert "_row_plan" not in repr(model)
         with pytest.raises(TypeError):
-            Model(model.specs, model.shape, model.theta, model.calibrators, _theta_cache=[])
+            Model(model.specs, model.shape, model.theta, model.calibrators, _row_plan=None)
+
+    def test_assigning_theta_or_shape_drops_the_row_plan(self):
+        model = unit_model([2, 2])
+        model.predict_row([0.5, 0.5])
+        plan = model._row_plan
+        model.theta = model.theta
+        assert model._row_plan is None
+        model.predict_row([0.5, 0.5])
+        assert model._row_plan is not plan
+        model.shape = LatticeShape([2, 2])
+        assert model._row_plan is None
 
 
 class TestRowChecks:
@@ -231,6 +382,20 @@ class TestRowChecks:
         with pytest.raises(DataError, match=r"feature x1: 'abc' is not a number") as err:
             model.predict(data)
         assert err.value.row == 2
+
+    @pytest.mark.parametrize("text", ["nan", "NaN", "-nan"])
+    def test_nan_text_is_a_missing_value_on_both_paths(self, text):
+        spec = FeatureSpec("x", size=3, keypoints=3, missing=MissingPolicy.CALIBRATED)
+        cals = CalibratorSet.fit([spec], [np.linspace(0.0, 2.1, 9)])
+        model = Model([spec], LatticeShape([3]), np.array([0.0, 1.0, 3.0]), cals)
+        assert model.predict_row([text]) == model.predict(Dataset([[text]], None))[0] == 1.0
+        model.calibrators.calibrators[0].missing = MissingPolicy.NONE
+        message = "feature x: missing value but no missing policy"
+        with pytest.raises(DataError, match=message):
+            model.predict_row([text])
+        with pytest.raises(DataError, match=message) as err:
+            model.predict(Dataset([["0.5", text]], None))
+        assert err.value.row == 1
 
     def test_training_names_the_row(self):
         rng = np.random.default_rng(3)

@@ -33,5 +33,7 @@ def test_tracer_records_training_and_prediction_spans():
         model.predict_row([0.3, 0.6])
     assert training.sgd_step is original
     summary = tracer.summary()
-    for name in ("training.sgd_step", "monotonicity.project_update.theta", "interpolation.evaluate"):
+    # predict_row crosses calibrate_row; its row plan runs no patched kernel
+    for name in ("training.sgd_step", "monotonicity.project_update.theta",
+                 "calibrators.calibrate_row"):
         assert summary[name]["calls"] > 0, name
