@@ -18,9 +18,10 @@ Batch calibration has three parts.  *Locate* depends only on the values
 and the fixed knots or categories: per value it finds two indices into a
 flat table of parameters, a fraction t and an inner flag (a
 :class:`Location`).  *Apply* reads the current parameters: ``x = P[lo]``,
-and on inner entries ``x = (1 - t) * P[lo] + t * P[hi]``, the formula of
-``calibrate``.  Table P holds every feature's outputs or values, each
-followed by its missing coordinate, so one gather calibrates all features.
+and on inner entries ``x = (1 - t) * P[lo] + t * P[hi]`` capped at the axis
+top, the formula of ``calibrate``.  Table P holds every feature's outputs or
+values, each followed by its missing coordinate, so one gather calibrates all
+features.
 The *gradient layout* of a value is apply's derivative, 1 - t at ``lo`` and
 t at ``hi``, mapped through the set's free map: the position in alpha (the
 free parameters) of each table entry, or -1 for a fixed one.  It follows
@@ -218,7 +219,9 @@ class ContinuousCalibrator:
             return float(outputs[-1])
         j = bisect_right(knots, x) - 1
         t = (x - knots[j]) / (knots[j + 1] - knots[j])
-        return (1.0 - t) * outputs.item(j) + t * outputs.item(j + 1)
+        x = (1.0 - t) * outputs.item(j) + t * outputs.item(j + 1)
+        top = self.axis_top  # with both outputs at the top, x can round past it
+        return x if x <= top else top
 
     def gradient(self, raw) -> list[tuple[int, float]]:
         """Partials of calibrate(raw) w.r.t. the free parameters (sparse)."""
@@ -587,6 +590,7 @@ class CalibratorSet:
                 block[0] = block[-2] = False  # the pinned end outputs
             free += block
         self.num_free = total
+        self._tops = np.array([cal.axis_top for cal in calibrators])
         # per table entry its alpha position, -1 where the entry is fixed
         free = np.array(free, dtype=bool)
         self.free_position = np.where(free, np.cumsum(free) - 1, -1)
@@ -701,10 +705,12 @@ class CalibratorSet:
         )
 
     def apply(self, location: Location) -> np.ndarray:
-        """Coordinates (n, D) of located rows under the current parameters."""
+        """Coordinates (n, D) of located rows under the current parameters;
+        inner values are capped at their axis tops, as in ``calibrate``."""
         table, t = self.table(), location.t
         at_lo = table[location.lo]
-        return np.where(location.inner, (1.0 - t) * at_lo + t * table[location.hi], at_lo)
+        inner = np.minimum((1.0 - t) * at_lo + t * table[location.hi], self._tops)
+        return np.where(location.inner, inner, at_lo)
 
     def calibrate_batch(self, columns):
         """:meth:`calibrate_row` and :meth:`row_gradients` over whole columns:

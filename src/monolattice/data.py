@@ -8,6 +8,15 @@ a configurable token (empty cell by default) marks missing values.
 Ranking data comes in two layouts: one row per pair with per-feature column
 suffixes ``+`` and ``-``, or two rows per pair sharing a pair-id column with
 the label column marking the preferred row.
+
+Files are loaded a column at a time.  The records are read in one pass,
+their widths checked together, and transposed once; blank lines are skipped
+but counted in line numbers.  Every column the schema reads must appear
+once in the header.  A continuous or label column is parsed by one
+``float`` per cell into one array (NaN for the missing token), and only a
+failure scans the column again, for the first bad cell.  Two-row pairs are
+grouped from the pair-id and label columns alone; each feature column is
+parsed once and split into its two sides by index.
 """
 
 from __future__ import annotations
@@ -116,42 +125,73 @@ class PairDataset:
         return out
 
 
-def _read_rows(path) -> tuple[list[str], list[list[str]]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected a header row") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
+class _Table:
+    """A CSV file's header and cells, column by column.
+
+    The records are read in one pass and transposed once; blank lines are
+    skipped but still count in the line numbers of errors.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file, expected a header row") from None
+            rows = list(reader)
+        width = len(header)
+        widths = set(map(len, rows))
+        if widths - {width, 0}:
+            for lineno, row in enumerate(rows, start=2):
+                if row and len(row) != width:
+                    raise DataError(f"{path}:{lineno}: {len(row)} cells, header has {width}")
+        if 0 in widths:
+            rows = [row for row in rows if row]
+        self.cells = list(zip(*rows)) if rows else [()] * width
+        self.header = [h.strip() for h in header]
+        self.index = {name: i for i, name in enumerate(self.header)}
+
+    def __contains__(self, name: str) -> bool:
+        return name in self.index
+
+    def column(self, name: str) -> tuple:
+        """The cells of the column named ``name``, which must be present
+        exactly once."""
+        if self.header.count(name) > 1:
+            raise DataError(f"{self.path}: column {name!r} appears more than once in the header")
+        return self.cells[self.index[name]]
+
+
+def _floats(cells: tuple, missing_token: str | None = None) -> np.ndarray:
+    """``float`` of every cell, NaN for ``missing_token``; raises ValueError."""
+    texts = cells
+    if missing_token is not None and missing_token in cells:
+        texts = map({missing_token: "nan"}.get, cells, cells)
+    return np.fromiter(map(float, texts), float, count=len(cells))
+
+
+def _parse_column(spec: FeatureSpec, cells: tuple, missing_token: str, where: str, order=None):
+    """A continuous feature's cells as floats (NaN = missing), a categorical
+    one's as a list of str or None.  A bad cell raises for the first one in
+    ``order`` (row indices; file order by default)."""
+    if spec.kind is not FeatureKind.CONTINUOUS:
+        if missing_token not in cells:
+            return list(cells)
+        return [None if cell == missing_token else cell for cell in cells]
+    try:
+        return _floats(cells, missing_token)
+    except ValueError:
+        for cell in cells if order is None else map(cells.__getitem__, order):
+            try:
+                if cell != missing_token:
+                    float(cell)
+            except ValueError:
                 raise DataError(
-                    f"{path}:{lineno}: {len(row)} cells, header has {len(header)}"
-                )
-            rows.append(row)
-    return [h.strip() for h in header], rows
-
-
-def _parse_column(
-    spec: FeatureSpec, cells: list[str], missing_token: str, where: str
-):
-    if spec.kind is FeatureKind.CONTINUOUS:
-        out = np.empty(len(cells))
-        for i, cell in enumerate(cells):
-            if cell == missing_token:
-                out[i] = np.nan
-            else:
-                try:
-                    out[i] = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{where}: feature {spec.name}: {cell!r} is not a number"
-                    ) from None
-        return out
-    return [None if cell == missing_token else cell for cell in cells]
+                    f"{where}: feature {spec.name}: {cell!r} is not a number"
+                ) from None
+        raise
 
 
 def load_dataset(
@@ -161,19 +201,17 @@ def load_dataset(
     missing_token: str = "",
     require_labels: bool = False,
 ) -> Dataset:
-    header, rows = _read_rows(path)
-    index = {name: i for i, name in enumerate(header)}
+    table = _Table(path)
     columns = []
     for spec in specs:
-        if spec.name not in index:
+        if spec.name not in table:
             raise DataError(f"{path}: no column for feature {spec.name!r}")
-        cells = [r[index[spec.name]] for r in rows]
-        columns.append(_parse_column(spec, cells, missing_token, str(path)))
+        columns.append(_parse_column(spec, table.column(spec.name), missing_token, str(path)))
     labels = None
-    if label_column is not None and label_column in index:
-        raw = [r[index[label_column]] for r in rows]
+    if label_column is not None and label_column in table:
+        cells = table.column(label_column)
         try:
-            labels = np.array([float(v) for v in raw])
+            labels = _floats(cells)
         except ValueError:
             raise DataError(f"{path}: label column {label_column!r} is not numeric") from None
     if require_labels and labels is None:
@@ -189,8 +227,7 @@ def load_pair_dataset(
     missing_token: str = "",
 ) -> PairDataset:
     """Ranking pairs; column-suffix layout unless a pair-id column is given."""
-    header, rows = _read_rows(path)
-    index = {name: i for i, name in enumerate(header)}
+    table = _Table(path)
     where = str(path)
 
     if pair_id_column is None:
@@ -198,52 +235,46 @@ def load_pair_dataset(
         for spec in specs:
             for suffix, cols in (("+", plus_cols), ("-", minus_cols)):
                 name = spec.name + suffix
-                if name not in index:
+                if name not in table:
                     raise DataError(f"{path}: no column {name!r} for feature {spec.name!r}")
-                cols.append(
-                    _parse_column(
-                        spec, [r[index[name]] for r in rows], missing_token, where
-                    )
-                )
+                cols.append(_parse_column(spec, table.column(name), missing_token, where))
         return PairDataset(plus_cols, minus_cols)
 
-    if pair_id_column not in index:
+    if pair_id_column not in table:
         raise DataError(f"{path}: pair-id column {pair_id_column!r} not found")
-    if label_column is None or label_column not in index:
+    if label_column is None or label_column not in table:
         raise DataError(
             f"{path}: two-row pair data needs a label column marking the preferred row"
         )
-    groups: dict[str, list[list[str]]] = {}
-    order: list[str] = []
-    for r in rows:
-        key = r[index[pair_id_column]]
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(r)
-    plus_rows, minus_rows = [], []
-    for key in order:
-        group = groups[key]
+    keys, marks = table.column(pair_id_column), table.column(label_column)
+    groups: dict[str, list[int]] = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    plus, minus = [], []
+    for key, group in groups.items():
         if len(group) != 2:
             raise DataError(f"{path}: pair {key!r} has {len(group)} rows, expected 2")
-        labels = [g[index[label_column]] for g in group]
+        labels = [marks[i] for i in group]
         if sorted(labels) != ["0", "1"]:
             raise DataError(
                 f"{path}: pair {key!r} labels {labels} must be exactly one 1 and one 0"
             )
-        winner = group[0] if labels[0] == "1" else group[1]
-        loser = group[1] if labels[0] == "1" else group[0]
-        plus_rows.append(winner)
-        minus_rows.append(loser)
+        winner, loser = group if labels[0] == "1" else group[::-1]
+        plus.append(winner)
+        minus.append(loser)
+    # each feature is parsed once; a bad cell is reported for the first
+    # preferred row that has one, then for the first other row
+    order = plus + minus
+    plus_at, minus_at = np.array(plus, dtype=np.intp), np.array(minus, dtype=np.intp)
     plus_cols, minus_cols = [], []
     for spec in specs:
-        if spec.name not in index:
+        if spec.name not in table:
             raise DataError(f"{path}: no column for feature {spec.name!r}")
-        col = index[spec.name]
-        plus_cols.append(
-            _parse_column(spec, [r[col] for r in plus_rows], missing_token, where)
-        )
-        minus_cols.append(
-            _parse_column(spec, [r[col] for r in minus_rows], missing_token, where)
-        )
+        values = _parse_column(spec, table.column(spec.name), missing_token, where, order)
+        if isinstance(values, np.ndarray):
+            plus_cols.append(values[plus_at])
+            minus_cols.append(values[minus_at])
+        else:
+            plus_cols.append(list(map(values.__getitem__, plus)))
+            minus_cols.append(list(map(values.__getitem__, minus)))
     return PairDataset(plus_cols, minus_cols)

@@ -12,11 +12,22 @@ before it averaged over components stay as agreement oracles:
 ``reference_array_walk`` is the array scan in which every pass recomputes
 slack, rate and norm and the repair scans the rows twice.  Neither repairs
 the result of a zero step.
+
+``reference_load_dataset`` and ``reference_load_pair_dataset`` are the
+per-cell CSV loader: records checked one at a time, each column rebuilt from
+the rows, each float stored on its own, and two-row pairs grouped as row
+lists that are parsed once per side.  The columnar loader in ``data`` must
+give the same arrays byte for byte, the same lists and the same
+``DataError`` messages.
 """
+
+import csv
 
 import numpy as np
 
 from monolattice import PairDataset, evaluate_with_gradients, loss_slope
+from monolattice.calibrators import DataError, FeatureKind
+from monolattice.data import Dataset
 from monolattice.monotonicity import (
     _FEASIBLE_INPUT_TOL,
     _HIT_TOL,
@@ -271,3 +282,125 @@ def reference_component_walk(theta, step, constraints, *, return_active=False):
         direction = np.array([sums[label[node]] / counts[label[node]] for node in range(ground)])
     reference_remove_roundoff(th, constraints)
     return (th, active) if return_active else th
+
+
+def _reference_read_rows(path):
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file, expected a header row") from None
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataError(
+                    f"{path}:{lineno}: {len(row)} cells, header has {len(header)}"
+                )
+            rows.append(row)
+    return [h.strip() for h in header], rows
+
+
+def _reference_parse_column(spec, cells, missing_token, where):
+    if spec.kind is FeatureKind.CONTINUOUS:
+        out = np.empty(len(cells))
+        for i, cell in enumerate(cells):
+            if cell == missing_token:
+                out[i] = np.nan
+            else:
+                try:
+                    out[i] = float(cell)
+                except ValueError:
+                    raise DataError(
+                        f"{where}: feature {spec.name}: {cell!r} is not a number"
+                    ) from None
+        return out
+    return [None if cell == missing_token else cell for cell in cells]
+
+
+def reference_load_dataset(
+    path, specs, label_column=None, missing_token="", require_labels=False
+):
+    header, rows = _reference_read_rows(path)
+    index = {name: i for i, name in enumerate(header)}
+    columns = []
+    for spec in specs:
+        if spec.name not in index:
+            raise DataError(f"{path}: no column for feature {spec.name!r}")
+        cells = [r[index[spec.name]] for r in rows]
+        columns.append(_reference_parse_column(spec, cells, missing_token, str(path)))
+    labels = None
+    if label_column is not None and label_column in index:
+        raw = [r[index[label_column]] for r in rows]
+        try:
+            labels = np.array([float(v) for v in raw])
+        except ValueError:
+            raise DataError(f"{path}: label column {label_column!r} is not numeric") from None
+    if require_labels and labels is None:
+        raise DataError(f"{path}: label column {label_column!r} not found")
+    return Dataset(columns, labels)
+
+
+def reference_load_pair_dataset(
+    path, specs, pair_id_column=None, label_column=None, missing_token=""
+):
+    header, rows = _reference_read_rows(path)
+    index = {name: i for i, name in enumerate(header)}
+    where = str(path)
+
+    if pair_id_column is None:
+        plus_cols, minus_cols = [], []
+        for spec in specs:
+            for suffix, cols in (("+", plus_cols), ("-", minus_cols)):
+                name = spec.name + suffix
+                if name not in index:
+                    raise DataError(f"{path}: no column {name!r} for feature {spec.name!r}")
+                cols.append(
+                    _reference_parse_column(
+                        spec, [r[index[name]] for r in rows], missing_token, where
+                    )
+                )
+        return PairDataset(plus_cols, minus_cols)
+
+    if pair_id_column not in index:
+        raise DataError(f"{path}: pair-id column {pair_id_column!r} not found")
+    if label_column is None or label_column not in index:
+        raise DataError(
+            f"{path}: two-row pair data needs a label column marking the preferred row"
+        )
+    groups = {}
+    order = []
+    for r in rows:
+        key = r[index[pair_id_column]]
+        if key not in groups:
+            groups[key] = []
+            order.append(key)
+        groups[key].append(r)
+    plus_rows, minus_rows = [], []
+    for key in order:
+        group = groups[key]
+        if len(group) != 2:
+            raise DataError(f"{path}: pair {key!r} has {len(group)} rows, expected 2")
+        labels = [g[index[label_column]] for g in group]
+        if sorted(labels) != ["0", "1"]:
+            raise DataError(
+                f"{path}: pair {key!r} labels {labels} must be exactly one 1 and one 0"
+            )
+        winner = group[0] if labels[0] == "1" else group[1]
+        loser = group[1] if labels[0] == "1" else group[0]
+        plus_rows.append(winner)
+        minus_rows.append(loser)
+    plus_cols, minus_cols = [], []
+    for spec in specs:
+        if spec.name not in index:
+            raise DataError(f"{path}: no column for feature {spec.name!r}")
+        col = index[spec.name]
+        plus_cols.append(
+            _reference_parse_column(spec, [r[col] for r in plus_rows], missing_token, where)
+        )
+        minus_cols.append(
+            _reference_parse_column(spec, [r[col] for r in minus_rows], missing_token, where)
+        )
+    return PairDataset(plus_cols, minus_cols)

@@ -335,6 +335,53 @@ class TestErrors:
         assert not (tmp_path / "m.json").exists()
 
 
+class TestDataErrors:
+    """Bad data files exit 2 with a message that says where."""
+
+    def train_on(self, ws, lines, *extra):
+        (ws / "bad.csv").write_text("".join(line + "\n" for line in lines))
+        return main([
+            "train",
+            "--data", str(ws / "bad.csv"),
+            "--schema", str(ws / "schema.json"),
+            "--out", str(ws / "m.json"),
+            *extra,
+        ])
+
+    def test_short_row_names_the_line_counting_blank_ones(self, workspace, capsys):
+        lines = ["price,rating,y", "1.0,2.0,0.5", "", "", "3.0,0.5"]
+        assert self.train_on(workspace, lines) == 2
+        assert f"error: {workspace / 'bad.csv'}:5: 2 cells, header has 3" in capsys.readouterr().err
+
+    def test_non_number_names_the_feature_and_the_file(self, workspace, capsys):
+        lines = ["price,rating,y", "1.0,2.0,0.5", "1.0,cheap,0.5"]
+        assert self.train_on(workspace, lines) == 2
+        err = capsys.readouterr().err
+        assert f"error: {workspace / 'bad.csv'}: feature rating: 'cheap' is not a number" in err
+
+    def test_label_that_is_not_numeric(self, workspace, capsys):
+        lines = ["price,rating,y", "1.0,2.0,0.5", "1.0,2.0,high"]
+        assert self.train_on(workspace, lines) == 2
+        assert f"{workspace / 'bad.csv'}: label column 'y' is not numeric" in capsys.readouterr().err
+
+    def test_duplicated_header(self, workspace, capsys):
+        lines = ["price,rating,price,y", "1.0,2.0,5.0,0.5"]
+        assert self.train_on(workspace, lines) == 2
+        err = capsys.readouterr().err
+        assert f"{workspace / 'bad.csv'}: column 'price' appears more than once" in err
+
+    @pytest.mark.parametrize("rows, message", [
+        (["a,1,0.5", "a,0,0.2", "a,0,0.1"], "pair 'a' has 3 rows, expected 2"),
+        (["a,1,0.5", "a,1,0.2"], "pair 'a' labels ['1', '1'] must be exactly one 1 and one 0"),
+    ])
+    def test_broken_two_row_pair(self, tmp_path, capsys, rows, message):
+        schema = {"label": "won", "features": [{"name": "score"}]}
+        (tmp_path / "schema.json").write_text(json.dumps(schema))
+        lines = ["match,won,score", "b,1,0.9", "b,0,0.3", *rows]
+        assert self.train_on(tmp_path, lines, "--pair-id", "match") == 2
+        assert f"error: {tmp_path / 'bad.csv'}: {message}" in capsys.readouterr().err
+
+
 class TestRanking:
     def make_suffix_pairs(self, tmp_path, n=200, seed=3):
         rng = np.random.default_rng(seed)

@@ -85,6 +85,23 @@ class TestPredictEqualsPredictRow:
         assert_paths_agree(unit_model([2] * D), data, kind="simplex")
         assert_paths_agree(unit_model([2] * D, kind=InterpolationKind.SIMPLEX), data)
 
+    def test_values_between_two_top_outputs_stay_on_the_axis(self):
+        # (1 - t) * 3 + t * 3 rounds to 3.0000000000000004 for some t in (0, 1)
+        specs = [FeatureSpec("x", size=4, keypoints=3, bounds=(0.0, 2.1))]
+        rng = np.random.default_rng(5)
+        model = Model(
+            specs=specs,
+            shape=LatticeShape([4]),
+            theta=rng.random(4),
+            calibrators=CalibratorSet.fit(specs, [rng.random(8)]),
+        )
+        cal = model.calibrators.calibrators[0]
+        cal.knots = [0.0, 1.05, 2.1]
+        cal.outputs = np.array([0.0, 3.0, 3.0])
+        data = Dataset([rng.uniform(1.05, 2.1, 10_000)], None)
+        assert_paths_agree(model, data)
+        assert max(cal.calibrate(v) for v in data.columns[0]) == 3.0
+
     @pytest.mark.parametrize("D", [4, 8])
     def test_missing_vertex_and_categorical_features(self, D):
         rng = np.random.default_rng(D)
