@@ -14,6 +14,17 @@ Missing values are handled per feature, either by learning the axis value to
 impute (``calibrated``) or by reserving the top lattice slice as a dedicated
 missing vertex and rescaling real values to [0, M_d - 2] (``vertex``).
 
+Single-row calibration (``CalibratorSet.calibrate_row``, behind
+``Model.predict_row``) reads each calibrator's *row entry*: the plain Python
+values ``calibrate`` needs (knots and outputs, or the category lookup and
+values, as lists; the axis top or the OTHER index; the missing coordinate),
+built on first use and dropped by any attribute assignment.  So that the
+entry cannot go stale, ``outputs`` and ``values`` are read-only views, like
+``knots``: assign a new array to change them.  Only ``set_free_parameters``
+and ``CalibratorSet.set_alpha`` write the storage behind them in place, and
+they drop the entry too.  Each calibrator's ``calibrate`` is the scalar
+oracle of that path.
+
 Batch calibration has three parts.  *Locate* depends only on the values
 and the fixed knots or categories: per value it finds two indices into a
 flat table of parameters, a fraction t and an inner flag (a
@@ -134,6 +145,33 @@ def _locate_missing(cal, missing: np.ndarray, slot: int, lo) -> None:
         lo[missing] = slot
 
 
+def _row_missing(cal) -> float | None:
+    """The missing coordinate of ``cal``'s row entry; None where ``calibrate``
+    raises for a missing value, which ``calibrate_row`` then leaves to it."""
+    try:
+        return _missing_coordinate(cal)
+    except (TypeError, ValueError):
+        return None
+
+
+def _own_points(cal, value) -> np.ndarray:
+    """Store a float64 copy of ``value`` as ``cal``'s parameter storage and
+    return a read-only view of it for the public attribute."""
+    points = np.array(value, dtype=float)
+    object.__setattr__(cal, "_points", points)
+    view = points.view()
+    view.flags.writeable = False
+    return view
+
+
+def _fork(cal):
+    """``copy.copy(cal)`` without the reduce protocol's overhead: the
+    calibrator's ``__setstate__`` gives the copy its own parameter storage."""
+    out = object.__new__(type(cal))
+    out.__setstate__(cal.__dict__)
+    return out
+
+
 # --------------------------------------------------------------------------
 # knot placement
 
@@ -175,13 +213,19 @@ class ContinuousCalibrator:
     name: str = ""  # the feature's, for error messages
 
     def __setattr__(self, name, value):
-        # knots are a read-only float64 copy, so the list that calibrate
-        # bisects cannot go stale unless they are assigned, which remakes it
+        # knots are a read-only float64 copy and outputs a read-only view of
+        # private storage, so the list that calibrate bisects and the row
+        # entry cannot go stale unless an attribute is assigned: knots remake
+        # the list, and every assignment drops the entry
         if name == "knots":
             value = np.array(value, dtype=float)
             value.flags.writeable = False
             object.__setattr__(self, "_knot_list", value.tolist())
+        elif name == "outputs":
+            value = _own_points(self, value)
         object.__setattr__(self, name, value)
+        if name != "_row":
+            object.__setattr__(self, "_row", None)
 
     @property
     def num_free(self) -> int:
@@ -199,9 +243,20 @@ class ContinuousCalibrator:
     def set_free_parameters(self, vals) -> None:
         vals = np.asarray(vals, dtype=float)
         k = max(len(self.outputs) - 2, 0)
-        self.outputs[1:-1] = vals[:k]
+        self._points[1:-1] = vals[:k]
         if self.missing is MissingPolicy.CALIBRATED:
             self.missing_value = float(vals[k])
+        self._row = None
+
+    def _row_entry(self) -> tuple:
+        """This calibrator's row entry, stored until an assignment drops it:
+        knots and outputs as lists, the axis top, the missing coordinate (or
+        None) and the two end knots."""
+        knots = self._knot_list
+        entry = (knots, self.outputs.tolist(), self.axis_top, _row_missing(self),
+                 knots[0], knots[-1])
+        self._row = entry
+        return entry
 
     def calibrate(self, raw) -> float:
         if is_missing(raw):
@@ -245,11 +300,14 @@ class ContinuousCalibrator:
     def points(self) -> np.ndarray:
         return self.outputs
 
+    def __setstate__(self, state):
+        # a copied or unpickled calibrator gets its own storage behind outputs
+        self.__dict__.update(state)
+        self.outputs = self._points
+
     def fork(self) -> "ContinuousCalibrator":
         """A calibrator sharing the knots, with its own outputs."""
-        out = copy.copy(self)
-        out.outputs = self.outputs.copy()
-        return out
+        return _fork(self)
 
     def locate(self, column):
         """The parameter-free half of :meth:`calibrate`.
@@ -297,8 +355,17 @@ class CategoricalCalibrator:
     order_pairs: list[tuple[str, str]] = field(default_factory=list)
     name: str = ""  # the feature's, for error messages
 
-    def __post_init__(self):
-        self._lookup = {c: i for i, c in enumerate(self.categories)}
+    def __setattr__(self, name, value):
+        # as ContinuousCalibrator's: values are a read-only view of private
+        # storage, categories remake the lookup, and every assignment drops
+        # the row entry
+        if name == "values":
+            value = _own_points(self, value)
+        elif name == "categories":
+            object.__setattr__(self, "_lookup", {c: i for i, c in enumerate(value)})
+        object.__setattr__(self, name, value)
+        if name != "_row":
+            object.__setattr__(self, "_row", None)
 
     @property
     def num_free(self) -> int:
@@ -315,9 +382,19 @@ class CategoricalCalibrator:
 
     def set_free_parameters(self, vals) -> None:
         vals = np.asarray(vals, dtype=float)
-        self.values[:] = vals[: len(self.values)]
+        self._points[:] = vals[: len(self.values)]
         if self.missing is MissingPolicy.CALIBRATED:
             self.missing_value = float(vals[len(self.values)])
+        self._row = None
+
+    def _row_entry(self) -> tuple:
+        """This calibrator's row entry, laid out as the continuous one's:
+        the lookup, the values as a list, the OTHER index, the missing
+        coordinate (or None), and None twice where the end knots would be."""
+        entry = (self._lookup, self.values.tolist(), self.other_index, _row_missing(self),
+                 None, None)
+        self._row = entry
+        return entry
 
     def _index(self, raw) -> int:
         i = self._lookup.get(str(raw))
@@ -341,11 +418,14 @@ class CategoricalCalibrator:
     def points(self) -> np.ndarray:
         return self.values
 
+    def __setstate__(self, state):
+        # a copied or unpickled calibrator gets its own storage behind values
+        self.__dict__.update(state)
+        self.values = self._points
+
     def fork(self) -> "CategoricalCalibrator":
         """A calibrator sharing categories and lookup, with its own values."""
-        out = copy.copy(self)
-        out.values = self.values.copy()
-        return out
+        return _fork(self)
 
     def locate(self, column):
         """The parameter-free half of :meth:`calibrate`, laid out as
@@ -632,9 +712,10 @@ class CalibratorSet:
             raise ValueError(f"expected {self.num_free} calibrator parameters")
         for i, inner, start, stop, missing in self._alpha_blocks:
             cal = self.calibrators[i]
-            cal.points[inner] = vec[start:stop]
+            cal._points[inner] = vec[start:stop]
             if missing is not None:
                 cal.missing_value = float(vec[missing])
+            cal._row = None
 
     def _check_width(self, count: int, unit: str) -> None:
         if count != len(self.calibrators):
@@ -643,8 +724,46 @@ class CalibratorSet:
             )
 
     def calibrate_row(self, row) -> list[float]:
-        self._check_width(len(row), "values")
-        return [cal.calibrate(v) for cal, v in zip(self.calibrators, row)]
+        """The coordinates of one row, equal to each calibrator's
+        ``calibrate`` bit for bit, from the calibrators' row entries.  A
+        value the entry cannot place (missing without a coordinate, not a
+        number, an unknown category) is handed to ``calibrate``, which
+        raises its error, so the first bad value of the row is reported."""
+        cals = self.calibrators
+        if len(row) != len(cals):
+            self._check_width(len(row), "values")
+        out = []
+        for cal, raw in zip(cals, row):
+            # continuous: knot list, outputs, axis top, missing, end knots;
+            # categorical: lookup, values, OTHER index, missing, None, None
+            keys, points, top, missing, first, last = cal._row or cal._row_entry()
+            if first is None:
+                if raw is None or isinstance(raw, float) and raw != raw:
+                    x = missing
+                else:
+                    i = keys.get(str(raw), top)
+                    x = None if i is None else points[i]
+            elif raw is None:
+                x = missing
+            else:
+                try:
+                    x = float(raw)
+                except (TypeError, ValueError):
+                    x = None
+                else:
+                    if x != x:  # NaN, also as text
+                        x = missing
+                    elif x <= first:
+                        x = points[0]
+                    elif x >= last:
+                        x = points[-1]
+                    else:
+                        j = bisect_right(keys, x) - 1
+                        t = (x - keys[j]) / (keys[j + 1] - keys[j])
+                        x = (1.0 - t) * points[j] + t * points[j + 1]
+                        x = x if x <= top else top
+            out.append(cal.calibrate(raw) if x is None else x)
+        return out
 
     def row_gradients(self, row) -> list[list[tuple[int, float]]]:
         """Per feature: (global alpha position, partial) pairs for this row."""
@@ -711,19 +830,6 @@ class CalibratorSet:
         at_lo = table[location.lo]
         inner = np.minimum((1.0 - t) * at_lo + t * table[location.hi], self._tops)
         return np.where(location.inner, inner, at_lo)
-
-    def calibrate_batch(self, columns):
-        """:meth:`calibrate_row` and :meth:`row_gradients` over whole columns:
-        :meth:`locate`, then :meth:`apply`, then :meth:`plan`.
-
-        Returns coordinates (n, D) and, per feature, global alpha positions
-        (n, 2) (-1 = no entry) and their partials (n, 2), all equal to the
-        row-wise results.
-        """
-        location = self.locate(columns)
-        x = self.apply(location)
-        plan = self.plan(location)
-        return x, list(zip(plan.positions, plan.partials))
 
     def constraints(self) -> ConstraintSet:
         """Nondecreasing chains, declared category orders, and box bounds."""

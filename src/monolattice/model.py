@@ -7,10 +7,14 @@ parameter bit for bit.
 
 ``Model.predict`` scores a batch through the batched calibrators and kernel.
 ``Model.predict_row`` scores one row through one path: the calibrators'
-``calibrate_row``, then the model's :class:`~.interpolation.RowPlan`, built
-by the first call and dropped whenever ``theta`` or ``shape`` is assigned.
-The two give the same bits.  ``theta`` is stored as a read-only float64 copy
-on every assignment, so the plan's view of it cannot fall out of date.
+``calibrate_row``, which reads each calibrator's cached row entry (its
+parameters as lists), then the model's :class:`~.interpolation.RowPlan`,
+built by the first call and dropped whenever ``theta`` or ``shape`` is
+assigned.  The two give the same bits.  ``theta`` is stored as a read-only
+float64 copy on every assignment, so the plan's view of it cannot fall out
+of date; the calibrators' ``knots``, ``outputs`` and ``values`` are
+read-only too, and a calibrator drops its row entry whenever one of its
+attributes is assigned or ``set_alpha`` writes its parameters.
 """
 
 from __future__ import annotations

@@ -4,6 +4,11 @@
 kernels (``evaluate_with_gradients``, ``calibrate_row``, ``row_gradients``);
 the batched ``loss_gradients`` must equal it bit for bit.
 
+``reference_calibrate_batch`` runs batch calibration (``locate``, ``apply``,
+``plan``) and returns the coordinates and each feature's gradient layout,
+which tests hold against ``calibrate_row``, ``row_gradients`` and the
+calibrators' scalar methods.
+
 ``reference_component_walk`` scans one constraint row at a time and keeps
 the active rows' connected components in a dict; ``project_update`` must
 equal it bit for bit.  The two Gram-Schmidt walks ``project_update`` used
@@ -71,6 +76,19 @@ def reference_loss_gradients(state, minibatch):
                     for pos, partial in per_feature:
                         g_alpha[pos] += s * dfdx[d] * partial
     return g_theta, g_alpha
+
+
+def reference_calibrate_batch(cs, columns):
+    """``cs.calibrate_row`` and ``cs.row_gradients`` over whole columns: locate,
+    then apply, then plan.
+
+    Returns coordinates (n, D) and, per feature, global alpha positions
+    (n, 2) (-1 = no entry) and their partials (n, 2).
+    """
+    location = cs.locate(columns)
+    x = cs.apply(location)
+    plan = cs.plan(location)
+    return x, list(zip(plan.positions, plan.partials))
 
 
 def reference_project_update(theta, step, constraints, *, return_active=False):

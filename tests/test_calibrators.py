@@ -24,6 +24,8 @@ from monolattice.calibrators import (
     build_continuous_calibrator,
 )
 
+from scalar_reference import reference_calibrate_batch
+
 
 def cont_spec(**kw):
     base = dict(name="f", kind=FeatureKind.CONTINUOUS, size=2, keypoints=2)
@@ -95,7 +97,9 @@ class TestContinuousCalibrate:
         spec = cont_spec(keypoints=5, size=4)
         rng = np.random.default_rng(0)
         cal = build_continuous_calibrator(spec, rng.random(200) * 7)
-        cal.outputs[1:-1] = np.sort(rng.random(3) * 3)
+        outputs = cal.outputs.copy()
+        outputs[1:-1] = np.sort(rng.random(3) * 3)
+        cal.outputs = outputs
         raws = np.sort(rng.random(100) * 9 - 1)
         vals = [cal.calibrate(r) for r in raws]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
@@ -157,7 +161,9 @@ class TestContinuousGradient:
         spec = cont_spec(keypoints=6, size=4)
         rng = np.random.default_rng(1)
         cal = build_continuous_calibrator(spec, rng.random(500) * 10)
-        cal.outputs[1:-1] = np.sort(rng.random(len(cal.outputs) - 2) * 3)
+        outputs = cal.outputs.copy()
+        outputs[1:-1] = np.sort(rng.random(len(cal.outputs) - 2) * 3)
+        cal.outputs = outputs
         eps = 1e-6
         for raw in rng.random(50) * 12 - 1:
             grads = dict(cal.gradient(raw))
@@ -289,6 +295,26 @@ class TestCategorical:
         cal = build_categorical_calibrator(cat_spec(size=3), column, None)
         assert cal.categories == ["-0.0", "0.0", "1", "1.0", "True", "x"]
 
+    def test_reassigned_categories_move_every_path(self, tmp_path):
+        # the lookup follows the categories, so every path maps a category
+        # to the value the model file saves for it
+        spec = cat_spec(size=3)
+        cal = build_categorical_calibrator(spec, ["a", "b", "c", "a"], np.array([0, 1, 2, 0]))
+        cals = CalibratorSet([spec], [cal])
+        model = Model([spec], LatticeShape([3]), np.array([0.0, 1.0, 2.0]), cals)
+        assert model.predict_row(["a"]) == 0.0
+        cal.categories = ["c", "b", "a"]
+        data = Dataset([["a", "b", "c"]], None)
+        want = [2.0, 1.0, 0.0]
+        assert [cal.calibrate(v) for v in "abc"] == want
+        assert [cals.calibrate_row([v])[0] for v in "abc"] == want
+        assert [model.predict_row([v]) for v in "abc"] == want
+        assert model.predict(data).tolist() == want
+        model.save(tmp_path / "m.json")
+        loaded = Model.load(tmp_path / "m.json")
+        assert loaded.predict(data).tolist() == want
+        assert [loaded.predict_row([v]) for v in "abc"] == want
+
     def test_order_pair_naming_other_bucket_is_unknown(self):
         # the OTHER bucket sits outside the placed order, so no pair may name it
         spec = cat_spec(allow_unseen=True, order_pairs=[("x", OTHER_CATEGORY)])
@@ -419,9 +445,11 @@ class TestCalibratorSet:
 
 
 def batch_rows(spec, cal, column):
-    """calibrate_batch of a column through a one-feature set, as
+    """Batch calibration of a column through a one-feature set, as
     (coordinate, gradient list) per row."""
-    coords, [(positions, partials)] = CalibratorSet([spec], [cal]).calibrate_batch([column])
+    coords, [(positions, partials)] = reference_calibrate_batch(
+        CalibratorSet([spec], [cal]), [column]
+    )
     return [
         (c, [(p, g) for p, g in zip(pos, part) if p >= 0])
         for c, pos, part in zip(coords[:, 0].tolist(), positions.tolist(), partials.tolist())
@@ -440,7 +468,9 @@ class TestCalibrateBatch:
         rng = np.random.default_rng(3)
         cal = build_continuous_calibrator(spec, rng.random(200) * 10)
         k = len(cal.outputs)
-        cal.outputs[1:-1] = np.sort(rng.random(k - 2)) * cal.axis_top  # learned outputs
+        outputs = cal.outputs.copy()
+        outputs[1:-1] = np.sort(rng.random(k - 2)) * cal.axis_top  # learned outputs
+        cal.outputs = outputs
         if missing is MissingPolicy.CALIBRATED:
             cal.missing_value = 1.7
         knots = cal.knots
@@ -472,7 +502,7 @@ class TestCalibrateBatch:
         fit = ["a", "b", "c", "a", "b"] * 40 + (["rare"] if allow_unseen else [])
         labels = np.linspace(0.0, 1.0, len(fit))
         cal = build_categorical_calibrator(spec, fit, labels)
-        cal.values[:] = np.linspace(0.1, cal.axis_top - 0.2, len(cal.values))
+        cal.values = np.linspace(0.1, cal.axis_top - 0.2, len(cal.values))
         if missing is MissingPolicy.CALIBRATED:
             cal.missing_value = 0.3
         column = ["c", "a", "b", "a"]
@@ -487,7 +517,7 @@ class TestCalibrateBatch:
         # as another category
         spec = cat_spec(categories=["1", "1.0", "0.0"], allow_unseen=True)
         cal = build_categorical_calibrator(spec, ["1", "1.0", "0.0"])
-        cal.values[:] = [0.1, 0.2, 0.3, 0.4]
+        cal.values = [0.1, 0.2, 0.3, 0.4]
         column = [1, 1.0, "1.0", True, 0.0, -0.0, "1", "0.0"]
         assert batch_rows(spec, cal, column) == scalar_rows(cal, column)
         assert batch_rows(spec, cal, column[::-1]) == scalar_rows(cal, column[::-1])
@@ -568,7 +598,7 @@ class TestCalibrateBatch:
         with pytest.raises(DataError) as scalar:
             cal.calibrate(float("nan"))
         with pytest.raises(DataError) as batch:
-            CalibratorSet([spec], [cal]).calibrate_batch([np.array([0.5, np.nan])])
+            reference_calibrate_batch(CalibratorSet([spec], [cal]), [np.array([0.5, np.nan])])
         assert str(batch.value) == str(scalar.value)
 
     def test_first_bad_category_raises_the_same_error(self):
@@ -578,7 +608,7 @@ class TestCalibrateBatch:
             with pytest.raises(DataError) as scalar:
                 cal.calibrate(first_bad)
             with pytest.raises(DataError) as batch:
-                CalibratorSet([spec], [cal]).calibrate_batch([column])
+                reference_calibrate_batch(CalibratorSet([spec], [cal]), [column])
             assert str(batch.value) == str(scalar.value)
 
     def test_set_matches_rows(self):
@@ -589,7 +619,7 @@ class TestCalibrateBatch:
             list(rng.choice(["x", "y", "z"], size=60)),
             np.where(rng.random(60) < 0.3, np.nan, rng.random(60)),
         ]
-        coords, grads = cs.calibrate_batch(columns)
+        coords, grads = reference_calibrate_batch(cs, columns)
         for i in range(60):
             row = [col[i] for col in columns]
             assert coords[i].tolist() == cs.calibrate_row(row)
@@ -607,7 +637,7 @@ class TestCalibrateBatch:
         with pytest.raises(DataError) as scalar:
             cs.calibrate_row([1.0, "nope", 0.5])
         with pytest.raises(DataError) as batch:
-            cs.calibrate_batch(columns)
+            reference_calibrate_batch(cs, columns)
         assert str(batch.value) == str(scalar.value)
         assert "unknown category" in str(batch.value)
 
@@ -634,5 +664,5 @@ class TestErrorsNameTheFeature:
         good = [1.5, "de"]
         columns = [np.array([good[0], row[0]]), [good[1], row[1]]]
         with pytest.raises(DataError, match=message) as batch:
-            cs.calibrate_batch(columns)
+            reference_calibrate_batch(cs, columns)
         assert batch.value.row == 1

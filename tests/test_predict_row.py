@@ -2,6 +2,7 @@
 scalar kernels, and the checks on the row itself."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from monolattice import (
 )
 from monolattice import interpolation
 from monolattice.bench import bench_interpolation
+from monolattice.calibrators import CategoricalCalibrator, ContinuousCalibrator
 from monolattice.interpolation import ROW_NUMPY_MIN_VERTICES, RowPlan, _doubled_offsets
 
 
@@ -180,7 +182,9 @@ def scored_models(draw):
         points = np.sort(rng.choice([0.0, top, *(rng.random(4) * top)], len(cal.points)))
         if spec.kind is FeatureKind.CONTINUOUS:
             points[0], points[-1] = 0.0, top
-        cal.points[:] = points
+            cal.outputs = points
+        else:
+            cal.values = points
         if spec.missing is MissingPolicy.CALIBRATED:
             cal.missing_value = float(rng.choice([0.0, 1.0, rng.random()]) * (spec.size - 1))
     shape = LatticeShape(sizes)
@@ -208,6 +212,15 @@ def scored_models(draw):
                     "inside": float(knots[0] + rng.random() * (knots[-1] - knots[0])),
                 }[how])
         cols.append(col)
+    if draw(st.booleans()):
+        # one odd cell: NaN text, or a value the feature may reject (a
+        # non-number, a missing value without a policy, an unknown category)
+        d, i = int(rng.integers(D)), int(rng.integers(n))
+        if specs[d].kind is FeatureKind.CONTINUOUS:
+            odd = ["nan", "NaN", "abc", None]
+        else:
+            odd = ["nan", "never seen", None, math.nan]
+        cols[d][i] = odd[int(rng.integers(len(odd)))]
     override = draw(st.sampled_from([None, "multilinear", InterpolationKind.SIMPLEX]))
     return model, Dataset(cols, None), override
 
@@ -216,6 +229,14 @@ def _outcome(score):
     """A score's hex (-0.0 and 0.0 differ), or the message of its ValueError."""
     try:
         return score().hex()
+    except ValueError as e:
+        return f"error: {e}"
+
+
+def _coordinates(calibrate):
+    """Calibrated coordinates as hex, or the message of their ValueError."""
+    try:
+        return [x.hex() for x in calibrate()]
     except ValueError as e:
         return f"error: {e}"
 
@@ -232,6 +253,13 @@ class TestRowPathProperty:
             for r in rows
         ]
         assert [_outcome(lambda: model.predict_row(r, kind)) for r in rows] == oracle
+        # the row entries against each calibrator's scalar calibrate, value
+        # by value: the first bad value of a row raises
+        per_value = [
+            _coordinates(lambda: [cal.calibrate(v) for cal, v in zip(cals.calibrators, r)])
+            for r in rows
+        ]
+        assert [_coordinates(lambda: cals.calibrate_row(r)) for r in rows] == per_value
         # a calibrated coordinate can round past the top of its axis; then
         # every path reports the first such row alike
         errors = [o for o in oracle if o.startswith("error")]
@@ -264,7 +292,10 @@ class TestRowKernel:
         model = unit_model([2] * 7)
         small = unit_model([2] * 2)
         for m in (model, small):
-            m.calibrators.calibrators[0].outputs[-1] = 1.5  # leaves the axis
+            cal = m.calibrators.calibrators[0]
+            outputs = cal.outputs.copy()
+            outputs[-1] = 1.5  # leaves the axis
+            cal.outputs = outputs
         with pytest.raises(ValueError) as large_err:
             model.predict_row([1.0] + [0.5] * 6)
         with pytest.raises(ValueError) as small_err:
@@ -323,6 +354,133 @@ class TestWhichKernelRuns:
         assert scalar_calls == []
         # the list/numpy crossover of the multilinear row pass, measured
         assert ROW_NUMPY_MIN_VERTICES == 1 << 7
+
+    def test_predict_row_never_calls_a_calibrators_calibrate(self, monkeypatch):
+        model, data = mixed_model()
+        calls = []
+        for cls in (ContinuousCalibrator, CategoricalCalibrator):
+            def counted(cal, raw, fn=cls.calibrate):
+                calls.append(raw)
+                return fn(cal, raw)
+
+            monkeypatch.setattr(cls, "calibrate", counted)
+        for i in range(data.num_rows):
+            model.predict_row(data.row(i))
+        assert calls == []
+        # a value the row entry cannot place is handed to calibrate for its error
+        model.calibrators.calibrators[0].other_index = None
+        with pytest.raises(DataError, match="feature c: unknown category 'never seen'"):
+            model.predict_row(data.row(1))
+        assert calls == ["never seen"]
+
+
+def mixed_model():
+    """A model with a continuous feature (missing vertex), a categorical one
+    with an OTHER bucket and a calibrated missing value, and a plain
+    categorical one, all with trained-looking parameters, and rows on every
+    kind of value: knots, the ends and beyond them, unseen categories, None,
+    NaN and NaN text."""
+    specs = [
+        FeatureSpec("c", kind=FeatureKind.CATEGORICAL, size=3, allow_unseen=True,
+                    missing=MissingPolicy.CALIBRATED),
+        FeatureSpec("x", size=4, keypoints=5, missing=MissingPolicy.VERTEX),
+        FeatureSpec("k", kind=FeatureKind.CATEGORICAL),
+    ]
+    rng = np.random.default_rng(8)
+    columns = [list(rng.choice(["lo", "mid", "hi"], 30)), rng.random(30) * 10.0,
+               list(rng.choice(["u", "v"], 30))]
+    cals = CalibratorSet.fit(specs, columns, rng.random(30))
+    cat, cont, plain = cals.calibrators
+    cat.values = [0.2, 0.7, 1.9, 1.1]
+    cont.outputs = [0.0, 0.4, 1.1, 1.5, 2.0]
+    plain.values = [0.3, 0.9]
+    shape = LatticeShape([3, 4, 2])
+    model = Model(specs, shape, rng.standard_normal(shape.num_parameters), cals)
+    knots = cont.knots.tolist()
+    cats = ["lo", "never seen", None, "mid", math.nan, "hi", "<OTHER>", "hi", "lo", "mid"] * 2
+    xs = knots + [knots[0] - 1.0, knots[-1] + 1.0, None, math.nan, "nan"]
+    xs += rng.uniform(knots[0], knots[-1], len(cats) - len(xs)).tolist()
+    return model, Dataset([cats, xs, ["u", "v"] * 10], None)
+
+
+def assert_fresh(model, data):
+    """predict_row equals predict and the calibrators' scalar calibrate
+    followed by the scalar kernel, by hex; returns the scores."""
+    theta, cals = model.theta.tolist(), model.calibrators.calibrators
+    rows = [data.row(i) for i in range(data.num_rows)]
+    singles = [model.predict_row(r).hex() for r in rows]
+    oracle = [
+        evaluate(theta, model.shape, [c.calibrate(v) for c, v in zip(cals, r)], model.kind).hex()
+        for r in rows
+    ]
+    assert singles == oracle
+    assert [v.hex() for v in model.predict(data).tolist()] == oracle
+    return singles
+
+
+class TestRowEntries:
+    """No route of changing calibrator parameters leaves predict_row reading
+    stale values."""
+
+    def test_every_route_of_change_reaches_predict_row(self):
+        model, data = mixed_model()
+        cs = model.calibrators
+        cat, cont, plain = cs.calibrators
+        scores = assert_fresh(model, data)
+
+        def changes(mutate):
+            nonlocal scores
+            mutate()
+            before, scores = scores, assert_fresh(model, data)
+            assert scores != before
+
+        changes(lambda: cs.set_alpha(cs.alpha() * 0.5))
+        changes(lambda: cont.set_free_parameters(cont.free_parameters() * 0.8))
+        changes(lambda: cat.set_free_parameters(cat.free_parameters()[::-1]))
+        changes(lambda: plain.set_free_parameters(plain.free_parameters()[::-1]))
+        changes(lambda: setattr(cont, "outputs", cont.outputs * 0.75))
+        changes(lambda: setattr(cat, "values", cat.values[::-1]))
+        changes(lambda: setattr(cont, "knots", cont.knots * 1.1))
+        changes(lambda: setattr(cat, "categories", cat.categories[::-1]))
+        changes(lambda: setattr(cat, "other_index", 0))
+        changes(lambda: setattr(cat, "missing_value", 0.25))
+
+    @pytest.mark.parametrize(
+        "duplicate", [CalibratorSet.fork, lambda cs: pickle.loads(pickle.dumps(cs))],
+        ids=["fork", "pickle"],
+    )
+    def test_copies_do_not_share_parameters_or_row_entries(self, duplicate):
+        model, data = mixed_model()
+        twin = Model(model.specs, model.shape, model.theta, duplicate(model.calibrators))
+        scores = assert_fresh(model, data)
+        assert assert_fresh(twin, data) == scores
+        model.calibrators.set_alpha(model.calibrators.alpha() * 0.5)
+        changed = assert_fresh(model, data)
+        assert changed != scores
+        assert assert_fresh(twin, data) == scores
+        twin.calibrators.calibrators[1].set_free_parameters(
+            twin.calibrators.calibrators[1].free_parameters() * 0.8
+        )
+        assert assert_fresh(twin, data) not in (scores, changed)
+        assert assert_fresh(model, data) == changed
+
+    def test_outputs_and_values_are_read_only(self):
+        model, _ = mixed_model()
+        cat, cont, _ = model.calibrators.calibrators
+        source = np.array([0, 1, 2, 2, 3])
+        cont.outputs = source
+        source[1] = 2
+        assert cont.outputs.dtype == np.float64
+        assert cont.outputs.tolist() == [0.0, 1.0, 2.0, 2.0, 3.0]
+        for points in (cont.outputs, cat.values, cont.points, cat.points):
+            with pytest.raises(ValueError):
+                points[1] = 0.5
+            with pytest.raises(ValueError):
+                points += 0.0
+        fork = model.calibrators.fork()
+        for mine, theirs in zip(model.calibrators.calibrators, fork.calibrators):
+            assert not np.shares_memory(mine.points, theirs.points)
+            assert mine.points.tolist() == theirs.points.tolist()
 
 
 class TestTheta:

@@ -512,7 +512,7 @@ class TestPlan:
     """Training locates its samples on the calibrators once per run."""
 
     def test_train_builds_the_plan_once_and_steps_only_apply_it(self, monkeypatch):
-        counts = {"steps": 0, "locate": 0, "calibrate_batch": 0}
+        counts = {"steps": 0, "locate": 0, "plan": 0}
 
         def counting(key, fn):
             def wrapper(*args, **kwargs):
@@ -523,17 +523,14 @@ class TestPlan:
 
         monkeypatch.setattr(training, "sgd_step", counting("steps", training.sgd_step))
         monkeypatch.setattr(CalibratorSet, "locate", counting("locate", CalibratorSet.locate))
-        monkeypatch.setattr(
-            CalibratorSet, "calibrate_batch",
-            counting("calibrate_batch", CalibratorSet.calibrate_batch),
-        )
+        monkeypatch.setattr(CalibratorSet, "plan", counting("plan", CalibratorSet.plan))
         data, specs = mixed_problem(True, Loss.LOGISTIC)
         config = TrainConfig(loss=Loss.LOGISTIC, epochs=2, minibatch_size=16, workers=2,
                              sync_rounds=2, seed=4)
         parallel_train(data, specs, config)
         assert counts["steps"] == 16  # 2 workers x 2 epochs x ceil(60 / 16)
         assert counts["locate"] == 1
-        assert counts["calibrate_batch"] == 0
+        assert counts["plan"] == 1
 
     def test_steps_cross_alpha_whole_and_check_their_input_once(self, monkeypatch):
         counts = {"project_update": 0, "max_infeasibility": 0, "per-calibrator": 0}
