@@ -25,24 +25,24 @@ and ``CalibratorSet.set_alpha`` write the storage behind them in place, and
 they drop the entry too.  Each calibrator's ``calibrate`` is the scalar
 oracle of that path.
 
-Batch calibration has three parts.  *Locate* depends only on the values
+Batch calibration has two parts.  *Locate* depends only on the values
 and the fixed knots or categories: per value it finds two indices into a
 flat table of parameters, a fraction t and an inner flag (a
 :class:`Location`).  *Apply* reads the current parameters: ``x = P[lo]``,
 and on inner entries ``x = (1 - t) * P[lo] + t * P[hi]`` capped at the axis
 top, the formula of ``calibrate``.  Table P holds every feature's outputs or
 values, each followed by its missing coordinate, so one gather calibrates all
-features.
-The *gradient layout* of a value is apply's derivative, 1 - t at ``lo`` and
-t at ``hi``, mapped through the set's free map: the position in alpha (the
-free parameters) of each table entry, or -1 for a fixed one.  It follows
-from a location alone, so only training derives it: once per run, into a
-:class:`CalibrationPlan` whose rows every step applies.  Prediction
-locates and applies and never builds the layout, which would be most of its
-calibration time.  Nor does the kernel after it rely on calibration's
-allocations: the multilinear kernel keeps its chunk buffers for a whole call
-or training run (see ``interpolation``), so its speed does not depend on
-what was freed before.
+features.  Training scatters apply's derivative, 1 - t at ``lo`` and t at
+``hi``, into a vector over the table (``add_apply_gradient``); the gradient
+with respect to alpha, the free parameters, is that vector read at the free
+entries, the gather ``alpha`` reads the parameters with.  The multilinear
+kernel after calibration keeps its chunk buffers for a whole call or
+training run (see ``interpolation``), so its speed does not depend on what
+calibration freed before.
+
+``categories`` are stored as a tuple, so no edit in place can leave the
+lookup behind.  A pickled or deep-copied calibrator stores its arrays
+again, read-only, and remakes its cached entries.
 """
 
 from __future__ import annotations
@@ -283,6 +283,8 @@ class ContinuousCalibrator:
         if is_missing(raw):
             return _missing_gradient(self)
         x = float(raw)
+        if x != x:  # NaN text, such as "nan": missing, as in calibrate
+            return _missing_gradient(self)
         knots = self.knots
         last = len(knots) - 1
         if x <= knots[0] or x >= knots[-1]:
@@ -301,9 +303,13 @@ class ContinuousCalibrator:
         return self.outputs
 
     def __setstate__(self, state):
-        # a copied or unpickled calibrator gets its own storage behind outputs
+        # a copied or unpickled calibrator gets its own storage behind outputs,
+        # and knots that unpickling or deepcopy made writeable are stored
+        # again (a fork shares the read-only ones)
         self.__dict__.update(state)
         self.outputs = self._points
+        if self.knots.flags.writeable:
+            self.knots = self.knots
 
     def fork(self) -> "ContinuousCalibrator":
         """A calibrator sharing the knots, with its own outputs."""
@@ -345,7 +351,7 @@ class ContinuousCalibrator:
 class CategoricalCalibrator:
     """One learned lattice coordinate per category."""
 
-    categories: list[str]
+    categories: tuple[str, ...]  # stored as a tuple, whatever is assigned
     values: np.ndarray
     axis_top: float
     missing: MissingPolicy = MissingPolicy.NONE
@@ -357,11 +363,12 @@ class CategoricalCalibrator:
 
     def __setattr__(self, name, value):
         # as ContinuousCalibrator's: values are a read-only view of private
-        # storage, categories remake the lookup, and every assignment drops
-        # the row entry
+        # storage, categories are a tuple that remakes the lookup, and every
+        # assignment drops the row entry
         if name == "values":
             value = _own_points(self, value)
         elif name == "categories":
+            value = tuple(value)
             object.__setattr__(self, "_lookup", {c: i for i, c in enumerate(value)})
         object.__setattr__(self, name, value)
         if name != "_row":
@@ -624,28 +631,8 @@ class Location:
     t: np.ndarray
     inner: np.ndarray
 
-
-@dataclass(frozen=True)
-class CalibrationPlan(Location):
-    """A :class:`Location` with its gradient layout, for training.
-
-    ``positions`` (D, n, 2) holds each value's global free-parameter
-    positions in ``gradient`` order (-1 = no entry), ``partials`` (D, n, 2)
-    their partials; feature-major, so a scatter runs feature, row, entry.
-    """
-
-    positions: np.ndarray
-    partials: np.ndarray
-
-    def take(self, rows) -> "CalibrationPlan":
-        return CalibrationPlan(
-            self.lo[rows],
-            self.hi[rows],
-            self.t[rows],
-            self.inner[rows],
-            self.positions[:, rows],
-            self.partials[:, rows],
-        )
+    def take(self, rows) -> "Location":
+        return Location(self.lo[rows], self.hi[rows], self.t[rows], self.inner[rows])
 
 
 class CalibratorSet:
@@ -671,9 +658,6 @@ class CalibratorSet:
             free += block
         self.num_free = total
         self._tops = np.array([cal.axis_top for cal in calibrators])
-        # per table entry its alpha position, -1 where the entry is fixed
-        free = np.array(free, dtype=bool)
-        self.free_position = np.where(free, np.cumsum(free) - 1, -1)
         self._free_entries = np.flatnonzero(free)  # alpha's table entries, in order
         # per calibrator with free parameters: the free span of its points and
         # where that span and its missing coordinate (or None) sit in alpha
@@ -704,7 +688,11 @@ class CalibratorSet:
 
     def alpha(self) -> np.ndarray:
         """The free parameters, feature by feature: one gather from :meth:`table`."""
-        return self.table()[self._free_entries]
+        return self.at_free(self.table())
+
+    def at_free(self, vector) -> np.ndarray:
+        """``vector``, laid out as :meth:`table`, read at alpha's entries."""
+        return vector[self._free_entries]
 
     def set_alpha(self, vec) -> None:
         vec = np.asarray(vec, dtype=float)
@@ -807,22 +795,6 @@ class CalibratorSet:
             inner=np.stack(inner, axis=1),
         )
 
-    def plan(self, location: Location) -> CalibrationPlan:
-        """``location`` with the gradient layout of every value: the partials
-        of :meth:`apply`'s formula, 1 - t at ``lo`` and t at ``hi`` (t = 0 off
-        inner entries), at their free entries' alpha positions; ``hi`` only
-        where t != 0, as :meth:`row_gradients` lists it."""
-        lo, hi, t, inner = location.lo, location.hi, location.t, location.inner
-        near = self.free_position[lo]
-        far = np.where(inner & (t != 0.0), self.free_position[hi], -1)
-        return CalibrationPlan(
-            lo, hi, t, inner,
-            positions=np.stack([near.T, far.T], axis=2),
-            partials=np.stack(
-                [np.where(near >= 0, 1.0 - t, 0.0).T, np.where(far >= 0, t, 0.0).T], axis=2
-            ),
-        )
-
     def apply(self, location: Location) -> np.ndarray:
         """Coordinates (n, D) of located rows under the current parameters;
         inner values are capped at their axis tops, as in ``calibrate``."""
@@ -830,6 +802,17 @@ class CalibratorSet:
         at_lo = table[location.lo]
         inner = np.minimum((1.0 - t) * at_lo + t * table[location.hi], self._tops)
         return np.where(location.inner, inner, at_lo)
+
+    def add_apply_gradient(self, location: Location, dx, out) -> None:
+        """Add ``dx`` (n, D) times the derivative of :meth:`apply` (cap not
+        differentiated) into ``out``, laid out as :meth:`table`: ``dx * (1 -
+        t)`` at ``lo``, then ``dx * t`` at ``hi``, feature by feature, row by
+        row.  Off inner values and on knots the ``hi`` term is ``dx * 0``,
+        which leaves a sum that starts at +0.0 as it is."""
+        dx, t = dx.T, location.t.T  # feature-major
+        terms = np.stack([dx * (1.0 - t), dx * t], axis=2)  # (D, n, 2)
+        entries = np.stack([location.lo.T, location.hi.T], axis=2)
+        np.add.at(out, entries.ravel(), terms.ravel())
 
     def constraints(self) -> ConstraintSet:
         """Nondecreasing chains, declared category orders, and box bounds."""

@@ -14,7 +14,9 @@ assigned.  The two give the same bits.  ``theta`` is stored as a read-only
 float64 copy on every assignment, so the plan's view of it cannot fall out
 of date; the calibrators' ``knots``, ``outputs`` and ``values`` are
 read-only too, and a calibrator drops its row entry whenever one of its
-attributes is assigned or ``set_alpha`` writes its parameters.
+attributes is assigned or ``set_alpha`` writes its parameters.  A pickled,
+copied or deep-copied model stores its ``theta`` again on the way in, so it
+is read-only there too and has no row plan yet.
 """
 
 from __future__ import annotations
@@ -74,6 +76,11 @@ class Model:
             object.__setattr__(self, "_row_plan", None)
         object.__setattr__(self, name, value)
 
+    def __setstate__(self, state):
+        # unpickling and deepcopy give theta back writeable: store it again
+        self.__dict__.update(state)
+        self.theta = self.theta
+
     def __eq__(self, other):
         # identical models are those that write identical model files
         if not isinstance(other, Model):
@@ -94,8 +101,7 @@ class Model:
     def predict(self, data, kind: InterpolationKind | None = None) -> np.ndarray:
         """Scores of every row of ``data``, equal to :meth:`predict_row` bit
         for bit: the rows are located on the calibrators and calibrated
-        (coordinates only, no gradient layout), then scored by the batched
-        kernel."""
+        (coordinates only), then scored by the batched kernel."""
         x = self.calibrators.apply(self.calibrators.locate(data.columns))
         return evaluate_batch(self.theta, self.shape, x, kind or self.kind)
 
@@ -297,7 +303,7 @@ def _check_calibrator(spec: FeatureSpec, cal) -> None:
             repeated = next(c for i, c in enumerate(cal.categories) if position[c] != i)
             raise DataError(f"{where}: category_order repeats {repeated!r}")
         other = cal.other_index
-        if other is not None and not (isinstance(other, int) and 0 <= other < len(values)):
+        if other is not None and not (type(other) is int and 0 <= other < len(values)):
             raise DataError(f"{where}: other_index {other!r} is out of range")
         for a, b in cal.order_pairs:
             if a not in position or b not in position:
@@ -308,7 +314,7 @@ def _check_calibrator(spec: FeatureSpec, cal) -> None:
                 )
     if spec.missing is MissingPolicy.CALIBRATED:
         value = cal.missing_value
-        if not isinstance(value, (int, float)) or not 0.0 <= value <= spec.size - 1:
+        if type(value) not in (int, float) or not 0.0 <= value <= spec.size - 1:
             raise DataError(
                 f"{where}: missing_value {value!r} is not a number in [0, {spec.size - 1}]"
             )

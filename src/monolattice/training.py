@@ -10,18 +10,18 @@ updated jointly in the same step, the calibrator step scaled by a separate
 factor (scale 0 freezes the calibrators).
 
 Everything about the training samples that stays fixed during a run is
-worked out once, in ``prepare_state``: the *plan* locates every side (a
-row, or a pair's preferred row then the other) on the calibrators' knots
-and categories (``CalibratorSet.locate``), adds the calibrator gradient
-layout of every side (``CalibratorSet.plan``), and holds the targets as
-floats.  Clones share it, and so do the multilinear kernel's chunk
+worked out once, in ``prepare_state``: the *plan* is the location of every
+side (a row, or a pair's preferred row then the other) on the calibrators'
+knots and categories (``CalibratorSet.locate``), and the targets are held
+as floats.  Clones share both, and so do the multilinear kernel's chunk
 buffers, which every step of the run reuses.  The loss subgradient is then
 one batched pass: the minibatch's sides are gathered from the plan and
 calibrated under the current parameters (``CalibratorSet.apply``, with
 signs +1 and -1 for the two sides of a pair), then located, weighted and
 differentiated as arrays.
 Gradients are scattered in sample, side, vertex order for the lattice and
-feature, side, entry order for the calibrators, so the result is the
+feature, side, entry order for the calibrators (into a vector over their
+parameter table, read at the free entries), so the result is the
 per-sample loop's bit for bit.  Objective and metrics score through
 ``Model.predict``, which uses the same kernel.
 
@@ -43,10 +43,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibrators import (
-    CalibrationPlan,
     CalibratorSet,
     DataError,
     FeatureSpec,
+    Location,
     missing_vertex_dims,
 )
 from .data import Dataset, PairDataset
@@ -153,7 +153,7 @@ class TrainerState:
     data: Dataset | PairDataset
     theta_constraints: ConstraintSet
     alpha_constraints: ConstraintSet
-    plan: CalibrationPlan  # every side of ``data``, located once per run
+    plan: Location  # every side of ``data``, located once per run
     targets: np.ndarray  # float target per sample (1.0 for a pair)
     reg_terms: list[tuple[RegularizerConfig, TermSet]] = field(default_factory=list)
     # the multilinear kernel's chunk arrays and the theta scatter's
@@ -213,11 +213,10 @@ def _interleave(a, b):
     return [v for ab in zip(a, b) for v in ab]
 
 
-def _plan(calibrators: CalibratorSet, data) -> tuple[CalibrationPlan, np.ndarray]:
-    """Locate every side of ``data``, derive its gradient layout, and
-    convert its targets.  A labelled row is one side; a pair is its
-    preferred row, then the other, scored against y = 1.  The first bad row
-    or pair is named by its index."""
+def _plan(calibrators: CalibratorSet, data) -> tuple[Location, np.ndarray]:
+    """Locate every side of ``data`` and convert its targets.  A labelled
+    row is one side; a pair is its preferred row, then the other, scored
+    against y = 1.  The first bad row or pair is named by its index."""
     pairs = isinstance(data, PairDataset)
     if pairs:
         columns = [_interleave(p, m) for p, m in zip(data.plus_columns, data.minus_columns)]
@@ -237,7 +236,7 @@ def _plan(calibrators: CalibratorSet, data) -> tuple[CalibrationPlan, np.ndarray
         i, side = divmod(e.row, 2)
         where = f"pair {i} ({('preferred', 'other')[side]} row)" if pairs else f"row {e.row}"
         raise DataError(f"training {where}: {e}") from None
-    return calibrators.plan(location), targets
+    return location, targets
 
 
 def prepare_state(data: Dataset | PairDataset, specs: list[FeatureSpec], config: TrainConfig) -> TrainerState:
@@ -288,13 +287,14 @@ def loss_gradients(state: TrainerState, minibatch) -> tuple[np.ndarray, np.ndarr
     gradients feature by feature, side by side, entry by entry, so every
     entry is the sum a per-sample loop would form, in its order.  Both
     scatters take every term: the terms a loop would skip (zero slope, zero
-    dfdx) add +-0.0, and a plan entry without a free parameter (position -1)
-    lands in a spare slot past the end, which is dropped.
+    dfdx, zero t) add +-0.0, and calibrator terms at fixed table entries are
+    dropped by the final gather.  One table vector takes every chunk, since
+    per-chunk sums would change bits.
     """
     batch = np.asarray(minibatch, dtype=np.int64)
+    cs = state.calibrators
     g_theta = np.zeros_like(state.theta)
-    # one spare last slot, where the plan's -1 positions (no entry) land
-    g_alpha = np.zeros(state.calibrators.num_free + 1)
+    g_table = np.zeros(cs.table_size)
     want = state.trains_calibrators
     scale = 1.0 / len(batch)
     loss = state.config.loss
@@ -303,7 +303,7 @@ def loss_gradients(state: TrainerState, minibatch) -> tuple[np.ndarray, np.ndarr
     for start in range(0, len(batch), step):
         samples = batch[start : start + step]
         sides = state.plan.take(samples if n_sides == 1 else (2 * samples[:, None] + _SIDES).ravel())
-        x = state.calibrators.apply(sides)
+        x = cs.apply(sides)
         values, indices, weights, dfdx = _forward_backward(
             state.theta, state.shape, x, state.config.kind, want, state.buffers
         )
@@ -329,9 +329,8 @@ def loss_gradients(state: TrainerState, minibatch) -> tuple[np.ndarray, np.ndarr
             products = np.multiply(s[:, None], weights, out=state.buffers.get("products", rows, k))
         np.add.at(g_theta, indices.ravel(), products.ravel())
         if want:
-            terms = (s[:, None] * dfdx).T[:, :, None] * sides.partials  # (D, n, 2)
-            np.add.at(g_alpha, sides.positions.ravel(), terms.ravel())
-    return g_theta, g_alpha[:-1]
+            cs.add_apply_gradient(sides, s[:, None] * dfdx, g_table)
+    return g_theta, cs.at_free(g_table)
 
 
 def sgd_step(state: TrainerState, minibatch, rng: np.random.Generator) -> TrainerState:

@@ -4,10 +4,10 @@
 kernels (``evaluate_with_gradients``, ``calibrate_row``, ``row_gradients``);
 the batched ``loss_gradients`` must equal it bit for bit.
 
-``reference_calibrate_batch`` runs batch calibration (``locate``, ``apply``,
-``plan``) and returns the coordinates and each feature's gradient layout,
-which tests hold against ``calibrate_row``, ``row_gradients`` and the
-calibrators' scalar methods.
+``reference_calibrate_batch`` runs batch calibration (``locate``, then
+``apply``) and lists each value's gradient from its location and the free
+entries of the calibrator table; tests hold both against ``calibrate_row``,
+``row_gradients`` and the calibrators' scalar methods.
 
 ``reference_component_walk`` scans one constraint row at a time and keeps
 the active rows' connected components in a dict; ``project_update`` must
@@ -79,16 +79,29 @@ def reference_loss_gradients(state, minibatch):
 
 
 def reference_calibrate_batch(cs, columns):
-    """``cs.calibrate_row`` and ``cs.row_gradients`` over whole columns: locate,
-    then apply, then plan.
+    """``cs.calibrate_row`` and ``cs.row_gradients`` over whole columns.
 
-    Returns coordinates (n, D) and, per feature, global alpha positions
-    (n, 2) (-1 = no entry) and their partials (n, 2).
+    Returns coordinates (n, D) from ``locate`` then ``apply``, and per row
+    and feature the (global alpha position, partial) pairs of apply's
+    derivative: ``lo`` with 1 - t, then ``hi`` with t where the value is
+    inner and t != 0, each kept only where its table entry is free.
     """
     location = cs.locate(columns)
     x = cs.apply(location)
-    plan = cs.plan(location)
-    return x, list(zip(plan.positions, plan.partials))
+    free = cs.at_free(np.arange(cs.table_size)).tolist()
+    position = {entry: p for p, entry in enumerate(free)}
+    grads = []
+    for lo, hi, t, inner in zip(
+        location.lo.tolist(), location.hi.tolist(), location.t.tolist(), location.inner.tolist()
+    ):
+        row = []
+        for d in range(len(lo)):
+            entries = [(lo[d], 1.0 - t[d])]
+            if inner[d] and t[d] != 0.0:
+                entries.append((hi[d], t[d]))
+            row.append([(position[e], g) for e, g in entries if e in position])
+        grads.append(row)
+    return x, grads
 
 
 def reference_project_update(theta, step, constraints, *, return_active=False):

@@ -207,7 +207,18 @@ class TestCategorical:
     def test_no_labels_orders_by_name(self):
         spec = cat_spec()
         cal = build_categorical_calibrator(spec, ["z", "a", "m"], None)
-        assert cal.categories == ["a", "m", "z"]
+        assert cal.categories == ("a", "m", "z")
+
+    def test_categories_are_a_tuple(self):
+        # so no edit in place can leave the lookup on the old order
+        spec = cat_spec(size=3)
+        cal = build_categorical_calibrator(spec, ["a", "b", "c", "a"], np.array([0, 1, 2, 0]))
+        assert cal.calibrate("a") == 0.0
+        with pytest.raises(AttributeError):
+            cal.categories.reverse()
+        cal.categories = ["c", "b", "a"]
+        assert cal.categories == ("c", "b", "a")
+        assert cal.calibrate("a") == 2.0
 
     def test_gradient_is_indicator(self):
         spec = cat_spec()
@@ -247,9 +258,9 @@ class TestCategorical:
         col = ["a", "b", "c", "d"]
         labels = np.array([0.0, 1.0, 2.0, 3.0])
         cal = build_categorical_calibrator(cat_spec(order_pairs=[("c", "a")]), col, labels)
-        assert cal.categories == ["b", "c", "a", "d"]
+        assert cal.categories == ("b", "c", "a", "d")
         kept = build_categorical_calibrator(cat_spec(order_pairs=[("a", "c")]), col, labels)
-        assert kept.categories == ["a", "b", "c", "d"]
+        assert kept.categories == ("a", "b", "c", "d")
 
     def test_cyclic_order_pairs_are_a_data_error(self):
         spec = cat_spec(name="tier", order_pairs=[("x", "y"), ("y", "z"), ("z", "x")])
@@ -276,7 +287,7 @@ class TestCategorical:
         col = ["a"] * 200 + [OTHER_CATEGORY] * 100 + ["b"] * 200
         labels = np.array([0.0] * 200 + [0.5] * 100 + [1.0] * 200)
         cal = build_categorical_calibrator(spec, col, labels)
-        assert cal.categories == ["a", "b", OTHER_CATEGORY]
+        assert cal.categories == ("a", "b", OTHER_CATEGORY)
         assert cal.other_index == 2
         assert cal.gradient(OTHER_CATEGORY) == [(2, 1.0)]
         schema = build_categorical_calibrator(
@@ -290,10 +301,10 @@ class TestCategorical:
         column = [1, 1.0, True, "1", 0.0, -0.0, "x"]
         labels = np.array([0.5, 0.2, 0.9, 0.1, 0.4, 0.7, 0.3])
         cal = build_categorical_calibrator(cat_spec(size=3), column, labels)
-        assert cal.categories == ["1.0", "1", "x", "0.0", "-0.0", "True"]
+        assert cal.categories == ("1.0", "1", "x", "0.0", "-0.0", "True")
         assert cal.values.tolist() == [0.0, 0.4, 0.8, 1.2000000000000002, 1.6, 2.0]
         cal = build_categorical_calibrator(cat_spec(size=3), column, None)
-        assert cal.categories == ["-0.0", "0.0", "1", "1.0", "True", "x"]
+        assert cal.categories == ("-0.0", "0.0", "1", "1.0", "True", "x")
 
     def test_reassigned_categories_move_every_path(self, tmp_path):
         # the lookup follows the categories, so every path maps a category
@@ -447,13 +458,8 @@ class TestCalibratorSet:
 def batch_rows(spec, cal, column):
     """Batch calibration of a column through a one-feature set, as
     (coordinate, gradient list) per row."""
-    coords, [(positions, partials)] = reference_calibrate_batch(
-        CalibratorSet([spec], [cal]), [column]
-    )
-    return [
-        (c, [(p, g) for p, g in zip(pos, part) if p >= 0])
-        for c, pos, part in zip(coords[:, 0].tolist(), positions.tolist(), partials.tolist())
-    ]
+    coords, grads = reference_calibrate_batch(CalibratorSet([spec], [cal]), [column])
+    return [(c, g) for c, [g] in zip(coords[:, 0].tolist(), grads)]
 
 
 def scalar_rows(cal, column):
@@ -484,9 +490,13 @@ class TestCalibrateBatch:
         if missing is not MissingPolicy.NONE:
             column[::7] = np.nan
         assert batch_rows(spec, cal, column) == scalar_rows(cal, column)
-        # a plain list with None for missing gives the same
-        as_list = [None if np.isnan(v) else float(v) for v in column]
-        assert batch_rows(spec, cal, as_list) == scalar_rows(cal, column)
+        # a plain list with None or NaN text for missing gives the same
+        as_list = [float(v) for v in column]
+        for i, v in enumerate(as_list):
+            if np.isnan(v):
+                as_list[i] = None if i % 2 else "nan"
+        assert batch_rows(spec, cal, as_list) == scalar_rows(cal, as_list)
+        assert scalar_rows(cal, as_list) == scalar_rows(cal, column)
 
     def test_two_knot_continuous_has_no_partials(self):
         spec = cont_spec(size=3)
@@ -577,20 +587,24 @@ class TestCalibrateBatch:
             columns.append(data.draw(st.lists(cell, min_size=n, max_size=n)))
 
         cs = CalibratorSet(specs, cals)
-        location = cs.locate(columns)
-        x = cs.apply(location)
-        plan = cs.plan(location)
-        assert plan.positions.shape == plan.partials.shape == (len(cals), n, 2)
-        assert plan.positions.dtype == np.int64 and plan.partials.dtype == float
-        assert np.all(plan.partials[plan.positions < 0] == 0.0)
+        x, grads = reference_calibrate_batch(cs, columns)
         for i in range(n):
             row = [col[i] for col in columns]
             assert x[i].tolist() == cs.calibrate_row(row)
-            listed = [
-                [(p, g) for p, g in zip(pos.tolist(), part.tolist()) if p >= 0]
-                for pos, part in zip(plan.positions[:, i], plan.partials[:, i])
-            ]
-            assert listed == cs.row_gradients(row)
+            assert grads[i] == cs.row_gradients(row)
+        # apply's derivative scattered over the table and read at the free
+        # entries is the loop over those lists, feature by feature, bit for bit
+        dx = np.array(data.draw(st.lists(
+            st.floats(-4.0, 4.0), min_size=n * len(cals), max_size=n * len(cals)
+        ))).reshape(n, len(cals))
+        table = np.zeros(cs.table_size)
+        cs.add_apply_gradient(cs.locate(columns), dx, table)
+        want = np.zeros(cs.num_free)
+        for d in range(len(cals)):
+            for i in range(n):
+                for p, g in grads[i][d]:
+                    want[p] += dx[i, d] * g
+        assert cs.at_free(table).tobytes() == want.tobytes()
 
     def test_missing_without_policy_raises_the_same_error(self):
         spec = cont_spec()
@@ -623,11 +637,7 @@ class TestCalibrateBatch:
         for i in range(60):
             row = [col[i] for col in columns]
             assert coords[i].tolist() == cs.calibrate_row(row)
-            got = [
-                [(p, g) for p, g in zip(pos[i].tolist(), part[i].tolist()) if p >= 0]
-                for pos, part in grads
-            ]
-            assert got == cs.row_gradients(row)
+            assert grads[i] == cs.row_gradients(row)
 
     def test_set_reports_the_first_bad_row(self):
         # row 0 has an unknown category in feature b, row 1 a missing value

@@ -243,6 +243,14 @@ class TestValidation:
         except DataError:
             pass
 
+    @pytest.mark.parametrize("feature, key", [(1, "other_index"), (0, "missing_value")])
+    def test_boolean_number_is_a_data_error(self, trained, feature, key):
+        # JSON true is not the number 1, and would save back as true
+        doc = self.doc(trained)
+        doc["features"][feature]["calibrator"][key] = True
+        with pytest.raises(DataError, match=f"{key} True"):
+            Model.from_json(json.dumps(doc))
+
     def test_format_constants(self, trained):
         doc = self.doc(trained)
         assert doc["format"] == FORMAT_NAME

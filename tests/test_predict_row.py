@@ -1,6 +1,7 @@
 """Single-row prediction: the row plan, held against the batch path and the
 scalar kernels, and the checks on the row itself."""
 
+import copy
 import math
 import pickle
 
@@ -511,6 +512,27 @@ class TestTheta:
         assert model.theta.tolist() == [0.0, 1.0, 1.0, 2.0]
         model.save(tmp_path / "m.json")
         assert not Model.load(tmp_path / "m.json").theta.flags.writeable
+
+    @pytest.mark.parametrize(
+        "duplicate", [lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    def test_duplicates_keep_theta_and_knots_read_only(self, duplicate):
+        model, data = mixed_model()
+        scores = assert_fresh(model, data)  # builds the row plan and row entries
+        twin = duplicate(model)
+        assert twin._row_plan is None
+        assert all(cal._row is None for cal in twin.calibrators.calibrators)
+        cat, cont, _ = twin.calibrators.calibrators
+        assert cont._knot_list == cont.knots.tolist()
+        for array in (twin.theta, cont.knots, cont.outputs, cat.values):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[:] = array + 1.0
+        assert assert_fresh(twin, data) == scores
+        twin.theta = twin.theta + 1.0
+        assert assert_fresh(twin, data) != scores
+        assert assert_fresh(model, data) == scores
 
     def test_list_cache_is_not_a_field_of_the_model(self):
         # the row plan holds theta's list form; it is neither shown nor set

@@ -512,7 +512,7 @@ class TestPlan:
     """Training locates its samples on the calibrators once per run."""
 
     def test_train_builds_the_plan_once_and_steps_only_apply_it(self, monkeypatch):
-        counts = {"steps": 0, "locate": 0, "plan": 0}
+        counts = {"steps": 0, "locate": 0}
 
         def counting(key, fn):
             def wrapper(*args, **kwargs):
@@ -523,14 +523,12 @@ class TestPlan:
 
         monkeypatch.setattr(training, "sgd_step", counting("steps", training.sgd_step))
         monkeypatch.setattr(CalibratorSet, "locate", counting("locate", CalibratorSet.locate))
-        monkeypatch.setattr(CalibratorSet, "plan", counting("plan", CalibratorSet.plan))
         data, specs = mixed_problem(True, Loss.LOGISTIC)
         config = TrainConfig(loss=Loss.LOGISTIC, epochs=2, minibatch_size=16, workers=2,
                              sync_rounds=2, seed=4)
         parallel_train(data, specs, config)
         assert counts["steps"] == 16  # 2 workers x 2 epochs x ceil(60 / 16)
         assert counts["locate"] == 1
-        assert counts["plan"] == 1
 
     def test_steps_cross_alpha_whole_and_check_their_input_once(self, monkeypatch):
         counts = {"project_update": 0, "max_infeasibility": 0, "per-calibrator": 0}
@@ -558,7 +556,7 @@ class TestPlan:
     def test_predict_locates_once_and_derives_no_layout(self, monkeypatch):
         data, specs = mixed_problem(False, Loss.SQUARED)
         model = train(data, specs, TrainConfig(epochs=1, seed=2))
-        counts = {"locate": 0, "layout": 0}
+        counts = {"locate": 0, "gradient": 0}
 
         def counting(key, fn):
             def wrapper(*args, **kwargs):
@@ -568,9 +566,10 @@ class TestPlan:
             return wrapper
 
         monkeypatch.setattr(CalibratorSet, "locate", counting("locate", CalibratorSet.locate))
-        monkeypatch.setattr(CalibratorSet, "plan", counting("layout", CalibratorSet.plan))
+        monkeypatch.setattr(CalibratorSet, "add_apply_gradient",
+                            counting("gradient", CalibratorSet.add_apply_gradient))
         model.predict(data)
-        assert counts == {"locate": 1, "layout": 0}
+        assert counts == {"locate": 1, "gradient": 0}
 
     def test_buffers_are_allocated_once_per_run(self, monkeypatch):
         # every minibatch has 8 samples, so no step needs more room than the
@@ -898,6 +897,50 @@ class TestBatchedStepMatchesReference:
         assert g_alpha[flat:].tobytes() == np.zeros(g_alpha.size - flat).tobytes()
         assert_same_gradients(state, batch)
         assert_same_gradients(state, np.random.default_rng(8).permutation(30))
+
+    @pytest.mark.parametrize("pairs", [False, True], ids=["rows", "pairs"])
+    def test_terms_off_the_free_entries(self, pairs):
+        # the table scatter also adds what a per-sample loop skips: terms at
+        # pinned end outputs, missing vertices and parameter-free features,
+        # and zero terms off inner values or exactly on a knot
+        rng = np.random.default_rng(12)
+        # ties enough that the quartile knots are exactly 1, 2 and 3; values
+        # on every knot, between knots, beyond both ends, and NaN
+        counts = {-np.inf: 1, -1.0: 10, 0.0: 10, 0.4: 10, 1.0: 40, 1.5: 10, 2.0: 40,
+                  2.5: 10, 3.0: 40, 3.6: 10, 4.0: 10, 5.0: 8, np.inf: 1, np.nan: 10}
+        knotted = np.repeat(list(counts), list(counts.values()))
+        n = len(knotted)
+
+        def columns():
+            return [
+                rng.permutation(knotted),
+                rng.permutation(knotted),
+                list(rng.choice(["p", "q", "r", "never seen", "<OTHER>"], n)),
+                rng.uniform(-1.0, 5.0, n),
+            ] + [rng.random(n) for _ in range(4)]
+
+        specs = [
+            spec("a", size=3, keypoints=5, bounds=(0.0, 4.0), missing=MissingPolicy.CALIBRATED),
+            spec("v", size=3, keypoints=5, bounds=(0.0, 4.0), missing=MissingPolicy.VERTEX),
+            FeatureSpec(name="g", kind=FeatureKind.CATEGORICAL, size=2,
+                        categories=["p", "q", "r"], allow_unseen=True),
+            spec("two", bounds=(0.0, 4.0)),
+        ] + [spec(f"x{k}", keypoints=3) for k in range(4)]
+        if pairs:
+            data = PairDataset(columns(), columns())
+            config = TrainConfig(loss=Loss.LOGISTIC)
+        else:
+            data = Dataset(columns(), rng.random(n))
+            config = TrainConfig()
+        state = perturbed_state(data, specs, config)
+        cs = state.calibrators
+        a, v, g, two = cs.calibrators[:4]
+        assert a.knots.tolist() == v.knots.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+        assert g.categories[g.other_index] == "<OTHER>" and two.num_free == 0
+        # more than one chunk of sides in a minibatch of every sample
+        assert training.chunk_rows(state.shape, config.kind) < n
+        assert_same_gradients(state, np.arange(n))
+        assert_same_gradients(state, rng.integers(0, n, size=150))
 
     @pytest.mark.parametrize(
         "pairs, loss, kind, workers",
