@@ -258,14 +258,19 @@ class ContinuousCalibrator:
         self._row = entry
         return entry
 
-    def calibrate(self, raw) -> float:
+    def _number(self, raw) -> float:
+        """``raw`` as a float, NaN where it is missing; a DataError naming
+        the feature where it is not a number."""
         if is_missing(raw):
-            return _missing_coordinate(self)
+            return math.nan
         try:
-            x = float(raw)
+            return float(raw)
         except (TypeError, ValueError):
             raise DataError(f"feature {self.name}: {raw!r} is not a number") from None
-        if x != x:  # NaN text, such as "nan": missing, as locate reads it
+
+    def calibrate(self, raw) -> float:
+        x = self._number(raw)
+        if x != x:  # missing, NaN text such as "nan" included, as locate reads it
             return _missing_coordinate(self)
         knots, outputs = self._knot_list, self.outputs
         if x <= knots[0]:
@@ -280,10 +285,8 @@ class ContinuousCalibrator:
 
     def gradient(self, raw) -> list[tuple[int, float]]:
         """Partials of calibrate(raw) w.r.t. the free parameters (sparse)."""
-        if is_missing(raw):
-            return _missing_gradient(self)
-        x = float(raw)
-        if x != x:  # NaN text, such as "nan": missing, as in calibrate
+        x = self._number(raw)
+        if x != x:  # missing, as in calibrate
             return _missing_gradient(self)
         knots = self.knots
         last = len(knots) - 1
@@ -336,15 +339,17 @@ class ContinuousCalibrator:
         knots = self.knots
         last = len(knots) - 1
         inner = (x > knots[0]) & (x < knots[-1])
-        # the segment bisect_right gives inner values, clipped to [0, last - 1]
-        # for the rest (NaN included)
-        j = np.searchsorted(knots[1:-1], x, side="right")
-        xj = knots[j]
-        t = (np.where(inner, x, xj) - xj) / (knots[j + 1] - xj)  # 0 where not inner
-        lo = np.where(inner, j, np.where(x >= knots[-1], last, 0))
+        # the segment bisect_right gives inner values; it is 0 at and below
+        # the first knot, and last - 1 at and above the last knot and for NaN
+        lo = np.searchsorted(knots[1:-1], x, side="right")
+        xj = knots.take(lo)
+        # the fraction of inner values only: a value beyond the knots can be
+        # too far from its segment's knot to subtract without overflow
+        t = np.subtract(x, xj, out=np.zeros(len(x)), where=inner)
+        t /= knots.take(lo + 1) - xj
+        lo[x >= knots[-1]] = last
         _locate_missing(self, np.isnan(x), last + 1, lo)
-        hi = np.where(inner, j + 1, lo)
-        return lo, hi, t, inner
+        return lo, lo + inner, t, inner
 
 
 @dataclass

@@ -293,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="verify the monotonicity constraints of a model file")
     p.add_argument("--model", required=True)
-    p.add_argument("--tolerance", type=float, default=1e-12)
+    p.add_argument("--tolerance", type=float, default=0.0,
+                   help="allowed decrease along a constrained edge (default 0: exact)")
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("bench", help="time the interpolation kernels")

@@ -114,7 +114,7 @@ class Model:
             missing_vertex_dims(self.specs),
         )
 
-    def violations(self, tolerance: float = 1e-12):
+    def violations(self, tolerance: float = 0.0):
         return describe_violations(self.theta, self.shape, self.constraints(), tolerance)
 
     # ---- serialization
@@ -312,9 +312,14 @@ def _check_calibrator(spec: FeatureSpec, cal) -> None:
                 raise DataError(
                     f"{where}: category_values break the order pair ({a!r}, {b!r})"
                 )
+    value = cal.missing_value
     if spec.missing is MissingPolicy.CALIBRATED:
-        value = cal.missing_value
         if type(value) not in (int, float) or not 0.0 <= value <= spec.size - 1:
             raise DataError(
                 f"{where}: missing_value {value!r} is not a number in [0, {spec.size - 1}]"
             )
+    elif value is not None:
+        # never read under the other policies, so it would save back unchecked
+        raise DataError(
+            f"{where}: missing_value {value!r} is not null under missing {spec.missing.value!r}"
+        )

@@ -104,7 +104,7 @@ def build_constraints(
     return ConstraintSet(shape.num_parameters, lo, hi)
 
 
-def check_monotonic(theta, constraints: ConstraintSet, tolerance: float = 1e-12) -> np.ndarray:
+def check_monotonic(theta, constraints: ConstraintSet, tolerance: float = 0.0) -> np.ndarray:
     """Positions of rows with theta[hi] - theta[lo] < -tolerance, or not a
     number (a row touching NaN, or +inf on both ends, is violated)."""
     th = np.asarray(theta, dtype=float)
@@ -115,7 +115,7 @@ def check_monotonic(theta, constraints: ConstraintSet, tolerance: float = 1e-12)
 
 
 def describe_violations(
-    theta, shape: LatticeShape, constraints: ConstraintSet, tolerance: float = 1e-12
+    theta, shape: LatticeShape, constraints: ConstraintSet, tolerance: float = 0.0
 ) -> list[tuple[tuple[int, ...], tuple[int, ...], float]]:
     """(low coords, high coords, gap) for every violated row."""
     th = np.asarray(theta, dtype=float)

@@ -316,18 +316,14 @@ def loss_gradients(state: TrainerState, minibatch) -> tuple[np.ndarray, np.ndarr
             s[1::2] = -s[1::2]
         # a zero slope or a zero dfdx adds +-0.0 to a sum that starts at +0.0,
         # which leaves every bit as it is, so neither scatter needs a mask
-        if indices.flags.c_contiguous:  # already sample-major: simplex, or one sample
-            products = s[:, None] * weights
-        else:
-            # the multilinear kernel's vertex-major buffers, transposed: write
-            # them sample-major into the run's own buffers, one pass each, so
-            # the ravels below are views, not fresh transposing copies
-            rows, k = indices.shape
-            flat = state.buffers.get("scatter_indices", rows, k, np.int64)
-            np.copyto(flat, indices)
-            indices = flat
-            products = np.multiply(s[:, None], weights, out=state.buffers.get("products", rows, k))
-        np.add.at(g_theta, indices.ravel(), products.ravel())
+        # both kernels record vertex-major and return transposed views: write
+        # them sample-major into the run's own buffers, one pass each, so the
+        # ravels below are views, not fresh transposing copies
+        rows, k = indices.shape
+        flat = state.buffers.get("scatter_indices", rows, k, np.int64)
+        np.copyto(flat, indices)
+        products = np.multiply(s[:, None], weights, out=state.buffers.get("products", rows, k))
+        np.add.at(g_theta, flat.ravel(), products.ravel())
         if want:
             cs.add_apply_gradient(sides, s[:, None] * dfdx, g_table)
     return g_theta, cs.at_free(g_table)

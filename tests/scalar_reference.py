@@ -9,6 +9,11 @@ the batched ``loss_gradients`` must equal it bit for bit.
 entries of the calibrator table; tests hold both against ``calibrate_row``,
 ``row_gradients`` and the calibrators' scalar methods.
 
+``reference_locate`` is the masked-select form of
+``ContinuousCalibrator.locate`` (every value's fraction computed from a
+value clipped to its segment, each index picked by ``np.where``); the
+calibrator's must give the same arrays byte for byte and dtype for dtype.
+
 ``reference_component_walk`` scans one constraint row at a time and keeps
 the active rows' connected components in a dict; ``project_update`` must
 equal it bit for bit.  The two Gram-Schmidt walks ``project_update`` used
@@ -102,6 +107,21 @@ def reference_calibrate_batch(cs, columns):
             row.append([(position[e], g) for e, g in entries if e in position])
         grads.append(row)
     return x, grads
+
+
+def reference_locate(cal, x):
+    """``cal.locate`` of a float array ``x`` that has no NaN unless ``cal``
+    has a missing policy: ``(lo, hi, t, inner)``."""
+    knots = cal.knots
+    last = len(knots) - 1
+    inner = (x > knots[0]) & (x < knots[-1])
+    j = np.searchsorted(knots[1:-1], x, side="right")
+    xj = knots[j]
+    t = (np.where(inner, x, xj) - xj) / (knots[j + 1] - xj)  # 0 where not inner
+    lo = np.where(inner, j, np.where(x >= knots[-1], last, 0))
+    lo[np.isnan(x)] = last + 1  # the missing slot
+    hi = np.where(inner, j + 1, lo)
+    return lo, hi, t, inner
 
 
 def reference_project_update(theta, step, constraints, *, return_active=False):

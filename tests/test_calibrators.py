@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,7 @@ from monolattice.calibrators import (
     build_continuous_calibrator,
 )
 
-from scalar_reference import reference_calibrate_batch
+from scalar_reference import reference_calibrate_batch, reference_locate
 
 
 def cont_spec(**kw):
@@ -137,6 +139,59 @@ class TestContinuousCalibrate:
         assert model.predict(Dataset([np.array([5.0])], None)).tolist() == [after[2]]
 
 
+class TestContinuousLocate:
+    """``locate`` against ``reference_locate``, byte for byte and dtype for
+    dtype, warning-free (the suite makes a RuntimeWarning an error)."""
+
+    KNOTS = [
+        [0.0, 1.0],  # no interior knot
+        [-2.0, -0.5, 0.0, 3.0, 10.0],
+        [0.0, 5e-324, 1e-300, 1.0],  # subnormal segments
+        [-1.5e308, 0.0],  # x - knots[0] overflows for some values past the last knot
+    ]
+
+    @staticmethod
+    def calibrator(knots, missing):
+        return ContinuousCalibrator(
+            knots=np.array(knots),
+            outputs=np.linspace(0.0, 1.0, len(knots)),
+            axis_top=1.0,
+            missing=missing,
+            missing_value=0.5 if missing is MissingPolicy.CALIBRATED else None,
+            missing_vertex=1.0 if missing is MissingPolicy.VERTEX else None,
+            name="x0",
+        )
+
+    @staticmethod
+    def values(knots):
+        """Every knot and segment middle, the values next to the end knots
+        on both sides, values beyond them, +-inf, +-5e-324, +-0.0 and NaN."""
+        k = np.array(knots)
+        edges = [np.nextafter(k[0], -np.inf), np.nextafter(k[0], np.inf),
+                 np.nextafter(k[-1], -np.inf), np.nextafter(k[-1], np.inf)]
+        beyond = [k[0] - 1.0, k[-1] + 1.0, -1e308, 1e308, -np.inf, np.inf]
+        tiny = [5e-324, -5e-324, 0.0, -0.0]
+        return np.concatenate([k, (k[:-1] + k[1:]) / 2, edges, beyond, tiny, [np.nan]])
+
+    @pytest.mark.parametrize("knots", KNOTS)
+    @pytest.mark.parametrize("missing", list(MissingPolicy))
+    def test_matches_reference(self, knots, missing):
+        cal = self.calibrator(knots, missing)
+        x = self.values(knots)
+        if missing is MissingPolicy.NONE:
+            x = x[:-1]  # NaN needs a missing policy
+        got = cal.locate(x)
+        want = reference_locate(cal, x)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+
+    def test_nan_without_missing_policy_is_a_data_error(self):
+        cal = self.calibrator([0.0, 1.0], MissingPolicy.NONE)
+        with pytest.raises(DataError, match="feature x0: missing value but no missing policy"):
+            cal.locate(np.array([0.5, np.nan]))
+
+
 class TestContinuousGradient:
     def test_example_weights(self):
         spec = cont_spec(keypoints=3)
@@ -150,6 +205,15 @@ class TestContinuousGradient:
         cal = build_continuous_calibrator(spec, np.arange(10.0))
         k = float(cal.knots[1])
         assert dict(cal.gradient(k)) == {0: pytest.approx(1.0)}
+
+    @pytest.mark.parametrize("raw", ["abc", "", object()])
+    def test_non_number_is_a_data_error(self, raw):
+        # gradient reads raw values as calibrate does, with its error
+        cal = build_continuous_calibrator(cont_spec(name="x0"), np.array([0.0, 1.0]))
+        message = f"feature x0: {re.escape(repr(raw))} is not a number"
+        for method in (cal.calibrate, cal.gradient):
+            with pytest.raises(DataError, match=message):
+                method(raw)
 
     def test_clamped_regions_have_no_gradient(self):
         spec = cont_spec(keypoints=3, bounds=(0.0, 1.0))

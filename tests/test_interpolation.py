@@ -434,6 +434,91 @@ class TestForwardBackwardBatch:
         assert out[3] is None
 
 
+SIMPLEX = InterpolationKind.SIMPLEX
+
+
+def assert_walk_matches_scalar(theta, sh, pts):
+    """The batched simplex walk's values, vertex lists and slopes, with and
+    without slopes, and ``evaluate_batch``, equal the scalar kernels' by
+    bytes."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, sh.ndim)
+    n, k = len(pts), sh.ndim + 1
+    scalar = [evaluate_with_gradients(theta, sh, x, SIMPLEX) for x in pts]
+    values = np.array([v for v, _, _ in scalar], dtype=float)
+    indices = np.array([sw.indices for _, sw, _ in scalar], dtype=np.int64).reshape(n, k)
+    weights = np.array([sw.weights for _, sw, _ in scalar], dtype=float).reshape(n, k)
+    slopes = np.array([g for _, _, g in scalar], dtype=float).reshape(n, sh.ndim)
+    for want_slopes in (False, True):
+        out = forward_backward_batch(theta, sh, pts, SIMPLEX, want_slopes=want_slopes)
+        assert out[0].tobytes() == values.tobytes()
+        assert out[1].dtype == np.int64
+        assert np.ascontiguousarray(out[1]).tobytes() == indices.tobytes()
+        assert np.ascontiguousarray(out[2]).tobytes() == weights.tobytes()
+        if want_slopes:
+            assert out[3].tobytes() == slopes.tobytes()
+        else:
+            assert out[3] is None
+    batch = evaluate_batch(theta, sh, pts, SIMPLEX)
+    assert batch.tobytes() == np.array([evaluate(theta, sh, x, SIMPLEX) for x in pts]).tobytes()
+
+
+@st.composite
+def walk_cases(draw):
+    """A shape of 1-5 dimensions with sizes 2-4, theta with none, some or
+    all entries -0.0, and up to 8 points whose residuals are often 0, 1 or
+    tied across dimensions."""
+    sizes = draw(st.lists(st.integers(2, 4), min_size=1, max_size=5))
+    sh = LatticeShape(sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    theta = rng.standard_normal(sh.num_parameters)
+    theta[rng.random(sh.num_parameters) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = -0.0
+    shared = draw(st.floats(0.0, 1.0))
+    residual = st.one_of(st.sampled_from([0.0, 1.0, 0.5, shared]), st.floats(0.0, 1.0))
+    pts = []
+    for _ in range(draw(st.integers(0, 8))):
+        base = [draw(st.integers(0, m - 2)) for m in sizes]
+        pts.append([b + draw(residual) for b in base])
+    return theta, sh, pts
+
+
+class TestSimplexWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(walk_cases())
+    def test_random_shapes(self, case):
+        assert_walk_matches_scalar(*case)
+
+    def test_all_residuals_tied(self):
+        sh = LatticeShape([3, 2, 4, 2])
+        theta = np.random.default_rng(20).standard_normal(sh.num_parameters)
+        # dyadic fractions, so that x - floor(x) is exact and the ties are real
+        assert_walk_matches_scalar(theta, sh, [[0.25, 0.25, 2.25, 0.25], [1.75, 0.75, 0.75, 0.75]])
+
+    def test_residuals_of_exactly_zero_and_one(self):
+        sh = LatticeShape([3, 3, 3, 2])
+        theta = np.random.default_rng(21).standard_normal(sh.num_parameters)
+        # interior faces give 0, the top face 1 (the last cell is reused)
+        pts = [[1.0, 2.0, 0.0, 1.0], [2.0, 2.0, 1.0, 0.5], [0.0, 1.0, 2.0, 0.0], [2.0, 2.0, 2.0, 1.0]]
+        assert_walk_matches_scalar(theta, sh, pts)
+
+    def test_one_dimension(self):
+        sh = LatticeShape([5])
+        theta = np.random.default_rng(22).standard_normal(5)
+        assert_walk_matches_scalar(theta, sh, [[0.0], [0.5], [1.0], [3.25], [4.0]])
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_zero_one_and_two_points(self, n):
+        sh = LatticeShape([2, 3, 2])
+        rng = np.random.default_rng(23 + n)
+        theta = rng.standard_normal(sh.num_parameters)
+        assert_walk_matches_scalar(theta, sh, rng.random((n, 3)) * [1.0, 2.0, 1.0])
+
+    def test_negative_zero_theta(self):
+        # every product is -0.0 or +0.0; a sum that starts at +0.0 is +0.0
+        sh = LatticeShape([3, 2, 2])
+        pts = batch_points(np.random.default_rng(24), sh)
+        assert_walk_matches_scalar(np.full(sh.num_parameters, -0.0), sh, pts)
+
+
 class TestPointGradients:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_matches_finite_differences(self, kind):

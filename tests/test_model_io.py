@@ -251,6 +251,21 @@ class TestValidation:
         with pytest.raises(DataError, match=f"{key} True"):
             Model.from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("value", ["x", True, 0.5])
+    @pytest.mark.parametrize("feature, policy", [(1, "none"), (2, "vertex")])
+    def test_missing_value_without_calibrated_policy_is_a_data_error(
+        self, trained, feature, policy, value
+    ):
+        # only the calibrated policy reads missing_value; elsewhere it is null
+        doc = self.doc(trained)
+        assert doc["features"][feature]["missing"] == policy
+        assert doc["features"][feature]["calibrator"]["missing_value"] is None
+        doc["features"][feature]["calibrator"]["missing_value"] = value
+        name = doc["features"][feature]["name"]
+        message = f"feature '{name}': missing_value {value!r} is not null"
+        with pytest.raises(DataError, match=message):
+            Model.from_json(json.dumps(doc))
+
     def test_format_constants(self, trained):
         doc = self.doc(trained)
         assert doc["format"] == FORMAT_NAME
