@@ -28,17 +28,20 @@ oracle of that path.
 Batch calibration has two parts.  *Locate* depends only on the values
 and the fixed knots or categories: per value it finds two indices into a
 flat table of parameters, a fraction t and an inner flag (a
-:class:`Location`).  *Apply* reads the current parameters: ``x = P[lo]``,
-and on inner entries ``x = (1 - t) * P[lo] + t * P[hi]`` capped at the axis
-top, the formula of ``calibrate``.  Table P holds every feature's outputs or
-values, each followed by its missing coordinate, so one gather calibrates all
-features.  Training scatters apply's derivative, 1 - t at ``lo`` and t at
-``hi``, into a vector over the table (``add_apply_gradient``); the gradient
-with respect to alpha, the free parameters, is that vector read at the free
-entries, the gather ``alpha`` reads the parameters with.  The multilinear
-kernel after calibration keeps its chunk buffers for a whole call or
-training run (see ``interpolation``), so its speed does not depend on what
-calibration freed before.
+:class:`Location`).  *Apply* reads the table P it is given (``table()``
+for the current parameters): ``x = P[lo]``, and on inner entries
+``x = (1 - t) * P[lo] + t * P[hi]`` capped at the axis top, the formula of
+``calibrate``.  Table P holds every feature's outputs or values, each
+followed by its missing coordinate, so one gather calibrates all features.
+Training scatters apply's derivative, 1 - t at ``lo`` and t at ``hi``, into
+a vector over the table (``add_apply_gradient``); the gradient with respect
+to alpha, the free parameters, is that vector read at the free entries, the
+gather ``alpha`` reads the parameters with.  Training's workers each hold a
+table of their own, stacked end to end: a location taken with an offset of
+k times the table size per row reads and scatters into worker k's.  The
+multilinear kernel after calibration keeps its chunk buffers for a whole
+call or training run (see ``interpolation``), so its speed does not depend
+on what calibration freed before.
 
 ``categories`` are stored as a tuple, so no edit in place can leave the
 lookup behind.  A pickled or deep-copied calibrator stores its arrays
@@ -636,8 +639,15 @@ class Location:
     t: np.ndarray
     inner: np.ndarray
 
-    def take(self, rows) -> "Location":
-        return Location(self.lo[rows], self.hi[rows], self.t[rows], self.inner[rows])
+    def take(self, rows, offset=None) -> "Location":
+        """The located ``rows``; with ``offset`` (one per row) added to their
+        ``lo`` and ``hi``, so that they index a stack of tables, laid end to
+        end, where row i reads the table that starts at ``offset[i]``."""
+        lo, hi = self.lo[rows], self.hi[rows]
+        if offset is not None:
+            lo += offset[:, None]
+            hi += offset[:, None]
+        return Location(lo, hi, self.t[rows], self.inner[rows])
 
 
 class CalibratorSet:
@@ -696,8 +706,14 @@ class CalibratorSet:
         return self.at_free(self.table())
 
     def at_free(self, vector) -> np.ndarray:
-        """``vector``, laid out as :meth:`table`, read at alpha's entries."""
-        return vector[self._free_entries]
+        """``vector``, laid out as :meth:`table` along its last axis, read at
+        alpha's entries."""
+        return vector[..., self._free_entries]
+
+    def put_free(self, vector, alpha) -> None:
+        """Write ``alpha`` into ``vector``, laid out as :meth:`table` along
+        its last axis, at alpha's entries: the inverse of :meth:`at_free`."""
+        vector[..., self._free_entries] = alpha
 
     def set_alpha(self, vec) -> None:
         vec = np.asarray(vec, dtype=float)
@@ -800,23 +816,28 @@ class CalibratorSet:
             inner=np.stack(inner, axis=1),
         )
 
-    def apply(self, location: Location) -> np.ndarray:
-        """Coordinates (n, D) of located rows under the current parameters;
-        inner values are capped at their axis tops, as in ``calibrate``."""
-        table, t = self.table(), location.t
+    def apply(self, location: Location, table: np.ndarray) -> np.ndarray:
+        """Coordinates (n, D) of located rows under the parameters in
+        ``table`` (laid out as :meth:`table`, or a stack of such tables
+        laid end to end that ``location`` indexes); inner values are capped
+        at their axis tops, as in ``calibrate``."""
+        t = location.t
         at_lo = table[location.lo]
         inner = np.minimum((1.0 - t) * at_lo + t * table[location.hi], self._tops)
         return np.where(location.inner, inner, at_lo)
 
     def add_apply_gradient(self, location: Location, dx, out) -> None:
         """Add ``dx`` (n, D) times the derivative of :meth:`apply` (cap not
-        differentiated) into ``out``, laid out as :meth:`table`: ``dx * (1 -
-        t)`` at ``lo``, then ``dx * t`` at ``hi``, feature by feature, row by
-        row.  Off inner values and on knots the ``hi`` term is ``dx * 0``,
-        which leaves a sum that starts at +0.0 as it is."""
-        dx, t = dx.T, location.t.T  # feature-major
-        terms = np.stack([dx * (1.0 - t), dx * t], axis=2)  # (D, n, 2)
-        entries = np.stack([location.lo.T, location.hi.T], axis=2)
+        differentiated) into ``out``, laid out as the table ``location``
+        indexes: ``dx * (1 - t)`` at ``lo``, then ``dx * t`` at ``hi``, row
+        by row, feature by feature.  Each feature owns its block of entries,
+        so every entry gets its terms in row order, as a loop over the rows
+        of one feature at a time adds them.  Off inner values and on knots
+        the ``hi`` term is ``dx * 0``, which leaves a sum that starts at
+        +0.0 as it is."""
+        t = location.t
+        terms = np.stack([dx * (1.0 - t), dx * t], axis=2)  # (n, D, 2)
+        entries = np.stack([location.lo, location.hi], axis=2)
         np.add.at(out, entries.ravel(), terms.ravel())
 
     def constraints(self) -> ConstraintSet:

@@ -514,16 +514,21 @@ def forward_backward_batch(
 
 
 def _forward_backward(theta, shape, points, kind, want_slopes, buffers: ChunkBuffers,
-                      vertices: bool = True):
+                      vertices: bool = True, row_offset=None):
     # forward_backward_batch, with the multilinear chunk arrays drawn from
     # ``buffers``: its indices and weights are views into them, valid until
     # the next call with the same buffers.  Without ``vertices`` the simplex
-    # walk records no vertex lists and returns None for them.
+    # walk records no vertex lists and returns None for them.  With
+    # ``row_offset`` (one per point), ``theta`` is a stack of parameter
+    # vectors laid end to end and point i reads the one that starts at
+    # row_offset[i]: its base index, and so every vertex index, moves by it.
     kind = InterpolationKind(kind)
     th = np.asarray(theta, dtype=float)
     base, residual = locate_cells(shape, points)
     strides = np.asarray(shape.strides, dtype=np.int64)
     base_idx = base @ strides
+    if row_offset is not None:
+        base_idx += row_offset
     if kind is InterpolationKind.SIMPLEX:
         return _simplex_walk(th, base_idx, residual, strides, vertices, want_slopes)
     # vertex-major: one C-contiguous row of n entries per cell vertex

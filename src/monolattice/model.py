@@ -102,7 +102,8 @@ class Model:
         """Scores of every row of ``data``, equal to :meth:`predict_row` bit
         for bit: the rows are located on the calibrators and calibrated
         (coordinates only), then scored by the batched kernel."""
-        x = self.calibrators.apply(self.calibrators.locate(data.columns))
+        cs = self.calibrators
+        x = cs.apply(cs.locate(data.columns), cs.table())
         return evaluate_batch(self.theta, self.shape, x, kind or self.kind)
 
     # ---- feasibility

@@ -193,6 +193,26 @@ class _Rows:
         self.has_bounds = len(self.lower_j) + len(self.upper_j) > 0
         self.count = len(self.lo) + len(self.lower_j) + len(self.upper_j)
 
+    def gather(self, th: np.ndarray, st: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``th`` and ``st`` at the high end and at the low end of every row:
+        two (2, rows) arrays, theta in row 0 and the step in row 1, one take
+        each.  A lower bound is a row from its entry down to a slot past
+        the P entries that holds the bound's value (and a zero step), an
+        upper bound a row from such a slot down to its entry, so slack and
+        rate take the arithmetic of :meth:`slack` and :meth:`rate`."""
+        p = len(th)
+        values = np.empty((2, p + self.count - len(self.lo)))
+        values[0, :p], values[1, :p] = th, st
+        hi, lo = self.hi, self.lo
+        if self.has_bounds:
+            values[0, p:] = np.concatenate([self.lower, self.upper])
+            values[1, p:] = 0.0
+            slots = np.arange(p, values.shape[1])
+            lower_slots, upper_slots = slots[: len(self.lower_j)], slots[len(self.lower_j) :]
+            hi = np.concatenate([hi, self.lower_j, upper_slots])
+            lo = np.concatenate([lo, lower_slots, self.upper_j])
+        return values.take(hi, axis=1), values.take(lo, axis=1)
+
     def slack(self, th: np.ndarray) -> np.ndarray:
         pairs = th[self.hi] - th[self.lo]
         if not self.has_bounds:
@@ -240,6 +260,29 @@ class _Rows:
             while np.any(th[hi] < th[lo]):
                 np.minimum.at(th, lo, th[hi])
 
+    def clamp(self, th: np.ndarray) -> None:
+        """:meth:`remove_roundoff` of a ``th`` known to be exactly feasible:
+        its two bound clamps alone, which move no value but turn a -0.0 at
+        a 0.0 bound into +0.0, as numpy's maximum and minimum return the
+        bound when the two are equal."""
+        if self.has_bounds:
+            th[self.lower_j] = np.maximum(th[self.lower_j], self.lower)
+            th[self.upper_j] = np.minimum(th[self.upper_j], self.upper)
+
+
+_TINY = 5e-324  # the smallest positive float
+
+
+def _hits_within_step(slack: np.ndarray, closing: np.ndarray) -> np.ndarray:
+    """Per row, whether the walk's first pass would hit it: ``closing`` (the
+    negated rate) is positive and ``t = max(slack, 0) / closing <= 1``,
+    without the division.  For positive finite s and q, s <= q gives
+    s / q <= 1 exactly, and s > q gives s / q >= 1 + ulp(q) / q > 1 + 2^-53,
+    which rounds above 1 (to inf where it overflows).  Raising the slack to
+    the smallest positive float, not to 0, also asks ``closing > 0``: no
+    float lies between 0 and it."""
+    return np.maximum(slack, _TINY) <= closing
+
 
 def _robust_norm(vec: np.ndarray) -> float:
     """Euclidean norm that survives entries whose squares overflow."""
@@ -274,11 +317,16 @@ def project_update(
     allocated at the first hit; a step that hits nothing never needs them.
 
     A theta or step with a non-finite entry, or a theta more than 1e-9 from
-    feasible, is a ``ValueError``.  The slack computed for that check is the
-    first pass's, and the first pass walks the step itself, whose norm is
-    already known, so a step that hits nothing costs one slack and one rate
-    over the rows and one norm of the step.  A final repair makes the result
-    exactly feasible (tolerance 0), a zero step's result included.
+    feasible, is a ``ValueError``.  The first pass walks the step itself.
+    Theta and the step are gathered once at both ends of every row (bounds
+    included), which gives that pass its slack, for the input check too,
+    and its rate.  Whether it hits a row is tested without a division.  A
+    step that hits nothing then ends there: the result is theta plus the
+    step, and the end values already gathered show whether it is exactly
+    feasible.  If it is, only the bound clamps of the final repair run;
+    otherwise the whole repair does, so the result is always exactly
+    feasible (tolerance 0), a zero step's included.  A step that hits a
+    row runs the walk above from its first pass.
     """
     th = np.array(theta, dtype=float)
     st = np.array(step, dtype=float)
@@ -293,18 +341,22 @@ def project_update(
     if not np.isfinite(st).all():
         raise ValueError("step has a non-finite entry")
     rows = _Rows(constraints)
-    slack = rows.slack(th)
+    at_hi, at_lo = rows.gather(th, st)
+    slack = at_hi[0] - at_lo[0]
     if slack.size and slack.min() < -_FEASIBLE_INPUT_TOL:
         raise ValueError("theta violates the constraints it is supposed to satisfy")
 
     active: list[int] = []
-    step_scale = _robust_norm(st) if rows.count else 0.0
-    if step_scale == 0.0:
+    # lo - hi is -(hi - lo) up to the sign of a zero, which no test reads
+    if not _hits_within_step(slack, at_lo[1] - at_hi[1]).any():
         th += st
-        if rows.count:
+        if np.all(at_hi[0] + at_hi[1] >= at_lo[0] + at_lo[1]):  # theta + step at the ends
+            rows.clamp(th)
+        else:
             rows.remove_roundoff(th)
         return (th, active) if return_active else th
 
+    step_scale = _robust_norm(st)
     ground = th.size
     component = None  # node -> component label, the ground node last
     direction, norm = st, step_scale  # the first pass walks the step itself

@@ -20,7 +20,7 @@ calibrated under the current parameters (``CalibratorSet.apply``, with
 signs +1 and -1 for the two sides of a pair), then located, weighted and
 differentiated as arrays.
 Gradients are scattered in sample, side, vertex order for the lattice and
-feature, side, entry order for the calibrators (into a vector over their
+side, feature, entry order for the calibrators (into a vector over their
 parameter table, read at the free entries), so the result is the
 per-sample loop's bit for bit.  Objective and metrics score through
 ``Model.predict``, which uses the same kernel.
@@ -28,15 +28,24 @@ per-sample loop's bit for bit.  Objective and metrics score through
 ``train`` shards the dataset over K workers; each synchronization round,
 every worker trains from the consensus parameters on its own shard, and the
 consensus becomes the elementwise average of the workers (feasible, since
-the constraint set is convex).  One worker is the plain case of the same
-loop.  Workers draw from independent child streams of the seed, so runs are
-reproducible.  ``parallel_train`` is another name for ``train``.
+the constraint set is convex): the shard-and-average scheme of Zinkevich et
+al., *Parallelized Stochastic Gradient Descent* (2010).  The workers run in
+lockstep, in one process: a round holds their parameters as stacks, one
+row per worker (a :class:`WorkerGroup`), and their j-th steps are one
+``sgd_step``, whose loss gradients are one batched pass over every
+worker's minibatch.  Regularizers, checks and projections stay per worker.
+Lockstep only changes the order in which independent work is issued, so
+the result is the same bits as running the workers one after another.  One
+worker is the plain case of the same loop.  Workers draw from independent
+child streams of the seed, so runs are reproducible.  ``parallel_train``
+is another name for ``train``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -74,6 +83,8 @@ from .regularizers import (
 
 class TrainingError(RuntimeError):
     """Training aborted (non-finite gradients or parameters)."""
+
+    worker: int | None = None  # the failing worker of a lockstep step, when known
 
 
 class Loss(str, enum.Enum):
@@ -157,8 +168,9 @@ class TrainerState:
     targets: np.ndarray  # float target per sample (1.0 for a pair)
     reg_terms: list[tuple[RegularizerConfig, TermSet]] = field(default_factory=list)
     # the multilinear kernel's chunk arrays and the theta scatter's
-    # sample-major copies of them, kept for the whole run; clones share
-    # them, which is safe because workers run one after another
+    # sample-major copies of them, kept for the whole run; clones and a
+    # round's worker group share them, which is safe because one step at a
+    # time runs, and a group's workers step in one pass
     buffers: ChunkBuffers = field(default_factory=ChunkBuffers, repr=False, compare=False)
 
     def clone(self) -> "TrainerState":
@@ -277,40 +289,101 @@ def prepare_state(data: Dataset | PairDataset, specs: list[FeatureSpec], config:
 _SIDES = np.array([0, 1])  # plan rows 2i and 2i + 1 are the sides of pair i
 
 
-def loss_gradients(state: TrainerState, minibatch) -> tuple[np.ndarray, np.ndarray]:
+class WorkerGroup:
+    """The workers of one synchronization round, stepping together.
+
+    Row k of ``theta`` (K, P) is worker k's lattice parameters and row k of
+    ``table`` (K, T) its calibrator parameters, laid out as
+    :meth:`CalibratorSet.table`; both start as copies of the consensus in
+    ``state``.  Everything else (data, plan, constraints, regularizers and
+    the kernel's buffers) is the state's, shared by all K.
+    """
+
+    def __init__(self, state: TrainerState, count: int) -> None:
+        self.state = state
+        self.theta = np.tile(state.theta, (count, 1))
+        self.table = np.tile(state.calibrators.table(), (count, 1))
+
+    @property
+    def theta_constraints(self) -> ConstraintSet:
+        return self.state.theta_constraints
+
+
+def loss_gradients(state: TrainerState | WorkerGroup, minibatch) -> tuple[np.ndarray, np.ndarray]:
     """Minibatch-mean loss subgradient w.r.t. theta and the calibrator vector.
 
-    The minibatch's sides are gathered from the state's plan and run
-    through the batched kernels in chunks.  Each sample's loss slope comes
-    from the scalar ``loss_slope``.  Theta gradients are scattered sample by
-    sample, side by side, vertex by vertex, and each chunk's calibrator
-    gradients feature by feature, side by side, entry by entry, so every
-    entry is the sum a per-sample loop would form, in its order.  Both
-    scatters take every term: the terms a loop would skip (zero slope, zero
-    dfdx, zero t) add +-0.0, and calibrator terms at fixed table entries are
-    dropped by the final gather.  One table vector takes every chunk, since
-    per-chunk sums would change bits.
+    ``state`` is one worker's :class:`TrainerState`, or a
+    :class:`WorkerGroup` with ``minibatch`` mapping each worker that takes
+    the step to its minibatch; a group gets a (K, P) and a (K, free) stack,
+    row k worker k's gradient, all zero for a worker not stepping.
     """
-    batch = np.asarray(minibatch, dtype=np.int64)
+    if isinstance(state, WorkerGroup):
+        return _gradients(state.state, state.theta, state.table, minibatch)
     cs = state.calibrators
-    g_theta = np.zeros_like(state.theta)
-    g_table = np.zeros(cs.table_size)
+    g_theta, g_alpha = _gradients(state, state.theta[None], cs.table()[None], {0: minibatch})
+    return g_theta[0], g_alpha[0]
+
+
+def _gradients(
+    state: TrainerState, theta: np.ndarray, table: np.ndarray, batches: dict
+) -> tuple[np.ndarray, np.ndarray]:
+    """``loss_gradients`` of the workers in ``batches`` (worker -> sample
+    indices), whose parameters are rows of the ``theta`` and ``table``
+    stacks.
+
+    The workers' samples are taken in worker order, each worker's in its
+    minibatch's order, and their sides gathered from the state's plan and
+    run through the batched kernels in chunks.  With more than one worker,
+    a side's calibrator locations are offset by k times the table size and
+    its cell's base index by k times P, so that it reads worker k's rows of
+    the flattened stacks, and its gradients land there.  Each sample's
+    loss slope comes from the scalar ``loss_slope``, scaled by one over its
+    own worker's minibatch size.  Theta gradients are scattered sample by
+    sample, side by side, vertex by vertex, and each chunk's calibrator
+    gradients side by side, feature by feature, entry by entry.  Worker
+    blocks are contiguous and touch disjoint slices, so every entry is the
+    sum a per-sample loop over that worker's minibatch would form, in its
+    order.  Both scatters take every term: the terms a loop would skip
+    (zero slope, zero dfdx, zero t) add +-0.0, and calibrator terms at
+    fixed table entries are dropped by the final gather.  One table vector
+    takes every chunk, since per-chunk sums would change bits.
+    """
+    cs = state.calibrators
+    (K, P), T = theta.shape, table.shape[1]
+    g_theta = np.zeros(theta.size)
+    g_table = np.zeros(table.size)
+    flat_theta, flat_table = theta.ravel(), table.ravel()
     want = state.trains_calibrators
-    scale = 1.0 / len(batch)
     loss = state.config.loss
     n_sides = 2 if isinstance(state.data, PairDataset) else 1
+    minibatches = [np.asarray(b, dtype=np.int64) for b in batches.values()]
+    sizes = [len(b) for b in minibatches]
+    batch = np.concatenate(minibatches)
+    scales = np.repeat([1.0 / n for n in sizes], sizes).tolist()
+    # worker of each sample, for the offsets; one worker needs none
+    owner = np.repeat(list(batches), sizes) if K > 1 else None
     step = max(1, chunk_rows(state.shape, state.config.kind) // n_sides)
     for start in range(0, len(batch), step):
         samples = batch[start : start + step]
-        sides = state.plan.take(samples if n_sides == 1 else (2 * samples[:, None] + _SIDES).ravel())
-        x = cs.apply(sides)
+        table_offset = row_offset = None
+        if owner is not None:
+            side_owner = np.repeat(owner[start : start + step], n_sides)
+            table_offset, row_offset = side_owner * T, side_owner * P
+        sides = state.plan.take(
+            samples if n_sides == 1 else (2 * samples[:, None] + _SIDES).ravel(), table_offset
+        )
+        x = cs.apply(sides, flat_table)
         values, indices, weights, dfdx = _forward_backward(
-            state.theta, state.shape, x, state.config.kind, want, state.buffers
+            flat_theta, state.shape, x, state.config.kind, want, state.buffers,
+            row_offset=row_offset,
         )
         # z = 0.0 + sum of sign * value over the sides; values are never -0.0
         z = values if n_sides == 1 else values[0::2] - values[1::2]
         y = state.targets[samples]
-        slope = [loss_slope(loss, yi, zi) * scale for yi, zi in zip(y.tolist(), z.tolist())]
+        slope = [
+            loss_slope(loss, yi, zi) * si
+            for yi, zi, si in zip(y.tolist(), z.tolist(), scales[start : start + step])
+        ]
         s = np.repeat(slope, n_sides)  # sign * slope, side by side
         if n_sides == 2:
             s[1::2] = -s[1::2]
@@ -326,60 +399,116 @@ def loss_gradients(state: TrainerState, minibatch) -> tuple[np.ndarray, np.ndarr
         np.add.at(g_theta, flat.ravel(), products.ravel())
         if want:
             cs.add_apply_gradient(sides, s[:, None] * dfdx, g_table)
-    return g_theta, cs.at_free(g_table)
+    return g_theta.reshape(K, P), cs.at_free(g_table.reshape(K, T))
 
 
-def sgd_step(state: TrainerState, minibatch, rng: np.random.Generator) -> TrainerState:
-    """One projected subgradient step over ``minibatch`` (sample indices)."""
-    g_theta, g_alpha = loss_gradients(state, minibatch)
+def sgd_step(state: TrainerState | WorkerGroup, minibatch, rng):
+    """One projected subgradient step over ``minibatch`` (sample indices).
+
+    On a :class:`WorkerGroup`, ``minibatch`` maps each worker taking the
+    step to its minibatch and ``rng`` holds every worker's generator: the
+    workers' loss gradients are taken together, then each worker adds its
+    regularizers (sampled from its own generator), checks and projects its
+    own rows.  A worker whose step fails leaves its rows as they were; once
+    every other worker has stepped, the lowest failing worker's
+    ``TrainingError`` is raised, with that worker's index as ``worker``.
+    """
+    if not isinstance(state, WorkerGroup):
+        g_theta, g_alpha = loss_gradients(state, minibatch)
+        alpha = state.calibrators.alpha() if state.trains_calibrators else None
+        state.theta, alpha = _descend(state, state.theta, alpha, g_theta, g_alpha, rng)
+        if alpha is not None:
+            state.calibrators.set_alpha(alpha)
+        return state
+    group, shared = state, state.state
+    cs = shared.calibrators
+    g_theta, g_alpha = loss_gradients(group, minibatch)
+    failure = None
+    for k in minibatch:
+        alpha = cs.at_free(group.table[k]) if shared.trains_calibrators else None
+        try:
+            theta, alpha = _descend(shared, group.theta[k], alpha, g_theta[k], g_alpha[k], rng[k])
+        except TrainingError as e:
+            if failure is None:
+                failure, e.worker = e, k
+            continue
+        group.theta[k] = theta
+        if alpha is not None:
+            cs.put_free(group.table[k], alpha)
+    if failure is not None:
+        raise failure
+    return group
+
+
+def _descend(state: TrainerState, theta, alpha, g_theta, g_alpha, rng):
+    """One worker's step from its loss subgradients: add the regularizers
+    at ``theta`` into ``g_theta``, check, and return the projected theta and
+    alpha (None where calibrators are not trained)."""
     for cfg, terms in state.reg_terms:
         if cfg.sample_count is None:
-            g = regularizer_gradient(state.theta, terms)
+            g = regularizer_gradient(theta, terms)
         else:
-            g = sample_regularizer_subgradient(state.theta, terms, cfg.sample_count, rng)
+            g = sample_regularizer_subgradient(theta, terms, cfg.sample_count, rng)
         g_theta += cfg.weight * g
     if not np.isfinite(g_theta).all() or not np.isfinite(g_alpha).all():
         raise TrainingError("non-finite gradient; lower the step size")
     eta = state.config.step_size
-    trains_calibrators = state.trains_calibrators
     # a product that overflows (step size times gradient, or step size times
     # calibrator scale) makes a non-finite step, reported below
     with np.errstate(over="ignore", invalid="ignore"):
         theta_step = -eta * g_theta
-        if trains_calibrators:
+        if alpha is not None:
             alpha_step = -eta * state.config.calibrator_step_scale * g_alpha
     if not np.isfinite(theta_step).all() or (
-        trains_calibrators and not np.isfinite(alpha_step).all()
+        alpha is not None and not np.isfinite(alpha_step).all()
     ):
         raise TrainingError("non-finite step; lower the step size")
-    state.theta = project_update(state.theta, theta_step, state.theta_constraints)
-    if trains_calibrators:
-        alpha = project_update(state.calibrators.alpha(), alpha_step, state.alpha_constraints)
-        state.calibrators.set_alpha(alpha)
-    if not np.isfinite(state.theta).all():
+    theta = project_update(theta, theta_step, state.theta_constraints)
+    if alpha is not None:
+        alpha = project_update(alpha, alpha_step, state.alpha_constraints)
+    if not np.isfinite(theta).all():
         raise TrainingError("non-finite parameters; lower the step size")
-    return state
+    return theta, alpha
 
 
-def _run_epochs(
-    state: TrainerState, shard: np.ndarray, epochs: range, rng: np.random.Generator, where: str
-) -> None:
-    """Train ``state`` on ``shard`` for the run's ``epochs`` (numbered from
-    1).  A ``TrainingError`` gains ``where`` (round and worker), the epoch
-    and the step within it."""
-    n = len(shard)
-    if n == 0:
-        return
-    k = state.config.minibatch_size
-    full = k >= n  # one deterministic full pass per epoch
-    steps = 1 if full else math.ceil(n / k)
+def _run_round(group: WorkerGroup, shards, rngs, epochs: range, where: str) -> None:
+    """Train every worker of ``group`` on its shard for the round's
+    ``epochs`` (numbered from 1), in lockstep: the workers' j-th steps of an
+    epoch are one ``sgd_step``.  Each worker draws its minibatch from its
+    own generator, and a worker with fewer steps in an epoch sits out the
+    rest of it.  A worker that fails leaves the group, and so does every
+    higher-numbered one, whose error a run of the workers one after another
+    would never reach; the rest run on, and the lowest failing worker's
+    ``TrainingError`` is raised at the end, gaining ``where`` (the round),
+    the worker, the epoch and the step."""
+    size = group.state.config.minibatch_size
+    # per worker with samples: index, shard, full pass (one deterministic
+    # pass per epoch) and steps per epoch
+    running = [
+        (k, shard, size >= len(shard), math.ceil(len(shard) / size))
+        for k, shard in enumerate(shards)
+        if len(shard)
+    ]
+    failure = None
     for epoch in epochs:
-        for step in range(1, steps + 1):
-            batch = shard if full else shard[rng.integers(0, n, size=k)]
+        for step in itertools.count(1):
+            batches = {
+                k: shard if full else shard[rngs[k].integers(0, len(shard), size=size)]
+                for k, shard, full, steps in running
+                if step <= steps
+            }
+            if not batches:
+                break
             try:
-                sgd_step(state, batch, rng)
+                sgd_step(group, batches, rngs)
             except TrainingError as e:
-                raise TrainingError(f"{e} ({where}, epoch {epoch}, step {step})") from None
+                worker = min(batches) if e.worker is None else e.worker
+                failure = TrainingError(
+                    f"{e} ({where}, worker {worker + 1}, epoch {epoch}, step {step})"
+                )
+                running = [r for r in running if r[0] < worker]
+    if failure is not None:
+        raise failure
 
 
 # --------------------------------------------------------------------------
@@ -392,10 +521,12 @@ def _num_samples(data) -> int:
 
 def train(data, specs: list[FeatureSpec], config: TrainConfig):
     """Train ``config.workers`` shards, averaged after each of
-    ``config.sync_rounds`` rounds.  One worker trains on every sample in
-    index order, and the mean of its one vector is that vector bit for bit."""
-    from .model import Model
-
+    ``config.sync_rounds`` rounds.  Each round's workers step in lockstep
+    (see ``_run_round``), and the result is bit for bit that of training
+    them one after another: each worker's parameters, generator and order
+    of arithmetic are its own.  The consensus is the mean over the workers'
+    stacked rows.  One worker trains on every sample in index order, and
+    the mean of its one vector is that vector bit for bit."""
     state = prepare_state(data, specs, config)
     n = _num_samples(data)
     if n == 0:
@@ -414,12 +545,20 @@ def train(data, specs: list[FeatureSpec], config: TrainConfig):
         count = base + (1 if r < extra else 0)
         epochs = range(done + 1, done + count + 1)
         done += count
-        workers = [state.clone() for _ in range(K)]
-        for k, (worker, shard, rng) in enumerate(zip(workers, shards, rngs), 1):
-            _run_epochs(worker, shard, epochs, rng, f"round {r + 1}, worker {k}")
-        state.theta = np.mean([w.theta for w in workers], axis=0)
-        if state.calibrators.num_free:
-            state.calibrators.set_alpha(np.mean([w.calibrators.alpha() for w in workers], axis=0))
+        group = WorkerGroup(state, K)
+        _run_round(group, shards, rngs, epochs, f"round {r + 1}")
+        cs = state.calibrators
+        state.theta = np.mean(group.theta, axis=0)
+        if cs.num_free:
+            cs.set_alpha(np.mean(cs.at_free(group.table), axis=0))
+    return _model(state, specs)
+
+
+def _model(state: TrainerState, specs: list[FeatureSpec]):
+    """The model of a trained state, with its run's settings as metadata."""
+    from .model import Model
+
+    config = state.config
     return Model(
         specs=list(specs),
         shape=state.shape,

@@ -4,6 +4,15 @@
 kernels (``evaluate_with_gradients``, ``calibrate_row``, ``row_gradients``);
 the batched ``loss_gradients`` must equal it bit for bit.
 
+``reference_train`` is the sequential driver ``train`` replaced: each
+round, every worker in turn trains a clone of the consensus on its shard
+through ``training.sgd_step`` on its own state, one step after another,
+and the consensus is the mean of the workers' vectors.  ``train``, whose
+workers step in lockstep, must give the same model bytes and the same
+``TrainingError``.  It reads ``sgd_step`` (and through it
+``loss_gradients`` and ``project_update``) from the training module at
+call time, so a test can run it through the other references.
+
 ``reference_calibrate_batch`` runs batch calibration (``locate``, then
 ``apply``) and lists each value's gradient from its location and the free
 entries of the calibrator table; tests hold both against ``calibrate_row``,
@@ -32,10 +41,11 @@ give the same arrays byte for byte, the same lists and the same
 """
 
 import csv
+import math
 
 import numpy as np
 
-from monolattice import PairDataset, evaluate_with_gradients, loss_slope
+from monolattice import PairDataset, TrainingError, evaluate_with_gradients, loss_slope, training
 from monolattice.calibrators import DataError, FeatureKind
 from monolattice.data import Dataset
 from monolattice.monotonicity import (
@@ -83,6 +93,50 @@ def reference_loss_gradients(state, minibatch):
     return g_theta, g_alpha
 
 
+def reference_train(data, specs, config):
+    state = training.prepare_state(data, specs, config)
+    n = data.num_pairs if isinstance(data, PairDataset) else data.num_rows
+    if n == 0:
+        raise ValueError("training data is empty")
+    K = config.workers
+    streams = np.random.SeedSequence(config.seed).spawn(K + 1)
+    rngs = [np.random.default_rng(s) for s in streams[:K]]
+    if K == 1:
+        shards = [np.arange(n)]
+    else:
+        order = np.random.default_rng(streams[K]).permutation(n)
+        shards = [order[k::K] for k in range(K)]
+    base, extra = divmod(config.epochs, config.sync_rounds)
+    done = 0  # epochs of the earlier rounds
+    for r in range(config.sync_rounds):
+        count = base + (1 if r < extra else 0)
+        epochs = range(done + 1, done + count + 1)
+        done += count
+        workers = [state.clone() for _ in range(K)]
+        for k, (worker, shard, rng) in enumerate(zip(workers, shards, rngs), 1):
+            _reference_run_epochs(worker, shard, epochs, rng, f"round {r + 1}, worker {k}")
+        state.theta = np.mean([w.theta for w in workers], axis=0)
+        if state.calibrators.num_free:
+            state.calibrators.set_alpha(np.mean([w.calibrators.alpha() for w in workers], axis=0))
+    return training._model(state, specs)
+
+
+def _reference_run_epochs(state, shard, epochs, rng, where):
+    n = len(shard)
+    if n == 0:
+        return
+    k = state.config.minibatch_size
+    full = k >= n  # one deterministic full pass per epoch
+    steps = 1 if full else math.ceil(n / k)
+    for epoch in epochs:
+        for step in range(1, steps + 1):
+            batch = shard if full else shard[rng.integers(0, n, size=k)]
+            try:
+                training.sgd_step(state, batch, rng)
+            except TrainingError as e:
+                raise TrainingError(f"{e} ({where}, epoch {epoch}, step {step})") from None
+
+
 def reference_calibrate_batch(cs, columns):
     """``cs.calibrate_row`` and ``cs.row_gradients`` over whole columns.
 
@@ -92,7 +146,7 @@ def reference_calibrate_batch(cs, columns):
     inner and t != 0, each kept only where its table entry is free.
     """
     location = cs.locate(columns)
-    x = cs.apply(location)
+    x = cs.apply(location, cs.table())
     free = cs.at_free(np.arange(cs.table_size)).tolist()
     position = {entry: p for p, entry in enumerate(free)}
     grads = []

@@ -17,6 +17,7 @@ from monolattice import (
     project_update,
     vertex_coords,
 )
+from monolattice.monotonicity import _hits_within_step
 
 from scalar_reference import (
     reference_array_walk,
@@ -396,6 +397,62 @@ class TestWalkMatchesOracle:
                 seen.add(min(len(active), 2))
                 theta = got
         assert seen == {0, 1, 2}
+
+
+# slacks and rates: any finite float, subnormals, values near the overflow
+# threshold and signed zeros, so that s / q underflows, overflows or ties 1
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+                1.0, 1.0 + 2.0**-52, 1.0 - 2.0**-53, 1.7976931348623157e308,
+                -1.7976931348623157e308, 8.98846567431158e307]
+_walk_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e-307, max_value=1e-307),
+    st.sampled_from(_EDGE_FLOATS),
+)
+
+
+class TestHitTestWithoutDivision:
+    """The first pass's hit test, ``max(s, 0) <= -rate`` for rate < 0,
+    against the walk's ``t = max(s, 0) / -rate <= 1``."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.tuples(_walk_floats, _walk_floats), min_size=1, max_size=8))
+    def test_matches_the_division(self, cases):
+        slack = np.array([s for s, _ in cases])
+        rate = np.array([r for _, r in cases])
+        closing = rate < 0.0
+        with np.errstate(over="ignore"):
+            t = np.where(slack < 0.0, 0.0, slack)[closing] / -rate[closing]
+        divided = np.zeros(len(cases), dtype=bool)
+        divided[closing] = t <= 1.0
+        # where the test finds no hit, the division finds none either, and
+        # where it finds one, so does the division
+        assert _hits_within_step(slack, -rate).tolist() == divided.tolist()
+
+    def test_ratios_next_to_one(self):
+        # the slack one ulp above the closing rate: the quotient rounds above 1
+        for q in (5e-324, 2.2250738585072014e-308, 1e-300, 0.75, 1.0, 3.0, 1e300):
+            s = np.nextafter(q, np.inf)
+            assert s / q > 1.0
+            assert _hits_within_step(np.array([s, q]), np.array([q, q])).tolist() == [False, True]
+
+    def test_no_hit_with_negative_zeros_at_zero_bounds(self):
+        # entry 0 sits at -0.0 on its lower bound 0.0 and entry 3 at -0.0 on
+        # its upper bound 0.0; the step hits nothing, leaves both at -0.0,
+        # and the repair's clamps turn them into +0.0, as in every walk
+        cs = ConstraintSet(
+            4, np.array([0, 1]), np.array([1, 2]),
+            lower=np.array([0.0, -np.inf, -np.inf, -np.inf]),
+            upper=np.array([np.inf, np.inf, 1.0, 0.0]),
+        )
+        theta = np.array([-0.0, 0.5, 0.75, -0.0])
+        step = np.array([-0.0, 0.125, 0.125, -0.0])
+        got, active = project_update(theta, step, cs, return_active=True)
+        assert active == []
+        assert got.tolist() == [0.0, 0.625, 0.875, 0.0]
+        assert not np.signbit(got).any()
+        for walk in (reference_component_walk, reference_project_update, reference_array_walk):
+            assert got.tobytes() == walk(theta, step, cs).tobytes()
 
 
 class TestWalkMatchesGramSchmidt:

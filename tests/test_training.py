@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monolattice import (
     CalibratorSet,
@@ -42,6 +44,7 @@ from scalar_reference import (
     reference_component_walk,
     reference_loss_gradients,
     reference_project_update,
+    reference_train,
 )
 
 
@@ -521,7 +524,13 @@ class TestPlan:
 
             return wrapper
 
-        monkeypatch.setattr(training, "sgd_step", counting("steps", training.sgd_step))
+        step = training.sgd_step
+
+        def stepping(group, batches, rngs):
+            counts["steps"] += len(batches)  # one step for each worker in lockstep
+            return step(group, batches, rngs)
+
+        monkeypatch.setattr(training, "sgd_step", stepping)
         monkeypatch.setattr(CalibratorSet, "locate", counting("locate", CalibratorSet.locate))
         data, specs = mixed_problem(True, Loss.LOGISTIC)
         config = TrainConfig(loss=Loss.LOGISTIC, epochs=2, minibatch_size=16, workers=2,
@@ -590,9 +599,9 @@ class TestPlan:
         allocations.clear()
         steps = []
 
-        def stepping(*args):
-            steps.append(args)
-            return sgd_step(*args)
+        def stepping(group, batches, rngs):
+            steps.extend(batches.values())  # one step for each worker in lockstep
+            return sgd_step(group, batches, rngs)
 
         monkeypatch.setattr(training, "sgd_step", stepping)
         train(data, specs, config)
@@ -603,7 +612,7 @@ class TestPlan:
         data, specs = mixed_problem(True, Loss.LOGISTIC, n=30)
         state = prepare_state(data, specs, TrainConfig(loss=Loss.LOGISTIC))
         cs = state.calibrators
-        x = cs.apply(state.plan)
+        x = cs.apply(state.plan, cs.table())
         for i in (0, 7, 29):
             assert x[2 * i].tolist() == cs.calibrate_row(data.plus_row(i))
             assert x[2 * i + 1].tolist() == cs.calibrate_row(data.minus_row(i))
@@ -767,6 +776,40 @@ def mixed_problem(pairs: bool, loss: Loss, n=120, seed=0):
     score = rng.random(n) * 0.5 + 0.25 * b
     labels = score if loss is Loss.SQUARED else (score > 0.5).astype(float)
     return Dataset(cols, labels), specs
+
+
+@st.composite
+def training_runs(draw):
+    """A small problem and a config for it: 1-5 workers over 14-40 rows or
+    pairs (shards of unequal sizes where the workers do not divide the
+    count), 1-3 sync rounds over 1-4 epochs (so a round may have none),
+    minibatches from one sample to past the largest shard, either kind,
+    exact and sampled regularizers, and calibrators trained or frozen."""
+    pairs = draw(st.booleans())
+    loss = Loss.LOGISTIC if pairs else draw(st.sampled_from([Loss.SQUARED, Loss.HINGE]))
+    n = draw(st.integers(14, 40))
+    data, specs = mixed_problem(pairs, loss, n=n, seed=draw(st.integers(0, 9)))
+    workers = draw(st.integers(1, 5))
+    shard = math.ceil(n / workers)  # the largest
+    minibatch = draw(st.one_of(st.integers(1, 6), st.integers(shard - 1, shard + 2)))
+    regularizers = draw(st.lists(st.sampled_from([
+        RegularizerConfig(RegularizerKind.LAPLACIAN, 0.01),
+        RegularizerConfig(RegularizerKind.TORSION, 0.01, sample_count=2),
+        RegularizerConfig(RegularizerKind.HESSIAN, 0.01, sample_count=1),
+    ]), max_size=2, unique=True))
+    config = TrainConfig(
+        loss=loss,
+        kind=draw(st.sampled_from(list(InterpolationKind))),
+        epochs=draw(st.integers(1, 4)),
+        minibatch_size=minibatch,
+        step_size=0.3,
+        calibrator_step_scale=draw(st.sampled_from([0.0, 1.0])),
+        regularizers=tuple(regularizers),
+        seed=draw(st.integers(0, 1000)),
+        workers=workers,
+        sync_rounds=draw(st.integers(1, 3)),
+    )
+    return data, specs, config
 
 
 def perturbed_state(data, specs, config, seed=1):
@@ -951,6 +994,8 @@ class TestBatchedStepMatchesReference:
         ],
     )
     def test_trained_model_bytes(self, monkeypatch, pairs, loss, kind, workers):
+        # the sequential driver steps each worker's own state, so it runs
+        # the per-sample loop one worker at a time
         data, specs = mixed_problem(pairs, loss)
         config = TrainConfig(loss=loss, kind=kind, epochs=4, minibatch_size=16,
                              step_size=0.5, seed=9, workers=workers, sync_rounds=2)
@@ -958,4 +1003,70 @@ class TestBatchedStepMatchesReference:
         monkeypatch.setattr(training, "loss_gradients", reference_loss_gradients)
         for walk in (reference_component_walk, reference_project_update, reference_array_walk):
             monkeypatch.setattr(training, "project_update", walk)
-            assert parallel_train(data, specs, config).to_json() == batched
+            assert reference_train(data, specs, config).to_json() == batched
+
+
+class TestLockstep:
+    """``train`` steps a round's workers in lockstep; the sequential driver
+    it replaced is the oracle, by model bytes and by error."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(training_runs())
+    def test_model_bytes_equal_the_sequential_driver(self, run):
+        data, specs, config = run
+        assert train(data, specs, config).to_json() == reference_train(data, specs, config).to_json()
+
+    def test_more_workers_than_samples(self):
+        # workers 4 and 5 get empty shards: they never step, and their
+        # copies of the consensus still join the mean
+        data, specs = TestTrainingErrors.DATA, TestTrainingErrors.SPECS
+        config = TrainConfig(epochs=3, minibatch_size=1, step_size=0.2, workers=5, sync_rounds=2)
+        assert train(data, specs, config).to_json() == reference_train(data, specs, config).to_json()
+
+    # 3 workers with 10 rows each and minibatches of 5: two lockstep steps
+    # per epoch, and each of the two rounds runs two epochs
+    CONFIG = TrainConfig(epochs=4, minibatch_size=5, step_size=0.1, workers=3, sync_rounds=2)
+
+    @staticmethod
+    def diverging(monkeypatch, at):
+        """Make the loss gradient of worker k (from 0) non-finite at the
+        n-th lockstep step (from 1) of the run, for each (n, k) in ``at``;
+        returns the workers of every step."""
+        real = training.loss_gradients
+        steps = []
+
+        def gradients(group, batches):
+            steps.append(list(batches))
+            g_theta, g_alpha = real(group, batches)
+            for n, k in at:
+                if n == len(steps):
+                    g_theta[k, 0] = np.inf
+            return g_theta, g_alpha
+
+        monkeypatch.setattr(training, "loss_gradients", gradients)
+        return steps
+
+    def test_lowest_failing_worker_is_reported_at_its_own_step(self, monkeypatch):
+        # worker 2 fails first (epoch 1, step 2); worker 1 fails later in the
+        # round (epoch 2, step 2), which a sequential run would reach first
+        steps = self.diverging(monkeypatch, [(2, 1), (4, 0)])
+        message = "non-finite gradient; lower the step size (round 1, worker 1, epoch 2, step 2)"
+        with pytest.raises(TrainingError, match=re.escape(message)):
+            train(line_data(30, lambda a: a), [spec("x")], self.CONFIG)
+        # worker 2 left the group with worker 3, whose error could not count
+        assert steps == [[0, 1, 2], [0, 1, 2], [0], [0]]
+
+    def test_workers_failing_at_one_step_report_the_lowest(self, monkeypatch):
+        steps = self.diverging(monkeypatch, [(3, 2), (3, 1)])
+        message = "non-finite gradient; lower the step size (round 1, worker 2, epoch 2, step 1)"
+        with pytest.raises(TrainingError, match=re.escape(message)):
+            train(line_data(30, lambda a: a), [spec("x")], self.CONFIG)
+        assert steps == [[0, 1, 2]] * 3 + [[0]]
+
+    def test_a_higher_worker_failing_alone_is_reported(self, monkeypatch):
+        steps = self.diverging(monkeypatch, [(6, 2)])
+        message = "non-finite gradient; lower the step size (round 2, worker 3, epoch 3, step 2)"
+        with pytest.raises(TrainingError, match=re.escape(message)):
+            train(line_data(30, lambda a: a), [spec("x")], self.CONFIG)
+        # workers 1 and 2 run the round out, to show that neither fails
+        assert steps == [[0, 1, 2]] * 6 + [[0, 1]] * 2
