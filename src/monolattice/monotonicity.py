@@ -182,9 +182,9 @@ def _finite_bounds(bounds) -> tuple[np.ndarray, np.ndarray]:
 
 class _Rows:
     """The walk's rows in ``_constraint_rows`` order (pairwise rows, then
-    finite lower bounds, then finite upper bounds), with each row's slack
-    and rate computed for all rows at once, in the arithmetic the per-row
-    form uses.  Built once per ``project_update`` call."""
+    finite lower bounds, then finite upper bounds), with theta and a
+    direction gathered at both ends of all rows at once.  Built once per
+    ``project_update`` call."""
 
     def __init__(self, constraints: ConstraintSet) -> None:
         self.lo, self.hi = constraints.lo, constraints.hi
@@ -198,8 +198,9 @@ class _Rows:
         two (2, rows) arrays, theta in row 0 and the step in row 1, one take
         each.  A lower bound is a row from its entry down to a slot past
         the P entries that holds the bound's value (and a zero step), an
-        upper bound a row from such a slot down to its entry, so slack and
-        rate take the arithmetic of :meth:`slack` and :meth:`rate`."""
+        upper bound a row from such a slot down to its entry.  The slack of
+        every row is then ``hi[0] - lo[0]`` (``th[j] - lower`` and ``upper -
+        th[j]`` for the bounds) and its rate ``hi[1] - lo[1]``."""
         p = len(th)
         values = np.empty((2, p + self.count - len(self.lo)))
         values[0, :p], values[1, :p] = th, st
@@ -212,20 +213,6 @@ class _Rows:
             hi = np.concatenate([hi, self.lower_j, upper_slots])
             lo = np.concatenate([lo, lower_slots, self.upper_j])
         return values.take(hi, axis=1), values.take(lo, axis=1)
-
-    def slack(self, th: np.ndarray) -> np.ndarray:
-        pairs = th[self.hi] - th[self.lo]
-        if not self.has_bounds:
-            return pairs
-        return np.concatenate(
-            [pairs, th[self.lower_j] - self.lower, self.upper - th[self.upper_j]]
-        )
-
-    def rate(self, direction: np.ndarray) -> np.ndarray:
-        pairs = direction[self.hi] - direction[self.lo]
-        if not self.has_bounds:
-            return pairs
-        return np.concatenate([pairs, direction[self.lower_j], -direction[self.upper_j]])
 
     def ends(self, r: int, ground: int) -> tuple[int, int]:
         """The two nodes row ``r`` ties together: ``(hi, lo)`` for a
@@ -259,15 +246,6 @@ class _Rows:
         if np.any(clipped < below):
             while np.any(th[hi] < th[lo]):
                 np.minimum.at(th, lo, th[hi])
-
-    def clamp(self, th: np.ndarray) -> None:
-        """:meth:`remove_roundoff` of a ``th`` known to be exactly feasible:
-        its two bound clamps alone, which move no value but turn a -0.0 at
-        a 0.0 bound into +0.0, as numpy's maximum and minimum return the
-        bound when the two are equal."""
-        if self.has_bounds:
-            th[self.lower_j] = np.maximum(th[self.lower_j], self.lower)
-            th[self.upper_j] = np.minimum(th[self.upper_j], self.upper)
 
 
 _TINY = 5e-324  # the smallest positive float
@@ -318,15 +296,14 @@ def project_update(
 
     A theta or step with a non-finite entry, or a theta more than 1e-9 from
     feasible, is a ``ValueError``.  The first pass walks the step itself.
-    Theta and the step are gathered once at both ends of every row (bounds
-    included), which gives that pass its slack, for the input check too,
-    and its rate.  Whether it hits a row is tested without a division.  A
-    step that hits nothing then ends there: the result is theta plus the
-    step, and the end values already gathered show whether it is exactly
-    feasible.  If it is, only the bound clamps of the final repair run;
-    otherwise the whole repair does, so the result is always exactly
-    feasible (tolerance 0), a zero step's included.  A step that hits a
-    row runs the walk above from its first pass.
+    Each pass gathers theta and its direction once at both ends of every
+    row (bounds included), which gives it its slack (the first pass's
+    serves the input check too) and its rate.  Whether the first pass hits
+    a row is tested without a division.  A step that hits nothing then
+    ends there: the result is theta plus the step.  Every result goes
+    through ``_Rows.remove_roundoff``, so it is exactly feasible (tolerance
+    0), a zero step's included.  A step that hits a row runs the walk
+    above from its first pass.
     """
     th = np.array(theta, dtype=float)
     st = np.array(step, dtype=float)
@@ -347,13 +324,12 @@ def project_update(
         raise ValueError("theta violates the constraints it is supposed to satisfy")
 
     active: list[int] = []
-    # lo - hi is -(hi - lo) up to the sign of a zero, which no test reads
-    if not _hits_within_step(slack, at_lo[1] - at_hi[1]).any():
+    # the negated rate: lo - hi is -(hi - lo) up to the sign of a zero,
+    # which no test reads
+    closing = at_lo[1] - at_hi[1]
+    if not _hits_within_step(slack, closing).any():
         th += st
-        if np.all(at_hi[0] + at_hi[1] >= at_lo[0] + at_lo[1]):  # theta + step at the ends
-            rows.clamp(th)
-        else:
-            rows.remove_roundoff(th)
+        rows.remove_roundoff(th)
         return (th, active) if return_active else th
 
     step_scale = _robust_norm(st)
@@ -363,13 +339,12 @@ def project_update(
     for _ in range(rows.count + 2):
         if norm <= 1e-13 * step_scale:
             break
-        rate = rows.rate(direction)
-        candidates = np.nonzero(rate < 0.0)[0]
+        candidates = np.nonzero(closing > 0.0)[0]
         # max(s, 0.0) keeps s when s is not below 0, as Python's max does; a
         # rate so small that t overflows to inf is never hit within the step
         s = slack[candidates]
         with np.errstate(over="ignore"):
-            t = np.where(s < 0.0, 0.0, s) / -rate[candidates]
+            t = np.where(s < 0.0, 0.0, s) / closing[candidates]
         within = t <= 1.0
         hits, t = candidates[within], t[within]
         if len(hits) == 0:
@@ -388,7 +363,9 @@ def project_update(
         members = component[:-1]
         direction = sums[members] / np.bincount(component)[members]
         norm = _robust_norm(direction)
-        slack = rows.slack(th)
+        at_hi, at_lo = rows.gather(th, direction)
+        slack = at_hi[0] - at_lo[0]
+        closing = at_lo[1] - at_hi[1]
     rows.remove_roundoff(th)
     return (th, active) if return_active else th
 

@@ -306,6 +306,8 @@ class WorkerGroup:
 
     @property
     def theta_constraints(self) -> ConstraintSet:
+        # read by perfbench's traced project_update, which tells the theta
+        # projection from the alpha one by it on the state sgd_step gets
         return self.state.theta_constraints
 
 

@@ -581,8 +581,9 @@ class TestPlan:
         assert counts == {"locate": 1, "gradient": 0}
 
     def test_buffers_are_allocated_once_per_run(self, monkeypatch):
-        # every minibatch has 8 samples, so no step needs more room than the
-        # first one of the run
+        # each lockstep step holds 2 workers x 8 samples, so the first step
+        # of the run allocates every buffer once and no later step needs
+        # more room; one_step, from an 8-sample call, counts the buffers
         allocations = []
 
         def counting(size, dtype):
