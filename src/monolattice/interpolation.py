@@ -62,6 +62,19 @@ with ``take(mode="clip")`` into their buffer, which writes there directly
 only because nothing can be clipped: the cells' far corners are checked
 against ``theta`` first, so a short ``theta`` still raises ``IndexError``.
 
+A lattice whose sizes are all 2 has one cell: every point's base index is
+0 and the doubled offsets are 0 .. 2^D-1, so a point's vertex values are
+theta's first 2^D entries in order.  On such a lattice ``evaluate_batch``
+skips the vertex indices, the gather and the value and scratch arrays of a
+multilinear chunk: it multiplies the doubling weights in place by theta as
+one column and sums them, so a chunk keeps one (2^D, n) array where the
+general path keeps four, and takes four times the rows (``one_cell_rows``,
+128 at D = 10) in the same bytes.  Training and ``forward_backward_batch``
+keep the general path.  On the trained ``dense-d10`` model's 2000 held-out
+rows ``evaluate_batch`` takes a median 5.1 and 5.8 ms against the general
+path's 15.5 and 14.2 ms (two runs of 200 calls alternating between the
+two, all won, on the same 2-vCPU VM).
+
 Single-row prediction goes through a :class:`RowPlan`, built once per
 theta and shape.  It does the scalar kernels' float operations in their
 order, so it equals them bit for bit, without their generic steps: it
@@ -226,18 +239,25 @@ def evaluate_batch(
 ) -> np.ndarray:
     """:func:`evaluate` over an (n, D) array of points, bit for bit.
 
-    Runs in chunks of about ``CHUNK_ENTRIES`` vertex weights, so the n x
-    (cell size) temporaries stay small whatever n is.
+    Runs in chunks of about ``CHUNK_ENTRIES`` vertex weights
+    (:func:`chunk_rows`), so the n x (cell size) temporaries stay small
+    whatever n is.  A multilinear lattice of one cell (every size 2) reads
+    theta as one column, with no vertex indices or gather, in chunks of
+    :func:`one_cell_rows`; the path follows from the shape and kind alone.
     """
     pts = np.asarray(points, dtype=float)
     th = np.asarray(theta, dtype=float)
-    step = chunk_rows(shape, kind)
+    kind = InterpolationKind(kind)
+    one_cell = kind is InterpolationKind.MULTILINEAR and set(shape.sizes) == {2}
+    step = one_cell_rows(shape) if one_cell else chunk_rows(shape, kind)
     buffers = ChunkBuffers()  # one set for all chunks of this call
     out = np.empty(len(pts))
     for start in range(0, len(pts), step):
-        out[start : start + step] = _forward_backward(
-            th, shape, pts[start : start + step], kind, False, buffers, vertices=False
-        )[0]
+        chunk, dest = pts[start : start + step], out[start : start + step]
+        if one_cell:
+            _one_cell_values(th, shape, chunk, buffers, dest)
+        else:
+            dest[:] = _forward_backward(th, shape, chunk, kind, False, buffers, vertices=False)[0]
     return out
 
 
@@ -395,10 +415,20 @@ CHUNK_ENTRIES = 1 << 15  # vertex weights per chunk of rows
 
 def chunk_rows(shape: LatticeShape, kind: InterpolationKind) -> int:
     """Rows per chunk that keep a chunk near ``CHUNK_ENTRIES`` weights; a
-    point touches D+1 vertices for simplex, 2^D otherwise."""
+    point touches D+1 vertices for simplex, 2^D otherwise.  Training uses
+    it everywhere; :func:`evaluate_batch` on a multilinear lattice of one
+    cell uses :func:`one_cell_rows` instead."""
     if InterpolationKind(kind) is InterpolationKind.SIMPLEX:
         return max(1, CHUNK_ENTRIES // (shape.ndim + 1))
     return max(1, CHUNK_ENTRIES >> shape.ndim)
+
+
+def one_cell_rows(shape: LatticeShape) -> int:
+    """Rows per multilinear chunk of :func:`evaluate_batch` on a lattice of
+    one cell (every size 2): the chunk keeps one (2^D, n) array where
+    :func:`chunk_rows`' chunk keeps four, so it takes four times the rows in
+    the same bytes."""
+    return max(1, (4 * CHUNK_ENTRIES) >> shape.ndim)
 
 
 @functools.lru_cache(maxsize=64)
@@ -544,6 +574,18 @@ def _forward_backward(theta, shape, points, kind, want_slopes, buffers: ChunkBuf
     values = _column_sums(np.multiply(vals, weights, out=scratch))
     slopes = _multilinear_slopes(vals, weights, residual_t, scratch) if want_slopes else None
     return values, indices.T, weights.T, None if slopes is None else slopes.T
+
+
+def _one_cell_values(th, shape, points, buffers: ChunkBuffers, out) -> None:
+    # evaluate_batch's multilinear chunk on a lattice of one cell (see the
+    # module docstring), into ``out``; w * t is t * w bit for bit, so the
+    # products equal the general path's gathered values times weights
+    _, residual = locate_cells(shape, points)
+    k = 1 << shape.ndim
+    if len(th) < k:
+        raise IndexError(f"cell vertex index out of bounds for theta of size {len(th)}")
+    w = _doubling_weights(np.ascontiguousarray(residual.T), buffers)
+    _column_sums(np.multiply(w, th[:k, None], out=w), out=out)
 
 
 def _simplex_walk(th, base_idx, residual, strides, vertices, want_slopes):

@@ -120,6 +120,19 @@ def loss_slope(loss: Loss, y: float, z: float) -> float:
     return -sign if margin < 1.0 else 0.0
 
 
+def _loss_slopes(loss: Loss, y: np.ndarray, z: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """``loss_slope(loss, y[i], z[i]) * scale[i]`` for every i, bit for bit:
+    the squared and hinge slopes in numpy, the logistic one sample by
+    sample."""
+    if loss is Loss.SQUARED:
+        return 2.0 * (z - y) * scale
+    if loss is Loss.HINGE:
+        sign = 2.0 * y - 1.0
+        return np.where(sign * z < 1.0, -sign, 0.0) * scale
+    rows = zip(y.tolist(), z.tolist(), scale.tolist())
+    return np.array([loss_slope(loss, yi, zi) * si for yi, zi, si in rows], dtype=float)
+
+
 # --------------------------------------------------------------------------
 # configuration and state
 
@@ -339,13 +352,13 @@ def _gradients(
     a side's calibrator locations are offset by k times the table size and
     its cell's base index by k times P, so that it reads worker k's rows of
     the flattened stacks, and its gradients land there.  Each sample's
-    loss slope comes from the scalar ``loss_slope``, scaled by one over its
-    own worker's minibatch size.  Theta gradients are scattered sample by
-    sample, side by side, vertex by vertex, and each chunk's calibrator
-    gradients side by side, feature by feature, entry by entry.  Worker
-    blocks are contiguous and touch disjoint slices, so every entry is the
-    sum a per-sample loop over that worker's minibatch would form, in its
-    order.  Both scatters take every term: the terms a loop would skip
+    loss slope is ``loss_slope``'s, scaled by one over its own worker's
+    minibatch size (``_loss_slopes``).  Theta gradients are scattered
+    sample by sample, side by side, vertex by vertex, and each chunk's
+    calibrator gradients side by side, feature by feature, entry by entry.
+    Worker blocks are contiguous and touch disjoint slices, so every entry
+    is the sum a per-sample loop over that worker's minibatch would form, in
+    its order.  Both scatters take every term: the terms a loop would skip
     (zero slope, zero dfdx, zero t) add +-0.0, and calibrator terms at
     fixed table entries are dropped by the final gather.  One table vector
     takes every chunk, since per-chunk sums would change bits.
@@ -361,7 +374,7 @@ def _gradients(
     minibatches = [np.asarray(b, dtype=np.int64) for b in batches.values()]
     sizes = [len(b) for b in minibatches]
     batch = np.concatenate(minibatches)
-    scales = np.repeat([1.0 / n for n in sizes], sizes).tolist()
+    scales = np.repeat([1.0 / n for n in sizes], sizes)
     # worker of each sample, for the offsets; one worker needs none
     owner = np.repeat(list(batches), sizes) if K > 1 else None
     step = max(1, chunk_rows(state.shape, state.config.kind) // n_sides)
@@ -381,11 +394,7 @@ def _gradients(
         )
         # z = 0.0 + sum of sign * value over the sides; values are never -0.0
         z = values if n_sides == 1 else values[0::2] - values[1::2]
-        y = state.targets[samples]
-        slope = [
-            loss_slope(loss, yi, zi) * si
-            for yi, zi, si in zip(y.tolist(), z.tolist(), scales[start : start + step])
-        ]
+        slope = _loss_slopes(loss, state.targets[samples], z, scales[start : start + step])
         s = np.repeat(slope, n_sides)  # sign * slope, side by side
         if n_sides == 2:
             s[1::2] = -s[1::2]

@@ -21,7 +21,8 @@ from monolattice import (
     vertex_coords,
     vertex_index,
 )
-from monolattice.interpolation import ChunkBuffers, chunk_rows
+from monolattice import interpolation
+from monolattice.interpolation import ChunkBuffers, chunk_rows, one_cell_rows
 
 ALL_KINDS = list(InterpolationKind)
 # the product-form kernel is no served kind, only the oracle of the fast
@@ -290,13 +291,21 @@ class TestEvaluate:
         grads = np.array([evaluate_with_gradients(theta, sh, x, kind)[2] for x in pts])
         assert slopes.tobytes() == grads.tobytes()
 
-    def test_batch_spans_several_chunks(self):
-        sh = LatticeShape([2] * 10)
+    @staticmethod
+    def assert_several_chunks(sh, step):
         rng = np.random.default_rng(12)
         theta = rng.standard_normal(sh.num_parameters)
-        pts = rng.random((3 * chunk_rows(sh, InterpolationKind.MULTILINEAR) + 5, 10))
+        pts = rng.random((3 * step + 5, sh.ndim)) * (np.array(sh.sizes) - 1)
         batch = evaluate_batch(theta, sh, pts)
         assert batch.tolist() == [evaluate(theta, sh, x) for x in pts]
+
+    def test_batch_spans_several_chunks(self):
+        sh = LatticeShape([2] * 10)  # one cell
+        self.assert_several_chunks(sh, one_cell_rows(sh))
+
+    def test_batch_spans_several_chunks_of_many_cells(self):
+        sh = LatticeShape([3, 3] + [2] * 6)
+        self.assert_several_chunks(sh, chunk_rows(sh, InterpolationKind.MULTILINEAR))
 
     def test_batch_of_no_points(self):
         sh = LatticeShape([3, 2])
@@ -375,11 +384,15 @@ class TestForwardBackwardBatch:
         sh = LatticeShape([size] * D)
         rng = np.random.default_rng(200 * D + size)
         theta = rng.standard_normal(sh.num_parameters)
-        pts = rng.random((chunk_rows(sh, InterpolationKind.MULTILINEAR) + 1, D)) * (size - 1)
+        step = one_cell_rows(sh) if size == 2 else chunk_rows(sh, InterpolationKind.MULTILINEAR)
+        pts = rng.random((step + 1, D)) * (size - 1)
         scalar = np.array([evaluate(theta, sh, x) for x in pts])
         assert evaluate_batch(theta, sh, pts).tobytes() == scalar.tobytes()
 
-    def test_evaluate_batch_allocates_each_chunk_buffer_once(self, monkeypatch):
+    @staticmethod
+    def assert_buffers_allocated_once(monkeypatch, sh, step, arrays):
+        # a call of one chunk allocates ``arrays`` buffers; a call of several
+        # chunks and a shorter last one allocates no more
         allocations = []
 
         def counting(size, dtype):
@@ -387,18 +400,28 @@ class TestForwardBackwardBatch:
             return np.empty(size, dtype=dtype)
 
         monkeypatch.setattr(ChunkBuffers, "_allocate", staticmethod(counting))
-        sh = LatticeShape([2] * 8)
         rng = np.random.default_rng(15)
         theta = rng.standard_normal(sh.num_parameters)
-        step = chunk_rows(sh, InterpolationKind.MULTILINEAR)
-        evaluate_batch(theta, sh, rng.random((step, 8)))
-        one_chunk = len(allocations)
-        assert one_chunk > 0
+        top = np.array(sh.sizes) - 1
+        evaluate_batch(theta, sh, rng.random((step, sh.ndim)) * top)
+        assert len(allocations) == arrays
         allocations.clear()
-        pts = rng.random((3 * step + 5, 8))
+        pts = rng.random((3 * step + 5, sh.ndim)) * top
         batch = evaluate_batch(theta, sh, pts)
-        assert len(allocations) == one_chunk
+        assert len(allocations) == arrays
         assert batch.tobytes() == np.array([evaluate(theta, sh, x) for x in pts]).tobytes()
+
+    def test_evaluate_batch_allocates_each_chunk_buffer_once(self, monkeypatch):
+        # one cell: the weights are the only array
+        sh = LatticeShape([2] * 8)
+        self.assert_buffers_allocated_once(monkeypatch, sh, one_cell_rows(sh), 1)
+
+    def test_evaluate_batch_allocates_each_chunk_buffer_of_many_cells_once(self, monkeypatch):
+        # weights, vertex indices, gathered values and scratch
+        sh = LatticeShape([3, 3] + [2] * 6)
+        self.assert_buffers_allocated_once(
+            monkeypatch, sh, chunk_rows(sh, InterpolationKind.MULTILINEAR), 4
+        )
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_successive_calls_return_separate_arrays(self, kind):
@@ -432,6 +455,91 @@ class TestForwardBackwardBatch:
         sh = LatticeShape([3, 3])
         out = forward_backward_batch(np.zeros(9), sh, np.array([[0.5, 1.5]]))
         assert out[3] is None
+
+
+class TestOneCellBatch:
+    """``evaluate_batch`` on lattices of one cell (every size 2), which
+    reads theta as one column instead of gathering it, against the scalar
+    kernel by bytes."""
+
+    @pytest.mark.parametrize("D", [1, 2, 7, 10])
+    def test_chunks_and_a_one_row_remainder(self, D):
+        # the last chunk is one row, whose sum runs through cumsum
+        sh = LatticeShape([2] * D)
+        rng = np.random.default_rng(300 + D)
+        theta = rng.standard_normal(sh.num_parameters)
+        pts = rng.random((3 * one_cell_rows(sh) + 1, D))
+        pts[:4] = np.floor(pts[:4] * 2)  # vertices
+        pts[4:8, 0] = 1.0  # top face
+        scalar = np.array([evaluate(theta, sh, x) for x in pts])
+        assert evaluate_batch(theta, sh, pts).tobytes() == scalar.tobytes()
+        # a longer theta only has its first 2^D entries read
+        longer = np.concatenate([theta, rng.standard_normal(3)])
+        assert evaluate_batch(longer, sh, pts).tobytes() == scalar.tobytes()
+
+    @pytest.mark.parametrize("D", [1, 2, 7, 10])
+    def test_sums_of_negative_zeros_are_positive(self, D):
+        sh = LatticeShape([2] * D)
+        rng = np.random.default_rng(310 + D)
+        theta = np.full(sh.num_parameters, -0.0)
+        for pts in (batch_points(rng, sh), batch_points(rng, sh)[:1]):
+            scalar = np.array([evaluate(theta, sh, x) for x in pts])
+            batch = evaluate_batch(theta, sh, pts)
+            assert batch.tobytes() == scalar.tobytes()
+            assert not np.signbit(batch).any()
+
+    @pytest.mark.parametrize("D", [1, 2, 7, 10])
+    def test_short_theta_raises_index_error(self, D):
+        sh = LatticeShape([2] * D)
+        rng = np.random.default_rng(320 + D)
+        theta = rng.standard_normal(sh.num_parameters - 1)
+        pts = rng.random((5, D))
+        for batch in (pts, pts[:1]):
+            with pytest.raises(IndexError):
+                evaluate(theta, sh, batch[0])
+            with pytest.raises(IndexError):
+                evaluate_batch(theta, sh, batch)
+
+    @pytest.mark.parametrize("D", [1, 2, 7, 10])
+    def test_no_points(self, D):
+        sh = LatticeShape([2] * D)
+        for theta in (np.zeros(sh.num_parameters), np.zeros(sh.num_parameters - 1)):
+            out = evaluate_batch(theta, sh, np.empty((0, D)))
+            assert out.shape == (0,) and out.dtype == np.float64
+
+    def test_bad_coordinate_is_reported_as_by_locate_cell(self):
+        sh = LatticeShape([2] * 3)
+        pts = np.array([[0.5, 0.5, 0.5], [1.0, 1.5, 0.0], [np.nan, 0.0, 0.0]])
+        with pytest.raises(ValueError) as scalar:
+            locate_cell(sh, pts[1])
+        with pytest.raises(ValueError) as batch:
+            evaluate_batch(np.zeros(8), sh, pts)
+        assert str(batch.value) == str(scalar.value)
+
+    @pytest.mark.parametrize(
+        "sizes, kind, one_cell",
+        [
+            ([2] * 10, InterpolationKind.MULTILINEAR, True),
+            ([2], "multilinear", True),
+            ([2] * 10, InterpolationKind.SIMPLEX, False),
+            ([3, 3, 3, 3], InterpolationKind.MULTILINEAR, False),
+            ([2] * 9 + [3], InterpolationKind.MULTILINEAR, False),
+        ],
+    )
+    def test_path_is_chosen_from_the_shape_and_kind(self, monkeypatch, sizes, kind, one_cell):
+        taken = []
+        for name in ("_one_cell_values", "_forward_backward"):
+            real = getattr(interpolation, name)
+
+            def spy(*args, _real=real, _name=name, **kw):
+                taken.append(_name)
+                return _real(*args, **kw)
+
+            monkeypatch.setattr(interpolation, name, spy)
+        sh = LatticeShape(sizes)
+        pts = np.random.default_rng(330).random((3, sh.ndim))
+        evaluate_batch(np.zeros(sh.num_parameters), sh, pts, kind)
+        assert taken == ["_one_cell_values" if one_cell else "_forward_backward"]
 
 
 SIMPLEX = InterpolationKind.SIMPLEX

@@ -79,6 +79,19 @@ class TestPredictEqualsPredictRow:
         assert_paths_agree(model, data)
         assert model.predict_row(data.row(0)).hex() == "0x0.0p+0"
 
+    @pytest.mark.parametrize("D", [1, 2, 7, 10])
+    def test_trained_one_cell_models(self, D):
+        # batch predict on a lattice of one cell reads theta as one column;
+        # 300 rows span three of its chunks at D = 10
+        rng = np.random.default_rng(40 + D)
+        cols = [rng.random(60) for _ in range(D)]
+        specs = [FeatureSpec(f"x{d}", keypoints=3) for d in range(D)]
+        model = train(Dataset(cols, sum(cols) / D), specs,
+                      TrainConfig(epochs=2, minibatch_size=8, step_size=0.5, seed=D))
+        assert model.shape.sizes == (2,) * D
+        data = Dataset([rng.uniform(-0.1, 1.1, 300) for _ in range(D)], None)
+        assert_paths_agree(model, data)
+
     def test_three_per_dimension(self):
         assert_paths_agree(unit_model([3] * 7), unit_rows(7))
 

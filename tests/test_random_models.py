@@ -1,0 +1,124 @@
+"""Random small models, trained end to end: scored alike by the batch and
+single-row paths, monotone at tolerance 0, saved and loaded byte for byte,
+and the same bytes for the same seed."""
+
+import os
+import tempfile
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from monolattice import (
+    Dataset,
+    Direction,
+    FeatureKind,
+    FeatureSpec,
+    InterpolationKind,
+    Loss,
+    MissingPolicy,
+    Model,
+    PairDataset,
+    RegularizerConfig,
+    RegularizerKind,
+    TrainConfig,
+    train,
+)
+
+CATEGORIES = ["a", "b", "c"]
+
+
+@st.composite
+def features(draw, name):
+    """One feature of lattice size 2 or 3 and a column drawer for it: a
+    continuous feature of any direction and missing policy, or a
+    categorical one, with or without an order pair and an OTHER bucket."""
+    size = draw(st.integers(2, 3))
+    missing = draw(st.sampled_from(
+        [MissingPolicy.NONE, MissingPolicy.CALIBRATED]
+        + ([MissingPolicy.VERTEX] if size == 3 else [])
+    ))
+    if draw(st.booleans()):
+        spec = FeatureSpec(
+            name, size=size, keypoints=draw(st.integers(2, 5)), missing=missing,
+            monotone=draw(st.sampled_from(list(Direction))),
+        )
+
+        def column(rng, n):
+            col = rng.random(n) * 10
+            if missing is not MissingPolicy.NONE:
+                col[rng.random(n) < 0.2] = np.nan
+            return col
+
+        return spec, column
+    spec = FeatureSpec(
+        name, kind=FeatureKind.CATEGORICAL, size=size, missing=missing,
+        order_pairs=draw(st.sampled_from([[], [("a", "c")]])),
+        allow_unseen=draw(st.booleans()),
+    )
+
+    def column(rng, n):
+        col = list(rng.choice(CATEGORIES, n))
+        col[:3] = CATEGORIES  # every category the order pair names is seen
+        if missing is not MissingPolicy.NONE:
+            col[3] = None
+        return col
+
+    return spec, column
+
+
+@st.composite
+def random_models(draw):
+    """1-4 features of sizes 2-3 (all-2 lattices have one cell), either
+    interpolation kind, the three losses on rows or on pairs, 1-2
+    workers, and regularizers or none.  Returns the training data,
+    specs, config and data to score."""
+    drawn = [draw(features(f"f{d}")) for d in range(draw(st.integers(1, 4)))]
+    specs = [spec for spec, _ in drawn]
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    n = draw(st.integers(20, 40))
+
+    def columns(count):
+        return [column(rng, count) for _, column in drawn]
+
+    loss = draw(st.sampled_from(list(Loss)))
+    if draw(st.booleans()):
+        data = PairDataset(columns(n), columns(n))
+    else:
+        labels = rng.random(n)
+        data = Dataset(columns(n), labels if loss is Loss.SQUARED else np.round(labels))
+    config = TrainConfig(
+        loss=loss,
+        kind=draw(st.sampled_from(list(InterpolationKind))),
+        epochs=draw(st.integers(1, 3)),
+        minibatch_size=draw(st.integers(1, 16)),
+        step_size=draw(st.sampled_from([0.1, 1.0, 10.0, 100.0])),
+        regularizers=draw(st.sampled_from([
+            (),
+            (RegularizerConfig(RegularizerKind.LAPLACIAN, 0.01),),
+            (RegularizerConfig(RegularizerKind.TORSION, 0.01, sample_count=2),),
+        ])),
+        seed=draw(st.integers(0, 1000)),
+        workers=draw(st.integers(1, 2)),
+        sync_rounds=draw(st.integers(1, 2)),
+    )
+    return data, specs, config, Dataset(columns(30), None)
+
+
+class TestRandomModels:
+    @settings(max_examples=50, deadline=None)
+    @given(random_models())
+    def test_trained_models_keep_their_promises(self, drawn):
+        data, specs, config, scored = drawn
+        model = train(data, specs, config)
+        batch = model.predict(scored)
+        rows = [model.predict_row(scored.row(i)) for i in range(scored.num_rows)]
+        assert batch.tobytes() == np.array(rows).tobytes()
+        assert model.violations(0.0) == []
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = os.path.join(tmp, "a.json"), os.path.join(tmp, "b.json")
+            model.save(first)
+            Model.load(first).save(second)
+            with open(first, "rb") as a, open(second, "rb") as b:
+                assert a.read() == b.read()
+        assert train(data, specs, config).to_json() == model.to_json()

@@ -96,6 +96,21 @@ class TestLosses:
         assert loss_slope(Loss.HINGE, 0.0, 0.5) == 1.0
 
 
+    @pytest.mark.parametrize("loss", list(Loss))
+    def test_batch_slopes_equal_the_scalar_slope(self, loss):
+        # training's slopes of a chunk of samples, scaled, against
+        # loss_slope sample by sample, by bytes; z holds +-0.0, the hinge
+        # kink and values far out
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            y = rng.random(64) if loss is Loss.SQUARED else rng.integers(0, 2, 64).astype(float)
+            z = rng.choice([0.0, -0.0, 1.0, -1.0, 800.0, -800.0], 64)
+            z = np.where(rng.random(64) < 0.5, rng.standard_normal(64) * 3, z)
+            scale = rng.choice([1.0 / 3, 1.0 / 32, 0.5], 64)
+            want = np.array([loss_slope(loss, a, b) * c for a, b, c in zip(y, z, scale)])
+            assert training._loss_slopes(loss, y, z, scale).tobytes() == want.tobytes()
+
+
 class TestInitLattice:
     def test_two_by_two_increasing(self):
         shape = LatticeShape((2, 2))
