@@ -14,16 +14,19 @@ Missing values are handled per feature, either by learning the axis value to
 impute (``calibrated``) or by reserving the top lattice slice as a dedicated
 missing vertex and rescaling real values to [0, M_d - 2] (``vertex``).
 
+Calibrators are frozen values.  ``knots``, ``outputs`` and ``values`` are
+stored as read-only float64 copies and ``categories`` as a tuple, so what is
+derived from them (the knot list, the category lookup, the row entry) is
+built once, on first use, and cannot go stale.  Other parameters make a new
+calibrator (``dataclasses.replace``), or a new set (``CalibratorSet.with_table``,
+which training uses once, for the trained model); a copied or unpickled
+calibrator is rebuilt through its constructor.
+
 Single-row calibration (``CalibratorSet.calibrate_row``, behind
 ``Model.predict_row``) reads each calibrator's *row entry*: the plain Python
 values ``calibrate`` needs (knots and outputs, or the category lookup and
-values, as lists; the axis top or the OTHER index; the missing coordinate),
-built on first use and dropped by any attribute assignment.  So that the
-entry cannot go stale, ``outputs`` and ``values`` are read-only views, like
-``knots``: assign a new array to change them.  Only ``set_free_parameters``
-and ``CalibratorSet.set_alpha`` write the storage behind them in place, and
-they drop the entry too.  Each calibrator's ``calibrate`` is the scalar
-oracle of that path.
+values, as lists; the axis top or the OTHER index; the missing coordinate).
+Each calibrator's ``calibrate`` is the scalar oracle of that path.
 
 Batch calibration has two parts.  *Locate* depends only on the values
 and the fixed knots or categories: per value it finds two indices into a
@@ -42,19 +45,16 @@ k times the table size per row reads and scatters into worker k's.  The
 multilinear kernel after calibration keeps its chunk buffers for a whole
 call or training run (see ``interpolation``), so its speed does not depend
 on what calibration freed before.
-
-``categories`` are stored as a tuple, so no edit in place can leave the
-lookup behind.  A pickled or deep-copied calibrator stores its arrays
-again, read-only, and remakes its cached entries.
 """
 
 from __future__ import annotations
 
-import copy
+import dataclasses
 import enum
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -157,22 +157,21 @@ def _row_missing(cal) -> float | None:
         return None
 
 
-def _own_points(cal, value) -> np.ndarray:
-    """Store a float64 copy of ``value`` as ``cal``'s parameter storage and
-    return a read-only view of it for the public attribute."""
-    points = np.array(value, dtype=float)
-    object.__setattr__(cal, "_points", points)
-    view = points.view()
-    view.flags.writeable = False
-    return view
-
-
-def _fork(cal):
-    """``copy.copy(cal)`` without the reduce protocol's overhead: the
-    calibrator's ``__setstate__`` gives the copy its own parameter storage."""
-    out = object.__new__(type(cal))
-    out.__setstate__(cal.__dict__)
+def read_only(value) -> np.ndarray:
+    """A read-only float64 copy of ``value``."""
+    out = np.array(value, dtype=float)
+    out.flags.writeable = False
     return out
+
+
+class Frozen:
+    """Base of the frozen dataclasses whose derived structures are built once
+    (``Model`` and the calibrators)."""
+
+    def __reduce__(self):
+        # copies, deep copies and unpickled values are rebuilt through the
+        # constructor: arrays read-only again, nothing derived carried over
+        return type(self), tuple(getattr(self, f.name) for f in dataclasses.fields(self))
 
 
 # --------------------------------------------------------------------------
@@ -203,8 +202,8 @@ def fit_knots(column, keypoints: int, bounds: tuple[float, float] | None = None)
 # calibrators
 
 
-@dataclass
-class ContinuousCalibrator:
+@dataclass(frozen=True)
+class ContinuousCalibrator(Frozen):
     """Piecewise-linear map from a raw value to a lattice coordinate."""
 
     knots: np.ndarray  # strictly increasing, len >= 2
@@ -215,20 +214,9 @@ class ContinuousCalibrator:
     missing_vertex: float | None = None  # fixed coordinate (vertex policy)
     name: str = ""  # the feature's, for error messages
 
-    def __setattr__(self, name, value):
-        # knots are a read-only float64 copy and outputs a read-only view of
-        # private storage, so the list that calibrate bisects and the row
-        # entry cannot go stale unless an attribute is assigned: knots remake
-        # the list, and every assignment drops the entry
-        if name == "knots":
-            value = np.array(value, dtype=float)
-            value.flags.writeable = False
-            object.__setattr__(self, "_knot_list", value.tolist())
-        elif name == "outputs":
-            value = _own_points(self, value)
-        object.__setattr__(self, name, value)
-        if name != "_row":
-            object.__setattr__(self, "_row", None)
+    def __post_init__(self):
+        object.__setattr__(self, "knots", read_only(self.knots))
+        object.__setattr__(self, "outputs", read_only(self.outputs))
 
     @property
     def num_free(self) -> int:
@@ -237,29 +225,17 @@ class ContinuousCalibrator:
             n += 1
         return n
 
-    def free_parameters(self) -> np.ndarray:
-        vals = list(self.outputs[1:-1])
-        if self.missing is MissingPolicy.CALIBRATED:
-            vals.append(self.missing_value)
-        return np.array(vals, dtype=float)
+    @cached_property
+    def _knot_list(self) -> list[float]:
+        return self.knots.tolist()
 
-    def set_free_parameters(self, vals) -> None:
-        vals = np.asarray(vals, dtype=float)
-        k = max(len(self.outputs) - 2, 0)
-        self._points[1:-1] = vals[:k]
-        if self.missing is MissingPolicy.CALIBRATED:
-            self.missing_value = float(vals[k])
-        self._row = None
-
-    def _row_entry(self) -> tuple:
-        """This calibrator's row entry, stored until an assignment drops it:
-        knots and outputs as lists, the axis top, the missing coordinate (or
-        None) and the two end knots."""
+    @cached_property
+    def _row(self) -> tuple:
+        """This calibrator's row entry: knots and outputs as lists, the axis
+        top, the missing coordinate (or None) and the two end knots."""
         knots = self._knot_list
-        entry = (knots, self.outputs.tolist(), self.axis_top, _row_missing(self),
-                 knots[0], knots[-1])
-        self._row = entry
-        return entry
+        return (knots, self.outputs.tolist(), self.axis_top, _row_missing(self),
+                knots[0], knots[-1])
 
     def _number(self, raw) -> float:
         """``raw`` as a float, NaN where it is missing; a DataError naming
@@ -308,19 +284,6 @@ class ContinuousCalibrator:
     def points(self) -> np.ndarray:
         return self.outputs
 
-    def __setstate__(self, state):
-        # a copied or unpickled calibrator gets its own storage behind outputs,
-        # and knots that unpickling or deepcopy made writeable are stored
-        # again (a fork shares the read-only ones)
-        self.__dict__.update(state)
-        self.outputs = self._points
-        if self.knots.flags.writeable:
-            self.knots = self.knots
-
-    def fork(self) -> "ContinuousCalibrator":
-        """A calibrator sharing the knots, with its own outputs."""
-        return _fork(self)
-
     def locate(self, column):
         """The parameter-free half of :meth:`calibrate`.
 
@@ -355,11 +318,11 @@ class ContinuousCalibrator:
         return lo, lo + inner, t, inner
 
 
-@dataclass
-class CategoricalCalibrator:
+@dataclass(frozen=True)
+class CategoricalCalibrator(Frozen):
     """One learned lattice coordinate per category."""
 
-    categories: tuple[str, ...]  # stored as a tuple, whatever is assigned
+    categories: tuple[str, ...]  # stored as a tuple, whatever is passed
     values: np.ndarray
     axis_top: float
     missing: MissingPolicy = MissingPolicy.NONE
@@ -369,18 +332,9 @@ class CategoricalCalibrator:
     order_pairs: list[tuple[str, str]] = field(default_factory=list)
     name: str = ""  # the feature's, for error messages
 
-    def __setattr__(self, name, value):
-        # as ContinuousCalibrator's: values are a read-only view of private
-        # storage, categories are a tuple that remakes the lookup, and every
-        # assignment drops the row entry
-        if name == "values":
-            value = _own_points(self, value)
-        elif name == "categories":
-            value = tuple(value)
-            object.__setattr__(self, "_lookup", {c: i for i, c in enumerate(value)})
-        object.__setattr__(self, name, value)
-        if name != "_row":
-            object.__setattr__(self, "_row", None)
+    def __post_init__(self):
+        object.__setattr__(self, "categories", tuple(self.categories))
+        object.__setattr__(self, "values", read_only(self.values))
 
     @property
     def num_free(self) -> int:
@@ -389,27 +343,17 @@ class CategoricalCalibrator:
             n += 1
         return n
 
-    def free_parameters(self) -> np.ndarray:
-        vals = list(self.values)
-        if self.missing is MissingPolicy.CALIBRATED:
-            vals.append(self.missing_value)
-        return np.array(vals, dtype=float)
+    @cached_property
+    def _lookup(self) -> dict[str, int]:
+        return {c: i for i, c in enumerate(self.categories)}
 
-    def set_free_parameters(self, vals) -> None:
-        vals = np.asarray(vals, dtype=float)
-        self._points[:] = vals[: len(self.values)]
-        if self.missing is MissingPolicy.CALIBRATED:
-            self.missing_value = float(vals[len(self.values)])
-        self._row = None
-
-    def _row_entry(self) -> tuple:
+    @cached_property
+    def _row(self) -> tuple:
         """This calibrator's row entry, laid out as the continuous one's:
         the lookup, the values as a list, the OTHER index, the missing
         coordinate (or None), and None twice where the end knots would be."""
-        entry = (self._lookup, self.values.tolist(), self.other_index, _row_missing(self),
-                 None, None)
-        self._row = entry
-        return entry
+        return (self._lookup, self.values.tolist(), self.other_index, _row_missing(self),
+                None, None)
 
     def _index(self, raw) -> int:
         i = self._lookup.get(str(raw))
@@ -432,15 +376,6 @@ class CategoricalCalibrator:
     @property
     def points(self) -> np.ndarray:
         return self.values
-
-    def __setstate__(self, state):
-        # a copied or unpickled calibrator gets its own storage behind values
-        self.__dict__.update(state)
-        self.values = self._points
-
-    def fork(self) -> "CategoricalCalibrator":
-        """A calibrator sharing categories and lookup, with its own values."""
-        return _fork(self)
 
     def locate(self, column):
         """The parameter-free half of :meth:`calibrate`, laid out as
@@ -494,25 +429,30 @@ def _numbers(column) -> np.ndarray:
     return out
 
 
+def _missing_fields(spec: FeatureSpec) -> dict:
+    """The missing-value fields of a calibrator fitted for ``spec``: a
+    learned coordinate starts mid-axis, a missing vertex is the top slice."""
+    missing = spec.missing
+    return {
+        "missing": missing,
+        "missing_value": (spec.size - 1) / 2.0 if missing is MissingPolicy.CALIBRATED else None,
+        "missing_vertex": float(spec.size - 1) if missing is MissingPolicy.VERTEX else None,
+    }
+
+
 def build_continuous_calibrator(spec: FeatureSpec, column) -> ContinuousCalibrator:
     try:
         knots = fit_knots(_numbers(column), spec.keypoints, spec.bounds)
     except ValueError as e:
         raise DataError(f"feature {spec.name}: {e}") from None
     top = spec.axis_top
-    outputs = np.linspace(0.0, top, len(knots))
-    cal = ContinuousCalibrator(
+    return ContinuousCalibrator(
         knots=knots,
-        outputs=outputs,
+        outputs=np.linspace(0.0, top, len(knots)),
         axis_top=top,
-        missing=spec.missing,
         name=spec.name,
+        **_missing_fields(spec),
     )
-    if spec.missing is MissingPolicy.CALIBRATED:
-        cal.missing_value = (spec.size - 1) / 2.0
-    elif spec.missing is MissingPolicy.VERTEX:
-        cal.missing_vertex = float(spec.size - 1)
-    return cal
 
 
 def _respect_order_pairs(spec: FeatureSpec, ordered: list[str]) -> list[str]:
@@ -605,20 +545,15 @@ def build_categorical_calibrator(
         values = np.append(values, top / 2.0)
         other_index = len(ordered) - 1
 
-    cal = CategoricalCalibrator(
+    return CategoricalCalibrator(
         categories=ordered,
         values=values,
         axis_top=top,
-        missing=spec.missing,
         order_pairs=[(str(a), str(b)) for a, b in spec.order_pairs],
         other_index=other_index,
         name=spec.name,
+        **_missing_fields(spec),
     )
-    if spec.missing is MissingPolicy.CALIBRATED:
-        cal.missing_value = (spec.size - 1) / 2.0
-    elif spec.missing is MissingPolicy.VERTEX:
-        cal.missing_vertex = float(spec.size - 1)
-    return cal
 
 
 # --------------------------------------------------------------------------
@@ -674,22 +609,6 @@ class CalibratorSet:
         self.num_free = total
         self._tops = np.array([cal.axis_top for cal in calibrators])
         self._free_entries = np.flatnonzero(free)  # alpha's table entries, in order
-        # per calibrator with free parameters: the free span of its points and
-        # where that span and its missing coordinate (or None) sit in alpha
-        self._alpha_blocks = []
-        for i, (cal, off) in enumerate(zip(calibrators, self.offsets)):
-            if cal.num_free:
-                inner = slice(1, -1) if isinstance(cal, ContinuousCalibrator) else slice(None)
-                span = len(cal.points[inner])
-                missing = off + span if cal.missing is MissingPolicy.CALIBRATED else None
-                self._alpha_blocks.append((i, inner, off, off + span, missing))
-
-    def fork(self) -> "CalibratorSet":
-        """A set sharing specs, knots, categories and lookups with this one
-        and owning its parameters, so training it leaves this one as is."""
-        out = copy.copy(self)
-        out.calibrators = [cal.fork() for cal in self.calibrators]
-        return out
 
     @classmethod
     def fit(cls, specs: list[FeatureSpec], columns: list, labels=None) -> "CalibratorSet":
@@ -715,16 +634,20 @@ class CalibratorSet:
         its last axis, at alpha's entries: the inverse of :meth:`at_free`."""
         vector[..., self._free_entries] = alpha
 
-    def set_alpha(self, vec) -> None:
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (self.num_free,):
-            raise ValueError(f"expected {self.num_free} calibrator parameters")
-        for i, inner, start, stop, missing in self._alpha_blocks:
-            cal = self.calibrators[i]
-            cal._points[inner] = vec[start:stop]
-            if missing is not None:
-                cal.missing_value = float(vec[missing])
-            cal._row = None
+    def with_table(self, table) -> "CalibratorSet":
+        """A set whose calibrators hold the parameters in ``table`` (laid out
+        as :meth:`table`), each made from this set's with
+        ``dataclasses.replace``, which keeps everything else."""
+        cals = []
+        for cal, start in zip(self.calibrators, self.table_offsets):
+            end = start + len(cal.points)
+            points = "outputs" if isinstance(cal, ContinuousCalibrator) else "values"
+            missing = cal.missing_value
+            if cal.missing is MissingPolicy.CALIBRATED:
+                missing = float(table[end])
+            changed = {points: table[start:end], "missing_value": missing}
+            cals.append(dataclasses.replace(cal, **changed))
+        return CalibratorSet(self.specs, cals)
 
     def _check_width(self, count: int, unit: str) -> None:
         if count != len(self.calibrators):
@@ -745,7 +668,7 @@ class CalibratorSet:
         for cal, raw in zip(cals, row):
             # continuous: knot list, outputs, axis top, missing, end knots;
             # categorical: lookup, values, OTHER index, missing, None, None
-            keys, points, top, missing, first, last = cal._row or cal._row_entry()
+            keys, points, top, missing, first, last = cal._row
             if first is None:
                 if raw is None or isinstance(raw, float) and raw != raw:
                     x = missing

@@ -7,22 +7,21 @@ parameter bit for bit.
 
 ``Model.predict`` scores a batch through the batched calibrators and kernel.
 ``Model.predict_row`` scores one row through one path: the calibrators'
-``calibrate_row``, which reads each calibrator's cached row entry (its
-parameters as lists), then the model's :class:`~.interpolation.RowPlan`,
-built by the first call and dropped whenever ``theta`` or ``shape`` is
-assigned.  The two give the same bits.  ``theta`` is stored as a read-only
-float64 copy on every assignment, so the plan's view of it cannot fall out
-of date; the calibrators' ``knots``, ``outputs`` and ``values`` are
-read-only too, and a calibrator drops its row entry whenever one of its
-attributes is assigned or ``set_alpha`` writes its parameters.  A pickled,
-copied or deep-copied model stores its ``theta`` again on the way in, so it
-is read-only there too and has no row plan yet.
+``calibrate_row``, which reads each calibrator's row entry (its parameters
+as lists), then the model's :class:`~.interpolation.RowPlan`, built by the
+first call.  The two give the same bits.  A model is a frozen value, checked
+on construction: ``theta`` is stored as a read-only float64 copy of the
+lattice's size, and its calibrators are frozen too, so the plan and the row
+entries cannot fall out of date.  A changed model is a new one
+(``dataclasses.replace``); a copied or unpickled model is rebuilt through
+the constructor.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +33,10 @@ from .calibrators import (
     DataError,
     FeatureKind,
     FeatureSpec,
+    Frozen,
     MissingPolicy,
     missing_vertex_dims,
+    read_only,
 )
 from .interpolation import InterpolationKind, RowPlan, evaluate_batch
 
@@ -54,8 +55,8 @@ FORMAT_NAME = "monolattice-model"
 FORMAT_VERSION = 1
 
 
-@dataclass
-class Model:
+@dataclass(frozen=True, eq=False)
+class Model(Frozen):
     specs: list[FeatureSpec]
     shape: LatticeShape
     theta: np.ndarray
@@ -63,23 +64,24 @@ class Model:
     kind: InterpolationKind = InterpolationKind.MULTILINEAR
     loss: Loss = Loss.SQUARED
     metadata: dict = field(default_factory=dict)
-    # predict_row's plan over theta and shape; None until predict_row needs it
-    _row_plan: RowPlan | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __setattr__(self, name, value):
-        # theta is a read-only float64 copy, so the plan cannot go stale
-        # unless theta or shape is assigned, which drops it
-        if name == "theta":
-            value = np.array(value, dtype=float)
-            value.flags.writeable = False
-        if name in ("theta", "shape"):
-            object.__setattr__(self, "_row_plan", None)
-        object.__setattr__(self, name, value)
+    def __post_init__(self):
+        sizes = [s.size for s in self.specs]
+        if list(self.shape.sizes) != sizes:
+            raise DataError(
+                f"lattice sizes {list(self.shape.sizes)} do not match the feature sizes {sizes}"
+            )
+        theta = read_only(self.theta)
+        if theta.shape != (self.shape.num_parameters,):
+            raise DataError(
+                f"theta has shape {theta.shape}, lattice needs ({self.shape.num_parameters},)"
+            )
+        object.__setattr__(self, "theta", theta)
 
-    def __setstate__(self, state):
-        # unpickling and deepcopy give theta back writeable: store it again
-        self.__dict__.update(state)
-        self.theta = self.theta
+    @cached_property
+    def _row_plan(self) -> RowPlan:
+        """predict_row's plan over theta and shape."""
+        return RowPlan(self.theta, self.shape)
 
     def __eq__(self, other):
         # identical models are those that write identical model files
@@ -93,10 +95,7 @@ class Model:
         """Score of one row, equal to :meth:`predict` bit for bit: the row
         is calibrated, then scored by the model's row plan."""
         x = self.calibrators.calibrate_row(row)
-        plan = self._row_plan
-        if plan is None:
-            plan = self._row_plan = RowPlan(self.theta, self.shape)
-        return plan.evaluate(x, kind or self.kind)
+        return self._row_plan.evaluate(x, kind or self.kind)
 
     def predict(self, data, kind: InterpolationKind | None = None) -> np.ndarray:
         """Scores of every row of ``data``, equal to :meth:`predict_row` bit
@@ -202,6 +201,7 @@ class Model:
                 allow_unseen=bool(entry["allow_unseen"]),
             )
             state = entry["calibrator"]
+            vertex = float(spec.size - 1) if spec.missing is MissingPolicy.VERTEX else None
             if spec.kind is FeatureKind.CONTINUOUS:
                 cal = ContinuousCalibrator(
                     knots=np.asarray(state["knots"], dtype=float),
@@ -209,6 +209,7 @@ class Model:
                     axis_top=spec.axis_top,
                     missing=spec.missing,
                     missing_value=state["missing_value"],
+                    missing_vertex=vertex,
                     name=spec.name,
                 )
             else:
@@ -219,36 +220,25 @@ class Model:
                     axis_top=spec.axis_top,
                     missing=spec.missing,
                     missing_value=state["missing_value"],
+                    missing_vertex=vertex,
                     other_index=state["other_index"],
                     order_pairs=[tuple(p) for p in entry["order"]],
                     name=spec.name,
                 )
-            if spec.missing is MissingPolicy.VERTEX:
-                cal.missing_vertex = float(spec.size - 1)
             _check_calibrator(spec, cal)
             specs.append(spec)
             cals.append(cal)
-        shape = LatticeShape(doc["lattice"])
-        if list(shape.sizes) != [s.size for s in specs]:
-            raise DataError(
-                f"lattice sizes {list(shape.sizes)} do not match the feature sizes "
-                f"{[s.size for s in specs]}"
-            )
-        theta = np.asarray(doc["theta"], dtype=float)
-        if theta.shape != (shape.num_parameters,):
-            raise DataError(
-                f"theta has shape {theta.shape}, lattice needs ({shape.num_parameters},)"
-            )
-        _check_finite("theta", theta)
-        return cls(
+        model = cls(
             specs=specs,
-            shape=shape,
-            theta=theta,
+            shape=LatticeShape(doc["lattice"]),
+            theta=doc["theta"],
             calibrators=CalibratorSet(specs, cals),
             kind=_member(InterpolationKind, doc["interpolation"], "interpolation"),
             loss=_member(Loss, doc["loss"], "loss"),
             metadata=doc.get("metadata", {}),
         )
+        _check_finite("theta", model.theta)
+        return model
 
     @classmethod
     def load(cls, path) -> "Model":

@@ -9,16 +9,23 @@ iterate satisfies its constraints.  Lattice and calibrator parameters are
 updated jointly in the same step, the calibrator step scaled by a separate
 factor (scale 0 freezes the calibrators).
 
-Everything about the training samples that stays fixed during a run is
-worked out once, in ``prepare_state``: the *plan* is the location of every
-side (a row, or a pair's preferred row then the other) on the calibrators'
-knots and categories (``CalibratorSet.locate``), and the targets are held
-as floats.  Clones share both, and so do the multilinear kernel's chunk
-buffers, which every step of the run reuses.  The loss subgradient is then
-one batched pass: the minibatch's sides are gathered from the plan and
-calibrated under the current parameters (``CalibratorSet.apply``, with
-signs +1 and -1 for the two sides of a pair), then located, weighted and
-differentiated as arrays.
+A training state holds the parameters as two plain arrays, which the steps
+write: theta, and the calibrator parameter table laid out as
+``CalibratorSet.table``, whose free entries are alpha.  Its calibrators are
+the fitted ones and keep their starting parameters; the trained model's
+calibrators are built once, from the final table
+(``CalibratorSet.with_table``).  Everything about the training samples that
+stays fixed during a run is worked out once, in ``prepare_state``: the
+*plan* is the location of every side (a row, or a pair's preferred row then
+the other) on the calibrators' knots and categories
+(``CalibratorSet.locate``), and the targets are held as floats.  A clone
+copies theta and the table and shares everything else: the calibrators, the
+plan, the targets and the multilinear kernel's chunk buffers, which every
+step of the run reuses.  The loss subgradient is then one batched pass: the
+minibatch's sides are gathered from the plan and calibrated under the
+table's parameters (``CalibratorSet.apply``, with signs +1 and -1 for the
+two sides of a pair), then located, weighted and differentiated as
+arrays.
 Gradients are scattered in sample, side, vertex order for the lattice and
 side, feature, entry order for the calibrators (into a vector over their
 parameter table, read at the free entries), so the result is the
@@ -172,7 +179,8 @@ class TrainConfig:
 class TrainerState:
     shape: LatticeShape
     theta: np.ndarray
-    calibrators: CalibratorSet
+    table: np.ndarray  # calibrator parameters, laid out as CalibratorSet.table()
+    calibrators: CalibratorSet  # as fitted: locations, free entries, constraints
     config: TrainConfig
     data: Dataset | PairDataset
     theta_constraints: ConstraintSet
@@ -187,11 +195,9 @@ class TrainerState:
     buffers: ChunkBuffers = field(default_factory=ChunkBuffers, repr=False, compare=False)
 
     def clone(self) -> "TrainerState":
-        """A state with its own theta and calibrator parameters; everything
-        else, the plan and the kernel's buffers included, is shared."""
-        return dataclasses.replace(
-            self, theta=self.theta.copy(), calibrators=self.calibrators.fork()
-        )
+        """A state with its own theta and calibrator table; everything else,
+        the plan and the kernel's buffers included, is shared."""
+        return dataclasses.replace(self, theta=self.theta.copy(), table=self.table.copy())
 
     @property
     def trains_calibrators(self) -> bool:
@@ -285,6 +291,7 @@ def prepare_state(data: Dataset | PairDataset, specs: list[FeatureSpec], config:
     return TrainerState(
         shape=shape,
         theta=init_lattice(shape, directions),
+        table=calibrators.table(),
         calibrators=calibrators,
         config=config,
         data=data,
@@ -315,7 +322,7 @@ class WorkerGroup:
     def __init__(self, state: TrainerState, count: int) -> None:
         self.state = state
         self.theta = np.tile(state.theta, (count, 1))
-        self.table = np.tile(state.calibrators.table(), (count, 1))
+        self.table = np.tile(state.table, (count, 1))
 
     @property
     def theta_constraints(self) -> ConstraintSet:
@@ -334,8 +341,7 @@ def loss_gradients(state: TrainerState | WorkerGroup, minibatch) -> tuple[np.nda
     """
     if isinstance(state, WorkerGroup):
         return _gradients(state.state, state.theta, state.table, minibatch)
-    cs = state.calibrators
-    g_theta, g_alpha = _gradients(state, state.theta[None], cs.table()[None], {0: minibatch})
+    g_theta, g_alpha = _gradients(state, state.theta[None], state.table[None], {0: minibatch})
     return g_theta[0], g_alpha[0]
 
 
@@ -425,11 +431,12 @@ def sgd_step(state: TrainerState | WorkerGroup, minibatch, rng):
     ``TrainingError`` is raised, with that worker's index as ``worker``.
     """
     if not isinstance(state, WorkerGroup):
+        cs = state.calibrators
         g_theta, g_alpha = loss_gradients(state, minibatch)
-        alpha = state.calibrators.alpha() if state.trains_calibrators else None
+        alpha = cs.at_free(state.table) if state.trains_calibrators else None
         state.theta, alpha = _descend(state, state.theta, alpha, g_theta, g_alpha, rng)
         if alpha is not None:
-            state.calibrators.set_alpha(alpha)
+            cs.put_free(state.table, alpha)
         return state
     group, shared = state, state.state
     cs = shared.calibrators
@@ -561,7 +568,7 @@ def train(data, specs: list[FeatureSpec], config: TrainConfig):
         cs = state.calibrators
         state.theta = np.mean(group.theta, axis=0)
         if cs.num_free:
-            cs.set_alpha(np.mean(cs.at_free(group.table), axis=0))
+            cs.put_free(state.table, np.mean(cs.at_free(group.table), axis=0))
     return _model(state, specs)
 
 
@@ -574,7 +581,7 @@ def _model(state: TrainerState, specs: list[FeatureSpec]):
         specs=list(specs),
         shape=state.shape,
         theta=state.theta,
-        calibrators=state.calibrators,
+        calibrators=state.calibrators.with_table(state.table),
         kind=config.kind,
         loss=config.loss,
         metadata={

@@ -13,6 +13,12 @@ workers step in lockstep, must give the same model bytes and the same
 ``loss_gradients`` and ``project_update``) from the training module at
 call time, so a test can run it through the other references.
 
+``free_parameters`` reads one calibrator's free parameters (its inner
+outputs or its values, then a learned missing coordinate), and
+``with_free_parameters`` rebuilds a calibrator holding others: per
+calibrator, what ``CalibratorSet.alpha`` and ``CalibratorSet.with_table``
+do for a whole set through its parameter table.
+
 ``reference_calibrate_batch`` runs batch calibration (``locate``, then
 ``apply``) and lists each value's gradient from its location and the free
 entries of the calibrator table; tests hold both against ``calibrate_row``,
@@ -42,11 +48,12 @@ give the same arrays byte for byte, the same lists and the same
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from monolattice import PairDataset, TrainingError, evaluate_with_gradients, loss_slope, training
-from monolattice.calibrators import DataError, FeatureKind
+from monolattice.calibrators import ContinuousCalibrator, DataError, FeatureKind, MissingPolicy
 from monolattice.data import Dataset
 from monolattice.monotonicity import (
     _FEASIBLE_INPUT_TOL,
@@ -61,7 +68,7 @@ def reference_loss_gradients(state, minibatch):
     g_theta = np.zeros_like(state.theta)
     g_alpha = np.zeros(state.calibrators.num_free)
     want = state.trains_calibrators
-    cs = state.calibrators
+    cs = state.calibrators.with_table(state.table)
     scale = 1.0 / len(minibatch)
     for i in minibatch:
         if isinstance(state.data, PairDataset):
@@ -116,8 +123,9 @@ def reference_train(data, specs, config):
         for k, (worker, shard, rng) in enumerate(zip(workers, shards, rngs), 1):
             _reference_run_epochs(worker, shard, epochs, rng, f"round {r + 1}, worker {k}")
         state.theta = np.mean([w.theta for w in workers], axis=0)
-        if state.calibrators.num_free:
-            state.calibrators.set_alpha(np.mean([w.calibrators.alpha() for w in workers], axis=0))
+        cs = state.calibrators
+        if cs.num_free:
+            cs.put_free(state.table, np.mean([cs.at_free(w.table) for w in workers], axis=0))
     return training._model(state, specs)
 
 
@@ -135,6 +143,29 @@ def _reference_run_epochs(state, shard, epochs, rng, where):
                 training.sgd_step(state, batch, rng)
             except TrainingError as e:
                 raise TrainingError(f"{e} ({where}, epoch {epoch}, step {step})") from None
+
+
+def _inner(cal) -> slice:
+    """The free span of ``cal.points``: the end outputs of a continuous
+    calibrator are pinned."""
+    return slice(1, -1) if isinstance(cal, ContinuousCalibrator) else slice(None)
+
+
+def free_parameters(cal) -> np.ndarray:
+    vals = list(cal.points[_inner(cal)])
+    if cal.missing is MissingPolicy.CALIBRATED:
+        vals.append(cal.missing_value)
+    return np.array(vals, dtype=float)
+
+
+def with_free_parameters(cal, vals):
+    vals = np.asarray(vals, dtype=float)
+    points = cal.points.copy()
+    k = len(points[_inner(cal)])
+    points[_inner(cal)] = vals[:k]
+    missing = float(vals[k]) if cal.missing is MissingPolicy.CALIBRATED else cal.missing_value
+    name = "outputs" if isinstance(cal, ContinuousCalibrator) else "values"
+    return replace(cal, **{name: points, "missing_value": missing})
 
 
 def reference_calibrate_batch(cs, columns):

@@ -1,4 +1,5 @@
 import re
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,12 @@ from monolattice.calibrators import (
     build_continuous_calibrator,
 )
 
-from scalar_reference import reference_calibrate_batch, reference_locate
+from scalar_reference import (
+    free_parameters,
+    reference_calibrate_batch,
+    reference_locate,
+    with_free_parameters,
+)
 
 
 def cont_spec(**kw):
@@ -79,8 +85,7 @@ class TestContinuousCalibrate:
     def test_interior_segment(self):
         spec = cont_spec(keypoints=3)
         cal = build_continuous_calibrator(spec, np.array([0.0, 1.0, 10.0]))
-        cal.knots = np.array([0.0, 1.0, 10.0])
-        cal.outputs = np.array([0.0, 0.8, 1.0])
+        cal = replace(cal, knots=np.array([0.0, 1.0, 10.0]), outputs=np.array([0.0, 0.8, 1.0]))
         assert cal.calibrate(5.0) == pytest.approx(0.8 + (4.0 / 9.0) * 0.2)
 
     def test_out_of_range_clamps(self):
@@ -101,7 +106,7 @@ class TestContinuousCalibrate:
         cal = build_continuous_calibrator(spec, rng.random(200) * 7)
         outputs = cal.outputs.copy()
         outputs[1:-1] = np.sort(rng.random(3) * 3)
-        cal.outputs = outputs
+        cal = replace(cal, outputs=outputs)
         raws = np.sort(rng.random(100) * 9 - 1)
         vals = [cal.calibrate(r) for r in raws]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
@@ -115,7 +120,7 @@ class TestContinuousCalibrate:
     def test_knots_are_a_read_only_float_copy(self):
         source = np.array([0, 1, 10])
         cal = build_continuous_calibrator(cont_spec(keypoints=3), np.arange(11.0))
-        cal.knots = source
+        cal = replace(cal, knots=source)
         source[1] = 5
         assert cal.knots.dtype == np.float64
         assert cal.knots.tolist() == [0.0, 1.0, 10.0]
@@ -123,20 +128,25 @@ class TestContinuousCalibrate:
             cal.knots[1] = 2.0
         with pytest.raises(ValueError):
             cal.knots += 1.0
-        assert cal.fork().knots is cal.knots
+        with pytest.raises(FrozenInstanceError):
+            cal.knots = source
 
     def test_reassigned_knots_move_every_row_path(self):
         spec = cont_spec(keypoints=3)
         cal = build_continuous_calibrator(spec, np.array([0.0, 1.0, 10.0]))
-        cal.outputs = np.array([0.0, 0.8, 1.0])
+        cal = replace(cal, outputs=np.array([0.0, 0.8, 1.0]))
         cals = CalibratorSet([spec], [cal])
         model = Model([spec], LatticeShape([2]), np.array([0.0, 1.0]), cals)
         before = (cal.calibrate(5.0), cals.calibrate_row([5.0])[0], model.predict_row([5.0]))
         assert before == (pytest.approx(0.8 + (4.0 / 9.0) * 0.2),) * 3
-        cal.knots = np.array([0.0, 6.0, 10.0])
-        after = (cal.calibrate(5.0), cals.calibrate_row([5.0])[0], model.predict_row([5.0]))
+        moved = replace(cal, knots=np.array([0.0, 6.0, 10.0]))
+        moved_cals = CalibratorSet([spec], [moved])
+        moved_model = replace(model, calibrators=moved_cals)
+        after = (moved.calibrate(5.0), moved_cals.calibrate_row([5.0])[0],
+                 moved_model.predict_row([5.0]))
         assert after == (pytest.approx(0.8 * 5.0 / 6.0),) * 3
-        assert model.predict(Dataset([np.array([5.0])], None)).tolist() == [after[2]]
+        assert moved_model.predict(Dataset([np.array([5.0])], None)).tolist() == [after[2]]
+        assert (cal.calibrate(5.0), model.predict_row([5.0])) == before[::2]
 
 
 class TestContinuousLocate:
@@ -196,7 +206,7 @@ class TestContinuousGradient:
     def test_example_weights(self):
         spec = cont_spec(keypoints=3)
         cal = build_continuous_calibrator(spec, np.array([0.0, 1.0, 10.0]))
-        cal.knots = np.array([0.0, 1.0, 10.0])
+        cal = replace(cal, knots=np.array([0.0, 1.0, 10.0]))
         grads = dict(cal.gradient(5.0))
         assert grads == {0: pytest.approx(5.0 / 9.0)}  # far output is pinned
 
@@ -227,20 +237,17 @@ class TestContinuousGradient:
         cal = build_continuous_calibrator(spec, rng.random(500) * 10)
         outputs = cal.outputs.copy()
         outputs[1:-1] = np.sort(rng.random(len(cal.outputs) - 2) * 3)
-        cal.outputs = outputs
+        cal = replace(cal, outputs=outputs)
+        params = free_parameters(cal)
         eps = 1e-6
         for raw in rng.random(50) * 12 - 1:
             grads = dict(cal.gradient(raw))
-            params = cal.free_parameters()
             for j in range(cal.num_free):
                 up, down = params.copy(), params.copy()
                 up[j] += eps
                 down[j] -= eps
-                cal.set_free_parameters(up)
-                hi = cal.calibrate(raw)
-                cal.set_free_parameters(down)
-                lo = cal.calibrate(raw)
-                cal.set_free_parameters(params)
+                hi = with_free_parameters(cal, up).calibrate(raw)
+                lo = with_free_parameters(cal, down).calibrate(raw)
                 fd = (hi - lo) / (2 * eps)
                 assert grads.get(j, 0.0) == pytest.approx(fd, abs=1e-9)
 
@@ -280,7 +287,9 @@ class TestCategorical:
         assert cal.calibrate("a") == 0.0
         with pytest.raises(AttributeError):
             cal.categories.reverse()
-        cal.categories = ["c", "b", "a"]
+        with pytest.raises(FrozenInstanceError):
+            cal.categories = ["c", "b", "a"]
+        cal = replace(cal, categories=["c", "b", "a"])
         assert cal.categories == ("c", "b", "a")
         assert cal.calibrate("a") == 2.0
 
@@ -371,14 +380,17 @@ class TestCategorical:
         assert cal.categories == ("-0.0", "0.0", "1", "1.0", "True", "x")
 
     def test_reassigned_categories_move_every_path(self, tmp_path):
-        # the lookup follows the categories, so every path maps a category
-        # to the value the model file saves for it
+        # a calibrator rebuilt with other categories has a lookup that
+        # follows them, so every path maps a category to the value the
+        # model file saves for it
         spec = cat_spec(size=3)
         cal = build_categorical_calibrator(spec, ["a", "b", "c", "a"], np.array([0, 1, 2, 0]))
         cals = CalibratorSet([spec], [cal])
         model = Model([spec], LatticeShape([3]), np.array([0.0, 1.0, 2.0]), cals)
         assert model.predict_row(["a"]) == 0.0
-        cal.categories = ["c", "b", "a"]
+        cal = replace(cal, categories=["c", "b", "a"])
+        cals = CalibratorSet([spec], [cal])
+        model = replace(model, calibrators=cals)
         data = Dataset([["a", "b", "c"]], None)
         want = [2.0, 1.0, 0.0]
         assert [cal.calibrate(v) for v in "abc"] == want
@@ -416,7 +428,7 @@ class TestMissingPolicies:
         assert cal.num_free == 1
         assert cal.calibrate(float("nan")) == pytest.approx(0.5)
         assert cal.gradient(float("nan")) == [(0, 1.0)]
-        cal.set_free_parameters([0.8])
+        cal = replace(cal, missing_value=0.8)
         assert cal.calibrate(float("nan")) == pytest.approx(0.8)
 
     def test_categorical_missing_calibrated(self):
@@ -447,12 +459,14 @@ class TestCalibratorSet:
         # a: 2 interior outputs; b: 3 values; c: 0 interior + 1 missing
         assert cs.num_free == 6
         alpha = cs.alpha()
-        cs.set_alpha(alpha + 0.0)
-        assert cs.alpha() == pytest.approx(alpha, abs=0)
+        table = cs.table()
+        cs.put_free(table, alpha + 0.0)
+        assert cs.with_table(table).alpha() == pytest.approx(alpha, abs=0)
         bumped = alpha.copy()
         bumped[-1] = 1.25
-        cs.set_alpha(bumped)
-        assert cs.calibrators[2].missing_value == 1.25
+        cs.put_free(table, bumped)
+        assert cs.with_table(table).calibrators[2].missing_value == 1.25
+        assert cs.calibrators[2].missing_value == alpha[-1]
 
     @pytest.mark.parametrize("missing", list(MissingPolicy))
     def test_alpha_crossing_equals_per_calibrator_concatenation(self, missing):
@@ -471,20 +485,22 @@ class TestCalibratorSet:
         cs = CalibratorSet.fit(specs, [a, b, rng.random(80)], rng.random(80))
 
         def concatenated(s):
-            blocks = [c.free_parameters() for c in s.calibrators if c.num_free]
+            blocks = [free_parameters(c) for c in s.calibrators if c.num_free]
             return np.concatenate(blocks) if blocks else np.empty(0)
 
         assert cs.alpha().tobytes() == concatenated(cs).tobytes()
-        fork = cs.fork()
         for _ in range(3):
             vec = rng.standard_normal(cs.num_free)
-            fork.set_alpha(vec)
-            for cal, off in zip(cs.calibrators, cs.offsets):
-                if cal.num_free:
-                    cal.set_free_parameters(vec[off : off + cal.num_free])
-            assert fork.alpha().tobytes() == vec.tobytes()
-            assert concatenated(fork).tobytes() == concatenated(cs).tobytes()
-            assert fork.table().tobytes() == cs.table().tobytes()
+            table = cs.table()
+            cs.put_free(table, vec)
+            crossed = cs.with_table(table)
+            by_calibrator = CalibratorSet(specs, [
+                with_free_parameters(cal, vec[off : off + cal.num_free])
+                for cal, off in zip(cs.calibrators, cs.offsets)
+            ])
+            assert crossed.alpha().tobytes() == vec.tobytes()
+            assert concatenated(crossed).tobytes() == concatenated(by_calibrator).tobytes()
+            assert crossed.table().tobytes() == by_calibrator.table().tobytes()
 
     def test_row_gradients_use_global_positions(self):
         cs = self.build()
@@ -540,9 +556,9 @@ class TestCalibrateBatch:
         k = len(cal.outputs)
         outputs = cal.outputs.copy()
         outputs[1:-1] = np.sort(rng.random(k - 2)) * cal.axis_top  # learned outputs
-        cal.outputs = outputs
+        cal = replace(cal, outputs=outputs)
         if missing is MissingPolicy.CALIBRATED:
-            cal.missing_value = 1.7
+            cal = replace(cal, missing_value=1.7)
         knots = cal.knots
         column = np.concatenate([
             rng.random(100) * 12 - 1,  # interior and beyond both bounds
@@ -576,9 +592,9 @@ class TestCalibrateBatch:
         fit = ["a", "b", "c", "a", "b"] * 40 + (["rare"] if allow_unseen else [])
         labels = np.linspace(0.0, 1.0, len(fit))
         cal = build_categorical_calibrator(spec, fit, labels)
-        cal.values = np.linspace(0.1, cal.axis_top - 0.2, len(cal.values))
+        cal = replace(cal, values=np.linspace(0.1, cal.axis_top - 0.2, len(cal.values)))
         if missing is MissingPolicy.CALIBRATED:
-            cal.missing_value = 0.3
+            cal = replace(cal, missing_value=0.3)
         column = ["c", "a", "b", "a"]
         if allow_unseen:
             column += ["rare", "never seen", OTHER_CATEGORY]
@@ -591,7 +607,7 @@ class TestCalibrateBatch:
         # as another category
         spec = cat_spec(categories=["1", "1.0", "0.0"], allow_unseen=True)
         cal = build_categorical_calibrator(spec, ["1", "1.0", "0.0"])
-        cal.values = [0.1, 0.2, 0.3, 0.4]
+        cal = replace(cal, values=[0.1, 0.2, 0.3, 0.4])
         column = [1, 1.0, "1.0", True, 0.0, -0.0, "1", "0.0"]
         assert batch_rows(spec, cal, column) == scalar_rows(cal, column)
         assert batch_rows(spec, cal, column[::-1]) == scalar_rows(cal, column[::-1])
@@ -641,9 +657,9 @@ class TestCalibrateBatch:
                 known = names + [v for v in raw if str(v) in names]
                 cell = st.sampled_from(known + (["zz", 7] if allow_unseen else []))
             if missing is MissingPolicy.CALIBRATED:
-                cal.missing_value = data.draw(st.floats(0.0, float(size - 1)))
+                cal = replace(cal, missing_value=data.draw(st.floats(0.0, float(size - 1))))
             elif missing is MissingPolicy.VERTEX:
-                cal.missing_vertex = float(size - 1)
+                cal = replace(cal, missing_vertex=float(size - 1))
             if missing is not MissingPolicy.NONE:
                 cell = st.one_of(cell, st.sampled_from([None, float("nan")]))
             specs.append(spec)

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -181,7 +182,7 @@ class TestCheck:
         assert run_train(workspace) == 0
         capsys.readouterr()
         model = Model.load(workspace / "model.json")
-        model.theta = np.array([0.0, 1.0, 0.4, 0.4])
+        model = replace(model, theta=np.array([0.0, 1.0, 0.4, 0.4]))
         model.save(workspace / "bad.json")
         code = main(["check", "--model", str(workspace / "bad.json")])
         assert code == 1

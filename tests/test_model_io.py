@@ -1,4 +1,6 @@
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from monolattice import (
     FeatureKind,
     FeatureSpec,
     InterpolationKind,
+    LatticeShape,
     Loss,
     MissingPolicy,
     Model,
@@ -153,7 +156,7 @@ class TestRoundTrip:
         other = Model.from_json(model.to_json())
         theta = np.array(other.theta)
         theta[3] = np.nextafter(theta[3], np.inf)
-        other.theta = theta
+        other = replace(other, theta=theta)
         assert other != model
         assert model != model.to_json()
 
@@ -207,6 +210,19 @@ class TestValidation:
         doc["theta"] = doc["theta"][:-1]
         with pytest.raises(ValueError, match="theta"):
             Model.from_json(json.dumps(doc))
+
+    def test_constructor_rejects_theta_length_mismatch(self, trained):
+        # the loader's message, raised by the constructor the loader calls
+        model, _ = trained
+        message = re.escape("theta has shape (17,), lattice needs (18,)")
+        with pytest.raises(DataError, match=message):
+            Model(model.specs, model.shape, model.theta[:-1], model.calibrators)
+
+    def test_constructor_rejects_lattice_size_mismatch(self, trained):
+        model, _ = trained
+        message = re.escape("lattice sizes [3, 2] do not match the feature sizes [3, 2, 3]")
+        with pytest.raises(DataError, match=message):
+            Model(model.specs, LatticeShape([3, 2]), model.theta[:6], model.calibrators)
 
     def test_rejects_non_json(self):
         with pytest.raises(ValueError):
@@ -289,7 +305,7 @@ class TestPredict:
         data = Dataset([np.array([0.0, 1.0])], np.array([0.0, 1.0]))
         specs = [FeatureSpec(name="x", bounds=(0.0, 1.0))]
         model = train(data, specs, TrainConfig(epochs=1, step_size=0.0))
-        model.theta = np.array([0.0, 1.0])
+        model = replace(model, theta=np.array([0.0, 1.0]))
         assert model.predict_row([0.25]) == pytest.approx(0.25)
-        model.theta = np.array([1.0, 1.0])
+        model = replace(model, theta=np.array([1.0, 1.0]))
         assert model.predict_row([0.25]) == pytest.approx(1.0)

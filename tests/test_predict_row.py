@@ -4,6 +4,7 @@ scalar kernels, and the checks on the row itself."""
 import copy
 import math
 import pickle
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -48,6 +49,13 @@ def unit_model(sizes, kind=InterpolationKind.MULTILINEAR, seed=0):
     )
 
 
+def replace_calibrator(model, d, **changes):
+    """``model`` with calibrator ``d`` rebuilt with ``changes``."""
+    cals = list(model.calibrators.calibrators)
+    cals[d] = replace(cals[d], **changes)
+    return replace(model, calibrators=CalibratorSet(model.specs, cals))
+
+
 def unit_rows(D, seed=1, n=40):
     """Random rows plus rows on the top face, at vertices and at the origin."""
     rng = np.random.default_rng(seed)
@@ -74,7 +82,7 @@ class TestPredictEqualsPredictRow:
     @pytest.mark.parametrize("D", [2, 8])
     def test_sums_of_negative_zeros_are_positive(self, D):
         model = unit_model([2] * D)
-        model.theta = np.full(model.shape.num_parameters, -0.0)
+        model = replace(model, theta=np.full(model.shape.num_parameters, -0.0))
         data = unit_rows(D, n=6)
         assert_paths_agree(model, data)
         assert model.predict_row(data.row(0)).hex() == "0x0.0p+0"
@@ -111,9 +119,8 @@ class TestPredictEqualsPredictRow:
             theta=rng.random(4),
             calibrators=CalibratorSet.fit(specs, [rng.random(8)]),
         )
+        model = replace_calibrator(model, 0, knots=[0.0, 1.05, 2.1], outputs=[0.0, 3.0, 3.0])
         cal = model.calibrators.calibrators[0]
-        cal.knots = [0.0, 1.05, 2.1]
-        cal.outputs = np.array([0.0, 3.0, 3.0])
         data = Dataset([rng.uniform(1.05, 2.1, 10_000)], None)
         assert_paths_agree(model, data)
         assert max(cal.calibrate(v) for v in data.columns[0]) == 3.0
@@ -189,18 +196,22 @@ def scored_models(draw):
         else (rng.random(12) * 10.0 - 5.0).tolist()
         for s in specs
     ]
-    calibrators = CalibratorSet.fit(specs, columns, rng.random(12))
-    for spec, cal in zip(specs, calibrators.calibrators):
+    cals = []
+    for spec, cal in zip(specs, CalibratorSet.fit(specs, columns, rng.random(12)).calibrators):
         # random monotone parameters, some exactly on the axis ends
         top = spec.axis_top
         points = np.sort(rng.choice([0.0, top, *(rng.random(4) * top)], len(cal.points)))
         if spec.kind is FeatureKind.CONTINUOUS:
             points[0], points[-1] = 0.0, top
-            cal.outputs = points
+            changes = {"outputs": points}
         else:
-            cal.values = points
+            changes = {"values": points}
         if spec.missing is MissingPolicy.CALIBRATED:
-            cal.missing_value = float(rng.choice([0.0, 1.0, rng.random()]) * (spec.size - 1))
+            changes["missing_value"] = float(
+                rng.choice([0.0, 1.0, rng.random()]) * (spec.size - 1)
+            )
+        cals.append(replace(cal, **changes))
+    calibrators = CalibratorSet(specs, cals)
     shape = LatticeShape(sizes)
     theta = rng.standard_normal(shape.num_parameters)
     theta[rng.random(len(theta)) < draw(st.sampled_from([0.0, 0.5, 1.0]))] = -0.0
@@ -303,13 +314,12 @@ class TestRowKernel:
                 assert str(row.value) == str(scalar.value)
 
     def test_out_of_box_error_matches_through_the_model(self):
-        model = unit_model([2] * 7)
-        small = unit_model([2] * 2)
-        for m in (model, small):
-            cal = m.calibrators.calibrators[0]
-            outputs = cal.outputs.copy()
+        def leaving(m):
+            outputs = m.calibrators.calibrators[0].outputs.copy()
             outputs[-1] = 1.5  # leaves the axis
-            cal.outputs = outputs
+            return replace_calibrator(m, 0, outputs=outputs)
+
+        model, small = leaving(unit_model([2] * 7)), leaving(unit_model([2] * 2))
         with pytest.raises(ValueError) as large_err:
             model.predict_row([1.0] + [0.5] * 6)
         with pytest.raises(ValueError) as small_err:
@@ -382,7 +392,7 @@ class TestWhichKernelRuns:
             model.predict_row(data.row(i))
         assert calls == []
         # a value the row entry cannot place is handed to calibrate for its error
-        model.calibrators.calibrators[0].other_index = None
+        model = replace_calibrator(model, 0, other_index=None)
         with pytest.raises(DataError, match="feature c: unknown category 'never seen'"):
             model.predict_row(data.row(1))
         assert calls == ["never seen"]
@@ -403,11 +413,12 @@ def mixed_model():
     rng = np.random.default_rng(8)
     columns = [list(rng.choice(["lo", "mid", "hi"], 30)), rng.random(30) * 10.0,
                list(rng.choice(["u", "v"], 30))]
-    cals = CalibratorSet.fit(specs, columns, rng.random(30))
-    cat, cont, plain = cals.calibrators
-    cat.values = [0.2, 0.7, 1.9, 1.1]
-    cont.outputs = [0.0, 0.4, 1.1, 1.5, 2.0]
-    plain.values = [0.3, 0.9]
+    cat, cont, plain = CalibratorSet.fit(specs, columns, rng.random(30)).calibrators
+    cals = CalibratorSet(specs, [
+        replace(cat, values=[0.2, 0.7, 1.9, 1.1]),
+        replace(cont, outputs=[0.0, 0.4, 1.1, 1.5, 2.0]),
+        replace(plain, values=[0.3, 0.9]),
+    ])
     shape = LatticeShape([3, 4, 2])
     model = Model(specs, shape, rng.standard_normal(shape.num_parameters), cals)
     knots = cont.knots.tolist()
@@ -433,56 +444,71 @@ def assert_fresh(model, data):
 
 
 class TestRowEntries:
-    """No route of changing calibrator parameters leaves predict_row reading
-    stale values."""
+    """Calibrators are frozen: assignment is refused, and every value built
+    with other parameters agrees with itself on every path and leaves the
+    one it was built from as it was."""
+
+    def test_assignment_is_refused(self):
+        model, data = mixed_model()
+        scores = assert_fresh(model, data)  # builds the row entries
+        cat, cont, plain = model.calibrators.calibrators
+        for cal, name, value in [
+            (cont, "outputs", cont.outputs * 0.75),
+            (cat, "values", cat.values[::-1]),
+            (cont, "knots", cont.knots * 1.1),
+            (cat, "categories", cat.categories[::-1]),
+            (cat, "other_index", 0),
+            (cat, "missing_value", 0.25),
+            (plain, "missing", MissingPolicy.CALIBRATED),
+        ]:
+            with pytest.raises(FrozenInstanceError):
+                setattr(cal, name, value)
+        assert assert_fresh(model, data) == scores
 
     def test_every_route_of_change_reaches_predict_row(self):
         model, data = mixed_model()
-        cs = model.calibrators
-        cat, cont, plain = cs.calibrators
         scores = assert_fresh(model, data)
-
-        def changes(mutate):
-            nonlocal scores
-            mutate()
-            before, scores = scores, assert_fresh(model, data)
-            assert scores != before
-
-        changes(lambda: cs.set_alpha(cs.alpha() * 0.5))
-        changes(lambda: cont.set_free_parameters(cont.free_parameters() * 0.8))
-        changes(lambda: cat.set_free_parameters(cat.free_parameters()[::-1]))
-        changes(lambda: plain.set_free_parameters(plain.free_parameters()[::-1]))
-        changes(lambda: setattr(cont, "outputs", cont.outputs * 0.75))
-        changes(lambda: setattr(cat, "values", cat.values[::-1]))
-        changes(lambda: setattr(cont, "knots", cont.knots * 1.1))
-        changes(lambda: setattr(cat, "categories", cat.categories[::-1]))
-        changes(lambda: setattr(cat, "other_index", 0))
-        changes(lambda: setattr(cat, "missing_value", 0.25))
+        cs = model.calibrators
+        table = cs.table()
+        cs.put_free(table, cs.alpha() * 0.5)
+        routes = [
+            lambda m: replace(m, calibrators=m.calibrators.with_table(table)),
+            lambda m: replace_calibrator(m, 1, outputs=m.calibrators.calibrators[1].outputs * 0.75),
+            lambda m: replace_calibrator(m, 0, values=m.calibrators.calibrators[0].values[::-1]),
+            lambda m: replace_calibrator(m, 2, values=m.calibrators.calibrators[2].values[::-1]),
+            lambda m: replace_calibrator(m, 1, knots=m.calibrators.calibrators[1].knots * 1.1),
+            lambda m: replace_calibrator(
+                m, 0, categories=m.calibrators.calibrators[0].categories[::-1]
+            ),
+            lambda m: replace_calibrator(m, 0, other_index=0),
+            lambda m: replace_calibrator(m, 0, missing_value=0.25),
+        ]
+        for route in routes:
+            changed = route(model)
+            changed_scores = assert_fresh(changed, data)
+            assert changed_scores != scores
+            assert assert_fresh(model, data) == scores
+            model, scores = changed, changed_scores
 
     @pytest.mark.parametrize(
-        "duplicate", [CalibratorSet.fork, lambda cs: pickle.loads(pickle.dumps(cs))],
-        ids=["fork", "pickle"],
+        "duplicate", [copy.deepcopy, lambda cs: pickle.loads(pickle.dumps(cs))],
+        ids=["deepcopy", "pickle"],
     )
     def test_copies_do_not_share_parameters_or_row_entries(self, duplicate):
         model, data = mixed_model()
+        scores = assert_fresh(model, data)  # builds the row entries
         twin = Model(model.specs, model.shape, model.theta, duplicate(model.calibrators))
-        scores = assert_fresh(model, data)
+        for mine, theirs in zip(model.calibrators.calibrators, twin.calibrators.calibrators):
+            assert "_row" not in vars(theirs)  # nothing derived is carried over
+            assert not np.shares_memory(mine.points, theirs.points)
+            assert not theirs.points.flags.writeable
         assert assert_fresh(twin, data) == scores
-        model.calibrators.set_alpha(model.calibrators.alpha() * 0.5)
-        changed = assert_fresh(model, data)
-        assert changed != scores
-        assert assert_fresh(twin, data) == scores
-        twin.calibrators.calibrators[1].set_free_parameters(
-            twin.calibrators.calibrators[1].free_parameters() * 0.8
-        )
-        assert assert_fresh(twin, data) not in (scores, changed)
-        assert assert_fresh(model, data) == changed
 
     def test_outputs_and_values_are_read_only(self):
         model, _ = mixed_model()
         cat, cont, _ = model.calibrators.calibrators
         source = np.array([0, 1, 2, 2, 3])
-        cont.outputs = source
+        cont = replace(cont, outputs=source)
         source[1] = 2
         assert cont.outputs.dtype == np.float64
         assert cont.outputs.tolist() == [0.0, 1.0, 2.0, 2.0, 3.0]
@@ -491,8 +517,8 @@ class TestRowEntries:
                 points[1] = 0.5
             with pytest.raises(ValueError):
                 points += 0.0
-        fork = model.calibrators.fork()
-        for mine, theirs in zip(model.calibrators.calibrators, fork.calibrators):
+        for mine in (cat, cont):
+            theirs = copy.copy(mine)
             assert not np.shares_memory(mine.points, theirs.points)
             assert mine.points.tolist() == theirs.points.tolist()
 
@@ -505,21 +531,23 @@ class TestTheta:
             model.theta += 1.0
         with pytest.raises(ValueError):
             model.theta[0] = 5.0
+        with pytest.raises(FrozenInstanceError):
+            model.theta = model.theta + 1.0
 
     @pytest.mark.parametrize("D", [2, 10])
     def test_prediction_follows_reassignment(self, D):
         model = unit_model([2] * D)
         data = unit_rows(D, n=8)
         before = [model.predict_row(data.row(i)) for i in range(8)]
-        model.theta = model.theta + 1.0
-        after = [model.predict_row(data.row(i)) for i in range(8)]
-        assert after == model.predict(data).tolist()
+        changed = replace(model, theta=model.theta + 1.0)
+        after = [changed.predict_row(data.row(i)) for i in range(8)]
+        assert after == changed.predict(data).tolist()
         assert after == pytest.approx([b + 1.0 for b in before])
+        assert [model.predict_row(data.row(i)) for i in range(8)] == before
 
     def test_stored_as_a_private_float_copy(self, tmp_path):
         source = np.array([0, 1, 1, 2])
-        model = unit_model([2, 2])
-        model.theta = source
+        model = replace(unit_model([2, 2]), theta=source)
         source[0] = 7
         assert model.theta.dtype == np.float64
         assert model.theta.tolist() == [0.0, 1.0, 1.0, 2.0]
@@ -534,8 +562,8 @@ class TestTheta:
         model, data = mixed_model()
         scores = assert_fresh(model, data)  # builds the row plan and row entries
         twin = duplicate(model)
-        assert twin._row_plan is None
-        assert all(cal._row is None for cal in twin.calibrators.calibrators)
+        assert "_row_plan" not in vars(twin)
+        assert all("_row" not in vars(cal) for cal in twin.calibrators.calibrators)
         cat, cont, _ = twin.calibrators.calibrators
         assert cont._knot_list == cont.knots.tolist()
         for array in (twin.theta, cont.knots, cont.outputs, cat.values):
@@ -543,7 +571,7 @@ class TestTheta:
             with pytest.raises(ValueError):
                 array[:] = array + 1.0
         assert assert_fresh(twin, data) == scores
-        twin.theta = twin.theta + 1.0
+        twin = replace(twin, theta=twin.theta + 1.0)
         assert assert_fresh(twin, data) != scores
         assert assert_fresh(model, data) == scores
 
@@ -551,21 +579,23 @@ class TestTheta:
         # the row plan holds theta's list form; it is neither shown nor set
         model = unit_model([2, 2])
         model.predict_row([0.5, 0.5])
-        assert model._row_plan is not None
+        assert model._row_plan is model._row_plan
         assert "_row_plan" not in repr(model)
+        assert "_row_plan" not in [f.name for f in fields(model)]
         with pytest.raises(TypeError):
             Model(model.specs, model.shape, model.theta, model.calibrators, _row_plan=None)
 
-    def test_assigning_theta_or_shape_drops_the_row_plan(self):
+    def test_assigning_theta_or_shape_is_refused(self):
         model = unit_model([2, 2])
         model.predict_row([0.5, 0.5])
         plan = model._row_plan
-        model.theta = model.theta
-        assert model._row_plan is None
-        model.predict_row([0.5, 0.5])
-        assert model._row_plan is not plan
-        model.shape = LatticeShape([2, 2])
-        assert model._row_plan is None
+        for name, value in (("theta", model.theta), ("shape", LatticeShape([2, 2]))):
+            with pytest.raises(FrozenInstanceError):
+                setattr(model, name, value)
+        assert model._row_plan is plan
+        twin = replace(model, theta=model.theta)
+        twin.predict_row([0.5, 0.5])
+        assert twin._row_plan is not plan
 
 
 class TestRowChecks:
@@ -599,7 +629,7 @@ class TestRowChecks:
         cals = CalibratorSet.fit([spec], [np.linspace(0.0, 2.1, 9)])
         model = Model([spec], LatticeShape([3]), np.array([0.0, 1.0, 3.0]), cals)
         assert model.predict_row([text]) == model.predict(Dataset([[text]], None))[0] == 1.0
-        model.calibrators.calibrators[0].missing = MissingPolicy.NONE
+        model = replace_calibrator(model, 0, missing=MissingPolicy.NONE)
         message = "feature x: missing value but no missing policy"
         with pytest.raises(DataError, match=message):
             model.predict_row([text])

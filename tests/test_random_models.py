@@ -1,8 +1,11 @@
 """Random small models, trained end to end: scored alike by the batch and
-single-row paths, monotone at tolerance 0, saved and loaded byte for byte,
-and the same bytes for the same seed."""
+single-row paths, monotone at tolerance 0 with feasible calibrators, saved
+and loaded byte for byte, the same bytes for the same seed, and scored
+alike by their pickled and deep-copied twins."""
 
+import copy
 import os
+import pickle
 import tempfile
 
 import numpy as np
@@ -22,6 +25,7 @@ from monolattice import (
     RegularizerConfig,
     RegularizerKind,
     TrainConfig,
+    max_infeasibility,
     train,
 )
 
@@ -70,8 +74,8 @@ def features(draw, name):
 @st.composite
 def random_models(draw):
     """1-4 features of sizes 2-3 (all-2 lattices have one cell), either
-    interpolation kind, the three losses on rows or on pairs, 1-2
-    workers, and regularizers or none.  Returns the training data,
+    interpolation kind, the three losses on rows or on pairs, 1-3
+    workers, and no regularizer, an exact or a sampled one, or both.  Returns the training data,
     specs, config and data to score."""
     drawn = [draw(features(f"f{d}")) for d in range(draw(st.integers(1, 4)))]
     specs = [spec for spec, _ in drawn]
@@ -97,9 +101,13 @@ def random_models(draw):
             (),
             (RegularizerConfig(RegularizerKind.LAPLACIAN, 0.01),),
             (RegularizerConfig(RegularizerKind.TORSION, 0.01, sample_count=2),),
+            (
+                RegularizerConfig(RegularizerKind.LAPLACIAN, 0.01),
+                RegularizerConfig(RegularizerKind.TORSION, 0.01, sample_count=2),
+            ),
         ])),
         seed=draw(st.integers(0, 1000)),
-        workers=draw(st.integers(1, 2)),
+        workers=draw(st.integers(1, 3)),
         sync_rounds=draw(st.integers(1, 2)),
     )
     return data, specs, config, Dataset(columns(30), None)
@@ -115,6 +123,17 @@ class TestRandomModels:
         rows = [model.predict_row(scored.row(i)) for i in range(scored.num_rows)]
         assert batch.tobytes() == np.array(rows).tobytes()
         assert model.violations(0.0) == []
+        cs = model.calibrators
+        assert max_infeasibility(cs.alpha(), cs.constraints()) == 0.0
+        for twin in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
+            assert twin.predict(scored).tobytes() == batch.tobytes()
+            twin_rows = [twin.predict_row(scored.row(i)) for i in range(scored.num_rows)]
+            assert np.array(twin_rows).tobytes() == batch.tobytes()
+            cals = twin.calibrators.calibrators
+            # theta, every calibrator's outputs or values, and the knots
+            arrays = [twin.theta, *(cal.points for cal in cals),
+                      *(cal.knots for cal in cals if hasattr(cal, "knots"))]
+            assert not any(array.flags.writeable for array in arrays)
         with tempfile.TemporaryDirectory() as tmp:
             first, second = os.path.join(tmp, "a.json"), os.path.join(tmp, "b.json")
             model.save(first)

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,8 +37,7 @@ from monolattice import (
     vertex_coords,
 )
 from monolattice import monotonicity, training
-from monolattice.calibrators import CategoricalCalibrator, ContinuousCalibrator
-from monolattice.interpolation import ChunkBuffers
+from monolattice.interpolation import ChunkBuffers, evaluate
 from monolattice.training import loss_gradients, prepare_state, sgd_step
 from scalar_reference import (
     reference_array_walk,
@@ -180,33 +180,27 @@ class TestGradients:
         state.theta[:] = rng.random(state.theta.size) * 2
         batch = np.arange(32)
         _, g_alpha = loss_gradients(state, batch)
-        alpha = state.calibrators.alpha()
+        cs = state.calibrators
+        alpha = cs.at_free(state.table)
         eps = 1e-6
 
-        def batch_loss():
+        def batch_loss(alpha):
+            table = state.table.copy()
+            cs.put_free(table, alpha)
+            calibrators = cs.with_table(table)
             total = 0.0
             for i in batch:
-                row = state.data.row(i)
-                z = state_model_value(state, row)
+                x = calibrators.calibrate_row(state.data.row(i))
+                z = evaluate(state.theta.tolist(), state.shape, x)
                 total += loss_value(Loss.SQUARED, float(state.data.labels[i]), z)
             return total / batch.size
-
-        def state_model_value(state, row):
-            from monolattice.interpolation import evaluate
-
-            x = state.calibrators.calibrate_row(row)
-            return evaluate(state.theta.tolist(), state.shape, x)
 
         for j in range(alpha.size):
             up, dn = alpha.copy(), alpha.copy()
             up[j] += eps
             dn[j] -= eps
-            state.calibrators.set_alpha(up)
-            hi = batch_loss()
-            state.calibrators.set_alpha(dn)
-            lo = batch_loss()
-            state.calibrators.set_alpha(alpha)
-            assert g_alpha[j] == pytest.approx((hi - lo) / (2 * eps), abs=1e-6)
+            fd = (batch_loss(up) - batch_loss(dn)) / (2 * eps)
+            assert g_alpha[j] == pytest.approx(fd, abs=1e-6)
 
     def test_regularizer_enters_step(self):
         data = Dataset([np.array([0.0, 1.0])], np.array([0.0, 1.0]))
@@ -555,7 +549,7 @@ class TestPlan:
         assert counts["locate"] == 1
 
     def test_steps_cross_alpha_whole_and_check_their_input_once(self, monkeypatch):
-        counts = {"project_update": 0, "max_infeasibility": 0, "per-calibrator": 0}
+        counts = {"project_update": 0, "max_infeasibility": 0, "with_table": 0}
 
         def counting(key, fn):
             def wrapper(*args, **kwargs):
@@ -568,14 +562,14 @@ class TestPlan:
                             counting("project_update", training.project_update))
         monkeypatch.setattr(monotonicity, "max_infeasibility",
                             counting("max_infeasibility", monotonicity.max_infeasibility))
-        for cls in (ContinuousCalibrator, CategoricalCalibrator):
-            for name in ("free_parameters", "set_free_parameters"):
-                monkeypatch.setattr(cls, name, counting("per-calibrator", getattr(cls, name)))
+        monkeypatch.setattr(CalibratorSet, "with_table",
+                            counting("with_table", CalibratorSet.with_table))
         data, specs = mixed_problem(False, Loss.SQUARED)
         config = TrainConfig(epochs=2, minibatch_size=16, workers=2, sync_rounds=2, seed=4)
         parallel_train(data, specs, config)
-        # 2 workers x 2 epochs x ceil(60 / 16) steps, each projecting theta and alpha
-        assert counts == {"project_update": 32, "max_infeasibility": 0, "per-calibrator": 0}
+        # 2 workers x 2 epochs x ceil(60 / 16) steps, each projecting theta and
+        # alpha; the trained calibrators are built once, for the model
+        assert counts == {"project_update": 32, "max_infeasibility": 0, "with_table": 1}
 
     def test_predict_locates_once_and_derives_no_layout(self, monkeypatch):
         data, specs = mixed_problem(False, Loss.SQUARED)
@@ -659,23 +653,19 @@ class TestPlan:
     def test_training_a_clone_leaves_the_original_unchanged(self):
         data, specs = mixed_problem(False, Loss.SQUARED)
         state = prepare_state(data, specs, TrainConfig(step_size=0.5))
-        theta, alpha = state.theta.copy(), state.calibrators.alpha()
+        theta, table = state.theta.copy(), state.table.copy()
         clone = state.clone()
         rng = np.random.default_rng(0)
         for _ in range(5):
             sgd_step(clone, rng.integers(0, 120, size=16), rng)
+        cs = state.calibrators
         assert not np.array_equal(clone.theta, theta)
-        assert not np.array_equal(clone.calibrators.alpha(), alpha)
+        assert not np.array_equal(cs.at_free(clone.table), cs.at_free(table))
         assert state.theta.tobytes() == theta.tobytes()
-        assert state.calibrators.alpha().tobytes() == alpha.tobytes()
+        assert state.table.tobytes() == table.tobytes()
         # what does not move during training is shared, not copied
         assert clone.plan is state.plan and clone.data is state.data
-        for a, b in zip(state.calibrators.calibrators, clone.calibrators.calibrators):
-            assert a is not b
-            if hasattr(a, "knots"):
-                assert a.knots is b.knots
-            else:
-                assert a._lookup is b._lookup
+        assert clone.calibrators is state.calibrators
 
 
 class TestRanking:
@@ -701,7 +691,7 @@ class TestRanking:
         pairs = self.make_pairs()
         specs = [spec("score", keypoints=2)]
         model = train(pairs, specs, TrainConfig(epochs=1, step_size=0.0))
-        model.theta = [0.25, 0.25]
+        model = replace(model, theta=[0.25, 0.25])
         metrics = evaluate_metrics(model, pairs)
         assert metrics["pair_accuracy"] == pytest.approx(0.5)
 
@@ -736,7 +726,7 @@ class TestMetrics:
         data = line_data(32, lambda a: a)
         specs = [spec("x", bounds=(0.0, 1.0))]
         model = train(data, specs, TrainConfig(epochs=1, step_size=0.0))
-        model.theta = [0.0, 1.0]
+        model = replace(model, theta=[0.0, 1.0])
         metrics = evaluate_metrics(model, data)
         assert metrics["rmse"] == pytest.approx(0.0, abs=1e-12)
         assert "accuracy" not in metrics
@@ -746,7 +736,7 @@ class TestMetrics:
         data = Dataset([x], np.array([0.0, 0.0, 1.0, 1.0]))
         specs = [spec("x", bounds=(0.0, 1.0))]
         model = train(data, specs, TrainConfig(epochs=1, step_size=0.0))
-        model.theta = [0.0, 1.0]
+        model = replace(model, theta=[0.0, 1.0])
         metrics = evaluate_metrics(model, data)
         assert metrics["accuracy"] == 1.0
         assert "log_loss" in metrics and metrics["log_loss"] > 0
@@ -756,7 +746,7 @@ class TestMetrics:
         data = Dataset([x], np.array([0.0, 0.0, 1.0, 1.0]))
         specs = [spec("x", bounds=(0.0, 1.0))]
         model = train(data, specs, TrainConfig(loss=Loss.HINGE, epochs=1, step_size=0.0))
-        model.theta = [-0.5, 0.5]  # margins -0.4, -0.3, 0.3, 0.4
+        model = replace(model, theta=[-0.5, 0.5])  # margins -0.4, -0.3, 0.3, 0.4
         metrics = evaluate_metrics(model, data)
         assert metrics["accuracy"] == 1.0
         assert "log_loss" not in metrics
@@ -833,9 +823,11 @@ def perturbed_state(data, specs, config, seed=1):
     state = prepare_state(data, specs, config)
     rng = np.random.default_rng(seed)
     state.theta = rng.standard_normal(state.theta.size) * 2
-    alpha = state.calibrators.alpha()
-    state.calibrators.set_alpha(
-        project_update(alpha, rng.standard_normal(alpha.size), state.alpha_constraints)
+    cs = state.calibrators
+    alpha = cs.at_free(state.table)
+    cs.put_free(
+        state.table,
+        project_update(alpha, rng.standard_normal(alpha.size), state.alpha_constraints),
     )
     return state
 
