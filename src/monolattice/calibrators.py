@@ -58,7 +58,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .monotonicity import ConstraintSet, Direction
+from .monotonicity import ConstraintSet, Direction, read_only
 
 
 class FeatureKind(str, enum.Enum):
@@ -157,21 +157,25 @@ def _row_missing(cal) -> float | None:
         return None
 
 
-def read_only(value) -> np.ndarray:
-    """A read-only float64 copy of ``value``."""
-    out = np.array(value, dtype=float)
-    out.flags.writeable = False
-    return out
-
-
 class Frozen:
     """Base of the frozen dataclasses whose derived structures are built once
-    (``Model`` and the calibrators)."""
+    (``Model``, the calibrators and ``CalibratorSet``).  They are declared
+    with ``eq=False`` and compare here, field by field, arrays by value
+    (``Model`` compares its model files instead)."""
 
     def __reduce__(self):
         # copies, deep copies and unpickled values are rebuilt through the
         # constructor: arrays read-only again, nothing derived carried over
         return type(self), tuple(getattr(self, f.name) for f in dataclasses.fields(self))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        for f in dataclasses.fields(self):
+            a, b = getattr(self, f.name), getattr(other, f.name)
+            if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
+                return False
+        return True
 
 
 # --------------------------------------------------------------------------
@@ -202,7 +206,7 @@ def fit_knots(column, keypoints: int, bounds: tuple[float, float] | None = None)
 # calibrators
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContinuousCalibrator(Frozen):
     """Piecewise-linear map from a raw value to a lattice coordinate."""
 
@@ -318,7 +322,7 @@ class ContinuousCalibrator(Frozen):
         return lo, lo + inner, t, inner
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CategoricalCalibrator(Frozen):
     """One learned lattice coordinate per category."""
 
@@ -585,30 +589,45 @@ class Location:
         return Location(lo, hi, self.t[rows], self.inner[rows])
 
 
-class CalibratorSet:
-    """All feature calibrators plus their shared free-parameter vector."""
+@dataclass(frozen=True, eq=False)
+class CalibratorSet(Frozen):
+    """All feature calibrators plus their shared free-parameter vector.
 
-    def __init__(self, specs: list[FeatureSpec], calibrators: list) -> None:
-        if len(specs) != len(calibrators):
+    A frozen value: ``specs`` and ``calibrators`` are stored as tuples, so
+    the layout worked out from them once (each feature's offset into alpha
+    and into the parameter table, and alpha's table entries) cannot go
+    stale.  A set with other parameters is a new one (:meth:`with_table`)."""
+
+    specs: tuple[FeatureSpec, ...]
+    calibrators: tuple
+
+    def __post_init__(self):
+        specs, cals = tuple(self.specs), tuple(self.calibrators)
+        if len(specs) != len(cals):
             raise ValueError("one calibrator per feature spec")
-        self.specs = specs
-        self.calibrators = calibrators
-        self.offsets = []
-        self.table_offsets = []
-        total = self.table_size = 0
-        free = []
-        for cal in calibrators:
-            self.offsets.append(total)
-            self.table_offsets.append(self.table_size)
-            total += cal.num_free
-            self.table_size += len(cal.points) + 1
+        offsets, table_offsets, free = [], [], []
+        num_free = table_size = 0
+        for cal in cals:
+            offsets.append(num_free)
+            table_offsets.append(table_size)
+            num_free += cal.num_free
+            table_size += len(cal.points) + 1
             block = [True] * len(cal.points) + [cal.missing is MissingPolicy.CALIBRATED]
             if isinstance(cal, ContinuousCalibrator):
                 block[0] = block[-2] = False  # the pinned end outputs
             free += block
-        self.num_free = total
-        self._tops = np.array([cal.axis_top for cal in calibrators])
-        self._free_entries = np.flatnonzero(free)  # alpha's table entries, in order
+        derived = {
+            "specs": specs,
+            "calibrators": cals,
+            "offsets": tuple(offsets),
+            "table_offsets": tuple(table_offsets),
+            "num_free": num_free,
+            "table_size": table_size,
+            "_tops": read_only([cal.axis_top for cal in cals]),
+            "_free_entries": read_only(np.flatnonzero(free), np.int64),  # alpha's, in order
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def fit(cls, specs: list[FeatureSpec], columns: list, labels=None) -> "CalibratorSet":

@@ -64,16 +64,19 @@ against ``theta`` first, so a short ``theta`` still raises ``IndexError``.
 
 A lattice whose sizes are all 2 has one cell: every point's base index is
 0 and the doubled offsets are 0 .. 2^D-1, so a point's vertex values are
-theta's first 2^D entries in order.  On such a lattice ``evaluate_batch``
-skips the vertex indices, the gather and the value and scratch arrays of a
-multilinear chunk: it multiplies the doubling weights in place by theta as
-one column and sums them, so a chunk keeps one (2^D, n) array where the
-general path keeps four, and takes four times the rows (``one_cell_rows``,
-128 at D = 10) in the same bytes.  Training and ``forward_backward_batch``
-keep the general path.  On the trained ``dense-d10`` model's 2000 held-out
-rows ``evaluate_batch`` takes a median 5.1 and 5.8 ms against the general
-path's 15.5 and 14.2 ms (two runs of 200 calls alternating between the
-two, all won, on the same 2-vCPU VM).
+theta's first 2^D entries in order.  ``_forward_backward`` sees that from
+the shape and kind alone (:func:`one_cell`) and then builds no vertex
+indices and gathers nothing: the products are the doubling weights times
+theta as one column, and the slope collapse starts from a broadcast copy
+of that column.  It returns no indices; training, which reads a stack of
+worker parameter vectors, takes each point's column from its worker's
+row.  ``evaluate_batch``, which needs neither weights nor slopes, forms
+the products in the weights' place, so a chunk keeps one (2^D, n) array
+where the general path keeps four, and takes four times the rows
+(``one_cell_rows``, 128 at D = 10) in the same bytes.  On the trained
+``dense-d10`` model's 2000 held-out rows ``evaluate_batch`` takes a median
+5.1 and 5.8 ms against the general path's 15.5 and 14.2 ms (two runs of
+200 calls alternating between the two, all won, on the same 2-vCPU VM).
 
 Single-row prediction goes through a :class:`RowPlan`, built once per
 theta and shape.  It does the scalar kernels' float operations in their
@@ -247,17 +250,14 @@ def evaluate_batch(
     """
     pts = np.asarray(points, dtype=float)
     th = np.asarray(theta, dtype=float)
-    kind = InterpolationKind(kind)
-    one_cell = kind is InterpolationKind.MULTILINEAR and set(shape.sizes) == {2}
-    step = one_cell_rows(shape) if one_cell else chunk_rows(shape, kind)
+    step = one_cell_rows(shape) if one_cell(shape, kind) else chunk_rows(shape, kind)
     buffers = ChunkBuffers()  # one set for all chunks of this call
     out = np.empty(len(pts))
     for start in range(0, len(pts), step):
-        chunk, dest = pts[start : start + step], out[start : start + step]
-        if one_cell:
-            _one_cell_values(th, shape, chunk, buffers, dest)
-        else:
-            dest[:] = _forward_backward(th, shape, chunk, kind, False, buffers, vertices=False)[0]
+        chunk = pts[start : start + step]
+        out[start : start + step] = _forward_backward(
+            th, shape, chunk, kind, False, buffers, vertices=False
+        )[0]
     return out
 
 
@@ -423,6 +423,12 @@ def chunk_rows(shape: LatticeShape, kind: InterpolationKind) -> int:
     return max(1, CHUNK_ENTRIES >> shape.ndim)
 
 
+def one_cell(shape: LatticeShape, kind: InterpolationKind) -> bool:
+    """Whether the batched kernel takes its one-cell path: a multilinear
+    lattice whose sizes are all 2."""
+    return InterpolationKind(kind) is InterpolationKind.MULTILINEAR and set(shape.sizes) == {2}
+
+
 def one_cell_rows(shape: LatticeShape) -> int:
     """Rows per multilinear chunk of :func:`evaluate_batch` on a lattice of
     one cell (every size 2): the chunk keeps one (2^D, n) array where
@@ -538,27 +544,38 @@ def forward_backward_batch(
     and return their transposed views.  Multilinear sums over a single
     point's column run through ``cumsum``, since numpy sums one column
     pairwise.  The arrays belong to the caller: this call's chunk buffers
-    are its own.
+    are its own.  On a lattice of one cell every row of ``indices`` is
+    0 .. 2^D-1.
     """
-    return _forward_backward(theta, shape, points, kind, want_slopes, ChunkBuffers())
+    values, indices, weights, slopes = _forward_backward(
+        theta, shape, points, kind, want_slopes, ChunkBuffers()
+    )
+    if indices is None:  # one cell: the kernel reads theta without indices
+        indices = np.tile(_doubled_offsets(shape), (len(values), 1))
+    return values, indices, weights, slopes
 
 
 def _forward_backward(theta, shape, points, kind, want_slopes, buffers: ChunkBuffers,
-                      vertices: bool = True, row_offset=None):
+                      vertices: bool = True, owner=None):
     # forward_backward_batch, with the multilinear chunk arrays drawn from
     # ``buffers``: its indices and weights are views into them, valid until
-    # the next call with the same buffers.  Without ``vertices`` the simplex
-    # walk records no vertex lists and returns None for them.  With
-    # ``row_offset`` (one per point), ``theta`` is a stack of parameter
-    # vectors laid end to end and point i reads the one that starts at
-    # row_offset[i]: its base index, and so every vertex index, moves by it.
+    # the next call with the same buffers.  Without ``vertices`` the caller
+    # reads no vertex lists: the simplex walk records none and the one-cell
+    # kernel overwrites its weights, and both return None for them.  On a
+    # lattice of one cell (one_cell) the indices are None: vertex j of every
+    # point is entry j of its parameter vector.  With ``owner`` (one per
+    # point, in runs of equal owners), ``theta`` is a (K, P) stack of
+    # parameter vectors and point i reads row owner[i].
     kind = InterpolationKind(kind)
     th = np.asarray(theta, dtype=float)
     base, residual = locate_cells(shape, points)
+    if one_cell(shape, kind):
+        return _one_cell(th, residual, want_slopes, buffers, vertices, owner)
     strides = np.asarray(shape.strides, dtype=np.int64)
     base_idx = base @ strides
-    if row_offset is not None:
-        base_idx += row_offset
+    if owner is not None:
+        base_idx += owner * th.shape[1]
+        th = th.ravel()
     if kind is InterpolationKind.SIMPLEX:
         return _simplex_walk(th, base_idx, residual, strides, vertices, want_slopes)
     # vertex-major: one C-contiguous row of n entries per cell vertex
@@ -576,16 +593,27 @@ def _forward_backward(theta, shape, points, kind, want_slopes, buffers: ChunkBuf
     return values, indices.T, weights.T, None if slopes is None else slopes.T
 
 
-def _one_cell_values(th, shape, points, buffers: ChunkBuffers, out) -> None:
-    # evaluate_batch's multilinear chunk on a lattice of one cell (see the
-    # module docstring), into ``out``; w * t is t * w bit for bit, so the
-    # products equal the general path's gathered values times weights
-    _, residual = locate_cells(shape, points)
-    k = 1 << shape.ndim
-    if len(th) < k:
-        raise IndexError(f"cell vertex index out of bounds for theta of size {len(th)}")
-    w = _doubling_weights(np.ascontiguousarray(residual.T), buffers)
-    _column_sums(np.multiply(w, th[:k, None], out=w), out=out)
+def _one_cell(th, residual, want_slopes, buffers: ChunkBuffers, vertices, owner):
+    # The multilinear chunk on a lattice of one cell (see the module
+    # docstring).  w * t is t * w bit for bit, so the products equal the
+    # general path's gathered values times weights.  The products go into
+    # the weights when the caller reads neither them nor the slopes.
+    n, D = residual.shape
+    k = 1 << D
+    if th.shape[-1] < k:
+        raise IndexError(f"cell vertex index out of bounds for theta of size {th.shape[-1]}")
+    residual_t = np.ascontiguousarray(residual.T)
+    w = _doubling_weights(residual_t, buffers)
+    # every point's vertex values: one column, or its worker's row of the stack
+    vals = th[:k, None] if owner is None else th.take(owner, axis=0)[:, :k].T
+    scratch = buffers.get("scratch", k, n) if vertices or want_slopes else w
+    values = _column_sums(np.multiply(w, vals, out=scratch))
+    slopes = None
+    if want_slopes:
+        start = buffers.get("vals", k, n)
+        np.copyto(start, vals)
+        slopes = _multilinear_slopes(start, w, residual_t, scratch).T
+    return values, None, w.T if vertices else None, slopes
 
 
 def _simplex_walk(th, base_idx, residual, strides, vertices, want_slopes):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -48,9 +49,20 @@ def parse_direction(token: str) -> Direction:
         raise ValueError(f"unknown monotone direction {token!r}") from None
 
 
-@dataclass
+def read_only(value, dtype=float) -> np.ndarray:
+    """A read-only copy of ``value`` (float64 unless ``dtype`` says)."""
+    out = np.array(value, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True, eq=False)
 class ConstraintSet:
-    """Pairwise rows theta[hi] >= theta[lo], plus optional box bounds."""
+    """Pairwise rows theta[hi] >= theta[lo], plus optional box bounds.
+
+    A frozen value: its arrays are stored as read-only copies, so what the
+    walk derives from them (``_rows``) is built once per set.  A changed set
+    is a new one (``dataclasses.replace``)."""
 
     num_parameters: int
     lo: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
@@ -58,9 +70,20 @@ class ConstraintSet:
     lower: np.ndarray | None = None  # per-parameter, -inf where unbounded
     upper: np.ndarray | None = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "lo", read_only(self.lo, np.int64))
+        object.__setattr__(self, "hi", read_only(self.hi, np.int64))
+        for name in ("lower", "upper"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, read_only(getattr(self, name)))
+
     @property
     def num_rows(self) -> int:
         return len(self.lo)
+
+    @cached_property
+    def _rows(self) -> "_Rows":
+        return _Rows(self)
 
 
 # --------------------------------------------------------------------------
@@ -184,35 +207,39 @@ class _Rows:
     """The walk's rows in ``_constraint_rows`` order (pairwise rows, then
     finite lower bounds, then finite upper bounds), with theta and a
     direction gathered at both ends of all rows at once.  Built once per
-    ``project_update`` call."""
+    constraint set (``ConstraintSet._rows``).
+
+    A lower bound is a row from its entry down to a slot past the P entries
+    that holds the bound's value (and a zero step), an upper bound a row
+    from such a slot down to its entry; ``row_hi`` and ``row_lo`` are every
+    row's two ends, slots included (the set's own ``hi`` and ``lo`` when it
+    has no finite bounds), and ``bounds`` the slots' values."""
 
     def __init__(self, constraints: ConstraintSet) -> None:
         self.lo, self.hi = constraints.lo, constraints.hi
         self.lower_j, self.lower = _finite_bounds(constraints.lower)
         self.upper_j, self.upper = _finite_bounds(constraints.upper)
-        self.has_bounds = len(self.lower_j) + len(self.upper_j) > 0
         self.count = len(self.lo) + len(self.lower_j) + len(self.upper_j)
+        self.bounds = np.concatenate([self.lower, self.upper])
+        self.row_hi, self.row_lo = self.hi, self.lo
+        if len(self.bounds):
+            p = constraints.num_parameters
+            slots = np.arange(p, p + len(self.bounds))
+            lower_slots, upper_slots = slots[: len(self.lower_j)], slots[len(self.lower_j) :]
+            self.row_hi = np.concatenate([self.hi, self.lower_j, upper_slots])
+            self.row_lo = np.concatenate([self.lo, lower_slots, self.upper_j])
 
     def gather(self, th: np.ndarray, st: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``th`` and ``st`` at the high end and at the low end of every row:
         two (2, rows) arrays, theta in row 0 and the step in row 1, one take
-        each.  A lower bound is a row from its entry down to a slot past
-        the P entries that holds the bound's value (and a zero step), an
-        upper bound a row from such a slot down to its entry.  The slack of
-        every row is then ``hi[0] - lo[0]`` (``th[j] - lower`` and ``upper -
-        th[j]`` for the bounds) and its rate ``hi[1] - lo[1]``."""
+        each.  The slack of every row is then ``hi[0] - lo[0]`` (``th[j] -
+        lower`` and ``upper - th[j]`` for the bounds) and its rate ``hi[1] -
+        lo[1]``."""
         p = len(th)
-        values = np.empty((2, p + self.count - len(self.lo)))
+        values = np.empty((2, p + len(self.bounds)))
         values[0, :p], values[1, :p] = th, st
-        hi, lo = self.hi, self.lo
-        if self.has_bounds:
-            values[0, p:] = np.concatenate([self.lower, self.upper])
-            values[1, p:] = 0.0
-            slots = np.arange(p, values.shape[1])
-            lower_slots, upper_slots = slots[: len(self.lower_j)], slots[len(self.lower_j) :]
-            hi = np.concatenate([hi, self.lower_j, upper_slots])
-            lo = np.concatenate([lo, lower_slots, self.upper_j])
-        return values.take(hi, axis=1), values.take(lo, axis=1)
+        values[0, p:], values[1, p:] = self.bounds, 0.0
+        return values.take(self.row_hi, axis=1), values.take(self.row_lo, axis=1)
 
     def ends(self, r: int, ground: int) -> tuple[int, int]:
         """The two nodes row ``r`` ties together: ``(hi, lo)`` for a
@@ -317,7 +344,7 @@ def project_update(
         raise ValueError("theta has a non-finite entry")
     if not np.isfinite(st).all():
         raise ValueError("step has a non-finite entry")
-    rows = _Rows(constraints)
+    rows = constraints._rows
     at_hi, at_lo = rows.gather(th, st)
     slack = at_hi[0] - at_lo[0]
     if slack.size and slack.min() < -_FEASIBLE_INPUT_TOL:

@@ -1,3 +1,4 @@
+import copy
 import re
 from dataclasses import FrozenInstanceError, replace
 
@@ -533,6 +534,41 @@ class TestCalibratorSet:
         con = cs.constraints()
         assert con.num_rows == 0
         assert not np.isfinite(con.lower).any() and not np.isfinite(con.upper).any()
+
+    def test_in_place_edits_are_refused(self):
+        # the layout (offsets, table size, alpha's entries) is worked out
+        # once, so the parts it comes from cannot change under it
+        cs = self.build()
+        assert isinstance(cs.specs, tuple) and isinstance(cs.calibrators, tuple)
+        wider = replace(cs.calibrators[0], knots=[0.0, 2.0, 4.0, 6.0, 10.0],
+                        outputs=[0.0, 0.2, 0.5, 0.8, 1.0])
+        with pytest.raises(TypeError):
+            cs.calibrators[0] = wider
+        with pytest.raises(TypeError):
+            cs.specs[0] = cont_spec(name="z")
+        with pytest.raises(FrozenInstanceError):
+            cs.calibrators = (wider,) + cs.calibrators[1:]
+        with pytest.raises(AttributeError):
+            cs.offsets.append(0)
+        assert (cs.num_free, cs.table_size, len(cs.alpha())) == (6, 12, 6)
+        # a set built from the changed calibrators lays them out afresh
+        rebuilt = CalibratorSet(cs.specs, [wider, *cs.calibrators[1:]])
+        assert (rebuilt.num_free, rebuilt.table_size, len(rebuilt.alpha())) == (7, 13, 7)
+        assert rebuilt.offsets == (0, 3, 6)
+
+    @pytest.mark.parametrize("index", [0, 1], ids=["continuous", "categorical"])
+    def test_calibrators_and_sets_compare_by_value(self, index):
+        cs = self.build()
+        cal = cs.calibrators[index]
+        assert cal == replace(cal) and cal == copy.deepcopy(cal)
+        assert cs == CalibratorSet(list(cs.specs), list(cs.calibrators))
+        points = cal.points.copy()
+        points[1] += 0.125
+        changed = replace(cal, **{"outputs" if index == 0 else "values": points})
+        assert cal != changed and not cal == changed
+        cals = list(cs.calibrators)
+        cals[index] = changed
+        assert cs != CalibratorSet(cs.specs, cals)
 
 
 def batch_rows(spec, cal, column):

@@ -517,18 +517,19 @@ class TestOneCellBatch:
         assert str(batch.value) == str(scalar.value)
 
     @pytest.mark.parametrize(
-        "sizes, kind, one_cell",
+        "sizes, kind, path",
         [
-            ([2] * 10, InterpolationKind.MULTILINEAR, True),
-            ([2], "multilinear", True),
-            ([2] * 10, InterpolationKind.SIMPLEX, False),
-            ([3, 3, 3, 3], InterpolationKind.MULTILINEAR, False),
-            ([2] * 9 + [3], InterpolationKind.MULTILINEAR, False),
+            ([2] * 10, InterpolationKind.MULTILINEAR, "_one_cell"),
+            ([2], "multilinear", "_one_cell"),
+            ([2] * 10, InterpolationKind.SIMPLEX, "_simplex_walk"),
+            ([3, 3, 3, 3], InterpolationKind.MULTILINEAR, "_gather"),
+            ([2] * 9 + [3], InterpolationKind.MULTILINEAR, "_gather"),
         ],
     )
-    def test_path_is_chosen_from_the_shape_and_kind(self, monkeypatch, sizes, kind, one_cell):
+    def test_path_is_chosen_from_the_shape_and_kind(self, monkeypatch, sizes, kind, path):
+        # evaluate_batch and forward_backward_batch take the same path
         taken = []
-        for name in ("_one_cell_values", "_forward_backward"):
+        for name in ("_one_cell", "_simplex_walk", "_gather"):
             real = getattr(interpolation, name)
 
             def spy(*args, _real=real, _name=name, **kw):
@@ -539,7 +540,8 @@ class TestOneCellBatch:
         sh = LatticeShape(sizes)
         pts = np.random.default_rng(330).random((3, sh.ndim))
         evaluate_batch(np.zeros(sh.num_parameters), sh, pts, kind)
-        assert taken == ["_one_cell_values" if one_cell else "_forward_backward"]
+        forward_backward_batch(np.zeros(sh.num_parameters), sh, pts, kind, want_slopes=True)
+        assert taken == [path, path]
 
 
 SIMPLEX = InterpolationKind.SIMPLEX

@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from monolattice import (
     project_update,
     vertex_coords,
 )
+from monolattice import monotonicity
 from monolattice.monotonicity import _hits_within_step
 
 from scalar_reference import (
@@ -234,9 +236,11 @@ class TestProjectUpdate:
             ([2, 2, 2], (INC, INC, FREE)),
         ]:
             sh = LatticeShape(sizes)
-            cs = build_constraints(sh, dirs)
-            cs.lower = np.full(sh.num_parameters, -2.0)
-            cs.upper = np.full(sh.num_parameters, 2.0)
+            cs = replace(
+                build_constraints(sh, dirs),
+                lower=np.full(sh.num_parameters, -2.0),
+                upper=np.full(sh.num_parameters, 2.0),
+            )
             theta = np.zeros(sh.num_parameters)
             for _ in range(300):
                 step = rng.standard_normal(sh.num_parameters) * 0.5
@@ -248,10 +252,9 @@ class TestProjectUpdate:
         # first entry and above at its last, checked at tolerance 0
         rng = np.random.default_rng(2)
         for n in (2, 3, 5):
-            cs = chain(n)
-            cs.lower = np.full(n, -np.inf)
-            cs.upper = np.full(n, np.inf)
-            cs.lower[0], cs.upper[-1] = 0.0, 1.0
+            lower, upper = np.full(n, -np.inf), np.full(n, np.inf)
+            lower[0], upper[-1] = 0.0, 1.0
+            cs = replace(chain(n), lower=lower, upper=upper)
             theta = np.linspace(0.0, 1.0, n)
             for _ in range(300):
                 theta = project_update(theta, rng.standard_normal(n) * 0.5, cs)
@@ -260,12 +263,42 @@ class TestProjectUpdate:
     def test_tight_row_next_to_clipped_bound(self):
         # entry 0 sits a hair below its bound, tied to entry 1 by a tight
         # row: lifting entry 0 alone would break the row
-        cs = chain(3)
-        cs.lower = np.array([0.0, -np.inf, -np.inf])
+        cs = replace(chain(3), lower=np.array([0.0, -np.inf, -np.inf]))
         theta = np.array([-1e-19, -1e-19, 0.5])
         out = project_update(theta, np.array([0.0, 0.0, 0.25]), cs)
         assert out.tolist() == [0.0, 0.0, 0.75]
         assert max_infeasibility(out, cs) == 0.0
+
+    def test_constraint_set_is_a_frozen_value(self):
+        lower = np.array([0.0, -np.inf, -np.inf])
+        cs = ConstraintSet(3, [0, 1], [1, 2], lower=lower)
+        lower[0] = 5.0  # the set holds its own copy
+        assert cs.lower.tolist() == [0.0, -np.inf, -np.inf]
+        assert cs.lo.dtype == np.int64 and cs.upper is None
+        with pytest.raises(FrozenInstanceError):
+            cs.lower = np.zeros(3)
+        for array in (cs.lo, cs.hi, cs.lower):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+    def test_walk_rows_are_built_once_per_set(self, monkeypatch):
+        built = []
+        real = monotonicity._Rows
+
+        def counting(constraints):
+            built.append(constraints)
+            return real(constraints)
+
+        monkeypatch.setattr(monotonicity, "_Rows", counting)
+        cs = replace(chain(3), lower=np.array([0.0, -np.inf, -np.inf]),
+                     upper=np.array([np.inf, np.inf, 1.0]))
+        theta = np.array([0.1, 0.5, 0.9])
+        for step in ([0.0, 0.0, 0.0], [0.01, -0.02, 0.03], [-1.0, 0.0, 1.0]):
+            theta = project_update(theta, np.array(step), cs)
+        assert built == [cs]
+        wider = replace(cs, upper=None)  # a new set gets its own rows
+        project_update(theta, np.array([0.0, 0.0, 5.0]), wider)
+        assert built == [cs, wider]
 
     def test_single_hit_agrees_with_exact_projection(self):
         rng = np.random.default_rng(1)
@@ -289,10 +322,11 @@ class TestWalkMatchesRowScan:
 
     def sets(self, rng):
         for n in (2, 3, 6, 12):
-            cs = chain(n)
-            cs.lower = np.where(rng.random(n) < 0.5, -1.0, -np.inf)
-            cs.upper = np.where(rng.random(n) < 0.5, 1.0, np.inf)
-            yield cs
+            yield replace(
+                chain(n),
+                lower=np.where(rng.random(n) < 0.5, -1.0, -np.inf),
+                upper=np.where(rng.random(n) < 0.5, 1.0, np.inf),
+            )
         for sizes, dirs in (
             ([3, 3], (INC, INC)),
             ([2, 3, 4], (INC, DEC, FREE)),
@@ -301,9 +335,11 @@ class TestWalkMatchesRowScan:
         ):
             cs = build_constraints(LatticeShape(sizes), dirs)
             p = cs.num_parameters
-            cs.lower = np.where(rng.random(p) < 0.3, -1.0, -np.inf)
-            cs.upper = np.where(rng.random(p) < 0.3, 1.0, np.inf)
-            yield cs
+            yield replace(
+                cs,
+                lower=np.where(rng.random(p) < 0.3, -1.0, -np.inf),
+                upper=np.where(rng.random(p) < 0.3, 1.0, np.inf),
+            )
 
     def test_walks_agree_bit_for_bit(self):
         rng = np.random.default_rng(21)
@@ -351,8 +387,11 @@ def walk_problems(draw):
     p = cs.num_parameters
     if draw(st.booleans()):
         # bounds at 0.0 meet entries at -0.0, which clipping turns into +0.0
-        cs.lower = np.where(rng.random(p) < 0.5, rng.choice([-1.0, 0.0], p), -np.inf)
-        cs.upper = np.where(rng.random(p) < 0.5, rng.choice([0.0, 1.0], p), np.inf)
+        cs = replace(
+            cs,
+            lower=np.where(rng.random(p) < 0.5, rng.choice([-1.0, 0.0], p), -np.inf),
+            upper=np.where(rng.random(p) < 0.5, rng.choice([0.0, 1.0], p), np.inf),
+        )
     if draw(st.booleans()):
         start = reference_array_walk(np.zeros(p), rng.standard_normal(p), cs)
     else:

@@ -1,6 +1,9 @@
+import importlib.util
 import math
 import re
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +28,8 @@ from monolattice import (
     TrainingError,
     evaluate_metrics,
     init_lattice,
+    load_dataset,
+    load_schema,
     loss_slope,
     loss_value,
     max_infeasibility,
@@ -36,7 +41,7 @@ from monolattice import (
     train,
     vertex_coords,
 )
-from monolattice import monotonicity, training
+from monolattice import interpolation, monotonicity, training
 from monolattice.interpolation import ChunkBuffers, evaluate
 from monolattice.training import loss_gradients, prepare_state, sgd_step
 from scalar_reference import (
@@ -1078,3 +1083,151 @@ class TestLockstep:
             train(line_data(30, lambda a: a), [spec("x")], self.CONFIG)
         # workers 1 and 2 run the round out, to show that neither fails
         assert steps == [[0, 1, 2]] * 6 + [[0, 1]] * 2
+
+
+def one_cell_problem(d: int, pairs: bool, loss: Loss, n=80, seed=0):
+    """``d`` features on a lattice of one cell (every size 2): a PWL chain
+    with a calibrated missing value, a categorical with an order pair and an
+    OTHER bucket (one rare category folds into it), then PWL chains of 3 or
+    4 knots, every other one increasing; rows with labels fitting ``loss``
+    (rising with the category, so the fitted start meets the order pair),
+    or pairs."""
+    rng = np.random.default_rng(seed)
+
+    def columns():
+        cols = []
+        for k in range(d):
+            if k == 1:
+                codes = rng.integers(0, 3, size=n)
+                names = [f"c{v}" for v in codes]
+                names[3] = "rare"
+                cols.append(names)
+            else:
+                x = rng.random(n)
+                if k == 0:
+                    x[rng.random(n) < 0.1] = np.nan
+                cols.append(x)
+        return cols
+
+    specs = [
+        FeatureSpec(name="b", kind=FeatureKind.CATEGORICAL, size=2,
+                    order_pairs=[("c0", "c2")], allow_unseen=True)
+        if k == 1 else
+        spec(f"x{k}", keypoints=3 + k % 2,
+             monotone=Direction.INCREASING if k % 2 == 0 else Direction.NONE,
+             missing=MissingPolicy.CALIBRATED if k == 0 else MissingPolicy.NONE)
+        for k in range(d)
+    ]
+    if pairs:
+        return PairDataset(columns(), columns()), specs
+    cols = columns()
+    category = [int(c[1]) if c[0] == "c" else 0 for c in cols[1]] if d > 1 else 0
+    score = rng.random(n) * 0.5 + 0.25 * np.asarray(category)
+    labels = score if loss is Loss.SQUARED else (score > 0.5).astype(float)
+    return Dataset(cols, labels), specs
+
+
+class TestOneCellTraining:
+    """Training on multilinear lattices of one cell, whose theta scatter is
+    a row sum instead of ``np.add.at`` over gathered vertex indices, against
+    the per-sample loop and the sequential driver."""
+
+    @pytest.mark.parametrize("scale", [1.0, 0.0], ids=["calibrators-trained", "frozen"])
+    @pytest.mark.parametrize("loss", list(Loss))
+    @pytest.mark.parametrize("pairs", [False, True], ids=["rows", "pairs"])
+    @pytest.mark.parametrize("d", [1, 2, 7, 10])
+    def test_loss_gradients(self, d, pairs, loss, scale):
+        n = 300 if d == 7 else 80
+        data, specs = one_cell_problem(d, pairs, loss, n=n, seed=d)
+        config = TrainConfig(loss=loss, calibrator_step_scale=scale)
+        state = perturbed_state(data, specs, config)
+        assert interpolation.one_cell(state.shape, config.kind)
+        rng = np.random.default_rng(d)
+        # at D = 7 and 10 the last minibatch spans more than one chunk
+        longest = n if d == 7 else 40
+        assert d < 7 or training.chunk_rows(state.shape, config.kind) < longest
+        for size in (1, 2, 17):
+            assert_same_gradients(state, rng.integers(0, n, size=size))
+        assert_same_gradients(state, rng.integers(0, n, size=longest))
+
+    @pytest.mark.parametrize(
+        "d, workers, minibatch",
+        [(1, 1, 5), (2, 2, 4), (2, 3, 1), (7, 3, 100), (10, 2, 7), (10, 3, 12)],
+    )
+    def test_trained_model_bytes(self, monkeypatch, d, workers, minibatch):
+        # with 3 workers of 12 samples at D = 10 (chunks of 32 samples) or of
+        # 100 at D = 7 (chunks of 256), a lockstep step's chunks straddle
+        # workers
+        n = 300 if d == 7 else 60
+        data, specs = one_cell_problem(d, False, Loss.SQUARED, n=n, seed=20 + d)
+        config = TrainConfig(epochs=2, minibatch_size=minibatch, step_size=0.5, seed=d,
+                             workers=workers, sync_rounds=2)
+        batched = train(data, specs, config).to_json()
+        monkeypatch.setattr(training, "loss_gradients", reference_loss_gradients)
+        assert reference_train(data, specs, config).to_json() == batched
+
+    def test_pairs_with_straddling_chunks(self, monkeypatch):
+        # 3 workers of 9 pairs: chunks of 16 pairs at D = 10
+        data, specs = one_cell_problem(10, True, Loss.LOGISTIC, n=40, seed=5)
+        config = TrainConfig(loss=Loss.LOGISTIC, epochs=1, minibatch_size=9, step_size=0.5,
+                             seed=3, workers=3)
+        batched = train(data, specs, config).to_json()
+        monkeypatch.setattr(training, "loss_gradients", reference_loss_gradients)
+        assert reference_train(data, specs, config).to_json() == batched
+
+    @pytest.mark.parametrize("sizes, one_cell", [([2] * 4, True), ([2, 3, 2, 2], False)])
+    def test_scatter_takes_no_add_at_or_gather(self, monkeypatch, sizes, one_cell):
+        # training's only np.add.at is the theta scatter (the calibrator
+        # scatter is the calibrators module's); the lattice with a size of 3
+        # shows that the spies see the general path
+        scattered, gathered = [], []
+
+        class Add:
+            def __getattr__(self, name):
+                return getattr(np.add, name)
+
+            def __call__(self, *args, **kwargs):
+                return np.add(*args, **kwargs)
+
+            def at(self, a, *args):
+                scattered.append(a.size)
+                np.add.at(a, *args)
+
+        class Numpy:
+            add = Add()
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        def gather(*args):
+            gathered.append(1)
+            return real_gather(*args)
+
+        real_gather = interpolation._gather
+        monkeypatch.setattr(training, "np", Numpy())
+        monkeypatch.setattr(interpolation, "_gather", gather)
+        data, specs = one_cell_problem(len(sizes), False, Loss.SQUARED, n=40)
+        specs = [replace(s, size=m) for s, m in zip(specs, sizes)]
+        config = TrainConfig(epochs=2, minibatch_size=8, workers=2, seed=1)
+        train(data, specs, config)
+        if one_cell:
+            assert scattered == [] and gathered == []
+        else:
+            assert scattered and gathered
+
+    def test_dense_d10_workload_equals_the_sequential_driver(self, monkeypatch, tmp_path):
+        # the benchmark's dense-d10 inputs, generated by its own workload
+        # module (imported, not changed)
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        module_spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(module_spec)
+        monkeypatch.setitem(sys.modules, module_spec.name, workloads)  # for its dataclasses
+        module_spec.loader.exec_module(workloads)
+        workload = workloads.WORKLOADS["dense-d10"]
+        inputs = workloads.generate(workload, 11, tmp_path)
+        specs, label = load_schema(inputs.schema)
+        data = load_dataset(inputs.train, specs, label, require_labels=True)
+        assert interpolation.one_cell(LatticeShape([s.size for s in specs]), workload.config.kind)
+        batched = train(data, specs, workload.config).to_json()
+        monkeypatch.setattr(training, "loss_gradients", reference_loss_gradients)
+        assert reference_train(data, specs, workload.config).to_json() == batched
