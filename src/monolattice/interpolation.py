@@ -39,14 +39,9 @@ index advances by the step's stride.  The vertex lists (vertex-major, as
 the multilinear kernel's) and the vertex values behind the slopes are kept
 only when the caller asks; the slopes are written by the same flat
 positions.  ``evaluate_batch`` asks for values only, so the index advances
-in place and nothing (D+1, n)-shaped is allocated.  At n = 1200, D = 10
-(the ``rank-simplex-d10`` held-out set) ``evaluate_batch`` takes 0.66 of
-the time of the earlier kernel, which built the (n, D+1) vertex lists
-with ``take_along_axis``, ``concatenate`` and ``cumsum`` (medians 695 vs
-1056 us and 733 vs 1110 us in two runs of 400 calls alternating between
-the two, 398 and 399 won, on a 2-vCPU VM whose speed drifts by up to
-40%).  At training's 64 rows with slopes the two cost the same (143 vs
-142 us).
+in place and nothing (D+1, n)-shaped is allocated.  CHANGES.md records
+its speed against the earlier kernel, which built the (n, D+1) vertex
+lists with ``take_along_axis``, ``concatenate`` and ``cumsum``.
 
 A multilinear chunk's (2^D, n) arrays (weights, vertex indices, gathered
 values, and a scratch array for the products and the slope collapse) come
@@ -73,20 +68,29 @@ worker parameter vectors, takes each point's column from its worker's
 row.  ``evaluate_batch``, which needs neither weights nor slopes, forms
 the products in the weights' place, so a chunk keeps one (2^D, n) array
 where the general path keeps four, and takes four times the rows
-(``one_cell_rows``, 128 at D = 10) in the same bytes.  On the trained
-``dense-d10`` model's 2000 held-out rows ``evaluate_batch`` takes a median
-5.1 and 5.8 ms against the general path's 15.5 and 14.2 ms (two runs of
-200 calls alternating between the two, all won, on the same 2-vCPU VM).
+(``one_cell_rows``, 128 at D = 10) in the same bytes; CHANGES.md records
+its speed against the general path.
+
+The batched kernel and the row plan below build multilinear weights with
+one doubling helper, ``_doubling_weights``, which fills an array the
+caller passes: a (2^D, n) chunk from the rows of the (D, n) residuals, or
+a row's (2^D,) array from its D residuals as floats.
 
 Single-row prediction goes through a :class:`RowPlan`, built once per
 theta and shape.  It does the scalar kernels' float operations in their
 order, so it equals them bit for bit, without their generic steps: it
 locates the cell and its flat base index in one loop and keeps no
-``CellLocation`` or ``SparseWeights``.  Small cells run on Python lists,
-which beat numpy's per-call overhead there.  From ``ROW_NUMPY_MIN_VERTICES``
-cell vertices on, the multilinear doubling pass runs on one 1-D numpy
-array.  The scalar kernels stay as the plan's oracle and as what
-``bench_interpolation`` times.
+``CellLocation`` or ``SparseWeights``.  On a lattice of one cell the base
+is 0 and the residual is the point itself, so locating is the range check
+alone.  Small cells run on Python lists, which beat numpy's per-call
+overhead there.  From ``ROW_NUMPY_MIN_VERTICES`` cell vertices on, the
+multilinear weights come from ``_doubling_weights`` into an array made
+afresh for every call, so threads may share a plan, and are multiplied
+in place by the vertex values: a gather at the cell's offsets, or, on a
+lattice of one cell, a view of theta's first 2^D entries made with the
+plan.  The scalar kernels stay as the
+plan's oracle and as what ``bench_interpolation`` times; CHANGES.md
+records the row plan's speed.
 """
 
 from __future__ import annotations
@@ -262,7 +266,8 @@ def evaluate_batch(
 
 
 # Multilinear cells with at least this many vertices (2^7: D >= 7) are
-# faster through the row plan's numpy pass than through its lists.
+# faster through the row plan's numpy pass than through its lists; at 2^6
+# the two tie.
 ROW_NUMPY_MIN_VERTICES = 1 << 7
 
 
@@ -272,13 +277,17 @@ class RowPlan:
 
     Holds the shape's tops, strides and doubled offsets, and theta (a
     float64 array the caller does not change) with its list form, made on
-    first use.  A call locates the cell and its flat base index in one loop,
-    with :func:`locate_cell`'s checks and messages.  Multilinear cells then
-    run :func:`multilinear_weights`' doubling pass on lists, or, from
-    ``ROW_NUMPY_MIN_VERTICES`` vertices on, on one numpy array, writing each
-    pass's far and near halves in place before one gather of the vertex
-    values.  Simplex cells walk :func:`simplex_weights`' sorted chain.  Each
-    sum runs left to right from 0.0, as :func:`evaluate`'s loop adds.
+    first use, and on a lattice of one cell the view of its first 2^D
+    entries.  A call locates the cell and its flat base index in one loop,
+    with :func:`locate_cell`'s checks and messages; on a lattice of one cell
+    that is the range check alone.  Multilinear cells then run
+    :func:`multilinear_weights`' doubling pass on lists, or, from
+    ``ROW_NUMPY_MIN_VERTICES`` vertices on, :func:`_doubling_weights` into
+    a fresh array that takes the products in place.  Simplex cells walk
+    :func:`simplex_weights`' sorted chain.  Each sum runs left to right
+    from 0.0, as :func:`evaluate`'s loop adds.  Apart from making the list
+    form on first use, a call writes nothing the plan holds, so threads may
+    share a plan.
     """
 
     def __init__(self, theta, shape: LatticeShape) -> None:
@@ -289,6 +298,11 @@ class RowPlan:
         self._offsets = _doubled_offsets(shape)
         self._numpy = len(self._offsets) >= ROW_NUMPY_MIN_VERTICES
         self._offset_list = None if self._numpy else self._offsets.tolist()
+        self._one_cell = set(shape.sizes) == {2}
+        # the one cell's vertex values; a theta too short for them keeps the
+        # gather, which raises IndexError
+        k = len(self._offsets)
+        self._cell = self._theta[:k] if self._one_cell and len(self._theta) >= k else None
 
     def evaluate(self, x, kind: InterpolationKind = InterpolationKind.MULTILINEAR) -> float:
         """Interpolated value at ``x`` (in lattice coordinates)."""
@@ -305,6 +319,13 @@ class RowPlan:
         # locate_cell and then vertex_index of its base, in one loop
         if len(x) != len(self._tops):
             raise ValueError(f"expected {len(self._tops)} coordinates, got {len(x)}")
+        if self._one_cell:
+            # base 0 in every dimension, and v - 0 is v (-0.0 included)
+            res = [float(v) for v in x]
+            for d, v in enumerate(res):
+                if not 0.0 <= v <= 1.0:
+                    raise ValueError(f"coordinate {v} outside [0, 1] in dimension {d}")
+            return 0, res
         base = 0
         res = []
         for d, (v, top, sd) in enumerate(zip(x, self._tops, self._strides)):
@@ -335,15 +356,13 @@ class RowPlan:
         return total
 
     def _multilinear_array(self, base: int, res: list[float]) -> float:
-        # cumsum adds left to right; adding 0.0 turns a -0.0 total into +0.0
-        w = np.empty(len(self._offsets))
-        w[0] = 1.0
-        for d, r in enumerate(res):
-            near, far = w[: 1 << d], w[1 << d : 2 << d]
-            np.multiply(near, r, out=far)
-            np.subtract(near, far, out=near)
-        vals = self._theta[base + self._offsets]
-        return float(np.cumsum(np.multiply(vals, w, out=vals))[-1] + 0.0)
+        # the products overwrite the weights; add.accumulate (cumsum's
+        # ufunc) adds left to right, and adding 0.0 turns a -0.0 total into
+        # +0.0
+        p = _doubling_weights(np.empty(len(self._offsets)), res)
+        vals = self._theta[base + self._offsets] if self._cell is None else self._cell
+        np.multiply(vals, p, p)
+        return np.add.accumulate(p, 0, None, p).item(-1) + 0.0
 
     def _simplex(self, base: int, res: list[float]) -> float:
         # a stable sort: tied residuals keep ascending dimension order
@@ -491,16 +510,16 @@ class ChunkBuffers:
         return np.empty(size, dtype=dtype)
 
 
-def _doubling_weights(residual: np.ndarray, buffers: ChunkBuffers) -> np.ndarray:
-    # multilinear_weights' doubling pass on (D, n) residuals, one row of the
-    # (2^D, n) result per list entry
-    D, n = residual.shape
-    w = buffers.get("weights", 1 << D, n)
+def _doubling_weights(w: np.ndarray, residual) -> np.ndarray:
+    # multilinear_weights' doubling pass into ``w``, one entry of the list
+    # per entry of ``w``: a (2^D,) array with a row's D residuals as floats,
+    # or a (2^D, n) chunk with the rows of its (D, n) residuals.  out= goes
+    # by position: as a keyword it costs about 0.4 us a call.
     w[0] = 1.0
-    for d in range(D):
-        half = 1 << d
-        np.multiply(w[:half], residual[d], out=w[half : 2 * half])
-        np.subtract(w[:half], w[half : 2 * half], out=w[:half])
+    for d, r in enumerate(residual):
+        near, far = w[: 1 << d], w[1 << d : 2 << d]
+        np.multiply(near, r, far)
+        np.subtract(near, far, near)
     return w
 
 
@@ -581,7 +600,7 @@ def _forward_backward(theta, shape, points, kind, want_slopes, buffers: ChunkBuf
     # vertex-major: one C-contiguous row of n entries per cell vertex
     k, n = 1 << shape.ndim, len(base_idx)
     residual_t = np.ascontiguousarray(residual.T)
-    weights = _doubling_weights(residual_t, buffers)
+    weights = _doubling_weights(buffers.get("weights", k, n), residual_t)
     offsets = _doubled_offsets(shape)
     indices = buffers.get("indices", k, n, np.int64)
     np.add(offsets[:, None], base_idx[None, :], out=indices)
@@ -603,7 +622,7 @@ def _one_cell(th, residual, want_slopes, buffers: ChunkBuffers, vertices, owner)
     if th.shape[-1] < k:
         raise IndexError(f"cell vertex index out of bounds for theta of size {th.shape[-1]}")
     residual_t = np.ascontiguousarray(residual.T)
-    w = _doubling_weights(residual_t, buffers)
+    w = _doubling_weights(buffers.get("weights", k, n), residual_t)
     # every point's vertex values: one column, or its worker's row of the stack
     vals = th[:k, None] if owner is None else th.take(owner, axis=0)[:, :k].T
     scratch = buffers.get("scratch", k, n) if vertices or want_slopes else w

@@ -18,10 +18,11 @@ calibrators are built once, from the final table
 stays fixed during a run is worked out once, in ``prepare_state``: the
 *plan* is the location of every side (a row, or a pair's preferred row then
 the other) on the calibrators' knots and categories
-(``CalibratorSet.locate``), and the targets are held as floats.  A clone
-copies theta and the table and shares everything else: the calibrators, the
-plan, the targets and the multilinear kernel's chunk buffers, which every
-step of the run reuses.  The loss subgradient is then one batched pass: the
+(``CalibratorSet.locate``), and the targets are held as floats.  Each
+round's :class:`WorkerGroup` holds its workers' theta and table rows and
+shares everything else with the state: the calibrators, the plan, the
+targets and the multilinear kernel's chunk buffers, which every step of
+the run reuses.  The loss subgradient is then one batched pass: the
 minibatch's sides are gathered from the plan and calibrated under the
 table's parameters (``CalibratorSet.apply``, with signs +1 and -1 for the
 two sides of a pair), then located, weighted and differentiated as
@@ -198,9 +199,9 @@ class TrainerState:
     targets: np.ndarray  # float target per sample (1.0 for a pair)
     reg_terms: list[tuple[RegularizerConfig, TermSet]] = field(default_factory=list)
     # the multilinear kernel's chunk arrays and the theta scatter's
-    # sample-major arrays, kept for the whole run; clones and a
-    # round's worker group share them, which is safe because one step at a
-    # time runs, and a group's workers step in one pass
+    # sample-major arrays, kept for the whole run; every round's worker
+    # group shares them, which is safe because one step at a time runs, and
+    # a group's workers step in one pass
     buffers: ChunkBuffers = field(default_factory=ChunkBuffers, repr=False, compare=False)
 
     def clone(self) -> "TrainerState":
@@ -429,7 +430,10 @@ def _gradients(
             products = np.multiply(s[:, None], weights, out=state.buffers.get("products", rows, k))
             np.add.at(g_theta, flat.ravel(), products.ravel())
         if want:
-            cs.add_apply_gradient(sides, s[:, None] * dfdx, g_table)
+            # a product that overflows (huge labels and slopes) makes a
+            # non-finite gradient, which _descend reports
+            with np.errstate(over="ignore", invalid="ignore"):
+                cs.add_apply_gradient(sides, s[:, None] * dfdx, g_table)
     return g_theta.reshape(K, P), cs.at_free(g_table.reshape(K, T))
 
 

@@ -4,6 +4,8 @@ scalar kernels, and the checks on the row itself."""
 import copy
 import math
 import pickle
+import sys
+import threading
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -339,6 +341,89 @@ class TestRowKernel:
         assert np.array_equal(cached, _doubled_offsets.__wrapped__(shape))
         location = locate_cell(shape, [0.0] * len(sizes))
         assert cached.tolist() == multilinear_weights(shape, location).indices
+
+
+# the ends of [0, 1] and their nearest neighbours inside it, and -0.0
+ONE_CELL_COORDINATES = [0.0, -0.0, 5e-324, 1.0 - 2.0**-53, 1.0]
+
+
+def one_cell_points(D, seed=0, n=30):
+    """Points in [0, 1]^D: each special coordinate in every dimension, rows
+    mixing them, and random points."""
+    rng = np.random.default_rng(seed)
+    specials = [[v] * D for v in ONE_CELL_COORDINATES]
+    mixed = rng.choice(ONE_CELL_COORDINATES, (n, D)).tolist()
+    return specials + mixed + rng.random((n, D)).tolist()
+
+
+class TestOneCellRows:
+    """The row plan on a lattice of one cell (every size 2), which skips the
+    cell search and, for multilinear cells, reads theta's first 2^D entries
+    without a gather."""
+
+    @pytest.mark.parametrize("kind", list(InterpolationKind))
+    @pytest.mark.parametrize("D", [1, 2, 6, 7, 9, 10])
+    def test_plan_equals_the_scalar_kernel(self, D, kind):
+        shape = LatticeShape([2] * D)
+        theta = np.random.default_rng(D).standard_normal(shape.num_parameters)
+        theta[::3] = -0.0
+        plan = RowPlan(theta, shape)
+        for x in one_cell_points(D, seed=D):
+            assert plan.evaluate(x, kind).hex() == evaluate(theta.tolist(), shape, x, kind).hex()
+
+    @pytest.mark.parametrize("kind", list(InterpolationKind))
+    @pytest.mark.parametrize("D", [1, 2, 6, 7, 9, 10])
+    def test_predict_row_equals_predict(self, D, kind):
+        points = np.array(one_cell_points(D, seed=D + 1))
+        data = Dataset([points[:, d] for d in range(D)], None)
+        assert_paths_agree(unit_model([2] * D, kind=kind, seed=D), data)
+
+    @pytest.mark.parametrize("kind", list(InterpolationKind))
+    @pytest.mark.parametrize("D", [1, 2, 6, 7, 9, 10])
+    def test_short_theta_raises_index_error(self, D, kind):
+        shape = LatticeShape([2] * D)
+        plan = RowPlan(np.ones(shape.num_parameters - 1), shape)
+        with pytest.raises(IndexError):
+            plan.evaluate([0.5] * D, kind)
+
+    @pytest.mark.parametrize("D", [1, 6, 7, 10])
+    def test_doubling_weights_of_a_row_and_a_one_column_chunk(self, D):
+        shape = LatticeShape([2] * D)
+        for x in one_cell_points(D, seed=D, n=5):
+            row = interpolation._doubling_weights(np.empty(1 << D), x)
+            chunk = interpolation._doubling_weights(np.empty((1 << D, 1)), np.array(x)[:, None])
+            assert row.tobytes() == chunk.tobytes()
+            assert row.tolist() == multilinear_weights(shape, locate_cell(shape, x)).weights
+
+    def test_threads_sharing_a_model_get_the_serial_bits(self):
+        model = unit_model([2] * 10, seed=4)
+        points = np.array(one_cell_points(10, seed=4, n=60))
+        rows = [points[i].tolist() for i in range(len(points))]
+        kinds = [None, InterpolationKind.SIMPLEX]
+        serial = [[model.predict_row(r, kind).hex() for r in rows] for kind in kinds]
+        shared = replace(model)  # a fresh model: the threads build its plan
+        results = [None] * 4
+        errors = []
+
+        def score(t):
+            try:
+                results[t] = [[shared.predict_row(r, kind).hex() for r in rows] for kind in kinds]
+            except Exception as e:  # reported by the main thread
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=score, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert results == [serial] * 4
 
 
 class TestWhichKernelRuns:

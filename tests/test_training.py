@@ -247,6 +247,19 @@ class TestTrainingErrors:
         with pytest.raises(TrainingError, match=re.escape(message)):
             train(self.DATA, self.SPECS, self.OVERFLOW)
 
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_huge_labels_raise_only_a_training_error(self, size):
+        # the second step's calibrator gradient overflows (slope times dfdx,
+        # then inf * 0 and inf - inf in the scatter); pytest's filter turns
+        # any numpy RuntimeWarning on the way into an error
+        rng = np.random.default_rng(0)
+        u, v = rng.random(40), rng.random(40)
+        specs = [spec("a", monotone=Direction.INCREASING, keypoints=5, size=size),
+                 spec("b", keypoints=5, size=size)]
+        message = "non-finite gradient; lower the step size (round 1, worker 1, epoch 1, step 2)"
+        with pytest.raises(TrainingError, match=re.escape(message)):
+            train(Dataset([u, v], 1e200 * u), specs, TrainConfig(step_size=0.5))
+
     def test_steps_and_epochs_count_from_one_across_rounds(self, monkeypatch):
         calls = []
 
