@@ -19,19 +19,13 @@ from .calibrators import (
 from .data import Dataset, PairDataset, load_dataset, load_pair_dataset, load_schema
 from .interpolation import (
     InterpolationKind,
-    SparseWeights,
     evaluate,
     evaluate_batch,
-    evaluate_with_gradients,
-    forward_backward_batch,
     interpolation_weights,
     multilinear_weights,
-    multilinear_weights_naive,
-    multilinear_weights_naive_batch,
     simplex_weights,
 )
 from .lattice import (
-    CellLocation,
     LatticeShape,
     locate_cell,
     locate_cells,
@@ -46,13 +40,11 @@ from .monotonicity import (
     check_monotonic,
     describe_violations,
     max_infeasibility,
-    project_exact,
     project_update,
 )
 from .regularizers import (
     RegularizerConfig,
     RegularizerKind,
-    TermSet,
     regularizer_gradient,
     regularizer_terms,
     regularizer_value,
@@ -61,17 +53,12 @@ from .regularizers import (
 from .training import (
     Loss,
     TrainConfig,
-    TrainerState,
     TrainingError,
     evaluate_metrics,
     init_lattice,
-    loss_gradients,
-    loss_slope,
     loss_value,
     model_objective,
     parallel_train,
-    prepare_state,
-    sgd_step,
     train,
 )
 

@@ -279,7 +279,7 @@ _TINY = 5e-324  # the smallest positive float
 
 
 def _hits_within_step(slack: np.ndarray, closing: np.ndarray) -> np.ndarray:
-    """Per row, whether the walk's first pass would hit it: ``closing`` (the
+    """Per row, whether a pass of the walk hits it: ``closing`` (the
     negated rate) is positive and ``t = max(slack, 0) / closing <= 1``,
     without the division.  For positive finite s and q, s <= q gives
     s / q <= 1 exactly, and s > q gives s / q >= 1 + ulp(q) / q > 1 + 2^-53,
@@ -318,19 +318,21 @@ def project_update(
     the ground's component.  Each pass therefore replaces the rest of the
     step by its mean over each component, and by 0 on the ground's.  Both
     ends of an active row then move by the same value, so its rate is
-    exactly 0 and it is never hit again.  The component labels are
-    allocated at the first hit; a step that hits nothing never needs them.
+    exactly 0 and it is never hit again.  The component labels and the
+    step's norm are computed at the first hit; a step that hits nothing
+    never needs them.
 
     A theta or step with a non-finite entry, or a theta more than 1e-9 from
     feasible, is a ``ValueError``.  The first pass walks the step itself.
     Each pass gathers theta and its direction once at both ends of every
     row (bounds included), which gives it its slack (the first pass's
-    serves the input check too) and its rate.  Whether the first pass hits
-    a row is tested without a division.  A step that hits nothing then
-    ends there: the result is theta plus the step.  Every result goes
-    through ``_Rows.remove_roundoff``, so it is exactly feasible (tolerance
-    0), a zero step's included.  A step that hits a row runs the walk
-    above from its first pass.
+    serves the input check too) and its rate.  Whether a pass hits a row
+    is tested without a division, which then runs over the hit rows alone.
+    A pass that hits nothing adds the rest of its direction and ends the
+    walk, so a step that hits nothing gives theta plus the step.  The walk
+    also ends once the direction's norm falls to 1e-13 of the step's.
+    Every result goes through ``_Rows.remove_roundoff``, so it is exactly
+    feasible (tolerance 0), a zero step's included.
     """
     th = np.array(theta, dtype=float)
     st = np.array(step, dtype=float)
@@ -354,33 +356,23 @@ def project_update(
     # the negated rate: lo - hi is -(hi - lo) up to the sign of a zero,
     # which no test reads
     closing = at_lo[1] - at_hi[1]
-    if not _hits_within_step(slack, closing).any():
-        th += st
-        rows.remove_roundoff(th)
-        return (th, active) if return_active else th
-
-    step_scale = _robust_norm(st)
     ground = th.size
     component = None  # node -> component label, the ground node last
-    direction, norm = st, step_scale  # the first pass walks the step itself
+    direction = st  # the first pass walks the step itself
     for _ in range(rows.count + 2):
-        if norm <= 1e-13 * step_scale:
-            break
-        candidates = np.nonzero(closing > 0.0)[0]
-        # max(s, 0.0) keeps s when s is not below 0, as Python's max does; a
-        # rate so small that t overflows to inf is never hit within the step
-        s = slack[candidates]
-        with np.errstate(over="ignore"):
-            t = np.where(s < 0.0, 0.0, s) / closing[candidates]
-        within = t <= 1.0
-        hits, t = candidates[within], t[within]
+        hits = np.flatnonzero(_hits_within_step(slack, closing))
         if len(hits) == 0:
             th += direction
             break
+        # max(s, 0.0) keeps s when s is not below 0, as Python's max does;
+        # every hit has t <= 1, so the division cannot overflow
+        s = slack[hits]
+        t = np.where(s < 0.0, 0.0, s) / closing[hits]
         t_min = float(t[np.argmin(t)])  # the first smallest, as a strict-< scan finds
         th += t_min * direction
         if component is None:
             component = np.arange(ground + 1)
+            step_scale = _robust_norm(st)
         for r in hits[t <= t_min + _HIT_TOL].tolist():
             a, b = rows.ends(r, ground)
             component[component == component[b]] = component[a]
@@ -389,7 +381,8 @@ def project_update(
         sums[component[ground]] = 0.0
         members = component[:-1]
         direction = sums[members] / np.bincount(component)[members]
-        norm = _robust_norm(direction)
+        if _robust_norm(direction) <= 1e-13 * step_scale:
+            break
         at_hi, at_lo = rows.gather(th, direction)
         slack = at_hi[0] - at_lo[0]
         closing = at_lo[1] - at_hi[1]

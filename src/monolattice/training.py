@@ -9,51 +9,47 @@ iterate satisfies its constraints.  Lattice and calibrator parameters are
 updated jointly in the same step, the calibrator step scaled by a separate
 factor (scale 0 freezes the calibrators).
 
-A training state holds the parameters as two plain arrays, which the steps
-write: theta, and the calibrator parameter table laid out as
-``CalibratorSet.table``, whose free entries are alpha.  Its calibrators are
-the fitted ones and keep their starting parameters; the trained model's
-calibrators are built once, from the final table
-(``CalibratorSet.with_table``).  Everything about the training samples that
-stays fixed during a run is worked out once, in ``prepare_state``: the
-*plan* is the location of every side (a row, or a pair's preferred row then
-the other) on the calibrators' knots and categories
-(``CalibratorSet.locate``), and the targets are held as floats.  Each
-round's :class:`WorkerGroup` holds its workers' theta and table rows and
-shares everything else with the state: the calibrators, the plan, the
-targets and the multilinear kernel's chunk buffers, which every step of
-the run reuses.  The loss subgradient is then one batched pass: the
-minibatch's sides are gathered from the plan and calibrated under the
-table's parameters (``CalibratorSet.apply``, with signs +1 and -1 for the
-two sides of a pair), then located, weighted and differentiated as
-arrays.
-Gradients are scattered in sample, side, vertex order for the lattice and
-side, feature, entry order for the calibrators (into a vector over their
-parameter table, read at the free entries), so the result is the
-per-sample loop's bit for bit.  The lattice scatter is ``np.add.at`` over
-the kernel's vertex indices, except on a lattice of one cell (every size
-2, multilinear), where the kernel returns no indices: every sample's
-products land on the same 2^D entries, so the scatter is an in-order row
-sum over a sample-major buffer.  On the ``dense-d10`` benchmark workload
-(one 2^10 cell) training runs at a median 25.1k samples/s against 20.3k
-through ``np.add.at`` (10 alternating pairs of benchmark runs, all won, on
-a 2-vCPU VM), with the same model bytes.  Objective and metrics score
-through ``Model.predict``, which uses the same kernel.
-
 ``train`` shards the dataset over K workers; each synchronization round,
 every worker trains from the consensus parameters on its own shard, and the
 consensus becomes the elementwise average of the workers (feasible, since
 the constraint set is convex): the shard-and-average scheme of Zinkevich et
-al., *Parallelized Stochastic Gradient Descent* (2010).  The workers run in
-lockstep, in one process: a round holds their parameters as stacks, one
-row per worker (a :class:`WorkerGroup`), and their j-th steps are one
-``sgd_step``, whose loss gradients are one batched pass over every
-worker's minibatch.  Regularizers, checks and projections stay per worker.
+al., *Parallelized Stochastic Gradient Descent* (2010).  Workers draw from
+independent child streams of the seed, so runs are reproducible.
+``parallel_train`` is another name for ``train``.
+
+A :class:`TrainerState` holds the parameters as two stacks with one row
+per worker, which the steps write: theta (K, P), and the calibrator
+parameter table (K, T) laid out as ``CalibratorSet.table``, whose free
+entries are alpha.  One worker is the plain case, a stack of one row.  Its
+calibrators are the fitted ones and keep their starting parameters; the
+trained model's calibrators are built once, from row 0 of the final table
+(``CalibratorSet.with_table``).  Everything about the training samples that
+stays fixed during a run is worked out once, in ``prepare_state`` and
+shared by every worker: the *plan* is the location of every side (a row,
+or a pair's preferred row then the other) on the calibrators' knots and
+categories (``CalibratorSet.locate``), the targets are held as floats, and
+the multilinear kernel's chunk buffers are reused by every step.
+
+The workers run in lockstep, in one process: their j-th steps are one
+``sgd_step``, whose ``batches`` map each worker that takes the step to its
+minibatch.  The loss subgradient is one batched pass over every worker's
+minibatch: the sides are gathered from the plan and calibrated under their
+worker's table row (``CalibratorSet.apply``, with signs +1 and -1 for the
+two sides of a pair), then located, weighted and differentiated as arrays
+against their worker's theta row.  Gradients are scattered in sample,
+side, vertex order for the lattice and side, feature, entry order for the
+calibrators (into a vector over the parameter table stack, read at the
+free entries), so each row is the per-sample loop's over that worker's
+minibatch, bit for bit.  The lattice scatter is ``np.add.at`` over the
+kernel's vertex indices, except on a lattice of one cell (every size 2,
+multilinear), where the kernel returns no indices: every sample's products
+land on the same 2^D entries of its worker's row, so the scatter is an
+in-order row sum over a sample-major buffer (CHANGES.md records its
+measured speed).  Regularizers, checks and projections stay per worker.
 Lockstep only changes the order in which independent work is issued, so
-the result is the same bits as running the workers one after another.  One
-worker is the plain case of the same loop.  Workers draw from independent
-child streams of the seed, so runs are reproducible.  ``parallel_train``
-is another name for ``train``.
+the result is the same bits as running the workers one after another.
+Objective and metrics score through ``Model.predict``, which uses the same
+kernel.
 """
 
 from __future__ import annotations
@@ -83,6 +79,7 @@ from .lattice import LatticeShape, locate_cell  # noqa: F401
 from .monotonicity import (
     ConstraintSet,
     Direction,
+    _robust_norm,
     build_constraints,
     project_update,
 )
@@ -187,9 +184,18 @@ class TrainConfig:
 
 @dataclass
 class TrainerState:
+    """A run's parameters, one row per worker, and what stays fixed.
+
+    Row k of ``theta`` (K, P) is worker k's lattice parameters and row k of
+    ``table`` (K, T) its calibrator parameters, laid out as
+    :meth:`CalibratorSet.table`, for K = ``config.workers``; every row
+    starts as the same feasible start.  Everything else (data, plan,
+    constraints, regularizers and the kernel's buffers) is shared by all K.
+    """
+
     shape: LatticeShape
     theta: np.ndarray
-    table: np.ndarray  # calibrator parameters, laid out as CalibratorSet.table()
+    table: np.ndarray
     calibrators: CalibratorSet  # as fitted: locations, free entries, constraints
     config: TrainConfig
     data: Dataset | PairDataset
@@ -199,14 +205,14 @@ class TrainerState:
     targets: np.ndarray  # float target per sample (1.0 for a pair)
     reg_terms: list[tuple[RegularizerConfig, TermSet]] = field(default_factory=list)
     # the multilinear kernel's chunk arrays and the theta scatter's
-    # sample-major arrays, kept for the whole run; every round's worker
-    # group shares them, which is safe because one step at a time runs, and
-    # a group's workers step in one pass
+    # sample-major arrays, kept for the whole run; every worker shares them,
+    # which is safe because one step at a time runs, and the workers of a
+    # step take it in one pass
     buffers: ChunkBuffers = field(default_factory=ChunkBuffers, repr=False, compare=False)
 
     def clone(self) -> "TrainerState":
-        """A state with its own theta and calibrator table; everything else,
-        the plan and the kernel's buffers included, is shared."""
+        """A state with its own theta and calibrator table stacks; everything
+        else, the plan and the kernel's buffers included, is shared."""
         return dataclasses.replace(self, theta=self.theta.copy(), table=self.table.copy())
 
     @property
@@ -300,8 +306,8 @@ def prepare_state(data: Dataset | PairDataset, specs: list[FeatureSpec], config:
         raise ValueError(f"{config.loss.value} loss needs binary {{0,1}} labels")
     return TrainerState(
         shape=shape,
-        theta=init_lattice(shape, directions),
-        table=calibrators.table(),
+        theta=np.tile(init_lattice(shape, directions), (config.workers, 1)),
+        table=np.tile(calibrators.table(), (config.workers, 1)),
         calibrators=calibrators,
         config=config,
         data=data,
@@ -319,48 +325,11 @@ def prepare_state(data: Dataset | PairDataset, specs: list[FeatureSpec], config:
 _SIDES = np.array([0, 1])  # plan rows 2i and 2i + 1 are the sides of pair i
 
 
-class WorkerGroup:
-    """The workers of one synchronization round, stepping together.
-
-    Row k of ``theta`` (K, P) is worker k's lattice parameters and row k of
-    ``table`` (K, T) its calibrator parameters, laid out as
-    :meth:`CalibratorSet.table`; both start as copies of the consensus in
-    ``state``.  Everything else (data, plan, constraints, regularizers and
-    the kernel's buffers) is the state's, shared by all K.
-    """
-
-    def __init__(self, state: TrainerState, count: int) -> None:
-        self.state = state
-        self.theta = np.tile(state.theta, (count, 1))
-        self.table = np.tile(state.table, (count, 1))
-
-    @property
-    def theta_constraints(self) -> ConstraintSet:
-        # read by perfbench's traced project_update, which tells the theta
-        # projection from the alpha one by it on the state sgd_step gets
-        return self.state.theta_constraints
-
-
-def loss_gradients(state: TrainerState | WorkerGroup, minibatch) -> tuple[np.ndarray, np.ndarray]:
-    """Minibatch-mean loss subgradient w.r.t. theta and the calibrator vector.
-
-    ``state`` is one worker's :class:`TrainerState`, or a
-    :class:`WorkerGroup` with ``minibatch`` mapping each worker that takes
-    the step to its minibatch; a group gets a (K, P) and a (K, free) stack,
-    row k worker k's gradient, all zero for a worker not stepping.
-    """
-    if isinstance(state, WorkerGroup):
-        return _gradients(state.state, state.theta, state.table, minibatch)
-    g_theta, g_alpha = _gradients(state, state.theta[None], state.table[None], {0: minibatch})
-    return g_theta[0], g_alpha[0]
-
-
-def _gradients(
-    state: TrainerState, theta: np.ndarray, table: np.ndarray, batches: dict
-) -> tuple[np.ndarray, np.ndarray]:
-    """``loss_gradients`` of the workers in ``batches`` (worker -> sample
-    indices), whose parameters are rows of the ``theta`` and ``table``
-    stacks.
+def loss_gradients(state: TrainerState, batches) -> tuple[np.ndarray, np.ndarray]:
+    """Minibatch-mean loss subgradients w.r.t. theta and the calibrator
+    vector of the workers in ``batches`` (worker -> sample indices): a
+    (K, P) and a (K, free) stack, row k worker k's gradient, all zero for a
+    worker not in ``batches``.
 
     The workers' samples are taken in worker order, each worker's in its
     minibatch's order, and their sides gathered from the state's plan and
@@ -382,13 +351,13 @@ def _gradients(
     vertex indices, and the theta scatter is a row sum (``_add_rows``).
     """
     cs = state.calibrators
-    (K, P), T = theta.shape, table.shape[1]
-    g_theta = np.zeros(theta.size)
-    g_table = np.zeros(table.size)
-    flat_theta, flat_table = theta.ravel(), table.ravel()
+    (K, P), T = state.theta.shape, state.table.shape[1]
+    g_theta = np.zeros(state.theta.size)
+    g_table = np.zeros(state.table.size)
+    flat_table = state.table.ravel()
     want = state.trains_calibrators
     loss = state.config.loss
-    n_sides = 2 if isinstance(state.data, PairDataset) else 1
+    n_sides = len(state.plan.t) // len(state.targets)  # the plan has 2 sides a pair
     minibatches = [np.asarray(b, dtype=np.int64) for b in batches.values()]
     sizes = [len(b) for b in minibatches]
     batch = np.concatenate(minibatches)
@@ -407,8 +376,8 @@ def _gradients(
         )
         x = cs.apply(sides, flat_table)
         values, indices, weights, dfdx = _forward_backward(
-            flat_theta if owner is None else theta, state.shape, x, state.config.kind, want,
-            state.buffers, owner=side_owner,
+            state.theta[0] if owner is None else state.theta, state.shape, x,
+            state.config.kind, want, state.buffers, owner=side_owner,
         )
         # z = 0.0 + sum of sign * value over the sides; values are never -0.0
         z = values if n_sides == 1 else values[0::2] - values[1::2]
@@ -461,43 +430,34 @@ def _add_rows(g: np.ndarray, s: np.ndarray, weights: np.ndarray, owner, buffers)
         start = end
 
 
-def sgd_step(state: TrainerState | WorkerGroup, minibatch, rng):
-    """One projected subgradient step over ``minibatch`` (sample indices).
+def sgd_step(state: TrainerState, batches, rngs) -> TrainerState:
+    """One projected subgradient step of the workers in ``batches`` (worker
+    -> sample indices), worker k drawing from ``rngs[k]``.
 
-    On a :class:`WorkerGroup`, ``minibatch`` maps each worker taking the
-    step to its minibatch and ``rng`` holds every worker's generator: the
-    workers' loss gradients are taken together, then each worker adds its
-    regularizers (sampled from its own generator), checks and projects its
-    own rows.  A worker whose step fails leaves its rows as they were; once
-    every other worker has stepped, the lowest failing worker's
-    ``TrainingError`` is raised, with that worker's index as ``worker``.
+    The workers' loss gradients are taken together, then each worker adds
+    its regularizers (sampled from its own generator), checks and projects
+    its own rows of ``state.theta`` and ``state.table``.  A worker whose
+    step fails leaves its rows as they were; once every other worker has
+    stepped, the lowest failing worker's ``TrainingError`` is raised, with
+    that worker's index as ``worker``.
     """
-    if not isinstance(state, WorkerGroup):
-        cs = state.calibrators
-        g_theta, g_alpha = loss_gradients(state, minibatch)
-        alpha = cs.at_free(state.table) if state.trains_calibrators else None
-        state.theta, alpha = _descend(state, state.theta, alpha, g_theta, g_alpha, rng)
-        if alpha is not None:
-            cs.put_free(state.table, alpha)
-        return state
-    group, shared = state, state.state
-    cs = shared.calibrators
-    g_theta, g_alpha = loss_gradients(group, minibatch)
+    cs = state.calibrators
+    g_theta, g_alpha = loss_gradients(state, batches)
     failure = None
-    for k in minibatch:
-        alpha = cs.at_free(group.table[k]) if shared.trains_calibrators else None
+    for k in batches:
+        alpha = cs.at_free(state.table[k]) if state.trains_calibrators else None
         try:
-            theta, alpha = _descend(shared, group.theta[k], alpha, g_theta[k], g_alpha[k], rng[k])
+            theta, alpha = _descend(state, state.theta[k], alpha, g_theta[k], g_alpha[k], rngs[k])
         except TrainingError as e:
             if failure is None:
                 failure, e.worker = e, k
             continue
-        group.theta[k] = theta
+        state.theta[k] = theta
         if alpha is not None:
-            cs.put_free(group.table[k], alpha)
+            cs.put_free(state.table[k], alpha)
     if failure is not None:
         raise failure
-    return group
+    return state
 
 
 def _descend(state: TrainerState, theta, alpha, g_theta, g_alpha, rng):
@@ -531,17 +491,17 @@ def _descend(state: TrainerState, theta, alpha, g_theta, g_alpha, rng):
     return theta, alpha
 
 
-def _run_round(group: WorkerGroup, shards, rngs, epochs: range, where: str) -> None:
-    """Train every worker of ``group`` on its shard for the round's
+def _run_round(state: TrainerState, shards, rngs, epochs: range, where: str) -> None:
+    """Train every worker of ``state`` on its shard for the round's
     ``epochs`` (numbered from 1), in lockstep: the workers' j-th steps of an
     epoch are one ``sgd_step``.  Each worker draws its minibatch from its
     own generator, and a worker with fewer steps in an epoch sits out the
-    rest of it.  A worker that fails leaves the group, and so does every
+    rest of it.  A worker that fails leaves the round, and so does every
     higher-numbered one, whose error a run of the workers one after another
     would never reach; the rest run on, and the lowest failing worker's
     ``TrainingError`` is raised at the end, gaining ``where`` (the round),
     the worker, the epoch and the step."""
-    size = group.state.config.minibatch_size
+    size = state.config.minibatch_size
     # per worker with samples: index, shard, full pass (one deterministic
     # pass per epoch) and steps per epoch
     running = [
@@ -560,7 +520,7 @@ def _run_round(group: WorkerGroup, shards, rngs, epochs: range, where: str) -> N
             if not batches:
                 break
             try:
-                sgd_step(group, batches, rngs)
+                sgd_step(state, batches, rngs)
             except TrainingError as e:
                 worker = min(batches) if e.worker is None else e.worker
                 failure = TrainingError(
@@ -585,8 +545,9 @@ def train(data, specs: list[FeatureSpec], config: TrainConfig):
     (see ``_run_round``), and the result is bit for bit that of training
     them one after another: each worker's parameters, generator and order
     of arithmetic are its own.  The consensus is the mean over the workers'
-    stacked rows.  One worker trains on every sample in index order, and
-    the mean of its one vector is that vector bit for bit."""
+    rows, written into every row, so the next round starts each worker
+    from it; the model takes row 0.  One worker trains on every sample in
+    index order, and the mean of its one row is that row bit for bit."""
     state = prepare_state(data, specs, config)
     n = _num_samples(data)
     if n == 0:
@@ -605,12 +566,11 @@ def train(data, specs: list[FeatureSpec], config: TrainConfig):
         count = base + (1 if r < extra else 0)
         epochs = range(done + 1, done + count + 1)
         done += count
-        group = WorkerGroup(state, K)
-        _run_round(group, shards, rngs, epochs, f"round {r + 1}")
+        _run_round(state, shards, rngs, epochs, f"round {r + 1}")
         cs = state.calibrators
-        state.theta = np.mean(group.theta, axis=0)
+        state.theta[:] = np.mean(state.theta, axis=0)
         if cs.num_free:
-            cs.put_free(state.table, np.mean(cs.at_free(group.table), axis=0))
+            cs.put_free(state.table, np.mean(cs.at_free(state.table), axis=0))
     return _model(state, specs)
 
 
@@ -622,8 +582,8 @@ def _model(state: TrainerState, specs: list[FeatureSpec]):
     return Model(
         specs=list(specs),
         shape=state.shape,
-        theta=state.theta,
-        calibrators=state.calibrators.with_table(state.table),
+        theta=state.theta[0],
+        calibrators=state.calibrators.with_table(state.table[0]),
         kind=config.kind,
         loss=config.loss,
         metadata={
@@ -680,26 +640,29 @@ def model_objective(model, data, config: TrainConfig) -> float:
 
 
 def evaluate_metrics(model, data) -> dict:
-    """RMSE for labeled rows, plus accuracy when labels are {0,1} (and
-    log-loss unless the model was trained with hinge loss); pairwise
-    accuracy for pair data, ties counted half."""
+    """RMSE for labeled rows (NaN for none), plus accuracy when labels are
+    {0,1} (and log-loss unless the model was trained with hinge loss);
+    pairwise accuracy for pair data, ties counted half.  The residuals are
+    scaled by their largest magnitude before squaring, so labels too large
+    to square still give a finite RMSE, and a logistic model's log-loss is
+    the loss it trains on, ``log(1 + exp(-margin))``, which stays finite
+    where the probability rounds to 0 or 1."""
     z, y = _scores(model, data)
     n = len(z)
     if isinstance(data, PairDataset):
         wins = np.sum(z > 0) + 0.5 * np.sum(z == 0)
         return {"num_pairs": n, "pair_accuracy": float(wins) / n if n else float("nan")}
     out: dict = {"num_rows": n}
-    out["rmse"] = float(np.sqrt(np.mean((z - y) ** 2)))
+    out["rmse"] = _robust_norm(z - y) / math.sqrt(n) if n else float("nan")
     if np.isin(y, (0.0, 1.0)).all() and n:
-        if model.loss is Loss.HINGE:
-            out["accuracy"] = float(np.mean((z >= 0.0) == (y == 1.0)))
-            return out
+        # a margin model predicts 1 at score >= 0, a squared one at >= 0.5
+        threshold = 0.5 if model.loss is Loss.SQUARED else 0.0
+        out["accuracy"] = float(np.mean((z >= threshold) == (y == 1.0)))
         if model.loss is Loss.LOGISTIC:
-            probs = 1.0 / (1.0 + np.exp(-z))
-        else:
+            out["log_loss"] = float(np.mean(np.logaddexp(0.0, -(2.0 * y - 1.0) * z)))
+        elif model.loss is Loss.SQUARED:
             probs = np.clip(z, 1e-12, 1.0 - 1e-12)
-        out["accuracy"] = float(np.mean((probs >= 0.5) == (y == 1.0)))
-        out["log_loss"] = float(
-            -np.mean(y * np.log(probs) + (1.0 - y) * np.log(1.0 - probs))
-        )
+            out["log_loss"] = float(
+                -np.mean(y * np.log(probs) + (1.0 - y) * np.log(1.0 - probs))
+            )
     return out

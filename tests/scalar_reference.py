@@ -1,13 +1,14 @@
 """Scalar references for the batched training step.
 
 ``reference_loss_gradients`` is the per-sample gradient loop over the scalar
-kernels (``evaluate_with_gradients``, ``calibrate_row``, ``row_gradients``);
-the batched ``loss_gradients`` must equal it bit for bit.
+kernels (``evaluate_with_gradients``, ``calibrate_row``, ``row_gradients``),
+run for each worker of a ``batches`` mapping on its rows of the state's
+stacks; the batched ``loss_gradients`` must equal its stacks bit for bit.
 
 ``reference_train`` is the sequential driver ``train`` replaced: each
-round, every worker in turn trains a clone of the consensus on its shard
-through ``training.sgd_step`` on its own state, one step after another,
-and the consensus is the mean of the workers' vectors.  ``train``, whose
+round, every worker in turn trains a one-row state holding the consensus
+on its shard through ``training.sgd_step``, one step after another, and
+the consensus is the mean of the workers' vectors.  ``train``, whose
 workers step in lockstep, must give the same model bytes and the same
 ``TrainingError``.  It reads ``sgd_step`` (and through it
 ``loss_gradients`` and ``project_update``) from the training module at
@@ -52,9 +53,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from monolattice import PairDataset, TrainingError, evaluate_with_gradients, loss_slope, training
+from monolattice import PairDataset, TrainingError, training
 from monolattice.calibrators import ContinuousCalibrator, DataError, FeatureKind, MissingPolicy
 from monolattice.data import Dataset
+from monolattice.interpolation import evaluate_with_gradients
 from monolattice.monotonicity import (
     _FEASIBLE_INPUT_TOL,
     _HIT_TOL,
@@ -62,13 +64,23 @@ from monolattice.monotonicity import (
     _robust_norm,
     max_infeasibility,
 )
+from monolattice.training import loss_slope
 
 
-def reference_loss_gradients(state, minibatch):
+def reference_loss_gradients(state, batches):
     g_theta = np.zeros_like(state.theta)
-    g_alpha = np.zeros(state.calibrators.num_free)
+    g_alpha = np.zeros((len(state.theta), state.calibrators.num_free))
+    for k, minibatch in batches.items():
+        _reference_worker_gradients(state, k, minibatch, g_theta[k], g_alpha[k])
+    return g_theta, g_alpha
+
+
+def _reference_worker_gradients(state, k, minibatch, g_theta, g_alpha):
+    """Worker k's loss gradient, the per-sample loop over its rows of the
+    state's stacks, added into ``g_theta`` and ``g_alpha``."""
+    theta = state.theta[k]
     want = state.trains_calibrators
-    cs = state.calibrators.with_table(state.table)
+    cs = state.calibrators.with_table(state.table[k])
     scale = 1.0 / len(minibatch)
     for i in minibatch:
         if isinstance(state.data, PairDataset):
@@ -81,7 +93,7 @@ def reference_loss_gradients(state, minibatch):
         terms = []
         for sign, row in sides:
             x = cs.calibrate_row(row)
-            v, sw, dfdx = evaluate_with_gradients(state.theta, state.shape, x, state.config.kind)
+            v, sw, dfdx = evaluate_with_gradients(theta, state.shape, x, state.config.kind)
             z += sign * v
             terms.append((sign, sw, dfdx, cs.row_gradients(row)))
         slope = loss_slope(state.config.loss, y, z) * scale
@@ -97,7 +109,6 @@ def reference_loss_gradients(state, minibatch):
                         continue
                     for pos, partial in per_feature:
                         g_alpha[pos] += s * dfdx[d] * partial
-    return g_theta, g_alpha
 
 
 def reference_train(data, specs, config):
@@ -119,13 +130,17 @@ def reference_train(data, specs, config):
         count = base + (1 if r < extra else 0)
         epochs = range(done + 1, done + count + 1)
         done += count
-        workers = [state.clone() for _ in range(K)]
+        # each worker trains a one-row state of its own, from the consensus
+        workers = [
+            replace(state, theta=state.theta[:1].copy(), table=state.table[:1].copy())
+            for _ in range(K)
+        ]
         for k, (worker, shard, rng) in enumerate(zip(workers, shards, rngs), 1):
             _reference_run_epochs(worker, shard, epochs, rng, f"round {r + 1}, worker {k}")
-        state.theta = np.mean([w.theta for w in workers], axis=0)
+        state.theta[:] = np.mean([w.theta[0] for w in workers], axis=0)
         cs = state.calibrators
         if cs.num_free:
-            cs.put_free(state.table, np.mean([cs.at_free(w.table) for w in workers], axis=0))
+            cs.put_free(state.table, np.mean([cs.at_free(w.table[0]) for w in workers], axis=0))
     return training._model(state, specs)
 
 
@@ -140,7 +155,7 @@ def _reference_run_epochs(state, shard, epochs, rng, where):
         for step in range(1, steps + 1):
             batch = shard if full else shard[rng.integers(0, n, size=k)]
             try:
-                training.sgd_step(state, batch, rng)
+                training.sgd_step(state, {0: batch}, [rng])
             except TrainingError as e:
                 raise TrainingError(f"{e} ({where}, epoch {epoch}, step {step})") from None
 

@@ -4,25 +4,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monolattice import (
-    CellLocation,
     InterpolationKind,
     LatticeShape,
-    SparseWeights,
     evaluate,
     evaluate_batch,
-    evaluate_with_gradients,
-    forward_backward_batch,
     interpolation_weights,
     locate_cell,
     multilinear_weights,
-    multilinear_weights_naive,
-    multilinear_weights_naive_batch,
     simplex_weights,
     vertex_coords,
     vertex_index,
 )
 from monolattice import interpolation
-from monolattice.interpolation import ChunkBuffers, chunk_rows, one_cell_rows
+from monolattice.interpolation import (
+    ChunkBuffers,
+    SparseWeights,
+    chunk_rows,
+    evaluate_with_gradients,
+    forward_backward_batch,
+    multilinear_weights_naive,
+    multilinear_weights_naive_batch,
+    one_cell_rows,
+)
+from monolattice.lattice import CellLocation
 
 ALL_KINDS = list(InterpolationKind)
 # the product-form kernel is no served kind, only the oracle of the fast

@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monolattice import (
-    CellLocation,
     LatticeShape,
     locate_cell,
     locate_cells,
     vertex_coords,
     vertex_index,
 )
+from monolattice.lattice import CellLocation
 
 
 class TestShape:

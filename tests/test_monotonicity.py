@@ -14,12 +14,11 @@ from monolattice import (
     check_monotonic,
     describe_violations,
     max_infeasibility,
-    project_exact,
     project_update,
     vertex_coords,
 )
 from monolattice import monotonicity
-from monolattice.monotonicity import _hits_within_step
+from monolattice.monotonicity import _hits_within_step, project_exact
 
 from scalar_reference import (
     reference_array_walk,

@@ -30,7 +30,6 @@ from monolattice import (
     init_lattice,
     load_dataset,
     load_schema,
-    loss_slope,
     loss_value,
     max_infeasibility,
     model_objective,
@@ -43,7 +42,7 @@ from monolattice import (
 )
 from monolattice import interpolation, monotonicity, training
 from monolattice.interpolation import ChunkBuffers, evaluate
-from monolattice.training import loss_gradients, prepare_state, sgd_step
+from monolattice.training import loss_gradients, loss_slope, prepare_state, sgd_step
 from scalar_reference import (
     reference_array_walk,
     reference_component_walk,
@@ -157,9 +156,9 @@ class TestGradients:
         specs = [spec("x", bounds=(0.0, 1.0))]
         state, _ = self.make_state(data, specs, minibatch_size=100)
         state.theta[:] = 0.0
-        g_theta, g_alpha = loss_gradients(state, np.array([0, 1]))
+        g_theta, g_alpha = loss_gradients(state, {0: np.array([0, 1])})
         # residuals (0, -1); sample 0 puts all weight on vertex 0, sample 1 on vertex 1
-        assert g_theta == pytest.approx([0.0, -1.0])
+        assert g_theta[0] == pytest.approx([0.0, -1.0])
         assert g_alpha.size == 0
 
     def test_step_moves_against_gradient(self):
@@ -167,14 +166,14 @@ class TestGradients:
         specs = [spec("x", bounds=(0.0, 1.0))]
         state, _ = self.make_state(data, specs, minibatch_size=100, step_size=0.1)
         state.theta[:] = 0.0
-        sgd_step(state, np.array([0, 1]), np.random.default_rng(0))
-        assert state.theta == pytest.approx([0.0, 0.1])
+        sgd_step(state, {0: np.array([0, 1])}, [np.random.default_rng(0)])
+        assert state.theta[0] == pytest.approx([0.0, 0.1])
 
     def test_gradient_support_is_sparse(self):
         data = line_data(64, lambda a, b: a + b, d=2)
         specs = [spec("a", size=4), spec("b", size=4)]
         state, _ = self.make_state(data, specs)
-        g_theta, _ = loss_gradients(state, np.array([3]))
+        g_theta, _ = loss_gradients(state, {0: np.array([3])})
         assert np.count_nonzero(g_theta) <= 4
 
     def test_alpha_gradient_matches_finite_difference(self):
@@ -184,19 +183,19 @@ class TestGradients:
         rng = np.random.default_rng(7)
         state.theta[:] = rng.random(state.theta.size) * 2
         batch = np.arange(32)
-        _, g_alpha = loss_gradients(state, batch)
+        _, (g_alpha,) = loss_gradients(state, {0: batch})
         cs = state.calibrators
-        alpha = cs.at_free(state.table)
+        alpha = cs.at_free(state.table[0])
         eps = 1e-6
 
         def batch_loss(alpha):
-            table = state.table.copy()
+            table = state.table[0].copy()
             cs.put_free(table, alpha)
             calibrators = cs.with_table(table)
             total = 0.0
             for i in batch:
                 x = calibrators.calibrate_row(state.data.row(i))
-                z = evaluate(state.theta.tolist(), state.shape, x)
+                z = evaluate(state.theta[0].tolist(), state.shape, x)
                 total += loss_value(Loss.SQUARED, float(state.data.labels[i]), z)
             return total / batch.size
 
@@ -215,16 +214,16 @@ class TestGradients:
             data, specs, minibatch_size=100, step_size=0.1, regularizers=(reg,)
         )
         state.theta[:] = np.array([0.0, 2.0])
-        sgd_step(state, np.array([0, 1]), np.random.default_rng(0))
+        sgd_step(state, {0: np.array([0, 1])}, [np.random.default_rng(0)])
         # loss grad (0, 1); laplacian grad 0.5 * 2*(theta0-theta1)*(1,-1) = (-2, 2)
-        assert state.theta == pytest.approx([0.2, 1.7])
+        assert state.theta[0] == pytest.approx([0.2, 1.7])
 
     def test_non_finite_step_raises(self):
         data = Dataset([np.array([0.0, 1.0])], np.array([0.0, 1e308]))
         specs = [spec("x", bounds=(0.0, 1.0))]
         state, _ = self.make_state(data, specs, minibatch_size=100, step_size=1e308)
         with pytest.raises(TrainingError), np.errstate(over="ignore", invalid="ignore"):
-            sgd_step(state, np.array([0, 1]), np.random.default_rng(0))
+            sgd_step(state, {0: np.array([0, 1])}, [np.random.default_rng(0)])
 
     def test_overflowing_calibrator_step_raises(self):
         # step size times calibrator scale overflows; the gradient is finite
@@ -232,7 +231,7 @@ class TestGradients:
         state, _ = self.make_state(data, specs, step_size=10.0, calibrator_step_scale=1e308)
         assert state.trains_calibrators
         with pytest.raises(TrainingError, match="non-finite step; lower the step size"):
-            sgd_step(state, np.arange(16), np.random.default_rng(0))
+            sgd_step(state, {0: np.arange(16)}, [np.random.default_rng(0)])
 
 
 class TestTrainingErrors:
@@ -263,8 +262,8 @@ class TestTrainingErrors:
     def test_steps_and_epochs_count_from_one_across_rounds(self, monkeypatch):
         calls = []
 
-        def failing(state, batch, rng):
-            calls.append(len(batch))
+        def failing(state, batches, rngs):
+            calls.append(len(batches[0]))
             if len(calls) == 5:
                 raise TrainingError("boom")
             return state
@@ -365,8 +364,8 @@ class TestTrain:
         rng = np.random.default_rng(11)
         for _ in range(40):
             batch = rng.integers(0, 64, size=8)
-            sgd_step(state, batch, rng)
-            assert max_infeasibility(state.theta, state.theta_constraints) <= 1e-12
+            sgd_step(state, {0: batch}, [rng])
+            assert max_infeasibility(state.theta[0], state.theta_constraints) <= 1e-12
             assert max_infeasibility(state.calibrators.alpha(), state.alpha_constraints) <= 1e-12
 
     def test_sampled_regularizer_tracks_full(self):
@@ -553,9 +552,9 @@ class TestPlan:
 
         step = training.sgd_step
 
-        def stepping(group, batches, rngs):
+        def stepping(state, batches, rngs):
             counts["steps"] += len(batches)  # one step for each worker in lockstep
-            return step(group, batches, rngs)
+            return step(state, batches, rngs)
 
         monkeypatch.setattr(training, "sgd_step", stepping)
         monkeypatch.setattr(CalibratorSet, "locate", counting("locate", CalibratorSet.locate))
@@ -621,15 +620,15 @@ class TestPlan:
         data, specs = mixed_problem(False, Loss.SQUARED, n=60)
         config = TrainConfig(epochs=2, minibatch_size=8, workers=2, sync_rounds=2, seed=1)
         state = prepare_state(data, specs, config)
-        loss_gradients(state, np.arange(8))
+        loss_gradients(state, {0: np.arange(8)})
         one_step = len(allocations)
         assert one_step > 0
         allocations.clear()
         steps = []
 
-        def stepping(group, batches, rngs):
+        def stepping(state, batches, rngs):
             steps.extend(batches.values())  # one step for each worker in lockstep
-            return sgd_step(group, batches, rngs)
+            return sgd_step(state, batches, rngs)
 
         monkeypatch.setattr(training, "sgd_step", stepping)
         train(data, specs, config)
@@ -670,20 +669,24 @@ class TestPlan:
 
     def test_training_a_clone_leaves_the_original_unchanged(self):
         data, specs = mixed_problem(False, Loss.SQUARED)
-        state = prepare_state(data, specs, TrainConfig(step_size=0.5))
-        theta, table = state.theta.copy(), state.table.copy()
-        clone = state.clone()
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            sgd_step(clone, rng.integers(0, 120, size=16), rng)
-        cs = state.calibrators
-        assert not np.array_equal(clone.theta, theta)
-        assert not np.array_equal(cs.at_free(clone.table), cs.at_free(table))
-        assert state.theta.tobytes() == theta.tobytes()
-        assert state.table.tobytes() == table.tobytes()
-        # what does not move during training is shared, not copied
-        assert clone.plan is state.plan and clone.data is state.data
-        assert clone.calibrators is state.calibrators
+        for workers in (1, 2):
+            state = prepare_state(data, specs, TrainConfig(step_size=0.5, workers=workers))
+            assert state.theta.shape[0] == state.table.shape[0] == workers
+            theta, table = state.theta.copy(), state.table.copy()
+            clone = state.clone()
+            rngs = [np.random.default_rng(k) for k in range(workers)]
+            for _ in range(5):
+                batches = {k: rng.integers(0, 120, size=16) for k, rng in enumerate(rngs)}
+                sgd_step(clone, batches, rngs)
+            cs = state.calibrators
+            for k in range(workers):
+                assert not np.array_equal(clone.theta[k], theta[k])
+                assert not np.array_equal(cs.at_free(clone.table[k]), cs.at_free(table[k]))
+            assert state.theta.tobytes() == theta.tobytes()
+            assert state.table.tobytes() == table.tobytes()
+            # what does not move during training is shared, not copied
+            assert clone.plan is state.plan and clone.data is state.data
+            assert clone.calibrators is state.calibrators
 
 
 class TestRanking:
@@ -769,6 +772,38 @@ class TestMetrics:
         assert metrics["accuracy"] == 1.0
         assert "log_loss" not in metrics
 
+    def test_confident_logistic_model_has_a_finite_log_loss(self):
+        # scores -50 and 50: the probabilities round to 0 and 1, which the
+        # log of a probability turns into log(0) and 0 * -inf
+        data = Dataset([np.array([0.0, 1.0])], np.array([0.0, 1.0]))
+        specs = [spec("x", bounds=(0.0, 1.0))]
+        model = train(data, specs, TrainConfig(loss=Loss.LOGISTIC, epochs=1, step_size=0.0))
+        model = replace(model, theta=[-50.0, 50.0])
+        metrics = evaluate_metrics(model, data)
+        assert metrics["accuracy"] == 1.0
+        assert metrics["log_loss"] == pytest.approx(math.exp(-50.0), rel=1e-12)
+        # scores whose exp overflows still say which side they are on
+        metrics = evaluate_metrics(replace(model, theta=[-1000.0, 1000.0]), data)
+        assert metrics["accuracy"] == 1.0 and metrics["log_loss"] == 0.0
+
+    def test_huge_labels_have_a_finite_rmse(self):
+        # residuals near 1e200, whose squares overflow
+        x = np.array([0.0, 0.5, 1.0])
+        data = Dataset([x], 1e200 * np.array([1.0, 2.0, 3.0]))
+        specs = [spec("x", bounds=(0.0, 1.0))]
+        model = train(data, specs, TrainConfig(epochs=1, step_size=0.0))
+        model = replace(model, theta=[0.0, 0.0])
+        rmse = evaluate_metrics(model, data)["rmse"]
+        assert rmse == pytest.approx(1e200 * math.sqrt(14.0 / 3.0), rel=1e-12)
+
+    def test_no_rows_give_a_nan_rmse(self):
+        data = line_data(8, lambda a: a)
+        specs = [spec("x", bounds=(0.0, 1.0))]
+        model = train(data, specs, TrainConfig(epochs=1, step_size=0.0))
+        metrics = evaluate_metrics(model, Dataset([np.empty(0)], np.empty(0)))
+        assert metrics["num_rows"] == 0 and math.isnan(metrics["rmse"])
+        assert set(metrics) == {"num_rows", "rmse"}
+
 
 def mixed_problem(pairs: bool, loss: Loss, n=120, seed=0):
     """Three features covering a calibrated-missing PWL chain, a categorical
@@ -840,19 +875,20 @@ def perturbed_state(data, specs, config, seed=1):
     """Training state with random theta and random feasible calibrators."""
     state = prepare_state(data, specs, config)
     rng = np.random.default_rng(seed)
-    state.theta = rng.standard_normal(state.theta.size) * 2
+    state.theta[:] = rng.standard_normal(state.theta.shape) * 2
     cs = state.calibrators
-    alpha = cs.at_free(state.table)
-    cs.put_free(
-        state.table,
-        project_update(alpha, rng.standard_normal(alpha.size), state.alpha_constraints),
-    )
+    for table in state.table:
+        alpha = cs.at_free(table)
+        cs.put_free(
+            table,
+            project_update(alpha, rng.standard_normal(alpha.size), state.alpha_constraints),
+        )
     return state
 
 
-def assert_same_gradients(state, minibatch):
-    got = loss_gradients(state, minibatch)
-    ref = reference_loss_gradients(state, minibatch)
+def assert_same_gradients(state, batches):
+    got = loss_gradients(state, batches)
+    ref = reference_loss_gradients(state, batches)
     assert got[0].tobytes() == ref[0].tobytes()
     assert got[1].tobytes() == ref[1].tobytes()
 
@@ -871,8 +907,8 @@ class TestBatchedStepMatchesReference:
         assert state.trains_calibrators == (scale != 0.0)
         rng = np.random.default_rng(2)
         for size in (1, 17, 64):
-            assert_same_gradients(state, rng.integers(0, 120, size=size))
-        assert_same_gradients(state, np.arange(120))
+            assert_same_gradients(state, {0: rng.integers(0, 120, size=size)})
+        assert_same_gradients(state, {0: np.arange(120)})
 
     @pytest.mark.parametrize("pairs", [False, True], ids=["rows", "pairs"])
     def test_minibatch_spanning_several_chunks(self, pairs):
@@ -883,7 +919,7 @@ class TestBatchedStepMatchesReference:
         data = PairDataset(cols(), cols()) if pairs else Dataset(cols(), rng.random(n))
         config = TrainConfig(loss=Loss.LOGISTIC if pairs else Loss.SQUARED)
         state = perturbed_state(data, specs, config)
-        assert_same_gradients(state, rng.integers(0, n, size=90))
+        assert_same_gradients(state, {0: rng.integers(0, n, size=90)})
 
     @pytest.mark.parametrize("d", [3, 10])
     def test_one_sample_minibatches_on_large_cells(self, d):
@@ -894,7 +930,7 @@ class TestBatchedStepMatchesReference:
         data = Dataset([rng.random(n) for _ in range(d)], rng.random(n))
         state = perturbed_state(data, specs, TrainConfig())
         for i in range(n):
-            assert_same_gradients(state, [i])
+            assert_same_gradients(state, {0: [i]})
 
     @staticmethod
     def hinge_state(pairs, x0, keypoints=2):
@@ -918,7 +954,7 @@ class TestBatchedStepMatchesReference:
             data = Dataset(columns(x0), (x0 > 0.5).astype(float))
         state = prepare_state(data, specs, TrainConfig(loss=Loss.HINGE))
         sh = state.shape
-        state.theta = np.array(
+        state.theta[:] = np.array(
             [5.0 if vertex_coords(sh, j)[0] else -5.0 for j in range(sh.num_parameters)]
         )
         return state
@@ -932,10 +968,10 @@ class TestBatchedStepMatchesReference:
             x0 = x0[20:]
         state = self.hinge_state(pairs, x0)
         batch = np.arange(len(x0))
-        g_theta, g_alpha = loss_gradients(state, batch)
+        g_theta, g_alpha = loss_gradients(state, {0: batch})
         assert g_theta.tobytes() == np.zeros(state.theta.size).tobytes()
         assert g_alpha.tobytes() == np.zeros(state.calibrators.num_free).tobytes()
-        assert_same_gradients(state, batch)
+        assert_same_gradients(state, {0: batch})
 
     @pytest.mark.parametrize("pairs", [False, True], ids=["rows", "pairs"])
     def test_minibatch_of_live_and_dead_samples(self, pairs):
@@ -943,10 +979,10 @@ class TestBatchedStepMatchesReference:
                              np.linspace(0.8, 1.0, 10)])
         state = self.hinge_state(pairs, x0)
         rng = np.random.default_rng(7)
-        g_theta, _ = loss_gradients(state, np.arange(30))
+        g_theta, _ = loss_gradients(state, {0: np.arange(30)})
         assert np.count_nonzero(g_theta) > 0
-        assert_same_gradients(state, np.arange(30))
-        assert_same_gradients(state, rng.permutation(30))
+        assert_same_gradients(state, {0: np.arange(30)})
+        assert_same_gradients(state, {0: rng.permutation(30)})
 
     @pytest.mark.parametrize("pairs", [False, True], ids=["rows", "pairs"])
     def test_dead_samples_and_flat_features_leave_alpha_gradient_bits(self, pairs):
@@ -958,14 +994,14 @@ class TestBatchedStepMatchesReference:
         state = self.hinge_state(pairs, x0, keypoints=4)
         assert state.trains_calibrators
         batch = np.arange(30)
-        g_theta, g_alpha = loss_gradients(state, batch)
+        g_theta, (g_alpha,) = loss_gradients(state, {0: batch})
         assert np.count_nonzero(g_theta) > 0
         assert np.count_nonzero(g_alpha) > 0
         # only x0's block moves; the flat features' blocks stay +0.0
         flat = state.calibrators.offsets[1]
         assert g_alpha[flat:].tobytes() == np.zeros(g_alpha.size - flat).tobytes()
-        assert_same_gradients(state, batch)
-        assert_same_gradients(state, np.random.default_rng(8).permutation(30))
+        assert_same_gradients(state, {0: batch})
+        assert_same_gradients(state, {0: np.random.default_rng(8).permutation(30)})
 
     @pytest.mark.parametrize("pairs", [False, True], ids=["rows", "pairs"])
     def test_terms_off_the_free_entries(self, pairs):
@@ -1008,8 +1044,37 @@ class TestBatchedStepMatchesReference:
         assert g.categories[g.other_index] == "<OTHER>" and two.num_free == 0
         # more than one chunk of sides in a minibatch of every sample
         assert training.chunk_rows(state.shape, config.kind) < n
-        assert_same_gradients(state, np.arange(n))
-        assert_same_gradients(state, rng.integers(0, n, size=150))
+        assert_same_gradients(state, {0: np.arange(n)})
+        assert_same_gradients(state, {0: rng.integers(0, n, size=150)})
+
+    @pytest.mark.parametrize("kind", list(InterpolationKind))
+    @pytest.mark.parametrize("pairs", [False, True], ids=["rows", "pairs"])
+    def test_a_worker_missing_from_batches_keeps_its_rows(self, pairs, kind):
+        # three workers whose rows differ; worker 1 sits the step out
+        data, specs = mixed_problem(pairs, Loss.LOGISTIC if pairs else Loss.SQUARED)
+        config = TrainConfig(loss=Loss.LOGISTIC if pairs else Loss.SQUARED, kind=kind,
+                             step_size=0.5, workers=3)
+        state = prepare_state(data, specs, config)
+        assert state.trains_calibrators
+        rng = np.random.default_rng(5)
+        cs = state.calibrators
+        for theta, table in zip(state.theta, state.table):
+            theta[:] = project_update(theta, rng.standard_normal(theta.size), state.theta_constraints)
+            alpha = cs.at_free(table)
+            cs.put_free(table, project_update(alpha, rng.standard_normal(alpha.size),
+                                              state.alpha_constraints))
+        batches = {0: rng.integers(0, 120, size=17), 2: rng.integers(0, 120, size=40)}
+        g_theta, g_alpha = loss_gradients(state, batches)
+        assert g_theta[1].tobytes() == np.zeros(state.theta.shape[1]).tobytes()
+        assert g_alpha[1].tobytes() == np.zeros(state.calibrators.num_free).tobytes()
+        assert_same_gradients(state, batches)
+        theta, table = state.theta.copy(), state.table.copy()
+        sgd_step(state, batches, [np.random.default_rng(k) for k in range(3)])
+        assert state.theta[1].tobytes() == theta[1].tobytes()
+        assert state.table[1].tobytes() == table[1].tobytes()
+        for k in (0, 2):
+            assert not np.array_equal(state.theta[k], theta[k])
+            assert not np.array_equal(state.table[k], table[k])
 
     @pytest.mark.parametrize(
         "pairs, loss, kind, workers",
@@ -1061,9 +1126,9 @@ class TestLockstep:
         real = training.loss_gradients
         steps = []
 
-        def gradients(group, batches):
+        def gradients(state, batches):
             steps.append(list(batches))
-            g_theta, g_alpha = real(group, batches)
+            g_theta, g_alpha = real(state, batches)
             for n, k in at:
                 if n == len(steps):
                     g_theta[k, 0] = np.inf
@@ -1160,8 +1225,8 @@ class TestOneCellTraining:
         longest = n if d == 7 else 40
         assert d < 7 or training.chunk_rows(state.shape, config.kind) < longest
         for size in (1, 2, 17):
-            assert_same_gradients(state, rng.integers(0, n, size=size))
-        assert_same_gradients(state, rng.integers(0, n, size=longest))
+            assert_same_gradients(state, {0: rng.integers(0, n, size=size)})
+        assert_same_gradients(state, {0: rng.integers(0, n, size=longest)})
 
     @pytest.mark.parametrize(
         "d, workers, minibatch",
