@@ -78,19 +78,23 @@ a row's (2^D,) array from its D residuals as floats.
 
 Single-row prediction goes through a :class:`RowPlan`, built once per
 theta and shape.  It does the scalar kernels' float operations in their
-order, so it equals them bit for bit, without their generic steps: it
-locates the cell and its flat base index in one loop and keeps no
-``CellLocation`` or ``SparseWeights``.  On a lattice of one cell the base
-is 0 and the residual is the point itself, so locating is the range check
-alone.  Small cells run on Python lists, which beat numpy's per-call
-overhead there.  From ``ROW_NUMPY_MIN_VERTICES`` cell vertices on, the
-multilinear weights come from ``_doubling_weights`` into an array made
-afresh for every call, so threads may share a plan, and are multiplied
-in place by the vertex values: a gather at the cell's offsets, or, on a
-lattice of one cell, a view of theta's first 2^D entries made with the
-plan.  The scalar kernels stay as the
-plan's oracle and as what ``bench_interpolation`` times; CHANGES.md
-records the row plan's speed.
+order, so it gives their bits and their error messages, without their
+generic steps: it keeps no ``CellLocation`` or ``SparseWeights``.  A
+multilinear cell below ``ROW_NUMPY_MIN_VERTICES`` vertices runs one
+function compiled once per shape (``_row_kernel``), which locates the
+cell, weights its vertices and sums them in straight-line code; its
+source is built from the shape's sizes, strides and offsets as int
+literals and nothing else.  Other rows locate the cell and its flat base
+index in one loop; on a lattice of one cell the base is 0 and the
+residual is the point itself, so locating is the range check alone.
+Simplex cells then walk the chain on Python lists.  From
+``ROW_NUMPY_MIN_VERTICES`` cell vertices on, the multilinear weights come
+from ``_doubling_weights`` into an array made afresh for every call, so
+threads may share a plan, and are multiplied in place by the vertex
+values: a gather at the cell's offsets, or, on a lattice of one cell, a
+view of theta's first 2^D entries made with the plan.  The scalar kernels
+stay as the plan's oracle and as what ``bench_interpolation`` times;
+CHANGES.md records the row plan's speed.
 """
 
 from __future__ import annotations
@@ -265,39 +269,42 @@ def evaluate_batch(
     return out
 
 
-# Multilinear cells with at least this many vertices (2^7: D >= 7) are
-# faster through the row plan's numpy pass than through its lists; at 2^6
-# the two tie.
-ROW_NUMPY_MIN_VERTICES = 1 << 7
+# Multilinear cells with at least this many vertices (2^9: D >= 9) are
+# faster through the row plan's numpy pass than through its compiled
+# straight-line kernel (_row_kernel); CHANGES.md records the measurement.
+ROW_NUMPY_MIN_VERTICES = 1 << 9
 
 
 class RowPlan:
     """:func:`evaluate` at one point at a time for a fixed theta and shape,
-    bit for bit.
+    bit for bit, with :func:`evaluate`'s error messages.
 
-    Holds the shape's tops, strides and doubled offsets, and theta (a
-    float64 array the caller does not change) with its list form, made on
-    first use, and on a lattice of one cell the view of its first 2^D
-    entries.  A call locates the cell and its flat base index in one loop,
-    with :func:`locate_cell`'s checks and messages; on a lattice of one cell
-    that is the range check alone.  Multilinear cells then run
-    :func:`multilinear_weights`' doubling pass on lists, or, from
-    ``ROW_NUMPY_MIN_VERTICES`` vertices on, :func:`_doubling_weights` into
-    a fresh array that takes the products in place.  Simplex cells walk
-    :func:`simplex_weights`' sorted chain.  Each sum runs left to right
-    from 0.0, as :func:`evaluate`'s loop adds.  Apart from making the list
-    form on first use, a call writes nothing the plan holds, so threads may
-    share a plan.
+    Holds theta (a float64 array the caller does not change) and its list
+    form, the shape's tops, strides and doubled offsets, on a lattice of
+    one cell the view of theta's first 2^D entries, and, for multilinear
+    cells below ``ROW_NUMPY_MIN_VERTICES`` vertices, the shape's row kernel
+    (:func:`_row_kernel`, compiled once per shape).  All of it is made in
+    the constructor, and a call writes nothing the plan holds, so threads
+    may share a plan.
+
+    A multilinear row on a small cell is one call of the row kernel, which
+    locates, weights and sums in straight-line code.  Every other row is
+    located in one loop, with :func:`locate_cell`'s checks in its order (on
+    a lattice of one cell the range check alone).  Simplex cells then walk
+    :func:`simplex_weights`' sorted chain, and multilinear cells from
+    ``ROW_NUMPY_MIN_VERTICES`` vertices on run :func:`_doubling_weights`
+    into a fresh array that takes the products in place.  Each sum runs
+    left to right from 0.0, as :func:`evaluate`'s loop adds.
     """
 
     def __init__(self, theta, shape: LatticeShape) -> None:
         self._theta = np.asarray(theta, dtype=float)
-        self._values: list[float] | None = None
+        self._values = self._theta.tolist()
         self._tops = [m - 1 for m in shape.sizes]
         self._strides = list(shape.strides)
         self._offsets = _doubled_offsets(shape)
-        self._numpy = len(self._offsets) >= ROW_NUMPY_MIN_VERTICES
-        self._offset_list = None if self._numpy else self._offsets.tolist()
+        small = len(self._offsets) < ROW_NUMPY_MIN_VERTICES
+        self._row = _row_kernel(shape) if small else None
         self._one_cell = set(shape.sizes) == {2}
         # the one cell's vertex values; a theta too short for them keeps the
         # gather, which raises IndexError
@@ -306,54 +313,38 @@ class RowPlan:
 
     def evaluate(self, x, kind: InterpolationKind = InterpolationKind.MULTILINEAR) -> float:
         """Interpolated value at ``x`` (in lattice coordinates)."""
-        base, res = self._locate(x)
         if kind is not InterpolationKind.MULTILINEAR and kind is not InterpolationKind.SIMPLEX:
-            kind = InterpolationKind(kind)
+            try:
+                kind = InterpolationKind(kind)
+            except ValueError:
+                self._locate(x)  # evaluate reports a bad row before a bad kind
+                raise
+        if kind is InterpolationKind.MULTILINEAR and self._row is not None:
+            return self._row(self._values, x)
+        base, res = self._locate(x)
         if kind is InterpolationKind.SIMPLEX:
             return self._simplex(base, res)
-        if self._numpy:
-            return self._multilinear_array(base, res)
-        return self._multilinear_list(base, res)
+        return self._multilinear_array(base, res)
 
     def _locate(self, x) -> tuple[int, list[float]]:
         # locate_cell and then vertex_index of its base, in one loop
-        if len(x) != len(self._tops):
-            raise ValueError(f"expected {len(self._tops)} coordinates, got {len(x)}")
+        res = _coordinates(x, len(self._tops))
         if self._one_cell:
             # base 0 in every dimension, and v - 0 is v (-0.0 included)
-            res = [float(v) for v in x]
             for d, v in enumerate(res):
                 if not 0.0 <= v <= 1.0:
-                    raise ValueError(f"coordinate {v} outside [0, 1] in dimension {d}")
+                    raise _outside(v, 1, d)
             return 0, res
         base = 0
-        res = []
-        for d, (v, top, sd) in enumerate(zip(x, self._tops, self._strides)):
-            v = float(v)
+        for d, (v, top, sd) in enumerate(zip(res, self._tops, self._strides)):
             if not 0.0 <= v <= top:
-                raise ValueError(f"coordinate {v} outside [0, {top}] in dimension {d}")
+                raise _outside(v, top, d)
             b = int(v)
             if b >= top:
                 b = top - 1
-            res.append(v - b)
+            res[d] = v - b
             base += b * sd
         return base, res
-
-    def _list(self) -> list[float]:
-        if self._values is None:
-            self._values = self._theta.tolist()
-        return self._values
-
-    def _multilinear_list(self, base: int, res: list[float]) -> float:
-        w = [1.0]
-        for r in res:
-            far = [a * r for a in w]
-            w = [a - f for a, f in zip(w, far)] + far
-        values = self._list()
-        total = 0.0
-        for o, a in zip(self._offset_list, w):
-            total += values[base + o] * a
-        return total
 
     def _multilinear_array(self, base: int, res: list[float]) -> float:
         # the products overwrite the weights; add.accumulate (cumsum's
@@ -366,7 +357,7 @@ class RowPlan:
 
     def _simplex(self, base: int, res: list[float]) -> float:
         # a stable sort: tied residuals keep ascending dimension order
-        values = self._list()
+        values = self._values
         total = 0.0
         prev = 1.0
         idx = base
@@ -376,6 +367,98 @@ class RowPlan:
             idx += self._strides[d]
             prev = r
         return total + values[idx] * prev
+
+
+def _coordinates(x, ndim: int) -> list[float]:
+    # locate_cell's first checks, in its order: every coordinate through
+    # float(), then the width
+    xs = [float(v) for v in x]
+    if len(xs) != ndim:
+        raise ValueError(f"expected {ndim} coordinates, got {len(xs)}")
+    return xs
+
+
+def _outside(v: float, top: int, d: int) -> ValueError:
+    return ValueError(f"coordinate {v} outside [0, {top}] in dimension {d}")
+
+
+# terms per statement of a row kernel's sum, which keeps each expression shallow
+_SUM_TERMS = 16
+
+
+@functools.lru_cache(maxsize=64)
+def _row_kernel(shape: LatticeShape):
+    """:class:`RowPlan`'s multilinear row on ``shape``: one straight-line
+    function of ``(values, x)``, theta's list form and the point, compiled
+    once per shape (equal shapes share it).
+
+    It does :func:`evaluate`'s float operations in their order, without a
+    loop: unpack the row and pass each coordinate through ``float()``
+    (a row of another width goes to :func:`_coordinates` for
+    :func:`locate_cell`'s error), then per dimension the range check, the
+    base ``int(v)`` (``top - 1`` on the top face) and the residual
+    ``v - base``; on an axis of two vertices the base is 0 and the residual
+    is ``v`` itself.  The flat base index sums base times stride, the
+    doubling pass of :func:`multilinear_weights` runs on named locals, and
+    the value is ``values[base + offset] * weight`` summed left to right
+    from 0.0.  A ``values`` too short for the cell raises ``IndexError``.
+
+    The source is built only from Python ints, each passed through
+    ``int()``: the shape's sizes, tops, strides and vertex offsets, put
+    into fixed templates.  No text, float or name from a model file
+    reaches it.
+    """
+    sizes = [int(m) for m in shape.sizes]
+    strides = [int(s) for s in shape.strides]
+    D = len(sizes)
+    xs = [f"x{d}" for d in range(D)]
+    src = [
+        "def row(values, x):",
+        "    try:",
+        f"        {', '.join(xs)}, = x",
+        "    except (TypeError, ValueError):",
+        f"        _coordinates(x, {D})",
+        "        raise",
+    ]
+    src += [f"    {v} = float({v})" for v in xs]
+    residuals, base = [], []
+    for d, m in enumerate(sizes):
+        top = m - 1
+        src += [
+            f"    if not 0.0 <= x{d} <= {top}.0:",
+            f"        raise _outside(x{d}, {top}, {d})",
+        ]
+        if m == 2:
+            residuals.append(f"x{d}")
+            continue
+        src += [
+            f"    b{d} = int(x{d}) if x{d} < {top}.0 else {top - 1}",
+            f"    r{d} = x{d} - b{d}",
+        ]
+        residuals.append(f"r{d}")
+        base.append(f"b{d}" if strides[d] == 1 else f"b{d} * {strides[d]}")
+    if base:
+        src.append(f"    b = {' + '.join(base)}")
+    src += ["    w1 = " + residuals[0], "    w0 = 1.0 - w1"]
+    for d in range(1, D):
+        half = 1 << d
+        for j in range(half):
+            src += [
+                f"    w{j + half} = w{j} * {residuals[d]}",
+                f"    w{j} = w{j} - w{j + half}",
+            ]
+    at = [int(o) for o in _doubled_offsets(shape)]
+    if base:
+        at = ["b"] + [f"b + {o}" for o in at[1:]]
+    terms = [f"values[{i}] * w{j}" for j, i in enumerate(at)]
+    total = "0.0"
+    for start in range(0, len(terms), _SUM_TERMS):
+        src.append(f"    t = {' + '.join([total, *terms[start : start + _SUM_TERMS]])}")
+        total = "t"
+    src.append("    return t")
+    namespace = {"_coordinates": _coordinates, "_outside": _outside}
+    exec(compile("\n".join(src), f"<row kernel {tuple(sizes)}>", "exec"), namespace)
+    return namespace["row"]
 
 
 # --------------------------------------------------------------------------

@@ -9,7 +9,12 @@ parameter bit for bit.
 ``Model.predict_row`` scores one row through one path: the calibrators'
 ``calibrate_row``, which reads each calibrator's row entry (its parameters
 as lists), then the model's :class:`~.interpolation.RowPlan`, built by the
-first call.  The two give the same bits.  A model is a frozen value, checked
+first call.  The plan holds everything a row reads, made when it is built:
+theta as a list and, for multilinear cells below
+``ROW_NUMPY_MIN_VERTICES`` vertices, the shape's row kernel, compiled once
+per shape from the shape's ints alone.  ``predict_row`` gives
+``predict``'s bits and the scalar ``evaluate``'s error messages, and a
+call writes nothing the plan holds.  A model is a frozen value, checked
 on construction: ``theta`` is stored as a read-only float64 copy of the
 lattice's size, and its calibrators are frozen too, so the plan and the row
 entries cannot fall out of date.  A changed model is a new one

@@ -32,7 +32,12 @@ from monolattice import (
 from monolattice import interpolation
 from monolattice.bench import bench_interpolation
 from monolattice.calibrators import CategoricalCalibrator, ContinuousCalibrator
-from monolattice.interpolation import ROW_NUMPY_MIN_VERTICES, RowPlan, _doubled_offsets
+from monolattice.interpolation import (
+    ROW_NUMPY_MIN_VERTICES,
+    RowPlan,
+    _doubled_offsets,
+    _row_kernel,
+)
 
 
 def unit_model(sizes, kind=InterpolationKind.MULTILINEAR, seed=0):
@@ -300,11 +305,19 @@ class TestRowPathProperty:
 
 class TestRowKernel:
     @pytest.mark.parametrize(
-        "x", [[0.5] * 6 + [-0.5], [0.5] * 6 + [1.5], [0.5] * 6 + [np.nan], [0.5] * 6]
+        "x",
+        [
+            [0.5] * 6 + [-0.5], [0.5] * 6 + [1.5], [0.5] * 6 + [np.nan], [0.5] * 6,
+            [2.5, "abc"], [0.5, 0.5, "abc"], [0.5] * 8 + [1.5],
+        ],
     )
     def test_errors_match_the_scalar_path(self, x):
-        # a coordinate below or above the box, a NaN one, and a wrong width
-        for sizes in ([2] * 7, [3, 2, 2, 4, 2, 2, 2]):
+        # a coordinate below or above the box, a NaN one, a wrong width, and
+        # a value float() rejects after one outside the box or in a row of
+        # the wrong width: every coordinate is converted first, then the
+        # width is checked, then the range in dimension order.  Each row
+        # meets every shape: the row kernel's (D <= 8) and the numpy pass's.
+        for sizes in ([2] * 7, [3, 2, 2, 4, 2, 2, 2], [3, 2], [2, 2], [2] * 9, [3] + [2] * 8):
             shape = LatticeShape(sizes)
             theta = np.random.default_rng(0).random(shape.num_parameters)
             plan = RowPlan(theta, shape)
@@ -341,6 +354,63 @@ class TestRowKernel:
         assert np.array_equal(cached, _doubled_offsets.__wrapped__(shape))
         location = locate_cell(shape, [0.0] * len(sizes))
         assert cached.tolist() == multilinear_weights(shape, location).indices
+
+
+# the largest D whose cells (2^D vertices) take the row kernel; a drawn
+# lattice goes up to one dimension past it, onto the numpy pass
+KERNEL_MAX_D = ROW_NUMPY_MIN_VERTICES.bit_length() - 2
+
+
+def coordinates(top):
+    """Coordinates on an axis [0, top]: its ends and their nearest
+    neighbours inside it, -0.0, every integer (as an int; at the top it
+    moves the base down to top - 1) and any float inside."""
+    return st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, float(top), math.nextafter(float(top), 0.0)]),
+        st.integers(0, top),
+        st.floats(0.0, float(top)),
+    )
+
+
+@st.composite
+def kernel_rows(draw):
+    """A shape of sizes 2-4 in 1 to KERNEL_MAX_D + 1 dimensions, theta
+    with -0.0 entries, and rows drawn from :func:`coordinates`."""
+    D = draw(st.integers(1, KERNEL_MAX_D + 1))
+    shape = LatticeShape(_shrink(draw(st.lists(st.integers(2, 4), min_size=D, max_size=D))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    theta = rng.standard_normal(shape.num_parameters)
+    theta[rng.random(len(theta)) < draw(st.sampled_from([0.0, 0.5, 1.0]))] = -0.0
+    row = [coordinates(m - 1) for m in shape.sizes]
+    rows = draw(st.lists(st.tuples(*row).map(list), min_size=1, max_size=8))
+    return shape, theta, rows
+
+
+class TestRowKernelProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_rows())
+    def test_plan_equals_the_scalar_kernel(self, drawn):
+        shape, theta, rows = drawn
+        plan = RowPlan(theta, shape)
+        held = dict(vars(plan))
+        for kind in InterpolationKind:
+            for x in rows:
+                assert plan.evaluate(x, kind).hex() == evaluate(theta.tolist(), shape, x, kind).hex()
+        # a call writes nothing the plan holds
+        assert vars(plan).keys() == held.keys()
+        assert all(vars(plan)[name] is value for name, value in held.items())
+        assert plan._values == theta.tolist()
+        if shape.ndim <= KERNEL_MAX_D:
+            # one function per shape, shared by equal shapes
+            assert plan._row is _row_kernel(LatticeShape(list(shape.sizes)))
+        else:
+            assert plan._row is None
+        # a theta too short for the last cell
+        corner = [m - 1 for m in shape.sizes]
+        short = RowPlan(theta[:-1], shape)
+        for kind in InterpolationKind:
+            with pytest.raises(IndexError):
+                short.evaluate(corner, kind)
 
 
 # the ends of [0, 1] and their nearest neighbours inside it, and -0.0
@@ -396,8 +466,14 @@ class TestOneCellRows:
             assert row.tolist() == multilinear_weights(shape, locate_cell(shape, x)).weights
 
     def test_threads_sharing_a_model_get_the_serial_bits(self):
-        model = unit_model([2] * 10, seed=4)
-        points = np.array(one_cell_points(10, seed=4, n=60))
+        # the numpy pass on a lattice of one cell, and the row kernel on 3^4
+        for sizes in ([2] * 10, [3] * 4):
+            self._threads_get_the_serial_bits(unit_model(sizes, seed=4))
+
+    @staticmethod
+    def _threads_get_the_serial_bits(model):
+        D = model.shape.ndim
+        points = np.array(one_cell_points(D, seed=4, n=60))
         rows = [points[i].tolist() for i in range(len(points))]
         kinds = [None, InterpolationKind.SIMPLEX]
         serial = [[model.predict_row(r, kind).hex() for r in rows] for kind in kinds]
@@ -461,8 +537,8 @@ class TestWhichKernelRuns:
             model.predict_row([0.3] * D, kind="simplex")
             model.predict_row([1.0] * D, kind="multilinear")
         assert scalar_calls == []
-        # the list/numpy crossover of the multilinear row pass, measured
-        assert ROW_NUMPY_MIN_VERTICES == 1 << 7
+        # the row kernel/numpy crossover of the multilinear row pass, measured
+        assert ROW_NUMPY_MIN_VERTICES == 1 << 9
 
     def test_predict_row_never_calls_a_calibrators_calibrate(self, monkeypatch):
         model, data = mixed_model()
