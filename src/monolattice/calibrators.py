@@ -81,8 +81,12 @@ class DataError(ValueError):
     row: int | None = None  # index of the first bad row of a batch, when known
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeatureSpec:
+    """A feature's schema entry.  A frozen value: ``categories`` and
+    ``order_pairs`` are stored as tuples, and a changed spec is a new one
+    (``dataclasses.replace``), checked again on construction."""
+
     name: str
     kind: FeatureKind = FeatureKind.CONTINUOUS
     size: int = 2  # lattice vertices along this feature
@@ -90,14 +94,20 @@ class FeatureSpec:
     bounds: tuple[float, float] | None = None
     monotone: Direction = Direction.NONE
     missing: MissingPolicy = MissingPolicy.NONE
-    categories: list[str] | None = None
-    order_pairs: list[tuple[str, str]] = field(default_factory=list)
+    categories: tuple[str, ...] | None = None
+    order_pairs: tuple[tuple[str, str], ...] = ()
     allow_unseen: bool = False
 
     def __post_init__(self):
-        self.kind = FeatureKind(self.kind)
-        self.monotone = Direction(self.monotone)
-        self.missing = MissingPolicy(self.missing)
+        coerced = {
+            "kind": FeatureKind(self.kind),
+            "monotone": Direction(self.monotone),
+            "missing": MissingPolicy(self.missing),
+            "categories": None if self.categories is None else tuple(self.categories),
+            "order_pairs": tuple(tuple(p) for p in self.order_pairs),
+        }
+        for name, value in coerced.items():
+            object.__setattr__(self, name, value)
         if self.size < 2:
             raise ValueError(f"feature {self.name}: lattice size must be >= 2")
         if self.missing is MissingPolicy.VERTEX and self.size < 3:

@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -37,16 +38,14 @@ class UsageError(ValueError):
 # flag parsing helpers
 
 
-def _parse_lattice(text: str, specs) -> None:
+def _parse_lattice(text: str, specs) -> list:
     sizes = [s.strip() for s in text.split(",")]
     if len(sizes) != len(specs):
         raise UsageError(f"--lattice lists {len(sizes)} sizes for {len(specs)} features")
-    for spec, size in zip(specs, sizes):
-        spec.size = int(size)
-        spec.__post_init__()
+    return [replace(spec, size=int(size)) for spec, size in zip(specs, sizes)]
 
 
-def _parse_monotonic(text: str, specs) -> None:
+def _parse_monotonic(text: str, specs) -> list:
     by_name = {s.name: s for s in specs}
     for token in text.split(","):
         token = token.strip()
@@ -58,26 +57,26 @@ def _parse_monotonic(text: str, specs) -> None:
             direction, name = parse_direction("none"), token
         if name not in by_name:
             raise UsageError(f"--monotonic names unknown feature {name!r}")
-        by_name[name].monotone = direction
+        by_name[name] = replace(by_name[name], monotone=direction)
+    return list(by_name.values())
 
 
-def _parse_keypoints(text: str, specs) -> None:
-    by_name = {s.name: s for s in specs}
+def _parse_keypoints(text: str, specs) -> list:
     tokens = [t.strip() for t in text.split(",") if t.strip()]
     if len(tokens) == 1 and ":" not in tokens[0]:
-        for spec in specs:
-            if spec.kind is FeatureKind.CONTINUOUS:
-                spec.keypoints = int(tokens[0])
-                spec.__post_init__()
-        return
+        return [
+            replace(s, keypoints=int(tokens[0])) if s.kind is FeatureKind.CONTINUOUS else s
+            for s in specs
+        ]
+    by_name = {s.name: s for s in specs}
     for token in tokens:
         if ":" not in token:
             raise UsageError(f"--keypoints entry {token!r} is not name:count")
         name, count = token.split(":", 1)
         if name not in by_name:
             raise UsageError(f"--keypoints names unknown feature {name!r}")
-        by_name[name].keypoints = int(count)
-        by_name[name].__post_init__()
+        by_name[name] = replace(by_name[name], keypoints=int(count))
+    return list(by_name.values())
 
 
 def _parse_regularizer(text: str) -> RegularizerConfig:
@@ -98,15 +97,16 @@ def _parse_regularizer(text: str) -> RegularizerConfig:
 def _load_training_inputs(args):
     specs, label = load_schema(args.schema)
     if args.lattice:
-        _parse_lattice(args.lattice, specs)
+        specs = _parse_lattice(args.lattice, specs)
     if args.monotonic:
-        _parse_monotonic(args.monotonic, specs)
+        specs = _parse_monotonic(args.monotonic, specs)
     if args.keypoints:
-        _parse_keypoints(args.keypoints, specs)
+        specs = _parse_keypoints(args.keypoints, specs)
     if getattr(args, "unseen_category", None) == "other":
-        for spec in specs:
-            if spec.kind is FeatureKind.CATEGORICAL:
-                spec.allow_unseen = True
+        specs = [
+            replace(s, allow_unseen=True) if s.kind is FeatureKind.CATEGORICAL else s
+            for s in specs
+        ]
     if args.pairs or args.pair_id:
         data = load_pair_dataset(
             args.data,

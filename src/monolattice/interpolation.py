@@ -105,7 +105,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import CellLocation, LatticeShape, locate_cell, locate_cells, vertex_index
+from .lattice import (
+    CellLocation,
+    LatticeShape,
+    _coordinates,
+    _outside,
+    locate_cell,
+    locate_cells,
+    vertex_index,
+)
 
 
 class InterpolationKind(str, enum.Enum):
@@ -367,19 +375,6 @@ class RowPlan:
             idx += self._strides[d]
             prev = r
         return total + values[idx] * prev
-
-
-def _coordinates(x, ndim: int) -> list[float]:
-    # locate_cell's first checks, in its order: every coordinate through
-    # float(), then the width
-    xs = [float(v) for v in x]
-    if len(xs) != ndim:
-        raise ValueError(f"expected {ndim} coordinates, got {len(xs)}")
-    return xs
-
-
-def _outside(v: float, top: int, d: int) -> ValueError:
-    return ValueError(f"coordinate {v} outside [0, {top}] in dimension {d}")
 
 
 # terms per statement of a row kernel's sum, which keeps each expression shallow

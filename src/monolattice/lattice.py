@@ -101,6 +101,18 @@ def vertex_coords(shape: LatticeShape, index: int) -> tuple[int, ...]:
 # cell lookup
 
 
+def _coordinates(x, ndim: int) -> list[float]:
+    # every coordinate through float(), then the width, in this order
+    xs = [float(v) for v in x]
+    if len(xs) != ndim:
+        raise ValueError(f"expected {ndim} coordinates, got {len(xs)}")
+    return xs
+
+
+def _outside(v: float, top: int, d: int) -> ValueError:
+    return ValueError(f"coordinate {v} outside [0, {top}] in dimension {d}")
+
+
 def locate_cell(shape: LatticeShape, x) -> CellLocation:
     """Cell containing ``x`` and the residual of ``x`` within it.
 
@@ -108,17 +120,12 @@ def locate_cell(shape: LatticeShape, x) -> CellLocation:
     except on the upper face of the box where the last cell is reused so the
     residual becomes 1.0 instead of stepping outside the grid.
     """
-    xs = [float(v) for v in x]
-    if len(xs) != shape.ndim:
-        raise ValueError(f"expected {shape.ndim} coordinates, got {len(xs)}")
     base = []
     residual = []
-    for d, v in enumerate(xs):
+    for d, v in enumerate(_coordinates(x, shape.ndim)):
         top = shape.sizes[d] - 1
         if not 0.0 <= v <= top:
-            raise ValueError(
-                f"coordinate {v} outside [0, {top}] in dimension {d}"
-            )
+            raise _outside(v, top, d)
         b = int(v)
         if b >= top:
             b = top - 1
@@ -139,9 +146,7 @@ def locate_cells(shape: LatticeShape, points: np.ndarray) -> tuple[np.ndarray, n
     outside = ~((pts >= 0.0) & (pts <= top))  # NaN is outside too
     if outside.any():
         i, d = divmod(int(np.argmax(outside)), shape.ndim)
-        raise ValueError(
-            f"coordinate {float(pts[i, d])} outside [0, {shape.sizes[d] - 1}] in dimension {d}"
-        )
+        raise _outside(float(pts[i, d]), shape.sizes[d] - 1, d)
     base = np.minimum(np.floor(pts), top - 1.0).astype(np.int64)
     residual = pts - base
     return base, residual

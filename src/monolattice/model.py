@@ -16,8 +16,9 @@ per shape from the shape's ints alone.  ``predict_row`` gives
 ``predict``'s bits and the scalar ``evaluate``'s error messages, and a
 call writes nothing the plan holds.  A model is a frozen value, checked
 on construction: ``theta`` is stored as a read-only float64 copy of the
-lattice's size, and its calibrators are frozen too, so the plan and the row
-entries cannot fall out of date.  A changed model is a new one
+lattice's size, ``specs`` as a tuple of frozen feature specs, and its
+calibrators are frozen too, so the plan and the row entries cannot fall
+out of date.  A changed model is a new one
 (``dataclasses.replace``); a copied or unpickled model is rebuilt through
 the constructor.
 """
@@ -62,7 +63,7 @@ FORMAT_VERSION = 1
 
 @dataclass(frozen=True, eq=False)
 class Model(Frozen):
-    specs: list[FeatureSpec]
+    specs: tuple[FeatureSpec, ...]  # stored as a tuple, whatever is passed
     shape: LatticeShape
     theta: np.ndarray
     calibrators: CalibratorSet
@@ -71,6 +72,7 @@ class Model(Frozen):
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "specs", tuple(self.specs))
         sizes = [s.size for s in self.specs]
         if list(self.shape.sizes) != sizes:
             raise DataError(

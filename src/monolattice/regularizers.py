@@ -16,11 +16,19 @@ For a dimension carrying a missing-value slice at its top coordinate, the
 missing vertices are treated as adjacent to both the minimum and the maximum
 real-value vertices of that dimension (Laplacian and Torsion); Hessian
 triples stay within the real-value span where "consecutive" is meaningful.
+
+``regularizer_terms`` lists every term of a kind as rows of an index table,
+in one fixed order, since term ids are what sampling draws.  A table is
+built once per lattice shape, kind and set of missing dimensions, and
+handed out read-only to every caller; a cache of bounded size keeps the
+most recently used ones.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -60,13 +68,8 @@ class TermSet:
         return self.indices.shape[0]
 
 
-_SIGNS = {
-    RegularizerKind.LAPLACIAN: np.array([1.0, -1.0]),
-    RegularizerKind.HESSIAN: np.array([1.0, -2.0, 1.0]),
-    RegularizerKind.TORSION: np.array([1.0, -1.0, -1.0, 1.0]),
-}
-
-_terms_cache: dict[tuple, TermSet] = {}
+# a torsion table on 2^16 vertices alone holds 63 MB, so few are kept
+_CACHED_TABLES = 8
 
 
 # --------------------------------------------------------------------------
@@ -85,69 +88,51 @@ def _axis_pairs(shape: LatticeShape, d: int, missing: bool) -> list[tuple[int, i
     return pairs
 
 
-def _slab_indices(shape: LatticeShape, fixed: dict[int, int]) -> np.ndarray:
-    # flat indices of all vertices whose coordinates in `fixed` dims are pinned
-    free_sizes = [m for d, m in enumerate(shape.sizes) if d not in fixed]
-    out = np.zeros(1, dtype=np.int64)
-    for d in range(shape.ndim):
-        if d in fixed:
-            continue
-        steps = np.arange(shape.sizes[d], dtype=np.int64) * shape.strides[d]
-        out = (out[:, None] + steps[None, :]).ravel()
-    offset = sum(c * shape.strides[d] for d, c in fixed.items())
-    assert len(out) == int(np.prod(free_sizes or [1]))
-    return out + offset
+def _stencils(shape: LatticeShape, kind: RegularizerKind, d: int, missing: bool) -> list[tuple]:
+    # coordinates along dimension d of each stencil of kind
+    if kind is not RegularizerKind.HESSIAN:
+        return _axis_pairs(shape, d, missing)
+    top = shape.sizes[d] - (1 if missing else 0)
+    return [(j - 1, j, j + 1) for j in range(1, top - 1)]
 
 
 def regularizer_terms(
     shape: LatticeShape, kind: RegularizerKind, missing_dims=frozenset()
 ) -> TermSet:
-    """Every term of ``kind`` on ``shape``, cached per (shape, kind, missing dims)."""
-    kind = RegularizerKind(kind)
-    key = (shape.sizes, kind, tuple(sorted(missing_dims)))
-    cached = _terms_cache.get(key)
-    if cached is not None:
-        return cached
+    """Every term of ``kind`` on ``shape``, as read-only tables built once
+    per (shape, kind, missing dims) and kept in a cache of a few tables."""
+    return _terms(shape, RegularizerKind(kind), tuple(sorted(missing_dims)))
 
-    rows = []
-    if kind is RegularizerKind.LAPLACIAN:
-        for d in range(shape.ndim):
-            sd = shape.strides[d]
-            for ja, jb in _axis_pairs(shape, d, d in missing_dims):
-                slab = _slab_indices(shape, {d: 0})
-                rows.append(np.stack([slab + ja * sd, slab + jb * sd], axis=1))
-    elif kind is RegularizerKind.HESSIAN:
-        for d in range(shape.ndim):
-            sd = shape.strides[d]
-            top = shape.sizes[d] - (1 if d in missing_dims else 0)
-            for j in range(1, top - 1):
-                slab = _slab_indices(shape, {d: 0})
-                rows.append(
-                    np.stack(
-                        [slab + (j - 1) * sd, slab + j * sd, slab + (j + 1) * sd],
-                        axis=1,
-                    )
-                )
-    else:
-        for d in range(shape.ndim):
-            for e in range(d + 1, shape.ndim):
-                sd, se = shape.strides[d], shape.strides[e]
-                for ja, jb in _axis_pairs(shape, d, d in missing_dims):
-                    for ka, kb in _axis_pairs(shape, e, e in missing_dims):
-                        slab = _slab_indices(shape, {d: 0, e: 0})
-                        r = slab + ja * sd + ka * se
-                        s = slab + jb * sd + ka * se
-                        t = slab + ja * sd + kb * se
-                        u = slab + jb * sd + kb * se
-                        rows.append(np.stack([r, s, t, u], axis=1))
-    width = len(_SIGNS[kind])
-    if rows:
-        indices = np.concatenate(rows, axis=0)
-    else:
-        indices = np.empty((0, width), dtype=np.int64)
-    terms = TermSet(indices, _SIGNS[kind].copy())
-    _terms_cache[key] = terms
-    return terms
+
+@functools.lru_cache(maxsize=_CACHED_TABLES)
+def _terms(shape: LatticeShape, kind: RegularizerKind, missing_dims: tuple) -> TermSet:
+    """A term is one stencil per axis of its group: one axis for Laplacian
+    and Hessian, the two axes of a face for torsion.  Rows run over the
+    groups, then over the products of the group's stencils (its first axis
+    slowest), then over the vertices at 0 on the group (the last dimension
+    fastest).  Columns run over the product with the first axis fastest,
+    and the signs are the outer product of the per-axis signs.  Sampling
+    draws term ids and the exact gradient adds terms in this order, so it
+    fixes the model bytes."""
+    step = np.array([1.0, -2.0, 1.0] if kind is RegularizerKind.HESSIAN else [1.0, -1.0])
+    torsion = kind is RegularizerKind.TORSION
+    signs = np.outer(step, step).ravel() if torsion else step
+    grid = np.arange(shape.num_parameters, dtype=np.int64).reshape(shape.sizes[::-1]).T
+    blocks = [np.empty((0, len(signs)), dtype=np.int64)]
+    for group in itertools.combinations(range(shape.ndim), 2 if torsion else 1):
+        offsets = np.zeros((1, 1), dtype=np.int64)
+        for d in group:
+            coords = _stencils(shape, kind, d, d in missing_dims)
+            at = np.array(coords, dtype=np.int64).reshape(len(coords), len(step))
+            at *= shape.strides[d]
+            offsets = (at[None, :, :, None] + offsets[:, None, None, :]).reshape(
+                -1, len(step) * offsets.shape[1]
+            )
+        corners = grid[tuple(0 if d in group else slice(None) for d in range(shape.ndim))]
+        blocks.append((offsets[:, None, :] + corners.reshape(-1, 1)).reshape(-1, len(signs)))
+    indices = np.concatenate(blocks)
+    indices.flags.writeable = signs.flags.writeable = False
+    return TermSet(indices, signs)
 
 
 # --------------------------------------------------------------------------

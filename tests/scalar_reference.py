@@ -45,6 +45,12 @@ the rows, each float stored on its own, and two-row pairs grouped as row
 lists that are parsed once per side.  The columnar loader in ``data`` must
 give the same arrays byte for byte, the same lists and the same
 ``DataError`` messages.
+
+``reference_regularizer_terms`` enumerates each regularizer kind's terms in
+a branch of its own, one slab of vertices per stencil.  The single builder
+behind ``regularizer_terms`` must give the same index table and signs byte
+for byte: the order of the terms fixes which terms sampling draws and the
+order in which the exact gradient adds them.
 """
 
 import csv
@@ -64,6 +70,7 @@ from monolattice.monotonicity import (
     _robust_norm,
     max_infeasibility,
 )
+from monolattice.regularizers import RegularizerKind
 from monolattice.training import loss_slope
 
 
@@ -555,3 +562,66 @@ def reference_load_pair_dataset(
             _reference_parse_column(spec, [r[col] for r in minus_rows], missing_token, where)
         )
     return PairDataset(plus_cols, minus_cols)
+
+
+def _reference_axis_pairs(m, missing):
+    # a missing vertex at the top is adjacent to both ends of the real span
+    if not missing:
+        return [(j, j + 1) for j in range(m - 1)]
+    pairs = [(j, j + 1) for j in range(m - 2)]
+    pairs.append((0, m - 1))
+    if m - 2 != 0:
+        pairs.append((m - 2, m - 1))
+    return pairs
+
+
+def _reference_slab_indices(shape, fixed):
+    # flat indices of all vertices whose coordinates in `fixed` dims are
+    # pinned, the last free dimension fastest
+    out = np.zeros(1, dtype=np.int64)
+    for d in range(shape.ndim):
+        if d in fixed:
+            continue
+        steps = np.arange(shape.sizes[d], dtype=np.int64) * shape.strides[d]
+        out = (out[:, None] + steps[None, :]).ravel()
+    return out + sum(c * shape.strides[d] for d, c in fixed.items())
+
+
+def reference_regularizer_terms(shape, kind, missing_dims=frozenset()):
+    """Index table and signs of every term of ``kind``, enumerated kind by
+    kind with one slab of vertices per stencil."""
+    kind = RegularizerKind(kind)
+    rows = []
+    if kind is RegularizerKind.LAPLACIAN:
+        signs = np.array([1.0, -1.0])
+        for d in range(shape.ndim):
+            sd = shape.strides[d]
+            for ja, jb in _reference_axis_pairs(shape.sizes[d], d in missing_dims):
+                slab = _reference_slab_indices(shape, {d: 0})
+                rows.append(np.stack([slab + ja * sd, slab + jb * sd], axis=1))
+    elif kind is RegularizerKind.HESSIAN:
+        signs = np.array([1.0, -2.0, 1.0])
+        for d in range(shape.ndim):
+            sd = shape.strides[d]
+            top = shape.sizes[d] - (1 if d in missing_dims else 0)
+            for j in range(1, top - 1):
+                slab = _reference_slab_indices(shape, {d: 0})
+                rows.append(
+                    np.stack([slab + (j - 1) * sd, slab + j * sd, slab + (j + 1) * sd], axis=1)
+                )
+    else:
+        signs = np.array([1.0, -1.0, -1.0, 1.0])
+        for d in range(shape.ndim):
+            for e in range(d + 1, shape.ndim):
+                sd, se = shape.strides[d], shape.strides[e]
+                for ja, jb in _reference_axis_pairs(shape.sizes[d], d in missing_dims):
+                    for ka, kb in _reference_axis_pairs(shape.sizes[e], e in missing_dims):
+                        slab = _reference_slab_indices(shape, {d: 0, e: 0})
+                        r = slab + ja * sd + ka * se
+                        s = slab + jb * sd + ka * se
+                        t = slab + ja * sd + kb * se
+                        u = slab + jb * sd + kb * se
+                        rows.append(np.stack([r, s, t, u], axis=1))
+    if not rows:
+        return np.empty((0, len(signs)), dtype=np.int64), signs
+    return np.concatenate(rows, axis=0), signs

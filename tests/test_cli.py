@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -93,6 +94,29 @@ class TestTrain:
         model = Model.load(workspace / "m.json")
         assert model.specs[0].monotone.value == "decreasing"
         assert model.specs[1].monotone.value == "increasing"
+
+    def test_keypoint_overrides(self, workspace):
+        assert run_train(workspace, "a.json", "--keypoints", "6") == 0
+        assert [s.keypoints for s in Model.load(workspace / "a.json").specs] == [6, 6]
+        assert run_train(workspace, "b.json", "--keypoints", "rating:5") == 0
+        assert [s.keypoints for s in Model.load(workspace / "b.json").specs] == [4, 5]
+
+    def test_unseen_category_flag(self, workspace):
+        rows = [[c, str(i % 3)] for i, c in enumerate("abc" * 9)]
+        write_csv(workspace / "cat.csv", ["c", "y"], rows)
+        schema = {"label": "y", "features": [{"name": "c", "kind": "categorical"}]}
+        (workspace / "cat.json").write_text(json.dumps(schema))
+        code = main([
+            "train",
+            "--data", str(workspace / "cat.csv"),
+            "--schema", str(workspace / "cat.json"),
+            "--out", str(workspace / "m.json"),
+            "--unseen-category", "other",
+        ])
+        assert code == 0
+        model = Model.load(workspace / "m.json")
+        assert model.specs[0].allow_unseen
+        assert math.isfinite(model.predict_row(["never seen"]))
 
     def test_regularizer_flag(self, workspace):
         assert run_train(workspace, "m.json", "--regularizer", "torsion:0.01") == 0
@@ -273,6 +297,20 @@ class TestErrors:
     def test_lattice_arity_mismatch(self, workspace, capsys):
         assert run_train(workspace, "m.json", "--lattice", "2,2,2") == 2
         assert "--lattice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--lattice", "1,2", "error: feature price: lattice size must be >= 2"),
+            ("--keypoints", "1", "error: feature price: need at least 2 keypoints"),
+            ("--keypoints", "rating:1", "error: feature rating: need at least 2 keypoints"),
+            ("--keypoints", "nosuch:3", "error: --keypoints names unknown feature 'nosuch'"),
+            ("--keypoints", "price", "error: invalid literal for int() with base 10: 'price'"),
+        ],
+    )
+    def test_bad_spec_override(self, workspace, capsys, flag, value, message):
+        assert run_train(workspace, "m.json", flag, value) == 2
+        assert capsys.readouterr().err.strip() == message
 
     def test_unknown_monotonic_name(self, workspace, capsys):
         assert run_train(workspace, "m.json", "--monotonic", "+nosuch") == 2

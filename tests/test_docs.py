@@ -1,6 +1,6 @@
-"""The README's Library example runs as written, and the package exports
-the names the README documents plus those the benchmark script imports,
-and no others."""
+"""The README's Library example runs as written, the package exports the
+names the README documents plus those the benchmark script imports, and no
+others, and the README quotes no timing figures."""
 
 import ast
 import inspect
@@ -38,6 +38,9 @@ PUBLIC = {
 }
 
 
+# a number followed by a time or rate unit
+TIMING = re.compile(r"\d\s*(?:µs|us|ms|rows/s|samples/s)\b")
+
 LIBRARY = README.split("\n## Library\n", 1)[1]
 
 
@@ -73,3 +76,9 @@ def test_public_names_are_the_documented_ones():
     # each is named in the Library section, in its text or its example
     undocumented = sorted(name for name in PUBLIC if not re.search(rf"\b{name}\b", LIBRARY))
     assert undocumented == []
+
+
+def test_readme_quotes_no_timing_figures():
+    # measured speeds go stale with the code; CHANGES.md keeps them, each
+    # with its harness and machine, and the README points there
+    assert [line for line in README.splitlines() if TIMING.search(line)] == []

@@ -1,6 +1,6 @@
 import json
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -91,6 +91,24 @@ class TestRoundTrip:
         assert clone.kind is model.kind
         assert clone.loss is model.loss
         assert clone.metadata == model.metadata
+
+    def test_specs_are_frozen(self, trained, tmp_path):
+        # a changed spec would change the file, or write one that fails to load
+        model, _ = trained
+        text = model.to_json()
+        assert isinstance(model.specs, tuple)
+        for name, value in (("monotone", Direction.NONE), ("size", 4), ("name", "z")):
+            with pytest.raises(FrozenInstanceError):
+                setattr(model.specs[0], name, value)
+        with pytest.raises(TypeError):
+            model.specs[0] = replace(model.specs[0], size=4)
+        bucket = model.specs[1]
+        assert bucket.order_pairs == (("low", "high"),)
+        with pytest.raises(AttributeError):
+            bucket.order_pairs.append(("mid", "high"))
+        assert model.to_json() == text
+        model.save(tmp_path / "m.json")
+        assert Model.load(tmp_path / "m.json").specs == model.specs
 
     def test_predictions_identical(self, trained):
         model, data = trained

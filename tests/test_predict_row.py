@@ -194,10 +194,7 @@ def scored_models(draw):
     sizes = _shrink(draw(st.lists(st.integers(2, 4), min_size=D, max_size=D)))
     drawn = [draw(features(m)) for m in sizes]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    specs = []
-    for d, (spec, _) in enumerate(drawn):
-        spec.name = f"f{d}"
-        specs.append(spec)
+    specs = [replace(spec, name=f"f{d}") for d, (spec, _) in enumerate(drawn)]
     columns = [
         list(rng.choice(CATEGORIES, 12)) if s.kind is FeatureKind.CATEGORICAL
         else (rng.random(12) * 10.0 - 5.0).tolist()

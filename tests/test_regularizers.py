@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scalar_reference import reference_regularizer_terms
 
 from monolattice import (
     LatticeShape,
@@ -13,6 +16,7 @@ from monolattice import (
     sample_regularizer_subgradient,
     vertex_coords,
 )
+from monolattice.regularizers import _terms
 
 LAP = RegularizerKind.LAPLACIAN
 HES = RegularizerKind.HESSIAN
@@ -77,6 +81,15 @@ class TestTermCounts:
         a = regularizer_terms(LatticeShape([3, 3]), TOR)
         b = regularizer_terms(LatticeShape([3, 3]), TOR)
         assert a is b
+
+    def test_tables_are_read_only_and_the_cache_is_bounded(self):
+        terms = regularizer_terms(LatticeShape([3, 3]), TOR)
+        with pytest.raises(ValueError):
+            terms.indices[0, 0] = 8
+        with pytest.raises(ValueError):
+            terms.signs[0] = 2.0
+        assert regularizer_terms(LatticeShape([3, 3]), TOR).indices[0, 0] == 0
+        assert _terms.cache_info().maxsize is not None
 
     def test_term_indices_are_local_neighborhoods(self):
         sh = LatticeShape([3, 4, 2])
@@ -230,3 +243,29 @@ class TestMissingAdjacency:
         for row in terms.indices:
             for i in row:
                 assert vertex_coords(sh, int(i))[0] <= 2
+
+
+@st.composite
+def lattices_with_missing_dims(draw):
+    sizes = draw(st.lists(st.integers(2, 5), min_size=1, max_size=5))
+    # any axis may carry the missing slice, an axis of two vertices included
+    missing = draw(st.sets(st.integers(0, len(sizes) - 1)))
+    return sizes, frozenset(missing)
+
+
+class TestTermOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(lattices_with_missing_dims(), st.sampled_from([LAP, HES, TOR]))
+    @example(([2, 3], frozenset({0, 1})), TOR)
+    @example(([3, 2, 4], frozenset({1, 2})), LAP)
+    @example(([4, 2], frozenset({0})), HES)
+    @example(([5], frozenset()), TOR)
+    def test_tables_equal_the_per_kind_enumeration(self, lattice, kind):
+        # sampling draws term ids and the exact gradient adds terms in table
+        # order, so the tables must match byte for byte
+        sizes, missing = lattice
+        terms = regularizer_terms(LatticeShape(sizes), kind, missing)
+        indices, signs = reference_regularizer_terms(LatticeShape(sizes), kind, missing)
+        assert terms.indices.dtype == np.int64 and terms.indices.shape == indices.shape
+        assert terms.indices.tobytes() == indices.tobytes()
+        assert terms.signs.dtype == signs.dtype and terms.signs.tobytes() == signs.tobytes()
