@@ -41,10 +41,20 @@ a vector over the table (``add_apply_gradient``); the gradient with respect
 to alpha, the free parameters, is that vector read at the free entries, the
 gather ``alpha`` reads the parameters with.  Training's workers each hold a
 table of their own, stacked end to end: a location taken with an offset of
-k times the table size per row reads and scatters into worker k's.  The
-multilinear kernel after calibration keeps its chunk buffers for a whole
-call or training run (see ``interpolation``), so its speed does not depend
-on what calibration freed before.
+k times the table size per row reads and scatters into worker k's.
+
+Locate is one pass over every feature at once, on feature-major (D, rows)
+blocks, the layout the batched kernel reads (``CalibratorSet.locate_chunks``,
+a chunk of rows at a time, or ``locate``, all rows as one chunk).  The
+set's knots are laid out once, when the set is made: a knot matrix padded
+with NaN to the widest feature, and each knot and segment width at its
+table entry.  A continuous value's segment is the count of its feature's
+knots 1 .. last at or below it, which is ``bisect_right``'s segment for an
+inner value; the padding counts for no value, +inf included.  Then one
+gather gives every value's knot and one its segment's width.  A
+categorical column's distinct values are looked up once per call, and its
+rows are written by table entry.  A bad value raises the ``DataError``
+that ``calibrate_row`` raises on the first bad row, with that row's index.
 """
 
 from __future__ import annotations
@@ -53,11 +63,12 @@ import dataclasses
 import enum
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from .interpolation import ChunkBuffers
 from .monotonicity import ConstraintSet, Direction, read_only
 
 
@@ -148,14 +159,6 @@ def _missing_gradient(cal) -> list[tuple[int, float]]:
     if cal.missing is MissingPolicy.CALIBRATED:
         return [(cal.num_free - 1, 1.0)]
     return []
-
-
-def _locate_missing(cal, missing: np.ndarray, slot: int, lo) -> None:
-    """Point the missing rows of a located column at the table's missing
-    slot; raises without a missing policy."""
-    if missing.any():
-        _missing_coordinate(cal)
-        lo[missing] = slot
 
 
 def _row_missing(cal) -> float | None:
@@ -298,39 +301,6 @@ class ContinuousCalibrator(Frozen):
     def points(self) -> np.ndarray:
         return self.outputs
 
-    def locate(self, column):
-        """The parameter-free half of :meth:`calibrate`.
-
-        Per value: indices ``lo`` and ``hi`` into the calibrator's block of
-        :meth:`CalibratorSet.table` (``points``, then the missing slot), fraction
-        ``t`` (0 unless inner) and the inner flag (strictly between the end
-        knots).  An inner value's ``lo`` is its segment.  Needs strictly
-        increasing knots (``searchsorted`` stands in for ``bisect_right``).
-        """
-        if isinstance(column, np.ndarray) and column.dtype.kind == "f":
-            x = column.astype(float, copy=False)
-        else:
-            try:
-                x = np.array([np.nan if is_missing(v) else float(v) for v in column])
-            except (TypeError, ValueError):
-                for v in column:
-                    self.calibrate(v)  # raises the DataError of the first bad value
-                raise
-        knots = self.knots
-        last = len(knots) - 1
-        inner = (x > knots[0]) & (x < knots[-1])
-        # the segment bisect_right gives inner values; it is 0 at and below
-        # the first knot, and last - 1 at and above the last knot and for NaN
-        lo = np.searchsorted(knots[1:-1], x, side="right")
-        xj = knots.take(lo)
-        # the fraction of inner values only: a value beyond the knots can be
-        # too far from its segment's knot to subtract without overflow
-        t = np.subtract(x, xj, out=np.zeros(len(x)), where=inner)
-        t /= knots.take(lo + 1) - xj
-        lo[x >= knots[-1]] = last
-        _locate_missing(self, np.isnan(x), last + 1, lo)
-        return lo, lo + inner, t, inner
-
 
 @dataclass(frozen=True, eq=False)
 class CategoricalCalibrator(Frozen):
@@ -343,12 +313,13 @@ class CategoricalCalibrator(Frozen):
     missing_value: float | None = None
     missing_vertex: float | None = None
     other_index: int | None = None  # bucket for unseen categories
-    order_pairs: list[tuple[str, str]] = field(default_factory=list)
+    order_pairs: tuple[tuple[str, str], ...] = ()  # stored as tuples, whatever is passed
     name: str = ""  # the feature's, for error messages
 
     def __post_init__(self):
         object.__setattr__(self, "categories", tuple(self.categories))
         object.__setattr__(self, "values", read_only(self.values))
+        object.__setattr__(self, "order_pairs", tuple(tuple(p) for p in self.order_pairs))
 
     @property
     def num_free(self) -> int:
@@ -390,24 +361,6 @@ class CategoricalCalibrator(Frozen):
     @property
     def points(self) -> np.ndarray:
         return self.values
-
-    def locate(self, column):
-        """The parameter-free half of :meth:`calibrate`, laid out as
-        :meth:`ContinuousCalibrator.locate` (``lo`` = ``hi`` = the code, t = 0,
-        never inner).  Each distinct value is looked up once.  The first bad
-        value raises the ``DataError`` that ``calibrate`` raises."""
-        unknown = -2 if self.other_index is None else self.other_index
-        texts, index = _distinct_texts(column)
-        lookup = self._lookup
-        code_of = [-1 if v is None else lookup.get(v, unknown) for v in texts]
-        codes = np.array(code_of, dtype=np.int64)[index]
-        missing = codes == -1
-        bad = (codes == -2) | (missing & (self.missing is MissingPolicy.NONE))
-        if bad.any():
-            self.calibrate(column[int(np.argmax(bad))])
-        _locate_missing(self, missing, len(self.values), codes)
-        n = len(codes)
-        return codes, codes, np.zeros(n), np.zeros(n, dtype=bool)
 
 
 def _distinct_texts(column) -> tuple[list, np.ndarray]:
@@ -579,8 +532,9 @@ class Location:
     """Where a batch of rows sits on the calibrators: what batch calibration
     needs that does not depend on the parameters.
 
-    ``lo``, ``hi``, ``t`` and ``inner`` are (n, D): indices into
-    :meth:`CalibratorSet.table`, fraction and inner flag per row and feature.
+    ``lo``, ``hi``, ``t`` and ``inner`` are feature-major (D, n): indices
+    into :meth:`CalibratorSet.table`, fraction and inner flag per feature
+    and row.
     """
 
     lo: np.ndarray
@@ -592,11 +546,130 @@ class Location:
         """The located ``rows``; with ``offset`` (one per row) added to their
         ``lo`` and ``hi``, so that they index a stack of tables, laid end to
         end, where row i reads the table that starts at ``offset[i]``."""
-        lo, hi = self.lo[rows], self.hi[rows]
+        # take along the rows keeps the result C-contiguous, as the
+        # kernels' row-wise passes want it; indexing with [:, rows] would
+        # not
+        lo, hi = self.lo.take(rows, axis=1), self.hi.take(rows, axis=1)
         if offset is not None:
-            lo += offset[:, None]
-            hi += offset[:, None]
-        return Location(lo, hi, self.t[rows], self.inner[rows])
+            lo += offset
+            hi += offset
+        return Location(lo, hi, self.t.take(rows, axis=1), self.inner.take(rows, axis=1))
+
+
+@dataclass(frozen=True)
+class _KnotBlock:
+    """A set's knots laid out for locating all features in one pass.
+
+    Row d of each (D, 1) column belongs to feature d.  ``columns`` holds
+    knots 1 .. W-1 of every continuous feature, W the most knots of any,
+    padded with NaN, which no value compares to; a categorical row is all
+    NaN.  ``knot_at`` and ``width_at`` run over the parameter table: at a
+    continuous feature's entry j, its knot j and the width of segment j;
+    1.0 as the width at every entry no inner value reads (the last knot,
+    the missing slot, a category), so that 0 / width is 0 there."""
+
+    columns: np.ndarray  # (W - 1, D, 1): the knot columns, knot 1 first
+    first: np.ndarray  # (D, 1) first knot (NaN for a categorical feature)
+    last: np.ndarray  # (D, 1) last knot (NaN for a categorical feature)
+    offsets: np.ndarray  # (D, 1) each feature's first table entry
+    missing_slots: np.ndarray  # (D, 1) each feature's missing slot
+    knot_at: np.ndarray  # (table size,)
+    width_at: np.ndarray  # (table size,)
+    numbers: tuple  # continuous features
+    strict: tuple  # continuous features without a missing policy
+
+    @classmethod
+    def of(cls, cals, table_offsets) -> "_KnotBlock":
+        """The block of calibrators ``cals`` whose table blocks start at
+        ``table_offsets``, built from the knot lists (Python floats, whose
+        differences are numpy's bit for bit)."""
+        continuous = [isinstance(cal, ContinuousCalibrator) for cal in cals]
+        width = max([len(c.knots) for c, k in zip(cals, continuous) if k], default=2)
+        rows, last, slots, knot_at, width_at = [], [], [], [], []
+        for cal, start, is_continuous in zip(cals, table_offsets, continuous):
+            slots.append(start + len(cal.points))
+            if is_continuous:
+                knots = cal._knot_list
+                rows.append(knots + [math.nan] * (width - len(knots)))
+                last.append(knots[-1])
+                knot_at += knots + [0.0]
+                width_at += [b - a for a, b in zip(knots, knots[1:])] + [1.0, 1.0]
+            else:
+                rows.append([math.nan] * width)
+                last.append(math.nan)
+                knot_at += [0.0] * (len(cal.points) + 1)
+                width_at += [1.0] * (len(cal.points) + 1)
+        padded = np.array(rows)
+        numbers = [d for d, k in enumerate(continuous) if k]
+        return cls(
+            columns=read_only(padded.T[1:, :, None]),
+            first=read_only(padded[:, :1]),
+            last=read_only(np.array(last)[:, None]),
+            offsets=read_only(np.array(table_offsets)[:, None], np.intp),
+            missing_slots=read_only(np.array(slots)[:, None], np.intp),
+            knot_at=read_only(knot_at),
+            width_at=read_only(width_at),
+            numbers=tuple(numbers),
+            strict=tuple(d for d in numbers if cals[d].missing is MissingPolicy.NONE),
+        )
+
+
+def _number_chunk(cal, column, start: int, stop: int):
+    """Rows start:stop of a continuous column as floats, NaN where missing;
+    the first value that is not a number raises ``calibrate``'s DataError."""
+    part = column[start:stop]
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return part
+    try:
+        return [np.nan if is_missing(v) else float(v) for v in part]
+    except (TypeError, ValueError):
+        for v in part:
+            cal.calibrate(v)  # raises the DataError of the first bad value
+        raise
+
+
+def _text(v):
+    return None if is_missing(v) else str(v)
+
+
+def _category_codes(cal, column, offset: int):
+    """A categorical column's table entries for one call: a function that
+    writes the entries of rows start:stop into an int row.  Each distinct
+    value is looked up once per call, when a chunk first holds it, and a
+    value ``calibrate`` rejects (an unknown category without an OTHER
+    bucket, missing without a policy) raises its DataError.
+
+    Values are read as text, as ``calibrate`` reads them: a column of text
+    and None is keyed by its values, and from the first other value on
+    (a number, NaN) by each value's text, since values that compare equal
+    can print apart (1 and 1.0, 0.0 and -0.0)."""
+    lookup = cal._lookup
+    unknown = -1 if cal.other_index is None else offset + cal.other_index
+    missing = -1 if cal.missing is MissingPolicy.NONE else offset + len(cal.values)
+    code_of: dict = {}  # value, or its text, -> table entry (-1: rejected)
+    key = None  # _text once the column is keyed by text
+
+    def write(start: int, stop: int, out: np.ndarray) -> None:
+        nonlocal key
+        part = column[start:stop]
+        keys = part if key is None else list(map(key, part))
+        try:
+            out[...] = list(map(code_of.__getitem__, keys))
+        except KeyError:
+            new = dict.fromkeys(keys)
+            if key is None and not all(v is None or isinstance(v, str) for v in new):
+                key = _text
+                keys = list(map(key, part))
+                new = dict.fromkeys(keys)
+            for v in new:
+                if v not in code_of:
+                    i = lookup.get(v)
+                    code_of[v] = missing if v is None else unknown if i is None else offset + i
+            out[...] = list(map(code_of.__getitem__, keys))
+        if out.min(initial=0) < 0:
+            cal.calibrate(part[int(np.argmin(out))])  # raises the first bad value's error
+
+    return write
 
 
 @dataclass(frozen=True, eq=False)
@@ -605,8 +678,9 @@ class CalibratorSet(Frozen):
 
     A frozen value: ``specs`` and ``calibrators`` are stored as tuples, so
     the layout worked out from them once (each feature's offset into alpha
-    and into the parameter table, and alpha's table entries) cannot go
-    stale.  A set with other parameters is a new one (:meth:`with_table`)."""
+    and into the parameter table, alpha's table entries, and the knots'
+    layout for locate) cannot go stale.  A set with other parameters is a
+    new one (:meth:`with_table`)."""
 
     specs: tuple[FeatureSpec, ...]
     calibrators: tuple
@@ -633,8 +707,9 @@ class CalibratorSet(Frozen):
             "table_offsets": tuple(table_offsets),
             "num_free": num_free,
             "table_size": table_size,
-            "_tops": read_only([cal.axis_top for cal in cals]),
+            "_tops": read_only([[cal.axis_top] for cal in cals]),  # (D, 1)
             "_free_entries": read_only(np.flatnonzero(free), np.int64),  # alpha's, in order
+            "_knots": _KnotBlock.of(cals, table_offsets),
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -745,50 +820,116 @@ class CalibratorSet(Frozen):
         return out
 
     def locate(self, columns) -> Location:
-        """Locate every row of ``columns`` (one column per feature).  A bad
-        value raises the ``DataError`` that :meth:`calibrate_row` raises on
-        the first bad row, with that row's index as its ``row``."""
-        self._check_width(len(columns), "columns")
-        try:
-            per_feature = [cal.locate(col) for cal, col in zip(self.calibrators, columns)]
-        except DataError:
-            for i in range(len(columns[0])):
-                try:
-                    self.calibrate_row([col[i] for col in columns])
-                except DataError as e:
-                    e.row = i
-                    raise
-            raise
-        lo, hi, t, inner = zip(*per_feature)
-        blocks = np.asarray(self.table_offsets, dtype=np.int64)
-        return Location(
-            lo=np.stack(lo, axis=1) + blocks,
-            hi=np.stack(hi, axis=1) + blocks,
-            t=np.stack(t, axis=1),
-            inner=np.stack(inner, axis=1),
-        )
+        """Locate every row of ``columns`` (one column per feature), as one
+        chunk of :meth:`locate_chunks`; the arrays are the caller's."""
+        rows = len(columns[0]) if len(columns) else 0
+        return next(self.locate_chunks(columns, max(rows, 1), ChunkBuffers()))[1]
 
-    def apply(self, location: Location, table: np.ndarray) -> np.ndarray:
-        """Coordinates (n, D) of located rows under the parameters in
+    def locate_chunks(self, columns, size: int, buffers: ChunkBuffers):
+        """Locate the rows of ``columns`` (one column per feature) ``size``
+        at a time: yield each chunk's slice of rows and its feature-major
+        :class:`Location`, whose arrays come from ``buffers`` and are
+        overwritten by the next chunk.  Columns of no rows yield one empty
+        chunk.
+
+        A categorical column's distinct values are looked up once per call
+        (``_category_codes``).  A bad value raises the ``DataError`` that
+        :meth:`calibrate_row` raises on the first bad row, with that row's
+        index in ``columns`` as its ``row``."""
+        self._check_width(len(columns), "columns")
+        rows = len(columns[0]) if len(columns) else 0
+        cals = enumerate(zip(self.calibrators, columns, self.table_offsets))
+        codes = [
+            (d, _category_codes(cal, col, start))
+            for d, (cal, col, start) in cals
+            if isinstance(cal, CategoricalCalibrator)
+        ]
+        for start in range(0, max(rows, 1), size):
+            stop = min(start + size, rows)
+            try:
+                location = self._locate_rows(columns, codes, start, stop, buffers)
+            except DataError:
+                for i in range(start, stop):
+                    try:
+                        self.calibrate_row([col[i] for col in columns])
+                    except DataError as e:
+                        e.row = i
+                        raise
+                raise
+            yield slice(start, stop), location
+
+    def _locate_rows(self, columns, codes, start, stop, buffers) -> Location:
+        # One pass over every feature, on (D, m) blocks.  A continuous
+        # value's segment is the count of knots 1 .. last at or below it:
+        # bisect_right's segment for an inner value, 0 at and below the
+        # first knot, the last knot's index at and above the last knot, 0
+        # for NaN (the NaN padding counts for no value, +inf included).
+        # Categorical rows hold 0.0, which no NaN knot row counts or finds
+        # inner, and take their table entries last.
+        kb = self._knots
+        m = stop - start
+        x = buffers.get("locate x", len(self.calibrators), m)
+        lo = buffers.get("locate lo", *x.shape, np.intp)
+        flag = buffers.get("locate flag", *x.shape, bool)
+        inner = buffers.get("locate inner", *x.shape, bool)
+        for d in kb.numbers:
+            x[d] = _number_chunk(self.calibrators[d], columns[d], start, stop)
+        for d, _ in codes:
+            x[d] = 0.0
+        np.greater_equal(x, kb.columns[0], lo)
+        for column in kb.columns[1:]:
+            np.add(lo, np.greater_equal(x, column, flag), lo)
+        np.add(lo, kb.offsets, lo)
+        np.logical_and(np.greater(x, kb.first, inner), np.less(x, kb.last, flag), inner)
+        missing = np.isnan(x, flag)
+        if missing.any():
+            for d in kb.strict:
+                if missing[d].any():
+                    _missing_coordinate(self.calibrators[d])  # raises
+            np.copyto(lo, kb.missing_slots, where=missing)
+        for d, write in codes:
+            write(start, stop, lo[d])
+        # the fraction of inner values only: a value beyond the knots can be
+        # too far from its segment's knot to subtract without overflow.  t
+        # takes the segment's knot, then x less the knot, over the width,
+        # which x takes once read; 0 off inner values.  Every entry of lo
+        # is in the table, so the gathers need no bounds check (mode="clip"
+        # writes into the buffer directly).
+        t = kb.knot_at.take(lo, out=buffers.get("locate t", *x.shape), mode="clip")
+        np.subtract(x, t, out=t, where=inner)
+        np.divide(t, kb.width_at.take(lo, out=x, mode="clip"), out=t, where=inner)
+        np.copyto(t, 0.0, where=np.logical_not(inner, out=flag))
+        hi = np.add(lo, inner, buffers.get("locate hi", *x.shape, np.intp))
+        return Location(lo, hi, t, inner)
+
+    def apply(self, location: Location, table: np.ndarray, out=None) -> np.ndarray:
+        """Coordinates (D, n) of located rows under the parameters in
         ``table`` (laid out as :meth:`table`, or a stack of such tables
-        laid end to end that ``location`` indexes); inner values are capped
-        at their axis tops, as in ``calibrate``."""
+        laid end to end that ``location`` indexes), written into ``out``
+        when given; inner values are capped at their axis tops, as in
+        ``calibrate``."""
         t = location.t
-        at_lo = table[location.lo]
-        inner = np.minimum((1.0 - t) * at_lo + t * table[location.hi], self._tops)
-        return np.where(location.inner, inner, at_lo)
+        at_lo = table.take(location.lo, out=out)
+        inner = np.subtract(1.0, t)
+        inner *= at_lo
+        at_hi = table.take(location.hi)
+        at_hi *= t
+        inner += at_hi
+        np.minimum(inner, self._tops, out=inner)
+        np.copyto(at_lo, inner, where=location.inner)
+        return at_lo
 
     def add_apply_gradient(self, location: Location, dx, out) -> None:
-        """Add ``dx`` (n, D) times the derivative of :meth:`apply` (cap not
+        """Add ``dx`` (D, n) times the derivative of :meth:`apply` (cap not
         differentiated) into ``out``, laid out as the table ``location``
-        indexes: ``dx * (1 - t)`` at ``lo``, then ``dx * t`` at ``hi``, row
-        by row, feature by feature.  Each feature owns its block of entries,
-        so every entry gets its terms in row order, as a loop over the rows
-        of one feature at a time adds them.  Off inner values and on knots
-        the ``hi`` term is ``dx * 0``, which leaves a sum that starts at
-        +0.0 as it is."""
+        indexes: ``dx * (1 - t)`` at ``lo``, then ``dx * t`` at ``hi``,
+        feature by feature, row by row.  Each feature owns its block of
+        entries, so every entry gets its terms in row order, as a loop over
+        the rows of one feature at a time adds them.  Off inner values and
+        on knots the ``hi`` term is ``dx * 0``, which leaves a sum that
+        starts at +0.0 as it is."""
         t = location.t
-        terms = np.stack([dx * (1.0 - t), dx * t], axis=2)  # (n, D, 2)
+        terms = np.stack([dx * (1.0 - t), dx * t], axis=2)  # (D, n, 2)
         entries = np.stack([location.lo, location.hi], axis=2)
         np.add.at(out, entries.ravel(), terms.ravel())
 

@@ -2,11 +2,18 @@
 
 Subcommands: train, predict, evaluate, check, bench.  Exit codes: 0 success,
 1 constraint check failed, 2 usage or config error, 3 runtime failure.
+
+Exit 2 is for errors in what the user gave: a ``UsageError`` (a flag the
+CLI rejects, or a value the library's config and spec checks reject, which
+the CLI turns into one), a ``DataError`` (a schema, data or model file that
+does not fit) and an ``OSError`` (a file that cannot be read or written).
+Any other error, a ``ValueError`` included, is a failure of the run: exit 3.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -18,7 +25,7 @@ from .bench import DEFAULT_KINDS, bench_interpolation, format_csv
 from .calibrators import DataError, FeatureKind
 from .data import load_dataset, load_pair_dataset, load_schema
 from .interpolation import InterpolationKind
-from .lattice import vertex_index
+from .lattice import LatticeShape, vertex_index
 from .model import Model
 from .monotonicity import parse_direction
 from .regularizers import RegularizerConfig, RegularizerKind
@@ -32,6 +39,19 @@ EXIT_RUNTIME = 3
 
 class UsageError(ValueError):
     pass
+
+
+@contextlib.contextmanager
+def _flag_values():
+    """Turn a ``ValueError`` raised while flags become specs and configs
+    (a bad number, a size or weight the library refuses) into a
+    ``UsageError`` with the same message; a ``DataError`` stays as it is."""
+    try:
+        yield
+    except (UsageError, DataError):
+        raise
+    except ValueError as e:
+        raise UsageError(str(e)) from None
 
 
 # --------------------------------------------------------------------------
@@ -96,12 +116,14 @@ def _parse_regularizer(text: str) -> RegularizerConfig:
 
 def _load_training_inputs(args):
     specs, label = load_schema(args.schema)
-    if args.lattice:
-        specs = _parse_lattice(args.lattice, specs)
-    if args.monotonic:
-        specs = _parse_monotonic(args.monotonic, specs)
-    if args.keypoints:
-        specs = _parse_keypoints(args.keypoints, specs)
+    with _flag_values():
+        if args.lattice:
+            specs = _parse_lattice(args.lattice, specs)
+        if args.monotonic:
+            specs = _parse_monotonic(args.monotonic, specs)
+        if args.keypoints:
+            specs = _parse_keypoints(args.keypoints, specs)
+        LatticeShape([s.size for s in specs])  # refuses a lattice too large to train
     if getattr(args, "unseen_category", None) == "other":
         specs = [
             replace(s, allow_unseen=True) if s.kind is FeatureKind.CATEGORICAL else s
@@ -130,18 +152,19 @@ def _load_training_inputs(args):
 
 def cmd_train(args) -> int:
     specs, _, data = _load_training_inputs(args)
-    config = TrainConfig(
-        loss=Loss(args.loss),
-        kind=InterpolationKind(args.kind),
-        epochs=args.epochs,
-        minibatch_size=args.minibatch,
-        step_size=args.step_size,
-        calibrator_step_scale=args.calibrator_step_scale,
-        regularizers=tuple(_parse_regularizer(t) for t in (args.regularizer or [])),
-        seed=args.seed,
-        workers=args.workers,
-        sync_rounds=args.sync_rounds,
-    )
+    with _flag_values():
+        config = TrainConfig(
+            loss=Loss(args.loss),
+            kind=InterpolationKind(args.kind),
+            epochs=args.epochs,
+            minibatch_size=args.minibatch,
+            step_size=args.step_size,
+            calibrator_step_scale=args.calibrator_step_scale,
+            regularizers=tuple(_parse_regularizer(t) for t in (args.regularizer or [])),
+            seed=args.seed,
+            workers=args.workers,
+            sync_rounds=args.sync_rounds,
+        )
     model = train(data, specs, config)
     model.save(args.out)
     metrics = evaluate_metrics(model, data)
@@ -209,7 +232,10 @@ def cmd_check(args) -> int:
 def cmd_bench(args) -> int:
     kinds = DEFAULT_KINDS
     if args.kinds:
-        kinds = tuple(InterpolationKind(k.strip()) for k in args.kinds.split(","))
+        with _flag_values():
+            kinds = tuple(InterpolationKind(k.strip()) for k in args.kinds.split(","))
+    if not 1 <= args.min_d <= args.max_d:
+        raise UsageError("need 1 <= --min-d <= --max-d")
     rows = bench_interpolation(
         min_d=args.min_d,
         max_d=args.max_d,
@@ -314,12 +340,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except TrainingError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except (UsageError, DataError, ValueError, OSError) as e:
+    except (UsageError, DataError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except (TrainingError, ValueError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

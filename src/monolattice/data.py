@@ -47,11 +47,11 @@ def load_schema(path) -> tuple[list[FeatureSpec], str | None]:
     for entry in raw["features"]:
         if "name" not in entry:
             raise DataError(f"schema {path}: feature entry without a name")
-        kind = FeatureKind(entry.get("kind", "continuous"))
-        missing = MissingPolicy(entry.get("missing", "none"))
-        size = entry.get("size", 3 if missing is MissingPolicy.VERTEX else 2)
         bounds = entry.get("bounds")
         try:
+            kind = FeatureKind(entry.get("kind", "continuous"))
+            missing = MissingPolicy(entry.get("missing", "none"))
+            size = entry.get("size", 3 if missing is MissingPolicy.VERTEX else 2)
             specs.append(
                 FeatureSpec(
                     name=str(entry["name"]),

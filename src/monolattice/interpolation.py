@@ -22,40 +22,41 @@ the same arithmetic on an (n, D) array of points in numpy, one array
 operation per scalar step, and sums every vertex product in list order as
 the scalar loops do, so its values, weights and slopes equal the scalar
 ones bit for bit.  Training, ``evaluate_batch`` and batch prediction go
-through it; the scalar kernels act as its oracle.  Multilinear chunks are
+through it; the scalar kernels act as its oracle.  Inside, points are a
+feature-major (D, n) block (``lattice.as_block``), the layout batch
+calibration writes, so a calibrated chunk feeds the kernel with no
+transpose, and the slopes come back (D, n).  Multilinear chunks are
 stored vertex-major, as C-contiguous (2^D, n) arrays, so each doubling,
 collapse and sum step works on whole rows; numpy's ``add.reduce`` over the
 rows then adds them top to bottom.  A one-column chunk is the exception:
 numpy would sum its single column pairwise, so it goes through ``cumsum``.
 
-A simplex chunk is one chain walk.  Each point's residuals are sorted once
-(a stable argsort, so ties keep ascending dimension order); the sorted
-residuals and each step's stride are gathered by flat position (point * D
-plus dimension).  Then all n chains take one step per pass: the step's weight
-is the previous sorted residual minus this one, theta is gathered at the
-vertex with ``take`` (which raises ``IndexError`` past the end of theta),
-the product joins a running total that starts at +0.0, and the vertex
-index advances by the step's stride.  The vertex lists (vertex-major, as
-the multilinear kernel's) and the vertex values behind the slopes are kept
-only when the caller asks; the slopes are written by the same flat
-positions.  ``evaluate_batch`` asks for values only, so the index advances
-in place and nothing (D+1, n)-shaped is allocated.  CHANGES.md records
-its speed against the earlier kernel, which built the (n, D+1) vertex
-lists with ``take_along_axis``, ``concatenate`` and ``cumsum``.
+A simplex chunk is one chain walk, one array operation per formula
+rather than per step.  Each point's residuals are sorted once (a stable
+argsort, so ties keep ascending dimension order).  Row j of three
+(D+1, n) arrays is step j of every chain: its weight, the previous sorted
+residual minus this one; its vertex index, the previous one plus the
+step's stride; its vertex value, gathered from theta.  The far corner,
+the last row of indices, is checked against theta before the gather, so a
+short theta raises ``IndexError``.  The products are summed row by row,
+top to bottom, so a total starts at +0.0 as the scalar loop's does.  The
+slopes are written at each step's flat position (dimension * n + point).
 
-A multilinear chunk's (2^D, n) arrays (weights, vertex indices, gathered
-values, and a scratch array for the products and the slope collapse) come
+A chunk's (2^D, n) or (D+1, n) arrays (weights, vertex indices, gathered
+values, and a scratch array for the products and the slope collapse,
+which the gathered values stand in for when no slopes are wanted) come
 from a :class:`ChunkBuffers` set and are reused from chunk to chunk: one
-set lives for one ``evaluate_batch`` call, and one for a whole training run
-(held on the run's state).  At D = 10 each array is 256 KB, above glibc's
-initial mmap threshold, so arrays made afresh for every chunk would be
-mapped, page-faulted and unmapped chunk after chunk, and the kernel would
-run at half speed unless some earlier, larger free had raised the
-threshold.  ``forward_backward_batch`` itself draws a fresh set per call,
-so the arrays it returns are the caller's.  The vertex values are gathered
-with ``take(mode="clip")`` into their buffer, which writes there directly
-only because nothing can be clipped: the cells' far corners are checked
-against ``theta`` first, so a short ``theta`` still raises ``IndexError``.
+set lives for one ``evaluate_batch`` or ``Model.predict`` call, and one
+for a whole training run (held on the run's state).  At D = 10 each
+multilinear array is 256 KB, above glibc's initial mmap threshold, so
+arrays made afresh for every chunk would be mapped, page-faulted and
+unmapped chunk after chunk, and the kernel would run at half speed unless
+some earlier, larger free had raised the threshold.
+``forward_backward_batch`` itself draws a fresh set per call, so the
+arrays it returns are the caller's.  The vertex values are gathered with
+``take(mode="clip")`` into their buffer, which writes there directly only
+because nothing can be clipped: the cells' far corners are checked against
+``theta`` first, so a short ``theta`` still raises ``IndexError``.
 
 A lattice whose sizes are all 2 has one cell: every point's base index is
 0 and the doubled offsets are 0 .. 2^D-1, so a point's vertex values are
@@ -67,9 +68,10 @@ of that column.  It returns no indices; training, which reads a stack of
 worker parameter vectors, takes each point's column from its worker's
 row.  ``evaluate_batch``, which needs neither weights nor slopes, forms
 the products in the weights' place, so a chunk keeps one (2^D, n) array
-where the general path keeps four, and takes four times the rows
-(``one_cell_rows``, 128 at D = 10) in the same bytes; CHANGES.md records
-its speed against the general path.
+where the general path keeps three (four with slopes), and takes four
+times the rows (``one_cell_rows``, 128 at D = 10) in the same bytes;
+CHANGES.md records its speed against the general path.  ``lattice.locate_block`` gives such a
+lattice's points a base of 0 and themselves as residuals.
 
 The batched kernel and the row plan below build multilinear weights with
 one doubling helper, ``_doubling_weights``, which fills an array the
@@ -110,8 +112,9 @@ from .lattice import (
     LatticeShape,
     _coordinates,
     _outside,
+    as_block,
+    locate_block,
     locate_cell,
-    locate_cells,
     vertex_index,
 )
 
@@ -256,25 +259,34 @@ def evaluate_batch(
     theta, shape: LatticeShape, points: np.ndarray,
     kind: InterpolationKind = InterpolationKind.MULTILINEAR,
 ) -> np.ndarray:
-    """:func:`evaluate` over an (n, D) array of points, bit for bit.
+    """:func:`evaluate` over an (n, D) array of points, bit for bit: the
+    points as a feature-major block (:func:`~.lattice.as_block`) through
+    :func:`evaluate_block`."""
+    block = as_block(shape, points)
+    out = np.empty(block.shape[1])
+    evaluate_block(theta, shape, block, kind, ChunkBuffers(), out)
+    return out
+
+
+def evaluate_block(theta, shape: LatticeShape, block: np.ndarray, kind: InterpolationKind,
+                   buffers: ChunkBuffers, out: np.ndarray) -> None:
+    """:func:`evaluate` at every point of a feature-major (D, n) block, bit
+    for bit, written into ``out`` (n,).
 
     Runs in chunks of about ``CHUNK_ENTRIES`` vertex weights
-    (:func:`chunk_rows`), so the n x (cell size) temporaries stay small
-    whatever n is.  A multilinear lattice of one cell (every size 2) reads
-    theta as one column, with no vertex indices or gather, in chunks of
+    (:func:`chunk_rows`), with the multilinear chunk arrays drawn from
+    ``buffers``, so the n x (cell size) temporaries stay small whatever n
+    is.  A multilinear lattice of one cell (every size 2) reads theta as
+    one column, with no vertex indices or gather, in chunks of
     :func:`one_cell_rows`; the path follows from the shape and kind alone.
     """
-    pts = np.asarray(points, dtype=float)
     th = np.asarray(theta, dtype=float)
+    n = block.shape[1]
     step = one_cell_rows(shape) if one_cell(shape, kind) else chunk_rows(shape, kind)
-    buffers = ChunkBuffers()  # one set for all chunks of this call
-    out = np.empty(len(pts))
-    for start in range(0, len(pts), step):
-        chunk = pts[start : start + step]
+    for start in range(0, n, step):
         out[start : start + step] = _forward_backward(
-            th, shape, chunk, kind, False, buffers, vertices=False
+            th, shape, block[:, start : start + step], kind, False, buffers, vertices=False
         )[0]
-    return out
 
 
 # Multilinear cells with at least this many vertices (2^9: D >= 9) are
@@ -529,8 +541,8 @@ def one_cell(shape: LatticeShape, kind: InterpolationKind) -> bool:
 def one_cell_rows(shape: LatticeShape) -> int:
     """Rows per multilinear chunk of :func:`evaluate_batch` on a lattice of
     one cell (every size 2): the chunk keeps one (2^D, n) array where
-    :func:`chunk_rows`' chunk keeps four, so it takes four times the rows in
-    the same bytes."""
+    :func:`chunk_rows`' chunk keeps up to four, so it takes four times the
+    rows in the same bytes."""
     return max(1, (4 * CHUNK_ENTRIES) >> shape.ndim)
 
 
@@ -560,8 +572,9 @@ def _column_sums(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 class ChunkBuffers:
-    """The multilinear kernel's (2^D, n) chunk arrays, kept from one chunk
-    to the next.
+    """Named chunk arrays kept from one chunk to the next: the kernels'
+    (2^D, n) or (D+1, n) arrays, and in ``Model.predict`` also the located
+    and calibrated (D, n) blocks (``CalibratorSet.locate_chunks``).
 
     Each array is the front of a flat buffer, so it is C-contiguous whatever
     its shape; a buffer is allocated when a chunk first needs more than it
@@ -645,49 +658,50 @@ def forward_backward_batch(
     0 .. 2^D-1.
     """
     values, indices, weights, slopes = _forward_backward(
-        theta, shape, points, kind, want_slopes, ChunkBuffers()
+        theta, shape, as_block(shape, points), kind, want_slopes, ChunkBuffers()
     )
     if indices is None:  # one cell: the kernel reads theta without indices
         indices = np.tile(_doubled_offsets(shape), (len(values), 1))
-    return values, indices, weights, slopes
+    return values, indices, weights, None if slopes is None else slopes.T
 
 
 def _forward_backward(theta, shape, points, kind, want_slopes, buffers: ChunkBuffers,
                       vertices: bool = True, owner=None):
-    # forward_backward_batch, with the multilinear chunk arrays drawn from
-    # ``buffers``: its indices and weights are views into them, valid until
-    # the next call with the same buffers.  Without ``vertices`` the caller
-    # reads no vertex lists: the simplex walk records none and the one-cell
-    # kernel overwrites its weights, and both return None for them.  On a
+    # forward_backward_batch of a feature-major (D, n) block of points, with
+    # the multilinear chunk arrays drawn from ``buffers``: its indices and
+    # weights are views into them, valid until the next call with the same
+    # buffers, and its slopes are (D, n).  Without ``vertices`` the caller
+    # reads no vertex lists: the one-cell kernel overwrites its weights, and
+    # both it and the simplex walk return None for them.  On a
     # lattice of one cell (one_cell) the indices are None: vertex j of every
     # point is entry j of its parameter vector.  With ``owner`` (one per
     # point, in runs of equal owners), ``theta`` is a (K, P) stack of
     # parameter vectors and point i reads row owner[i].
     kind = InterpolationKind(kind)
     th = np.asarray(theta, dtype=float)
-    base, residual = locate_cells(shape, points)
+    base, residual = locate_block(shape, points)
     if one_cell(shape, kind):
         return _one_cell(th, residual, want_slopes, buffers, vertices, owner)
     strides = np.asarray(shape.strides, dtype=np.int64)
-    base_idx = base @ strides
+    base_idx = strides @ base
     if owner is not None:
         base_idx += owner * th.shape[1]
         th = th.ravel()
     if kind is InterpolationKind.SIMPLEX:
-        return _simplex_walk(th, base_idx, residual, strides, vertices, want_slopes)
+        return _simplex_walk(th, base_idx, residual, strides, buffers, vertices, want_slopes)
     # vertex-major: one C-contiguous row of n entries per cell vertex
     k, n = 1 << shape.ndim, len(base_idx)
-    residual_t = np.ascontiguousarray(residual.T)
-    weights = _doubling_weights(buffers.get("weights", k, n), residual_t)
+    weights = _doubling_weights(buffers.get("weights", k, n), residual)
     offsets = _doubled_offsets(shape)
     indices = buffers.get("indices", k, n, np.int64)
     np.add(offsets[:, None], base_idx[None, :], out=indices)
     vals = _gather(th, indices, base_idx, offsets[-1], buffers.get("vals", k, n))
-    # the products, then (once summed) the slope collapse's halves
-    scratch = buffers.get("scratch", k, n)
+    # the products, then (once summed) the slope collapse's halves; the
+    # products overwrite the vertex values unless the slopes read those
+    scratch = buffers.get("scratch", k, n) if want_slopes else vals
     values = _column_sums(np.multiply(vals, weights, out=scratch))
-    slopes = _multilinear_slopes(vals, weights, residual_t, scratch) if want_slopes else None
-    return values, indices.T, weights.T, None if slopes is None else slopes.T
+    slopes = _multilinear_slopes(vals, weights, residual, scratch) if want_slopes else None
+    return values, indices.T, weights.T, slopes
 
 
 def _one_cell(th, residual, want_slopes, buffers: ChunkBuffers, vertices, owner):
@@ -695,12 +709,11 @@ def _one_cell(th, residual, want_slopes, buffers: ChunkBuffers, vertices, owner)
     # docstring).  w * t is t * w bit for bit, so the products equal the
     # general path's gathered values times weights.  The products go into
     # the weights when the caller reads neither them nor the slopes.
-    n, D = residual.shape
+    D, n = residual.shape
     k = 1 << D
     if th.shape[-1] < k:
         raise IndexError(f"cell vertex index out of bounds for theta of size {th.shape[-1]}")
-    residual_t = np.ascontiguousarray(residual.T)
-    w = _doubling_weights(buffers.get("weights", k, n), residual_t)
+    w = _doubling_weights(buffers.get("weights", k, n), residual)
     # every point's vertex values: one column, or its worker's row of the stack
     vals = th[:k, None] if owner is None else th.take(owner, axis=0)[:, :k].T
     scratch = buffers.get("scratch", k, n) if vertices or want_slopes else w
@@ -709,49 +722,55 @@ def _one_cell(th, residual, want_slopes, buffers: ChunkBuffers, vertices, owner)
     if want_slopes:
         start = buffers.get("vals", k, n)
         np.copyto(start, vals)
-        slopes = _multilinear_slopes(start, w, residual_t, scratch).T
+        slopes = _multilinear_slopes(start, w, residual, scratch)
     return values, None, w.T if vertices else None, slopes
 
 
-def _simplex_walk(th, base_idx, residual, strides, vertices, want_slopes):
-    # The chain walk of the module docstring.  After the last sorted
-    # residual comes 0.0, and prev - 0.0 is prev bit for bit, so the far
-    # corner's weight is made like the others.  The total starts at +0.0, as
-    # evaluate's loop does, so a sum of -0.0 terms comes out +0.0.
-    n, D = residual.shape
+def _simplex_walk(th, base_idx, residual, strides, buffers: ChunkBuffers, vertices,
+                  want_slopes):
+    # The chain walk of the module docstring, one array operation per
+    # formula rather than per step.  Row j of the (D+1, n) arrays is step j
+    # of every chain.  After the last sorted residual comes 0.0, and
+    # prev - 0.0 is prev bit for bit, so the far corner's weight is the
+    # last sorted residual as it stands.  The rows of products are summed
+    # top to bottom, as the scalar loop adds them (_column_sums); they
+    # overwrite the vertex values unless the slopes read those.
+    D, n = residual.shape
     # stable sort: ties keep ascending dimension order, as simplex_weights.
-    # Row j holds every point's dimension of step j, and ``at`` its flat
-    # position (point * D + dimension) in the (n, D) residuals and slopes.
-    order = np.argsort(-residual.T, axis=0, kind="stable")
-    at = order + np.arange(0, n * D, D)
-    steps = strides.take(order)
+    # Row j holds every point's dimension of step j; each step adds its
+    # dimension's stride to the vertex index, so the last row of indices is
+    # the far corner, the highest vertex of the chain.
+    vals = buffers.get("vals", D + 1, n)  # first the negated residuals
+    order = np.argsort(np.negative(residual, out=vals[:D]), axis=0, kind="stable")
+    indices = buffers.get("indices", D + 1, n, np.int64)
+    indices[0] = base_idx
+    strides.take(order, out=indices[1:])
+    for j in range(D):
+        np.add(indices[j], indices[j + 1], out=indices[j + 1])
+    if n and indices[D].max() >= len(th):
+        raise IndexError(f"cell vertex index out of bounds for theta of size {len(th)}")
+    # ``at``: each step's flat position (dimension * n + point) in the
+    # (D, n) residuals and slopes.  Rows 1 .. D of the weights take the
+    # sorted residuals, then each row but the last the difference to the
+    # row below it; row 0 is 1.0 minus the first.
+    at = order
+    at *= n
+    at += np.arange(n)
+    weights = buffers.get("weights", D + 1, n)
+    residual.take(at, out=weights[1:], mode="clip")
+    np.subtract(1.0, weights[1], out=weights[0])
+    np.subtract(weights[1:D], weights[2:], out=weights[1:D])
+    th.take(indices, out=vals, mode="clip")
+    products = buffers.get("scratch", D + 1, n) if want_slopes else vals
+    total = _column_sums(np.multiply(vals, weights, out=products))
     if vertices:
-        index_at = np.empty((D + 1, n), dtype=np.int64)
-        weight_at = np.empty((D + 1, n))
-        index_at[0] = base_idx
+        indices, weights = indices.T, weights.T
     else:
-        index_at = [base_idx] * (D + 1)  # this call's array, advanced in place
-        weight_at = [np.empty(n)] * (D + 1)
-    vals = np.empty((D + 1, n)) if want_slopes else [None] * (D + 1)
-    total = np.zeros(n)
-    product = np.empty(n)
-    prev, idx = 1.0, base_idx
-    # out= goes by position: as a keyword it costs about 0.4 us a call,
-    # which the 5(D+1) calls of a 64-row training chunk feel
-    for r, w_out, v_out, step, next_idx in zip(
-        [*residual.take(at), 0.0], weight_at, vals, [*steps, None], [*index_at[1:], None]
-    ):
-        w = np.subtract(prev, r, w_out)
-        prev = r
-        # take raises IndexError for a vertex beyond theta
-        total += np.multiply(th.take(idx, None, v_out), w, product)
-        if step is not None:
-            idx = np.add(idx, step, next_idx)
-    indices, weights = (index_at.T, weight_at.T) if vertices else (None, None)
+        indices = weights = None
     if not want_slopes:
         return total, indices, weights, None
     # consecutive chain vertices differ by one step in dimension order[j]
-    slopes = np.empty((n, D))
+    slopes = np.empty((D, n))
     slopes.put(at, vals[1:] - vals[:-1])
     return total, indices, weights, slopes
 
@@ -760,7 +779,7 @@ def _gather(th: np.ndarray, indices: np.ndarray, base_idx: np.ndarray, far: int,
     # th[indices] into ``out``.  take buffers its output unless it cannot
     # fail, so the highest vertex of any cell (base + far) is checked here
     # and the gather itself runs with mode="clip"; no index is negative,
-    # since locate_cells keeps every point inside the box.
+    # since locate_block keeps every point inside the box.
     if len(base_idx) and base_idx.max() + far >= len(th):
         raise IndexError(f"cell vertex index out of bounds for theta of size {len(th)}")
     return th.take(indices, out=out, mode="clip")

@@ -139,14 +139,33 @@ def locate_cells(shape: LatticeShape, points: np.ndarray) -> tuple[np.ndarray, n
     vertices (n, D) and residuals (n, D), equal to the scalar ones.  The
     first coordinate outside the box, in row order, is reported as
     :func:`locate_cell` reports it."""
+    base, residual = locate_block(shape, as_block(shape, points))
+    return base.T, residual.T
+
+
+def as_block(shape: LatticeShape, points) -> np.ndarray:
+    """A copy of an (n, D) array of points as a C-contiguous feature-major
+    (D, n) float block, the layout :func:`locate_block` and the batched
+    kernels work in."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != shape.ndim:
         raise ValueError(f"expected an (n, {shape.ndim}) array, got {pts.shape}")
-    top = np.asarray(shape.sizes, dtype=float) - 1.0
-    outside = ~((pts >= 0.0) & (pts <= top))  # NaN is outside too
+    return np.array(pts.T, order="C")
+
+
+def locate_block(shape: LatticeShape, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`locate_cells` of a feature-major (D, n) block of points: base
+    vertices (D, n) and residuals (D, n), and the same error for the first
+    coordinate outside the box in row order.  On a lattice of one cell
+    (every size 2) the base is a read-only view of 0 and the residual is
+    the block itself, since v - 0 is v bit for bit."""
+    top = np.asarray(shape.sizes, dtype=float)[:, None] - 1.0
+    outside = ~((block >= 0.0) & (block <= top))  # NaN is outside too
     if outside.any():
-        i, d = divmod(int(np.argmax(outside)), shape.ndim)
-        raise _outside(float(pts[i, d]), shape.sizes[d] - 1, d)
-    base = np.minimum(np.floor(pts), top - 1.0).astype(np.int64)
-    residual = pts - base
+        i, d = divmod(int(np.argmax(outside.T)), shape.ndim)
+        raise _outside(float(block[d, i]), shape.sizes[d] - 1, d)
+    if max(shape.sizes) == 2:
+        return np.broadcast_to(np.int64(0), block.shape), block
+    base = np.minimum(np.floor(block), top - 1.0).astype(np.int64)
+    residual = block - base
     return base, residual

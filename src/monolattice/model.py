@@ -5,7 +5,10 @@ and the parameter vector (stride order).  Floats are written with Python's
 shortest round-trip representation, so saving and loading reproduces every
 parameter bit for bit.
 
-``Model.predict`` scores a batch through the batched calibrators and kernel.
+``Model.predict`` scores a batch in chunks of ``PREDICT_ROWS`` rows, each
+located on the calibrators in one pass, calibrated and scored by the
+batched kernel, all through one buffer set made for the call, so a call's
+arrays are sized by the chunk and none outlives it.
 ``Model.predict_row`` scores one row through one path: the calibrators'
 ``calibrate_row``, which reads each calibrator's row entry (its parameters
 as lists), then the model's :class:`~.interpolation.RowPlan`, built by the
@@ -16,9 +19,10 @@ per shape from the shape's ints alone.  ``predict_row`` gives
 ``predict``'s bits and the scalar ``evaluate``'s error messages, and a
 call writes nothing the plan holds.  A model is a frozen value, checked
 on construction: ``theta`` is stored as a read-only float64 copy of the
-lattice's size, ``specs`` as a tuple of frozen feature specs, and its
-calibrators are frozen too, so the plan and the row entries cannot fall
-out of date.  A changed model is a new one
+lattice's size, ``specs`` as a tuple of frozen feature specs,
+``metadata`` as a copy whose objects and arrays refuse changes in place,
+and its calibrators are frozen too, so the plan, the row entries and the
+model file cannot fall out of date.  A changed model is a new one
 (``dataclasses.replace``); a copied or unpickled model is rebuilt through
 the constructor.
 """
@@ -44,7 +48,7 @@ from .calibrators import (
     missing_vertex_dims,
     read_only,
 )
-from .interpolation import InterpolationKind, RowPlan, evaluate_batch
+from .interpolation import ChunkBuffers, InterpolationKind, RowPlan, evaluate_block
 
 # The benchmark's span tracer (perfbench/spans.py) patches this name on this
 # module; predict_row runs the row plan, not the scalar kernels.
@@ -60,6 +64,11 @@ from .training import Loss
 FORMAT_NAME = "monolattice-model"
 FORMAT_VERSION = 1
 
+# Rows per chunk of Model.predict.  Every array a call makes is sized by the
+# chunk, not by the rows, and about 512 rows keep a chunk's few dozen numpy
+# calls cheap next to its arithmetic; CHANGES.md records the measurement.
+PREDICT_ROWS = 512
+
 
 @dataclass(frozen=True, eq=False)
 class Model(Frozen):
@@ -69,7 +78,7 @@ class Model(Frozen):
     calibrators: CalibratorSet
     kind: InterpolationKind = InterpolationKind.MULTILINEAR
     loss: Loss = Loss.SQUARED
-    metadata: dict = field(default_factory=dict)
+    metadata: dict = field(default_factory=dict)  # stored as a read-only copy
 
     def __post_init__(self):
         object.__setattr__(self, "specs", tuple(self.specs))
@@ -84,6 +93,7 @@ class Model(Frozen):
                 f"theta has shape {theta.shape}, lattice needs ({self.shape.num_parameters},)"
             )
         object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "metadata", _read_only_json(self.metadata))
 
     @cached_property
     def _row_plan(self) -> RowPlan:
@@ -106,11 +116,22 @@ class Model(Frozen):
 
     def predict(self, data, kind: InterpolationKind | None = None) -> np.ndarray:
         """Scores of every row of ``data``, equal to :meth:`predict_row` bit
-        for bit: the rows are located on the calibrators and calibrated
-        (coordinates only), then scored by the batched kernel."""
+        for bit.  The rows are scored ``PREDICT_ROWS`` at a time: each chunk
+        is located on the calibrators in one pass, calibrated (coordinates
+        only, feature-major) and scored by the batched kernel, all through
+        one buffer set made for this call.  A bad value raises the
+        ``DataError`` of the first bad row, its ``row`` counted in
+        ``data``."""
         cs = self.calibrators
-        x = cs.apply(cs.locate(data.columns), cs.table())
-        return evaluate_batch(self.theta, self.shape, x, kind or self.kind)
+        columns = data.columns
+        out = np.empty(len(columns[0]) if len(columns) else 0)
+        buffers = ChunkBuffers()  # one set for every chunk of this call
+        table = cs.table()
+        for rows, location in cs.locate_chunks(columns, PREDICT_ROWS, buffers):
+            # the coordinates take the buffer of the values they come from
+            x = cs.apply(location, table, buffers.get("locate x", *location.t.shape))
+            evaluate_block(self.theta, self.shape, x, kind or self.kind, buffers, out[rows])
+        return out
 
     # ---- feasibility
 
@@ -253,6 +274,47 @@ class Model(Frozen):
 
 
 # --------------------------------------------------------------------------
+# read-only metadata
+
+
+def _refuse(self, *args, **kwargs):
+    raise TypeError("model metadata is read-only; a model with other metadata is a new model")
+
+
+class _ReadOnlyDict(dict):
+    """A JSON object that refuses changes in place; it pickles and copies as
+    the plain dict it holds."""
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
+class _ReadOnlyList(list):
+    """A JSON array that refuses changes in place, as :class:`_ReadOnlyDict`."""
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
+    append = extend = insert = pop = remove = reverse = sort = clear = _refuse
+
+    def __reduce__(self):
+        return type(self), (list(self),)
+
+
+def _read_only_json(value):
+    """A copy of a JSON value whose objects and arrays, nested ones
+    included, refuse changes in place; it compares equal to the value and
+    serializes to the same text."""
+    if isinstance(value, dict):
+        return _ReadOnlyDict((k, _read_only_json(v)) for k, v in value.items())
+    if isinstance(value, tuple):
+        return tuple(_read_only_json(v) for v in value)
+    if isinstance(value, list):
+        return _ReadOnlyList(_read_only_json(v) for v in value)
+    return value
+
+
+# --------------------------------------------------------------------------
 # validation on load
 
 
@@ -273,7 +335,7 @@ def _check_finite(field: str, values) -> None:
 def _check_calibrator(spec: FeatureSpec, cal) -> None:
     """Raise a DataError naming the feature and the field unless ``cal`` is a
     calibrator training could have produced: finite, monotone and inside
-    its axis.  Batch calibration's ``searchsorted`` relies on sorted knots."""
+    its axis.  Batch locate's knot count relies on strictly increasing knots."""
     where = f"feature {spec.name!r}"
     top = spec.axis_top
     if isinstance(cal, ContinuousCalibrator):

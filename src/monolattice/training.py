@@ -27,8 +27,8 @@ trained model's calibrators are built once, from row 0 of the final table
 stays fixed during a run is worked out once, in ``prepare_state`` and
 shared by every worker: the *plan* is the location of every side (a row,
 or a pair's preferred row then the other) on the calibrators' knots and
-categories (``CalibratorSet.locate``), the targets are held as floats, and
-the multilinear kernel's chunk buffers are reused by every step.
+categories (``CalibratorSet.locate``, feature-major), the targets are held
+as floats, and the kernels' chunk buffers are reused by every step.
 
 The workers run in lockstep, in one process: their j-th steps are one
 ``sgd_step``, whose ``batches`` map each worker that takes the step to its
@@ -37,9 +37,10 @@ minibatch: the sides are gathered from the plan and calibrated under their
 worker's table row (``CalibratorSet.apply``, with signs +1 and -1 for the
 two sides of a pair), then located, weighted and differentiated as arrays
 against their worker's theta row.  Gradients are scattered in sample,
-side, vertex order for the lattice and side, feature, entry order for the
+side, vertex order for the lattice and feature, side, entry order for the
 calibrators (into a vector over the parameter table stack, read at the
-free entries), so each row is the per-sample loop's over that worker's
+free entries; each feature owns its entries, so every entry takes its
+terms in side order), so each row is the per-sample loop's over that worker's
 minibatch, bit for bit.  The lattice scatter is ``np.add.at`` over the
 kernel's vertex indices, except on a lattice of one cell (every size 2,
 multilinear), where the kernel returns no indices: every sample's products
@@ -303,7 +304,7 @@ def prepare_state(data: Dataset | PairDataset, specs: list[FeatureSpec], config:
         for cfg in config.regularizers
     ]
     if config.loss in (Loss.LOGISTIC, Loss.HINGE) and not np.isin(targets, (0.0, 1.0)).all():
-        raise ValueError(f"{config.loss.value} loss needs binary {{0,1}} labels")
+        raise DataError(f"{config.loss.value} loss needs binary {{0,1}} labels")
     return TrainerState(
         shape=shape,
         theta=np.tile(init_lattice(shape, directions), (config.workers, 1)),
@@ -340,10 +341,11 @@ def loss_gradients(state: TrainerState, batches) -> tuple[np.ndarray, np.ndarray
     the same rows.  Each sample's loss slope is ``loss_slope``'s, scaled by
     one over its own worker's minibatch size (``_loss_slopes``).  Theta
     gradients are scattered sample by sample, side by side, vertex by
-    vertex, and each chunk's calibrator gradients side by side, feature by
-    feature, entry by entry.  Worker blocks are contiguous and touch
-    disjoint slices, so every entry is the sum a per-sample loop over that
-    worker's minibatch would form, in its order.  Both scatters take every
+    vertex, and each chunk's calibrator gradients feature by feature, side
+    by side, entry by entry.  Worker blocks are contiguous and touch
+    disjoint slices, and each feature owns its entries, so every entry is
+    the sum a per-sample loop over that worker's minibatch would form, in
+    its order.  Both scatters take every
     term: the terms a loop would skip (zero slope, zero dfdx, zero t) add
     +-0.0, and calibrator terms at fixed table entries are dropped by the
     final gather.  One table vector takes every chunk, since per-chunk sums
@@ -357,7 +359,7 @@ def loss_gradients(state: TrainerState, batches) -> tuple[np.ndarray, np.ndarray
     flat_table = state.table.ravel()
     want = state.trains_calibrators
     loss = state.config.loss
-    n_sides = len(state.plan.t) // len(state.targets)  # the plan has 2 sides a pair
+    n_sides = state.plan.t.shape[1] // len(state.targets)  # the plan has 2 sides a pair
     minibatches = [np.asarray(b, dtype=np.int64) for b in batches.values()]
     sizes = [len(b) for b in minibatches]
     batch = np.concatenate(minibatches)
@@ -402,7 +404,7 @@ def loss_gradients(state: TrainerState, batches) -> tuple[np.ndarray, np.ndarray
             # a product that overflows (huge labels and slopes) makes a
             # non-finite gradient, which _descend reports
             with np.errstate(over="ignore", invalid="ignore"):
-                cs.add_apply_gradient(sides, s[:, None] * dfdx, g_table)
+                cs.add_apply_gradient(sides, s * dfdx, g_table)
     return g_theta.reshape(K, P), cs.at_free(g_table.reshape(K, T))
 
 
@@ -551,7 +553,7 @@ def train(data, specs: list[FeatureSpec], config: TrainConfig):
     state = prepare_state(data, specs, config)
     n = _num_samples(data)
     if n == 0:
-        raise ValueError("training data is empty")
+        raise DataError("training data is empty")
     K = config.workers
     streams = np.random.SeedSequence(config.seed).spawn(K + 1)
     rngs = [np.random.default_rng(s) for s in streams[:K]]
@@ -622,7 +624,7 @@ def _scores(model, data) -> tuple[np.ndarray, np.ndarray]:
         )
         return z, np.ones(len(z))
     if data.labels is None:
-        raise ValueError("dataset has no labels to evaluate against")
+        raise DataError("dataset has no labels to evaluate against")
     return model.predict(data), np.asarray(data.labels, dtype=float)
 
 

@@ -25,10 +25,11 @@ do for a whole set through its parameter table.
 entries of the calibrator table; tests hold both against ``calibrate_row``,
 ``row_gradients`` and the calibrators' scalar methods.
 
-``reference_locate`` is the masked-select form of
-``ContinuousCalibrator.locate`` (every value's fraction computed from a
-value clipped to its segment, each index picked by ``np.where``); the
-calibrator's must give the same arrays byte for byte and dtype for dtype.
+``reference_locate`` is the per-feature locate that ``CalibratorSet.locate``
+replaced with one pass over all features: one column at a time, its segment
+from ``np.searchsorted`` over the interior knots.  Each feature's row of
+the set's location, less the feature's table offset, must equal it byte for
+byte and dtype for dtype.
 
 ``reference_component_walk`` scans one constraint row at a time and keeps
 the active rows' connected components in a dict; ``project_update`` must
@@ -60,7 +61,13 @@ from dataclasses import replace
 import numpy as np
 
 from monolattice import PairDataset, TrainingError, training
-from monolattice.calibrators import ContinuousCalibrator, DataError, FeatureKind, MissingPolicy
+from monolattice.calibrators import (
+    ContinuousCalibrator,
+    DataError,
+    FeatureKind,
+    MissingPolicy,
+    is_missing,
+)
 from monolattice.data import Dataset
 from monolattice.interpolation import evaluate_with_gradients
 from monolattice.monotonicity import (
@@ -193,18 +200,20 @@ def with_free_parameters(cal, vals):
 def reference_calibrate_batch(cs, columns):
     """``cs.calibrate_row`` and ``cs.row_gradients`` over whole columns.
 
-    Returns coordinates (n, D) from ``locate`` then ``apply``, and per row
-    and feature the (global alpha position, partial) pairs of apply's
-    derivative: ``lo`` with 1 - t, then ``hi`` with t where the value is
-    inner and t != 0, each kept only where its table entry is free.
+    Returns coordinates (n, D) from ``locate`` then ``apply`` (which work
+    feature-major), and per row and feature the (global alpha position,
+    partial) pairs of apply's derivative: ``lo`` with 1 - t, then ``hi``
+    with t where the value is inner and t != 0, each kept only where its
+    table entry is free.
     """
     location = cs.locate(columns)
-    x = cs.apply(location, cs.table())
+    x = cs.apply(location, cs.table()).T
     free = cs.at_free(np.arange(cs.table_size)).tolist()
     position = {entry: p for p, entry in enumerate(free)}
     grads = []
     for lo, hi, t, inner in zip(
-        location.lo.tolist(), location.hi.tolist(), location.t.tolist(), location.inner.tolist()
+        location.lo.T.tolist(), location.hi.T.tolist(), location.t.T.tolist(),
+        location.inner.T.tolist(),
     ):
         row = []
         for d in range(len(lo)):
@@ -216,19 +225,40 @@ def reference_calibrate_batch(cs, columns):
     return x, grads
 
 
-def reference_locate(cal, x):
-    """``cal.locate`` of a float array ``x`` that has no NaN unless ``cal``
-    has a missing policy: ``(lo, hi, t, inner)``."""
+def reference_locate(cal, column):
+    """The per-feature locate of a continuous calibrator ``cal``: per value,
+    indices ``lo`` and ``hi`` into the calibrator's block of the parameter
+    table (its outputs, then the missing slot), fraction ``t`` (0 unless
+    inner) and the inner flag (strictly between the end knots), as
+    ``(lo, hi, t, inner)``.  The segment is ``searchsorted`` over the
+    interior knots; a value that is not a number raises ``calibrate``'s
+    DataError, and so does NaN without a missing policy."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        x = column.astype(float, copy=False)
+    else:
+        try:
+            x = np.array([np.nan if is_missing(v) else float(v) for v in column])
+        except (TypeError, ValueError):
+            for v in column:
+                cal.calibrate(v)  # raises the DataError of the first bad value
+            raise
     knots = cal.knots
     last = len(knots) - 1
     inner = (x > knots[0]) & (x < knots[-1])
-    j = np.searchsorted(knots[1:-1], x, side="right")
-    xj = knots[j]
-    t = (np.where(inner, x, xj) - xj) / (knots[j + 1] - xj)  # 0 where not inner
-    lo = np.where(inner, j, np.where(x >= knots[-1], last, 0))
-    lo[np.isnan(x)] = last + 1  # the missing slot
-    hi = np.where(inner, j + 1, lo)
-    return lo, hi, t, inner
+    # the segment bisect_right gives inner values; it is 0 at and below
+    # the first knot, and last - 1 at and above the last knot and for NaN
+    lo = np.searchsorted(knots[1:-1], x, side="right")
+    xj = knots.take(lo)
+    # the fraction of inner values only: a value beyond the knots can be
+    # too far from its segment's knot to subtract without overflow
+    t = np.subtract(x, xj, out=np.zeros(len(x)), where=inner)
+    t /= knots.take(lo + 1) - xj
+    lo[x >= knots[-1]] = last
+    missing = np.isnan(x)
+    if missing.any():
+        cal.calibrate(np.nan)  # raises without a missing policy
+        lo[missing] = last + 1
+    return lo, lo + inner, t, inner
 
 
 def reference_project_update(theta, step, constraints, *, return_active=False):

@@ -150,9 +150,37 @@ class TestContinuousCalibrate:
         assert (cal.calibrate(5.0), model.predict_row([5.0])) == before[::2]
 
 
+def set_of(*cals):
+    """A set of calibrators, with specs that fit them."""
+    specs = [
+        FeatureSpec(cal.name or f"x{d}", missing=cal.missing, size=3,
+                    kind=FeatureKind.CONTINUOUS if isinstance(cal, ContinuousCalibrator)
+                    else FeatureKind.CATEGORICAL)
+        for d, cal in enumerate(cals)
+    ]
+    return CalibratorSet(specs, list(cals))
+
+
+def located_features(cs, columns):
+    """``cs.locate(columns)`` per feature: ``(lo, hi, t, inner)``, with
+    ``lo`` and ``hi`` less the feature's table offset."""
+    location = cs.locate(columns)
+    return [
+        (location.lo[d] - start, location.hi[d] - start, location.t[d], location.inner[d])
+        for d, start in enumerate(cs.table_offsets)
+    ]
+
+
+def assert_same_location(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
 class TestContinuousLocate:
-    """``locate`` against ``reference_locate``, byte for byte and dtype for
-    dtype, warning-free (the suite makes a RuntimeWarning an error)."""
+    """The set's one-pass ``locate`` against ``reference_locate``, the
+    per-feature locate, byte for byte and dtype for dtype, warning-free (the
+    suite makes a RuntimeWarning an error)."""
 
     KNOTS = [
         [0.0, 1.0],  # no interior knot
@@ -162,7 +190,7 @@ class TestContinuousLocate:
     ]
 
     @staticmethod
-    def calibrator(knots, missing):
+    def calibrator(knots, missing, name="x0"):
         return ContinuousCalibrator(
             knots=np.array(knots),
             outputs=np.linspace(0.0, 1.0, len(knots)),
@@ -170,7 +198,7 @@ class TestContinuousLocate:
             missing=missing,
             missing_value=0.5 if missing is MissingPolicy.CALIBRATED else None,
             missing_vertex=1.0 if missing is MissingPolicy.VERTEX else None,
-            name="x0",
+            name=name,
         )
 
     @staticmethod
@@ -191,16 +219,42 @@ class TestContinuousLocate:
         x = self.values(knots)
         if missing is MissingPolicy.NONE:
             x = x[:-1]  # NaN needs a missing policy
-        got = cal.locate(x)
-        want = reference_locate(cal, x)
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype
-            assert a.tobytes() == b.tobytes()
+        [got] = located_features(set_of(cal), [x])
+        assert_same_location(got, reference_locate(cal, x))
 
     def test_nan_without_missing_policy_is_a_data_error(self):
         cal = self.calibrator([0.0, 1.0], MissingPolicy.NONE)
-        with pytest.raises(DataError, match="feature x0: missing value but no missing policy"):
-            cal.locate(np.array([0.5, np.nan]))
+        with pytest.raises(DataError, match="feature x0: missing value but no missing policy") as e:
+            set_of(cal).locate([np.array([0.5, np.nan])])
+        assert e.value.row == 1
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_one_pass_matches_the_per_feature_locate(self, data):
+        # features of different knot counts side by side, so that the
+        # shorter ones are padded, with values on, between and beyond their
+        # knots, +-inf and NaN; t must not pick up the padding (inf - inf)
+        n = data.draw(st.integers(1, 20))
+        cals, columns = [], []
+        for d in range(data.draw(st.integers(1, 4))):
+            missing = data.draw(st.sampled_from(list(MissingPolicy)))
+            knots = sorted(data.draw(st.lists(
+                st.floats(-1e6, 1e6), min_size=2, max_size=9, unique=True
+            )))
+            cal = self.calibrator(knots, missing, name=f"x{d}")
+            cell = st.one_of(
+                st.sampled_from(knots),
+                st.floats(knots[0] - 10, knots[-1] + 10),
+                st.sampled_from([-np.inf, np.inf, knots[0] - 1e300, knots[-1] + 1e300,
+                                 -1.7e308, 1.7e308, 0.0, -0.0]),
+                *([st.just(np.nan)] if missing is not MissingPolicy.NONE else []),
+            )
+            cals.append(cal)
+            columns.append(np.array(data.draw(st.lists(cell, min_size=n, max_size=n))))
+        for got, cal, column in zip(located_features(set_of(*cals), columns), cals, columns):
+            want = reference_locate(cal, column)
+            assert_same_location(got, want)
+            assert not np.isnan(got[2]).any()
 
 
 class TestContinuousGradient:
@@ -293,6 +347,17 @@ class TestCategorical:
         cal = replace(cal, categories=["c", "b", "a"])
         assert cal.categories == ("c", "b", "a")
         assert cal.calibrate("a") == 2.0
+
+    def test_order_pairs_are_tuples(self):
+        # so no edit in place can add a constraint the saved spec lacks
+        specs = [cat_spec(size=3, order_pairs=[("a", "b")])]
+        cs = CalibratorSet.fit(specs, [["a", "b", "c"]], np.array([0.0, 1.0, 2.0]))
+        cal = cs.calibrators[0]
+        assert cal.order_pairs == (("a", "b"),)
+        with pytest.raises(AttributeError):
+            cal.order_pairs.append(("c", "b"))
+        assert len(cs.constraints().lo) == 1
+        assert replace(cal, order_pairs=[["b", "c"]]).order_pairs == (("b", "c"),)
 
     def test_gradient_is_indicator(self):
         spec = cat_spec()
@@ -714,7 +779,7 @@ class TestCalibrateBatch:
             st.floats(-4.0, 4.0), min_size=n * len(cals), max_size=n * len(cals)
         ))).reshape(n, len(cals))
         table = np.zeros(cs.table_size)
-        cs.add_apply_gradient(cs.locate(columns), dx, table)
+        cs.add_apply_gradient(cs.locate(columns), dx.T, table)  # feature-major
         want = np.zeros(cs.num_free)
         for d in range(len(cals)):
             for i in range(n):

@@ -374,6 +374,57 @@ class TestErrors:
         assert not (tmp_path / "m.json").exists()
 
 
+class TestExitCodes:
+    """Exit 2 for errors in what the user gave, one test per kind; any other
+    ValueError is a failure of the run, exit 3."""
+
+    def test_usage_error_exits_two(self, workspace, capsys):
+        assert run_train(workspace, "m.json", "--monotonic", "+nosuch") == 2
+        assert "error: --monotonic names unknown feature 'nosuch'" in capsys.readouterr().err
+
+    def test_data_error_exits_two(self, workspace, capsys):
+        with open(workspace / "train.csv") as fh:
+            rows = list(csv.reader(fh))
+        rows[3][0] = "abc"  # data row 2
+        write_csv(workspace / "train.csv", rows[0], rows[1:])
+        assert run_train(workspace, "m.json") == 2
+        assert "feature price: 'abc' is not a number" in capsys.readouterr().err
+
+    def test_os_error_exits_two(self, workspace, capsys):
+        code = main(["predict", "--model", str(workspace / "none.json"),
+                     "--data", str(workspace / "train.csv")])
+        assert code == 2
+        assert "none.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--epochs", "0", "error: epochs must be >= 1"),
+            ("--workers", "0", "error: workers must be >= 1"),
+            ("--regularizer", "torsion:-1", "error: regularizer weight must be finite and nonnegative"),
+            ("--lattice", "1024,1048577", "error: lattice has 1073742848 parameters"),
+        ],
+    )
+    def test_config_validation_exits_two(self, workspace, capsys, flag, value, message):
+        assert run_train(workspace, "m.json", flag, value) == 2
+        assert capsys.readouterr().err.startswith(message)
+        assert not (workspace / "m.json").exists()
+
+    def test_other_value_error_exits_three(self, workspace, capsys, monkeypatch):
+        # a projection handed an infeasible start is a failure of the run,
+        # not of its input
+        from monolattice import training
+
+        def infeasible(*args, **kwargs):
+            raise ValueError("theta violates the constraints it is supposed to satisfy")
+
+        monkeypatch.setattr(training, "project_update", infeasible)
+        assert run_train(workspace, "m.json") == 3
+        err = capsys.readouterr().err
+        assert "error: theta violates the constraints it is supposed to satisfy" in err
+        assert not (workspace / "m.json").exists()
+
+
 class TestDataErrors:
     """Bad data files exit 2 with a message that says where."""
 

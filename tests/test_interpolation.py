@@ -421,10 +421,11 @@ class TestForwardBackwardBatch:
         self.assert_buffers_allocated_once(monkeypatch, sh, one_cell_rows(sh), 1)
 
     def test_evaluate_batch_allocates_each_chunk_buffer_of_many_cells_once(self, monkeypatch):
-        # weights, vertex indices, gathered values and scratch
+        # weights, vertex indices and gathered values, which take the
+        # products, since no slopes read them
         sh = LatticeShape([3, 3] + [2] * 6)
         self.assert_buffers_allocated_once(
-            monkeypatch, sh, chunk_rows(sh, InterpolationKind.MULTILINEAR), 4
+            monkeypatch, sh, chunk_rows(sh, InterpolationKind.MULTILINEAR), 3
         )
 
     @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import re
 from dataclasses import FrozenInstanceError, replace
 
@@ -109,6 +111,30 @@ class TestRoundTrip:
         assert model.to_json() == text
         model.save(tmp_path / "m.json")
         assert Model.load(tmp_path / "m.json").specs == model.specs
+
+    def test_metadata_is_read_only(self, trained):
+        # a change in place would change the file of a frozen model
+        model, _ = trained
+        text = model.to_json()
+        plain = json.loads(text)["metadata"]
+        assert model.metadata == plain
+        for change in (
+            lambda m: m.__setitem__("note", 1),
+            lambda m: m.update(seed=1),
+            lambda m: m.pop("seed"),
+            lambda m: m["regularizers"].append({"kind": "torsion"}),
+        ):
+            with pytest.raises(TypeError, match="metadata is read-only"):
+                change(model.metadata)
+        assert model.to_json() == text
+        for clone in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+            assert clone.to_json() == text
+            with pytest.raises(TypeError):
+                clone.metadata["note"] = 1
+        other = replace(model, metadata={**plain, "note": [1]})
+        assert json.loads(other.to_json())["metadata"]["note"] == [1]
+        with pytest.raises(TypeError):
+            other.metadata["note"].append(2)
 
     def test_predictions_identical(self, trained):
         model, data = trained

@@ -6,6 +6,7 @@ import math
 import pickle
 import sys
 import threading
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -30,6 +31,7 @@ from monolattice import (
     train,
 )
 from monolattice import interpolation
+from monolattice import model as model_module
 from monolattice.bench import bench_interpolation
 from monolattice.calibrators import CategoricalCalibrator, ContinuousCalibrator
 from monolattice.interpolation import (
@@ -38,6 +40,7 @@ from monolattice.interpolation import (
     _doubled_offsets,
     _row_kernel,
 )
+from monolattice.model import PREDICT_ROWS
 
 
 def unit_model(sizes, kind=InterpolationKind.MULTILINEAR, seed=0):
@@ -599,6 +602,95 @@ def assert_fresh(model, data):
     assert singles == oracle
     assert [v.hex() for v in model.predict(data).tolist()] == oracle
     return singles
+
+
+def tiled(data, n):
+    """The rows of ``data`` repeated to ``n`` rows, columns as lists."""
+    return Dataset([[col[i % data.num_rows] for i in range(n)] for col in data.columns], None)
+
+
+class TestPredictChunks:
+    """``predict`` scores ``PREDICT_ROWS`` rows at a time through one buffer
+    set per call; its chunk boundaries show in nothing it returns or raises."""
+
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1])
+    def test_chunk_boundaries_match_predict_row(self, offset):
+        n = 0 if offset is None else PREDICT_ROWS + offset
+        model, data = mixed_model()
+        assert_paths_agree(model, tiled(data, n))
+        for kind in InterpolationKind:
+            D = 10
+            rows = unit_rows(D, seed=n, n=max(n, 6))
+            rows = Dataset([col[:n] for col in rows.columns], None)
+            assert_paths_agree(unit_model([2] * D, kind), rows)
+
+    @staticmethod
+    def unchunked(monkeypatch, model, data):
+        """The error of the same call in one chunk."""
+        with monkeypatch.context() as m:
+            m.setattr(model_module, "PREDICT_ROWS", data.num_rows)
+            with pytest.raises(DataError) as err:
+                model.predict(data)
+        return err.value
+
+    @pytest.mark.parametrize(
+        "feature, value, message",
+        [
+            (2, "zz", "feature k: unknown category 'zz'"),
+            (1, "abc", "feature x: 'abc' is not a number"),
+        ],
+    )
+    def test_bad_values_raise_the_unchunked_error(self, monkeypatch, feature, value, message):
+        model, data = mixed_model()
+        n = 2 * PREDICT_ROWS + 10
+        for bad_rows in ([PREDICT_ROWS + 7], [n - 1], [PREDICT_ROWS + 7, n - 1]):
+            rows = tiled(data, n)
+            for i in bad_rows:
+                rows.columns[feature][i] = value
+            with pytest.raises(DataError, match=message) as err:
+                model.predict(rows)
+            assert err.value.row == bad_rows[0]
+            whole = self.unchunked(monkeypatch, model, rows)
+            assert (str(err.value), err.value.row) == (str(whole), whole.row)
+
+    def test_first_bad_row_wins_across_features(self, monkeypatch):
+        # a bad category in the last row, a missing value without a policy
+        # earlier in the same chunk: the row counted first is named
+        model, data = mixed_model()
+        model = replace_calibrator(model, 1, missing=MissingPolicy.NONE)
+        n = PREDICT_ROWS + 20
+        rows = tiled(data, n)
+        xs = rows.columns[1]
+        for i, v in enumerate(xs):
+            if v is None or v == "nan" or v != v:  # missing: None, NaN text, NaN
+                xs[i] = 0.5
+        rows.columns[2][n - 1] = "zz"
+        rows.columns[1][PREDICT_ROWS + 3] = None
+        with pytest.raises(DataError, match="feature x: missing value but no missing policy") as err:
+            model.predict(rows)
+        assert err.value.row == PREDICT_ROWS + 3
+        whole = self.unchunked(monkeypatch, model, rows)
+        assert (str(err.value), err.value.row) == (str(whole), whole.row)
+
+    @pytest.mark.parametrize("kind", list(InterpolationKind))
+    def test_memory_is_bounded_by_the_chunk(self, kind):
+        # numpy reports its buffers to tracemalloc; ten times the rows may
+        # add the output array and nothing else
+        model, data = mixed_model()
+        model = replace(model, kind=kind)
+        small, large = tiled(data, 5_000), tiled(data, 50_000)
+        model.predict(small)  # anything built once per model is built now
+
+        def peak(rows):
+            tracemalloc.start()
+            try:
+                model.predict(rows)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        output = 8 * large.num_rows
+        assert peak(large) - output <= 1.1 * peak(small)
 
 
 class TestRowEntries:

@@ -600,7 +600,9 @@ class TestPlan:
 
             return wrapper
 
-        monkeypatch.setattr(CalibratorSet, "locate", counting("locate", CalibratorSet.locate))
+        # predict locates its rows in one pass of chunks
+        monkeypatch.setattr(CalibratorSet, "locate_chunks",
+                            counting("locate", CalibratorSet.locate_chunks))
         monkeypatch.setattr(CalibratorSet, "add_apply_gradient",
                             counting("gradient", CalibratorSet.add_apply_gradient))
         model.predict(data)
@@ -639,7 +641,7 @@ class TestPlan:
         data, specs = mixed_problem(True, Loss.LOGISTIC, n=30)
         state = prepare_state(data, specs, TrainConfig(loss=Loss.LOGISTIC))
         cs = state.calibrators
-        x = cs.apply(state.plan, cs.table())
+        x = cs.apply(state.plan, cs.table()).T  # the plan is feature-major
         for i in (0, 7, 29):
             assert x[2 * i].tolist() == cs.calibrate_row(data.plus_row(i))
             assert x[2 * i + 1].tolist() == cs.calibrate_row(data.minus_row(i))
