@@ -212,6 +212,8 @@ class Model(Frozen):
             raise DataError(f"not a {FORMAT_NAME} file")
         if doc.get("version") != FORMAT_VERSION:
             raise DataError(f"unsupported model version {doc.get('version')!r}")
+        if not doc["features"]:
+            raise DataError("model file lists no features")
         specs = []
         cals = []
         for entry in doc["features"]:

@@ -61,8 +61,10 @@ class ConstraintSet:
     """Pairwise rows theta[hi] >= theta[lo], plus optional box bounds.
 
     A frozen value: its arrays are stored as read-only copies, so what the
-    walk derives from them (``_rows``) is built once per set.  A changed set
-    is a new one (``dataclasses.replace``)."""
+    walk derives from them (``_rows``, with its workspaces) is built once
+    per set.  A changed set is a new one (``dataclasses.replace``), and a
+    copied, deep-copied or unpickled set is rebuilt through the constructor
+    and builds its own ``_rows``."""
 
     num_parameters: int
     lo: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
@@ -84,6 +86,11 @@ class ConstraintSet:
     @cached_property
     def _rows(self) -> "_Rows":
         return _Rows(self)
+
+    def __reduce__(self):
+        # copies, deep copies and unpickled sets are rebuilt through the
+        # constructor: arrays read-only again, nothing derived carried over
+        return type(self), (self.num_parameters, self.lo, self.hi, self.lower, self.upper)
 
 
 # --------------------------------------------------------------------------
@@ -179,22 +186,6 @@ _HIT_TOL = 1e-12  # slack considered zero, in line-parameter space
 _FEASIBLE_INPUT_TOL = 1e-9
 
 
-def _constraint_rows(constraints: ConstraintSet):
-    """Uniform (normal, offset) view: rows as sparse entries, bounds as +-e_j."""
-    rows = []
-    for r in range(constraints.num_rows):
-        lo = int(constraints.lo[r])
-        hi = int(constraints.hi[r])
-        rows.append(((hi, lo), (1.0, -1.0), 0.0))
-    if constraints.lower is not None:
-        for j in np.nonzero(np.isfinite(constraints.lower))[0]:
-            rows.append(((int(j),), (1.0,), float(constraints.lower[j])))
-    if constraints.upper is not None:
-        for j in np.nonzero(np.isfinite(constraints.upper))[0]:
-            rows.append(((int(j),), (-1.0,), -float(constraints.upper[j])))
-    return rows
-
-
 def _finite_bounds(bounds) -> tuple[np.ndarray, np.ndarray]:
     """Positions of the finite entries of a bound vector, and their values."""
     if bounds is None:
@@ -204,42 +195,58 @@ def _finite_bounds(bounds) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Rows:
-    """The walk's rows in ``_constraint_rows`` order (pairwise rows, then
-    finite lower bounds, then finite upper bounds), with theta and a
-    direction gathered at both ends of all rows at once.  Built once per
-    constraint set (``ConstraintSet._rows``).
+    """The walk's rows (pairwise rows, then finite lower bounds, then finite
+    upper bounds: the numbering of ``active``), with theta and a direction
+    gathered at both ends of all rows at once.  Built once per constraint
+    set (``ConstraintSet._rows``).
 
     A lower bound is a row from its entry down to a slot past the P entries
     that holds the bound's value (and a zero step), an upper bound a row
     from such a slot down to its entry; ``row_hi`` and ``row_lo`` are every
-    row's two ends, slots included (the set's own ``hi`` and ``lo`` when it
-    has no finite bounds), and ``bounds`` the slots' values."""
+    row's two ends, slots included, and ``bounds`` the slots' values.
+
+    ``spare`` holds the workspaces no call is using.  A call pops one (or
+    makes one when none is spare) and appends it back when it is done;
+    ``list.pop`` and ``list.append`` are atomic, so threads that share a set
+    never share a workspace."""
 
     def __init__(self, constraints: ConstraintSet) -> None:
+        self.num_parameters = constraints.num_parameters
         self.lo, self.hi = constraints.lo, constraints.hi
         self.lower_j, self.lower = _finite_bounds(constraints.lower)
         self.upper_j, self.upper = _finite_bounds(constraints.upper)
         self.count = len(self.lo) + len(self.lower_j) + len(self.upper_j)
         self.bounds = np.concatenate([self.lower, self.upper])
-        self.row_hi, self.row_lo = self.hi, self.lo
-        if len(self.bounds):
-            p = constraints.num_parameters
-            slots = np.arange(p, p + len(self.bounds))
-            lower_slots, upper_slots = slots[: len(self.lower_j)], slots[len(self.lower_j) :]
-            self.row_hi = np.concatenate([self.hi, self.lower_j, upper_slots])
-            self.row_lo = np.concatenate([self.lo, lower_slots, self.upper_j])
+        p = constraints.num_parameters
+        slots = np.arange(p, p + len(self.bounds))
+        lower_slots, upper_slots = slots[: len(self.lower_j)], slots[len(self.lower_j) :]
+        # new, writeable arrays: take copies read-only indices on every call
+        self.row_hi = np.concatenate([self.hi, self.lower_j, upper_slots])
+        self.row_lo = np.concatenate([self.lo, lower_slots, self.upper_j])
+        self.spare: list[_Workspace] = []
 
-    def gather(self, th: np.ndarray, st: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``th`` and ``st`` at the high end and at the low end of every row:
-        two (2, rows) arrays, theta in row 0 and the step in row 1, one take
-        each.  The slack of every row is then ``hi[0] - lo[0]`` (``th[j] -
-        lower`` and ``upper - th[j]`` for the bounds) and its rate ``hi[1] -
-        lo[1]``."""
+    def workspace(self) -> "_Workspace":
+        try:
+            return self.spare.pop()
+        except IndexError:
+            return _Workspace(self)
+
+    def scan(self, th: np.ndarray, direction: np.ndarray, work: "_Workspace") -> np.ndarray:
+        """One pass over every row: gathers ``th`` and ``direction`` at both
+        ends of all rows (one take per end), forms each row's slack
+        (``th[hi] - th[lo]``; ``th[j] - lower`` and ``upper - th[j]`` for
+        the bounds) and closing rate (the negated rate, ``direction[lo] -
+        direction[hi]``) in ``work``, and returns the rows the pass hits."""
         p = len(th)
-        values = np.empty((2, p + len(self.bounds)))
-        values[0, :p], values[1, :p] = th, st
-        values[0, p:], values[1, p:] = self.bounds, 0.0
-        return values.take(self.row_hi, axis=1), values.take(self.row_lo, axis=1)
+        work.values[:p, 0], work.values[:p, 1] = th, direction
+        # every index is in range; "clip" lets take write straight into out
+        work.values.take(self.row_hi, axis=0, out=work.at_hi, mode="clip")
+        work.values.take(self.row_lo, axis=0, out=work.at_lo, mode="clip")
+        np.subtract(work.at_hi[:, 0], work.at_lo[:, 0], out=work.slack)
+        # lo - hi is -(hi - lo) up to the sign of a zero, which no test reads
+        np.subtract(work.at_lo[:, 1], work.at_hi[:, 1], out=work.closing)
+        _hits_within_step(work.slack, work.closing, scratch=work.raised, out=work.hit)
+        return work.hit.nonzero()[0]
 
     def ends(self, r: int, ground: int) -> tuple[int, int]:
         """The two nodes row ``r`` ties together: ``(hi, lo)`` for a
@@ -251,7 +258,7 @@ class _Rows:
             return int(self.lower_j[r]), ground
         return int(self.upper_j[r - len(self.lower_j)]), ground
 
-    def remove_roundoff(self, th: np.ndarray) -> None:
+    def remove_roundoff(self, th: np.ndarray, *, scan_rows: bool = True) -> None:
         """Make ``th`` exactly feasible, in place.
 
         Stopping at a hit time leaves the constraints the walk hit off by
@@ -261,32 +268,57 @@ class _Rows:
         the set is nonempty).  It only copies existing values, so a feasible
         point is unchanged and an infeasible one moves only as far as its
         violations.  The rows hold after the first scan, so they are scanned
-        again only when the upper bounds lowered an entry.
+        again only when the upper bounds lowered an entry.  A caller that
+        knows every row and bound holds passes ``scan_rows=False``: the
+        scans would change nothing, and only the bound clamps run, which
+        still turn a -0.0 entry on a 0.0 bound into +0.0.
         """
         lo, hi = self.lo, self.hi
-        th[self.lower_j] = np.maximum(th[self.lower_j], self.lower)
-        while np.any(th[hi] < th[lo]):
+        if len(self.lower_j):
+            th[self.lower_j] = np.maximum(th[self.lower_j], self.lower)
+        while scan_rows and np.any(th[hi] < th[lo]):
             np.maximum.at(th, hi, th[lo])
-        below = th[self.upper_j]
-        clipped = np.minimum(below, self.upper)
-        th[self.upper_j] = clipped
-        if np.any(clipped < below):
-            while np.any(th[hi] < th[lo]):
-                np.minimum.at(th, lo, th[hi])
+        if len(self.upper_j):
+            below = th[self.upper_j]
+            clipped = np.minimum(below, self.upper)
+            th[self.upper_j] = clipped
+            if scan_rows and np.any(clipped < below):
+                while np.any(th[hi] < th[lo]):
+                    np.minimum.at(th, lo, th[hi])
+
+
+class _Workspace:
+    """One walk's scratch arrays for a set's rows (see ``_Rows.scan``).
+    ``values``, the gather source, has a row per entry, theta then the
+    direction: the P entries, then the bound slots (their values and a zero
+    direction).  Each pass takes its rows at every row's two ends into
+    ``at_hi`` and ``at_lo``, one 16-byte row per index, and forms one entry
+    per row in ``slack``, ``closing``, ``raised`` and ``hit``."""
+
+    def __init__(self, rows: _Rows) -> None:
+        p, n = rows.num_parameters, rows.count
+        self.values = np.empty((p + len(rows.bounds), 2))
+        self.values[p:, 0], self.values[p:, 1] = rows.bounds, 0.0
+        self.at_hi, self.at_lo = np.empty((n, 2)), np.empty((n, 2))
+        self.slack, self.closing, self.raised = np.empty(n), np.empty(n), np.empty(n)
+        self.hit = np.empty(n, dtype=bool)
 
 
 _TINY = 5e-324  # the smallest positive float
 
 
-def _hits_within_step(slack: np.ndarray, closing: np.ndarray) -> np.ndarray:
+def _hits_within_step(
+    slack: np.ndarray, closing: np.ndarray, scratch=None, out=None
+) -> np.ndarray:
     """Per row, whether a pass of the walk hits it: ``closing`` (the
     negated rate) is positive and ``t = max(slack, 0) / closing <= 1``,
     without the division.  For positive finite s and q, s <= q gives
     s / q <= 1 exactly, and s > q gives s / q >= 1 + ulp(q) / q > 1 + 2^-53,
     which rounds above 1 (to inf where it overflows).  Raising the slack to
     the smallest positive float, not to 0, also asks ``closing > 0``: no
-    float lies between 0 and it."""
-    return np.maximum(slack, _TINY) <= closing
+    float lies between 0 and it.  ``scratch`` (floats) and ``out`` (bools)
+    receive the raised slack and the result when given."""
+    return np.less_equal(np.maximum(slack, _TINY, out=scratch), closing, out=out)
 
 
 def _robust_norm(vec: np.ndarray) -> float:
@@ -331,11 +363,22 @@ def project_update(
     A pass that hits nothing adds the rest of its direction and ends the
     walk, so a step that hits nothing gives theta plus the step.  The walk
     also ends once the direction's norm falls to 1e-13 of the step's.
-    Every result goes through ``_Rows.remove_roundoff``, so it is exactly
-    feasible (tolerance 0), a zero step's included.
+
+    Every result is exactly feasible (tolerance 0), a zero step's included.
+    A walk that hit a row, or that started from a theta infeasible within
+    the tolerance, ends with ``_Rows.remove_roundoff``.  A step that hits
+    nothing from an exactly feasible theta needs only its bound clamps:
+    every row then has slack >= 0 and either a closing rate <= 0 or a slack
+    above it, and since rounding is monotone those inequalities between the
+    computed differences hold between the exact ones, so ``th[hi] +
+    st[hi] >= th[lo] + st[lo]`` holds before rounding the sums and after.
+
+    ``step`` is only read.  The result is a new array; the rows' scratch
+    arrays come from a workspace that lives as long as the set, which one
+    call at a time holds.
     """
     th = np.array(theta, dtype=float)
-    st = np.array(step, dtype=float)
+    st = np.asarray(step, dtype=float)
     if th.shape != st.shape or th.ndim != 1:
         raise ValueError("theta and step must be 1-d arrays of equal length")
     if th.shape[0] != constraints.num_parameters:
@@ -347,92 +390,42 @@ def project_update(
     if not np.isfinite(st).all():
         raise ValueError("step has a non-finite entry")
     rows = constraints._rows
-    at_hi, at_lo = rows.gather(th, st)
-    slack = at_hi[0] - at_lo[0]
-    if slack.size and slack.min() < -_FEASIBLE_INPUT_TOL:
-        raise ValueError("theta violates the constraints it is supposed to satisfy")
-
-    active: list[int] = []
-    # the negated rate: lo - hi is -(hi - lo) up to the sign of a zero,
-    # which no test reads
-    closing = at_lo[1] - at_hi[1]
-    ground = th.size
-    component = None  # node -> component label, the ground node last
-    direction = st  # the first pass walks the step itself
-    for _ in range(rows.count + 2):
-        hits = np.flatnonzero(_hits_within_step(slack, closing))
-        if len(hits) == 0:
-            th += direction
-            break
-        # max(s, 0.0) keeps s when s is not below 0, as Python's max does;
-        # every hit has t <= 1, so the division cannot overflow
-        s = slack[hits]
-        t = np.where(s < 0.0, 0.0, s) / closing[hits]
-        t_min = float(t[np.argmin(t)])  # the first smallest, as a strict-< scan finds
-        th += t_min * direction
-        if component is None:
-            component = np.arange(ground + 1)
-            step_scale = _robust_norm(st)
-        for r in hits[t <= t_min + _HIT_TOL].tolist():
-            a, b = rows.ends(r, ground)
-            component[component == component[b]] = component[a]
-            active.append(r)
-        sums = np.bincount(component, np.append((1.0 - t_min) * direction, 0.0))
-        sums[component[ground]] = 0.0
-        members = component[:-1]
-        direction = sums[members] / np.bincount(component)[members]
-        if _robust_norm(direction) <= 1e-13 * step_scale:
-            break
-        at_hi, at_lo = rows.gather(th, direction)
-        slack = at_hi[0] - at_lo[0]
-        closing = at_lo[1] - at_hi[1]
-    rows.remove_roundoff(th)
+    work = rows.workspace()
+    try:
+        hits = rows.scan(th, st, work)
+        worst = float(work.slack.min()) if rows.count else 0.0
+        if worst < -_FEASIBLE_INPUT_TOL:
+            raise ValueError("theta violates the constraints it is supposed to satisfy")
+        active: list[int] = []
+        ground = th.size
+        component = None  # node -> component label, the ground node last
+        direction = st  # the first pass walks the step itself
+        for _ in range(rows.count + 2):
+            if len(hits) == 0:
+                th += direction
+                break
+            # max(s, 0.0) keeps s when s is not below 0, as Python's max
+            # does; every hit has t <= 1, so the division cannot overflow
+            s = work.slack[hits]
+            t = np.where(s < 0.0, 0.0, s) / work.closing[hits]
+            t_min = float(t[np.argmin(t)])  # the first smallest, as a strict-< scan finds
+            th += t_min * direction
+            if component is None:
+                component = np.arange(ground + 1)
+                step_scale = _robust_norm(st)
+            for r in hits[t <= t_min + _HIT_TOL].tolist():
+                a, b = rows.ends(r, ground)
+                component[component == component[b]] = component[a]
+                active.append(r)
+            sums = np.bincount(component, np.append((1.0 - t_min) * direction, 0.0))
+            sums[component[ground]] = 0.0
+            members = component[:-1]
+            direction = sums[members] / np.bincount(component)[members]
+            if _robust_norm(direction) <= 1e-13 * step_scale:
+                break
+            hits = rows.scan(th, direction, work)
+    finally:
+        rows.spare.append(work)
+    # a walk hit a row exactly when ``active`` is not empty
+    rows.remove_roundoff(th, scan_rows=bool(active) or worst < 0.0)
     return (th, active) if return_active else th
-
-
-def project_exact(
-    theta,
-    constraints: ConstraintSet,
-    tolerance: float = 1e-10,
-    max_sweeps: int = 10**6,
-) -> np.ndarray:
-    """Euclidean projection onto the feasible set, by alternating projections.
-
-    Cycles over the half-spaces with Dykstra correction terms until a full
-    sweep changes no parameter by more than ``tolerance``.  Intended for
-    small problems (test oracles); refuses large ones.
-    """
-    th = np.array(theta, dtype=float)
-    if th.ndim != 1 or th.shape[0] != constraints.num_parameters:
-        raise ValueError(
-            f"expected {constraints.num_parameters} parameters, got {th.shape}"
-        )
-    if th.shape[0] > 64:
-        raise ValueError("exact projection is for small parameter vectors (<= 64)")
-    rows = _constraint_rows(constraints)
-    if not rows:
-        return th
-    # each correction is a scalar c with p_r = c * a_r (projections onto a
-    # half-space only ever move along its normal), c <= 0
-    corrections = [0.0] * len(rows)
-    norms_sq = [sum(c * c for c in row[1]) for row in rows]
-    for _ in range(max_sweeps):
-        biggest = 0.0
-        for r, (ids, coeffs, offset) in enumerate(rows):
-            c_old = corrections[r]
-            # y = x + c_old * a; slack of y is a.y - b
-            slack_y = -offset + c_old * norms_sq[r]
-            for j, c in zip(ids, coeffs):
-                slack_y += c * th[j]
-            c_new = min(slack_y, 0.0) / norms_sq[r]
-            # x' = y - c_new * a
-            shift = c_old - c_new
-            if shift != 0.0:
-                for j, c in zip(ids, coeffs):
-                    nv = th[j] + shift * c
-                    biggest = max(biggest, abs(nv - th[j]))
-                    th[j] = nv
-            corrections[r] = c_new
-        if biggest <= tolerance:
-            return th
-    raise RuntimeError(f"projection failed to converge in {max_sweeps} sweeps")

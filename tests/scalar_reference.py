@@ -31,6 +31,12 @@ from ``np.searchsorted`` over the interior knots.  Each feature's row of
 the set's location, less the feature's table offset, must equal it byte for
 byte and dtype for dtype.
 
+``project_exact`` is the Euclidean projection onto a constraint set, by
+Dykstra's alternating projections over the rows of ``_constraint_rows``
+(pairwise rows, then finite lower bounds, then finite upper bounds, the
+numbering of ``project_update``'s active rows); tests check the walk and
+pool-adjacent-violators against it.
+
 ``reference_component_walk`` scans one constraint row at a time and keeps
 the active rows' connected components in a dict; ``project_update`` must
 equal it bit for bit.  The two Gram-Schmidt walks ``project_update`` used
@@ -73,7 +79,6 @@ from monolattice.interpolation import evaluate_with_gradients
 from monolattice.monotonicity import (
     _FEASIBLE_INPUT_TOL,
     _HIT_TOL,
-    _constraint_rows,
     _robust_norm,
     max_infeasibility,
 )
@@ -259,6 +264,71 @@ def reference_locate(cal, column):
         cal.calibrate(np.nan)  # raises without a missing policy
         lo[missing] = last + 1
     return lo, lo + inner, t, inner
+
+
+def _constraint_rows(constraints):
+    """Uniform (normal, offset) view: rows as sparse entries, bounds as +-e_j."""
+    rows = []
+    for r in range(constraints.num_rows):
+        lo = int(constraints.lo[r])
+        hi = int(constraints.hi[r])
+        rows.append(((hi, lo), (1.0, -1.0), 0.0))
+    if constraints.lower is not None:
+        for j in np.nonzero(np.isfinite(constraints.lower))[0]:
+            rows.append(((int(j),), (1.0,), float(constraints.lower[j])))
+    if constraints.upper is not None:
+        for j in np.nonzero(np.isfinite(constraints.upper))[0]:
+            rows.append(((int(j),), (-1.0,), -float(constraints.upper[j])))
+    return rows
+
+
+
+def project_exact(
+    theta,
+    constraints,
+    tolerance: float = 1e-10,
+    max_sweeps: int = 10**6,
+) -> np.ndarray:
+    """Euclidean projection onto the feasible set, by alternating projections.
+
+    Cycles over the half-spaces with Dykstra correction terms until a full
+    sweep changes no parameter by more than ``tolerance``.  Intended for
+    small problems (test oracles); refuses large ones.
+    """
+    th = np.array(theta, dtype=float)
+    if th.ndim != 1 or th.shape[0] != constraints.num_parameters:
+        raise ValueError(
+            f"expected {constraints.num_parameters} parameters, got {th.shape}"
+        )
+    if th.shape[0] > 64:
+        raise ValueError("exact projection is for small parameter vectors (<= 64)")
+    rows = _constraint_rows(constraints)
+    if not rows:
+        return th
+    # each correction is a scalar c with p_r = c * a_r (projections onto a
+    # half-space only ever move along its normal), c <= 0
+    corrections = [0.0] * len(rows)
+    norms_sq = [sum(c * c for c in row[1]) for row in rows]
+    for _ in range(max_sweeps):
+        biggest = 0.0
+        for r, (ids, coeffs, offset) in enumerate(rows):
+            c_old = corrections[r]
+            # y = x + c_old * a; slack of y is a.y - b
+            slack_y = -offset + c_old * norms_sq[r]
+            for j, c in zip(ids, coeffs):
+                slack_y += c * th[j]
+            c_new = min(slack_y, 0.0) / norms_sq[r]
+            # x' = y - c_new * a
+            shift = c_old - c_new
+            if shift != 0.0:
+                for j, c in zip(ids, coeffs):
+                    nv = th[j] + shift * c
+                    biggest = max(biggest, abs(nv - th[j]))
+                    th[j] = nv
+            corrections[r] = c_new
+        if biggest <= tolerance:
+            return th
+    raise RuntimeError(f"projection failed to converge in {max_sweeps} sweeps")
 
 
 def reference_project_update(theta, step, constraints, *, return_active=False):

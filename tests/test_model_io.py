@@ -279,6 +279,14 @@ class TestValidation:
         with pytest.raises(DataError, match=repr(key)):
             Model.from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("features", [[], {}])
+    def test_file_without_features_is_a_data_error(self, trained, features):
+        # a set of no calibrators has no knot block to build
+        doc = self.doc(trained)
+        doc["features"] = features
+        with pytest.raises(DataError, match="model file lists no features"):
+            Model.from_json(json.dumps(doc))
+
     @settings(max_examples=400, deadline=None)
     @given(data=st.data())
     def test_mutated_file_loads_or_is_a_data_error(self, trained, data):

@@ -1,4 +1,9 @@
+import copy
 import math
+import pickle
+import sys
+import threading
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -18,9 +23,10 @@ from monolattice import (
     vertex_coords,
 )
 from monolattice import monotonicity
-from monolattice.monotonicity import _hits_within_step, project_exact
+from monolattice.monotonicity import _hits_within_step
 
 from scalar_reference import (
+    project_exact,
     reference_array_walk,
     reference_component_walk,
     reference_project_update,
@@ -375,7 +381,7 @@ def walk_problems(draw):
     """A chain or a grid set, with or without box bounds, a feasible start
     on the boundary (the oracle's walk from zero, or signed zeros), and
     steps of several sizes: zero, small, and large enough to hit many rows
-    at once."""
+    at once, some of them along a direction that crosses nothing."""
     if draw(st.booleans()):
         cs = chain(draw(st.integers(2, 12)))
     else:
@@ -384,12 +390,20 @@ def walk_problems(draw):
         cs = build_constraints(LatticeShape(sizes), dirs)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     p = cs.num_parameters
+    # the feasible directions: the rows hold on them and they are 0 on
+    # every entry with a finite bound, so from a feasible theta they cross
+    # nothing
+    cone = cs
     if draw(st.booleans()):
         # bounds at 0.0 meet entries at -0.0, which clipping turns into +0.0
         cs = replace(
             cs,
             lower=np.where(rng.random(p) < 0.5, rng.choice([-1.0, 0.0], p), -np.inf),
             upper=np.where(rng.random(p) < 0.5, rng.choice([0.0, 1.0], p), np.inf),
+        )
+        bounded = np.isfinite(cs.lower) | np.isfinite(cs.upper)
+        cone = replace(
+            cs, lower=np.where(bounded, 0.0, -np.inf), upper=np.where(bounded, 0.0, np.inf)
         )
     if draw(st.booleans()):
         start = reference_array_walk(np.zeros(p), rng.standard_normal(p), cs)
@@ -399,6 +413,8 @@ def walk_problems(draw):
     steps = []
     for scale in scales:
         step = rng.standard_normal(p) * scale
+        if draw(st.booleans()):
+            step = reference_array_walk(np.zeros(p), step, cone)  # crosses nothing
         if draw(st.booleans()):
             step = np.round(step)  # whole steps: ties between hit times
         steps.append(step)
@@ -435,6 +451,161 @@ class TestWalkMatchesOracle:
                 seen.add(min(len(active), 2))
                 theta = got
         assert seen == {0, 1, 2}
+
+
+class TestNoHitExit:
+    """A step that crosses nothing from an exactly feasible theta skips the
+    repair's row scans and keeps only its bound clamps; the result still
+    equals the component walk's, byte for byte."""
+
+    def walk(self, theta, step, cs):
+        got, active = project_update(np.array(theta), np.array(step), cs, return_active=True)
+        ref, ref_active = reference_component_walk(theta, step, cs, return_active=True)
+        assert active == ref_active == []
+        assert got.tobytes() == ref.tobytes()
+        return got
+
+    def test_signed_zero_on_a_zero_upper_bound(self):
+        # -0.0 + -0.0 stays -0.0 at the bound; np.minimum(-0.0, 0.0) is +0.0
+        upper = np.array([np.inf, 0.0])
+        for cs in (ConstraintSet(2, upper=upper), replace(chain(2), upper=upper)):
+            got = self.walk([0.0, -0.0], [-0.0, -0.0], cs)
+            assert not np.signbit(got).any()
+
+    def test_signed_zero_on_a_zero_lower_bound(self):
+        cs = replace(chain(2), lower=np.array([0.0, -np.inf]))
+        got = self.walk([-0.0, 0.5], [-0.0, 0.25], cs)
+        assert got.tolist() == [0.0, 0.75] and not np.signbit(got).any()
+
+    def test_input_within_tolerance_is_still_repaired(self):
+        # row 0 is 1e-10 short: the rows are scanned, whether or not the
+        # step moves theta
+        cs = chain(3)
+        for step in ([0.0, 0.0, 0.0], [1e-3, 1e-3, 0.5]):
+            got = self.walk([1e-10, 0.0, 1.0], step, cs)
+            assert max_infeasibility(got, cs) == 0.0
+
+    def test_zero_step(self):
+        cs = replace(
+            chain(3), lower=np.array([0.0, -np.inf, -np.inf]), upper=np.array([np.inf, np.inf, 1.0])
+        )
+        for step in ([0.0, 0.0, 0.0], [-0.0, -0.0, -0.0]):
+            got = self.walk([-0.0, 0.5, 1.0], step, cs)
+            assert got.tolist() == [0.0, 0.5, 1.0] and not np.signbit(got).any()
+
+    def test_sum_that_overflows(self):
+        # theta + step rounds to -inf at one end of a row and to +inf at
+        # both ends of another, where inf >= inf still holds
+        with np.errstate(over="ignore"):
+            got = self.walk([-1e308, 0.0, 1e308], [-1e308, 0.0, 0.0], chain(3))
+            assert got.tolist() == [-np.inf, 0.0, 1e308]
+            got = self.walk([1e308, 1.5e308], [1e308, 1e308], chain(2))
+            assert got.tolist() == [np.inf, np.inf]
+
+    def test_oracle_problems_include_steps_that_cross_nothing(self):
+        # walk_problems reaches the exit with nonzero steps, on sets with
+        # and without bounds, so TestWalkMatchesOracle covers it
+        crossed_nothing = {"bounds": 0, "no bounds": 0}
+
+        @settings(max_examples=100, deadline=None, derandomize=True)
+        @given(walk_problems())
+        def count(problem):
+            cs, theta, steps = problem
+            for step in steps:
+                theta, active = project_update(theta, step, cs, return_active=True)
+                if step.any() and not active:
+                    crossed_nothing["bounds" if cs.lower is not None else "no bounds"] += 1
+
+        count()
+        assert min(crossed_nothing.values()) > 10, crossed_nothing
+
+
+class TestWorkspace:
+    """The walk's scratch arrays live as long as the constraint set, and no
+    two calls share them or their results."""
+
+    def problem(self):
+        cs = build_constraints(LatticeShape([3, 3, 2, 2, 2]), (INC, DEC, INC, INC, FREE))
+        p = cs.num_parameters
+        cs = replace(cs, lower=np.full(p, -1.0), upper=np.full(p, 1.0))
+        rng = np.random.default_rng(5)
+        theta = reference_array_walk(np.zeros(p), rng.standard_normal(p), cs)
+        # small steps cross nothing, larger ones hit rows and bounds
+        steps = [rng.standard_normal(p) * scale for scale in (1e-3, 0.1, 1.0) * 10]
+        return cs, theta, steps
+
+    def serial(self, cs, theta, steps):
+        out = []
+        for step in steps:
+            theta = project_update(theta, step, cs)
+            out.append(theta.tobytes())
+        return out
+
+    def test_results_are_fresh_arrays_and_steps_are_only_read(self):
+        cs, theta, steps = self.problem()
+        for array in (theta, *steps):
+            array.flags.writeable = False
+        first = project_update(theta, steps[0], cs)
+        kept = first.copy()
+        second = project_update(theta, steps[1], cs)
+        assert first.tobytes() == kept.tobytes()
+        assert not np.shares_memory(first, second) and not np.shares_memory(first, theta)
+        first[:] = 5.0
+        assert project_update(theta, steps[1], cs).tobytes() == second.tobytes()
+
+    def test_threads_sharing_a_set_match_serial_calls(self):
+        cs, theta, steps = self.problem()
+        expected = self.serial(cs, theta, steps)
+        results = {}
+        barrier = threading.Barrier(3)
+
+        def run(k):
+            barrier.wait()
+            results[k] = self.serial(cs, theta, steps)
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == {k: expected for k in range(3)}
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda cs: pickle.loads(pickle.dumps(cs))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_after_a_walk(self, clone):
+        cs, theta, steps = self.problem()
+        expected = self.serial(cs, theta, steps)
+        twin = clone(cs)
+        assert twin._rows is not cs._rows
+        for name in ("lo", "hi", "lower", "upper"):
+            assert np.array_equal(getattr(twin, name), getattr(cs, name))
+            assert not getattr(twin, name).flags.writeable
+        assert self.serial(twin, theta, steps) == expected
+        assert self.serial(cs, theta, steps) == expected
+
+    def test_step_that_crosses_nothing_allocates_no_row_sized_arrays(self):
+        # a 2^10 lattice has 5,120 rows; a float per row is 40 KiB
+        cs = build_constraints(LatticeShape([2] * 10), (INC,) * 10)
+        theta = np.array([bin(v).count("1") for v in range(1024)], dtype=float)  # slack 1
+        step = np.random.default_rng(0).standard_normal(1024) * 1e-3
+        project_update(theta, step, cs)  # builds the rows and a workspace
+        tracemalloc.start()
+        try:
+            out, active = project_update(theta, step, cs, return_active=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert active == [] and out.tobytes() == (theta + step).tobytes()
+        assert peak <= 64 * 1024
 
 
 # slacks and rates: any finite float, subnormals, values near the overflow

@@ -35,5 +35,5 @@ def test_tracer_records_training_and_prediction_spans():
     summary = tracer.summary()
     # predict_row crosses calibrate_row; its row plan runs no patched kernel
     for name in ("training.sgd_step", "monotonicity.project_update.theta",
-                 "calibrators.calibrate_row"):
+                 "monotonicity.project_update.alpha", "calibrators.calibrate_row"):
         assert summary[name]["calls"] > 0, name
