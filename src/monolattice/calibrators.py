@@ -16,17 +16,24 @@ missing vertex and rescaling real values to [0, M_d - 2] (``vertex``).
 
 Calibrators are frozen values.  ``knots``, ``outputs`` and ``values`` are
 stored as read-only float64 copies and ``categories`` as a tuple, so what is
-derived from them (the knot list, the category lookup, the row entry) is
-built once, on first use, and cannot go stale.  Other parameters make a new
+derived from them (the knot list, the category lookup, a set's bound row
+calibration) is built once, on first use, and cannot go stale.  Other parameters make a new
 calibrator (``dataclasses.replace``), or a new set (``CalibratorSet.with_table``,
 which training uses once, for the trained model); a copied or unpickled
 calibrator is rebuilt through its constructor.
 
 Single-row calibration (``CalibratorSet.calibrate_row``, behind
-``Model.predict_row``) reads each calibrator's *row entry*: the plain Python
-values ``calibrate`` needs (knots and outputs, or the category lookup and
-values, as lists; the axis top or the OTHER index; the missing coordinate).
-Each calibrator's ``calibrate`` is the scalar oracle of that path.
+``Model.predict_row``) is one function per set, generated from the set's
+*layout* (per feature: continuous or categorical, the missing policy,
+whether a missing coordinate exists, whether an OTHER bucket exists) and
+compiled once per layout (``_row_calibration``), so sets of equal layout
+share its code.  A set binds its own values into it when it first
+calibrates a row: knots and outputs, or the category lookup and values, as
+lists, the axis top or OTHER index, the missing coordinate.  The source is
+built from fixed templates and the features' positions alone; no float,
+category or name reaches it.  Each calibrator's ``calibrate`` is the
+scalar oracle of that path, and the function hands it every value it
+cannot place, for its error.
 
 Batch calibration has two parts.  *Locate* depends only on the values
 and the fixed knots or categories: per value it finds two indices into a
@@ -61,6 +68,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -68,7 +76,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .interpolation import ChunkBuffers
+from .interpolation import ChunkBuffers, _generated
 from .monotonicity import ConstraintSet, Direction, read_only
 
 
@@ -161,15 +169,6 @@ def _missing_gradient(cal) -> list[tuple[int, float]]:
     return []
 
 
-def _row_missing(cal) -> float | None:
-    """The missing coordinate of ``cal``'s row entry; None where ``calibrate``
-    raises for a missing value, which ``calibrate_row`` then leaves to it."""
-    try:
-        return _missing_coordinate(cal)
-    except (TypeError, ValueError):
-        return None
-
-
 class Frozen:
     """Base of the frozen dataclasses whose derived structures are built once
     (``Model``, the calibrators and ``CalibratorSet``).  They are declared
@@ -245,14 +244,6 @@ class ContinuousCalibrator(Frozen):
     @cached_property
     def _knot_list(self) -> list[float]:
         return self.knots.tolist()
-
-    @cached_property
-    def _row(self) -> tuple:
-        """This calibrator's row entry: knots and outputs as lists, the axis
-        top, the missing coordinate (or None) and the two end knots."""
-        knots = self._knot_list
-        return (knots, self.outputs.tolist(), self.axis_top, _row_missing(self),
-                knots[0], knots[-1])
 
     def _number(self, raw) -> float:
         """``raw`` as a float, NaN where it is missing; a DataError naming
@@ -331,14 +322,6 @@ class CategoricalCalibrator(Frozen):
     @cached_property
     def _lookup(self) -> dict[str, int]:
         return {c: i for i, c in enumerate(self.categories)}
-
-    @cached_property
-    def _row(self) -> tuple:
-        """This calibrator's row entry, laid out as the continuous one's:
-        the lookup, the values as a list, the OTHER index, the missing
-        coordinate (or None), and None twice where the end knots would be."""
-        return (self._lookup, self.values.tolist(), self.other_index, _row_missing(self),
-                None, None)
 
     def _index(self, raw) -> int:
         i = self._lookup.get(str(raw))
@@ -672,6 +655,113 @@ def _category_codes(cal, column, offset: int):
     return write
 
 
+def _row_binding(cal) -> tuple[tuple, tuple]:
+    """A calibrator's layout (continuous or not, its missing policy, whether
+    it has a missing coordinate, whether it has an OTHER bucket) and its
+    row entry: what its row calibration reads, as plain Python values, in
+    the order of :data:`_ENTRY_NAMES`.  That is, for a continuous
+    calibrator its knots, inner knots, segment widths, outputs, end knots,
+    end outputs and axis top, for a categorical one its lookup, values and
+    OTHER index; then the missing coordinate (None where ``calibrate``
+    raises for a missing value) and ``calibrate`` itself."""
+    try:
+        missing = _missing_coordinate(cal)
+    except (TypeError, ValueError):
+        missing = None
+    continuous = isinstance(cal, ContinuousCalibrator)
+    if continuous:
+        knots, outputs = cal._knot_list, cal.outputs.tolist()
+        widths = [b - a for a, b in zip(knots, knots[1:])]
+        entry = (knots, knots[1:-1], widths, outputs, knots[0], knots[-1], outputs[0],
+                 outputs[-1], cal.axis_top, missing, cal.calibrate)
+        other = None
+    else:
+        other = cal.other_index
+        entry = (cal._lookup, cal.values.tolist(), other, missing, cal.calibrate)
+    return (continuous, cal.missing, missing is not None, other is not None), entry
+
+
+# the names a feature's row entry is bound to, {d} its position; continuous
+# and categorical
+_ENTRY_NAMES = (
+    ("K{d}", "B{d}", "W{d}", "P{d}", "f{d}", "l{d}", "p{d}", "q{d}", "T{d}", "m{d}", "c{d}"),
+    ("L{d}", "V{d}", "o{d}", "m{d}", "c{d}"),
+)
+
+
+@functools.lru_cache(maxsize=64)
+def _row_calibration(layout: tuple):
+    """The single-row calibration of a set of ``layout``: a function
+    ``bind(width, *values)`` that binds a set's ``_check_width`` and its
+    calibrators' row entries (:func:`_row_binding`, laid end to end) into
+    ``calibrate_row(row)``.  Compiled once per layout; sets of equal layout
+    share its code.
+
+    ``calibrate_row`` does ``calibrate``'s float operations in its order,
+    in straight-line code, one block per feature: the width check and the
+    unpack, then per continuous value ``float()`` (None, which it rejects,
+    is missing).  An inner value (strictly between the end knots) takes
+    its segment j by ``bisect_right`` over the inner knots, ``t = (x -
+    K[j]) / W[j]`` with the segment's width ``K[j + 1] - K[j]`` taken when
+    the set is bound, ``(1.0 - t) * P[j] + t * P[j + 1]`` and the cap at
+    the axis top; other values take the end outputs, and NaN (also as
+    text), which no comparison holds for, is missing.  Per categorical
+    value: the missing test, then the lookup of its text, unknown text
+    going to the OTHER bucket.  A value a block cannot place
+    goes to the calibrator's ``calibrate``, which raises its error.
+
+    The source is built from fixed templates, the feature positions and
+    the layout's flags; everything read from a model file is bound."""
+    D = len(layout)
+    vs = [f"v{d}" for d in range(D)]
+    names = [name.format(d=d) for d, (continuous, *_) in enumerate(layout)
+             for name in _ENTRY_NAMES[not continuous]]
+    src = [
+        f"def bind(width, {', '.join(names)}):",
+        "    def calibrate_row(row):",
+        f"        if len(row) != {D}:",
+        "            width(len(row), 'values')",
+        f"        {', '.join(vs)}, = row",
+    ]
+    for d, (continuous, _, has_missing, has_other) in enumerate(layout):
+        v, x = f"v{d}", f"x{d}"
+        missing = f"m{d}" if has_missing else f"c{d}({v})"
+        if continuous:
+            src += [
+                "        try:",
+                f"            {x} = float({v})",
+                "        except (TypeError, ValueError):",
+                f"            {x} = {missing} if {v} is None else c{d}({v})",
+                "        else:",
+                f"            if f{d} < {x} < l{d}:",
+                f"                j = bisect_right(B{d}, {x})",
+                f"                t = ({x} - K{d}[j]) / W{d}[j]",
+                f"                {x} = (1.0 - t) * P{d}[j] + t * P{d}[j + 1]",
+                f"                {x} = {x} if {x} <= T{d} else T{d}",
+                f"            elif {x} <= f{d}:",
+                f"                {x} = p{d}",
+                f"            elif {x} >= l{d}:",
+                f"                {x} = q{d}",
+                "            else:",
+                f"                {x} = {missing}",
+            ]
+        else:
+            src += [
+                f"        if {v} is None or isinstance({v}, float) and {v} != {v}:",
+                f"            {x} = {missing}",
+                "        else:",
+            ]
+            if has_other:
+                src.append(f"            {x} = V{d}[L{d}.get(str({v}), o{d})]")
+            else:
+                src += [
+                    f"            j = L{d}.get(str({v}))",
+                    f"            {x} = c{d}({v}) if j is None else V{d}[j]",
+                ]
+    src += [f"        return [{', '.join(f'x{d}' for d in range(D))}]", "    return calibrate_row"]
+    return _generated(src, "<row calibration>", {"bisect_right": bisect_right})
+
+
 @dataclass(frozen=True, eq=False)
 class CalibratorSet(Frozen):
     """All feature calibrators plus their shared free-parameter vector.
@@ -759,47 +849,21 @@ class CalibratorSet(Frozen):
                 f"got {count} {unit} for a model with {len(self.calibrators)} features"
             )
 
+    @cached_property
+    def _calibrate_row(self):
+        """This set's single-row calibration: its layout's function
+        (:func:`_row_calibration`) with the set's values bound in."""
+        bindings = [_row_binding(cal) for cal in self.calibrators]
+        layout = tuple(layout for layout, _ in bindings)
+        return _row_calibration(layout)(self._check_width, *[v for _, e in bindings for v in e])
+
     def calibrate_row(self, row) -> list[float]:
         """The coordinates of one row, equal to each calibrator's
-        ``calibrate`` bit for bit, from the calibrators' row entries.  A
-        value the entry cannot place (missing without a coordinate, not a
-        number, an unknown category) is handed to ``calibrate``, which
+        ``calibrate`` bit for bit, by one function generated for this set's
+        layout.  A value it cannot place (missing without a coordinate, not
+        a number, an unknown category) is handed to ``calibrate``, which
         raises its error, so the first bad value of the row is reported."""
-        cals = self.calibrators
-        if len(row) != len(cals):
-            self._check_width(len(row), "values")
-        out = []
-        for cal, raw in zip(cals, row):
-            # continuous: knot list, outputs, axis top, missing, end knots;
-            # categorical: lookup, values, OTHER index, missing, None, None
-            keys, points, top, missing, first, last = cal._row
-            if first is None:
-                if raw is None or isinstance(raw, float) and raw != raw:
-                    x = missing
-                else:
-                    i = keys.get(str(raw), top)
-                    x = None if i is None else points[i]
-            elif raw is None:
-                x = missing
-            else:
-                try:
-                    x = float(raw)
-                except (TypeError, ValueError):
-                    x = None
-                else:
-                    if x != x:  # NaN, also as text
-                        x = missing
-                    elif x <= first:
-                        x = points[0]
-                    elif x >= last:
-                        x = points[-1]
-                    else:
-                        j = bisect_right(keys, x) - 1
-                        t = (x - keys[j]) / (keys[j + 1] - keys[j])
-                        x = (1.0 - t) * points[j] + t * points[j + 1]
-                        x = x if x <= top else top
-            out.append(cal.calibrate(raw) if x is None else x)
-        return out
+        return self._calibrate_row(row)
 
     def row_gradients(self, row) -> list[list[tuple[int, float]]]:
         """Per feature: (global alpha position, partial) pairs for this row."""

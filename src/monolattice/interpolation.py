@@ -76,27 +76,27 @@ lattice's points a base of 0 and themselves as residuals.
 The batched kernel and the row plan below build multilinear weights with
 one doubling helper, ``_doubling_weights``, which fills an array the
 caller passes: a (2^D, n) chunk from the rows of the (D, n) residuals, or
-a row's (2^D,) array from its D residuals as floats.
+a row's (2^D,) array from its D residuals as floats, over (near, far)
+views the row kernel makes once per workspace.
 
 Single-row prediction goes through a :class:`RowPlan`, built once per
 theta and shape.  It does the scalar kernels' float operations in their
 order, so it gives their bits and their error messages, without their
-generic steps: it keeps no ``CellLocation`` or ``SparseWeights``.  A
-multilinear cell below ``ROW_NUMPY_MIN_VERTICES`` vertices runs one
-function compiled once per shape (``_row_kernel``), which locates the
-cell, weights its vertices and sums them in straight-line code; its
-source is built from the shape's sizes, strides and offsets as int
-literals and nothing else.  Other rows locate the cell and its flat base
-index in one loop; on a lattice of one cell the base is 0 and the
-residual is the point itself, so locating is the range check alone.
-Simplex cells then walk the chain on Python lists.  From
-``ROW_NUMPY_MIN_VERTICES`` cell vertices on, the multilinear weights come
-from ``_doubling_weights`` into an array made afresh for every call, so
-threads may share a plan, and are multiplied in place by the vertex
-values: a gather at the cell's offsets, or, on a lattice of one cell, a
-view of theta's first 2^D entries made with the plan.  The scalar kernels
-stay as the plan's oracle and as what ``bench_interpolation`` times;
-CHANGES.md records the row plan's speed.
+generic steps: it keeps no ``CellLocation`` or ``SparseWeights``.  Each
+kind's row is one function compiled once per shape and kind
+(``_row_kernel``) and bound to theta on the plan's first row of that
+kind; its source is built from the shape's sizes, strides and offsets as
+int literals and nothing else.  It converts and checks the coordinates
+and finds the cell's base and residuals in straight-line code (on a
+lattice of one cell the base is 0 and the residual is the point itself),
+then walks the simplex chain on theta's list, or runs the multilinear
+doubling pass on named locals, or, from ``ROW_NUMPY_MIN_VERTICES`` cell
+vertices on, runs ``_doubling_weights`` over the (near, far) views of a
+workspace the kernel keeps, multiplied in place by the vertex values: a
+gather at the cell's offsets, or, on a lattice of one cell, a view of
+theta's first 2^D entries.  The scalar kernels stay as the plan's oracle
+and as what ``bench_interpolation`` times; CHANGES.md records the row
+plan's speed.
 """
 
 from __future__ import annotations
@@ -299,94 +299,54 @@ class RowPlan:
     """:func:`evaluate` at one point at a time for a fixed theta and shape,
     bit for bit, with :func:`evaluate`'s error messages.
 
-    Holds theta (a float64 array the caller does not change) and its list
-    form, the shape's tops, strides and doubled offsets, on a lattice of
-    one cell the view of theta's first 2^D entries, and, for multilinear
-    cells below ``ROW_NUMPY_MIN_VERTICES`` vertices, the shape's row kernel
-    (:func:`_row_kernel`, compiled once per shape).  All of it is made in
-    the constructor, and a call writes nothing the plan holds, so threads
-    may share a plan.
-
-    A multilinear row on a small cell is one call of the row kernel, which
-    locates, weights and sums in straight-line code.  Every other row is
-    located in one loop, with :func:`locate_cell`'s checks in its order (on
-    a lattice of one cell the range check alone).  Simplex cells then walk
-    :func:`simplex_weights`' sorted chain, and multilinear cells from
-    ``ROW_NUMPY_MIN_VERTICES`` vertices on run :func:`_doubling_weights`
-    into a fresh array that takes the products in place.  Each sum runs
-    left to right from 0.0, as :func:`evaluate`'s loop adds.
+    Holds theta (a float64 array the caller does not change), the shape,
+    and one row kernel per kind, bound on the kind's first call: the
+    shape's kernel of that kind (:func:`_row_kernel`, compiled once per
+    shape and kind) with theta bound in.  A kernel holds only what it
+    reads: theta's list form (simplex, and multilinear cells below
+    ``ROW_NUMPY_MIN_VERTICES`` vertices), or theta, the view of its first
+    2^D entries on a lattice of one cell, and a ``spare`` list of
+    workspaces (larger multilinear cells).  A call writes nothing else the
+    plan holds and takes a workspace no other call holds, so threads may
+    share a plan.
     """
 
     def __init__(self, theta, shape: LatticeShape) -> None:
         self._theta = np.asarray(theta, dtype=float)
-        self._values = self._theta.tolist()
-        self._tops = [m - 1 for m in shape.sizes]
-        self._strides = list(shape.strides)
-        self._offsets = _doubled_offsets(shape)
-        small = len(self._offsets) < ROW_NUMPY_MIN_VERTICES
-        self._row = _row_kernel(shape) if small else None
-        self._one_cell = set(shape.sizes) == {2}
-        # the one cell's vertex values; a theta too short for them keeps the
-        # gather, which raises IndexError
-        k = len(self._offsets)
-        self._cell = self._theta[:k] if self._one_cell and len(self._theta) >= k else None
+        self._shape = shape
+        self._multilinear = self._simplex = None
 
     def evaluate(self, x, kind: InterpolationKind = InterpolationKind.MULTILINEAR) -> float:
         """Interpolated value at ``x`` (in lattice coordinates)."""
-        if kind is not InterpolationKind.MULTILINEAR and kind is not InterpolationKind.SIMPLEX:
+        if kind is InterpolationKind.MULTILINEAR:
+            row = self._multilinear or self._bind(kind)
+        elif kind is InterpolationKind.SIMPLEX:
+            row = self._simplex or self._bind(kind)
+        else:
             try:
                 kind = InterpolationKind(kind)
             except ValueError:
-                self._locate(x)  # evaluate reports a bad row before a bad kind
+                locate_cell(self._shape, x)  # evaluate reports a bad row before a bad kind
                 raise
-        if kind is InterpolationKind.MULTILINEAR and self._row is not None:
-            return self._row(self._values, x)
-        base, res = self._locate(x)
-        if kind is InterpolationKind.SIMPLEX:
-            return self._simplex(base, res)
-        return self._multilinear_array(base, res)
+            return self.evaluate(x, kind)
+        return row(x)
 
-    def _locate(self, x) -> tuple[int, list[float]]:
-        # locate_cell and then vertex_index of its base, in one loop
-        res = _coordinates(x, len(self._tops))
-        if self._one_cell:
-            # base 0 in every dimension, and v - 0 is v (-0.0 included)
-            for d, v in enumerate(res):
-                if not 0.0 <= v <= 1.0:
-                    raise _outside(v, 1, d)
-            return 0, res
-        base = 0
-        for d, (v, top, sd) in enumerate(zip(res, self._tops, self._strides)):
-            if not 0.0 <= v <= top:
-                raise _outside(v, top, d)
-            b = int(v)
-            if b >= top:
-                b = top - 1
-            res[d] = v - b
-            base += b * sd
-        return base, res
+    def _bind(self, kind: InterpolationKind):
+        row = _row_kernel(self._shape, kind)(self._theta)
+        setattr(self, f"_{kind.value}", row)
+        return row
 
-    def _multilinear_array(self, base: int, res: list[float]) -> float:
-        # the products overwrite the weights; add.accumulate (cumsum's
-        # ufunc) adds left to right, and adding 0.0 turns a -0.0 total into
-        # +0.0
-        p = _doubling_weights(np.empty(len(self._offsets)), res)
-        vals = self._theta[base + self._offsets] if self._cell is None else self._cell
-        np.multiply(vals, p, p)
-        return np.add.accumulate(p, 0, None, p).item(-1) + 0.0
 
-    def _simplex(self, base: int, res: list[float]) -> float:
-        # a stable sort: tied residuals keep ascending dimension order
-        values = self._values
-        total = 0.0
-        prev = 1.0
-        idx = base
-        for d in sorted(range(len(res)), key=res.__getitem__, reverse=True):
-            r = res[d]
-            total += values[idx] * (prev - r)
-            idx += self._strides[d]
-            prev = r
-        return total + values[idx] * prev
+def _generated(src: list[str], filename: str, namespace: dict):
+    """The function ``bind`` that the lines ``src`` define, run in
+    ``namespace``; its source is kept as its ``source``.  The one place
+    the package compiles code: the row generators (:func:`_row_kernel`,
+    ``calibrators._row_calibration``) call it."""
+    source = "\n".join(src)
+    exec(compile(source, filename, "exec"), namespace)
+    bind = namespace["bind"]
+    bind.source = source
+    return bind
 
 
 # terms per statement of a row kernel's sum, which keeps each expression shallow
@@ -394,78 +354,157 @@ _SUM_TERMS = 16
 
 
 @functools.lru_cache(maxsize=64)
-def _row_kernel(shape: LatticeShape):
-    """:class:`RowPlan`'s multilinear row on ``shape``: one straight-line
-    function of ``(values, x)``, theta's list form and the point, compiled
-    once per shape (equal shapes share it).
+def _row_kernel(shape: LatticeShape, kind: InterpolationKind):
+    """:class:`RowPlan`'s row of ``kind`` on ``shape``: a function
+    ``bind(theta)`` that binds a float64 theta into a straight-line
+    function of the point, compiled once per shape and kind (equal shapes
+    share its code).
 
-    It does :func:`evaluate`'s float operations in their order, without a
-    loop: unpack the row and pass each coordinate through ``float()``
-    (a row of another width goes to :func:`_coordinates` for
+    It does :func:`evaluate`'s float operations in their order.  Every
+    kernel starts alike: unpack the row and pass each coordinate through
+    ``float()`` (a row of another width goes to :func:`_coordinates` for
     :func:`locate_cell`'s error), then per dimension the range check, the
     base ``int(v)`` (``top - 1`` on the top face) and the residual
     ``v - base``; on an axis of two vertices the base is 0 and the residual
-    is ``v`` itself.  The flat base index sums base times stride, the
-    doubling pass of :func:`multilinear_weights` runs on named locals, and
-    the value is ``values[base + offset] * weight`` summed left to right
-    from 0.0.  A ``values`` too short for the cell raises ``IndexError``.
+    is ``v`` itself.  The flat base index sums base times stride.  Then:
 
-    The source is built only from Python ints, each passed through
-    ``int()``: the shape's sizes, tops, strides and vertex offsets, put
-    into fixed templates.  No text, float or name from a model file
-    reaches it.
+    * simplex: :func:`simplex_weights`' chain on theta's list, the
+      dimensions sorted by residual (a stable sort, so tied residuals keep
+      ascending dimension order), the products summed left to right from
+      0.0;
+    * multilinear, below ``ROW_NUMPY_MIN_VERTICES`` vertices: the doubling
+      pass of :func:`multilinear_weights` on named locals, and
+      ``values[base + offset] * weight`` summed left to right from 0.0;
+    * multilinear, larger cells: :func:`_doubling_weights` over the (near,
+      far) views of a workspace (:func:`_row_workspace`) popped from the
+      kernel's ``spare`` list, the vertex values (a gather at the cell's
+      offsets into the workspace, or on a lattice of one cell the view of
+      theta's first 2^D entries) multiplied into the weights in place and
+      summed by ``add.accumulate``, which adds left to right; adding 0.0
+      turns a -0.0 total into +0.0.
+
+    A theta too short for the cell raises ``IndexError``.  The source is
+    built only from Python ints, each passed through ``int()``: the shape's
+    sizes, tops, strides and vertex offsets, put into fixed templates.  No
+    text, float or name from a model file reaches it.
     """
+    kind = InterpolationKind(kind)
     sizes = [int(m) for m in shape.sizes]
     strides = [int(s) for s in shape.strides]
     D = len(sizes)
     xs = [f"x{d}" for d in range(D)]
-    src = [
-        "def row(values, x):",
+    body = [
         "    try:",
         f"        {', '.join(xs)}, = x",
         "    except (TypeError, ValueError):",
         f"        _coordinates(x, {D})",
         "        raise",
     ]
-    src += [f"    {v} = float({v})" for v in xs]
+    body += [f"    {v} = float({v})" for v in xs]
     residuals, base = [], []
     for d, m in enumerate(sizes):
         top = m - 1
-        src += [
+        body += [
             f"    if not 0.0 <= x{d} <= {top}.0:",
             f"        raise _outside(x{d}, {top}, {d})",
         ]
         if m == 2:
             residuals.append(f"x{d}")
             continue
-        src += [
+        body += [
             f"    b{d} = int(x{d}) if x{d} < {top}.0 else {top - 1}",
             f"    r{d} = x{d} - b{d}",
         ]
         residuals.append(f"r{d}")
         base.append(f"b{d}" if strides[d] == 1 else f"b{d} * {strides[d]}")
-    if base:
-        src.append(f"    b = {' + '.join(base)}")
-    src += ["    w1 = " + residuals[0], "    w0 = 1.0 - w1"]
-    for d in range(1, D):
-        half = 1 << d
-        for j in range(half):
-            src += [
-                f"    w{j + half} = w{j} * {residuals[d]}",
-                f"    w{j} = w{j} - w{j + half}",
-            ]
-    at = [int(o) for o in _doubled_offsets(shape)]
-    if base:
-        at = ["b"] + [f"b + {o}" for o in at[1:]]
-    terms = [f"values[{i}] * w{j}" for j, i in enumerate(at)]
-    total = "0.0"
-    for start in range(0, len(terms), _SUM_TERMS):
-        src.append(f"    t = {' + '.join([total, *terms[start : start + _SUM_TERMS]])}")
-        total = "t"
-    src.append("    return t")
+    if base or kind is InterpolationKind.SIMPLEX:
+        body.append(f"    b = {' + '.join(base) if base else 0}")
     namespace = {"_coordinates": _coordinates, "_outside": _outside}
-    exec(compile("\n".join(src), f"<row kernel {tuple(sizes)}>", "exec"), namespace)
-    return namespace["row"]
+    k = 1 << D
+    if kind is InterpolationKind.SIMPLEX:
+        head = ["def bind(theta):", "    values = theta.tolist()"]
+        body += [
+            f"    res = [{', '.join(residuals)}]",
+            "    t = 0.0",
+            "    p = 1.0",
+            f"    for d in sorted(range({D}), key=res.__getitem__, reverse=True):",
+            "        r = res[d]",
+            "        t += values[b] * (p - r)",
+            f"        b += {tuple(strides)}[d]",
+            "        p = r",
+            "    return t + values[b] * p",
+        ]
+    elif k < ROW_NUMPY_MIN_VERTICES:
+        head = ["def bind(theta):", "    values = theta.tolist()"]
+        body += ["    w1 = " + residuals[0], "    w0 = 1.0 - w1"]
+        for d in range(1, D):
+            half = 1 << d
+            for j in range(half):
+                body += [
+                    f"    w{j + half} = w{j} * {residuals[d]}",
+                    f"    w{j} = w{j} - w{j + half}",
+                ]
+        at = [int(o) for o in _doubled_offsets(shape)]
+        if base:
+            at = ["b"] + [f"b + {o}" for o in at[1:]]
+        terms = [f"values[{i}] * w{j}" for j, i in enumerate(at)]
+        total = "0.0"
+        for start in range(0, len(terms), _SUM_TERMS):
+            body.append(f"    t = {' + '.join([total, *terms[start : start + _SUM_TERMS]])}")
+            total = "t"
+        body.append("    return t")
+    else:
+        one = set(sizes) == {2}
+        far = int(_doubled_offsets(shape)[-1])
+        head = ["def bind(theta):", "    spare = []"]
+        if one:  # the one cell's vertex values, when theta holds them
+            head.append(f"    cell = theta[:{k}] if len(theta) >= {k} else None")
+            body += ["    if cell is None:", "        raise _short(len(theta))"]
+        else:
+            body += [f"    if b + {far} >= len(theta):", "        raise _short(len(theta))"]
+        body += [
+            "    try:",
+            "        work = spare.pop()",
+            "    except IndexError:",
+            f"        work = _row_workspace({D}, {not one})",
+            "    w, halves, at, vals = work",
+            f"    _doubling_weights(w, ({', '.join(residuals)},), halves)",
+        ]
+        if one:
+            body.append("    np.multiply(cell, w, w)")
+        else:
+            body += [
+                "    np.add(offsets, b, at)",
+                "    np.multiply(theta.take(at, out=vals, mode='clip'), w, w)",
+            ]
+        body += [
+            "    t = accumulate(w, 0, None, w).item(-1) + 0.0",
+            "    spare.append(work)",
+            "    return t",
+        ]
+        namespace.update(
+            np=np, accumulate=np.add.accumulate, offsets=_doubled_offsets(shape), _short=_short,
+            _doubling_weights=_doubling_weights, _row_workspace=_row_workspace,
+        )
+    src = head + ["    def row(x):"] + ["    " + line for line in body] + ["    return row"]
+    return _generated(src, f"<{kind.value} row kernel {tuple(sizes)}>", namespace)
+
+
+def _short(size: int) -> IndexError:
+    # the error of a theta of ``size`` entries too short for a cell
+    return IndexError(f"cell vertex index out of bounds for theta of size {size}")
+
+
+def _row_workspace(D: int, gather: bool) -> tuple:
+    # a multilinear row kernel's arrays: the (2^D,) weights and the (near,
+    # far) views of each doubling step, and, where the kernel gathers, the
+    # vertex indices and values
+    k = 1 << D
+    w = np.empty(k)
+    halves = [(w[: 1 << d], w[1 << d : 2 << d]) for d in range(D)]
+    if not gather:
+        return w, halves, None, None
+    return w, halves, np.empty(k, dtype=np.int64), np.empty(k)
 
 
 # --------------------------------------------------------------------------
@@ -601,14 +640,18 @@ class ChunkBuffers:
         return np.empty(size, dtype=dtype)
 
 
-def _doubling_weights(w: np.ndarray, residual) -> np.ndarray:
+def _doubling_weights(w: np.ndarray, residual, halves=None) -> np.ndarray:
     # multilinear_weights' doubling pass into ``w``, one entry of the list
     # per entry of ``w``: a (2^D,) array with a row's D residuals as floats,
-    # or a (2^D, n) chunk with the rows of its (D, n) residuals.  out= goes
-    # by position: as a keyword it costs about 0.4 us a call.
+    # or a (2^D, n) chunk with the rows of its (D, n) residuals.  Step d
+    # splits ``w``'s first 2^d entries (near) into themselves and the next
+    # 2^d (far); ``halves`` holds those views made beforehand, as a row
+    # kernel keeps them.  out= goes by position: as a keyword it costs
+    # about 0.4 us a call.
     w[0] = 1.0
-    for d, r in enumerate(residual):
-        near, far = w[: 1 << d], w[1 << d : 2 << d]
+    if halves is None:
+        halves = [(w[: 1 << d], w[1 << d : 2 << d]) for d in range(len(residual))]
+    for (near, far), r in zip(halves, residual):
         np.multiply(near, r, far)
         np.subtract(near, far, near)
     return w
@@ -712,7 +755,7 @@ def _one_cell(th, residual, want_slopes, buffers: ChunkBuffers, vertices, owner)
     D, n = residual.shape
     k = 1 << D
     if th.shape[-1] < k:
-        raise IndexError(f"cell vertex index out of bounds for theta of size {th.shape[-1]}")
+        raise _short(th.shape[-1])
     w = _doubling_weights(buffers.get("weights", k, n), residual)
     # every point's vertex values: one column, or its worker's row of the stack
     vals = th[:k, None] if owner is None else th.take(owner, axis=0)[:, :k].T
@@ -748,7 +791,7 @@ def _simplex_walk(th, base_idx, residual, strides, buffers: ChunkBuffers, vertic
     for j in range(D):
         np.add(indices[j], indices[j + 1], out=indices[j + 1])
     if n and indices[D].max() >= len(th):
-        raise IndexError(f"cell vertex index out of bounds for theta of size {len(th)}")
+        raise _short(len(th))
     # ``at``: each step's flat position (dimension * n + point) in the
     # (D, n) residuals and slopes.  Rows 1 .. D of the weights take the
     # sorted residuals, then each row but the last the difference to the
@@ -781,5 +824,5 @@ def _gather(th: np.ndarray, indices: np.ndarray, base_idx: np.ndarray, far: int,
     # and the gather itself runs with mode="clip"; no index is negative,
     # since locate_block keeps every point inside the box.
     if len(base_idx) and base_idx.max() + far >= len(th):
-        raise IndexError(f"cell vertex index out of bounds for theta of size {len(th)}")
+        raise _short(len(th))
     return th.take(indices, out=out, mode="clip")

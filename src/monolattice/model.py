@@ -10,21 +10,22 @@ located on the calibrators in one pass, calibrated and scored by the
 batched kernel, all through one buffer set made for the call, so a call's
 arrays are sized by the chunk and none outlives it.
 ``Model.predict_row`` scores one row through one path: the calibrators'
-``calibrate_row``, which reads each calibrator's row entry (its parameters
-as lists), then the model's :class:`~.interpolation.RowPlan`, built by the
-first call.  The plan holds everything a row reads, made when it is built:
-theta as a list and, for multilinear cells below
-``ROW_NUMPY_MIN_VERTICES`` vertices, the shape's row kernel, compiled once
-per shape from the shape's ints alone.  ``predict_row`` gives
-``predict``'s bits and the scalar ``evaluate``'s error messages, and a
-call writes nothing the plan holds.  A model is a frozen value, checked
-on construction: ``theta`` is stored as a read-only float64 copy of the
-lattice's size, ``specs`` as a tuple of frozen feature specs,
-``metadata`` as a copy whose objects and arrays refuse changes in place,
-and its calibrators are frozen too, so the plan, the row entries and the
-model file cannot fall out of date.  A changed model is a new one
-(``dataclasses.replace``); a copied or unpickled model is rebuilt through
-the constructor.
+``calibrate_row``, one function generated per calibrator layout with the
+set's parameters bound in, then the model's
+:class:`~.interpolation.RowPlan`, built by the first call.  The plan binds
+theta into the row kernel of a kind on that kind's first row: one
+function compiled per lattice shape and kind from the shape's ints alone.
+Both are compiled on first use, never when a model is loaded.
+``predict_row`` gives ``predict``'s bits and the scalar ``evaluate``'s
+error messages, and threads may share a model.
+
+A model is a frozen value, checked on construction: ``theta`` is stored
+as a read-only float64 copy of the lattice's size, ``specs`` as a tuple
+of frozen feature specs, ``metadata`` as a copy whose objects and arrays
+refuse changes in place, and its calibrators are frozen too, so the plan,
+the bound row calibration and the model file cannot fall out of date.  A
+changed model is a new one (``dataclasses.replace``); a copied or
+unpickled model is rebuilt through the constructor.
 """
 
 from __future__ import annotations

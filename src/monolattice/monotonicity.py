@@ -258,7 +258,8 @@ class _Rows:
             return int(self.lower_j[r]), ground
         return int(self.upper_j[r - len(self.lower_j)]), ground
 
-    def remove_roundoff(self, th: np.ndarray, *, scan_rows: bool = True) -> None:
+    def remove_roundoff(self, th: np.ndarray, work: "_Workspace", *,
+                        scan_rows: bool = True) -> None:
         """Make ``th`` exactly feasible, in place.
 
         Stopping at a hit time leaves the constraints the walk hit off by
@@ -272,19 +273,32 @@ class _Rows:
         knows every row and bound holds passes ``scan_rows=False``: the
         scans would change nothing, and only the bound clamps run, which
         still turn a -0.0 entry on a 0.0 bound into +0.0.
+
+        A scan gathers theta at both ends of the pairwise rows into
+        ``work`` (the prefixes of ``row_hi`` and ``row_lo`` are the rows'
+        ends, and writeable, so take does not copy them), so it allocates
+        nothing row-sized.
         """
-        lo, hi = self.lo, self.hi
+        n = len(self.lo)
+        hi, lo = self.row_hi[:n], self.row_lo[:n]
+        at_hi, at_lo = work.slack[:n], work.raised[:n]
+
+        def violated() -> bool:
+            th.take(hi, out=at_hi, mode="clip")
+            th.take(lo, out=at_lo, mode="clip")
+            return bool(np.less(at_hi, at_lo, out=work.hit[:n]).any())
+
         if len(self.lower_j):
             th[self.lower_j] = np.maximum(th[self.lower_j], self.lower)
-        while scan_rows and np.any(th[hi] < th[lo]):
-            np.maximum.at(th, hi, th[lo])
+        while scan_rows and violated():
+            np.maximum.at(th, hi, at_lo)
         if len(self.upper_j):
             below = th[self.upper_j]
             clipped = np.minimum(below, self.upper)
             th[self.upper_j] = clipped
             if scan_rows and np.any(clipped < below):
-                while np.any(th[hi] < th[lo]):
-                    np.minimum.at(th, lo, th[hi])
+                while violated():
+                    np.minimum.at(th, lo, at_hi)
 
 
 class _Workspace:
@@ -362,7 +376,8 @@ def project_update(
     is tested without a division, which then runs over the hit rows alone.
     A pass that hits nothing adds the rest of its direction and ends the
     walk, so a step that hits nothing gives theta plus the step.  The walk
-    also ends once the direction's norm falls to 1e-13 of the step's.
+    also ends once the direction's norm falls to 1e-13 of the step's, both
+    taken over the step's largest entry, so that neither overflows.
 
     Every result is exactly feasible (tolerance 0), a zero step's included.
     A walk that hit a row, or that started from a theta infeasible within
@@ -374,8 +389,8 @@ def project_update(
     st[hi] >= th[lo] + st[lo]`` holds before rounding the sums and after.
 
     ``step`` is only read.  The result is a new array; the rows' scratch
-    arrays come from a workspace that lives as long as the set, which one
-    call at a time holds.
+    arrays, the walk's and the roundoff repair's, come from a workspace
+    that lives as long as the set, which one call at a time holds.
     """
     th = np.array(theta, dtype=float)
     st = np.asarray(step, dtype=float)
@@ -412,7 +427,10 @@ def project_update(
             th += t_min * direction
             if component is None:
                 component = np.arange(ground + 1)
-                step_scale = _robust_norm(st)
+                # norms relative to the step's largest entry, which no
+                # entry of a direction exceeds, so neither overflows
+                peak = float(np.max(np.abs(st)))
+                step_scale = float(np.linalg.norm(st / peak))
             for r in hits[t <= t_min + _HIT_TOL].tolist():
                 a, b = rows.ends(r, ground)
                 component[component == component[b]] = component[a]
@@ -421,11 +439,11 @@ def project_update(
             sums[component[ground]] = 0.0
             members = component[:-1]
             direction = sums[members] / np.bincount(component)[members]
-            if _robust_norm(direction) <= 1e-13 * step_scale:
+            if np.linalg.norm(direction / peak) <= 1e-13 * step_scale:
                 break
             hits = rows.scan(th, direction, work)
+        # a walk hit a row exactly when ``active`` is not empty
+        rows.remove_roundoff(th, work, scan_rows=bool(active) or worst < 0.0)
     finally:
         rows.spare.append(work)
-    # a walk hit a row exactly when ``active`` is not empty
-    rows.remove_roundoff(th, scan_rows=bool(active) or worst < 0.0)
     return (th, active) if return_active else th

@@ -607,6 +607,48 @@ class TestWorkspace:
         assert active == [] and out.tobytes() == (theta + step).tobytes()
         assert peak <= 64 * 1024
 
+    @pytest.mark.parametrize("dent", [0.0, 1e-17])
+    def test_roundoff_repair_allocates_no_row_sized_arrays(self, dent):
+        # the repair's scans gather into the walk's workspace: at 5,120 rows
+        # a row-sized float array alone is 40 KiB.  Raising the bottom
+        # vertex of a flat theta by roundoff makes the repair raise every
+        # entry, one scan per level of the cube.
+        cs = build_constraints(LatticeShape([2] * 10), (INC,) * 10)
+        rows = cs._rows
+        work = rows.workspace()
+        repaired = np.zeros(1024)
+        repaired[0] = dent
+        rows.remove_roundoff(repaired.copy(), work)  # anything built once is built now
+        tracemalloc.start()
+        try:
+            rows.remove_roundoff(repaired, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max_infeasibility(repaired, cs) == 0.0
+        assert repaired.tobytes() == np.full(1024, dent).tobytes()
+        assert peak <= 16 * 1024
+
+
+class TestOverflowingStep:
+    def test_a_step_whose_norm_overflows_is_walked_to_its_end(self):
+        # the step's norm is inf, so a stop test against it stopped the walk
+        # after its first hit, dropping the rest of the step
+        cs = ConstraintSet(5, [0], [1])
+        theta = np.array([0.0, 0.5, 0.0, 0.0, 0.0])
+        step = np.array([0.8e308, 0.7e308, 1e308, 1e308, 1e308])
+        got, active = project_update(theta, step, cs, return_active=True)
+        # the first pass stops where row 0 closes; the rest of the step is
+        # then averaged over entries 0 and 1 and walked to its end
+        t = 0.5 / (step[0] - step[1])
+        mid = theta + t * step
+        rest = (1.0 - t) * step
+        rest[:2] = (rest[0] + rest[1]) / 2.0
+        assert active == [0]
+        assert got.tobytes() == (mid + rest).tobytes()
+        assert np.isfinite(got).all() and got[1] >= got[0]
+        assert got.tolist() == [7.5e307, 7.5e307, 1e308, 1e308, 1e308]
+
 
 # slacks and rates: any finite float, subnormals, values near the overflow
 # threshold and signed zeros, so that s / q underflows, overflows or ties 1

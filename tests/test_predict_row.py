@@ -285,7 +285,7 @@ class TestRowPathProperty:
             for r in rows
         ]
         assert [_outcome(lambda: model.predict_row(r, kind)) for r in rows] == oracle
-        # the row entries against each calibrator's scalar calibrate, value
+        # calibrate_row against each calibrator's scalar calibrate, value
         # by value: the first bad value of a row raises
         per_value = [
             _coordinates(lambda: [cal.calibrate(v) for cal, v in zip(cals.calibrators, r)])
@@ -386,25 +386,37 @@ def kernel_rows(draw):
     return shape, theta, rows
 
 
+def closure(fn) -> dict:
+    """The values a function's closure binds, by name."""
+    return {name: cell.cell_contents for name, cell in zip(fn.__code__.co_freevars, fn.__closure__)}
+
+
 class TestRowKernelProperty:
     @settings(max_examples=150, deadline=None)
     @given(kernel_rows())
     def test_plan_equals_the_scalar_kernel(self, drawn):
         shape, theta, rows = drawn
         plan = RowPlan(theta, shape)
-        held = dict(vars(plan))
         for kind in InterpolationKind:
             for x in rows:
                 assert plan.evaluate(x, kind).hex() == evaluate(theta.tolist(), shape, x, kind).hex()
-        # a call writes nothing the plan holds
+        # once each kind's kernel is bound, a call writes nothing the plan holds
+        held = dict(vars(plan))
+        for kind in InterpolationKind:
+            for x in rows:
+                plan.evaluate(x, kind)
         assert vars(plan).keys() == held.keys()
         assert all(vars(plan)[name] is value for name, value in held.items())
-        assert plan._values == theta.tolist()
-        if shape.ndim <= KERNEL_MAX_D:
-            # one function per shape, shared by equal shapes
-            assert plan._row is _row_kernel(LatticeShape(list(shape.sizes)))
-        else:
-            assert plan._row is None
+        for kind in InterpolationKind:
+            # one compiled kernel per shape and kind, shared by equal shapes
+            kernel = held[f"_{kind.value}"]
+            bind = _row_kernel(LatticeShape(list(shape.sizes)), kind)
+            assert kernel.__code__ is bind(theta).__code__
+            bound = closure(kernel)
+            if kind is InterpolationKind.SIMPLEX or shape.ndim <= KERNEL_MAX_D:
+                assert bound["values"] == theta.tolist()
+            else:
+                assert "values" not in bound
         # a theta too short for the last cell
         corner = [m - 1 for m in shape.sizes]
         short = RowPlan(theta[:-1], shape)
@@ -466,9 +478,12 @@ class TestOneCellRows:
             assert row.tolist() == multilinear_weights(shape, locate_cell(shape, x)).weights
 
     def test_threads_sharing_a_model_get_the_serial_bits(self):
-        # the numpy pass on a lattice of one cell, and the row kernel on 3^4
-        for sizes in ([2] * 10, [3] * 4):
-            self._threads_get_the_serial_bits(unit_model(sizes, seed=4))
+        # the numpy pass and the simplex kernel on a lattice of one cell, for
+        # a model of either kind, and the row kernel on 3^4
+        for sizes, kind in [([2] * 10, InterpolationKind.MULTILINEAR),
+                            ([2] * 10, InterpolationKind.SIMPLEX),
+                            ([3] * 4, InterpolationKind.MULTILINEAR)]:
+            self._threads_get_the_serial_bits(unit_model(sizes, kind, seed=4))
 
     @staticmethod
     def _threads_get_the_serial_bits(model):
@@ -552,7 +567,7 @@ class TestWhichKernelRuns:
         for i in range(data.num_rows):
             model.predict_row(data.row(i))
         assert calls == []
-        # a value the row entry cannot place is handed to calibrate for its error
+        # a value calibrate_row cannot place is handed to calibrate for its error
         model = replace_calibrator(model, 0, other_index=None)
         with pytest.raises(DataError, match="feature c: unknown category 'never seen'"):
             model.predict_row(data.row(1))
@@ -700,7 +715,7 @@ class TestRowEntries:
 
     def test_assignment_is_refused(self):
         model, data = mixed_model()
-        scores = assert_fresh(model, data)  # builds the row entries
+        scores = assert_fresh(model, data)  # binds the row calibration
         cat, cont, plain = model.calibrators.calibrators
         for cal, name, value in [
             (cont, "outputs", cont.outputs * 0.75),
@@ -746,10 +761,10 @@ class TestRowEntries:
     )
     def test_copies_do_not_share_parameters_or_row_entries(self, duplicate):
         model, data = mixed_model()
-        scores = assert_fresh(model, data)  # builds the row entries
+        scores = assert_fresh(model, data)  # binds the row calibration
         twin = Model(model.specs, model.shape, model.theta, duplicate(model.calibrators))
+        assert "_calibrate_row" not in vars(twin.calibrators)  # nothing derived is carried over
         for mine, theirs in zip(model.calibrators.calibrators, twin.calibrators.calibrators):
-            assert "_row" not in vars(theirs)  # nothing derived is carried over
             assert not np.shares_memory(mine.points, theirs.points)
             assert not theirs.points.flags.writeable
         assert assert_fresh(twin, data) == scores
@@ -810,10 +825,10 @@ class TestTheta:
     )
     def test_duplicates_keep_theta_and_knots_read_only(self, duplicate):
         model, data = mixed_model()
-        scores = assert_fresh(model, data)  # builds the row plan and row entries
+        scores = assert_fresh(model, data)  # builds the row plan and row calibration
         twin = duplicate(model)
         assert "_row_plan" not in vars(twin)
-        assert all("_row" not in vars(cal) for cal in twin.calibrators.calibrators)
+        assert "_calibrate_row" not in vars(twin.calibrators)
         cat, cont, _ = twin.calibrators.calibrators
         assert cont._knot_list == cont.knots.tolist()
         for array in (twin.theta, cont.knots, cont.outputs, cat.values):
