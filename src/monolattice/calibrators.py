@@ -5,8 +5,9 @@ one-dimensional transform:
 
 * continuous features - a piecewise-linear function with fixed knots placed
   at the feature's bounds and at equally spaced quantiles of the training
-  column; the outputs at the two end knots are pinned to the ends of the
-  axis, the interior outputs are learned under a nondecreasing chain.
+  column (for all features that share their keypoints and number of finite
+  values at once); the outputs at the two end knots are pinned to the ends
+  of the axis, the interior outputs are learned under a nondecreasing chain.
 * categorical features - one learned axis value per category, optionally
   under declared pairwise order constraints.
 
@@ -19,8 +20,9 @@ stored as read-only float64 copies and ``categories`` as a tuple, so what is
 derived from them (the knot list, the category lookup, a set's bound row
 calibration) is built once, on first use, and cannot go stale.  Other parameters make a new
 calibrator (``dataclasses.replace``), or a new set (``CalibratorSet.with_table``,
-which training uses once, for the trained model); a copied or unpickled
-calibrator is rebuilt through its constructor.
+which training uses once, for the trained model, and which shares the
+set's layout); a copied or unpickled calibrator is rebuilt through its
+constructor.
 
 Single-row calibration (``CalibratorSet.calibrate_row``, behind
 ``Model.predict_row``) is one function per set, generated from the set's
@@ -199,19 +201,49 @@ def fit_knots(column, keypoints: int, bounds: tuple[float, float] | None = None)
 
     Quantiles are the usual linearly interpolated empirical ones.  Duplicate
     knots (heavy ties in the column) are collapsed, shrinking the vector.
+    The column's finite values are a block of one row (``_fit_rows``).
     """
-    if keypoints < 2:
-        raise ValueError("need at least 2 keypoints")
     col = np.asarray(column, dtype=float)
-    col = col[np.isfinite(col)]
-    if col.size == 0:
-        raise ValueError("no finite values to place knots on")
-    lo, hi = bounds if bounds is not None else (float(col.min()), float(col.max()))
-    if not lo < hi:
-        raise ValueError(f"degenerate bounds [{lo}, {hi}]; column may be constant")
-    inner = np.quantile(col, np.arange(1, keypoints - 1) / (keypoints - 1))
-    knots = np.unique(np.concatenate([[lo], np.clip(inner, lo, hi), [hi]]))
+    (knots,) = _fit_rows(col[np.isfinite(col)][None, :], keypoints, [bounds])
+    if isinstance(knots, str):
+        raise ValueError(knots)
     return knots
+
+
+def _fit_rows(rows: np.ndarray, keypoints: int, bounds: list) -> list:
+    """Knot vectors of every row of ``rows`` (F, n), the finite values of F
+    columns, ``bounds[i]`` the bounds of row i (None: its min and max): per
+    row, its knots, or the message of the ``ValueError`` that
+    :func:`fit_knots` raises for it.
+
+    One ``np.quantile`` along the rows gives every row the quantiles a call
+    on the row alone gives, bit for bit.  The knots are deduplicated per row
+    as ``np.unique`` does it: sort the row, then keep each value that differs
+    from the one before it.  The sort is needed, since a quantile's lerp can
+    leave it an ulp out of order."""
+    count, n = rows.shape
+    if keypoints < 2:
+        return ["need at least 2 keypoints"] * count
+    if n == 0:
+        return ["no finite values to place knots on"] * count
+    if any(b is None for b in bounds):
+        lows, highs = rows.min(axis=1).tolist(), rows.max(axis=1).tolist()
+        bounds = [(lows[i], highs[i]) if b is None else b for i, b in enumerate(bounds)]
+    errors = [None if lo < hi else f"degenerate bounds [{lo}, {hi}]; column may be constant"
+              for lo, hi in bounds]
+    inner = np.quantile(rows, np.arange(1, keypoints - 1) / (keypoints - 1), axis=1)
+    knots = np.empty((count, keypoints))
+    # clipped row by row against the bounds as numbers, as fit_knots clips
+    # one column: a clip against arrays of bounds can pick the other of two
+    # equal zeros (-0.0 against 0.0)
+    for row, quantiles, (lo, hi) in zip(knots, inner.T.copy(), bounds):
+        row[0], row[-1] = lo, hi
+        np.clip(quantiles, lo, hi, out=row[1:-1])
+    knots.sort(axis=1)
+    keep = np.empty(knots.shape, dtype=bool)
+    keep[:, 0] = True
+    np.not_equal(knots[:, 1:], knots[:, :-1], out=keep[:, 1:])
+    return [row[k] if error is None else error for row, k, error in zip(knots, keep, errors)]
 
 
 # --------------------------------------------------------------------------
@@ -390,19 +422,47 @@ def _missing_fields(spec: FeatureSpec) -> dict:
     }
 
 
-def build_continuous_calibrator(spec: FeatureSpec, column) -> ContinuousCalibrator:
-    try:
-        knots = fit_knots(_numbers(column), spec.keypoints, spec.bounds)
-    except ValueError as e:
-        raise DataError(f"feature {spec.name}: {e}") from None
+def _fit_columns(specs, columns) -> dict:
+    """The knots of every continuous feature of ``specs``, fitted to its
+    column in blocks: the finite values of the features that share their
+    keypoints and their number of finite values are stacked and fitted
+    together (``_fit_rows``).  Per feature index, its knots or the message
+    of the error that ``fit_knots`` raises for its column."""
+    groups: dict[tuple, list] = {}
+    for d, (spec, column) in enumerate(zip(specs, columns)):
+        if spec.kind is FeatureKind.CONTINUOUS:
+            values = _numbers(column)
+            finite = values[np.isfinite(values)]
+            groups.setdefault((spec.keypoints, len(finite)), []).append((d, finite, spec.bounds))
+    out = {}
+    for (keypoints, _), members in groups.items():
+        rows = np.stack([finite for _, finite, _ in members])
+        fitted = _fit_rows(rows, keypoints, [bounds for _, _, bounds in members])
+        out.update(zip([d for d, _, _ in members], fitted))
+    return out
+
+
+def _continuous_calibrator(spec: FeatureSpec, knots, outputs: dict) -> ContinuousCalibrator:
+    """The calibrator of ``spec`` on ``knots`` (or the message of its fitting
+    error, raised as a ``DataError``), its outputs evenly spread on the axis;
+    ``outputs`` keeps each (knot count, axis top)'s outputs for the next."""
+    if isinstance(knots, str):
+        raise DataError(f"feature {spec.name}: {knots}")
     top = spec.axis_top
+    key = (len(knots), top)
+    if key not in outputs:
+        outputs[key] = np.linspace(0.0, top, len(knots))
     return ContinuousCalibrator(
         knots=knots,
-        outputs=np.linspace(0.0, top, len(knots)),
+        outputs=outputs[key],
         axis_top=top,
         name=spec.name,
         **_missing_fields(spec),
     )
+
+
+def build_continuous_calibrator(spec: FeatureSpec, column) -> ContinuousCalibrator:
+    return _continuous_calibrator(spec, _fit_columns([spec], [column])[0], {})
 
 
 def _respect_order_pairs(spec: FeatureSpec, ordered: list[str]) -> list[str]:
@@ -560,6 +620,7 @@ class _KnotBlock:
     width_at: np.ndarray  # (table size,)
     numbers: tuple  # continuous features
     strict: tuple  # continuous features without a missing policy
+    count: np.dtype  # the narrowest unsigned type that holds W - 1, a segment's count
 
     @classmethod
     def of(cls, cals, table_offsets) -> "_KnotBlock":
@@ -594,6 +655,7 @@ class _KnotBlock:
             width_at=read_only(width_at),
             numbers=tuple(numbers),
             strict=tuple(d for d in numbers if cals[d].missing is MissingPolicy.NONE),
+            count=np.min_scalar_type(width - 1),
         )
 
 
@@ -762,6 +824,11 @@ def _row_calibration(layout: tuple):
     return _generated(src, "<row calibration>", {"bisect_right": bisect_right})
 
 
+# what a set works out from the kinds and sizes of its calibrators alone,
+# which a set with other parameters shares (``CalibratorSet.with_table``)
+_LAYOUT = ("offsets", "table_offsets", "num_free", "table_size", "_tops", "_free_entries", "_knots")
+
+
 @dataclass(frozen=True, eq=False)
 class CalibratorSet(Frozen):
     """All feature calibrators plus their shared free-parameter vector.
@@ -790,9 +857,7 @@ class CalibratorSet(Frozen):
             if isinstance(cal, ContinuousCalibrator):
                 block[0] = block[-2] = False  # the pinned end outputs
             free += block
-        derived = {
-            "specs": specs,
-            "calibrators": cals,
+        layout = {
             "offsets": tuple(offsets),
             "table_offsets": tuple(table_offsets),
             "num_free": num_free,
@@ -801,15 +866,19 @@ class CalibratorSet(Frozen):
             "_free_entries": read_only(np.flatnonzero(free), np.int64),  # alpha's, in order
             "_knots": _KnotBlock.of(cals, table_offsets),
         }
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+        vars(self).update(layout, specs=specs, calibrators=cals)
 
     @classmethod
     def fit(cls, specs: list[FeatureSpec], columns: list, labels=None) -> "CalibratorSet":
+        """Calibrators fitted to ``columns``, the continuous features' knots
+        in blocks (``_fit_columns``); a bad feature raises the error of the
+        first one in spec order."""
+        knots = _fit_columns(specs, columns)
+        outputs: dict = {}
         cals = []
-        for spec, col in zip(specs, columns):
+        for d, (spec, col) in enumerate(zip(specs, columns)):
             if spec.kind is FeatureKind.CONTINUOUS:
-                cals.append(build_continuous_calibrator(spec, col))
+                cals.append(_continuous_calibrator(spec, knots[d], outputs))
             else:
                 cals.append(build_categorical_calibrator(spec, col, labels))
         return cls(specs, cals)
@@ -831,7 +900,10 @@ class CalibratorSet(Frozen):
     def with_table(self, table) -> "CalibratorSet":
         """A set whose calibrators hold the parameters in ``table`` (laid out
         as :meth:`table`), each made from this set's with
-        ``dataclasses.replace``, which keeps everything else."""
+        ``dataclasses.replace``, which keeps everything else.  The layout
+        depends on none of the parameters, so the new set shares this
+        set's (offsets, free entries, axis tops, knot block) and does not
+        work it out again."""
         cals = []
         for cal, start in zip(self.calibrators, self.table_offsets):
             end = start + len(cal.points)
@@ -841,7 +913,10 @@ class CalibratorSet(Frozen):
                 missing = float(table[end])
             changed = {points: table[start:end], "missing_value": missing}
             cals.append(dataclasses.replace(cal, **changed))
-        return CalibratorSet(self.specs, cals)
+        new = object.__new__(CalibratorSet)
+        layout = {name: vars(self)[name] for name in _LAYOUT}
+        vars(new).update(layout, specs=self.specs, calibrators=tuple(cals))
+        return new
 
     def _check_width(self, count: int, unit: str) -> None:
         if count != len(self.calibrators):
@@ -929,21 +1004,29 @@ class CalibratorSet(Frozen):
         # first knot, the last knot's index at and above the last knot, 0
         # for NaN (the NaN padding counts for no value, +inf included).
         # Categorical rows hold 0.0, which no NaN knot row counts or finds
-        # inner, and take their table entries last.
+        # inner, and take their table entries last.  The counts are kept in
+        # the narrowest unsigned type that holds them and take each column's
+        # flags through their bytes, so that every add is between arrays of
+        # one type (uint8, for up to 256 knots), and cast once, when the
+        # offsets are added.
         kb = self._knots
         m = stop - start
         x = buffers.get("locate x", len(self.calibrators), m)
         lo = buffers.get("locate lo", *x.shape, np.intp)
         flag = buffers.get("locate flag", *x.shape, bool)
         inner = buffers.get("locate inner", *x.shape, bool)
+        count = buffers.get("locate count " + kb.count.char, *x.shape, kb.count)
         for d in kb.numbers:
             x[d] = _number_chunk(self.calibrators[d], columns[d], start, stop)
         for d, _ in codes:
             x[d] = 0.0
-        np.greater_equal(x, kb.columns[0], lo)
+        bits = flag.view(np.uint8)  # the flags as 0 and 1
+        np.greater_equal(x, kb.columns[0], flag)
+        np.copyto(count, bits)
         for column in kb.columns[1:]:
-            np.add(lo, np.greater_equal(x, column, flag), lo)
-        np.add(lo, kb.offsets, lo)
+            np.greater_equal(x, column, flag)
+            np.add(count, bits, count)
+        np.add(count, kb.offsets, lo)
         np.logical_and(np.greater(x, kb.first, inner), np.less(x, kb.last, flag), inner)
         missing = np.isnan(x, flag)
         if missing.any():

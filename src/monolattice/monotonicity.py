@@ -14,6 +14,7 @@ parameters reuse the same machinery.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -97,6 +98,11 @@ class ConstraintSet:
 # building and checking
 
 
+# A set on 2^16 vertices with 16 monotone dimensions holds about 48 MB with
+# its walk's workspace, so few are kept, as few as regularizer tables
+_CACHED_SETS = 8
+
+
 def build_constraints(
     shape: LatticeShape, spec, missing_dims=frozenset()
 ) -> ConstraintSet:
@@ -105,13 +111,23 @@ def build_constraints(
     For a dimension whose top slice holds missing-value parameters, the chain
     covers only the real-value span; the missing slice is not ordered against
     it (it still appears in rows for the other dimensions).
+
+    A set is built once per (shape, directions, missing dims) and shared by
+    every caller, with the walk's rows and workspaces it builds on first
+    use; a cache of bounded size keeps the most recently used ones.  Its
+    arrays are read-only, and its workspaces are never shared between
+    concurrent walks (``_Rows``).
     """
     if len(spec) != shape.ndim:
         raise ValueError(f"expected {shape.ndim} directions, got {len(spec)}")
+    return _constraints(shape, tuple(map(Direction, spec)), frozenset(missing_dims))
+
+
+@functools.lru_cache(maxsize=_CACHED_SETS)
+def _constraints(shape: LatticeShape, spec: tuple, missing_dims: frozenset) -> ConstraintSet:
     idx = np.arange(shape.num_parameters, dtype=np.int64)
     los, his = [], []
     for d, direction in enumerate(spec):
-        direction = Direction(direction)
         if direction is Direction.NONE:
             continue
         m = shape.sizes[d]
@@ -364,9 +380,11 @@ def project_update(
     the ground's component.  Each pass therefore replaces the rest of the
     step by its mean over each component, and by 0 on the ground's.  Both
     ends of an active row then move by the same value, so its rate is
-    exactly 0 and it is never hit again.  The component labels and the
-    step's norm are computed at the first hit; a step that hits nothing
-    never needs them.
+    exactly 0 and it is never hit again.  A pass whose component sums
+    overflow (entries near the float limit) takes the means of the rest
+    divided by the step's largest entry, and scales them back.  The
+    component labels and the step's norm are computed at the first hit; a
+    step that hits nothing never needs them.
 
     A theta or step with a non-finite entry, or a theta more than 1e-9 from
     feasible, is a ``ValueError``.  The first pass walks the step itself.
@@ -435,10 +453,20 @@ def project_update(
                 a, b = rows.ends(r, ground)
                 component[component == component[b]] = component[a]
                 active.append(r)
-            sums = np.bincount(component, np.append((1.0 - t_min) * direction, 0.0))
-            sums[component[ground]] = 0.0
+            rest = np.append((1.0 - t_min) * direction, 0.0)
             members = component[:-1]
-            direction = sums[members] / np.bincount(component)[members]
+            sizes = np.bincount(component)[members]
+            sums = np.bincount(component, rest)
+            sums[component[ground]] = 0.0
+            if np.isfinite(sums).all():
+                direction = sums[members] / sizes
+            else:
+                # a component's sum passed the float limit: average the rest
+                # over the step's peak, which none of its entries exceeds,
+                # and scale the means back
+                sums = np.bincount(component, rest / peak)
+                sums[component[ground]] = 0.0
+                direction = sums[members] / sizes * peak
             if np.linalg.norm(direction / peak) <= 1e-13 * step_scale:
                 break
             hits = rows.scan(th, direction, work)

@@ -23,12 +23,21 @@ parameter table (K, T) laid out as ``CalibratorSet.table``, whose free
 entries are alpha.  One worker is the plain case, a stack of one row.  Its
 calibrators are the fitted ones and keep their starting parameters; the
 trained model's calibrators are built once, from row 0 of the final table
-(``CalibratorSet.with_table``).  Everything about the training samples that
-stays fixed during a run is worked out once, in ``prepare_state`` and
-shared by every worker: the *plan* is the location of every side (a row,
-or a pair's preferred row then the other) on the calibrators' knots and
-categories (``CalibratorSet.locate``, feature-major), the targets are held
-as floats, and the kernels' chunk buffers are reused by every step.
+(``CalibratorSet.with_table``, which keeps the fitted set's layout).
+Everything about the training samples that stays fixed during a run is
+worked out once, in ``prepare_state`` and shared by every worker: the
+calibrators are fitted (the knots of features that share their keypoints
+and number of finite values in one block), the *plan* is the location of
+every side (a row, or a pair's preferred row then the other) on the
+calibrators' knots and categories (``CalibratorSet.locate``,
+feature-major), the targets are held as floats, and the kernels' chunk
+buffers are reused by every step.  What depends only on the lattice shape
+and the features' directions is built once per shape and shared, read-only,
+by every run: the lattice's constraint set (``build_constraints``, with the
+walk's workspaces), its linear start (``init_lattice``, which
+``prepare_state`` copies into the theta stack) and the regularizer terms
+(``regularizer_terms``); each comes from a cache that keeps a few of the
+most recently used.
 
 The workers run in lockstep, in one process: their j-th steps are one
 ``sgd_step``, whose ``batches`` map each worker that takes the step to its
@@ -57,6 +66,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -78,6 +88,7 @@ from .interpolation import ChunkBuffers, InterpolationKind, _forward_backward, c
 from .interpolation import evaluate_with_gradients, interpolation_weights  # noqa: F401
 from .lattice import LatticeShape, locate_cell  # noqa: F401
 from .monotonicity import (
+    _CACHED_SETS,
     ConstraintSet,
     Direction,
     _robust_norm,
@@ -233,25 +244,31 @@ def init_lattice(shape: LatticeShape, directions) -> np.ndarray:
     The sum over constrained dimensions is rescaled to span [0, 1] (divide
     by the number of constrained dimensions, shift the minimum to 0), so the
     start is feasible with room to move.  With no constrained dimensions the
-    start is all zeros.
+    start is all zeros.  A start is built once per (shape, directions) and
+    shared read-only; a cache of bounded size keeps the most recently used
+    ones.
     """
     if len(directions) != shape.ndim:
         raise ValueError(f"expected {shape.ndim} directions, got {len(directions)}")
+    return _linear_start(shape, tuple(map(Direction, directions)))
+
+
+@functools.lru_cache(maxsize=_CACHED_SETS)  # a start per constraint set kept
+def _linear_start(shape: LatticeShape, directions: tuple) -> np.ndarray:
     theta = np.zeros(shape.num_parameters)
     idx = np.arange(shape.num_parameters)
     constrained = 0
     for d, direction in enumerate(directions):
-        direction = Direction(direction)
         if direction is Direction.NONE:
             continue
         constrained += 1
         coord = (idx // shape.strides[d]) % shape.sizes[d]
         slope = 1.0 if direction is Direction.INCREASING else -1.0
         theta += slope * coord / (shape.sizes[d] - 1)
-    if constrained == 0:
-        return theta
-    theta -= theta.min()
-    theta /= constrained
+    if constrained:
+        theta -= theta.min()
+        theta /= constrained
+    theta.flags.writeable = False
     return theta
 
 
@@ -632,13 +649,34 @@ def model_objective(model, data, config: TrainConfig) -> float:
     """Mean loss of a finished model on ``data`` plus weighted regularizer
     values: the objective that training under ``config`` minimises."""
     z, y = _scores(model, data)
-    total = sum(loss_value(config.loss, float(yi), float(zi)) for yi, zi in zip(y, z))
+    total = sum(_loss_values(config.loss, y, z))  # added left to right
     total /= max(len(z), 1)
     missing_dims = missing_vertex_dims(model.specs)
     for cfg in config.regularizers:
         terms = regularizer_terms(model.shape, cfg.kind, missing_dims)
         total += cfg.weight * regularizer_value(model.theta, terms)
     return total
+
+
+def _loss_values(loss: Loss, y: np.ndarray, z: np.ndarray) -> list[float]:
+    """``loss_value(loss, y[i], z[i])`` for every i, bit for bit.  The
+    squared and hinge losses are taken in numpy: the square by
+    ``np.float_power``, which calls the C library's ``pow`` as Python's
+    ``**`` does (a product, numpy's square, rounds differently about once in
+    a thousand values), the hinge's ``max`` by a test of its sign.  A value
+    that is not finite (a square past the float limit, for which ``**``
+    raises) sends every value through ``loss_value``, and so does the
+    logistic loss, whose ``math`` calls numpy does not match."""
+    if loss is not Loss.LOGISTIC:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if loss is Loss.SQUARED:
+                values = np.float_power(y - z, 2.0)
+            else:
+                values = 1.0 - (2.0 * y - 1.0) * z
+                values = np.where(values > 0.0, values, 0.0)
+        if np.isfinite(values).all():
+            return values.tolist()
+    return [loss_value(loss, float(yi), float(zi)) for yi, zi in zip(y, z)]
 
 
 def evaluate_metrics(model, data) -> dict:

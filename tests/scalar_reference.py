@@ -25,6 +25,11 @@ do for a whole set through its parameter table.
 entries of the calibrator table; tests hold both against ``calibrate_row``,
 ``row_gradients`` and the calibrators' scalar methods.
 
+``reference_fit_knots`` is the one-column knot fit that ``fit_knots`` and
+``CalibratorSet.fit`` replaced with one fit over blocks of columns: one
+``np.quantile`` and one ``np.unique`` per column.  The block fit must give
+the same knots byte for byte and raise the same messages.
+
 ``reference_locate`` is the per-feature locate that ``CalibratorSet.locate``
 replaced with one pass over all features: one column at a time, its segment
 from ``np.searchsorted`` over the interior knots.  Each feature's row of
@@ -228,6 +233,23 @@ def reference_calibrate_batch(cs, columns):
             row.append([(position[e], g) for e, g in entries if e in position])
         grads.append(row)
     return x, grads
+
+
+def reference_fit_knots(column, keypoints, bounds=None):
+    """The knots of one column: its bounds (its finite values' min and max
+    where none are given) and the clipped, linearly interpolated quantiles
+    between them, deduplicated by ``np.unique``."""
+    if keypoints < 2:
+        raise ValueError("need at least 2 keypoints")
+    col = np.asarray(column, dtype=float)
+    col = col[np.isfinite(col)]
+    if col.size == 0:
+        raise ValueError("no finite values to place knots on")
+    lo, hi = bounds if bounds is not None else (float(col.min()), float(col.max()))
+    if not lo < hi:
+        raise ValueError(f"degenerate bounds [{lo}, {hi}]; column may be constant")
+    inner = np.quantile(col, np.arange(1, keypoints - 1) / (keypoints - 1))
+    return np.unique(np.concatenate([[lo], np.clip(inner, lo, hi), [hi]]))
 
 
 def reference_locate(cal, column):

@@ -1,5 +1,8 @@
 import copy
+import dataclasses
+import pickle
 import re
+from bisect import bisect_right
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -17,6 +20,7 @@ from monolattice import (
     LatticeShape,
     MissingPolicy,
     Model,
+    PairDataset,
     fit_knots,
     max_infeasibility,
 )
@@ -31,6 +35,7 @@ from monolattice.calibrators import (
 from scalar_reference import (
     free_parameters,
     reference_calibrate_batch,
+    reference_fit_knots,
     reference_locate,
     with_free_parameters,
 )
@@ -74,6 +79,130 @@ class TestFitKnots:
     def test_ignores_missing_cells(self):
         col = np.array([0.0, np.nan, 10.0, np.nan])
         assert fit_knots(col, 2) == pytest.approx([0.0, 10.0])
+
+
+def fitted_or_message(fit):
+    """``fit()``'s knots as bytes, or the message of the error it raises."""
+    try:
+        return fit().tobytes()
+    except ValueError as e:
+        return str(e)
+
+
+# column cells: heavy ties (signed zeros among them), a wide range, tiny and
+# huge magnitudes; and cells that are not finite
+_finite_cells = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 1.0, 2.5, -3.0]),
+    st.floats(-1e300, 1e300),
+    st.sampled_from([5e-324, -5e-324, 1e-300, 1.7e308, -1.7e308]),
+)
+_cells = st.one_of(_finite_cells, st.sampled_from([np.nan, np.inf, -np.inf]))
+
+
+@st.composite
+def fit_problems(draw):
+    """Specs and columns for ``CalibratorSet.fit``: continuous features
+    with 2-60 keypoints (drawn from a few counts, so that features share a
+    block), with or without bounds (some degenerate), on columns of ties
+    and wide ranges, some with NaN and infinities, some constant or empty;
+    and categorical features between them, some with a missing value they
+    have no policy for, so that errors of both kinds compete for the first
+    place."""
+    n = draw(st.integers(0, 30))
+    counts = draw(st.lists(st.integers(2, 60), min_size=1, max_size=3))
+    specs, columns = [], []
+    for d in range(draw(st.integers(1, 8))):
+        if draw(st.integers(0, 5)) == 0:
+            specs.append(cat_spec(name=f"g{d}"))
+            cells = ["a", "b", None] if draw(st.integers(0, 3)) == 0 else ["a", "b"]
+            columns.append(draw(st.lists(st.sampled_from(cells), min_size=n, max_size=n)))
+            continue
+        bounds = draw(st.one_of(st.none(), st.tuples(
+            st.floats(-10, 10), st.floats(-10, 10)).map(lambda b: (min(b), max(b)))))
+        keypoints = draw(st.sampled_from(counts))
+        specs.append(cont_spec(name=f"x{d}", keypoints=keypoints, bounds=bounds))
+        kind = draw(st.integers(0, 5))
+        if kind == 0:
+            column = np.full(n, draw(_cells))  # constant
+        else:
+            cells = _cells if kind == 1 else _finite_cells
+            column = np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=float)
+        columns.append(column)
+    return specs, columns
+
+
+class TestBlockFit:
+    """``CalibratorSet.fit`` places the knots of the features that share
+    their keypoints and number of finite values in one block; each must
+    equal ``fit_knots`` on its column and ``reference_fit_knots``, the
+    one-column fit, byte for byte, and a bad feature raises the error that
+    fitting the features one at a time in spec order raises first."""
+
+    @given(fit_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_block_fit_matches_the_one_column_fit(self, problem):
+        specs, columns = problem
+        labels = np.zeros(len(columns[0]))
+        expected, first_error = [], None
+        for spec, column in zip(specs, columns):
+            if spec.kind is FeatureKind.CATEGORICAL:
+                try:
+                    build_categorical_calibrator(spec, column, labels)
+                except DataError as e:
+                    first_error = first_error or str(e)
+                expected.append(None)
+                continue
+            want = fitted_or_message(lambda: reference_fit_knots(column, spec.keypoints, spec.bounds))
+            assert fitted_or_message(lambda: fit_knots(column, spec.keypoints, spec.bounds)) == want
+            if isinstance(want, str):
+                first_error = first_error or f"feature {spec.name}: {want}"
+            expected.append(want)
+        if first_error is not None:
+            with pytest.raises(DataError) as e:
+                CalibratorSet.fit(specs, columns, labels)
+            assert str(e.value) == first_error
+            return
+        cs = CalibratorSet.fit(specs, columns, labels)
+        for spec, cal, want in zip(specs, cs.calibrators, expected):
+            if want is not None:
+                assert cal.knots.tobytes() == want
+                assert cal.outputs.tobytes() == np.linspace(0.0, spec.axis_top, len(cal.knots)).tobytes()
+
+    @pytest.mark.parametrize("bounds", [(-0.0, 1.0), (-1.0, -0.0), (-1.0, 0.0), (0.0, 1.0)])
+    def test_zero_bounds_of_either_sign(self, bounds):
+        # a clip of a block of 5 or more rows against arrays of bounds
+        # picked -0.0 where the one-column clip picks 0.0
+        ones = np.zeros(18)
+        ones[-1] = 1.0
+        columns = [ones, np.zeros(18), -ones, ones, -ones, ones]
+        specs = [cont_spec(name=f"x{d}", keypoints=10, bounds=bounds if d == 1 else None)
+                 for d in range(len(columns))]
+        cs = CalibratorSet.fit(specs, columns)
+        for spec, cal, column in zip(specs, cs.calibrators, columns):
+            want = reference_fit_knots(column, spec.keypoints, spec.bounds)
+            assert cal.knots.tobytes() == want.tobytes()
+
+    def test_large_blocks(self):
+        rng = np.random.default_rng(3)
+        specs = [cont_spec(name=f"x{d}", keypoints=k, bounds=(-1.0, 1.0) if d % 3 == 0 else None)
+                 for d, k in enumerate([2, 7, 7, 7, 60, 60, 7, 7, 25, 7])]
+        columns = [np.round(rng.standard_normal(3000) * 100, d % 3) for d in range(len(specs))]
+        cs = CalibratorSet.fit(specs, columns)
+        for spec, cal, column in zip(specs, cs.calibrators, columns):
+            want = reference_fit_knots(column, spec.keypoints, spec.bounds)
+            assert cal.knots.tobytes() == want.tobytes()
+
+    def test_pair_pooled_columns(self):
+        rng = np.random.default_rng(7)
+        specs = [cont_spec(name=f"x{d}", keypoints=k) for d, k in enumerate([4, 4, 9, 4])]
+        plus = [np.round(rng.standard_normal(50), 1) for _ in specs]
+        minus = [np.round(rng.standard_normal(50), 1) for _ in specs]
+        plus[1][::5] = np.nan  # fewer finite values: a block of its own
+        pairs = PairDataset(plus, minus)
+        cs = CalibratorSet.fit(specs, pairs.fit_columns())
+        for spec, cal, a, b in zip(specs, cs.calibrators, plus, minus):
+            want = reference_fit_knots(np.concatenate([a, b]), spec.keypoints)
+            assert cal.knots.tobytes() == want.tobytes()
 
 
 class TestContinuousCalibrate:
@@ -221,6 +350,26 @@ class TestContinuousLocate:
             x = x[:-1]  # NaN needs a missing policy
         [got] = located_features(set_of(cal), [x])
         assert_same_location(got, reference_locate(cal, x))
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_more_than_255_knots_count_in_a_wider_type(self, data):
+        # a feature of 257-400 knots beside a narrow one: the segment counts
+        # no longer fit a byte; an inner value's segment is bisect_right's
+        knots = sorted(data.draw(st.lists(
+            st.floats(-1e6, 1e6), min_size=257, max_size=400, unique=True)))
+        wide = self.calibrator(knots, MissingPolicy.CALIBRATED, name="x0")
+        narrow = self.calibrator([0.0, 1.0, 2.0], MissingPolicy.NONE, name="x1")
+        cs = set_of(wide, narrow)
+        assert cs._knots.count == np.uint16
+        cell = st.one_of(st.sampled_from(knots), st.floats(knots[0] - 1, knots[-1] + 1),
+                         st.sampled_from([np.nan, -np.inf, np.inf]))
+        x = np.array(data.draw(st.lists(cell, min_size=1, max_size=50)))
+        got, _ = located_features(cs, [x, np.zeros(len(x))])
+        assert_same_location(got, reference_locate(wide, x))
+        for xi, lo, inner in zip(x.tolist(), got[0].tolist(), got[3].tolist()):
+            if inner:
+                assert lo == bisect_right(knots, xi) - 1
 
     def test_nan_without_missing_policy_is_a_data_error(self):
         cal = self.calibrator([0.0, 1.0], MissingPolicy.NONE)
@@ -567,6 +716,25 @@ class TestCalibratorSet:
             assert crossed.alpha().tobytes() == vec.tobytes()
             assert concatenated(crossed).tobytes() == concatenated(by_calibrator).tobytes()
             assert crossed.table().tobytes() == by_calibrator.table().tobytes()
+
+    def test_with_table_keeps_the_layout(self):
+        cs = self.build()
+        same = cs.with_table(cs.table())
+        assert same == cs and same._knots is cs._knots
+        table = cs.table()
+        cs.put_free(table, np.linspace(0.1, 0.9, cs.num_free))
+        moved = cs.with_table(table)
+        # the shared layout is the one the moved calibrators give afresh
+        fresh = CalibratorSet(moved.specs, moved.calibrators)
+        for name in ("offsets", "table_offsets", "num_free", "table_size", "_tops",
+                     "_free_entries"):
+            assert np.array_equal(getattr(moved, name), getattr(fresh, name))
+        for f in dataclasses.fields(fresh._knots):
+            a, b = getattr(moved._knots, f.name), getattr(fresh._knots, f.name)
+            assert a.tobytes() == b.tobytes() if isinstance(a, np.ndarray) else a == b
+        row = [4.0, "y", np.nan]
+        assert cs.calibrate_row(row) != moved.calibrate_row(row) == fresh.calibrate_row(row)
+        assert pickle.loads(pickle.dumps(moved)) == moved
 
     def test_row_gradients_use_global_positions(self):
         cs = self.build()

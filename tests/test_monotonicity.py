@@ -111,6 +111,20 @@ class TestBuildConstraints:
         with pytest.raises(ValueError):
             build_constraints(LatticeShape([2, 2]), (INC,))
 
+    def test_sets_are_built_once_per_shape_and_shared_read_only(self):
+        sh = LatticeShape([3, 2, 2])
+        cs = build_constraints(sh, (INC, DEC, FREE), {0})
+        # the same directions and missing dims spelled otherwise
+        assert build_constraints(sh, ["increasing", "decreasing", "none"], frozenset([0])) is cs
+        assert build_constraints(sh, (INC, DEC, FREE)) is not cs
+        for array in (cs.lo, cs.hi):
+            with pytest.raises(ValueError):
+                array[0] = 0
+        assert monotonicity._constraints.cache_parameters()["maxsize"] == monotonicity._CACHED_SETS
+        monotonicity._constraints.cache_clear()
+        fresh = build_constraints(sh, (INC, DEC, FREE), {0})
+        assert fresh is not cs and rows(fresh) == rows(cs)
+
 
 class TestCheckMonotonic:
     def test_single_violated_edge(self):
@@ -648,6 +662,22 @@ class TestOverflowingStep:
         assert got.tobytes() == (mid + rest).tobytes()
         assert np.isfinite(got).all() and got[1] >= got[0]
         assert got.tolist() == [7.5e307, 7.5e307, 1e308, 1e308, 1e308]
+
+    def test_a_component_whose_sum_overflows_is_averaged_to_its_end(self):
+        # after the hit the rest of the step is averaged over entries 0 and
+        # 1, whose sum passes the float limit; the pass is redone on the
+        # rest over its largest entry, and scaled back
+        cs = ConstraintSet(2, [0], [1])
+        theta = np.array([0.0, 0.5])
+        step = np.array([1.5e308, 1.4e308])
+        got, active = project_update(theta, step, cs, return_active=True)
+        t = 0.5 / (step[0] - step[1])
+        mid = theta + t * step
+        rest = (1.0 - t) * step / step[0]
+        assert active == [0]
+        assert got.tobytes() == (mid + (rest[0] + rest[1]) / 2.0 * step[0]).tobytes()
+        assert np.isfinite(got).all() and max_infeasibility(got, cs) == 0.0
+        assert got[1] >= got[0]
 
 
 # slacks and rates: any finite float, subnormals, values near the overflow

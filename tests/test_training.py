@@ -1,7 +1,10 @@
 import importlib.util
 import math
+import os
 import re
+import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -40,7 +43,7 @@ from monolattice import (
     train,
     vertex_coords,
 )
-from monolattice import interpolation, monotonicity, training
+from monolattice import interpolation, monotonicity, regularizers, training
 from monolattice.interpolation import ChunkBuffers, evaluate
 from monolattice.training import loss_gradients, loss_slope, prepare_state, sgd_step
 from scalar_reference import (
@@ -144,6 +147,14 @@ class TestInitLattice:
         theta = init_lattice(shape, dirs)
         con = build_constraints(shape, dirs)
         assert max_infeasibility(np.asarray(theta), con) == 0.0
+
+    def test_built_once_per_shape_and_shared_read_only(self):
+        shape = LatticeShape((3, 2))
+        theta = init_lattice(shape, (Direction.INCREASING, Direction.NONE))
+        assert init_lattice(shape, ["increasing", "none"]) is theta
+        with pytest.raises(ValueError):
+            theta[0] = 1.0
+        assert training._linear_start.cache_parameters()["maxsize"] is not None
 
 
 class TestGradients:
@@ -477,6 +488,146 @@ class TestObjective:
             for cfg in regs
         )
         assert model_objective(model, data, config) == pytest.approx(expected, rel=1e-12)
+
+
+class TestObjectiveLosses:
+    """``model_objective`` sums numpy's per-row losses; each must be
+    ``loss_value``'s, and the sum the loop's, bit for bit."""
+
+    @staticmethod
+    def loop(loss, y, z):
+        return [loss_value(loss, float(a), float(b)) for a, b in zip(y, z)]
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_per_row_losses_equal_the_loop(self, data):
+        loss = data.draw(st.sampled_from(list(Loss)))
+        n = data.draw(st.integers(0, 40))
+        edge = [0.0, -0.0, 1.0, -1.0, 2.0, 1e154, -1e154, 1.4e154, 1e200, -1e200, 5e-324, 1e-160]
+        cell = st.one_of(st.floats(-1e3, 1e3), st.floats(allow_nan=False), st.sampled_from(edge))
+        z = np.array(data.draw(st.lists(cell, min_size=n, max_size=n)), dtype=float)
+        if loss is Loss.SQUARED:
+            y = np.array(data.draw(st.lists(cell, min_size=n, max_size=n)), dtype=float)
+        else:
+            # labels 0 and 1, and scores at the hinge's kink (margin 1)
+            y = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)))
+            kink = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+            z[kink] = 2.0 * y[kink] - 1.0
+        try:
+            want = self.loop(loss, y, z)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                training._loss_values(loss, y, z)
+            return
+        got = training._loss_values(loss, y, z)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert float(sum(got)).hex() == float(sum(want)).hex()
+
+    @pytest.mark.parametrize("loss", list(Loss))
+    def test_many_random_rows(self, loss):
+        # numpy's square (a product) and Python's ** (the C library's pow)
+        # differ on about one value in a thousand
+        rng = np.random.default_rng(17)
+        z = rng.standard_normal(20000) * 10.0 ** rng.integers(-3, 4, 20000)
+        y = rng.integers(0, 2, 20000) * 1.0
+        if loss is Loss.SQUARED:
+            y = rng.standard_normal(20000)
+        got, want = training._loss_values(loss, y, z), self.loop(loss, y, z)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("loss", [Loss.SQUARED, Loss.HINGE])
+    def test_objective_equals_the_loop(self, loss):
+        rng = np.random.default_rng(9)
+        a = rng.random(300)
+        y = a + 0.1 * rng.standard_normal(300) if loss is Loss.SQUARED else (a > 0.5) * 1.0
+        y[:3] = [-0.0, 0.0, 1.0]
+        data = Dataset([a], y)
+        regs = (RegularizerConfig(RegularizerKind.LAPLACIAN, 0.1),)
+        config = TrainConfig(loss=loss, epochs=2, seed=2, regularizers=regs)
+        model = train(data, [spec("a", size=3, keypoints=4)], config)
+        losses = self.loop(loss, y, model.predict(data))
+        want = sum(losses) / len(losses) + 0.1 * regularizer_value(
+            model.theta, regularizer_terms(model.shape, RegularizerKind.LAPLACIAN))
+        assert model_objective(model, data, config).hex() == want.hex()
+
+
+def shape_run(seed: int) -> str:
+    """The model file of a small two-worker run with a torsion term; runs
+    of every seed share the lattice shape."""
+    rng = np.random.default_rng(4)
+    columns = [rng.random(60) for _ in range(3)]
+    y = columns[0] + 0.5 * columns[1] - 0.2 * columns[2]
+    specs = [spec(f"x{d}", size=3, keypoints=4, monotone=m)
+             for d, m in enumerate([Direction.INCREASING, Direction.DECREASING, Direction.NONE])]
+    config = TrainConfig(epochs=2, minibatch_size=8, step_size=0.3, seed=seed, workers=2,
+                         sync_rounds=2, regularizers=(RegularizerConfig(RegularizerKind.TORSION, 0.01),))
+    return train(Dataset(columns, y), specs, config).to_json()
+
+
+def clear_shape_caches():
+    for cache in (monotonicity._constraints, training._linear_start, regularizers._terms):
+        cache.cache_clear()
+
+
+class TestPerRunWork:
+    """What depends only on the lattice shape is built once per shape and
+    shared; what depends on the data is built once per run."""
+
+    def test_prepare_state_fits_a_block_with_one_quantile_and_reuses_the_shape(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        specs = [spec(f"x{d}", keypoints=5, monotone=Direction.INCREASING) for d in range(10)]
+        data = Dataset([rng.random(50) for _ in specs], rng.random(50))
+        calls = []
+        quantile = np.quantile
+        monkeypatch.setattr(np, "quantile", lambda *a, **k: calls.append(1) or quantile(*a, **k))
+        prepare_state(data, specs, TrainConfig())
+        assert len(calls) == 1
+        builds = [monotonicity._constraints.cache_info().misses,
+                  training._linear_start.cache_info().misses]
+        state = prepare_state(data, specs, TrainConfig(workers=2))
+        assert [monotonicity._constraints.cache_info().misses,
+                training._linear_start.cache_info().misses] == builds
+        assert state.theta.flags.writeable and state.theta.shape == (2, 2**10)
+        assert not state.theta_constraints.lo.flags.writeable
+        for cache in (monotonicity._constraints, training._linear_start, regularizers._terms):
+            assert cache.cache_parameters()["maxsize"] is not None
+
+    def test_warm_cold_and_fresh_process_runs_write_the_same_model(self):
+        warm = shape_run(5)
+        assert shape_run(5) == warm
+        clear_shape_caches()
+        assert shape_run(5) == warm
+        tests = Path(__file__).resolve().parent
+        src = Path(training.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(tests)]))
+        fresh = subprocess.run(
+            [sys.executable, "-c", "import test_training; print(test_training.shape_run(5), end='')"],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert fresh.stdout == warm
+
+    def test_threads_training_one_shape_write_the_serial_models(self):
+        serial = {seed: shape_run(seed) for seed in range(3)}
+        clear_shape_caches()  # the threads race to build the shared parts
+        results = {}
+        barrier = threading.Barrier(3)
+
+        def run(seed):
+            barrier.wait()
+            results[seed] = shape_run(seed)
+
+        threads = [threading.Thread(target=run, args=(seed,)) for seed in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == serial
 
 
 class TestParallel:
