@@ -62,8 +62,10 @@ knots 1 .. last at or below it, which is ``bisect_right``'s segment for an
 inner value; the padding counts for no value, +inf included.  Then one
 gather gives every value's knot and one its segment's width.  A
 categorical column's distinct values are looked up once per call, and its
-rows are written by table entry.  A bad value raises the ``DataError``
-that ``calibrate_row`` raises on the first bad row, with that row's index.
+rows are written by table entry.  Errors have one path: the checks inside
+a chunk only detect a bad value, and a chunk that holds one is calibrated
+again row by row, so it raises the ``DataError`` that ``calibrate_row``
+raises on the first bad row, with that row's index.
 """
 
 from __future__ import annotations
@@ -411,11 +413,14 @@ def _numbers(column) -> np.ndarray:
     return out
 
 
-def _missing_fields(spec: FeatureSpec) -> dict:
-    """The missing-value fields of a calibrator fitted for ``spec``: a
-    learned coordinate starts mid-axis, a missing vertex is the top slice."""
+def _spec_fields(spec: FeatureSpec) -> dict:
+    """The fields a calibrator takes from ``spec``, fitted or loaded: its
+    axis top, its name and its missing-value fields (a learned coordinate
+    starts mid-axis, a missing vertex is the top slice)."""
     missing = spec.missing
     return {
+        "axis_top": spec.axis_top,
+        "name": spec.name,
         "missing": missing,
         "missing_value": (spec.size - 1) / 2.0 if missing is MissingPolicy.CALIBRATED else None,
         "missing_vertex": float(spec.size - 1) if missing is MissingPolicy.VERTEX else None,
@@ -448,21 +453,10 @@ def _continuous_calibrator(spec: FeatureSpec, knots, outputs: dict) -> Continuou
     ``outputs`` keeps each (knot count, axis top)'s outputs for the next."""
     if isinstance(knots, str):
         raise DataError(f"feature {spec.name}: {knots}")
-    top = spec.axis_top
-    key = (len(knots), top)
+    key = (len(knots), spec.axis_top)
     if key not in outputs:
-        outputs[key] = np.linspace(0.0, top, len(knots))
-    return ContinuousCalibrator(
-        knots=knots,
-        outputs=outputs[key],
-        axis_top=top,
-        name=spec.name,
-        **_missing_fields(spec),
-    )
-
-
-def build_continuous_calibrator(spec: FeatureSpec, column) -> ContinuousCalibrator:
-    return _continuous_calibrator(spec, _fit_columns([spec], [column])[0], {})
+        outputs[key] = np.linspace(0.0, spec.axis_top, len(knots))
+    return ContinuousCalibrator(knots=knots, outputs=outputs[key], **_spec_fields(spec))
 
 
 def _respect_order_pairs(spec: FeatureSpec, ordered: list[str]) -> list[str]:
@@ -558,11 +552,9 @@ def build_categorical_calibrator(
     return CategoricalCalibrator(
         categories=ordered,
         values=values,
-        axis_top=top,
         order_pairs=[(str(a), str(b)) for a, b in spec.order_pairs],
         other_index=other_index,
-        name=spec.name,
-        **_missing_fields(spec),
+        **_spec_fields(spec),
     )
 
 
@@ -619,7 +611,7 @@ class _KnotBlock:
     knot_at: np.ndarray  # (table size,)
     width_at: np.ndarray  # (table size,)
     numbers: tuple  # continuous features
-    strict: tuple  # continuous features without a missing policy
+    strict: np.ndarray  # continuous features without a missing policy
     count: np.dtype  # the narrowest unsigned type that holds W - 1, a segment's count
 
     @classmethod
@@ -654,23 +646,22 @@ class _KnotBlock:
             knot_at=read_only(knot_at),
             width_at=read_only(width_at),
             numbers=tuple(numbers),
-            strict=tuple(d for d in numbers if cals[d].missing is MissingPolicy.NONE),
+            strict=read_only([d for d in numbers if cals[d].missing is MissingPolicy.NONE],
+                             np.intp),
             count=np.min_scalar_type(width - 1),
         )
 
 
-def _number_chunk(cal, column, start: int, stop: int):
+def _number_chunk(column, start: int, stop: int):
     """Rows start:stop of a continuous column as floats, NaN where missing;
-    the first value that is not a number raises ``calibrate``'s DataError."""
+    a value that is not a number raises a DataError."""
     part = column[start:stop]
     if isinstance(column, np.ndarray) and column.dtype.kind == "f":
         return part
     try:
         return [np.nan if is_missing(v) else float(v) for v in part]
     except (TypeError, ValueError):
-        for v in part:
-            cal.calibrate(v)  # raises the DataError of the first bad value
-        raise
+        raise DataError("a value is not a number") from None
 
 
 def _text(v):
@@ -682,7 +673,7 @@ def _category_codes(cal, column, offset: int):
     writes the entries of rows start:stop into an int row.  Each distinct
     value is looked up once per call, when a chunk first holds it, and a
     value ``calibrate`` rejects (an unknown category without an OTHER
-    bucket, missing without a policy) raises its DataError.
+    bucket, missing without a policy) raises a DataError.
 
     Values are read as text, as ``calibrate`` reads them: a column of text
     and None is keyed by its values, and from the first other value on
@@ -712,7 +703,7 @@ def _category_codes(cal, column, offset: int):
                     code_of[v] = missing if v is None else unknown if i is None else offset + i
             out[...] = list(map(code_of.__getitem__, keys))
         if out.min(initial=0) < 0:
-            cal.calibrate(part[int(np.argmin(out))])  # raises the first bad value's error
+            raise DataError("a value has no table entry")
 
     return write
 
@@ -972,8 +963,9 @@ class CalibratorSet(Frozen):
         chunk.
 
         A categorical column's distinct values are looked up once per call
-        (``_category_codes``).  A bad value raises the ``DataError`` that
-        :meth:`calibrate_row` raises on the first bad row, with that row's
+        (``_category_codes``).  A chunk whose locate finds a bad value is
+        calibrated again row by row: the error is the ``DataError`` that
+        :meth:`calibrate_row` raises on its first bad row, with that row's
         index in ``columns`` as its ``row``."""
         self._check_width(len(columns), "columns")
         rows = len(columns[0]) if len(columns) else 0
@@ -1017,7 +1009,7 @@ class CalibratorSet(Frozen):
         inner = buffers.get("locate inner", *x.shape, bool)
         count = buffers.get("locate count " + kb.count.char, *x.shape, kb.count)
         for d in kb.numbers:
-            x[d] = _number_chunk(self.calibrators[d], columns[d], start, stop)
+            x[d] = _number_chunk(columns[d], start, stop)
         for d, _ in codes:
             x[d] = 0.0
         bits = flag.view(np.uint8)  # the flags as 0 and 1
@@ -1030,9 +1022,8 @@ class CalibratorSet(Frozen):
         np.logical_and(np.greater(x, kb.first, inner), np.less(x, kb.last, flag), inner)
         missing = np.isnan(x, flag)
         if missing.any():
-            for d in kb.strict:
-                if missing[d].any():
-                    _missing_coordinate(self.calibrators[d])  # raises
+            if missing[kb.strict].any():
+                raise DataError("a value is missing without a missing policy")
             np.copyto(lo, kb.missing_slots, where=missing)
         for d, write in codes:
             write(start, stop, lo[d])

@@ -114,7 +114,8 @@ def _parse_regularizer(text: str) -> RegularizerConfig:
     return RegularizerConfig(kind, weight, count)
 
 
-def _load_training_inputs(args):
+def _training_specs(args):
+    """The schema's specs with the flags applied, and its label column."""
     specs, label = load_schema(args.schema)
     with _flag_values():
         if args.lattice:
@@ -124,26 +125,22 @@ def _load_training_inputs(args):
         if args.keypoints:
             specs = _parse_keypoints(args.keypoints, specs)
         LatticeShape([s.size for s in specs])  # refuses a lattice too large to train
-    if getattr(args, "unseen_category", None) == "other":
+    if args.unseen_category == "other":
         specs = [
             replace(s, allow_unseen=True) if s.kind is FeatureKind.CATEGORICAL else s
             for s in specs
         ]
+    return specs, label
+
+
+def _load_data(args, specs, label):
+    """The ``--data`` file: ranking pairs with ``--pairs`` or ``--pair-id``,
+    else rows that must carry ``label``."""
     if args.pairs or args.pair_id:
-        data = load_pair_dataset(
-            args.data,
-            specs,
-            pair_id_column=args.pair_id,
-            label_column=label,
-            missing_token=args.missing_token,
-        )
-    else:
-        if label is None:
-            raise UsageError("schema has no label column; pass --pairs for ranking data")
-        data = load_dataset(
-            args.data, specs, label, missing_token=args.missing_token, require_labels=True
-        )
-    return specs, label, data
+        return load_pair_dataset(args.data, specs, pair_id_column=args.pair_id,
+                                 label_column=label, missing_token=args.missing_token)
+    return load_dataset(args.data, specs, label, missing_token=args.missing_token,
+                        require_labels=True)
 
 
 # --------------------------------------------------------------------------
@@ -151,7 +148,10 @@ def _load_training_inputs(args):
 
 
 def cmd_train(args) -> int:
-    specs, _, data = _load_training_inputs(args)
+    specs, label = _training_specs(args)
+    if label is None and not (args.pairs or args.pair_id):
+        raise UsageError("schema has no label column; pass --pairs for ranking data")
+    data = _load_data(args, specs, label)
     with _flag_values():
         config = TrainConfig(
             loss=Loss(args.loss),
@@ -191,25 +191,8 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model = Model.load(args.model)
-    specs, label = model.specs, None
-    if args.schema:
-        specs, label = load_schema(args.schema)
-    if args.pairs or args.pair_id:
-        data = load_pair_dataset(
-            args.data,
-            specs,
-            pair_id_column=args.pair_id,
-            label_column=label or args.label,
-            missing_token=args.missing_token,
-        )
-    else:
-        data = load_dataset(
-            args.data,
-            specs,
-            label or args.label,
-            missing_token=args.missing_token,
-            require_labels=True,
-        )
+    specs, label = load_schema(args.schema) if args.schema else (model.specs, None)
+    data = _load_data(args, specs, label or args.label)
     print(json.dumps(evaluate_metrics(model, data), sort_keys=True))
     return EXIT_OK
 

@@ -108,12 +108,6 @@ class PairDataset:
     def num_pairs(self) -> int:
         return len(self.plus_columns[0])
 
-    def plus_row(self, i: int) -> list:
-        return [col[i] for col in self.plus_columns]
-
-    def minus_row(self, i: int) -> list:
-        return [col[i] for col in self.minus_columns]
-
     def fit_columns(self) -> list:
         """Per feature, both sides pooled (for knot and category fitting)."""
         out = []

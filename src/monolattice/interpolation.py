@@ -5,9 +5,10 @@ of vertex parameters:
 
 * ``multilinear_weights`` - the product-form weights via a doubling pass:
   process one dimension at a time, splitting every partial weight into its
-  (1-r) and r halves.  O(2^D).  ``multilinear_weights_naive`` evaluates the
-  product one vertex at a time, O(D * 2^D); it is not a kind but the oracle
-  the doubling pass is tested against.
+  (1-r) and r halves.  O(2^D).  ``multilinear_weights_naive`` in
+  ``tests/scalar_reference.py`` evaluates the product one vertex at a time,
+  O(D * 2^D); it is not a kind but the oracle the doubling pass is tested
+  against, and the library does not ship it.
 * ``simplex_weights`` - locally linear instead of multilinear: sort the
   residual, walk the chain of vertices from the cell base to its far corner
   in sorted order, and weight each chain vertex by a difference of
@@ -17,19 +18,21 @@ Both produce nonnegative weights that sum to 1 and average the residual back
 exactly (linear precision), so piecing cells together yields a continuous
 surface.
 
-The scalar kernels above work on one point.  ``forward_backward_batch`` runs
-the same arithmetic on an (n, D) array of points in numpy, one array
-operation per scalar step, and sums every vertex product in list order as
-the scalar loops do, so its values, weights and slopes equal the scalar
-ones bit for bit.  Training, ``evaluate_batch`` and batch prediction go
-through it; the scalar kernels act as its oracle.  Inside, points are a
-feature-major (D, n) block (``lattice.as_block``), the layout batch
-calibration writes, so a calibrated chunk feeds the kernel with no
-transpose, and the slopes come back (D, n).  Multilinear chunks are
-stored vertex-major, as C-contiguous (2^D, n) arrays, so each doubling,
-collapse and sum step works on whole rows; numpy's ``add.reduce`` over the
-rows then adds them top to bottom.  A one-column chunk is the exception:
-numpy would sum its single column pairwise, so it goes through ``cumsum``.
+The scalar kernels above work on one point.  The batched kernel,
+``_forward_backward``, runs the same arithmetic on a block of points in
+numpy, one array operation per scalar step, and sums every vertex product
+in list order as the scalar loops do, so its values, weights and slopes
+equal the scalar ones bit for bit.  Training, ``evaluate_batch`` and batch
+prediction go through it; the scalar kernels act as its oracle, and the
+tests run it on (n, D) arrays of points through ``forward_backward_batch``
+in ``tests/scalar_reference.py``.  Points are a feature-major (D, n) block
+(``lattice.as_block``), the layout batch calibration writes, so a
+calibrated chunk feeds the kernel with no transpose, and the slopes come
+back (D, n).  Multilinear chunks are stored vertex-major, as C-contiguous
+(2^D, n) arrays, so each doubling, collapse and sum step works on whole
+rows; numpy's ``add.reduce`` over the rows then adds them top to bottom.
+A one-column chunk is the exception: numpy would sum its single column
+pairwise, so it goes through ``cumsum``.
 
 A simplex chunk is one chain walk, one array operation per formula
 rather than per step.  Each point's residuals are sorted once (a stable
@@ -51,12 +54,11 @@ for a whole training run (held on the run's state).  At D = 10 each
 multilinear array is 256 KB, above glibc's initial mmap threshold, so
 arrays made afresh for every chunk would be mapped, page-faulted and
 unmapped chunk after chunk, and the kernel would run at half speed unless
-some earlier, larger free had raised the threshold.
-``forward_backward_batch`` itself draws a fresh set per call, so the
-arrays it returns are the caller's.  The vertex values are gathered with
-``take(mode="clip")`` into their buffer, which writes there directly only
-because nothing can be clipped: the cells' far corners are checked against
-``theta`` first, so a short ``theta`` still raises ``IndexError``.
+some earlier, larger free had raised the threshold.  The vertex values
+are gathered with ``take(mode="clip")`` into their buffer, which writes
+there directly only because nothing can be clipped: the cells' far
+corners are checked against ``theta`` first, so a short ``theta`` still
+raises ``IndexError``.
 
 A lattice whose sizes are all 2 has one cell: every point's base index is
 0 and the doubled offsets are 0 .. 2^D-1, so a point's vertex values are
@@ -130,50 +132,6 @@ class SparseWeights:
 
     indices: list[int]
     weights: list[float]
-
-
-# --------------------------------------------------------------------------
-# naive multilinear (oracle)
-
-
-def multilinear_weights_naive(residual) -> list[float]:
-    """Dense weights over all 2^D cell vertices, one product per vertex.
-
-    Entry k weights the vertex whose offset bits are the binary digits of k
-    (bit d = 1 means the far side of the cell in dimension d).
-    """
-    rs = [float(r) for r in residual]
-    D = len(rs)
-    if D > 24:
-        raise ValueError(f"naive weights over {D} dimensions would need 2^{D} entries")
-    for r in rs:
-        if not 0.0 <= r <= 1.0:
-            raise ValueError(f"residual {r} outside [0, 1]")
-    out = []
-    for k in range(1 << D):
-        w = 1.0
-        for d in range(D):
-            w *= rs[d] if (k >> d) & 1 else 1.0 - rs[d]
-        out.append(w)
-    return out
-
-
-def multilinear_weights_naive_batch(residuals: np.ndarray) -> np.ndarray:
-    """Vectorized naive weights: (n, D) residuals -> (n, 2^D) weights."""
-    rs = np.asarray(residuals, dtype=float)
-    if rs.ndim != 2:
-        raise ValueError(f"expected an (n, D) array, got {rs.shape}")
-    n, D = rs.shape
-    if D > 24:
-        raise ValueError(f"naive weights over {D} dimensions would need 2^{D} entries")
-    if np.any(rs < 0.0) or np.any(rs > 1.0):
-        raise ValueError("residuals outside [0, 1]")
-    bits = (np.arange(1 << D)[None, :] >> np.arange(D)[:, None]) & 1
-    out = np.ones((n, 1 << D))
-    for d in range(D):
-        r = rs[:, d : d + 1]
-        out *= np.where(bits[d][None, :] == 1, r, 1.0 - r)
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -680,46 +638,20 @@ def _multilinear_slopes(
     return slopes
 
 
-def forward_backward_batch(
-    theta, shape: LatticeShape, points: np.ndarray,
-    kind: InterpolationKind = InterpolationKind.MULTILINEAR,
-    want_slopes: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """Values, vertex indices, vertex weights and (optionally) d(value)/dx
-    for an (n, D) array of points.
-
-    Returns ``(values (n,), indices (n, k), weights (n, k), slopes (n, D) or
-    None)``, where row i of ``indices``/``weights`` lists the vertices in the
-    order the scalar kernel of ``kind`` lists them.  Every entry equals what
-    :func:`evaluate_with_gradients` gives for row i, bit for bit.
-
-    Both kernels record the vertex lists vertex-major, as (k, n) arrays,
-    and return their transposed views.  Multilinear sums over a single
-    point's column run through ``cumsum``, since numpy sums one column
-    pairwise.  The arrays belong to the caller: this call's chunk buffers
-    are its own.  On a lattice of one cell every row of ``indices`` is
-    0 .. 2^D-1.
-    """
-    values, indices, weights, slopes = _forward_backward(
-        theta, shape, as_block(shape, points), kind, want_slopes, ChunkBuffers()
-    )
-    if indices is None:  # one cell: the kernel reads theta without indices
-        indices = np.tile(_doubled_offsets(shape), (len(values), 1))
-    return values, indices, weights, None if slopes is None else slopes.T
-
-
 def _forward_backward(theta, shape, points, kind, want_slopes, buffers: ChunkBuffers,
                       vertices: bool = True, owner=None):
-    # forward_backward_batch of a feature-major (D, n) block of points, with
-    # the multilinear chunk arrays drawn from ``buffers``: its indices and
-    # weights are views into them, valid until the next call with the same
-    # buffers, and its slopes are (D, n).  Without ``vertices`` the caller
-    # reads no vertex lists: the one-cell kernel overwrites its weights, and
-    # both it and the simplex walk return None for them.  On a
-    # lattice of one cell (one_cell) the indices are None: vertex j of every
-    # point is entry j of its parameter vector.  With ``owner`` (one per
-    # point, in runs of equal owners), ``theta`` is a (K, P) stack of
-    # parameter vectors and point i reads row owner[i].
+    # Values, vertex indices, vertex weights and (with want_slopes) the
+    # slopes d(value)/dx of a feature-major (D, n) block of points, each
+    # point's vertices in the order the scalar kernel of ``kind`` lists
+    # them.  The multilinear chunk arrays are drawn from ``buffers``: the
+    # indices and weights are views into them, valid until the next call
+    # with the same buffers, and the slopes are (D, n).  Without
+    # ``vertices`` the caller reads no vertex lists: the one-cell kernel
+    # overwrites its weights, and both it and the simplex walk return None
+    # for them.  On a lattice of one cell (one_cell) the indices are None:
+    # vertex j of every point is entry j of its parameter vector.  With
+    # ``owner`` (one per point, in runs of equal owners), ``theta`` is a
+    # (K, P) stack of parameter vectors and point i reads row owner[i].
     kind = InterpolationKind(kind)
     th = np.asarray(theta, dtype=float)
     base, residual = locate_block(shape, points)

@@ -46,6 +46,7 @@ from .calibrators import (
     FeatureSpec,
     Frozen,
     MissingPolicy,
+    _spec_fields,
     missing_vertex_dims,
     read_only,
 )
@@ -232,29 +233,21 @@ class Model(Frozen):
                 allow_unseen=bool(entry["allow_unseen"]),
             )
             state = entry["calibrator"]
-            vertex = float(spec.size - 1) if spec.missing is MissingPolicy.VERTEX else None
+            fields = dict(_spec_fields(spec), missing_value=state["missing_value"])
             if spec.kind is FeatureKind.CONTINUOUS:
                 cal = ContinuousCalibrator(
                     knots=np.asarray(state["knots"], dtype=float),
                     outputs=np.asarray(state["outputs"], dtype=float),
-                    axis_top=spec.axis_top,
-                    missing=spec.missing,
-                    missing_value=state["missing_value"],
-                    missing_vertex=vertex,
-                    name=spec.name,
+                    **fields,
                 )
             else:
                 order = state["category_order"]
                 cal = CategoricalCalibrator(
                     categories=list(order),
                     values=np.array([state["category_values"][c] for c in order]),
-                    axis_top=spec.axis_top,
-                    missing=spec.missing,
-                    missing_value=state["missing_value"],
-                    missing_vertex=vertex,
                     other_index=state["other_index"],
                     order_pairs=[tuple(p) for p in entry["order"]],
-                    name=spec.name,
+                    **fields,
                 )
             _check_calibrator(spec, cal)
             specs.append(spec)

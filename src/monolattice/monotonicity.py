@@ -13,6 +13,7 @@ parameters reuse the same machinery.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import functools
 import math
@@ -152,11 +153,11 @@ def _constraints(shape: LatticeShape, spec: tuple, missing_dims: frozenset) -> C
 
 def check_monotonic(theta, constraints: ConstraintSet, tolerance: float = 0.0) -> np.ndarray:
     """Positions of rows with theta[hi] - theta[lo] < -tolerance, or not a
-    number (a row touching NaN, or +inf on both ends, is violated)."""
+    number (a row touching NaN, or +inf on both ends, is violated).  A
+    slack that overflows is +-inf, as large as it is."""
     th = np.asarray(theta, dtype=float)
-    if constraints.num_rows == 0:
-        return np.empty(0, dtype=np.int64)
-    slack = th[constraints.hi] - th[constraints.lo]
+    with np.errstate(over="ignore"):
+        slack = th[constraints.hi] - th[constraints.lo]
     return np.nonzero(~(slack >= -tolerance))[0].astype(np.int64)
 
 
@@ -175,24 +176,17 @@ def describe_violations(
 
 
 def max_infeasibility(theta, constraints: ConstraintSet) -> float:
-    """Largest constraint violation (0 when feasible); covers rows and bounds.
-    A theta with a non-finite entry is infinitely infeasible."""
+    """Largest constraint violation (0 when feasible); covers rows and bounds,
+    the finite ones, as the walk reads them (``_finite_bounds``).  A theta
+    with a non-finite entry is infinitely infeasible."""
     th = np.asarray(theta, dtype=float)
     if not np.isfinite(th).all():
         return math.inf
-    worst = 0.0
-    if constraints.num_rows:
-        slack = th[constraints.hi] - th[constraints.lo]
-        worst = max(worst, float(-slack.min()))
-    if constraints.lower is not None:
-        finite = np.isfinite(constraints.lower)
-        if np.any(finite):
-            worst = max(worst, float((constraints.lower[finite] - th[finite]).max()))
-    if constraints.upper is not None:
-        finite = np.isfinite(constraints.upper)
-        if np.any(finite):
-            worst = max(worst, float((th[finite] - constraints.upper[finite]).max()))
-    return max(worst, 0.0)
+    lower_j, lower = _finite_bounds(constraints.lower)
+    upper_j, upper = _finite_bounds(constraints.upper)
+    with np.errstate(over="ignore"):  # a slack that overflows is +-inf
+        slack = [th[constraints.hi] - th[constraints.lo], th[lower_j] - lower, upper - th[upper_j]]
+    return 0.0 - float(np.concatenate(slack).min(initial=0.0))
 
 
 # --------------------------------------------------------------------------
@@ -200,6 +194,11 @@ def max_infeasibility(theta, constraints: ConstraintSet) -> float:
 
 _HIT_TOL = 1e-12  # slack considered zero, in line-parameter space
 _FEASIBLE_INPUT_TOL = 1e-9
+# A walk moves theta by at most the step's largest entry, and no direction
+# exceeds it, so while theta, the step and the bounds stay below this no
+# slack or closing rate can overflow
+_NEAR_LIMIT = 2.0**1021
+_AS_IS = contextlib.nullcontext()
 
 
 def _finite_bounds(bounds) -> tuple[np.ndarray, np.ndarray]:
@@ -233,6 +232,7 @@ class _Rows:
         self.upper_j, self.upper = _finite_bounds(constraints.upper)
         self.count = len(self.lo) + len(self.lower_j) + len(self.upper_j)
         self.bounds = np.concatenate([self.lower, self.upper])
+        self.bound_peak = float(np.abs(self.bounds).max(initial=0.0))
         p = constraints.num_parameters
         slots = np.arange(p, p + len(self.bounds))
         lower_slots, upper_slots = slots[: len(self.lower_j)], slots[len(self.lower_j) :]
@@ -247,20 +247,34 @@ class _Rows:
         except IndexError:
             return _Workspace(self)
 
-    def scan(self, th: np.ndarray, direction: np.ndarray, work: "_Workspace") -> np.ndarray:
+    def scan(self, th: np.ndarray, direction: np.ndarray, work: "_Workspace",
+             near_limit: bool = False) -> np.ndarray:
         """One pass over every row: gathers ``th`` and ``direction`` at both
         ends of all rows (one take per end), forms each row's slack
         (``th[hi] - th[lo]``; ``th[j] - lower`` and ``upper - th[j]`` for
         the bounds) and closing rate (the negated rate, ``direction[lo] -
-        direction[hi]``) in ``work``, and returns the rows the pass hits."""
+        direction[hi]``) in ``work``, and returns the rows the pass hits.
+
+        Only ``near_limit`` (theta, the step or a bound at ``_NEAR_LIMIT``
+        or beyond) lets either difference overflow to +-inf, with numpy's
+        warning turned off.  An infinite slack against a finite rate is no
+        hit, as the exact one would not be.  A row whose closing rate
+        overflowed takes its slack and rate from its ends halved, which
+        cannot overflow and keeps their ratio, the hit time."""
         p = len(th)
         work.values[:p, 0], work.values[:p, 1] = th, direction
         # every index is in range; "clip" lets take write straight into out
         work.values.take(self.row_hi, axis=0, out=work.at_hi, mode="clip")
         work.values.take(self.row_lo, axis=0, out=work.at_lo, mode="clip")
-        np.subtract(work.at_hi[:, 0], work.at_lo[:, 0], out=work.slack)
-        # lo - hi is -(hi - lo) up to the sign of a zero, which no test reads
-        np.subtract(work.at_lo[:, 1], work.at_hi[:, 1], out=work.closing)
+        with np.errstate(over="ignore") if near_limit else _AS_IS:
+            np.subtract(work.at_hi[:, 0], work.at_lo[:, 0], out=work.slack)
+            # lo - hi is -(hi - lo) up to the sign of a zero, which no test reads
+            np.subtract(work.at_lo[:, 1], work.at_hi[:, 1], out=work.closing)
+        if near_limit:
+            wide = np.flatnonzero(np.isinf(work.closing))
+            at_hi, at_lo = work.at_hi[wide] * 0.5, work.at_lo[wide] * 0.5
+            work.slack[wide] = at_hi[:, 0] - at_lo[:, 0]
+            work.closing[wide] = at_lo[:, 1] - at_hi[:, 1]
         _hits_within_step(work.slack, work.closing, scratch=work.raised, out=work.hit)
         return work.hit.nonzero()[0]
 
@@ -382,7 +396,8 @@ def project_update(
     ends of an active row then move by the same value, so its rate is
     exactly 0 and it is never hit again.  A pass whose component sums
     overflow (entries near the float limit) takes the means of the rest
-    divided by the step's largest entry, and scales them back.  The
+    divided by the step's largest entry, and scales them back; a row whose
+    slack or closing rate overflows is read as ``_Rows.scan`` says.  The
     component labels and the step's norm are computed at the first hit; a
     step that hits nothing never needs them.
 
@@ -418,14 +433,17 @@ def project_update(
         raise ValueError(
             f"expected {constraints.num_parameters} parameters, got {th.shape[0]}"
         )
-    if not np.isfinite(th).all():
+    th_peak = float(np.abs(th).max(initial=0.0))  # NaN where theta holds one
+    if not math.isfinite(th_peak):
         raise ValueError("theta has a non-finite entry")
-    if not np.isfinite(st).all():
+    peak = float(np.abs(st).max(initial=0.0))
+    if not math.isfinite(peak):
         raise ValueError("step has a non-finite entry")
     rows = constraints._rows
+    near_limit = max(th_peak, peak, rows.bound_peak) >= _NEAR_LIMIT
     work = rows.workspace()
     try:
-        hits = rows.scan(th, st, work)
+        hits = rows.scan(th, st, work, near_limit)
         worst = float(work.slack.min()) if rows.count else 0.0
         if worst < -_FEASIBLE_INPUT_TOL:
             raise ValueError("theta violates the constraints it is supposed to satisfy")
@@ -447,7 +465,6 @@ def project_update(
                 component = np.arange(ground + 1)
                 # norms relative to the step's largest entry, which no
                 # entry of a direction exceeds, so neither overflows
-                peak = float(np.max(np.abs(st)))
                 step_scale = float(np.linalg.norm(st / peak))
             for r in hits[t <= t_min + _HIT_TOL].tolist():
                 a, b = rows.ends(r, ground)
@@ -469,7 +486,7 @@ def project_update(
                 direction = sums[members] / sizes * peak
             if np.linalg.norm(direction / peak) <= 1e-13 * step_scale:
                 break
-            hits = rows.scan(th, direction, work)
+            hits = rows.scan(th, direction, work, near_limit)
         # a walk hit a row exactly when ``active`` is not empty
         rows.remove_roundoff(th, work, scan_rows=bool(active) or worst < 0.0)
     finally:

@@ -59,7 +59,10 @@ measured speed).  Regularizers, checks and projections stay per worker.
 Lockstep only changes the order in which independent work is issued, so
 the result is the same bits as running the workers one after another.
 Objective and metrics score through ``Model.predict``, which uses the same
-kernel.
+kernel.  The scalar references the batched step is held against (the
+per-sample loop over ``evaluate_with_gradients``, ``row_gradients`` and
+``loss_slope``, and the sequential driver) live in
+``tests/scalar_reference.py``.
 """
 
 from __future__ import annotations
@@ -131,24 +134,13 @@ def loss_value(loss: Loss, y: float, z: float) -> float:
     return max(0.0, 1.0 - margin)
 
 
-def loss_slope(loss: Loss, y: float, z: float) -> float:
-    """d loss / dz (a subgradient where the loss has a kink)."""
-    if loss is Loss.SQUARED:
-        return 2.0 * (z - y)
-    sign = 2.0 * y - 1.0
-    margin = sign * z
-    if loss is Loss.LOGISTIC:
-        if margin >= 0:
-            return -sign * math.exp(-margin) / (1.0 + math.exp(-margin))
-        return -sign / (1.0 + math.exp(margin))
-    return -sign if margin < 1.0 else 0.0
-
-
 def _loss_slopes(loss: Loss, y: np.ndarray, z: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """``loss_slope(loss, y[i], z[i]) * scale[i]`` for every i, bit for bit,
-    in numpy.  The logistic slope takes ``math.exp`` of -|margin|, which is
-    ``loss_slope``'s exponent on either side of 0, so that every operation
-    is the scalar one on the same operands."""
+    """d loss / dz at every (y[i], z[i]) (a subgradient where the loss has
+    a kink), times ``scale[i]``, in numpy: bit for bit the scalar
+    ``loss_slope`` of ``tests/scalar_reference.py``, sample by sample.  The
+    logistic slope takes ``math.exp`` of -|margin|, which is ``loss_slope``'s
+    exponent on either side of 0, so that every operation is the scalar one
+    on the same operands."""
     if loss is Loss.SQUARED:
         return 2.0 * (z - y) * scale
     sign = 2.0 * y - 1.0

@@ -1,9 +1,20 @@
 """Scalar references for the batched training step.
 
 ``reference_loss_gradients`` is the per-sample gradient loop over the scalar
-kernels (``evaluate_with_gradients``, ``calibrate_row``, ``row_gradients``),
-run for each worker of a ``batches`` mapping on its rows of the state's
-stacks; the batched ``loss_gradients`` must equal its stacks bit for bit.
+kernels (``evaluate_with_gradients``, ``calibrate_row``, ``row_gradients``,
+``loss_slope``), run for each worker of a ``batches`` mapping on its rows of
+the state's stacks; the batched ``loss_gradients`` must equal its stacks bit
+for bit.  ``loss_slope`` is the scalar derivative of ``loss_value``, which
+``training._loss_slopes`` must equal sample by sample.  ``plus_row`` and
+``minus_row`` read one pair's two rows from a ``PairDataset``.
+
+``multilinear_weights_naive`` and ``multilinear_weights_naive_batch`` are
+the product-form multilinear weights, one product per cell vertex; the
+doubling pass of ``multilinear_weights`` and the batched kernel are tested
+against them.  ``forward_backward_batch`` runs the batched kernel
+(``interpolation._forward_backward``) on an (n, D) array of points and
+returns point-major arrays the caller owns, which tests hold against
+``evaluate_with_gradients`` row by row.
 
 ``reference_train`` is the sequential driver ``train`` replaced: each
 round, every worker in turn trains a one-row state holding the consensus
@@ -25,6 +36,9 @@ do for a whole set through its parameter table.
 entries of the calibrator table; tests hold both against ``calibrate_row``,
 ``row_gradients`` and the calibrators' scalar methods.
 
+``build_continuous_calibrator`` fits one continuous calibrator to one
+column, as ``CalibratorSet.fit`` fits it in a set.
+
 ``reference_fit_knots`` is the one-column knot fit that ``fit_knots`` and
 ``CalibratorSet.fit`` replaced with one fit over blocks of columns: one
 ``np.quantile`` and one ``np.unique`` per column.  The block fit must give
@@ -35,6 +49,10 @@ replaced with one pass over all features: one column at a time, its segment
 from ``np.searchsorted`` over the interior knots.  Each feature's row of
 the set's location, less the feature's table offset, must equal it byte for
 byte and dtype for dtype.
+
+``reference_max_infeasibility`` is the feasibility scan that
+``max_infeasibility`` replaced with one over the walk's finite bounds: the
+rows' worst slack, then each bound vector's finite entries by a mask.
 
 ``project_exact`` is the Euclidean projection onto a constraint set, by
 Dykstra's alternating projections over the rows of ``_constraint_rows``
@@ -71,7 +89,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from monolattice import PairDataset, TrainingError, training
+from monolattice import CalibratorSet, Loss, PairDataset, TrainingError, training
 from monolattice.calibrators import (
     ContinuousCalibrator,
     DataError,
@@ -80,7 +98,14 @@ from monolattice.calibrators import (
     is_missing,
 )
 from monolattice.data import Dataset
-from monolattice.interpolation import evaluate_with_gradients
+from monolattice.interpolation import (
+    ChunkBuffers,
+    InterpolationKind,
+    _doubled_offsets,
+    _forward_backward,
+    evaluate_with_gradients,
+)
+from monolattice.lattice import as_block
 from monolattice.monotonicity import (
     _FEASIBLE_INPUT_TOL,
     _HIT_TOL,
@@ -88,7 +113,93 @@ from monolattice.monotonicity import (
     max_infeasibility,
 )
 from monolattice.regularizers import RegularizerKind
-from monolattice.training import loss_slope
+
+
+def loss_slope(loss: Loss, y: float, z: float) -> float:
+    """d loss / dz (a subgradient where the loss has a kink)."""
+    if loss is Loss.SQUARED:
+        return 2.0 * (z - y)
+    sign = 2.0 * y - 1.0
+    margin = sign * z
+    if loss is Loss.LOGISTIC:
+        if margin >= 0:
+            return -sign * math.exp(-margin) / (1.0 + math.exp(-margin))
+        return -sign / (1.0 + math.exp(margin))
+    return -sign if margin < 1.0 else 0.0
+
+
+def plus_row(data, i: int) -> list:
+    return [col[i] for col in data.plus_columns]
+
+
+def minus_row(data, i: int) -> list:
+    return [col[i] for col in data.minus_columns]
+
+
+def multilinear_weights_naive(residual) -> list[float]:
+    """Dense weights over all 2^D cell vertices, one product per vertex.
+
+    Entry k weights the vertex whose offset bits are the binary digits of k
+    (bit d = 1 means the far side of the cell in dimension d).
+    """
+    rs = [float(r) for r in residual]
+    D = len(rs)
+    if D > 24:
+        raise ValueError(f"naive weights over {D} dimensions would need 2^{D} entries")
+    for r in rs:
+        if not 0.0 <= r <= 1.0:
+            raise ValueError(f"residual {r} outside [0, 1]")
+    out = []
+    for k in range(1 << D):
+        w = 1.0
+        for d in range(D):
+            w *= rs[d] if (k >> d) & 1 else 1.0 - rs[d]
+        out.append(w)
+    return out
+
+
+def multilinear_weights_naive_batch(residuals: np.ndarray) -> np.ndarray:
+    """Vectorized naive weights: (n, D) residuals -> (n, 2^D) weights."""
+    rs = np.asarray(residuals, dtype=float)
+    if rs.ndim != 2:
+        raise ValueError(f"expected an (n, D) array, got {rs.shape}")
+    n, D = rs.shape
+    if D > 24:
+        raise ValueError(f"naive weights over {D} dimensions would need 2^{D} entries")
+    if np.any(rs < 0.0) or np.any(rs > 1.0):
+        raise ValueError("residuals outside [0, 1]")
+    bits = (np.arange(1 << D)[None, :] >> np.arange(D)[:, None]) & 1
+    out = np.ones((n, 1 << D))
+    for d in range(D):
+        r = rs[:, d : d + 1]
+        out *= np.where(bits[d][None, :] == 1, r, 1.0 - r)
+    return out
+
+
+def forward_backward_batch(
+    theta, shape, points: np.ndarray,
+    kind: InterpolationKind = InterpolationKind.MULTILINEAR,
+    want_slopes: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """Values, vertex indices, vertex weights and (optionally) d(value)/dx
+    for an (n, D) array of points.
+
+    Returns ``(values (n,), indices (n, k), weights (n, k), slopes (n, D) or
+    None)``, where row i of ``indices``/``weights`` lists the vertices in the
+    order the scalar kernel of ``kind`` lists them.  Every entry equals what
+    :func:`evaluate_with_gradients` gives for row i, bit for bit.
+
+    Both kernels record the vertex lists vertex-major, as (k, n) arrays,
+    and return their transposed views.  The arrays belong to the caller:
+    this call's chunk buffers are its own.  On a lattice of one cell every
+    row of ``indices`` is 0 .. 2^D-1.
+    """
+    values, indices, weights, slopes = _forward_backward(
+        theta, shape, as_block(shape, points), kind, want_slopes, ChunkBuffers()
+    )
+    if indices is None:  # one cell: the kernel reads theta without indices
+        indices = np.tile(_doubled_offsets(shape), (len(values), 1))
+    return values, indices, weights, None if slopes is None else slopes.T
 
 
 def reference_loss_gradients(state, batches):
@@ -109,7 +220,7 @@ def _reference_worker_gradients(state, k, minibatch, g_theta, g_alpha):
     for i in minibatch:
         if isinstance(state.data, PairDataset):
             y = 1.0
-            sides = ((1.0, state.data.plus_row(i)), (-1.0, state.data.minus_row(i)))
+            sides = ((1.0, plus_row(state.data, i)), (-1.0, minus_row(state.data, i)))
         else:
             y = float(state.data.labels[i])
             sides = ((1.0, state.data.row(i)),)
@@ -235,6 +346,10 @@ def reference_calibrate_batch(cs, columns):
     return x, grads
 
 
+def build_continuous_calibrator(spec, column) -> ContinuousCalibrator:
+    return CalibratorSet.fit([spec], [column]).calibrators[0]
+
+
 def reference_fit_knots(column, keypoints, bounds=None):
     """The knots of one column: its bounds (its finite values' min and max
     where none are given) and the clipped, linearly interpolated quantiles
@@ -286,6 +401,25 @@ def reference_locate(cal, column):
         cal.calibrate(np.nan)  # raises without a missing policy
         lo[missing] = last + 1
     return lo, lo + inner, t, inner
+
+
+def reference_max_infeasibility(theta, constraints) -> float:
+    th = np.asarray(theta, dtype=float)
+    if not np.isfinite(th).all():
+        return math.inf
+    worst = 0.0
+    if constraints.num_rows:
+        slack = th[constraints.hi] - th[constraints.lo]
+        worst = max(worst, float(-slack.min()))
+    if constraints.lower is not None:
+        finite = np.isfinite(constraints.lower)
+        if np.any(finite):
+            worst = max(worst, float((constraints.lower[finite] - th[finite]).max()))
+    if constraints.upper is not None:
+        finite = np.isfinite(constraints.upper)
+        if np.any(finite):
+            worst = max(worst, float((th[finite] - constraints.upper[finite]).max()))
+    return max(worst, 0.0)
 
 
 def _constraint_rows(constraints):

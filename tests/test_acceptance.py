@@ -41,9 +41,10 @@ from monolattice.cli import main as cli_main
 from monolattice.interpolation import (
     interpolation_weights,
     multilinear_weights,
-    multilinear_weights_naive_batch,
     simplex_weights,
 )
+
+from scalar_reference import multilinear_weights_naive_batch
 
 
 def cont(name, **kw):

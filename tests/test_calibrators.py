@@ -29,10 +29,10 @@ from monolattice.calibrators import (
     CategoricalCalibrator,
     ContinuousCalibrator,
     build_categorical_calibrator,
-    build_continuous_calibrator,
 )
 
 from scalar_reference import (
+    build_continuous_calibrator,
     free_parameters,
     reference_calibrate_batch,
     reference_fit_knots,

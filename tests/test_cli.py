@@ -193,6 +193,46 @@ class TestEvaluate:
         assert code == 0
         assert "rmse" in json.loads(capsys.readouterr().out)
 
+    @pytest.mark.parametrize("flags, label", [([], None), (["--label", "zz"], "zz")])
+    def test_rows_without_a_label_exit_two(self, workspace, capsys, flags, label):
+        assert run_train(workspace) == 0
+        capsys.readouterr()
+        data = workspace / "train.csv"
+        code = main(["evaluate", "--model", str(workspace / "model.json"), "--data", str(data),
+                     *flags])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {data}: label column {label!r} not found\n"
+
+    def test_pairs(self, tmp_path, capsys):
+        TestRanking().make_suffix_pairs(tmp_path)
+        data, schema = str(tmp_path / "pairs.csv"), str(tmp_path / "rank_schema.json")
+        assert main(["train", "--data", data, "--schema", schema, "--out",
+                     str(tmp_path / "m.json"), "--pairs", "--epochs", "4"]) == 0
+        capsys.readouterr()
+        code = main(["evaluate", "--model", str(tmp_path / "m.json"), "--data", data, "--pairs"])
+        assert code == 0
+        assert set(json.loads(capsys.readouterr().out)) == {"num_pairs", "pair_accuracy"}
+
+    def test_pair_id(self, tmp_path, capsys):
+        rows = [[str(pid), repr(0.1 + 0.005 * pid + won * 0.5), str(won)]
+                for pid in range(150) for won in (1, 0)]
+        write_csv(tmp_path / "duels.csv", ["match", "score", "won"], rows)
+        schema = {"label": "won", "features": [{"name": "score", "keypoints": 3}]}
+        (tmp_path / "duel_schema.json").write_text(json.dumps(schema))
+        data, schema = str(tmp_path / "duels.csv"), str(tmp_path / "duel_schema.json")
+        assert main(["train", "--data", data, "--schema", schema, "--out",
+                     str(tmp_path / "m.json"), "--pair-id", "match", "--epochs", "4"]) == 0
+        capsys.readouterr()
+        evaluate = ["evaluate", "--model", str(tmp_path / "m.json"), "--data", data,
+                    "--pair-id", "match"]
+        for flags in (["--schema", schema], ["--label", "won"]):
+            assert main(evaluate + flags) == 0
+            assert json.loads(capsys.readouterr().out)["num_pairs"] == 150
+        assert main(evaluate) == 2  # no label column marks the preferred rows
+        assert capsys.readouterr().err == (
+            f"error: {data}: two-row pair data needs a label column marking the preferred row\n"
+        )
+
 
 class TestCheck:
     def test_clean_model_passes(self, workspace, capsys):

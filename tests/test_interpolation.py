@@ -21,12 +21,15 @@ from monolattice.interpolation import (
     SparseWeights,
     chunk_rows,
     evaluate_with_gradients,
-    forward_backward_batch,
-    multilinear_weights_naive,
-    multilinear_weights_naive_batch,
     one_cell_rows,
 )
 from monolattice.lattice import CellLocation
+
+from scalar_reference import (
+    forward_backward_batch,
+    multilinear_weights_naive,
+    multilinear_weights_naive_batch,
+)
 
 ALL_KINDS = list(InterpolationKind)
 # the product-form kernel is no served kind, only the oracle of the fast

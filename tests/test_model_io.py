@@ -68,6 +68,37 @@ def trained():
     return model, data
 
 
+# every kind, missing policy and OTHER bucket (categorical only)
+CALIBRATOR_LAYOUTS = [
+    (kind, missing, other)
+    for kind in FeatureKind
+    for missing in MissingPolicy
+    for other in (False, True)
+    if kind is FeatureKind.CATEGORICAL or not other
+]
+
+
+@pytest.mark.parametrize("kind, missing, other", CALIBRATOR_LAYOUTS)
+def test_load_builds_the_trained_calibrators(kind, missing, other):
+    # the loader takes fit's rules for every field the file does not hold
+    rng = np.random.default_rng(9)
+    n = 90
+    gaps = rng.random(n) < (0.0 if missing is MissingPolicy.NONE else 0.15)
+    if kind is FeatureKind.CONTINUOUS:
+        column = np.where(gaps, np.nan, rng.random(n) * 4.0)
+    else:
+        column = [None if g else c for g, c in zip(gaps, rng.choice(["a", "b", "c"], n))]
+    specs = [
+        FeatureSpec("f", kind=kind, size=3, keypoints=4, missing=missing, allow_unseen=other),
+        FeatureSpec("g", monotone=Direction.INCREASING),
+    ]
+    data = Dataset([column, rng.random(n)], rng.random(n))
+    model = train(data, specs, TrainConfig(epochs=2, seed=3))
+    loaded = Model.from_json(model.to_json())
+    assert loaded.calibrators == model.calibrators
+    assert loaded.to_json() == model.to_json()
+
+
 class TestRoundTrip:
     def test_every_parameter_survives(self, trained):
         model, _ = trained

@@ -29,6 +29,7 @@ from scalar_reference import (
     project_exact,
     reference_array_walk,
     reference_component_walk,
+    reference_max_infeasibility,
     reference_project_update,
 )
 
@@ -159,6 +160,57 @@ class TestCheckMonotonic:
     def test_infinite_theta_is_infinitely_infeasible(self):
         cs = ConstraintSet(2)
         assert max_infeasibility(np.array([0.0, np.inf]), cs) == math.inf
+
+
+class TestMaxInfeasibility:
+    """``max_infeasibility`` reads the bounds through the walk's
+    ``_finite_bounds`` and gives the masked scan's value, bit for bit."""
+
+    INF = np.inf
+
+    def sets(self):
+        inf = self.INF
+        return {
+            "no rows": ConstraintSet(3),
+            "no rows, bounds": ConstraintSet(3, lower=[0.0, -inf, -1.0], upper=[inf, 2.0, 0.5]),
+            "infinite bounds": replace(chain(3), lower=[-inf] * 3, upper=[inf] * 3),
+            "mixed bounds": replace(chain(3), lower=[0.0, -inf, -inf], upper=[inf, inf, 1.0]),
+            "lower only": replace(chain(3), lower=[-0.0, 0.0, -inf]),
+            "upper only": replace(chain(3), upper=[inf, 0.0, -0.0]),
+        }
+
+    THETAS = [
+        [0.0, 0.5, 1.0], [-0.0, -0.0, -0.0], [0.0, -0.0, 0.0], [1.0, 0.5, 2.0],
+        [-3.0, 4.0, 0.25], [5e-324, 0.0, -5e-324], [-1e308, 1e308, 1e308],
+        [0.0, np.nan, 1.0], [np.inf, 0.0, 1.0], [0.0, 0.0, -np.inf],
+    ]
+
+    def test_matches_the_masked_scan(self):
+        for name, cs in self.sets().items():
+            for theta in self.THETAS:
+                got = max_infeasibility(np.array(theta), cs)
+                with np.errstate(over="ignore"):  # the reference warns on -1e308
+                    want = reference_max_infeasibility(np.array(theta), cs)
+                assert got.hex() == want.hex(), (name, theta)
+
+    def test_random_sets(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            n = int(rng.integers(1, 6))
+            bounds = rng.choice([-np.inf, np.inf, -1.0, 0.0, 0.5], size=(2, n))
+            lo = rng.integers(0, n, size=int(rng.integers(0, 4)))
+            hi = rng.integers(0, n, size=len(lo))
+            cs = ConstraintSet(n, lo, hi, bounds.min(axis=0), bounds.max(axis=0))
+            theta = rng.choice([-1.0, -0.0, 0.0, 0.25, 2.0], size=n)
+            got = max_infeasibility(theta, cs)
+            assert got.hex() == reference_max_infeasibility(theta, cs).hex()
+
+    def test_a_slack_that_overflows_is_feasible_without_a_warning(self):
+        # th[hi] - th[lo] rounds to +inf: feasible, and numpy's overflow
+        # warning is not raised (the suite makes it an error)
+        assert max_infeasibility(np.array([-1e308, 1e308]), chain(2)) == 0.0
+        assert check_monotonic(np.array([-1e308, 1e308]), chain(2)).tolist() == []
+        assert max_infeasibility(np.array([1e308, -1e308]), chain(2)) == math.inf
 
 
 def chain(n):
@@ -678,6 +730,41 @@ class TestOverflowingStep:
         assert got.tobytes() == (mid + (rest[0] + rest[1]) / 2.0 * step[0]).tobytes()
         assert np.isfinite(got).all() and max_infeasibility(got, cs) == 0.0
         assert got[1] >= got[0]
+
+
+    def test_rows_ends_that_overflow_their_closing_rate(self):
+        # direction[lo] - direction[hi] rounds to +inf: the hit time is
+        # taken from the ends halved, so the walk stops where the row closes
+        # (it stopped at once, at the time 0.5 / inf), with no warning
+        cs = ConstraintSet(2, [0], [1])
+        got, active = project_update(
+            np.array([0.0, 0.5]), np.array([1e308, -1e308]), cs, return_active=True
+        )
+        assert active == [0]
+        assert got[0] == got[1] == pytest.approx(0.25, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "theta, step, want",
+        [
+            ([-1e308, 1e308], [0.0, 0.0], [-1e308, 1e308]),
+            ([-1e308, 1e308], [1.0, -1.0], [-1e308, 1e308]),
+            ([-1e308, 1e308], [1e307, -1e307], [-9e307, 9e307]),
+            # slack and closing rate both overflow: the row closes at t = 1
+            ([-1e308, 1e308], [1e308, -1e308], [0.0, 0.0]),
+            # ... or before the end of the step
+            ([-1e308, 1e308], [1.7e308, -1.7e308], None),
+            # ... or not at all, its time being 1.5
+            ([-1.5e308, 1.5e308], [1e308, -1e308], [-5e307, 5e307]),
+        ],
+    )
+    def test_a_feasible_theta_whose_slack_overflows(self, theta, step, want):
+        # no warning: the suite makes numpy's overflow warning an error
+        got = project_update(np.array(theta), np.array(step), ConstraintSet(2, [0], [1]))
+        assert got[1] >= got[0]
+        if want is None:
+            assert got[0] == got[1] == pytest.approx(0.0, abs=1e293)
+        else:
+            assert got.tolist() == pytest.approx(want, rel=1e-15)
 
 
 # slacks and rates: any finite float, subnormals, values near the overflow

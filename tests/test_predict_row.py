@@ -653,6 +653,11 @@ class TestPredictChunks:
         [
             (2, "zz", "feature k: unknown category 'zz'"),
             (1, "abc", "feature x: 'abc' is not a number"),
+            (1, [1.0], r"feature x: \[1.0\] is not a number"),
+            (2, None, "feature k: missing value but no missing policy"),
+            (2, math.nan, "feature k: missing value but no missing policy"),
+            # a number keys the column by text from its chunk on
+            (2, 7, "feature k: unknown category 7"),
         ],
     )
     def test_bad_values_raise_the_unchunked_error(self, monkeypatch, feature, value, message):

@@ -45,8 +45,12 @@ from monolattice import (
 )
 from monolattice import interpolation, monotonicity, regularizers, training
 from monolattice.interpolation import ChunkBuffers, evaluate
-from monolattice.training import loss_gradients, loss_slope, prepare_state, sgd_step
+from monolattice.training import loss_gradients, prepare_state, sgd_step
 from scalar_reference import (
+    loss_slope,
+    minus_row,
+    multilinear_weights_naive_batch,
+    plus_row,
     reference_array_walk,
     reference_component_walk,
     reference_loss_gradients,
@@ -318,8 +322,6 @@ class TestTrain:
             epochs=600, minibatch_size=10**6, step_size=0.5, calibrator_step_scale=0.0
         )
         model = train(data, specs, config)
-
-        from monolattice.interpolation import multilinear_weights_naive_batch
 
         pts = np.column_stack([data.columns[0], data.columns[1]])
         phi = multilinear_weights_naive_batch(pts)
@@ -794,8 +796,8 @@ class TestPlan:
         cs = state.calibrators
         x = cs.apply(state.plan, cs.table()).T  # the plan is feature-major
         for i in (0, 7, 29):
-            assert x[2 * i].tolist() == cs.calibrate_row(data.plus_row(i))
-            assert x[2 * i + 1].tolist() == cs.calibrate_row(data.minus_row(i))
+            assert x[2 * i].tolist() == cs.calibrate_row(plus_row(data, i))
+            assert x[2 * i + 1].tolist() == cs.calibrate_row(minus_row(data, i))
         assert state.targets.dtype == float and state.targets.tolist() == [1.0] * 30
         rows, _ = mixed_problem(False, Loss.SQUARED, n=30)
         state = prepare_state(rows, specs, TrainConfig())
