@@ -13,7 +13,6 @@ parameters reuse the same machinery.
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import functools
 import math
@@ -194,11 +193,6 @@ def max_infeasibility(theta, constraints: ConstraintSet) -> float:
 
 _HIT_TOL = 1e-12  # slack considered zero, in line-parameter space
 _FEASIBLE_INPUT_TOL = 1e-9
-# A walk moves theta by at most the step's largest entry, and no direction
-# exceeds it, so while theta, the step and the bounds stay below this no
-# slack or closing rate can overflow
-_NEAR_LIMIT = 2.0**1021
-_AS_IS = contextlib.nullcontext()
 
 
 def _finite_bounds(bounds) -> tuple[np.ndarray, np.ndarray]:
@@ -232,7 +226,6 @@ class _Rows:
         self.upper_j, self.upper = _finite_bounds(constraints.upper)
         self.count = len(self.lo) + len(self.lower_j) + len(self.upper_j)
         self.bounds = np.concatenate([self.lower, self.upper])
-        self.bound_peak = float(np.abs(self.bounds).max(initial=0.0))
         p = constraints.num_parameters
         slots = np.arange(p, p + len(self.bounds))
         lower_slots, upper_slots = slots[: len(self.lower_j)], slots[len(self.lower_j) :]
@@ -247,36 +240,42 @@ class _Rows:
         except IndexError:
             return _Workspace(self)
 
-    def scan(self, th: np.ndarray, direction: np.ndarray, work: "_Workspace",
-             near_limit: bool = False) -> np.ndarray:
+    def scan(self, th: np.ndarray, direction: np.ndarray, work: "_Workspace") -> np.ndarray:
         """One pass over every row: gathers ``th`` and ``direction`` at both
         ends of all rows (one take per end), forms each row's slack
         (``th[hi] - th[lo]``; ``th[j] - lower`` and ``upper - th[j]`` for
         the bounds) and closing rate (the negated rate, ``direction[lo] -
         direction[hi]``) in ``work``, and returns the rows the pass hits.
 
-        Only ``near_limit`` (theta, the step or a bound at ``_NEAR_LIMIT``
-        or beyond) lets either difference overflow to +-inf, with numpy's
-        warning turned off.  An infinite slack against a finite rate is no
-        hit, as the exact one would not be.  A row whose closing rate
-        overflowed takes its slack and rate from its ends halved, which
-        cannot overflow and keeps their ratio, the hit time."""
+        Either difference may overflow to +-inf, with numpy's warning turned
+        off.  An infinite slack against a finite rate is no hit, as the
+        exact one would not be, and neither is a rate of -inf.  A rate of
+        +inf is a hit of the first test; such a row takes its rate, and its
+        slack unless that is negative, from its ends halved, which cannot
+        overflow and keeps their ratio, the hit time, and the hits are
+        tested again.  A negative slack keeps its value: the hit test and
+        the hit time read it as 0 at any scale, and the input check reads
+        it whole."""
         p = len(th)
         work.values[:p, 0], work.values[:p, 1] = th, direction
         # every index is in range; "clip" lets take write straight into out
         work.values.take(self.row_hi, axis=0, out=work.at_hi, mode="clip")
         work.values.take(self.row_lo, axis=0, out=work.at_lo, mode="clip")
-        with np.errstate(over="ignore") if near_limit else _AS_IS:
+        with np.errstate(over="ignore"):
             np.subtract(work.at_hi[:, 0], work.at_lo[:, 0], out=work.slack)
             # lo - hi is -(hi - lo) up to the sign of a zero, which no test reads
             np.subtract(work.at_lo[:, 1], work.at_hi[:, 1], out=work.closing)
-        if near_limit:
-            wide = np.flatnonzero(np.isinf(work.closing))
-            at_hi, at_lo = work.at_hi[wide] * 0.5, work.at_lo[wide] * 0.5
-            work.slack[wide] = at_hi[:, 0] - at_lo[:, 0]
-            work.closing[wide] = at_lo[:, 1] - at_hi[:, 1]
         _hits_within_step(work.slack, work.closing, scratch=work.raised, out=work.hit)
-        return work.hit.nonzero()[0]
+        hits = work.hit.nonzero()[0]
+        wide = hits[work.closing[hits] == math.inf]
+        if wide.size:
+            at_hi, at_lo = work.at_hi[wide] * 0.5, work.at_lo[wide] * 0.5
+            # halving keeps a slack's sign, so the smaller is the halved
+            # one where the slack is not negative, and the slack where it is
+            work.slack[wide] = np.minimum(work.slack[wide], at_hi[:, 0] - at_lo[:, 0])
+            work.closing[wide] = at_lo[:, 1] - at_hi[:, 1]
+            hits = hits[_hits_within_step(work.slack[hits], work.closing[hits])]
+        return hits
 
     def ends(self, r: int, ground: int) -> tuple[int, int]:
         """The two nodes row ``r`` ties together: ``(hi, lo)`` for a
@@ -433,17 +432,14 @@ def project_update(
         raise ValueError(
             f"expected {constraints.num_parameters} parameters, got {th.shape[0]}"
         )
-    th_peak = float(np.abs(th).max(initial=0.0))  # NaN where theta holds one
-    if not math.isfinite(th_peak):
+    if not np.isfinite(th).all():
         raise ValueError("theta has a non-finite entry")
-    peak = float(np.abs(st).max(initial=0.0))
-    if not math.isfinite(peak):
+    if not np.isfinite(st).all():
         raise ValueError("step has a non-finite entry")
     rows = constraints._rows
-    near_limit = max(th_peak, peak, rows.bound_peak) >= _NEAR_LIMIT
     work = rows.workspace()
     try:
-        hits = rows.scan(th, st, work, near_limit)
+        hits = rows.scan(th, st, work)
         worst = float(work.slack.min()) if rows.count else 0.0
         if worst < -_FEASIBLE_INPUT_TOL:
             raise ValueError("theta violates the constraints it is supposed to satisfy")
@@ -465,6 +461,7 @@ def project_update(
                 component = np.arange(ground + 1)
                 # norms relative to the step's largest entry, which no
                 # entry of a direction exceeds, so neither overflows
+                peak = float(np.max(np.abs(st)))
                 step_scale = float(np.linalg.norm(st / peak))
             for r in hits[t <= t_min + _HIT_TOL].tolist():
                 a, b = rows.ends(r, ground)
@@ -486,7 +483,7 @@ def project_update(
                 direction = sums[members] / sizes * peak
             if np.linalg.norm(direction / peak) <= 1e-13 * step_scale:
                 break
-            hits = rows.scan(th, direction, work, near_limit)
+            hits = rows.scan(th, direction, work)
         # a walk hit a row exactly when ``active`` is not empty
         rows.remove_roundoff(th, work, scan_rows=bool(active) or worst < 0.0)
     finally:

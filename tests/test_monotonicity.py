@@ -743,6 +743,22 @@ class TestOverflowingStep:
         assert active == [0]
         assert got[0] == got[1] == pytest.approx(0.25, rel=1e-12)
 
+    @pytest.mark.parametrize("gap", [1.5e-9, 1.0])
+    def test_a_row_whose_closing_rate_overflows_keeps_its_infeasibility(self, gap):
+        # the halved ends serve the hit time only: the input check reads the
+        # row's whole slack, -gap, which is more than 1e-9 infeasible
+        with pytest.raises(ValueError, match="theta violates the constraints"):
+            project_update(
+                np.array([gap, 0.0]), np.array([1e308, -1e308]), ConstraintSet(2, [0], [1])
+            )
+
+    def test_an_infeasible_theta_within_tolerance_under_an_overflowing_rate(self):
+        # a slack of -5e-10 passes the input check and is repaired: the
+        # result is exactly feasible
+        cs = ConstraintSet(2, [0], [1])
+        got = project_update(np.array([5e-10, 0.0]), np.array([1e308, -1e308]), cs)
+        assert got[1] >= got[0] and max_infeasibility(got, cs) == 0.0
+
     @pytest.mark.parametrize(
         "theta, step, want",
         [
