@@ -447,12 +447,34 @@ def _fit_columns(specs, columns) -> dict:
     return out
 
 
+def _overflowing_gap(knots) -> int | None:
+    """The first j whose gap ``knots[j + 1] - knots[j]`` between increasing
+    finite knots passes the float limit, or None.  Calibration divides by
+    each gap, so a calibrator with such a gap cannot place a value in that
+    segment; a span past the float limit is fine as long as every single
+    gap stays inside it.  No gap exceeds the span, so a finite span (taken
+    in Python floats, which overflow to inf without a warning) settles it."""
+    if math.isfinite(float(knots[-1]) - float(knots[0])):
+        return None
+    with np.errstate(over="ignore"):
+        bad = np.flatnonzero(~np.isfinite(np.diff(knots)))
+    return int(bad[0]) if len(bad) else None
+
+
+def _gap_message(knots, j: int) -> str:
+    a, b = float(knots[j]), float(knots[j + 1])
+    return f"the gap between knots {a!r} and {b!r} overflows; use more keypoints or narrower bounds"
+
+
 def _continuous_calibrator(spec: FeatureSpec, knots, outputs: dict) -> ContinuousCalibrator:
     """The calibrator of ``spec`` on ``knots`` (or the message of its fitting
     error, raised as a ``DataError``), its outputs evenly spread on the axis;
     ``outputs`` keeps each (knot count, axis top)'s outputs for the next."""
     if isinstance(knots, str):
         raise DataError(f"feature {spec.name}: {knots}")
+    j = _overflowing_gap(knots)
+    if j is not None:
+        raise DataError(f"feature {spec.name}: {_gap_message(knots, j)}")
     key = (len(knots), spec.axis_top)
     if key not in outputs:
         outputs[key] = np.linspace(0.0, spec.axis_top, len(knots))
@@ -1057,7 +1079,7 @@ class CalibratorSet(Frozen):
         np.copyto(at_lo, inner, where=location.inner)
         return at_lo
 
-    def add_apply_gradient(self, location: Location, dx, out) -> None:
+    def add_apply_gradient(self, location: Location, dx, out, buffers: ChunkBuffers) -> None:
         """Add ``dx`` (D, n) times the derivative of :meth:`apply` (cap not
         differentiated) into ``out``, laid out as the table ``location``
         indexes: ``dx * (1 - t)`` at ``lo``, then ``dx * t`` at ``hi``,
@@ -1065,10 +1087,17 @@ class CalibratorSet(Frozen):
         entries, so every entry gets its terms in row order, as a loop over
         the rows of one feature at a time adds them.  Off inner values and
         on knots the ``hi`` term is ``dx * 0``, which leaves a sum that
-        starts at +0.0 as it is."""
+        starts at +0.0 as it is.  The terms and their entries are laid out
+        (D, n, 2) in two of ``buffers``' arrays."""
         t = location.t
-        terms = np.stack([dx * (1.0 - t), dx * t], axis=2)  # (D, n, 2)
-        entries = np.stack([location.lo, location.hi], axis=2)
+        D, n = t.shape
+        terms = buffers.get("apply terms", D * n, 2).reshape(D, n, 2)
+        entries = buffers.get("apply entries", D * n, 2, np.intp).reshape(D, n, 2)
+        near = np.subtract(1.0, t, out=terms[..., 0])
+        np.multiply(dx, near, out=near)
+        np.multiply(dx, t, out=terms[..., 1])
+        np.copyto(entries[..., 0], location.lo)
+        np.copyto(entries[..., 1], location.hi)
         np.add.at(out, entries.ravel(), terms.ravel())
 
     def constraints(self) -> ConstraintSet:

@@ -79,7 +79,10 @@ The batched kernel and the row plan below build multilinear weights with
 one doubling helper, ``_doubling_weights``, which fills an array the
 caller passes: a (2^D, n) chunk from the rows of the (D, n) residuals, or
 a row's (2^D,) array from its D residuals as floats, over (near, far)
-views the row kernel makes once per workspace.
+views made once per buffer view (``ChunkBuffers.doubling``) or, by the
+row kernel, once per workspace.  What the batched kernel reads from the
+shape alone (the strides, and ``locate_block``'s axis tops) comes from
+``lattice.axis_arrays``, built once per shape.
 
 Single-row prediction goes through a :class:`RowPlan`, built once per
 theta and shape.  It does the scalar kernels' float operations in their
@@ -115,6 +118,7 @@ from .lattice import (
     _coordinates,
     _outside,
     as_block,
+    axis_arrays,
     locate_block,
     locate_cell,
     vertex_index,
@@ -555,23 +559,35 @@ def _doubled_offsets(shape: LatticeShape) -> np.ndarray:
     return offsets
 
 
+def _sum_rows(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # Top-to-bottom sum of each column of a C-contiguous (k, n) array, as
+    # the scalar loops add, except that a total of -0.0 stays -0.0.  For
+    # n >= 2, add.reduce over axis 0 adds whole rows in order; a single
+    # column would be summed pairwise, with other bits, so n = 1 goes
+    # through the sequential cumsum.
+    if a.shape[1] != 1:
+        return np.add.reduce(a, axis=0, out=out)
+    total = np.cumsum(a, axis=0)[-1]
+    if out is None:
+        return total
+    out[...] = total
+    return out
+
+
 def _column_sums(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # Top-to-bottom sum of each column of a C-contiguous (k, n) array from
-    # 0.0, as the scalar loops add.  For n >= 2, add.reduce over axis 0 adds
-    # whole rows in order; a single column would be summed pairwise, with
-    # other bits, so n = 1 goes through the sequential cumsum.  Adding 0.0
-    # turns a -0.0 total into the +0.0 that a sum started at 0.0 gives.
-    if a.shape[1] == 1:
-        total = np.cumsum(a, axis=0)[-1]
-    else:
-        total = np.add.reduce(a, axis=0, out=out)
-    return np.add(total, 0.0, out=out)
+    # _sum_rows from 0.0: adding 0.0 turns a -0.0 total into the +0.0 that
+    # a sum started at 0.0 gives
+    total = _sum_rows(a, out)
+    return np.add(total, 0.0, out=total)
 
 
 class ChunkBuffers:
     """Named chunk arrays kept from one chunk to the next: the kernels'
     (2^D, n) or (D+1, n) arrays, and in ``Model.predict`` also the located
-    and calibrated (D, n) blocks (``CalibratorSet.locate_chunks``).
+    and calibrated (D, n) blocks (``CalibratorSet.locate_chunks``); in
+    training also the scatters' sample-major arrays, a pair's signed loss
+    slopes and the calibrator scatter's terms and entries
+    (``CalibratorSet.add_apply_gradient``).
 
     Each array is the front of a flat buffer, so it is C-contiguous whatever
     its shape; a buffer is allocated when a chunk first needs more than it
@@ -582,6 +598,7 @@ class ChunkBuffers:
     def __init__(self) -> None:
         self._flat: dict[str, np.ndarray] = {}
         self._views: dict[str, np.ndarray] = {}
+        self._halves: dict[str, tuple] = {}
 
     def get(self, name: str, rows: int, cols: int, dtype=float) -> np.ndarray:
         view = self._views.get(name)
@@ -592,6 +609,17 @@ class ChunkBuffers:
                 flat = self._flat[name] = self._allocate(size, dtype)
             view = self._views[name] = flat[:size].reshape(rows, cols)
         return view
+
+    def doubling(self, name: str, rows: int, cols: int) -> tuple:
+        """:meth:`get`'s (2^D, n) view and the (near, far) views of each
+        step of :func:`_doubling_weights` over it, made once per view."""
+        view = self.get(name, rows, cols)
+        kept = self._halves.get(name)
+        if kept is None or kept[0] is not view:
+            steps = rows.bit_length() - 1
+            halves = [(view[: 1 << d], view[1 << d : 2 << d]) for d in range(steps)]
+            kept = self._halves[name] = (view, halves)
+        return kept
 
     @staticmethod
     def _allocate(size: int, dtype) -> np.ndarray:
@@ -604,8 +632,8 @@ def _doubling_weights(w: np.ndarray, residual, halves=None) -> np.ndarray:
     # or a (2^D, n) chunk with the rows of its (D, n) residuals.  Step d
     # splits ``w``'s first 2^d entries (near) into themselves and the next
     # 2^d (far); ``halves`` holds those views made beforehand, as a row
-    # kernel keeps them.  out= goes by position: as a keyword it costs
-    # about 0.4 us a call.
+    # kernel and the chunk buffers keep them.  out= goes by position: as a
+    # keyword it costs about 0.4 us a call.
     w[0] = 1.0
     if halves is None:
         halves = [(w[: 1 << d], w[1 << d : 2 << d]) for d in range(len(residual))]
@@ -622,7 +650,9 @@ def _multilinear_slopes(
     # entry, in place: ``vals`` (overwritten) holds the vertex values still
     # to collapse and, in its upper half, each pass's products; ``ws`` the
     # summed weights and ``diffs`` the edge differences, the two halves of
-    # ``scratch`` (2^D, n).  Returns (D, n) slopes.
+    # ``scratch`` (2^D, n).  Returns (D, n) slopes.  Each level's sum is
+    # _sum_rows', and the 0.0 that _column_sums adds is added once, to all
+    # of them: the same bits.
     D, n = residual.shape
     slopes = np.empty((D, n))
     ws, diffs = scratch[: 1 << (D - 1)], scratch[1 << (D - 1) :]
@@ -633,9 +663,9 @@ def _multilinear_slopes(
         np.add(src[:half], src[half : 2 * half], out=wd)
         src = ws
         np.subtract(hi, lo, out=dd)
-        _column_sums(np.multiply(wd, dd, out=hi), out=slopes[d])
+        _sum_rows(np.multiply(wd, dd, out=hi), out=slopes[d])
         lo += np.multiply(dd, residual[d], out=dd)
-    return slopes
+    return np.add(slopes, 0.0, out=slopes)
 
 
 def _forward_backward(theta, shape, points, kind, want_slopes, buffers: ChunkBuffers,
@@ -657,7 +687,7 @@ def _forward_backward(theta, shape, points, kind, want_slopes, buffers: ChunkBuf
     base, residual = locate_block(shape, points)
     if one_cell(shape, kind):
         return _one_cell(th, residual, want_slopes, buffers, vertices, owner)
-    strides = np.asarray(shape.strides, dtype=np.int64)
+    strides = axis_arrays(shape)[2]
     base_idx = strides @ base
     if owner is not None:
         base_idx += owner * th.shape[1]
@@ -666,7 +696,8 @@ def _forward_backward(theta, shape, points, kind, want_slopes, buffers: ChunkBuf
         return _simplex_walk(th, base_idx, residual, strides, buffers, vertices, want_slopes)
     # vertex-major: one C-contiguous row of n entries per cell vertex
     k, n = 1 << shape.ndim, len(base_idx)
-    weights = _doubling_weights(buffers.get("weights", k, n), residual)
+    weights, halves = buffers.doubling("weights", k, n)
+    _doubling_weights(weights, residual, halves)
     offsets = _doubled_offsets(shape)
     indices = buffers.get("indices", k, n, np.int64)
     np.add(offsets[:, None], base_idx[None, :], out=indices)
@@ -688,7 +719,8 @@ def _one_cell(th, residual, want_slopes, buffers: ChunkBuffers, vertices, owner)
     k = 1 << D
     if th.shape[-1] < k:
         raise _short(th.shape[-1])
-    w = _doubling_weights(buffers.get("weights", k, n), residual)
+    w, halves = buffers.doubling("weights", k, n)
+    _doubling_weights(w, residual, halves)
     # every point's vertex values: one column, or its worker's row of the stack
     vals = th[:k, None] if owner is None else th.take(owner, axis=0)[:, :k].T
     scratch = buffers.get("scratch", k, n) if vertices or want_slopes else w

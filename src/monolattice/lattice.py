@@ -8,6 +8,7 @@ sum_d v[d] * stride[d] with stride[0] = 1 and stride[d] = stride[d-1] * M_{d-1}.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -153,19 +154,35 @@ def as_block(shape: LatticeShape, points) -> np.ndarray:
     return np.array(pts.T, order="C")
 
 
+_ZERO = np.zeros(1, dtype=np.int64)  # the one-cell base's single entry, read-only
+_ZERO.flags.writeable = False
+
+
 def locate_block(shape: LatticeShape, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`locate_cells` of a feature-major (D, n) block of points: base
     vertices (D, n) and residuals (D, n), and the same error for the first
     coordinate outside the box in row order.  On a lattice of one cell
     (every size 2) the base is a read-only view of 0 and the residual is
     the block itself, since v - 0 is v bit for bit."""
-    top = np.asarray(shape.sizes, dtype=float)[:, None] - 1.0
-    outside = ~((block >= 0.0) & (block <= top))  # NaN is outside too
-    if outside.any():
-        i, d = divmod(int(np.argmax(outside.T)), shape.ndim)
+    top, last_base, _ = axis_arrays(shape)
+    inside = (block >= 0.0) & (block <= top)  # NaN is outside too
+    if not inside.all():
+        i, d = divmod(int(np.argmin(inside.T)), shape.ndim)
         raise _outside(float(block[d, i]), shape.sizes[d] - 1, d)
     if max(shape.sizes) == 2:
-        return np.broadcast_to(np.int64(0), block.shape), block
-    base = np.minimum(np.floor(block), top - 1.0).astype(np.int64)
+        return np.ndarray(block.shape, np.int64, _ZERO, 0, (0, 0)), block
+    base = np.minimum(np.floor(block), last_base).astype(np.int64)
     residual = block - base
     return base, residual
+
+
+@functools.lru_cache(maxsize=64)
+def axis_arrays(shape: LatticeShape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arrays the batched locate and kernels read from the shape alone,
+    built once per shape and read-only: each axis's top coordinate and the
+    base of its top cell as (D, 1) floats, and the strides as int64."""
+    top = np.array(shape.sizes, dtype=float)[:, None] - 1.0
+    arrays = (top, top - 1.0, np.array(shape.strides, dtype=np.int64))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays

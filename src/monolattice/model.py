@@ -46,6 +46,8 @@ from .calibrators import (
     FeatureSpec,
     Frozen,
     MissingPolicy,
+    _gap_message,
+    _overflowing_gap,
     _spec_fields,
     missing_vertex_dims,
     read_only,
@@ -343,8 +345,11 @@ def _check_calibrator(spec: FeatureSpec, cal) -> None:
             )
         _check_finite(f"{where}: knots", knots)
         _check_finite(f"{where}: outputs", outputs)
-        if np.any(np.diff(knots) <= 0.0):
+        if np.any(knots[1:] <= knots[:-1]):
             raise DataError(f"{where}: knots are not strictly increasing")
+        j = _overflowing_gap(knots)
+        if j is not None:
+            raise DataError(f"{where}: {_gap_message(knots, j)}")
         if np.any(np.diff(outputs) < 0.0):
             raise DataError(f"{where}: outputs decrease")
         if outputs[0] < 0.0 or outputs[-1] > top:

@@ -203,6 +203,19 @@ def _finite_bounds(bounds) -> tuple[np.ndarray, np.ndarray]:
     return positions, bounds[positions]
 
 
+def _full_bounds(size: int, positions: np.ndarray, values: np.ndarray, off: float):
+    """A bound vector of ``size`` entries: ``values`` at ``positions`` and
+    ``off`` (-inf or +inf) elsewhere, or None without a position.  Clamping
+    to it with ``np.maximum`` or ``np.minimum`` leaves an entry without a
+    finite bound as it is, bit for bit, a -0.0 or NaN included."""
+    if not len(positions):
+        return None
+    full = np.full(size, off)
+    full[positions] = values
+    full.flags.writeable = False
+    return full
+
+
 class _Rows:
     """The walk's rows (pairwise rows, then finite lower bounds, then finite
     upper bounds: the numbering of ``active``), with theta and a direction
@@ -222,11 +235,15 @@ class _Rows:
     def __init__(self, constraints: ConstraintSet) -> None:
         self.num_parameters = constraints.num_parameters
         self.lo, self.hi = constraints.lo, constraints.hi
-        self.lower_j, self.lower = _finite_bounds(constraints.lower)
-        self.upper_j, self.upper = _finite_bounds(constraints.upper)
+        self.lower_j, lower = _finite_bounds(constraints.lower)
+        self.upper_j, upper = _finite_bounds(constraints.upper)
         self.count = len(self.lo) + len(self.lower_j) + len(self.upper_j)
-        self.bounds = np.concatenate([self.lower, self.upper])
+        self.bounds = np.concatenate([lower, upper])
         p = constraints.num_parameters
+        # the finite bounds over all P entries, -inf and +inf elsewhere,
+        # which remove_roundoff clamps to; None without a finite bound
+        self.floor = _full_bounds(p, self.lower_j, lower, -math.inf)
+        self.ceiling = _full_bounds(p, self.upper_j, upper, math.inf)
         slots = np.arange(p, p + len(self.bounds))
         lower_slots, upper_slots = slots[: len(self.lower_j)], slots[len(self.lower_j) :]
         # new, writeable arrays: take copies read-only indices on every call
@@ -267,6 +284,8 @@ class _Rows:
             np.subtract(work.at_lo[:, 1], work.at_hi[:, 1], out=work.closing)
         _hits_within_step(work.slack, work.closing, scratch=work.raised, out=work.hit)
         hits = work.hit.nonzero()[0]
+        if not hits.size:
+            return hits
         wide = hits[work.closing[hits] == math.inf]
         if wide.size:
             at_hi, at_lo = work.at_hi[wide] * 0.5, work.at_lo[wide] * 0.5
@@ -317,15 +336,14 @@ class _Rows:
             th.take(lo, out=at_lo, mode="clip")
             return bool(np.less(at_hi, at_lo, out=work.hit[:n]).any())
 
-        if len(self.lower_j):
-            th[self.lower_j] = np.maximum(th[self.lower_j], self.lower)
+        if self.floor is not None:
+            np.maximum(th, self.floor, out=th)
         while scan_rows and violated():
             np.maximum.at(th, hi, at_lo)
-        if len(self.upper_j):
-            below = th[self.upper_j]
-            clipped = np.minimum(below, self.upper)
-            th[self.upper_j] = clipped
-            if scan_rows and np.any(clipped < below):
+        if self.ceiling is not None:
+            lowered = scan_rows and bool(np.greater(th, self.ceiling).any())
+            np.minimum(th, self.ceiling, out=th)
+            if lowered:
                 while violated():
                     np.minimum.at(th, lo, at_hi)
 
@@ -342,6 +360,7 @@ class _Workspace:
         p, n = rows.num_parameters, rows.count
         self.values = np.empty((p + len(rows.bounds), 2))
         self.values[p:, 0], self.values[p:, 1] = rows.bounds, 0.0
+        self.rest = np.zeros(p + 1)  # a pass's rest of the direction, and the ground's 0
         self.at_hi, self.at_lo = np.empty((n, 2)), np.empty((n, 2))
         self.slack, self.closing, self.raised = np.empty(n), np.empty(n), np.empty(n)
         self.hit = np.empty(n, dtype=bool)
@@ -364,12 +383,20 @@ def _hits_within_step(
     return np.less_equal(np.maximum(slack, _TINY, out=scratch), closing, out=out)
 
 
+def _norm(vec: np.ndarray) -> float:
+    """Euclidean norm of a 1-d ``vec`` whose squares do not overflow, its
+    squares summed by numpy's ``add.reduce`` in a fixed order.  (For a 1-d
+    array ``np.linalg.norm`` takes the dot product in BLAS, whose order of
+    summation follows the CPU's kernel.)"""
+    return math.sqrt(np.add.reduce(np.square(vec)))
+
+
 def _robust_norm(vec: np.ndarray) -> float:
     """Euclidean norm that survives entries whose squares overflow."""
     peak = float(np.max(np.abs(vec))) if vec.size else 0.0
     if peak == 0.0 or not math.isfinite(peak):
         return peak
-    return peak * float(np.linalg.norm(vec / peak))
+    return peak * _norm(vec / peak)
 
 
 def project_update(
@@ -462,12 +489,13 @@ def project_update(
                 # norms relative to the step's largest entry, which no
                 # entry of a direction exceeds, so neither overflows
                 peak = float(np.max(np.abs(st)))
-                step_scale = float(np.linalg.norm(st / peak))
+                step_scale = _norm(st / peak)
             for r in hits[t <= t_min + _HIT_TOL].tolist():
                 a, b = rows.ends(r, ground)
                 component[component == component[b]] = component[a]
                 active.append(r)
-            rest = np.append((1.0 - t_min) * direction, 0.0)
+            rest = work.rest
+            np.multiply(1.0 - t_min, direction, out=rest[:-1])
             members = component[:-1]
             sizes = np.bincount(component)[members]
             sums = np.bincount(component, rest)
@@ -481,7 +509,7 @@ def project_update(
                 sums = np.bincount(component, rest / peak)
                 sums[component[ground]] = 0.0
                 direction = sums[members] / sizes * peak
-            if np.linalg.norm(direction / peak) <= 1e-13 * step_scale:
+            if _norm(direction / peak) <= 1e-13 * step_scale:
                 break
             hits = rows.scan(th, direction, work)
         # a walk hit a row exactly when ``active`` is not empty

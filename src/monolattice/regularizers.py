@@ -149,12 +149,22 @@ def regularizer_value(theta, terms: TermSet) -> float:
 
 def regularizer_gradient(theta, terms: TermSet) -> np.ndarray:
     th = np.asarray(theta, dtype=float)
-    grad = np.zeros_like(th)
-    if len(terms) == 0:
-        return grad
-    combos = th[terms.indices] @ terms.signs
-    np.add.at(grad, terms.indices, 2.0 * combos[:, None] * terms.signs[None, :])
-    return grad
+    return _gradient(th, terms.indices, terms.signs)
+
+
+def _gradient(th: np.ndarray, indices: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    # the gradient of the terms of rows ``indices`` (m, width) at ``th``:
+    # each combination, doubled, times the signs, scattered row by row
+    if len(indices) == 0:
+        return np.zeros_like(th)
+    combos = th.take(indices) @ signs
+    # 2.0 * combos, then times the signs, in one array
+    np.multiply(combos, 2.0, out=combos)
+    products = np.multiply(combos[:, None], signs)
+    # bincount adds each weight into its bin in input order, from 0.0, as
+    # np.add.at adds into zeros; on 1-d arrays both are several times faster
+    # than np.add.at over the (m, width) tables
+    return np.bincount(indices.ravel(), products.ravel(), minlength=len(th))
 
 
 def sample_regularizer_subgradient(
@@ -172,6 +182,7 @@ def sample_regularizer_subgradient(
     if m == 0:
         return regularizer_gradient(theta, terms)
     picks = rng.integers(0, m, size=sample_count)
-    grad = regularizer_gradient(theta, TermSet(terms.indices[picks], terms.signs))
+    th = np.asarray(theta, dtype=float)
+    grad = _gradient(th, terms.indices.take(picks, axis=0), terms.signs)
     grad *= m / sample_count
     return grad

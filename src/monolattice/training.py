@@ -31,7 +31,18 @@ and number of finite values in one block), the *plan* is the location of
 every side (a row, or a pair's preferred row then the other) on the
 calibrators' knots and categories (``CalibratorSet.locate``,
 feature-major), the targets are held as floats, and the kernels' chunk
-buffers are reused by every step.  What depends only on the lattice shape
+buffers are reused by every step.  The state also holds what every step
+would otherwise derive again: the chunk step (``chunk_step``, samples per
+chunk of the batched kernels, from ``chunk_rows``), and, for each pattern of
+workers and minibatch sizes a lockstep step takes, the worker of each side
+and its offset into the table stack, chunk by chunk, and the samples' loss
+scale (one float when the sizes are equal), worked out on the pattern's
+first step (``_owner_plan``).  A step itself does only what depends on its
+minibatch or on the parameters: it gathers the sides from the plan,
+calibrates them under the current tables, runs the kernel, takes the loss
+slopes and scatters both gradients into arrays of its own (the chunk arrays
+it writes on the way come from the run's buffers), then per worker adds the
+regularizers and projects.  What depends only on the lattice shape
 and the features' directions is built once per shape and shared, read-only,
 by every run: the lattice's constraint set (``build_constraints``, with the
 walk's workspaces), its linear start (``init_lattice``, which
@@ -134,9 +145,10 @@ def loss_value(loss: Loss, y: float, z: float) -> float:
     return max(0.0, 1.0 - margin)
 
 
-def _loss_slopes(loss: Loss, y: np.ndarray, z: np.ndarray, scale: np.ndarray) -> np.ndarray:
+def _loss_slopes(loss: Loss, y: np.ndarray, z: np.ndarray, scale) -> np.ndarray:
     """d loss / dz at every (y[i], z[i]) (a subgradient where the loss has
-    a kink), times ``scale[i]``, in numpy: bit for bit the scalar
+    a kink), times ``scale[i]`` (or ``scale``, one float for every sample:
+    the same products), in numpy: bit for bit the scalar
     ``loss_slope`` of ``tests/scalar_reference.py``, sample by sample.  The
     logistic slope takes ``math.exp`` of -|margin|, which is ``loss_slope``'s
     exponent on either side of 0, so that every operation is the scalar one
@@ -193,8 +205,9 @@ class TrainerState:
     Row k of ``theta`` (K, P) is worker k's lattice parameters and row k of
     ``table`` (K, T) its calibrator parameters, laid out as
     :meth:`CalibratorSet.table`, for K = ``config.workers``; every row
-    starts as the same feasible start.  Everything else (data, plan,
-    constraints, regularizers and the kernel's buffers) is shared by all K.
+    starts as the same feasible start.  Everything else (data, plan, chunk
+    step, owner plans, constraints, regularizers and the kernel's buffers)
+    is shared by all K.
     """
 
     shape: LatticeShape
@@ -207,7 +220,11 @@ class TrainerState:
     alpha_constraints: ConstraintSet
     plan: Location  # every side of ``data``, located once per run
     targets: np.ndarray  # float target per sample (1.0 for a pair)
+    chunk_step: int  # samples per chunk of a step: chunk_rows over the sides a sample has
     reg_terms: list[tuple[RegularizerConfig, TermSet]] = field(default_factory=list)
+    # (workers, minibatch sizes) of a lockstep step -> its samples' scale
+    # and its chunks' side owners and table offsets (``_owner_plan``)
+    owner_plans: dict = field(default_factory=dict, repr=False, compare=False)
     # the multilinear kernel's chunk arrays and the theta scatter's
     # sample-major arrays, kept for the whole run; every worker shares them,
     # which is safe because one step at a time runs, and the workers of a
@@ -314,6 +331,7 @@ def prepare_state(data: Dataset | PairDataset, specs: list[FeatureSpec], config:
     ]
     if config.loss in (Loss.LOGISTIC, Loss.HINGE) and not np.isin(targets, (0.0, 1.0)).all():
         raise DataError(f"{config.loss.value} loss needs binary {{0,1}} labels")
+    sides = 2 if isinstance(data, PairDataset) else 1
     return TrainerState(
         shape=shape,
         theta=np.tile(init_lattice(shape, directions), (config.workers, 1)),
@@ -325,6 +343,7 @@ def prepare_state(data: Dataset | PairDataset, specs: list[FeatureSpec], config:
         alpha_constraints=calibrators.constraints(),
         plan=plan,
         targets=targets,
+        chunk_step=max(1, chunk_rows(shape, config.kind) // sides),
         reg_terms=reg_terms,
     )
 
@@ -369,33 +388,36 @@ def loss_gradients(state: TrainerState, batches) -> tuple[np.ndarray, np.ndarray
     want = state.trains_calibrators
     loss = state.config.loss
     n_sides = state.plan.t.shape[1] // len(state.targets)  # the plan has 2 sides a pair
-    minibatches = [np.asarray(b, dtype=np.int64) for b in batches.values()]
-    sizes = [len(b) for b in minibatches]
-    batch = np.concatenate(minibatches)
-    scales = np.repeat([1.0 / n for n in sizes], sizes)
-    # worker of each sample, for the offsets; one worker needs none
-    owner = np.repeat(list(batches), sizes) if K > 1 else None
-    step = max(1, chunk_rows(state.shape, state.config.kind) // n_sides)
-    for start in range(0, len(batch), step):
+    step = state.chunk_step
+    if K == 1:
+        (batch,) = batches.values()
+        batch = np.asarray(batch, dtype=np.int64)
+        scale, owners = 1.0 / len(batch), None
+    else:
+        batch = np.concatenate([np.asarray(b, dtype=np.int64) for b in batches.values()])
+        scale, owners = _owner_plan(state, batches, n_sides)
+    for chunk, start in enumerate(range(0, len(batch), step)):
         samples = batch[start : start + step]
-        table_offset = side_owner = None
-        if owner is not None:
-            side_owner = np.repeat(owner[start : start + step], n_sides)
-            table_offset = side_owner * T
+        side_owner, table_offset = (None, None) if owners is None else owners[chunk]
         sides = state.plan.take(
             samples if n_sides == 1 else (2 * samples[:, None] + _SIDES).ravel(), table_offset
         )
         x = cs.apply(sides, flat_table)
         values, indices, weights, dfdx = _forward_backward(
-            state.theta[0] if owner is None else state.theta, state.shape, x,
+            state.theta[0] if owners is None else state.theta, state.shape, x,
             state.config.kind, want, state.buffers, owner=side_owner,
         )
         # z = 0.0 + sum of sign * value over the sides; values are never -0.0
         z = values if n_sides == 1 else values[0::2] - values[1::2]
-        slope = _loss_slopes(loss, state.targets[samples], z, scales[start : start + step])
-        s = np.repeat(slope, n_sides)  # sign * slope, side by side
-        if n_sides == 2:
-            s[1::2] = -s[1::2]
+        chunk_scale = scale if isinstance(scale, float) else scale[start : start + step]
+        slope = _loss_slopes(loss, state.targets.take(samples), z, chunk_scale)
+        if n_sides == 1:
+            s = slope  # sign * slope, side by side
+        else:
+            signed = state.buffers.get("signed slopes", len(slope), 2)
+            np.copyto(signed[:, 0], slope)
+            np.negative(slope, out=signed[:, 1])
+            s = signed.ravel()
         # a zero slope or a zero dfdx adds +-0.0 to a sum that starts at +0.0,
         # which leaves every bit as it is, so neither scatter needs a mask
         if indices is None:
@@ -411,10 +433,37 @@ def loss_gradients(state: TrainerState, batches) -> tuple[np.ndarray, np.ndarray
             np.add.at(g_theta, flat.ravel(), products.ravel())
         if want:
             # a product that overflows (huge labels and slopes) makes a
-            # non-finite gradient, which _descend reports
+            # non-finite gradient, which _descend reports; the slopes are
+            # the kernel's own array, read no more
             with np.errstate(over="ignore", invalid="ignore"):
-                cs.add_apply_gradient(sides, s * dfdx, g_table)
+                dx = np.multiply(s, dfdx, out=dfdx)
+                cs.add_apply_gradient(sides, dx, g_table, state.buffers)
     return g_theta.reshape(K, P), cs.at_free(g_table.reshape(K, T))
+
+
+def _owner_plan(state: TrainerState, batches, n_sides: int):
+    """The samples' loss scale and, chunk by chunk, the worker of each side
+    and its offset into the table stack, of a lockstep step whose workers
+    and minibatch sizes are those of ``batches``: worked out on the first
+    step of each such pattern in a run and kept on the state.  The scale is
+    one over each sample's minibatch size, one float when the workers'
+    sizes are equal."""
+    workers = tuple(batches)
+    sizes = tuple(map(len, batches.values()))
+    plan = state.owner_plans.get((workers, sizes))
+    if plan is None:
+        owner = np.repeat(workers, sizes)
+        T, step = state.table.shape[1], state.chunk_step
+        chunks = []
+        for start in range(0, len(owner), step):
+            side_owner = np.repeat(owner[start : start + step], n_sides)
+            chunks.append((side_owner, side_owner * T))
+        if len(set(sizes)) == 1:
+            scale = 1.0 / sizes[0]
+        else:
+            scale = np.repeat([1.0 / n for n in sizes], sizes)
+        plan = state.owner_plans[workers, sizes] = scale, chunks
+    return plan
 
 
 def _add_rows(g: np.ndarray, s: np.ndarray, weights: np.ndarray, owner, buffers) -> None:

@@ -19,8 +19,6 @@ from monolattice import (
     FeatureSpec,
     InterpolationKind,
     LatticeShape,
-    Model,
-    RegularizerConfig,
     RegularizerKind,
     TrainConfig,
     build_constraints,
@@ -39,7 +37,6 @@ from monolattice import (
 from monolattice.bench import bench_interpolation
 from monolattice.cli import main as cli_main
 from monolattice.interpolation import (
-    interpolation_weights,
     multilinear_weights,
     simplex_weights,
 )

@@ -1,7 +1,9 @@
 import copy
 import dataclasses
+import math
 import pickle
 import re
+import warnings
 from bisect import bisect_right
 from dataclasses import FrozenInstanceError, replace
 
@@ -14,15 +16,16 @@ from monolattice import (
     CalibratorSet,
     DataError,
     Dataset,
-    Direction,
     FeatureKind,
     FeatureSpec,
     LatticeShape,
     MissingPolicy,
     Model,
     PairDataset,
+    TrainConfig,
     fit_knots,
     max_infeasibility,
+    train,
 )
 from monolattice.calibrators import (
     OTHER_CATEGORY,
@@ -30,6 +33,7 @@ from monolattice.calibrators import (
     ContinuousCalibrator,
     build_categorical_calibrator,
 )
+from monolattice.interpolation import ChunkBuffers
 
 from scalar_reference import (
     build_continuous_calibrator,
@@ -79,6 +83,15 @@ class TestFitKnots:
     def test_ignores_missing_cells(self):
         col = np.array([0.0, np.nan, 10.0, np.nan])
         assert fit_knots(col, 2) == pytest.approx([0.0, 10.0])
+
+
+def overflowing_gap(knots):
+    """The message of the set's error for the first gap between knots that
+    passes the float limit, or None: gaps taken one at a time in Python."""
+    for a, b in zip(knots.tolist(), knots.tolist()[1:]):
+        if math.isinf(b - a):
+            return f"the gap between knots {a!r} and {b!r} overflows; use more keypoints or narrower bounds"
+    return None
 
 
 def fitted_or_message(fit):
@@ -156,6 +169,8 @@ class TestBlockFit:
             assert fitted_or_message(lambda: fit_knots(column, spec.keypoints, spec.bounds)) == want
             if isinstance(want, str):
                 first_error = first_error or f"feature {spec.name}: {want}"
+            elif (gap := overflowing_gap(np.frombuffer(want))) is not None:
+                first_error = first_error or f"feature {spec.name}: {gap}"
             expected.append(want)
         if first_error is not None:
             with pytest.raises(DataError) as e:
@@ -947,7 +962,7 @@ class TestCalibrateBatch:
             st.floats(-4.0, 4.0), min_size=n * len(cals), max_size=n * len(cals)
         ))).reshape(n, len(cals))
         table = np.zeros(cs.table_size)
-        cs.add_apply_gradient(cs.locate(columns), dx.T, table)  # feature-major
+        cs.add_apply_gradient(cs.locate(columns), dx.T, table, ChunkBuffers())  # feature-major
         want = np.zeros(cs.num_free)
         for d in range(len(cals)):
             for i in range(n):
@@ -999,6 +1014,40 @@ class TestCalibrateBatch:
             reference_calibrate_batch(cs, columns)
         assert str(batch.value) == str(scalar.value)
         assert "unknown category" in str(batch.value)
+
+
+def wide_column():
+    """64 increasing values over +-1.7e308, more than the float range: its
+    median, 1.14e307, is more than the float limit from -1.7e308, but its
+    quartiles and tertiles are not."""
+    return np.concatenate([np.linspace(-1.7, 0.114, 32), np.linspace(0.114, 1.7, 32)]) * 1e308
+
+
+class TestKnotGaps:
+    """Calibration divides by each gap between consecutive knots, so a fit
+    whose gap passes the float limit is bad input, named by its feature;
+    the span of all the knots may pass it."""
+
+    @pytest.mark.parametrize("keypoints, a, b", [(2, -1.7e308, 1.7e308), (3, -1.7e308, 1.14e307)])
+    def test_a_gap_past_the_float_limit_is_a_data_error(self, keypoints, a, b):
+        specs = [cont_spec(name="wide", size=3, keypoints=keypoints, monotone="increasing")]
+        data = Dataset([wide_column()], np.linspace(0.0, 1.0, 64))
+        message = f"feature wide: the gap between knots {a!r} and {b!r} overflows"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DataError, match=re.escape(message)):
+                train(data, specs, TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("keypoints", [4, 5])
+    def test_a_span_past_the_float_limit_trains(self, keypoints):
+        specs = [cont_spec(name="wide", size=3, keypoints=keypoints, monotone="increasing")]
+        data = Dataset([wide_column()], np.linspace(0.0, 1.0, 64))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            model = train(data, specs, TrainConfig(epochs=1))
+        knots = model.calibrators.calibrators[0].knots.tolist()
+        assert knots[-1] - knots[0] == math.inf and overflowing_gap(np.array(knots)) is None
+        assert model.violations(0.0) == []
 
 
 class TestErrorsNameTheFeature:

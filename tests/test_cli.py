@@ -414,6 +414,21 @@ class TestErrors:
         assert not (tmp_path / "m.json").exists()
 
 
+    def test_knot_gap_past_the_float_limit_exits_two(self, tmp_path, capsys):
+        # 64 increasing values over +-1.7e308: with 2 keypoints the one gap
+        # between the knots passes the float limit
+        x = np.concatenate([np.linspace(-1.7, 0.114, 32), np.linspace(0.114, 1.7, 32)]) * 1e308
+        write_csv(tmp_path / "wide.csv", ["x", "y"],
+                  [[repr(float(v)), repr(i / 63)] for i, v in enumerate(x)])
+        schema = {"label": "y", "features": [
+            {"name": "x", "monotone": "increasing", "size": 3, "keypoints": 2}]}
+        (tmp_path / "wide.json").write_text(json.dumps(schema))
+        code = main(["train", "--data", str(tmp_path / "wide.csv"),
+                     "--schema", str(tmp_path / "wide.json"), "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert "feature x: the gap between knots -1.7e+308 and 1.7e+308 overflows" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
 class TestExitCodes:
     """Exit 2 for errors in what the user gave, one test per kind; any other
     ValueError is a failure of the run, exit 3."""

@@ -10,14 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monolattice import (
+    CalibratorSet,
+    ContinuousCalibrator,
     DataError,
     Dataset,
     Direction,
     FeatureKind,
     FeatureSpec,
-    InterpolationKind,
     LatticeShape,
-    Loss,
     MissingPolicy,
     Model,
     TrainConfig,
@@ -364,6 +364,17 @@ class TestValidation:
         message = f"feature '{name}': missing_value {value!r} is not null"
         with pytest.raises(DataError, match=message):
             Model.from_json(json.dumps(doc))
+
+    def test_knot_gap_past_the_float_limit_is_a_data_error(self):
+        # knots, outputs and theta each fine alone; calibration would divide
+        # by the gap between the knots, which is inf
+        spec = FeatureSpec(name="wide", size=3)
+        cal = ContinuousCalibrator(knots=[-1.7e308, 1.7e308], outputs=[0.0, 2.0], axis_top=2.0,
+                                   name="wide")
+        model = Model([spec], LatticeShape([3]), [0.0, 1.0, 2.0], CalibratorSet([spec], [cal]))
+        message = "feature 'wide': the gap between knots -1.7e+308 and 1.7e+308 overflows"
+        with pytest.raises(DataError, match=re.escape(message)):
+            Model.from_json(model.to_json())
 
     def test_format_constants(self, trained):
         doc = self.doc(trained)

@@ -32,6 +32,7 @@ from monolattice import (
     evaluate_metrics,
     init_lattice,
     load_dataset,
+    load_pair_dataset,
     load_schema,
     loss_value,
     max_infeasibility,
@@ -1318,6 +1319,26 @@ class TestLockstep:
         assert steps == [[0, 1, 2]] * 6 + [[0, 1]] * 2
 
 
+def benchmark_inputs(name: str, tmp_path, monkeypatch):
+    """The benchmark workload ``name``'s training data, specs and config,
+    its inputs generated for seed 11 by its own workload module (imported,
+    not changed)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    module_spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(module_spec)
+    monkeypatch.setitem(sys.modules, module_spec.name, workloads)  # for its dataclasses
+    module_spec.loader.exec_module(workloads)
+    workload = workloads.WORKLOADS[name]
+    inputs = workloads.generate(workload, 11, tmp_path)
+    specs, label = load_schema(inputs.schema)
+    if inputs.pairs:
+        data = load_pair_dataset(inputs.train, specs, pair_id_column=workloads.PAIR_ID,
+                                 label_column=label)
+    else:
+        data = load_dataset(inputs.train, specs, label, require_labels=True)
+    return data, specs, workload.config
+
+
 def one_cell_problem(d: int, pairs: bool, loss: Loss, n=80, seed=0):
     """``d`` features on a lattice of one cell (every size 2): a PWL chain
     with a calibrated missing value, a categorical with an order pair and an
@@ -1449,18 +1470,115 @@ class TestOneCellTraining:
             assert scattered and gathered
 
     def test_dense_d10_workload_equals_the_sequential_driver(self, monkeypatch, tmp_path):
-        # the benchmark's dense-d10 inputs, generated by its own workload
-        # module (imported, not changed)
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-        module_spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-        workloads = importlib.util.module_from_spec(module_spec)
-        monkeypatch.setitem(sys.modules, module_spec.name, workloads)  # for its dataclasses
-        module_spec.loader.exec_module(workloads)
-        workload = workloads.WORKLOADS["dense-d10"]
-        inputs = workloads.generate(workload, 11, tmp_path)
-        specs, label = load_schema(inputs.schema)
-        data = load_dataset(inputs.train, specs, label, require_labels=True)
-        assert interpolation.one_cell(LatticeShape([s.size for s in specs]), workload.config.kind)
-        batched = train(data, specs, workload.config).to_json()
+        data, specs, config = benchmark_inputs("dense-d10", tmp_path, monkeypatch)
+        assert interpolation.one_cell(LatticeShape([s.size for s in specs]), config.kind)
+        batched = train(data, specs, config).to_json()
         monkeypatch.setattr(training, "loss_gradients", reference_loss_gradients)
-        assert reference_train(data, specs, workload.config).to_json() == batched
+        assert reference_train(data, specs, config).to_json() == batched
+
+
+def checked_steps(monkeypatch) -> list:
+    """Make every step's loss gradients check themselves against the
+    per-sample loop, bit for bit, on the state the step sees; returns the
+    (worker, minibatch size) pairs of each step, in order."""
+    real = training.loss_gradients
+    steps = []
+
+    def checked(state, batches):
+        got = real(state, batches)
+        ref = reference_loss_gradients(state, batches)
+        assert got[0].tobytes() == ref[0].tobytes()
+        assert got[1].tobytes() == ref[1].tobytes()
+        steps.append(tuple((k, len(b)) for k, b in batches.items()))
+        return got
+
+    monkeypatch.setattr(training, "loss_gradients", checked)
+    return steps
+
+
+EXACT_AND_SAMPLED = (
+    RegularizerConfig(RegularizerKind.TORSION, 0.01),
+    RegularizerConfig(RegularizerKind.LAPLACIAN, 0.01, sample_count=8),
+)
+
+
+class TestStepPlan:
+    """What a run works out once for its steps (the chunk step, and per
+    pattern of workers and minibatch sizes the sides' owners, table offsets
+    and sample scales) gives every step the gradients of the per-sample
+    loop, bit for bit."""
+
+    # 26 samples over 3 workers are shards of 9, 9 and 8: with minibatches
+    # of 4 the third worker sits out each epoch's third step, and with
+    # minibatches of 9 every worker takes a full pass, of unequal sizes
+    CASES = {
+        "1-worker-rows-multilinear": (
+            lambda: mixed_problem(False, Loss.SQUARED, n=60),
+            dict(minibatch_size=16, regularizers=EXACT_AND_SAMPLED)),
+        "2-workers-pairs-simplex": (
+            lambda: mixed_problem(True, Loss.LOGISTIC, n=40),
+            dict(loss=Loss.LOGISTIC, kind=InterpolationKind.SIMPLEX, workers=2, sync_rounds=2,
+                 regularizers=EXACT_AND_SAMPLED)),
+        "3-workers-short-shard-rows-one-cell": (
+            lambda: one_cell_problem(4, False, Loss.SQUARED, n=26),
+            dict(minibatch_size=4, workers=3, regularizers=EXACT_AND_SAMPLED)),
+        "3-workers-short-shard-pairs-multilinear": (
+            lambda: mixed_problem(True, Loss.LOGISTIC, n=26),
+            dict(loss=Loss.LOGISTIC, minibatch_size=4, workers=3)),
+        "3-workers-short-shard-rows-simplex-frozen": (
+            lambda: mixed_problem(False, Loss.HINGE, n=26),
+            dict(loss=Loss.HINGE, kind=InterpolationKind.SIMPLEX, minibatch_size=4, workers=3,
+                 calibrator_step_scale=0.0, regularizers=EXACT_AND_SAMPLED[1:])),
+        "3-workers-full-passes-of-unequal-sizes": (
+            lambda: mixed_problem(False, Loss.SQUARED, n=26),
+            dict(minibatch_size=9, workers=3, regularizers=EXACT_AND_SAMPLED[:1])),
+        # chunks of 32 samples at D = 10 straddle the workers' minibatches
+        "3-workers-one-cell-d10-straddling-chunks": (
+            lambda: one_cell_problem(10, True, Loss.LOGISTIC, n=35),
+            dict(loss=Loss.LOGISTIC, minibatch_size=12, workers=3, epochs=1)),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_every_step_equals_the_per_sample_loop(self, monkeypatch, case):
+        problem, settings_ = self.CASES[case]
+        data, specs = problem()
+        config = TrainConfig(**{"epochs": 2, "step_size": 0.3, "seed": 4, **settings_})
+        steps = checked_steps(monkeypatch)
+        train(data, specs, config)
+        patterns = set(steps)
+        if "short-shard" in case:
+            # a full step and the one the short shard sits out, every epoch
+            assert patterns == {((0, 4), (1, 4), (2, 4)), ((0, 4), (1, 4))}
+            assert steps[:3] == [((0, 4), (1, 4), (2, 4))] * 2 + [((0, 4), (1, 4))]
+        if "unequal" in case:
+            assert patterns == {((0, 9), (1, 9), (2, 8))}
+
+    # dense-d10 is TestOneCellTraining's, against reference_train
+    @pytest.mark.parametrize("name", ["calib-d4", "rank-simplex-d10"])
+    def test_every_benchmark_step_equals_the_per_sample_loop(self, monkeypatch, tmp_path, name):
+        data, specs, config = benchmark_inputs(name, tmp_path, monkeypatch)
+        steps = checked_steps(monkeypatch)
+        train(data, specs, config)
+        assert steps
+
+    def test_sgd_step_reads_the_chunk_step_from_the_state(self, monkeypatch):
+        data, specs = mixed_problem(False, Loss.SQUARED)
+        state = prepare_state(data, specs, TrainConfig())
+        assert state.chunk_step == training.chunk_rows(state.shape, state.config.kind)
+        state.chunk_step = 5
+        widths = []
+        real = training._forward_backward
+
+        def kernel(theta, shape, points, *args, **kwargs):
+            widths.append(points.shape[1])
+            return real(theta, shape, points, *args, **kwargs)
+
+        def no_chunk_rows(*args):
+            raise AssertionError("a step works out its chunk step again")
+
+        monkeypatch.setattr(training, "_forward_backward", kernel)
+        monkeypatch.setattr(training, "chunk_rows", no_chunk_rows)
+        batch = np.random.default_rng(3).integers(0, 120, size=12)
+        assert_same_gradients(state, {0: batch})
+        sgd_step(state, {0: batch}, [np.random.default_rng(0)])
+        assert widths == [5, 5, 2] * 2
