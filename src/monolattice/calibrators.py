@@ -18,7 +18,16 @@ missing vertex and rescaling real values to [0, M_d - 2] (``vertex``).
 Calibrators are frozen values.  ``knots``, ``outputs`` and ``values`` are
 stored as read-only float64 copies and ``categories`` as a tuple, so what is
 derived from them (the knot list, the category lookup, a set's bound row
-calibration) is built once, on first use, and cannot go stale.  Other parameters make a new
+calibration) is built once, on first use, and cannot go stale.  A
+calibrator checks its structure when made, whoever makes it (fit,
+``with_table``, the model loader, code), and raises a ``DataError`` that
+names the feature and the field: finite values; knots strictly increasing,
+as many as the outputs and at least 2, no gap between two of them past
+the float limit; no category named twice, ``other_index`` in range, order
+pairs that name known categories; ``missing_value`` a finite number under
+the calibrated policy and None otherwise.  Whether its values keep the
+promises of a trained calibrator (monotone, inside the axis) is the
+model's check, so a set can be made from any table.  Other parameters make a new
 calibrator (``dataclasses.replace``), or a new set (``CalibratorSet.with_table``,
 which training uses once, for the trained model, and which shares the
 set's layout); a copied or unpickled calibrator is rebuilt through its
@@ -74,6 +83,7 @@ import dataclasses
 import enum
 import functools
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -132,13 +142,11 @@ class FeatureSpec:
         for name, value in coerced.items():
             object.__setattr__(self, name, value)
         if self.size < 2:
-            raise ValueError(f"feature {self.name}: lattice size must be >= 2")
+            raise DataError(f"feature {self.name}: lattice size must be >= 2")
         if self.missing is MissingPolicy.VERTEX and self.size < 3:
-            raise ValueError(
-                f"feature {self.name}: a missing vertex needs lattice size >= 3"
-            )
+            raise DataError(f"feature {self.name}: a missing vertex needs lattice size >= 3")
         if self.kind is FeatureKind.CONTINUOUS and self.keypoints < 2:
-            raise ValueError(f"feature {self.name}: need at least 2 keypoints")
+            raise DataError(f"feature {self.name}: need at least 2 keypoints")
 
     @property
     def axis_top(self) -> float:
@@ -233,7 +241,17 @@ def _fit_rows(rows: np.ndarray, keypoints: int, bounds: list) -> list:
         bounds = [(lows[i], highs[i]) if b is None else b for i, b in enumerate(bounds)]
     errors = [None if lo < hi else f"degenerate bounds [{lo}, {hi}]; column may be constant"
               for lo, hi in bounds]
-    inner = np.quantile(rows, np.arange(1, keypoints - 1) / (keypoints - 1), axis=1)
+    q = np.arange(1, keypoints - 1) / (keypoints - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner = np.quantile(rows, q, axis=1)
+    if not np.isfinite(inner).all():
+        # numpy's lerp takes the difference of the two order statistics,
+        # which overflows when they are more than the float limit apart;
+        # their weighted mean cannot
+        gamma = (q * (n - 1) % 1.0)[:, None]
+        lerp = (np.quantile(rows, q, axis=1, method="lower") * (1.0 - gamma)
+                + np.quantile(rows, q, axis=1, method="higher") * gamma)
+        inner = np.where(np.isfinite(inner), inner, lerp)
     knots = np.empty((count, keypoints))
     # clipped row by row against the bounds as numbers, as fit_knots clips
     # one column: a clip against arrays of bounds can pick the other of two
@@ -252,6 +270,23 @@ def _fit_rows(rows: np.ndarray, keypoints: int, bounds: list) -> list:
 # calibrators
 
 
+def _check_finite(field: str, values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise DataError(f"{field}[{np.flatnonzero(~np.isfinite(values))[0]}] is not finite")
+
+
+def _check_missing_value(cal, where: str) -> None:
+    value = cal.missing_value
+    if cal.missing is MissingPolicy.CALIBRATED:
+        if type(value) is bool or not isinstance(value, (int, float)) or not -math.inf < value < math.inf:
+            raise DataError(f"{where} missing_value {value!r} is not a finite number")
+    elif value is not None:
+        # never read under the other policies, so it would save back unchecked
+        raise DataError(
+            f"{where} missing_value {value!r} is not null under missing {cal.missing.value!r}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class ContinuousCalibrator(Frozen):
     """Piecewise-linear map from a raw value to a lattice coordinate."""
@@ -265,8 +300,36 @@ class ContinuousCalibrator(Frozen):
     name: str = ""  # the feature's, for error messages
 
     def __post_init__(self):
-        object.__setattr__(self, "knots", read_only(self.knots))
-        object.__setattr__(self, "outputs", read_only(self.outputs))
+        knots, outputs = read_only(self.knots), read_only(self.outputs)
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "outputs", outputs)
+        object.__setattr__(self, "missing", MissingPolicy(self.missing))
+        where = f"feature {self.name!r}:"
+        if knots.ndim != 1 or len(knots) < 2 or knots.shape != outputs.shape:
+            raise DataError(
+                f"{where} {knots.size} knots and {outputs.size} outputs; "
+                "need the same number, at least 2"
+            )
+        # Batch locate's knot count relies on strictly increasing knots, and
+        # increasing knots (no NaN compares) are finite if the ends are.
+        # Calibration divides by each gap between knots, so no gap may pass
+        # the float limit; the span of all the knots may.  The knots are
+        # compared as Python floats, whose difference overflows to inf
+        # without a warning, and since numpy's fixed cost per call exceeds
+        # the work on a calibrator's few knots.
+        listed = knots.tolist()
+        if not (all(map(operator.lt, listed, listed[1:])) and -math.inf < listed[0]
+                and listed[-1] < math.inf):
+            _check_finite(f"{where} knots", knots)
+            raise DataError(f"{where} knots are not strictly increasing")
+        _check_finite(f"{where} outputs", outputs)
+        for a, b in zip(listed, listed[1:]):
+            if b - a == math.inf:
+                raise DataError(
+                    f"{where} the gap between knots {a!r} and {b!r} overflows; "
+                    "use more keypoints or narrower bounds"
+                )
+        _check_missing_value(self, where)
 
     @property
     def num_free(self) -> int:
@@ -345,6 +408,24 @@ class CategoricalCalibrator(Frozen):
         object.__setattr__(self, "categories", tuple(self.categories))
         object.__setattr__(self, "values", read_only(self.values))
         object.__setattr__(self, "order_pairs", tuple(tuple(p) for p in self.order_pairs))
+        object.__setattr__(self, "missing", MissingPolicy(self.missing))
+        where = f"feature {self.name!r}:"
+        values, position = self.values, self._lookup
+        if values.shape != (len(self.categories),):
+            raise DataError(
+                f"{where} {values.size} category_values for {len(self.categories)} categories"
+            )
+        _check_finite(f"{where} category_values", values)
+        if len(position) != len(self.categories):
+            repeated = next(c for i, c in enumerate(self.categories) if position[c] != i)
+            raise DataError(f"{where} category_order repeats {repeated!r}")
+        other = self.other_index
+        if other is not None and not (type(other) is int and 0 <= other < len(values)):
+            raise DataError(f"{where} other_index {other!r} is out of range")
+        for a, b in self.order_pairs:
+            if a not in position or b not in position:
+                raise DataError(f"{where} order pair ({a!r}, {b!r}) names an unknown category")
+        _check_missing_value(self, where)
 
     @property
     def num_free(self) -> int:
@@ -447,34 +528,12 @@ def _fit_columns(specs, columns) -> dict:
     return out
 
 
-def _overflowing_gap(knots) -> int | None:
-    """The first j whose gap ``knots[j + 1] - knots[j]`` between increasing
-    finite knots passes the float limit, or None.  Calibration divides by
-    each gap, so a calibrator with such a gap cannot place a value in that
-    segment; a span past the float limit is fine as long as every single
-    gap stays inside it.  No gap exceeds the span, so a finite span (taken
-    in Python floats, which overflow to inf without a warning) settles it."""
-    if math.isfinite(float(knots[-1]) - float(knots[0])):
-        return None
-    with np.errstate(over="ignore"):
-        bad = np.flatnonzero(~np.isfinite(np.diff(knots)))
-    return int(bad[0]) if len(bad) else None
-
-
-def _gap_message(knots, j: int) -> str:
-    a, b = float(knots[j]), float(knots[j + 1])
-    return f"the gap between knots {a!r} and {b!r} overflows; use more keypoints or narrower bounds"
-
-
 def _continuous_calibrator(spec: FeatureSpec, knots, outputs: dict) -> ContinuousCalibrator:
     """The calibrator of ``spec`` on ``knots`` (or the message of its fitting
     error, raised as a ``DataError``), its outputs evenly spread on the axis;
     ``outputs`` keeps each (knot count, axis top)'s outputs for the next."""
     if isinstance(knots, str):
         raise DataError(f"feature {spec.name}: {knots}")
-    j = _overflowing_gap(knots)
-    if j is not None:
-        raise DataError(f"feature {spec.name}: {_gap_message(knots, j)}")
     key = (len(knots), spec.axis_top)
     if key not in outputs:
         outputs[key] = np.linspace(0.0, spec.axis_top, len(knots))
@@ -574,7 +633,7 @@ def build_categorical_calibrator(
     return CategoricalCalibrator(
         categories=ordered,
         values=values,
-        order_pairs=[(str(a), str(b)) for a, b in spec.order_pairs],
+        order_pairs=spec.order_pairs,
         other_index=other_index,
         **_spec_fields(spec),
     )
@@ -739,10 +798,7 @@ def _row_binding(cal) -> tuple[tuple, tuple]:
     end outputs and axis top, for a categorical one its lookup, values and
     OTHER index; then the missing coordinate (None where ``calibrate``
     raises for a missing value) and ``calibrate`` itself."""
-    try:
-        missing = _missing_coordinate(cal)
-    except (TypeError, ValueError):
-        missing = None
+    missing = None if cal.missing is MissingPolicy.NONE else _missing_coordinate(cal)
     continuous = isinstance(cal, ContinuousCalibrator)
     if continuous:
         knots, outputs = cal._knot_list, cal.outputs.tolist()
@@ -858,7 +914,7 @@ class CalibratorSet(Frozen):
     def __post_init__(self):
         specs, cals = tuple(self.specs), tuple(self.calibrators)
         if len(specs) != len(cals):
-            raise ValueError("one calibrator per feature spec")
+            raise DataError("one calibrator per feature spec")
         offsets, table_offsets, free = [], [], []
         num_free = table_size = 0
         for cal in cals:

@@ -44,8 +44,9 @@ class UsageError(ValueError):
 @contextlib.contextmanager
 def _flag_values():
     """Turn a ``ValueError`` raised while flags become specs and configs
-    (a bad number, a size or weight the library refuses) into a
-    ``UsageError`` with the same message; a ``DataError`` stays as it is."""
+    (a bad number, a weight the library refuses) into a ``UsageError``
+    with the same message; a ``DataError`` (a spec the library refuses)
+    stays as it is."""
     try:
         yield
     except (UsageError, DataError):

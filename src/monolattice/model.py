@@ -26,11 +26,21 @@ refuse changes in place, and its calibrators are frozen too, so the plan,
 the bound row calibration and the model file cannot fall out of date.  A
 changed model is a new one (``dataclasses.replace``); a copied or
 unpickled model is rebuilt through the constructor.
+
+Validity is decided once, by the constructor of what it describes: a
+calibrator checks its structure (see :mod:`.calibrators`), and a model
+checks the rest: theta finite, ``kind`` and ``loss`` members of their
+enums, each calibrator matching its spec, and the promises of a trained
+calibrator (nondecreasing outputs and category values inside the axis,
+declared category orders, a missing coordinate on the lattice).  So fit,
+``with_table``, the loader, ``replace``, copies and models made in code
+pass one gate, with one message per rule, and the loader only parses.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -46,8 +56,7 @@ from .calibrators import (
     FeatureSpec,
     Frozen,
     MissingPolicy,
-    _gap_message,
-    _overflowing_gap,
+    _check_finite,
     _spec_fields,
     missing_vertex_dims,
     read_only,
@@ -86,6 +95,8 @@ class Model(Frozen):
 
     def __post_init__(self):
         object.__setattr__(self, "specs", tuple(self.specs))
+        object.__setattr__(self, "kind", _member(InterpolationKind, self.kind, "interpolation"))
+        object.__setattr__(self, "loss", _member(Loss, self.loss, "loss"))
         sizes = [s.size for s in self.specs]
         if list(self.shape.sizes) != sizes:
             raise DataError(
@@ -96,7 +107,12 @@ class Model(Frozen):
             raise DataError(
                 f"theta has shape {theta.shape}, lattice needs ({self.shape.num_parameters},)"
             )
+        _check_finite("theta", theta)
         object.__setattr__(self, "theta", theta)
+        if self.calibrators.specs != self.specs:
+            raise DataError("calibrators.specs are not the model's specs")
+        for spec, cal in zip(self.specs, self.calibrators.calibrators):
+            _check_feature(spec, cal)
         object.__setattr__(self, "metadata", _read_only_json(self.metadata))
 
     @cached_property
@@ -199,7 +215,8 @@ class Model(Frozen):
 
     @classmethod
     def from_json(cls, text: str) -> "Model":
-        """Parse a model file; every way it can be malformed is a DataError."""
+        """Parse a model file and build the model through the constructors,
+        which check it; every way it can be malformed is a DataError."""
         try:
             return cls._from_doc(json.loads(text))
         except KeyError as e:
@@ -251,20 +268,17 @@ class Model(Frozen):
                     order_pairs=[tuple(p) for p in entry["order"]],
                     **fields,
                 )
-            _check_calibrator(spec, cal)
             specs.append(spec)
             cals.append(cal)
-        model = cls(
+        return cls(
             specs=specs,
             shape=LatticeShape(doc["lattice"]),
             theta=doc["theta"],
             calibrators=CalibratorSet(specs, cals),
-            kind=_member(InterpolationKind, doc["interpolation"], "interpolation"),
-            loss=_member(Loss, doc["loss"], "loss"),
+            kind=doc["interpolation"],
+            loss=doc["loss"],
             metadata=doc.get("metadata", {}),
         )
-        _check_finite("theta", model.theta)
-        return model
 
     @classmethod
     def load(cls, path) -> "Model":
@@ -313,7 +327,7 @@ def _read_only_json(value):
 
 
 # --------------------------------------------------------------------------
-# validation on load
+# validation
 
 
 def _member(enum_cls, value, field: str):
@@ -324,63 +338,39 @@ def _member(enum_cls, value, field: str):
         raise DataError(f"{field} {value!r} is not one of {choices}") from None
 
 
-def _check_finite(field: str, values) -> None:
-    bad = np.nonzero(~np.isfinite(np.asarray(values, dtype=float).reshape(-1)))[0]
-    if len(bad):
-        raise DataError(f"{field}[{bad[0]}] is not finite")
-
-
-def _check_calibrator(spec: FeatureSpec, cal) -> None:
-    """Raise a DataError naming the feature and the field unless ``cal`` is a
-    calibrator training could have produced: finite, monotone and inside
-    its axis.  Batch locate's knot count relies on strictly increasing knots."""
-    where = f"feature {spec.name!r}"
-    top = spec.axis_top
-    if isinstance(cal, ContinuousCalibrator):
-        knots, outputs = cal.knots, cal.outputs
-        if knots.ndim != 1 or len(knots) < 2 or knots.shape != outputs.shape:
-            raise DataError(
-                f"{where}: {knots.size} knots and {outputs.size} outputs; "
-                "need the same number, at least 2"
-            )
-        _check_finite(f"{where}: knots", knots)
-        _check_finite(f"{where}: outputs", outputs)
-        if np.any(knots[1:] <= knots[:-1]):
-            raise DataError(f"{where}: knots are not strictly increasing")
-        j = _overflowing_gap(knots)
-        if j is not None:
-            raise DataError(f"{where}: {_gap_message(knots, j)}")
-        if np.any(np.diff(outputs) < 0.0):
-            raise DataError(f"{where}: outputs decrease")
-        if outputs[0] < 0.0 or outputs[-1] > top:
-            raise DataError(f"{where}: outputs leave [0, {top:g}]")
+def _check_feature(spec: FeatureSpec, cal) -> None:
+    """Raise a DataError naming the feature unless ``cal`` is the
+    calibrator of ``spec`` (its kind, and the fields it takes from the
+    spec) and keeps the promises of a trained one: nondecreasing outputs
+    and category values inside the axis, declared category orders, and a
+    learned missing coordinate on the lattice.  The calibrator checks its
+    own structure when made."""
+    where = f"feature {spec.name!r}:"
+    continuous = isinstance(cal, ContinuousCalibrator)
+    if continuous is not (spec.kind is FeatureKind.CONTINUOUS):
+        raise DataError(f"{where} a {spec.kind.value} feature's calibrator is {type(cal).__name__}")
+    expected = _spec_fields(spec)
+    del expected["missing_value"]  # learned
+    if not continuous:
+        expected["order_pairs"] = spec.order_pairs
+    for name, value in expected.items():
+        if getattr(cal, name) != value:
+            raise DataError(f"{where} the calibrator's {name} is not the spec's")
+    # the values as a list: numpy's fixed cost per call exceeds the work on
+    # a calibrator's few values
+    top, points = spec.axis_top, cal.points.tolist()
+    if continuous:
+        if not all(map(operator.le, points, points[1:])):
+            raise DataError(f"{where} outputs decrease")
+        if points[0] < 0.0 or points[-1] > top:
+            raise DataError(f"{where} outputs leave [0, {top:g}]")
     else:
-        values = cal.values
-        _check_finite(f"{where}: category_values", values)
-        if np.any(values < 0.0) or np.any(values > top):
-            raise DataError(f"{where}: category_values leave [0, {top:g}]")
-        position = {c: i for i, c in enumerate(cal.categories)}
-        if len(position) != len(cal.categories):
-            repeated = next(c for i, c in enumerate(cal.categories) if position[c] != i)
-            raise DataError(f"{where}: category_order repeats {repeated!r}")
-        other = cal.other_index
-        if other is not None and not (type(other) is int and 0 <= other < len(values)):
-            raise DataError(f"{where}: other_index {other!r} is out of range")
+        if not all(0.0 <= v <= top for v in points):
+            raise DataError(f"{where} category_values leave [0, {top:g}]")
+        position = cal._lookup
         for a, b in cal.order_pairs:
-            if a not in position or b not in position:
-                raise DataError(f"{where}: order pair ({a!r}, {b!r}) names an unknown category")
-            if values[position[a]] > values[position[b]]:
-                raise DataError(
-                    f"{where}: category_values break the order pair ({a!r}, {b!r})"
-                )
+            if points[position[a]] > points[position[b]]:
+                raise DataError(f"{where} category_values break the order pair ({a!r}, {b!r})")
     value = cal.missing_value
-    if spec.missing is MissingPolicy.CALIBRATED:
-        if type(value) not in (int, float) or not 0.0 <= value <= spec.size - 1:
-            raise DataError(
-                f"{where}: missing_value {value!r} is not a number in [0, {spec.size - 1}]"
-            )
-    elif value is not None:
-        # never read under the other policies, so it would save back unchecked
-        raise DataError(
-            f"{where}: missing_value {value!r} is not null under missing {spec.missing.value!r}"
-        )
+    if cal.missing is MissingPolicy.CALIBRATED and not 0.0 <= value <= spec.size - 1:
+        raise DataError(f"{where} missing_value {value!r} is not in [0, {spec.size - 1}]")

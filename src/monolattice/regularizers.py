@@ -143,8 +143,21 @@ def regularizer_value(theta, terms: TermSet) -> float:
     th = np.asarray(theta, dtype=float)
     if len(terms) == 0:
         return 0.0
-    combos = th[terms.indices] @ terms.signs
-    return float(np.dot(combos, combos))
+    combos = _combinations(th, terms.indices, terms.signs)
+    # the correctly rounded sum of the squares, the same on every machine
+    return math.fsum((combos * combos).tolist())
+
+
+def _combinations(th: np.ndarray, indices: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    # each row's signed sum of ``th`` at ``indices`` (m, width), its products
+    # added left to right in numpy: a matrix-vector product would sum them
+    # in the order of the CPU's BLAS kernel, and the model bytes with it
+    values = th.take(indices.T)
+    values *= signs[:, None]
+    combos = values[0]
+    for products in values[1:]:
+        combos += products
+    return combos
 
 
 def regularizer_gradient(theta, terms: TermSet) -> np.ndarray:
@@ -157,7 +170,7 @@ def _gradient(th: np.ndarray, indices: np.ndarray, signs: np.ndarray) -> np.ndar
     # each combination, doubled, times the signs, scattered row by row
     if len(indices) == 0:
         return np.zeros_like(th)
-    combos = th.take(indices) @ signs
+    combos = _combinations(th, indices, signs)
     # 2.0 * combos, then times the signs, in one array
     np.multiply(combos, 2.0, out=combos)
     products = np.multiply(combos[:, None], signs)

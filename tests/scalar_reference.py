@@ -363,7 +363,14 @@ def reference_fit_knots(column, keypoints, bounds=None):
     lo, hi = bounds if bounds is not None else (float(col.min()), float(col.max()))
     if not lo < hi:
         raise ValueError(f"degenerate bounds [{lo}, {hi}]; column may be constant")
-    inner = np.quantile(col, np.arange(1, keypoints - 1) / (keypoints - 1))
+    q = np.arange(1, keypoints - 1) / (keypoints - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner = np.quantile(col, q)
+    # where the two order statistics are more than the float limit apart,
+    # their weighted mean, which cannot overflow as their difference does
+    gamma = q * (col.size - 1) % 1.0
+    lerp = np.quantile(col, q, method="lower") * (1.0 - gamma) + np.quantile(col, q, method="higher") * gamma
+    inner = np.where(np.isfinite(inner), inner, lerp)
     return np.unique(np.concatenate([[lo], np.clip(inner, lo, hi), [hi]]))
 
 

@@ -170,7 +170,7 @@ class TestBlockFit:
             if isinstance(want, str):
                 first_error = first_error or f"feature {spec.name}: {want}"
             elif (gap := overflowing_gap(np.frombuffer(want))) is not None:
-                first_error = first_error or f"feature {spec.name}: {gap}"
+                first_error = first_error or f"feature {spec.name!r}: {gap}"
             expected.append(want)
         if first_error is not None:
             with pytest.raises(DataError) as e:
@@ -905,6 +905,11 @@ class TestCalibrateBatch:
             missing = data.draw(st.sampled_from(list(MissingPolicy)))
             size = 3 if missing is MissingPolicy.VERTEX else data.draw(st.integers(2, 4))
             top = float(size - 2 if missing is MissingPolicy.VERTEX else size - 1)
+            extra = {}  # the missing coordinate, learned or the top slice
+            if missing is MissingPolicy.CALIBRATED:
+                extra["missing_value"] = data.draw(st.floats(0.0, float(size - 1)))
+            elif missing is MissingPolicy.VERTEX:
+                extra["missing_vertex"] = float(size - 1)
             if data.draw(st.booleans()):
                 knots = np.array(sorted(data.draw(
                     st.lists(st.floats(-100, 100), min_size=2, max_size=8, unique=True)
@@ -914,7 +919,7 @@ class TestCalibrateBatch:
                     st.floats(0.0, top), min_size=k, max_size=k
                 ))))
                 spec = cont_spec(name=f"f{d}", size=size, keypoints=k, missing=missing)
-                cal = ContinuousCalibrator(knots, outputs, top, missing, name=spec.name)
+                cal = ContinuousCalibrator(knots, outputs, top, missing, name=spec.name, **extra)
                 cell = st.one_of(
                     st.sampled_from(knots.tolist()),  # exactly on a knot
                     st.floats(knots[0] - 10, knots[-1] + 10),
@@ -935,15 +940,11 @@ class TestCalibrateBatch:
                                 allow_unseen=allow_unseen)
                 cal = CategoricalCalibrator(
                     names, np.array(values), top, missing, name=spec.name,
-                    other_index=len(names) - 1 if allow_unseen else None,
+                    other_index=len(names) - 1 if allow_unseen else None, **extra,
                 )
                 raw = [1, 1.0, True, 0.0, -0.0]  # same text as a category name
                 known = names + [v for v in raw if str(v) in names]
                 cell = st.sampled_from(known + (["zz", 7] if allow_unseen else []))
-            if missing is MissingPolicy.CALIBRATED:
-                cal = replace(cal, missing_value=data.draw(st.floats(0.0, float(size - 1))))
-            elif missing is MissingPolicy.VERTEX:
-                cal = replace(cal, missing_vertex=float(size - 1))
             if missing is not MissingPolicy.NONE:
                 cell = st.one_of(cell, st.sampled_from([None, float("nan")]))
             specs.append(spec)
@@ -1032,11 +1033,21 @@ class TestKnotGaps:
     def test_a_gap_past_the_float_limit_is_a_data_error(self, keypoints, a, b):
         specs = [cont_spec(name="wide", size=3, keypoints=keypoints, monotone="increasing")]
         data = Dataset([wide_column()], np.linspace(0.0, 1.0, 64))
-        message = f"feature wide: the gap between knots {a!r} and {b!r} overflows"
+        message = f"feature 'wide': the gap between knots {a!r} and {b!r} overflows"
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(DataError, match=re.escape(message)):
                 train(data, specs, TrainConfig(epochs=1))
+
+    def test_quantiles_between_values_past_the_float_limit(self):
+        # numpy's quantile subtracts the two order statistics it lerps
+        # between, which overflows here; the fit takes their weighted mean
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert fit_knots(np.array([1.7e308, -1.7e308]), 3).tolist() == [-1.7e308, 0.0, 1.7e308]
+            cs = CalibratorSet.fit([cont_spec(name="x", keypoints=5)], [np.array([-1.7e308, 1.7e308])])
+        a, b = -1.7e308, 1.7e308
+        assert cs.calibrators[0].knots.tolist() == [a, a * 0.75 + b * 0.25, 0.0, a * 0.25 + b * 0.75, b]
 
     @pytest.mark.parametrize("keypoints", [4, 5])
     def test_a_span_past_the_float_limit_trains(self, keypoints):

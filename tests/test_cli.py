@@ -426,7 +426,7 @@ class TestErrors:
         code = main(["train", "--data", str(tmp_path / "wide.csv"),
                      "--schema", str(tmp_path / "wide.json"), "--out", str(tmp_path / "m.json")])
         assert code == 2
-        assert "feature x: the gap between knots -1.7e+308 and 1.7e+308 overflows" in capsys.readouterr().err
+        assert "feature 'x': the gap between knots -1.7e+308 and 1.7e+308 overflows" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
 class TestExitCodes:

@@ -18,12 +18,6 @@ BANNED = {"dot", "matmul", "einsum", "tensordot", "inner", "vdot", "norm"}
 ALLOWED = {
     ("interpolation.py", "_forward_backward", "@"):
         "strides @ base multiplies int64 arrays: integer sums are exact in any order",
-    ("regularizers.py", "regularizer_value", "@"):
-        "each term's signed sum; ROADMAP item 14 replaces it with a left-to-right sum",
-    ("regularizers.py", "regularizer_value", "np.dot"):
-        "the sum of the squared terms; ROADMAP item 14 replaces it with np.add.reduce",
-    ("regularizers.py", "_gradient", "@"):
-        "each term's signed sum; ROADMAP item 14 replaces it with a left-to-right sum",
 }
 
 

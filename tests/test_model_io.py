@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import pickle
 import re
 from dataclasses import FrozenInstanceError, replace
@@ -11,18 +12,22 @@ from hypothesis import strategies as st
 
 from monolattice import (
     CalibratorSet,
+    CategoricalCalibrator,
     ContinuousCalibrator,
     DataError,
     Dataset,
     Direction,
     FeatureKind,
     FeatureSpec,
+    InterpolationKind,
     LatticeShape,
+    Loss,
     MissingPolicy,
     Model,
     TrainConfig,
     train,
 )
+from monolattice.calibrators import _spec_fields
 from monolattice.model import FORMAT_NAME, FORMAT_VERSION
 
 
@@ -365,22 +370,197 @@ class TestValidation:
         with pytest.raises(DataError, match=message):
             Model.from_json(json.dumps(doc))
 
-    def test_knot_gap_past_the_float_limit_is_a_data_error(self):
-        # knots, outputs and theta each fine alone; calibration would divide
-        # by the gap between the knots, which is inf
-        spec = FeatureSpec(name="wide", size=3)
-        cal = ContinuousCalibrator(knots=[-1.7e308, 1.7e308], outputs=[0.0, 2.0], axis_top=2.0,
-                                   name="wide")
-        model = Model([spec], LatticeShape([3]), [0.0, 1.0, 2.0], CalibratorSet([spec], [cal]))
+    def test_knot_gap_past_the_float_limit_is_a_data_error(self, trained):
+        # knots and outputs each fine alone; calibration would divide by the
+        # gap between the knots, which is inf: the calibrator is not made,
+        # in code or from a file
         message = "feature 'wide': the gap between knots -1.7e+308 and 1.7e+308 overflows"
         with pytest.raises(DataError, match=re.escape(message)):
-            Model.from_json(model.to_json())
+            ContinuousCalibrator(knots=[-1.7e308, 1.7e308], outputs=[0.0, 2.0], axis_top=2.0,
+                                 name="wide")
+        doc = self.doc(trained)
+        doc["features"][0]["calibrator"].update(knots=[-1.7e308, 1.7e308], outputs=[0.0, 2.0])
+        with pytest.raises(DataError, match=re.escape(message.replace("wide", "signal"))):
+            Model.from_json(json.dumps(doc))
 
     def test_format_constants(self, trained):
         doc = self.doc(trained)
         assert doc["format"] == FORMAT_NAME
         assert doc["version"] == FORMAT_VERSION
         assert doc["lattice"] == [3, 2, 3]
+
+
+def one_feature_model(spec, cal, theta=None, **fields):
+    shape = LatticeShape([spec.size])
+    theta = np.linspace(0.0, 1.0, spec.size) if theta is None else theta
+    return Model([spec], shape, theta, CalibratorSet([spec], [cal]), **fields)
+
+
+def line(spec, **changes):
+    """A calibrator of continuous ``spec`` on knots 0 and 1, its outputs the
+    ends of the axis, with ``changes``."""
+    fields = dict(_spec_fields(spec), knots=[0.0, 1.0], outputs=[0.0, spec.axis_top])
+    return ContinuousCalibrator(**{**fields, **changes})
+
+
+class TestConstructionGate:
+    """A calibrator checks its structure and a model checks the rest when
+    made, so that a model built in code, by ``replace`` or from a
+    hand-built set scores only what its own file would load."""
+
+    def test_calibrated_missing_value_left_unset(self):
+        spec = FeatureSpec("x", size=3, missing=MissingPolicy.CALIBRATED)
+        with pytest.raises(DataError, match="feature 'x': missing_value None is not a finite number"):
+            line(spec, missing_value=None)
+
+    def test_theta_that_is_not_finite(self):
+        spec = FeatureSpec("x")
+        with pytest.raises(DataError, match=re.escape("theta[0] is not finite")):
+            one_feature_model(spec, line(spec), theta=[np.nan, np.inf])
+        model = one_feature_model(spec, line(spec))
+        with pytest.raises(DataError, match=re.escape("theta[1] is not finite")):
+            replace(model, theta=[0.0, np.inf])
+
+    def test_kind_and_loss_given_as_text(self):
+        spec = FeatureSpec("x")
+        model = one_feature_model(spec, line(spec), kind="simplex", loss="logistic")
+        assert model.kind is InterpolationKind.SIMPLEX and model.loss is Loss.LOGISTIC
+        assert Model.from_json(model.to_json()).to_json() == model.to_json()
+        with pytest.raises(DataError, match="interpolation 'cubic' is not one of"):
+            replace(model, kind="cubic")
+        with pytest.raises(DataError, match="loss 'cubic' is not one of"):
+            replace(model, loss="cubic")
+
+    def test_calibrated_calibrator_under_a_spec_without_a_missing_policy(self):
+        spec = FeatureSpec("x", size=3)
+        cal = line(replace(spec, missing=MissingPolicy.CALIBRATED))
+        with pytest.raises(DataError, match="feature 'x': the calibrator's missing is not the spec's"):
+            one_feature_model(spec, cal)
+
+    def test_continuous_calibrator_under_a_categorical_spec(self):
+        spec = FeatureSpec("x", kind=FeatureKind.CATEGORICAL)
+        cal = line(replace(spec, kind=FeatureKind.CONTINUOUS))
+        with pytest.raises(DataError, match="feature 'x': a categorical feature's calibrator"):
+            one_feature_model(spec, cal)
+
+    def test_set_and_model_name_other_features(self):
+        spec, other = FeatureSpec("x"), FeatureSpec("y")
+        cs = CalibratorSet([other], [line(other)])
+        with pytest.raises(DataError, match="calibrators.specs are not the model's specs"):
+            Model([spec], LatticeShape([2]), [0.0, 1.0], cs)
+
+    def test_lattice_size_below_two_is_the_spec_s_error(self, trained):
+        doc = json.loads(trained[0].to_json())
+        doc["features"][0]["size"] = 1
+        with pytest.raises(DataError) as err:
+            Model.from_json(json.dumps(doc))
+        assert str(err.value) == "feature signal: lattice size must be >= 2"
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_a_model_made_in_code_loads_back_and_scores_alike(self, data):
+        # hostile fields: every built model saves and loads to the same
+        # bytes, and both predict paths agree on every row, by bits
+        try:
+            model = data.draw(code_built_models())
+        except DataError:
+            return
+        text = model.to_json()
+        assert Model.from_json(text).to_json() == text
+        for _ in range(4):
+            row = [data.draw(_raw_values(spec)) for spec in model.specs]
+            batch = Dataset([[v] for v in row], None)
+            try:
+                want = model.predict_row(row)
+            except DataError as e:
+                with pytest.raises(DataError, match=re.escape(str(e))):
+                    model.predict(batch)
+                continue
+            assert model.predict(batch)[0].hex() == want.hex()
+
+
+# floats a user can hand in: signed zeros, a subnormal, the ends of the
+# axis and beyond, near the float limit, and values that are not finite
+_HOSTILE = [0.0, -0.0, 5e-324, 0.5, 1.0, 2.0, 3.0, -1.0, 1e300, -1.7e308, 1.7e308,
+            math.nan, math.inf, -math.inf]
+_NAMES = ["a", "b", "c", "<OTHER>"]
+
+
+def _hostile_list(draw, size):
+    return draw(st.lists(st.sampled_from(_HOSTILE), min_size=size, max_size=size))
+
+
+def _raw_values(spec):
+    if spec.kind is FeatureKind.CONTINUOUS:
+        return st.one_of(st.sampled_from(_HOSTILE + [None, "nan", "abc"]), st.floats(-2.0, 2.0))
+    return st.sampled_from(_NAMES + ["zz", None, math.nan, 1.0])
+
+
+@st.composite
+def code_built_models(draw):
+    """A model made in code, through every constructor, with fields that
+    are mostly those training makes and each sometimes hostile.  Whatever
+    is refused raises a DataError on construction."""
+    def rarely() -> bool:
+        return draw(st.integers(0, 11)) == 7
+
+    specs, cals = [], []
+    for d in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(list(FeatureKind)))
+        names = draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=4, unique=True))
+        pairs = []
+        if kind is FeatureKind.CATEGORICAL and draw(st.booleans()):
+            pairs = [tuple(draw(st.lists(st.sampled_from(names + ["z"] * rarely()), min_size=2,
+                                         max_size=2)))]
+        spec = FeatureSpec(f"f{d}", kind=kind, size=1 if rarely() else draw(st.integers(3, 4)),
+                           missing=draw(st.sampled_from(list(MissingPolicy))), order_pairs=pairs)
+        fields = _spec_fields(spec)
+        if rarely():  # a calibrator made for another spec
+            fields = _spec_fields(replace(spec, missing=draw(st.sampled_from(list(MissingPolicy))),
+                                          name=draw(st.sampled_from(["f0", "f1"]))))
+        if rarely():
+            fields["missing_value"] = draw(st.sampled_from(_HOSTILE + [None, True, 1]))
+        top = fields["axis_top"]
+        if (kind is FeatureKind.CONTINUOUS) is not rarely():
+            k = draw(st.integers(2, 4))
+            if rarely():
+                knots = _hostile_list(draw, k)
+            else:
+                knots = draw(st.lists(st.floats(-1e300, 1e300), min_size=k, max_size=k, unique=True))
+                knots.sort()
+            outputs = np.linspace(0.0, top, k).tolist()
+            if rarely():
+                outputs = _hostile_list(draw, k + draw(st.sampled_from([0, 1])))
+            elif draw(st.booleans()):
+                outputs = sorted(draw(st.lists(st.floats(0.0, top), min_size=k, max_size=k)))
+            cal = ContinuousCalibrator(knots=knots, outputs=outputs, **fields)
+        else:
+            categories = names + [draw(st.sampled_from(names))] * rarely()
+            values = draw(st.lists(st.floats(0.0, top), min_size=len(categories),
+                                   max_size=len(categories)))
+            if rarely():
+                values = _hostile_list(draw, len(values))
+            other = None
+            if draw(st.booleans()):
+                other = draw(st.sampled_from([len(categories), -1, True])) if rarely() else 0
+            cal = CategoricalCalibrator(
+                categories=categories, values=values, other_index=other,
+                order_pairs=(("a", "b"),) if rarely() else spec.order_pairs, **fields,
+            )
+        specs.append(spec)
+        cals.append(cal)
+    calibrated = [replace(specs[0], name="other")] + specs[1:] if rarely() else specs
+    shape = LatticeShape([s.size for s in specs])
+    theta = draw(st.lists(st.floats(-1e300, 1e300), min_size=shape.num_parameters,
+                          max_size=shape.num_parameters))
+    if rarely():
+        theta[draw(st.integers(0, len(theta) - 1))] = draw(st.sampled_from(_HOSTILE))
+    return Model(
+        specs, shape, theta, CalibratorSet(calibrated, cals),
+        kind=draw(st.sampled_from(list(InterpolationKind) + ["simplex", "multilinear"]
+                                  + ["cubic"] * rarely())),
+        loss=draw(st.sampled_from(list(Loss) + ["logistic"] + ["cubic"] * rarely())),
+    )
 
 
 class TestLoadingViolatingFiles:

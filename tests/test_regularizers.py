@@ -1,4 +1,9 @@
 import itertools
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,13 +11,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scalar_reference import reference_regularizer_terms
 
+import monolattice
 from monolattice import (
+    Dataset,
+    FeatureSpec,
     LatticeShape,
+    RegularizerConfig,
     RegularizerKind,
+    TrainConfig,
     regularizer_gradient,
     regularizer_terms,
     regularizer_value,
     sample_regularizer_subgradient,
+    train,
     vertex_coords,
 )
 from monolattice.regularizers import _terms
@@ -157,6 +168,78 @@ class TestGradients:
         sh = LatticeShape([2, 2])
         terms = regularizer_terms(sh, HES)
         assert regularizer_gradient(np.ones(4), terms) == pytest.approx([0.0] * 4)
+
+
+def left_to_right(theta, indices, signs):
+    """Each term's signed sum, its products added left to right in Python."""
+    out = []
+    for row in indices.tolist():
+        total = theta[row[0]] * signs[0]
+        for i, s in zip(row[1:], signs[1:]):
+            total = total + theta[i] * s
+        out.append(total)
+    return out
+
+
+class TestFixedOrder:
+    """Every sum runs in an order fixed by the term table, so that model
+    bytes do not follow the CPU's BLAS kernel."""
+
+    @pytest.mark.parametrize("kind", [LAP, HES, TOR])
+    @pytest.mark.parametrize("sizes", [[3, 3], [3, 3, 3], [2] * 5])
+    def test_sums_match_a_left_to_right_reference(self, kind, sizes):
+        sh = LatticeShape(sizes)
+        theta = np.random.default_rng(4).standard_normal(sh.num_parameters) * 1e3
+        terms = regularizer_terms(sh, kind)
+        combos = left_to_right(theta.tolist(), terms.indices, terms.signs.tolist())
+        assert regularizer_value(theta, terms) == math.fsum(c * c for c in combos)
+        weights = [2.0 * c * s for c in combos for s in terms.signs.tolist()]
+        want = np.bincount(terms.indices.ravel(), weights, minlength=len(theta))
+        assert regularizer_gradient(theta, terms).tobytes() == want.tobytes()
+
+    def test_one_sampled_term(self):
+        # a single term is a (width, 1) block, whose column a reduction
+        # would sum in another order
+        sh = LatticeShape([3, 3])
+        theta = np.array([1e16, 1.0, -1e16, 3.0, 1.0, 1.0, -1.0, 1.0, 7.0])
+        terms = regularizer_terms(sh, TOR)
+        got = sample_regularizer_subgradient(theta, terms, 1, np.random.default_rng(0))
+        pick = np.random.default_rng(0).integers(0, len(terms), size=1)
+        (c,) = left_to_right(theta.tolist(), terms.indices[pick], terms.signs.tolist())
+        weights = [2.0 * c * s * len(terms) for s in terms.signs.tolist()]
+        want = np.bincount(terms.indices[pick].ravel(), weights, minlength=len(theta))
+        assert got.tobytes() == want.tobytes()
+
+
+def regularized_run(seed: int = 0) -> str:
+    """The model file of a small run under exact torsion and a sampled
+    Laplacian, whose bytes follow every regularizer sum of training."""
+    rng = np.random.default_rng(seed)
+    x = rng.random((200, 3))
+    y = x @ np.array([1.0, 2.0, -0.5]) + np.sin(7.0 * x[:, 0] * x[:, 1])
+    specs = [FeatureSpec(f"x{d}", size=3, keypoints=4) for d in range(3)]
+    config = TrainConfig(
+        epochs=2, step_size=0.3, seed=seed,
+        regularizers=(RegularizerConfig(TOR, 0.1), RegularizerConfig(LAP, 0.1, sample_count=16)),
+    )
+    return train(Dataset([x[:, d] for d in range(3)], y), specs, config).to_json()
+
+
+def test_model_bytes_do_not_follow_the_blas_kernel():
+    # OpenBLAS picks its kernel by CPU unless OPENBLAS_CORETYPE names one;
+    # Prescott's sums run in another order than the newer kernels'
+    tests = Path(__file__).resolve().parent
+    src = Path(monolattice.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(tests)]))
+    env.pop("OPENBLAS_CORETYPE", None)
+    files = [
+        subprocess.run(
+            [sys.executable, "-c", "import test_regularizers as t; print(t.regularized_run(), end='')"],
+            env=dict(env, **kernel), capture_output=True, text=True, timeout=120, check=True,
+        ).stdout
+        for kernel in ({}, {"OPENBLAS_CORETYPE": "Prescott"})
+    ]
+    assert files[0] == files[1] == regularized_run()
 
 
 class TestSampling:
