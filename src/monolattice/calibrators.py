@@ -23,7 +23,8 @@ calibrator checks its structure when made, whoever makes it (fit,
 ``with_table``, the model loader, code), and raises a ``DataError`` that
 names the feature and the field: finite values; knots strictly increasing,
 as many as the outputs and at least 2, no gap between two of them past
-the float limit; no category named twice, ``other_index`` in range, order
+the float limit; categories that are text, none named twice (rows are
+looked up by their text), ``other_index`` in range, order
 pairs that name known categories; ``missing_value`` a finite number under
 the calibrated policy and None otherwise.  Whether its values keep the
 promises of a trained calibrator (monotone, inside the axis) is the
@@ -410,6 +411,9 @@ class CategoricalCalibrator(Frozen):
         object.__setattr__(self, "order_pairs", tuple(tuple(p) for p in self.order_pairs))
         object.__setattr__(self, "missing", MissingPolicy(self.missing))
         where = f"feature {self.name!r}:"
+        for c in self.categories:
+            if not isinstance(c, str):  # rows are looked up by their text
+                raise DataError(f"{where} category {c!r} is not text")
         values, position = self.values, self._lookup
         if values.shape != (len(self.categories),):
             raise DataError(

@@ -48,13 +48,16 @@ slopes are written at each step's flat position (dimension * n + point).
 A chunk's (2^D, n) or (D+1, n) arrays (weights, vertex indices, gathered
 values, and a scratch array for the products and the slope collapse,
 which the gathered values stand in for when no slopes are wanted) come
-from a :class:`ChunkBuffers` set and are reused from chunk to chunk: one
-set lives for one ``evaluate_batch`` or ``Model.predict`` call, and one
-for a whole training run (held on the run's state).  At D = 10 each
-multilinear array is 256 KB, above glibc's initial mmap threshold, so
-arrays made afresh for every chunk would be mapped, page-faulted and
-unmapped chunk after chunk, and the kernel would run at half speed unless
-some earlier, larger free had raised the threshold.  The vertex values
+from a :class:`ChunkBuffers` set and are reused from chunk to chunk.  An
+``evaluate_batch`` or ``Model.predict`` call, or a whole training run,
+takes a set from a process-wide list of spare sets and gives it back when
+it ends (:func:`spare_buffers`), so sets outlive the calls and a warm
+process allocates no chunk array per call.  At D = 10 each multilinear
+array is 256 KB, above glibc's initial mmap threshold, so arrays made
+afresh for every chunk would be mapped, page-faulted and unmapped chunk
+after chunk, and the kernel would run at half speed unless some earlier,
+larger free had raised the threshold; sets made afresh for every call
+fault their pages call after call in the same way.  The vertex values
 are gathered with ``take(mode="clip")`` into their buffer, which writes
 there directly only because nothing can be clipped: the cells' far
 corners are checked against ``theta`` first, so a short ``theta`` still
@@ -106,6 +109,7 @@ plan's speed.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import functools
 from dataclasses import dataclass
@@ -226,7 +230,8 @@ def evaluate_batch(
     :func:`evaluate_block`."""
     block = as_block(shape, points)
     out = np.empty(block.shape[1])
-    evaluate_block(theta, shape, block, kind, ChunkBuffers(), out)
+    with spare_buffers() as buffers:
+        evaluate_block(theta, shape, block, kind, buffers, out)
     return out
 
 
@@ -589,10 +594,12 @@ class ChunkBuffers:
     slopes and the calibrator scatter's terms and entries
     (``CalibratorSet.add_apply_gradient``).
 
-    Each array is the front of a flat buffer, so it is C-contiguous whatever
-    its shape; a buffer is allocated when a chunk first needs more than it
-    holds.  The last view of each buffer is kept, since a run's chunks mostly
-    share one shape.  What a chunk leaves in them is overwritten by the next.
+    Each array is the front of a flat, 64-byte aligned buffer, so it is
+    C-contiguous whatever its shape; a buffer is allocated when a chunk
+    first needs more than it holds, or another dtype.  The last view of each buffer is kept, since a
+    run's chunks mostly share one shape.  What a chunk leaves in them is
+    overwritten by the next.  A set serves one caller at a time; callers
+    that hold it for one call draw it from :func:`spare_buffers`.
     """
 
     def __init__(self) -> None:
@@ -602,10 +609,10 @@ class ChunkBuffers:
 
     def get(self, name: str, rows: int, cols: int, dtype=float) -> np.ndarray:
         view = self._views.get(name)
-        if view is None or view.shape != (rows, cols):
+        if view is None or view.shape != (rows, cols) or view.dtype != dtype:
             size = rows * cols
             flat = self._flat.get(name)
-            if flat is None or flat.size < size:
+            if flat is None or flat.size < size or flat.dtype != dtype:
                 flat = self._flat[name] = self._allocate(size, dtype)
             view = self._views[name] = flat[:size].reshape(rows, cols)
         return view
@@ -623,7 +630,37 @@ class ChunkBuffers:
 
     @staticmethod
     def _allocate(size: int, dtype) -> np.ndarray:
-        return np.empty(size, dtype=dtype)
+        # 64-byte aligned: the kernels' ufuncs run faster on aligned
+        # operands, and malloc places a large block 16 bytes past a page,
+        # which a kept buffer would keep for the life of the process
+        nbytes = size * np.dtype(dtype).itemsize
+        raw = np.empty(nbytes + 64, dtype=np.uint8)
+        start = -raw.ctypes.data % 64
+        return raw[start : start + nbytes].view(dtype)
+
+
+# Chunk buffer sets that no call holds, kept for the next call that needs
+# one: the object cache of Bonwick's slab allocator (USENIX 1994), as
+# monotonicity's walk keeps its workspaces.  A warm process allocates no
+# chunk array per call, and its chunk arrays are never freed, so the heap
+# top does not shrink and grow again from chunk to chunk.
+_SPARE_BUFFERS: list[ChunkBuffers] = []
+
+
+@contextlib.contextmanager
+def spare_buffers():
+    """A :class:`ChunkBuffers` set for the caller alone while the block
+    runs: taken from the spare sets (made when none is spare) and given
+    back when the block ends, also by an error.  ``list.pop`` and
+    ``append`` are atomic, so concurrent callers never share a set."""
+    try:
+        buffers = _SPARE_BUFFERS.pop()
+    except IndexError:
+        buffers = ChunkBuffers()
+    try:
+        yield buffers
+    finally:
+        _SPARE_BUFFERS.append(buffers)
 
 
 def _doubling_weights(w: np.ndarray, residual, halves=None) -> np.ndarray:

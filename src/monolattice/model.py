@@ -5,10 +5,12 @@ and the parameter vector (stride order).  Floats are written with Python's
 shortest round-trip representation, so saving and loading reproduces every
 parameter bit for bit.
 
-``Model.predict`` scores a batch in chunks of ``PREDICT_ROWS`` rows, each
-located on the calibrators in one pass, calibrated and scored by the
-batched kernel, all through one buffer set made for the call, so a call's
-arrays are sized by the chunk and none outlives it.
+``Model.predict`` scores a batch in chunks of ``predict_rows`` rows (a
+fixed number of bytes per chunk), each located on the calibrators in one
+pass, calibrated and scored by the batched kernel, all through one buffer
+set that the call takes from the process's spare sets and gives back
+(``interpolation.spare_buffers``), so a call's arrays are sized by the
+chunk and a warm process allocates no chunk array per call.
 ``Model.predict_row`` scores one row through one path: the calibrators'
 ``calibrate_row``, one function generated per calibrator layout with the
 set's parameters bound in, then the model's
@@ -30,9 +32,10 @@ unpickled model is rebuilt through the constructor.
 Validity is decided once, by the constructor of what it describes: a
 calibrator checks its structure (see :mod:`.calibrators`), and a model
 checks the rest: theta finite, ``kind`` and ``loss`` members of their
-enums, each calibrator matching its spec, and the promises of a trained
+enums, each calibrator matching its spec, the promises of a trained
 calibrator (nondecreasing outputs and category values inside the axis,
-declared category orders, a missing coordinate on the lattice).  So fit,
+declared category orders, a missing coordinate on the lattice), and
+metadata that JSON writes as it is (text keys, no sets).  So fit,
 ``with_table``, the loader, ``replace``, copies and models made in code
 pass one gate, with one message per rule, and the loader only parses.
 """
@@ -61,7 +64,7 @@ from .calibrators import (
     missing_vertex_dims,
     read_only,
 )
-from .interpolation import ChunkBuffers, InterpolationKind, RowPlan, evaluate_block
+from .interpolation import InterpolationKind, RowPlan, evaluate_block, spare_buffers
 
 # The benchmark's span tracer (perfbench/spans.py) patches this name on this
 # module; predict_row runs the row plan, not the scalar kernels.
@@ -77,10 +80,19 @@ from .training import Loss
 FORMAT_NAME = "monolattice-model"
 FORMAT_VERSION = 1
 
-# Rows per chunk of Model.predict.  Every array a call makes is sized by the
-# chunk, not by the rows, and about 512 rows keep a chunk's few dozen numpy
-# calls cheap next to its arithmetic; CHANGES.md records the measurement.
-PREDICT_ROWS = 512
+# Bytes of one (D, n) float block of a Model.predict chunk, which sets the
+# chunk's rows (predict_rows).  Every array a call makes is sized by the
+# chunk, not by the rows, and a chunk pays about a hundred numpy calls
+# whatever its rows.  A sweep over 20k rows peaked near 2048 rows at D = 10
+# and 5120 at D = 4, one block of 160 KiB each; from about 256 KiB on, the
+# chunk's temporaries faulted fresh pages on every call.  CHANGES.md
+# records the sweep.
+PREDICT_BYTES = 160 << 10
+
+
+def predict_rows(ndim: int) -> int:
+    """Rows per chunk of :meth:`Model.predict` over ``ndim`` features."""
+    return max(1, PREDICT_BYTES // (8 * ndim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,21 +148,22 @@ class Model(Frozen):
 
     def predict(self, data, kind: InterpolationKind | None = None) -> np.ndarray:
         """Scores of every row of ``data``, equal to :meth:`predict_row` bit
-        for bit.  The rows are scored ``PREDICT_ROWS`` at a time: each chunk
-        is located on the calibrators in one pass, calibrated (coordinates
-        only, feature-major) and scored by the batched kernel, all through
-        one buffer set made for this call.  A bad value raises the
-        ``DataError`` of the first bad row, its ``row`` counted in
-        ``data``."""
+        for bit.  The rows are scored :func:`predict_rows` at a time: each
+        chunk is located on the calibrators in one pass, calibrated
+        (coordinates only, feature-major) and scored by the batched kernel,
+        all through one buffer set that this call takes from the spare sets
+        and gives back.  A bad value raises the ``DataError`` of the first
+        bad row, its ``row`` counted in ``data``."""
         cs = self.calibrators
         columns = data.columns
         out = np.empty(len(columns[0]) if len(columns) else 0)
-        buffers = ChunkBuffers()  # one set for every chunk of this call
         table = cs.table()
-        for rows, location in cs.locate_chunks(columns, PREDICT_ROWS, buffers):
-            # the coordinates take the buffer of the values they come from
-            x = cs.apply(location, table, buffers.get("locate x", *location.t.shape))
-            evaluate_block(self.theta, self.shape, x, kind or self.kind, buffers, out[rows])
+        size = predict_rows(len(self.specs))
+        with spare_buffers() as buffers:  # one set for every chunk of this call
+            for rows, location in cs.locate_chunks(columns, size, buffers):
+                # the coordinates take the buffer of the values they come from
+                x = cs.apply(location, table, buffers.get("locate x", *location.t.shape))
+                evaluate_block(self.theta, self.shape, x, kind or self.kind, buffers, out[rows])
         return out
 
     # ---- feasibility
@@ -260,10 +273,11 @@ class Model(Frozen):
                     **fields,
                 )
             else:
-                order = state["category_order"]
+                order, values = state["category_order"], state["category_values"]
                 cal = CategoricalCalibrator(
                     categories=list(order),
-                    values=np.array([state["category_values"][c] for c in order]),
+                    # JSON keys are text: the calibrator names any other category
+                    values=np.array([values[c] for c in order if isinstance(c, str)]),
                     other_index=state["other_index"],
                     order_pairs=[tuple(p) for p in entry["order"]],
                     **fields,
@@ -313,17 +327,24 @@ class _ReadOnlyList(list):
         return type(self), (list(self),)
 
 
-def _read_only_json(value):
+def _read_only_json(value, where: str = "metadata"):
     """A copy of a JSON value whose objects and arrays, nested ones
     included, refuse changes in place; it compares equal to the value and
-    serializes to the same text."""
+    serializes to the same text.  A key that is not text, or a leaf that is
+    not text, a number, a bool or None, is a DataError naming where it
+    sits: JSON could not write it back as it is."""
     if isinstance(value, dict):
-        return _ReadOnlyDict((k, _read_only_json(v)) for k, v in value.items())
+        for k in value:
+            if not isinstance(k, str):
+                raise DataError(f"{where} has the key {k!r}, which is not text")
+        return _ReadOnlyDict((k, _read_only_json(v, f"{where}[{k!r}]")) for k, v in value.items())
     if isinstance(value, tuple):
-        return tuple(_read_only_json(v) for v in value)
+        return tuple(_read_only_json(v, f"{where}[{i}]") for i, v in enumerate(value))
     if isinstance(value, list):
-        return _ReadOnlyList(_read_only_json(v) for v in value)
-    return value
+        return _ReadOnlyList(_read_only_json(v, f"{where}[{i}]") for i, v in enumerate(value))
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    raise DataError(f"{where} is a {type(value).__name__}, which JSON cannot write")
 
 
 # --------------------------------------------------------------------------

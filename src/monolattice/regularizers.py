@@ -18,7 +18,8 @@ real-value vertices of that dimension (Laplacian and Torsion); Hessian
 triples stay within the real-value span where "consecutive" is meaningful.
 
 ``regularizer_terms`` lists every term of a kind as rows of an index table,
-in one fixed order, since term ids are what sampling draws.  A table is
+in one fixed order, since term ids are what sampling draws, and keeps the
+table column-major too, the layout the sums gather from.  A table is
 built once per lattice shape, kind and set of missing dimensions, and
 handed out read-only to every caller; a cache of bounded size keeps the
 most recently used ones.
@@ -30,7 +31,7 @@ import enum
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,6 +52,10 @@ class RegularizerConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", RegularizerKind(self.kind))
+        for name in ("weight", "sample_count"):
+            value = getattr(self, name)
+            if isinstance(value, np.generic):  # as the Python number the model file writes
+                object.__setattr__(self, name, value.item())
         if self.weight < 0 or not math.isfinite(self.weight):
             raise ValueError("regularizer weight must be finite and nonnegative")
         if self.sample_count is not None and self.sample_count < 1:
@@ -59,10 +64,21 @@ class RegularizerConfig:
 
 @dataclass(frozen=True)
 class TermSet:
-    """All terms of one regularizer: row i is sum_j signs[j]*theta[indices[i,j]], squared."""
+    """All terms of one regularizer: row i is sum_j signs[j]*theta[indices[i,j]], squared.
+
+    ``columns`` holds the same table column-major, a read-only C-contiguous
+    (width, num_terms) copy, from which the sums gather their values in one
+    take; the gradient scatters in the order of ``indices``.
+    """
 
     indices: np.ndarray  # (num_terms, width) int64
     signs: np.ndarray  # (width,) float
+    columns: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        columns = np.ascontiguousarray(self.indices.T)
+        columns.flags.writeable = False
+        object.__setattr__(self, "columns", columns)
 
     def __len__(self) -> int:
         return self.indices.shape[0]
@@ -143,16 +159,17 @@ def regularizer_value(theta, terms: TermSet) -> float:
     th = np.asarray(theta, dtype=float)
     if len(terms) == 0:
         return 0.0
-    combos = _combinations(th, terms.indices, terms.signs)
+    combos = _combinations(th, terms.columns, terms.signs)
     # the correctly rounded sum of the squares, the same on every machine
     return math.fsum((combos * combos).tolist())
 
 
-def _combinations(th: np.ndarray, indices: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    # each row's signed sum of ``th`` at ``indices`` (m, width), its products
-    # added left to right in numpy: a matrix-vector product would sum them
-    # in the order of the CPU's BLAS kernel, and the model bytes with it
-    values = th.take(indices.T)
+def _combinations(th: np.ndarray, columns: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    # each term's signed sum of ``th`` at its column of ``columns``
+    # (width, m), its products added left to right in numpy: a
+    # matrix-vector product would sum them in the order of the CPU's BLAS
+    # kernel, and the model bytes with it
+    values = th.take(columns)
     values *= signs[:, None]
     combos = values[0]
     for products in values[1:]:
@@ -162,15 +179,18 @@ def _combinations(th: np.ndarray, indices: np.ndarray, signs: np.ndarray) -> np.
 
 def regularizer_gradient(theta, terms: TermSet) -> np.ndarray:
     th = np.asarray(theta, dtype=float)
-    return _gradient(th, terms.indices, terms.signs)
+    return _gradient(th, terms.indices, terms.columns, terms.signs)
 
 
-def _gradient(th: np.ndarray, indices: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    # the gradient of the terms of rows ``indices`` (m, width) at ``th``:
-    # each combination, doubled, times the signs, scattered row by row
+def _gradient(
+    th: np.ndarray, indices: np.ndarray, columns: np.ndarray, signs: np.ndarray
+) -> np.ndarray:
+    # the gradient of the terms of rows ``indices`` (m, width) at ``th``,
+    # ``columns`` the same terms column-major: each combination, doubled,
+    # times the signs, scattered row by row
     if len(indices) == 0:
         return np.zeros_like(th)
-    combos = _combinations(th, indices, signs)
+    combos = _combinations(th, columns, signs)
     # 2.0 * combos, then times the signs, in one array
     np.multiply(combos, 2.0, out=combos)
     products = np.multiply(combos[:, None], signs)
@@ -196,6 +216,8 @@ def sample_regularizer_subgradient(
         return regularizer_gradient(theta, terms)
     picks = rng.integers(0, m, size=sample_count)
     th = np.asarray(theta, dtype=float)
-    grad = _gradient(th, terms.indices.take(picks, axis=0), terms.signs)
+    # the drawn rows, and the same terms column-major for the gathers
+    rows, columns = terms.indices.take(picks, axis=0), terms.columns.take(picks, axis=1)
+    grad = _gradient(th, rows, columns, terms.signs)
     grad *= m / sample_count
     return grad

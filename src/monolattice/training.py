@@ -31,10 +31,12 @@ and number of finite values in one block), the *plan* is the location of
 every side (a row, or a pair's preferred row then the other) on the
 calibrators' knots and categories (``CalibratorSet.locate``,
 feature-major), the targets are held as floats, and the kernels' chunk
-buffers are reused by every step.  The state also holds what every step
-would otherwise derive again: the chunk step (``chunk_step``, samples per
-chunk of the batched kernels, from ``chunk_rows``), and, for each pattern of
-workers and minibatch sizes a lockstep step takes, the worker of each side
+buffers, a set taken from the spare sets for the run and given back at its
+end (``interpolation.spare_buffers``), are reused by every step.  The
+state also holds what every step would otherwise derive again: the chunk
+step (``chunk_step``, samples per chunk of the batched kernels, from
+``chunk_rows``), and, for each pattern of workers and minibatch sizes a
+lockstep step takes, the worker of each side
 and its offset into the table stack, chunk by chunk, and the samples' loss
 scale (one float when the sizes are equal), worked out on the pattern's
 first step (``_owner_plan``).  A step itself does only what depends on its
@@ -95,7 +97,13 @@ from .calibrators import (
     missing_vertex_dims,
 )
 from .data import Dataset, PairDataset
-from .interpolation import ChunkBuffers, InterpolationKind, _forward_backward, chunk_rows
+from .interpolation import (
+    ChunkBuffers,
+    InterpolationKind,
+    _forward_backward,
+    chunk_rows,
+    spare_buffers,
+)
 
 # The benchmark's span tracer (perfbench/spans.py) patches these names on
 # this module to time the scalar kernels; training runs the batched kernel.
@@ -167,6 +175,11 @@ def _loss_slopes(loss: Loss, y: np.ndarray, z: np.ndarray, scale) -> np.ndarray:
 # configuration and state
 
 
+# TrainConfig's numbers, which the trained model's metadata records
+_NUMBERS = ("epochs", "minibatch_size", "step_size", "calibrator_step_scale", "seed", "workers",
+            "sync_rounds")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     loss: Loss = Loss.SQUARED
@@ -184,6 +197,10 @@ class TrainConfig:
         object.__setattr__(self, "loss", Loss(self.loss))
         object.__setattr__(self, "kind", InterpolationKind(self.kind))
         object.__setattr__(self, "regularizers", tuple(self.regularizers))
+        for name in _NUMBERS:
+            value = getattr(self, name)
+            if isinstance(value, np.generic):  # as the Python number the model file writes
+                object.__setattr__(self, name, value.item())
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.minibatch_size < 1:
@@ -228,7 +245,9 @@ class TrainerState:
     # the multilinear kernel's chunk arrays and the theta scatter's
     # sample-major arrays, kept for the whole run; every worker shares them,
     # which is safe because one step at a time runs, and the workers of a
-    # step take it in one pass
+    # step take it in one pass.  ``train`` lends its run a set from the
+    # spare sets (``spare_buffers``); a state stepped outside ``train``
+    # keeps this one while it lives.
     buffers: ChunkBuffers = field(default_factory=ChunkBuffers, repr=False, compare=False)
 
     def clone(self) -> "TrainerState":
@@ -622,15 +641,16 @@ def train(data, specs: list[FeatureSpec], config: TrainConfig):
         shards = [order[k::K] for k in range(K)]
     base, extra = divmod(config.epochs, config.sync_rounds)
     done = 0  # epochs of the earlier rounds
-    for r in range(config.sync_rounds):
-        count = base + (1 if r < extra else 0)
-        epochs = range(done + 1, done + count + 1)
-        done += count
-        _run_round(state, shards, rngs, epochs, f"round {r + 1}")
-        cs = state.calibrators
-        state.theta[:] = np.mean(state.theta, axis=0)
-        if cs.num_free:
-            cs.put_free(state.table, np.mean(cs.at_free(state.table), axis=0))
+    with spare_buffers() as state.buffers:  # the run's chunk arrays
+        for r in range(config.sync_rounds):
+            count = base + (1 if r < extra else 0)
+            epochs = range(done + 1, done + count + 1)
+            done += count
+            _run_round(state, shards, rngs, epochs, f"round {r + 1}")
+            cs = state.calibrators
+            state.theta[:] = np.mean(state.theta, axis=0)
+            if cs.num_free:
+                cs.put_free(state.table, np.mean(cs.at_free(state.table), axis=0))
     return _model(state, specs)
 
 

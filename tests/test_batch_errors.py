@@ -22,17 +22,26 @@ from monolattice import (
     PairDataset,
     TrainConfig,
 )
+from monolattice import model as model_module
 from monolattice.interpolation import ChunkBuffers
-from monolattice.model import PREDICT_ROWS
 from monolattice.training import prepare_state
 
-N = 2 * PREDICT_ROWS + 10
+CHUNK = 512  # rows per chunk of predict here (set by chunk_rows below)
+N = 2 * CHUNK + 10
 # the first chunk, a later chunk, the last row
-POSITIONS = [3, PREDICT_ROWS + 7, N - 1]
+POSITIONS = [3, CHUNK + 7, N - 1]
 SPECS = [
     FeatureSpec("x", size=3, keypoints=4),  # no missing policy
     FeatureSpec("k", kind=FeatureKind.CATEGORICAL),  # no missing policy, no OTHER bucket
 ]
+
+
+@pytest.fixture(autouse=True)
+def chunk_rows(monkeypatch):
+    # predict in chunks of CHUNK rows, so that the positions fall in three
+    # chunks of short columns (two features take 10240 rows a chunk)
+    monkeypatch.setattr(model_module, "PREDICT_BYTES", CHUNK * 8 * len(SPECS))
+    assert model_module.predict_rows(len(SPECS)) == CHUNK
 
 
 def good_columns(x_form: str, k_form: str) -> list:
@@ -106,10 +115,10 @@ def test_predict_and_locate_name_the_first_bad_row(served, case, position):
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}-{c[3]!r}")
 def test_the_first_of_two_bad_rows_is_named(served, case):
-    columns = with_bad(case, [PREDICT_ROWS + 7, N - 1])
+    columns = with_bad(case, [CHUNK + 7, N - 1])
     with pytest.raises(DataError, match=case[-1]) as batch:
         served.predict(Dataset(columns, None))
-    assert batch.value.row == PREDICT_ROWS + 7
+    assert batch.value.row == CHUNK + 7
 
 
 # what reaches locate in training: the fit reads past a bad number or a

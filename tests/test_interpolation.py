@@ -398,8 +398,9 @@ class TestForwardBackwardBatch:
 
     @staticmethod
     def assert_buffers_allocated_once(monkeypatch, sh, step, arrays):
-        # a call of one chunk allocates ``arrays`` buffers; a call of several
-        # chunks and a shorter last one allocates no more
+        # with no spare buffer set, a call of one chunk allocates ``arrays``
+        # buffers; a later call of several chunks and a shorter last one
+        # takes the same set back and allocates none
         allocations = []
 
         def counting(size, dtype):
@@ -407,6 +408,7 @@ class TestForwardBackwardBatch:
             return np.empty(size, dtype=dtype)
 
         monkeypatch.setattr(ChunkBuffers, "_allocate", staticmethod(counting))
+        monkeypatch.setattr(interpolation, "_SPARE_BUFFERS", [])
         rng = np.random.default_rng(15)
         theta = rng.standard_normal(sh.num_parameters)
         top = np.array(sh.sizes) - 1
@@ -415,7 +417,8 @@ class TestForwardBackwardBatch:
         allocations.clear()
         pts = rng.random((3 * step + 5, sh.ndim)) * top
         batch = evaluate_batch(theta, sh, pts)
-        assert len(allocations) == arrays
+        assert allocations == []
+        assert len(interpolation._SPARE_BUFFERS) == 1
         assert batch.tobytes() == np.array([evaluate(theta, sh, x) for x in pts]).tobytes()
 
     def test_evaluate_batch_allocates_each_chunk_buffer_once(self, monkeypatch):

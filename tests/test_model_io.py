@@ -443,6 +443,33 @@ class TestConstructionGate:
         with pytest.raises(DataError, match="feature 'x': a categorical feature's calibrator"):
             one_feature_model(spec, cal)
 
+    def test_category_that_is_not_text(self):
+        # rows are looked up by their text, so such a category could never
+        # match, and the model file could not be written
+        spec = FeatureSpec("c", kind=FeatureKind.CATEGORICAL)
+        with pytest.raises(DataError, match="feature 'c': category 1 is not text"):
+            CategoricalCalibrator(categories=[1, "b"], values=[0.0, 1.0], **_spec_fields(spec))
+
+    def test_category_that_is_not_text_in_a_model_file(self):
+        spec = FeatureSpec("c", kind=FeatureKind.CATEGORICAL)
+        cal = CategoricalCalibrator(categories=["1", "b"], values=[0.0, 1.0], **_spec_fields(spec))
+        doc = json.loads(one_feature_model(spec, cal).to_json())
+        doc["features"][0]["calibrator"]["category_order"] = [1, "b"]
+        with pytest.raises(DataError) as err:
+            Model.from_json(json.dumps(doc))
+        assert str(err.value) == "feature 'c': category 1 is not text"
+
+    def test_metadata_that_json_cannot_write(self):
+        spec = FeatureSpec("x")
+        with pytest.raises(DataError) as err:
+            one_feature_model(spec, line(spec), metadata={"a": {1, 2}})
+        assert str(err.value) == "metadata['a'] is a set, which JSON cannot write"
+        with pytest.raises(DataError) as err:
+            one_feature_model(spec, line(spec), metadata={"a": [0, {2: "b"}]})
+        assert str(err.value) == "metadata['a'][1] has the key 2, which is not text"
+        model = one_feature_model(spec, line(spec), metadata={"a": [1, (2.5, None)], "b": {"c": True}})
+        assert Model.from_json(model.to_json()).to_json() == model.to_json()
+
     def test_set_and_model_name_other_features(self):
         spec, other = FeatureSpec("x"), FeatureSpec("y")
         cs = CalibratorSet([other], [line(other)])

@@ -41,7 +41,7 @@ from monolattice.interpolation import (
     _doubled_offsets,
     _row_kernel,
 )
-from monolattice.model import PREDICT_ROWS
+from monolattice.model import predict_rows
 
 
 def unit_model(sizes, kind=InterpolationKind.MULTILINEAR, seed=0):
@@ -631,17 +631,22 @@ def tiled(data, n):
     return Dataset([[col[i % data.num_rows] for i in range(n)] for col in data.columns], None)
 
 
+# rows per predict chunk of mixed_model, a model of three features
+MIXED_ROWS = predict_rows(3)
+
+
 class TestPredictChunks:
-    """``predict`` scores ``PREDICT_ROWS`` rows at a time through one buffer
+    """``predict`` scores ``predict_rows`` rows at a time through one buffer
     set per call; its chunk boundaries show in nothing it returns or raises."""
 
     @pytest.mark.parametrize("offset", [None, -1, 0, 1])
     def test_chunk_boundaries_match_predict_row(self, offset):
-        n = 0 if offset is None else PREDICT_ROWS + offset
+        n = 0 if offset is None else MIXED_ROWS + offset
         model, data = mixed_model()
         assert_paths_agree(model, tiled(data, n))
         for kind in InterpolationKind:
             D = 10
+            n = 0 if offset is None else predict_rows(D) + offset
             rows = unit_rows(D, seed=n, n=max(n, 6))
             rows = Dataset([col[:n] for col in rows.columns], None)
             assert_paths_agree(unit_model([2] * D, kind), rows)
@@ -650,7 +655,7 @@ class TestPredictChunks:
     def unchunked(monkeypatch, model, data):
         """The error of the same call in one chunk."""
         with monkeypatch.context() as m:
-            m.setattr(model_module, "PREDICT_ROWS", data.num_rows)
+            m.setattr(model_module, "PREDICT_BYTES", 8 * len(model.specs) * data.num_rows)
             with pytest.raises(DataError) as err:
                 model.predict(data)
         return err.value
@@ -669,8 +674,8 @@ class TestPredictChunks:
     )
     def test_bad_values_raise_the_unchunked_error(self, monkeypatch, feature, value, message):
         model, data = mixed_model()
-        n = 2 * PREDICT_ROWS + 10
-        for bad_rows in ([PREDICT_ROWS + 7], [n - 1], [PREDICT_ROWS + 7, n - 1]):
+        n = 2 * MIXED_ROWS + 10
+        for bad_rows in ([MIXED_ROWS + 7], [n - 1], [MIXED_ROWS + 7, n - 1]):
             rows = tiled(data, n)
             for i in bad_rows:
                 rows.columns[feature][i] = value
@@ -685,17 +690,17 @@ class TestPredictChunks:
         # earlier in the same chunk: the row counted first is named
         model, data = mixed_model()
         model = replace_spec(model, 1, missing=MissingPolicy.NONE)
-        n = PREDICT_ROWS + 20
+        n = MIXED_ROWS + 20
         rows = tiled(data, n)
         xs = rows.columns[1]
         for i, v in enumerate(xs):
             if v is None or v == "nan" or v != v:  # missing: None, NaN text, NaN
                 xs[i] = 0.5
         rows.columns[2][n - 1] = "zz"
-        rows.columns[1][PREDICT_ROWS + 3] = None
+        rows.columns[1][MIXED_ROWS + 3] = None
         with pytest.raises(DataError, match="feature x: missing value but no missing policy") as err:
             model.predict(rows)
-        assert err.value.row == PREDICT_ROWS + 3
+        assert err.value.row == MIXED_ROWS + 3
         whole = self.unchunked(monkeypatch, model, rows)
         assert (str(err.value), err.value.row) == (str(whole), whole.row)
 
@@ -705,7 +710,7 @@ class TestPredictChunks:
         # add the output array and nothing else
         model, data = mixed_model()
         model = replace(model, kind=kind)
-        small, large = tiled(data, 5_000), tiled(data, 50_000)
+        small, large = tiled(data, 2 * MIXED_ROWS), tiled(data, 20 * MIXED_ROWS)
         model.predict(small)  # anything built once per model is built now
 
         def peak(rows):

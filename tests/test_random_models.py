@@ -13,6 +13,7 @@ import json
 import math
 import os
 import pickle
+import re
 import tempfile
 from dataclasses import replace
 
@@ -35,6 +36,7 @@ from monolattice import (
     RegularizerConfig,
     RegularizerKind,
     TrainConfig,
+    TrainingError,
     max_infeasibility,
     train,
 )
@@ -125,12 +127,22 @@ def random_models(draw):
     return data, specs, config, Dataset(columns(30), None)
 
 
+# what a failed run's TrainingError names: the step's place in the run
+WHERE = r"\(round \d+, worker \d+, epoch \d+, step \d+\)$"
+
+
 class TestRandomModels:
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50, deadline=None, derandomize=True)
     @given(random_models())
     def test_trained_models_keep_their_promises(self, drawn):
         data, specs, config, scored = drawn
-        model = train(data, specs, config)
+        try:
+            model = train(data, specs, config)
+        except TrainingError as e:
+            # a large step may diverge, which the run reports where it did
+            # (test_a_diverging_run_names_its_step)
+            assert re.search(WHERE, str(e)), str(e)
+            return
         batch = model.predict(scored)
         rows = [model.predict_row(scored.row(i)) for i in range(scored.num_rows)]
         assert batch.tobytes() == np.array(rows).tobytes()
@@ -153,6 +165,21 @@ class TestRandomModels:
             with open(first, "rb") as a, open(second, "rb") as b:
                 assert a.read() == b.read()
         assert train(data, specs, config).to_json() == model.to_json()
+
+    def test_a_diverging_run_names_its_step(self):
+        # one continuous feature of size 2, one-sample steps of size 100 on
+        # the squared loss: the parameters leave the float range in the
+        # third epoch, and the run stops there with a TrainingError
+        rng = np.random.default_rng(9)
+        data = Dataset([rng.random(29) * 10], rng.random(29))
+        spec = FeatureSpec("f0", keypoints=3, monotone=Direction.INCREASING)
+        config = TrainConfig(epochs=3, minibatch_size=1, step_size=100.0, seed=9)
+        with pytest.raises(TrainingError) as err:
+            train(data, [spec], config)
+        assert str(err.value) == (
+            "non-finite step; lower the step size (round 1, worker 1, epoch 3, step 21)"
+        )
+        assert re.search(WHERE, str(err.value))
 
 
 @st.composite

@@ -468,6 +468,18 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="regularizer weight must be finite and nonnegative"):
             RegularizerConfig(RegularizerKind.TORSION, weight)
 
+    def test_numpy_numbers_train_the_model_of_python_numbers(self):
+        # the model's metadata records the config, and JSON writes only
+        # Python numbers
+        data = line_data(30, lambda a: a)
+        plain = TrainConfig(epochs=2, step_size=0.25, seed=3,
+                            regularizers=[RegularizerConfig(RegularizerKind.LAPLACIAN, 0.5, 4)])
+        numpy = TrainConfig(epochs=np.int64(2), step_size=np.float32(0.25), seed=np.int64(3),
+                            regularizers=[RegularizerConfig(RegularizerKind.LAPLACIAN,
+                                                            np.float64(0.5), np.int32(4))])
+        assert numpy == plain
+        assert train(data, [spec("x")], numpy).to_json() == train(data, [spec("x")], plain).to_json()
+
 
 class TestObjective:
     def test_regularizers_use_missing_vertex_dims(self):
@@ -763,9 +775,12 @@ class TestPlan:
         assert counts == {"locate": 1, "gradient": 0}
 
     def test_buffers_are_allocated_once_per_run(self, monkeypatch):
-        # each lockstep step holds 2 workers x 8 samples, so the first step
-        # of the run allocates every buffer once and no later step needs
-        # more room; one_step, from an 8-sample call, counts the buffers
+        # each lockstep step holds 2 workers x 8 samples, so with no spare
+        # buffer set the first step of the run allocates every buffer once,
+        # as one 8-sample call on a state of its own does (one_step), and no
+        # later step needs more room; a second run of the same shape takes
+        # the set back and allocates only its plan, the located samples it
+        # keeps (plan)
         allocations = []
 
         def counting(size, dtype):
@@ -773,9 +788,12 @@ class TestPlan:
             return np.empty(size, dtype=dtype)
 
         monkeypatch.setattr(ChunkBuffers, "_allocate", staticmethod(counting))
+        monkeypatch.setattr(interpolation, "_SPARE_BUFFERS", [])
         data, specs = mixed_problem(False, Loss.SQUARED, n=60)
         config = TrainConfig(epochs=2, minibatch_size=8, workers=2, sync_rounds=2, seed=1)
         state = prepare_state(data, specs, config)
+        plan = len(allocations)
+        allocations.clear()
         loss_gradients(state, {0: np.arange(8)})
         one_step = len(allocations)
         assert one_step > 0
@@ -787,9 +805,13 @@ class TestPlan:
             return sgd_step(state, batches, rngs)
 
         monkeypatch.setattr(training, "sgd_step", stepping)
-        train(data, specs, config)
+        first = train(data, specs, config)
         assert len(steps) == 16  # 2 workers x 2 epochs x ceil(30 / 8)
-        assert len(allocations) == one_step
+        assert len(allocations) == plan + one_step
+        allocations.clear()
+        assert train(data, specs, config) == first
+        assert len(allocations) == plan
+        assert len(interpolation._SPARE_BUFFERS) == 1
 
     def test_plan_holds_interleaved_pair_sides_and_float_targets(self):
         data, specs = mixed_problem(True, Loss.LOGISTIC, n=30)
