@@ -15,21 +15,25 @@ Missing values are handled per feature, either by learning the axis value to
 impute (``calibrated``) or by reserving the top lattice slice as a dedicated
 missing vertex and rescaling real values to [0, M_d - 2] (``vertex``).
 
-Calibrators are frozen values.  ``knots``, ``outputs`` and ``values`` are
-stored as read-only float64 copies and ``categories`` as a tuple, so what is
-derived from them (the knot list, the category lookup, a set's bound row
-calibration) is built once, on first use, and cannot go stale.  A
-calibrator checks its structure when made, whoever makes it (fit,
-``with_table``, the model loader, code), and raises a ``DataError`` that
-names the feature and the field: finite values; knots strictly increasing,
-as many as the outputs and at least 2, no gap between two of them past
-the float limit; categories that are text, none named twice (rows are
-looked up by their text), ``other_index`` in range, order
-pairs that name known categories; ``missing_value`` a finite number under
-the calibrated policy and None otherwise.  Whether its values keep the
-promises of a trained calibrator (monotone, inside the axis) is the
-model's check, so a set can be made from any table.  Other parameters make a new
-calibrator (``dataclasses.replace``), or a new set (``CalibratorSet.with_table``,
+Calibrators are frozen values.  Each holds its feature's ``FeatureSpec``,
+the one place its name, axis top, missing policy, missing vertex (the top
+slice) and order pairs are kept; a set's specs and a model's specs and
+lattice shape are read from its calibrators.  ``knots``, ``outputs`` and
+``values`` are stored as read-only float64 copies and ``categories`` as a
+tuple, so what is derived from them (the knot list, the category lookup, a
+set's bound row calibration) is built once, on first use, and cannot go
+stale.  A calibrator checks its structure when made, whoever makes it
+(fit, ``with_table``, the model loader, code), and raises a ``DataError``
+that names the feature and the field: a spec of its own kind; finite
+values; knots strictly increasing, as many as the outputs and at least 2,
+no gap between two of them past the float limit; categories that are
+text, none named twice (rows are looked up by their text),
+``other_index`` in range, order pairs that name known categories;
+``missing_value`` a finite number under the calibrated policy and None
+otherwise.  Whether its values keep the promises of a trained calibrator
+(monotone, inside the axis) is the model's check, so a set can be made
+from any table.  Other parameters make a new calibrator
+(``dataclasses.replace``), or a new set (``CalibratorSet.with_table``,
 which training uses once, for the trained model, and which shares the
 set's layout); a copied or unpickled calibrator is rebuilt through its
 constructor.
@@ -169,15 +173,16 @@ def is_missing(raw) -> bool:
 
 
 def _missing_coordinate(cal) -> float:
-    if cal.missing is MissingPolicy.CALIBRATED:
+    spec = cal.spec
+    if spec.missing is MissingPolicy.CALIBRATED:
         return float(cal.missing_value)
-    if cal.missing is MissingPolicy.VERTEX:
-        return float(cal.missing_vertex)
-    raise DataError(f"feature {cal.name}: missing value but no missing policy")
+    if spec.missing is MissingPolicy.VERTEX:
+        return float(spec.size - 1)  # the top slice
+    raise DataError(f"feature {spec.name}: missing value but no missing policy")
 
 
 def _missing_gradient(cal) -> list[tuple[int, float]]:
-    if cal.missing is MissingPolicy.CALIBRATED:
+    if cal.spec.missing is MissingPolicy.CALIBRATED:
         return [(cal.num_free - 1, 1.0)]
     return []
 
@@ -276,15 +281,25 @@ def _check_finite(field: str, values: np.ndarray) -> None:
         raise DataError(f"{field}[{np.flatnonzero(~np.isfinite(values))[0]}] is not finite")
 
 
+def _check_spec(cal, kind: FeatureKind) -> str:
+    """The feature ``cal`` names in its errors; a DataError unless its spec
+    is of ``kind``."""
+    spec = cal.spec
+    where = f"feature {spec.name!r}:"
+    if spec.kind is not kind:
+        raise DataError(f"{where} a {spec.kind.value} feature's calibrator is {type(cal).__name__}")
+    return where
+
+
 def _check_missing_value(cal, where: str) -> None:
-    value = cal.missing_value
-    if cal.missing is MissingPolicy.CALIBRATED:
+    value, missing = cal.missing_value, cal.spec.missing
+    if missing is MissingPolicy.CALIBRATED:
         if type(value) is bool or not isinstance(value, (int, float)) or not -math.inf < value < math.inf:
             raise DataError(f"{where} missing_value {value!r} is not a finite number")
     elif value is not None:
         # never read under the other policies, so it would save back unchecked
         raise DataError(
-            f"{where} missing_value {value!r} is not null under missing {cal.missing.value!r}"
+            f"{where} missing_value {value!r} is not null under missing {missing.value!r}"
         )
 
 
@@ -292,20 +307,16 @@ def _check_missing_value(cal, where: str) -> None:
 class ContinuousCalibrator(Frozen):
     """Piecewise-linear map from a raw value to a lattice coordinate."""
 
+    spec: FeatureSpec  # a continuous feature's
     knots: np.ndarray  # strictly increasing, len >= 2
     outputs: np.ndarray  # same length; first and last entries are fixed
-    axis_top: float
-    missing: MissingPolicy = MissingPolicy.NONE
     missing_value: float | None = None  # learned coordinate (calibrated policy)
-    missing_vertex: float | None = None  # fixed coordinate (vertex policy)
-    name: str = ""  # the feature's, for error messages
 
     def __post_init__(self):
+        where = _check_spec(self, FeatureKind.CONTINUOUS)
         knots, outputs = read_only(self.knots), read_only(self.outputs)
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "outputs", outputs)
-        object.__setattr__(self, "missing", MissingPolicy(self.missing))
-        where = f"feature {self.name!r}:"
         if knots.ndim != 1 or len(knots) < 2 or knots.shape != outputs.shape:
             raise DataError(
                 f"{where} {knots.size} knots and {outputs.size} outputs; "
@@ -335,7 +346,7 @@ class ContinuousCalibrator(Frozen):
     @property
     def num_free(self) -> int:
         n = max(len(self.outputs) - 2, 0)
-        if self.missing is MissingPolicy.CALIBRATED:
+        if self.spec.missing is MissingPolicy.CALIBRATED:
             n += 1
         return n
 
@@ -351,7 +362,7 @@ class ContinuousCalibrator(Frozen):
         try:
             return float(raw)
         except (TypeError, ValueError):
-            raise DataError(f"feature {self.name}: {raw!r} is not a number") from None
+            raise DataError(f"feature {self.spec.name}: {raw!r} is not a number") from None
 
     def calibrate(self, raw) -> float:
         x = self._number(raw)
@@ -365,7 +376,7 @@ class ContinuousCalibrator(Frozen):
         j = bisect_right(knots, x) - 1
         t = (x - knots[j]) / (knots[j + 1] - knots[j])
         x = (1.0 - t) * outputs.item(j) + t * outputs.item(j + 1)
-        top = self.axis_top  # with both outputs at the top, x can round past it
+        top = self.spec.axis_top  # with both outputs at the top, x can round past it
         return x if x <= top else top
 
     def gradient(self, raw) -> list[tuple[int, float]]:
@@ -395,22 +406,16 @@ class ContinuousCalibrator(Frozen):
 class CategoricalCalibrator(Frozen):
     """One learned lattice coordinate per category."""
 
+    spec: FeatureSpec  # a categorical feature's, its order pairs included
     categories: tuple[str, ...]  # stored as a tuple, whatever is passed
     values: np.ndarray
-    axis_top: float
-    missing: MissingPolicy = MissingPolicy.NONE
     missing_value: float | None = None
-    missing_vertex: float | None = None
     other_index: int | None = None  # bucket for unseen categories
-    order_pairs: tuple[tuple[str, str], ...] = ()  # stored as tuples, whatever is passed
-    name: str = ""  # the feature's, for error messages
 
     def __post_init__(self):
+        where = _check_spec(self, FeatureKind.CATEGORICAL)
         object.__setattr__(self, "categories", tuple(self.categories))
         object.__setattr__(self, "values", read_only(self.values))
-        object.__setattr__(self, "order_pairs", tuple(tuple(p) for p in self.order_pairs))
-        object.__setattr__(self, "missing", MissingPolicy(self.missing))
-        where = f"feature {self.name!r}:"
         for c in self.categories:
             if not isinstance(c, str):  # rows are looked up by their text
                 raise DataError(f"{where} category {c!r} is not text")
@@ -426,7 +431,7 @@ class CategoricalCalibrator(Frozen):
         other = self.other_index
         if other is not None and not (type(other) is int and 0 <= other < len(values)):
             raise DataError(f"{where} other_index {other!r} is out of range")
-        for a, b in self.order_pairs:
+        for a, b in self.spec.order_pairs:
             if a not in position or b not in position:
                 raise DataError(f"{where} order pair ({a!r}, {b!r}) names an unknown category")
         _check_missing_value(self, where)
@@ -434,7 +439,7 @@ class CategoricalCalibrator(Frozen):
     @property
     def num_free(self) -> int:
         n = len(self.values)
-        if self.missing is MissingPolicy.CALIBRATED:
+        if self.spec.missing is MissingPolicy.CALIBRATED:
             n += 1
         return n
 
@@ -447,7 +452,7 @@ class CategoricalCalibrator(Frozen):
         if i is None:
             if self.other_index is not None:
                 return self.other_index
-            raise DataError(f"feature {self.name}: unknown category {raw!r}")
+            raise DataError(f"feature {self.spec.name}: unknown category {raw!r}")
         return i
 
     def calibrate(self, raw) -> float:
@@ -498,18 +503,9 @@ def _numbers(column) -> np.ndarray:
     return out
 
 
-def _spec_fields(spec: FeatureSpec) -> dict:
-    """The fields a calibrator takes from ``spec``, fitted or loaded: its
-    axis top, its name and its missing-value fields (a learned coordinate
-    starts mid-axis, a missing vertex is the top slice)."""
-    missing = spec.missing
-    return {
-        "axis_top": spec.axis_top,
-        "name": spec.name,
-        "missing": missing,
-        "missing_value": (spec.size - 1) / 2.0 if missing is MissingPolicy.CALIBRATED else None,
-        "missing_vertex": float(spec.size - 1) if missing is MissingPolicy.VERTEX else None,
-    }
+def _missing_start(spec: FeatureSpec) -> float | None:
+    """A fitted calibrator's missing_value: a learned coordinate starts mid-axis."""
+    return (spec.size - 1) / 2.0 if spec.missing is MissingPolicy.CALIBRATED else None
 
 
 def _fit_columns(specs, columns) -> dict:
@@ -541,7 +537,7 @@ def _continuous_calibrator(spec: FeatureSpec, knots, outputs: dict) -> Continuou
     key = (len(knots), spec.axis_top)
     if key not in outputs:
         outputs[key] = np.linspace(0.0, spec.axis_top, len(knots))
-    return ContinuousCalibrator(knots=knots, outputs=outputs[key], **_spec_fields(spec))
+    return ContinuousCalibrator(spec, knots, outputs[key], _missing_start(spec))
 
 
 def _respect_order_pairs(spec: FeatureSpec, ordered: list[str]) -> list[str]:
@@ -634,13 +630,7 @@ def build_categorical_calibrator(
         values = np.append(values, top / 2.0)
         other_index = len(ordered) - 1
 
-    return CategoricalCalibrator(
-        categories=ordered,
-        values=values,
-        order_pairs=spec.order_pairs,
-        other_index=other_index,
-        **_spec_fields(spec),
-    )
+    return CategoricalCalibrator(spec, ordered, values, _missing_start(spec), other_index)
 
 
 # --------------------------------------------------------------------------
@@ -731,7 +721,7 @@ class _KnotBlock:
             knot_at=read_only(knot_at),
             width_at=read_only(width_at),
             numbers=tuple(numbers),
-            strict=read_only([d for d in numbers if cals[d].missing is MissingPolicy.NONE],
+            strict=read_only([d for d in numbers if cals[d].spec.missing is MissingPolicy.NONE],
                              np.intp),
             count=np.min_scalar_type(width - 1),
         )
@@ -766,7 +756,7 @@ def _category_codes(cal, column, offset: int):
     can print apart (1 and 1.0, 0.0 and -0.0)."""
     lookup = cal._lookup
     unknown = -1 if cal.other_index is None else offset + cal.other_index
-    missing = -1 if cal.missing is MissingPolicy.NONE else offset + len(cal.values)
+    missing = -1 if cal.spec.missing is MissingPolicy.NONE else offset + len(cal.values)
     code_of: dict = {}  # value, or its text, -> table entry (-1: rejected)
     key = None  # _text once the column is keyed by text
 
@@ -802,18 +792,18 @@ def _row_binding(cal) -> tuple[tuple, tuple]:
     end outputs and axis top, for a categorical one its lookup, values and
     OTHER index; then the missing coordinate (None where ``calibrate``
     raises for a missing value) and ``calibrate`` itself."""
-    missing = None if cal.missing is MissingPolicy.NONE else _missing_coordinate(cal)
+    missing = None if cal.spec.missing is MissingPolicy.NONE else _missing_coordinate(cal)
     continuous = isinstance(cal, ContinuousCalibrator)
     if continuous:
         knots, outputs = cal._knot_list, cal.outputs.tolist()
         widths = [b - a for a, b in zip(knots, knots[1:])]
         entry = (knots, knots[1:-1], widths, outputs, knots[0], knots[-1], outputs[0],
-                 outputs[-1], cal.axis_top, missing, cal.calibrate)
+                 outputs[-1], cal.spec.axis_top, missing, cal.calibrate)
         other = None
     else:
         other = cal.other_index
         entry = (cal._lookup, cal.values.tolist(), other, missing, cal.calibrate)
-    return (continuous, cal.missing, missing is not None, other is not None), entry
+    return (continuous, cal.spec.missing, missing is not None, other is not None), entry
 
 
 # the names a feature's row entry is bound to, {d} its position; continuous
@@ -906,19 +896,16 @@ _LAYOUT = ("offsets", "table_offsets", "num_free", "table_size", "_tops", "_free
 class CalibratorSet(Frozen):
     """All feature calibrators plus their shared free-parameter vector.
 
-    A frozen value: ``specs`` and ``calibrators`` are stored as tuples, so
-    the layout worked out from them once (each feature's offset into alpha
-    and into the parameter table, alpha's table entries, and the knots'
-    layout for locate) cannot go stale.  A set with other parameters is a
-    new one (:meth:`with_table`)."""
+    A frozen value: ``calibrators`` are stored as a tuple, so the layout
+    worked out from them once (each feature's offset into alpha and into
+    the parameter table, alpha's table entries, and the knots' layout for
+    locate) cannot go stale.  A set with other parameters is a new one
+    (:meth:`with_table`)."""
 
-    specs: tuple[FeatureSpec, ...]
     calibrators: tuple
 
     def __post_init__(self):
-        specs, cals = tuple(self.specs), tuple(self.calibrators)
-        if len(specs) != len(cals):
-            raise DataError("one calibrator per feature spec")
+        cals = tuple(self.calibrators)
         offsets, table_offsets, free = [], [], []
         num_free = table_size = 0
         for cal in cals:
@@ -926,7 +913,7 @@ class CalibratorSet(Frozen):
             table_offsets.append(table_size)
             num_free += cal.num_free
             table_size += len(cal.points) + 1
-            block = [True] * len(cal.points) + [cal.missing is MissingPolicy.CALIBRATED]
+            block = [True] * len(cal.points) + [cal.spec.missing is MissingPolicy.CALIBRATED]
             if isinstance(cal, ContinuousCalibrator):
                 block[0] = block[-2] = False  # the pinned end outputs
             free += block
@@ -935,11 +922,16 @@ class CalibratorSet(Frozen):
             "table_offsets": tuple(table_offsets),
             "num_free": num_free,
             "table_size": table_size,
-            "_tops": read_only([[cal.axis_top] for cal in cals]),  # (D, 1)
+            "_tops": read_only([[cal.spec.axis_top] for cal in cals]),  # (D, 1)
             "_free_entries": read_only(np.flatnonzero(free), np.int64),  # alpha's, in order
             "_knots": _KnotBlock.of(cals, table_offsets),
         }
-        vars(self).update(layout, specs=specs, calibrators=cals)
+        vars(self).update(layout, calibrators=cals)
+
+    @property
+    def specs(self) -> tuple[FeatureSpec, ...]:
+        """The features' specs, each calibrator's."""
+        return tuple(cal.spec for cal in self.calibrators)
 
     @classmethod
     def fit(cls, specs: list[FeatureSpec], columns: list, labels=None) -> "CalibratorSet":
@@ -954,7 +946,7 @@ class CalibratorSet(Frozen):
                 cals.append(_continuous_calibrator(spec, knots[d], outputs))
             else:
                 cals.append(build_categorical_calibrator(spec, col, labels))
-        return cls(specs, cals)
+        return cls(cals)
 
     def alpha(self) -> np.ndarray:
         """The free parameters, feature by feature: one gather from :meth:`table`."""
@@ -982,13 +974,13 @@ class CalibratorSet(Frozen):
             end = start + len(cal.points)
             points = "outputs" if isinstance(cal, ContinuousCalibrator) else "values"
             missing = cal.missing_value
-            if cal.missing is MissingPolicy.CALIBRATED:
+            if cal.spec.missing is MissingPolicy.CALIBRATED:
                 missing = float(table[end])
             changed = {points: table[start:end], "missing_value": missing}
             cals.append(dataclasses.replace(cal, **changed))
         new = object.__new__(CalibratorSet)
         layout = {name: vars(self)[name] for name in _LAYOUT}
-        vars(new).update(layout, specs=self.specs, calibrators=tuple(cals))
+        vars(new).update(layout, calibrators=tuple(cals))
         return new
 
     def _check_width(self, count: int, unit: str) -> None:
@@ -1028,7 +1020,8 @@ class CalibratorSet(Frozen):
         for cal, start in zip(self.calibrators, self.table_offsets):
             end = start + len(cal.points)
             out[start:end] = cal.points
-            out[end] = np.nan if cal.missing is MissingPolicy.NONE else _missing_coordinate(cal)
+            no_policy = cal.spec.missing is MissingPolicy.NONE
+            out[end] = np.nan if no_policy else _missing_coordinate(cal)
         return out
 
     def locate(self, columns) -> Location:
@@ -1166,12 +1159,13 @@ class CalibratorSet(Frozen):
         upper = np.full(self.num_free, np.inf)
         lo_rows: list[int] = []
         hi_rows: list[int] = []
-        for spec, cal, off in zip(self.specs, self.calibrators, self.offsets):
+        for cal, off in zip(self.calibrators, self.offsets):
+            spec = cal.spec
             if isinstance(cal, ContinuousCalibrator):
                 k = max(len(cal.outputs) - 2, 0)
                 if k:
                     lower[off] = 0.0
-                    upper[off + k - 1] = cal.axis_top
+                    upper[off + k - 1] = spec.axis_top
                     for j in range(k - 1):
                         lo_rows.append(off + j)
                         hi_rows.append(off + j + 1)
@@ -1179,12 +1173,12 @@ class CalibratorSet(Frozen):
                 k = len(cal.values)
                 for j in range(k):
                     lower[off + j] = 0.0
-                    upper[off + j] = cal.axis_top
+                    upper[off + j] = spec.axis_top
                 pos = {c: i for i, c in enumerate(cal.categories)}
-                for a, b in cal.order_pairs:
+                for a, b in spec.order_pairs:
                     lo_rows.append(off + pos[a])
                     hi_rows.append(off + pos[b])
-            if cal.missing is MissingPolicy.CALIBRATED:
+            if spec.missing is MissingPolicy.CALIBRATED:
                 mpos = off + cal.num_free - 1
                 lower[mpos] = 0.0
                 upper[mpos] = float(spec.size - 1)

@@ -22,22 +22,26 @@ Both are compiled on first use, never when a model is loaded.
 error messages, and threads may share a model.
 
 A model is a frozen value, checked on construction: ``theta`` is stored
-as a read-only float64 copy of the lattice's size, ``specs`` as a tuple
-of frozen feature specs, ``metadata`` as a copy whose objects and arrays
-refuse changes in place, and its calibrators are frozen too, so the plan,
-the bound row calibration and the model file cannot fall out of date.  A
+as a read-only float64 copy of the lattice's size, ``metadata`` as a copy
+whose objects and arrays refuse changes in place, and its calibrators are
+frozen too, so the plan, the bound row calibration and the model file
+cannot fall out of date.  Each feature's schema is stored once, in its
+calibrator's spec: ``specs`` and the lattice ``shape`` (one axis of
+``spec.size`` vertices per feature) are read from the calibrators.  A
 changed model is a new one (``dataclasses.replace``); a copied or
 unpickled model is rebuilt through the constructor.
 
 Validity is decided once, by the constructor of what it describes: a
-calibrator checks its structure (see :mod:`.calibrators`), and a model
-checks the rest: theta finite, ``kind`` and ``loss`` members of their
-enums, each calibrator matching its spec, the promises of a trained
+calibrator checks its structure and that its spec is of its kind (see
+:mod:`.calibrators`), and a model checks the rest: theta finite, ``kind``
+and ``loss`` members of their enums, the promises of a trained
 calibrator (nondecreasing outputs and category values inside the axis,
 declared category orders, a missing coordinate on the lattice), and
 metadata that JSON writes as it is (text keys, no sets).  So fit,
 ``with_table``, the loader, ``replace``, copies and models made in code
-pass one gate, with one message per rule, and the loader only parses.
+pass one gate, with one message per rule.  The loader parses, and checks
+the one thing a model does not hold: that the file's ``lattice`` entry
+lists the feature sizes.
 """
 
 from __future__ import annotations
@@ -60,7 +64,6 @@ from .calibrators import (
     Frozen,
     MissingPolicy,
     _check_finite,
-    _spec_fields,
     missing_vertex_dims,
     read_only,
 )
@@ -97,23 +100,15 @@ def predict_rows(ndim: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Model(Frozen):
-    specs: tuple[FeatureSpec, ...]  # stored as a tuple, whatever is passed
-    shape: LatticeShape
-    theta: np.ndarray
     calibrators: CalibratorSet
+    theta: np.ndarray
     kind: InterpolationKind = InterpolationKind.MULTILINEAR
     loss: Loss = Loss.SQUARED
     metadata: dict = field(default_factory=dict)  # stored as a read-only copy
 
     def __post_init__(self):
-        object.__setattr__(self, "specs", tuple(self.specs))
         object.__setattr__(self, "kind", _member(InterpolationKind, self.kind, "interpolation"))
         object.__setattr__(self, "loss", _member(Loss, self.loss, "loss"))
-        sizes = [s.size for s in self.specs]
-        if list(self.shape.sizes) != sizes:
-            raise DataError(
-                f"lattice sizes {list(self.shape.sizes)} do not match the feature sizes {sizes}"
-            )
         theta = read_only(self.theta)
         if theta.shape != (self.shape.num_parameters,):
             raise DataError(
@@ -121,11 +116,18 @@ class Model(Frozen):
             )
         _check_finite("theta", theta)
         object.__setattr__(self, "theta", theta)
-        if self.calibrators.specs != self.specs:
-            raise DataError("calibrators.specs are not the model's specs")
-        for spec, cal in zip(self.specs, self.calibrators.calibrators):
-            _check_feature(spec, cal)
+        for cal in self.calibrators.calibrators:
+            _check_feature(cal)
         object.__setattr__(self, "metadata", _read_only_json(self.metadata))
+
+    @property
+    def specs(self) -> tuple[FeatureSpec, ...]:
+        return self.calibrators.specs
+
+    @cached_property
+    def shape(self) -> LatticeShape:
+        """One lattice axis per feature, of its spec's size."""
+        return LatticeShape([s.size for s in self.specs])
 
     @cached_property
     def _row_plan(self) -> RowPlan:
@@ -158,7 +160,7 @@ class Model(Frozen):
         columns = data.columns
         out = np.empty(len(columns[0]) if len(columns) else 0)
         table = cs.table()
-        size = predict_rows(len(self.specs))
+        size = predict_rows(len(cs.calibrators))
         with spare_buffers() as buffers:  # one set for every chunk of this call
             for rows, location in cs.locate_chunks(columns, size, buffers):
                 # the coordinates take the buffer of the values they come from
@@ -182,7 +184,8 @@ class Model(Frozen):
 
     def to_json(self) -> str:
         features = []
-        for spec, cal in zip(self.specs, self.calibrators.calibrators):
+        for cal in self.calibrators.calibrators:
+            spec = cal.spec
             entry = {
                 "name": spec.name,
                 "kind": spec.kind.value,
@@ -248,7 +251,6 @@ class Model(Frozen):
             raise DataError(f"unsupported model version {doc.get('version')!r}")
         if not doc["features"]:
             raise DataError("model file lists no features")
-        specs = []
         cals = []
         for entry in doc["features"]:
             where = f"feature {entry['name']!r}:"
@@ -264,31 +266,23 @@ class Model(Frozen):
                 order_pairs=[tuple(p) for p in entry["order"]],
                 allow_unseen=bool(entry["allow_unseen"]),
             )
+            # the constructors store arrays and categories as their own copies
             state = entry["calibrator"]
-            fields = dict(_spec_fields(spec), missing_value=state["missing_value"])
+            missing = state["missing_value"]
             if spec.kind is FeatureKind.CONTINUOUS:
-                cal = ContinuousCalibrator(
-                    knots=np.asarray(state["knots"], dtype=float),
-                    outputs=np.asarray(state["outputs"], dtype=float),
-                    **fields,
-                )
+                cal = ContinuousCalibrator(spec, state["knots"], state["outputs"], missing)
             else:
                 order, values = state["category_order"], state["category_values"]
-                cal = CategoricalCalibrator(
-                    categories=list(order),
-                    # JSON keys are text: the calibrator names any other category
-                    values=np.array([values[c] for c in order if isinstance(c, str)]),
-                    other_index=state["other_index"],
-                    order_pairs=[tuple(p) for p in entry["order"]],
-                    **fields,
-                )
-            specs.append(spec)
+                # JSON keys are text: the calibrator names any other category
+                values = [values[c] for c in order if isinstance(c, str)]
+                cal = CategoricalCalibrator(spec, order, values, missing, state["other_index"])
             cals.append(cal)
+        lattice, sizes = doc["lattice"], [cal.spec.size for cal in cals]
+        if lattice != sizes:
+            raise DataError(f"lattice sizes {lattice} do not match the feature sizes {sizes}")
         return cls(
-            specs=specs,
-            shape=LatticeShape(doc["lattice"]),
-            theta=doc["theta"],
-            calibrators=CalibratorSet(specs, cals),
+            CalibratorSet(cals),
+            doc["theta"],
             kind=doc["interpolation"],
             loss=doc["loss"],
             metadata=doc.get("metadata", {}),
@@ -359,28 +353,18 @@ def _member(enum_cls, value, field: str):
         raise DataError(f"{field} {value!r} is not one of {choices}") from None
 
 
-def _check_feature(spec: FeatureSpec, cal) -> None:
-    """Raise a DataError naming the feature unless ``cal`` is the
-    calibrator of ``spec`` (its kind, and the fields it takes from the
-    spec) and keeps the promises of a trained one: nondecreasing outputs
-    and category values inside the axis, declared category orders, and a
-    learned missing coordinate on the lattice.  The calibrator checks its
-    own structure when made."""
+def _check_feature(cal) -> None:
+    """Raise a DataError naming the feature unless ``cal`` keeps the
+    promises of a trained calibrator: nondecreasing outputs and category
+    values inside the axis, declared category orders, and a learned missing
+    coordinate on the lattice.  The calibrator checks its own structure,
+    and that its spec is of its kind, when made."""
+    spec = cal.spec
     where = f"feature {spec.name!r}:"
-    continuous = isinstance(cal, ContinuousCalibrator)
-    if continuous is not (spec.kind is FeatureKind.CONTINUOUS):
-        raise DataError(f"{where} a {spec.kind.value} feature's calibrator is {type(cal).__name__}")
-    expected = _spec_fields(spec)
-    del expected["missing_value"]  # learned
-    if not continuous:
-        expected["order_pairs"] = spec.order_pairs
-    for name, value in expected.items():
-        if getattr(cal, name) != value:
-            raise DataError(f"{where} the calibrator's {name} is not the spec's")
     # the values as a list: numpy's fixed cost per call exceeds the work on
     # a calibrator's few values
     top, points = spec.axis_top, cal.points.tolist()
-    if continuous:
+    if isinstance(cal, ContinuousCalibrator):
         if not all(map(operator.le, points, points[1:])):
             raise DataError(f"{where} outputs decrease")
         if points[0] < 0.0 or points[-1] > top:
@@ -389,9 +373,9 @@ def _check_feature(spec: FeatureSpec, cal) -> None:
         if not all(0.0 <= v <= top for v in points):
             raise DataError(f"{where} category_values leave [0, {top:g}]")
         position = cal._lookup
-        for a, b in cal.order_pairs:
+        for a, b in spec.order_pairs:
             if points[position[a]] > points[position[b]]:
                 raise DataError(f"{where} category_values break the order pair ({a!r}, {b!r})")
     value = cal.missing_value
-    if cal.missing is MissingPolicy.CALIBRATED and not 0.0 <= value <= spec.size - 1:
+    if spec.missing is MissingPolicy.CALIBRATED and not 0.0 <= value <= spec.size - 1:
         raise DataError(f"{where} missing_value {value!r} is not in [0, {spec.size - 1}]")

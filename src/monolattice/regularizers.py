@@ -156,12 +156,20 @@ def _terms(shape: LatticeShape, kind: RegularizerKind, missing_dims: tuple) -> T
 
 
 def regularizer_value(theta, terms: TermSet) -> float:
+    """The correctly rounded sum of the terms' squares, the same on every
+    machine; inf where a term, a square or the sum passes the float limit."""
     th = np.asarray(theta, dtype=float)
     if len(terms) == 0:
         return 0.0
-    combos = _combinations(th, terms.columns, terms.signs)
-    # the correctly rounded sum of the squares, the same on every machine
-    return math.fsum((combos * combos).tolist())
+    with np.errstate(over="ignore", invalid="ignore"):
+        combos = _combinations(th, terms.columns, terms.signs)
+        squares = combos * combos
+    if not np.isfinite(squares).all():
+        return math.inf
+    try:
+        return math.fsum(squares.tolist())
+    except OverflowError:  # finite squares whose sum is past the float limit
+        return math.inf
 
 
 def _combinations(th: np.ndarray, columns: np.ndarray, signs: np.ndarray) -> np.ndarray:

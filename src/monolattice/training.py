@@ -145,7 +145,10 @@ class Loss(str, enum.Enum):
 
 def loss_value(loss: Loss, y: float, z: float) -> float:
     if loss is Loss.SQUARED:
-        return (y - z) ** 2
+        try:
+            return (y - z) ** 2
+        except OverflowError:  # a square past the float limit
+            return math.inf
     sign = 2.0 * y - 1.0  # {0,1} -> {-1,+1}
     margin = sign * z
     if loss is Loss.LOGISTIC:
@@ -543,18 +546,19 @@ def _descend(state: TrainerState, theta, alpha, g_theta, g_alpha, rng):
     """One worker's step from its loss subgradients: add the regularizers
     at ``theta`` into ``g_theta``, check, and return the projected theta and
     alpha (None where calibrators are not trained)."""
-    for cfg, terms in state.reg_terms:
-        if cfg.sample_count is None:
-            g = regularizer_gradient(theta, terms)
-        else:
-            g = sample_regularizer_subgradient(theta, terms, cfg.sample_count, rng)
-        g_theta += cfg.weight * g
-    if not np.isfinite(g_theta).all() or not np.isfinite(g_alpha).all():
-        raise TrainingError("non-finite gradient; lower the step size")
     eta = state.config.step_size
-    # a product that overflows (step size times gradient, or step size times
-    # calibrator scale) makes a non-finite step, reported below
+    # a product that overflows (a weight times its regularizer's gradient,
+    # step size times gradient, or step size times calibrator scale) makes
+    # a non-finite gradient or step, reported below
     with np.errstate(over="ignore", invalid="ignore"):
+        for cfg, terms in state.reg_terms:
+            if cfg.sample_count is None:
+                g = regularizer_gradient(theta, terms)
+            else:
+                g = sample_regularizer_subgradient(theta, terms, cfg.sample_count, rng)
+            g_theta += cfg.weight * g
+        if not np.isfinite(g_theta).all() or not np.isfinite(g_alpha).all():
+            raise TrainingError("non-finite gradient; lower the step size")
         theta_step = -eta * g_theta
         if alpha is not None:
             alpha_step = -eta * state.config.calibrator_step_scale * g_alpha
@@ -651,29 +655,21 @@ def train(data, specs: list[FeatureSpec], config: TrainConfig):
             state.theta[:] = np.mean(state.theta, axis=0)
             if cs.num_free:
                 cs.put_free(state.table, np.mean(cs.at_free(state.table), axis=0))
-    return _model(state, specs)
+    return _model(state)
 
 
-def _model(state: TrainerState, specs: list[FeatureSpec]):
+def _model(state: TrainerState):
     """The model of a trained state, with its run's settings as metadata."""
     from .model import Model
 
     config = state.config
     return Model(
-        specs=list(specs),
-        shape=state.shape,
-        theta=state.theta[0],
-        calibrators=state.calibrators.with_table(state.table[0]),
-        kind=config.kind,
-        loss=config.loss,
+        state.calibrators.with_table(state.table[0]),
+        state.theta[0],
+        config.kind,
+        config.loss,
         metadata={
-            "seed": config.seed,
-            "epochs": config.epochs,
-            "minibatch_size": config.minibatch_size,
-            "step_size": config.step_size,
-            "calibrator_step_scale": config.calibrator_step_scale,
-            "workers": config.workers,
-            "sync_rounds": config.sync_rounds,
+            **{name: getattr(config, name) for name in _NUMBERS},
             "regularizers": [
                 {
                     "kind": cfg.kind.value,
@@ -714,8 +710,9 @@ def model_objective(model, data, config: TrainConfig) -> float:
     total /= max(len(z), 1)
     missing_dims = missing_vertex_dims(model.specs)
     for cfg in config.regularizers:
-        terms = regularizer_terms(model.shape, cfg.kind, missing_dims)
-        total += cfg.weight * regularizer_value(model.theta, terms)
+        if cfg.weight:  # one of weight 0 adds nothing, even where its value is inf
+            terms = regularizer_terms(model.shape, cfg.kind, missing_dims)
+            total += cfg.weight * regularizer_value(model.theta, terms)
     return total
 
 
@@ -724,20 +721,16 @@ def _loss_values(loss: Loss, y: np.ndarray, z: np.ndarray) -> list[float]:
     squared and hinge losses are taken in numpy: the square by
     ``np.float_power``, which calls the C library's ``pow`` as Python's
     ``**`` does (a product, numpy's square, rounds differently about once in
-    a thousand values), the hinge's ``max`` by a test of its sign.  A value
-    that is not finite (a square past the float limit, for which ``**``
-    raises) sends every value through ``loss_value``, and so does the
-    logistic loss, whose ``math`` calls numpy does not match."""
-    if loss is not Loss.LOGISTIC:
-        with np.errstate(over="ignore", invalid="ignore"):
-            if loss is Loss.SQUARED:
-                values = np.float_power(y - z, 2.0)
-            else:
-                values = 1.0 - (2.0 * y - 1.0) * z
-                values = np.where(values > 0.0, values, 0.0)
-        if np.isfinite(values).all():
-            return values.tolist()
-    return [loss_value(loss, float(yi), float(zi)) for yi, zi in zip(y, z)]
+    a thousand values; a square past the float limit is inf in both), the
+    hinge's ``max`` by a test of its sign.  The logistic loss, whose
+    ``math`` calls numpy does not match, goes through ``loss_value``."""
+    if loss is Loss.LOGISTIC:
+        return [loss_value(loss, float(yi), float(zi)) for yi, zi in zip(y, z)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if loss is Loss.SQUARED:
+            return np.float_power(y - z, 2.0).tolist()
+        values = 1.0 - (2.0 * y - 1.0) * z
+        return np.where(values > 0.0, values, 0.0).tolist()
 
 
 def evaluate_metrics(model, data) -> dict:

@@ -276,7 +276,7 @@ def reference_train(data, specs, config):
         cs = state.calibrators
         if cs.num_free:
             cs.put_free(state.table, np.mean([cs.at_free(w.table[0]) for w in workers], axis=0))
-    return training._model(state, specs)
+    return training._model(state)
 
 
 def _reference_run_epochs(state, shard, epochs, rng, where):
@@ -303,7 +303,7 @@ def _inner(cal) -> slice:
 
 def free_parameters(cal) -> np.ndarray:
     vals = list(cal.points[_inner(cal)])
-    if cal.missing is MissingPolicy.CALIBRATED:
+    if cal.spec.missing is MissingPolicy.CALIBRATED:
         vals.append(cal.missing_value)
     return np.array(vals, dtype=float)
 
@@ -313,7 +313,7 @@ def with_free_parameters(cal, vals):
     points = cal.points.copy()
     k = len(points[_inner(cal)])
     points[_inner(cal)] = vals[:k]
-    missing = float(vals[k]) if cal.missing is MissingPolicy.CALIBRATED else cal.missing_value
+    missing = float(vals[k]) if cal.spec.missing is MissingPolicy.CALIBRATED else cal.missing_value
     name = "outputs" if isinstance(cal, ContinuousCalibrator) else "values"
     return replace(cal, **{name: points, "missing_value": missing})
 

@@ -17,7 +17,6 @@ from monolattice import (
     Dataset,
     FeatureKind,
     FeatureSpec,
-    LatticeShape,
     Model,
     PairDataset,
     TrainConfig,
@@ -58,8 +57,7 @@ def good_columns(x_form: str, k_form: str) -> list:
 
 def model() -> Model:
     cs = CalibratorSet.fit(SPECS, good_columns("floats", "texts"))
-    shape = LatticeShape([3, 2])
-    return Model(SPECS, shape, np.arange(shape.num_parameters, dtype=float), cs)
+    return Model(cs, np.arange(6, dtype=float))
 
 
 # (feature, column form of x, column form of k, bad value, message)

@@ -18,7 +18,6 @@ from monolattice import (
     Dataset,
     FeatureKind,
     FeatureSpec,
-    LatticeShape,
     MissingPolicy,
     Model,
     PairDataset,
@@ -280,29 +279,18 @@ class TestContinuousCalibrate:
         spec = cont_spec(keypoints=3)
         cal = build_continuous_calibrator(spec, np.array([0.0, 1.0, 10.0]))
         cal = replace(cal, outputs=np.array([0.0, 0.8, 1.0]))
-        cals = CalibratorSet([spec], [cal])
-        model = Model([spec], LatticeShape([2]), np.array([0.0, 1.0]), cals)
+        cals = CalibratorSet([cal])
+        model = Model(cals, np.array([0.0, 1.0]))
         before = (cal.calibrate(5.0), cals.calibrate_row([5.0])[0], model.predict_row([5.0]))
         assert before == (pytest.approx(0.8 + (4.0 / 9.0) * 0.2),) * 3
         moved = replace(cal, knots=np.array([0.0, 6.0, 10.0]))
-        moved_cals = CalibratorSet([spec], [moved])
+        moved_cals = CalibratorSet([moved])
         moved_model = replace(model, calibrators=moved_cals)
         after = (moved.calibrate(5.0), moved_cals.calibrate_row([5.0])[0],
                  moved_model.predict_row([5.0]))
         assert after == (pytest.approx(0.8 * 5.0 / 6.0),) * 3
         assert moved_model.predict(Dataset([np.array([5.0])], None)).tolist() == [after[2]]
         assert (cal.calibrate(5.0), model.predict_row([5.0])) == before[::2]
-
-
-def set_of(*cals):
-    """A set of calibrators, with specs that fit them."""
-    specs = [
-        FeatureSpec(cal.name or f"x{d}", missing=cal.missing, size=3,
-                    kind=FeatureKind.CONTINUOUS if isinstance(cal, ContinuousCalibrator)
-                    else FeatureKind.CATEGORICAL)
-        for d, cal in enumerate(cals)
-    ]
-    return CalibratorSet(specs, list(cals))
 
 
 def located_features(cs, columns):
@@ -335,14 +323,14 @@ class TestContinuousLocate:
 
     @staticmethod
     def calibrator(knots, missing, name="x0"):
+        # axis top 1.0 under every missing policy
+        size = 3 if missing is MissingPolicy.VERTEX else 2
+        spec = cont_spec(name=name, size=size, missing=missing)
         return ContinuousCalibrator(
-            knots=np.array(knots),
-            outputs=np.linspace(0.0, 1.0, len(knots)),
-            axis_top=1.0,
-            missing=missing,
-            missing_value=0.5 if missing is MissingPolicy.CALIBRATED else None,
-            missing_vertex=1.0 if missing is MissingPolicy.VERTEX else None,
-            name=name,
+            spec,
+            np.array(knots),
+            np.linspace(0.0, 1.0, len(knots)),
+            0.5 if missing is MissingPolicy.CALIBRATED else None,
         )
 
     @staticmethod
@@ -363,7 +351,7 @@ class TestContinuousLocate:
         x = self.values(knots)
         if missing is MissingPolicy.NONE:
             x = x[:-1]  # NaN needs a missing policy
-        [got] = located_features(set_of(cal), [x])
+        [got] = located_features(CalibratorSet([cal]), [x])
         assert_same_location(got, reference_locate(cal, x))
 
     @given(st.data())
@@ -375,7 +363,7 @@ class TestContinuousLocate:
             st.floats(-1e6, 1e6), min_size=257, max_size=400, unique=True)))
         wide = self.calibrator(knots, MissingPolicy.CALIBRATED, name="x0")
         narrow = self.calibrator([0.0, 1.0, 2.0], MissingPolicy.NONE, name="x1")
-        cs = set_of(wide, narrow)
+        cs = CalibratorSet([wide, narrow])
         assert cs._knots.count == np.uint16
         cell = st.one_of(st.sampled_from(knots), st.floats(knots[0] - 1, knots[-1] + 1),
                          st.sampled_from([np.nan, -np.inf, np.inf]))
@@ -389,7 +377,7 @@ class TestContinuousLocate:
     def test_nan_without_missing_policy_is_a_data_error(self):
         cal = self.calibrator([0.0, 1.0], MissingPolicy.NONE)
         with pytest.raises(DataError, match="feature x0: missing value but no missing policy") as e:
-            set_of(cal).locate([np.array([0.5, np.nan])])
+            CalibratorSet([cal]).locate([np.array([0.5, np.nan])])
         assert e.value.row == 1
 
     @given(st.data())
@@ -415,7 +403,7 @@ class TestContinuousLocate:
             )
             cals.append(cal)
             columns.append(np.array(data.draw(st.lists(cell, min_size=n, max_size=n))))
-        for got, cal, column in zip(located_features(set_of(*cals), columns), cals, columns):
+        for got, cal, column in zip(located_features(CalibratorSet(cals), columns), cals, columns):
             want = reference_locate(cal, column)
             assert_same_location(got, want)
             assert not np.isnan(got[2]).any()
@@ -475,7 +463,7 @@ class TestContinuousGradient:
     def test_output_stays_on_axis(self, raw):
         spec = cont_spec(keypoints=4, size=3)
         cal = build_continuous_calibrator(spec, np.arange(0.0, 20.0))
-        assert 0.0 <= cal.calibrate(raw) <= cal.axis_top
+        assert 0.0 <= cal.calibrate(raw) <= cal.spec.axis_top
 
 
 class TestCategorical:
@@ -517,11 +505,11 @@ class TestCategorical:
         specs = [cat_spec(size=3, order_pairs=[("a", "b")])]
         cs = CalibratorSet.fit(specs, [["a", "b", "c"]], np.array([0.0, 1.0, 2.0]))
         cal = cs.calibrators[0]
-        assert cal.order_pairs == (("a", "b"),)
+        assert cal.spec.order_pairs == (("a", "b"),)
         with pytest.raises(AttributeError):
-            cal.order_pairs.append(("c", "b"))
+            cal.spec.order_pairs.append(("c", "b"))
         assert len(cs.constraints().lo) == 1
-        assert replace(cal, order_pairs=[["b", "c"]]).order_pairs == (("b", "c"),)
+        assert replace(cal.spec, order_pairs=[["b", "c"]]).order_pairs == (("b", "c"),)
 
     def test_gradient_is_indicator(self):
         spec = cat_spec()
@@ -615,11 +603,11 @@ class TestCategorical:
         # model file saves for it
         spec = cat_spec(size=3)
         cal = build_categorical_calibrator(spec, ["a", "b", "c", "a"], np.array([0, 1, 2, 0]))
-        cals = CalibratorSet([spec], [cal])
-        model = Model([spec], LatticeShape([3]), np.array([0.0, 1.0, 2.0]), cals)
+        cals = CalibratorSet([cal])
+        model = Model(cals, np.array([0.0, 1.0, 2.0]))
         assert model.predict_row(["a"]) == 0.0
         cal = replace(cal, categories=["c", "b", "a"])
-        cals = CalibratorSet([spec], [cal])
+        cals = CalibratorSet([cal])
         model = replace(model, calibrators=cals)
         data = Dataset([["a", "b", "c"]], None)
         want = [2.0, 1.0, 0.0]
@@ -643,7 +631,7 @@ class TestMissingPolicies:
     def test_vertex_policy_rescales_and_reserves_top(self):
         spec = cont_spec(size=3, missing=MissingPolicy.VERTEX, bounds=(0.0, 1.0))
         cal = build_continuous_calibrator(spec, np.array([0.0, 1.0]))
-        assert cal.axis_top == 1.0  # real span ends one vertex early
+        assert cal.spec.axis_top == 1.0  # real span ends one vertex early
         assert cal.calibrate(1.0) == 1.0
         assert cal.calibrate(float("nan")) == 2.0
         assert cal.gradient(float("nan")) == []
@@ -724,7 +712,7 @@ class TestCalibratorSet:
             table = cs.table()
             cs.put_free(table, vec)
             crossed = cs.with_table(table)
-            by_calibrator = CalibratorSet(specs, [
+            by_calibrator = CalibratorSet([
                 with_free_parameters(cal, vec[off : off + cal.num_free])
                 for cal, off in zip(cs.calibrators, cs.offsets)
             ])
@@ -740,7 +728,7 @@ class TestCalibratorSet:
         cs.put_free(table, np.linspace(0.1, 0.9, cs.num_free))
         moved = cs.with_table(table)
         # the shared layout is the one the moved calibrators give afresh
-        fresh = CalibratorSet(moved.specs, moved.calibrators)
+        fresh = CalibratorSet(moved.calibrators)
         for name in ("offsets", "table_offsets", "num_free", "table_size", "_tops",
                      "_free_entries"):
             assert np.array_equal(getattr(moved, name), getattr(fresh, name))
@@ -800,7 +788,7 @@ class TestCalibratorSet:
             cs.offsets.append(0)
         assert (cs.num_free, cs.table_size, len(cs.alpha())) == (6, 12, 6)
         # a set built from the changed calibrators lays them out afresh
-        rebuilt = CalibratorSet(cs.specs, [wider, *cs.calibrators[1:]])
+        rebuilt = CalibratorSet([wider, *cs.calibrators[1:]])
         assert (rebuilt.num_free, rebuilt.table_size, len(rebuilt.alpha())) == (7, 13, 7)
         assert rebuilt.offsets == (0, 3, 6)
 
@@ -809,20 +797,20 @@ class TestCalibratorSet:
         cs = self.build()
         cal = cs.calibrators[index]
         assert cal == replace(cal) and cal == copy.deepcopy(cal)
-        assert cs == CalibratorSet(list(cs.specs), list(cs.calibrators))
+        assert cs == CalibratorSet(list(cs.calibrators))
         points = cal.points.copy()
         points[1] += 0.125
         changed = replace(cal, **{"outputs" if index == 0 else "values": points})
         assert cal != changed and not cal == changed
         cals = list(cs.calibrators)
         cals[index] = changed
-        assert cs != CalibratorSet(cs.specs, cals)
+        assert cs != CalibratorSet(cals)
 
 
-def batch_rows(spec, cal, column):
+def batch_rows(cal, column):
     """Batch calibration of a column through a one-feature set, as
     (coordinate, gradient list) per row."""
-    coords, grads = reference_calibrate_batch(CalibratorSet([spec], [cal]), [column])
+    coords, grads = reference_calibrate_batch(CalibratorSet([cal]), [column])
     return [(c, g) for c, [g] in zip(coords[:, 0].tolist(), grads)]
 
 
@@ -839,7 +827,7 @@ class TestCalibrateBatch:
         cal = build_continuous_calibrator(spec, rng.random(200) * 10)
         k = len(cal.outputs)
         outputs = cal.outputs.copy()
-        outputs[1:-1] = np.sort(rng.random(k - 2)) * cal.axis_top  # learned outputs
+        outputs[1:-1] = np.sort(rng.random(k - 2)) * cal.spec.axis_top  # learned outputs
         cal = replace(cal, outputs=outputs)
         if missing is MissingPolicy.CALIBRATED:
             cal = replace(cal, missing_value=1.7)
@@ -853,20 +841,20 @@ class TestCalibrateBatch:
         ])
         if missing is not MissingPolicy.NONE:
             column[::7] = np.nan
-        assert batch_rows(spec, cal, column) == scalar_rows(cal, column)
+        assert batch_rows(cal, column) == scalar_rows(cal, column)
         # a plain list with None or NaN text for missing gives the same
         as_list = [float(v) for v in column]
         for i, v in enumerate(as_list):
             if np.isnan(v):
                 as_list[i] = None if i % 2 else "nan"
-        assert batch_rows(spec, cal, as_list) == scalar_rows(cal, as_list)
+        assert batch_rows(cal, as_list) == scalar_rows(cal, as_list)
         assert scalar_rows(cal, as_list) == scalar_rows(cal, column)
 
     def test_two_knot_continuous_has_no_partials(self):
         spec = cont_spec(size=3)
         cal = build_continuous_calibrator(spec, np.array([0.0, 4.0]))
         column = np.array([-1.0, 0.0, 1.0, 2.5, 4.0, 9.0])
-        assert batch_rows(spec, cal, column) == scalar_rows(cal, column)
+        assert batch_rows(cal, column) == scalar_rows(cal, column)
 
     @pytest.mark.parametrize("missing", list(MissingPolicy))
     @pytest.mark.parametrize("allow_unseen", [False, True])
@@ -876,7 +864,7 @@ class TestCalibrateBatch:
         fit = ["a", "b", "c", "a", "b"] * 40 + (["rare"] if allow_unseen else [])
         labels = np.linspace(0.0, 1.0, len(fit))
         cal = build_categorical_calibrator(spec, fit, labels)
-        cal = replace(cal, values=np.linspace(0.1, cal.axis_top - 0.2, len(cal.values)))
+        cal = replace(cal, values=np.linspace(0.1, cal.spec.axis_top - 0.2, len(cal.values)))
         if missing is MissingPolicy.CALIBRATED:
             cal = replace(cal, missing_value=0.3)
         column = ["c", "a", "b", "a"]
@@ -884,7 +872,7 @@ class TestCalibrateBatch:
             column += ["rare", "never seen", OTHER_CATEGORY]
         if missing is not MissingPolicy.NONE:
             column += [None, "b", float("nan")]
-        assert batch_rows(spec, cal, column) == scalar_rows(cal, column)
+        assert batch_rows(cal, column) == scalar_rows(cal, column)
 
     def test_categorical_keys_values_by_their_text(self):
         # 1, 1.0 and True are one dict key, and 0.0 == -0.0, but each prints
@@ -893,23 +881,21 @@ class TestCalibrateBatch:
         cal = build_categorical_calibrator(spec, ["1", "1.0", "0.0"])
         cal = replace(cal, values=[0.1, 0.2, 0.3, 0.4])
         column = [1, 1.0, "1.0", True, 0.0, -0.0, "1", "0.0"]
-        assert batch_rows(spec, cal, column) == scalar_rows(cal, column)
-        assert batch_rows(spec, cal, column[::-1]) == scalar_rows(cal, column[::-1])
+        assert batch_rows(cal, column) == scalar_rows(cal, column)
+        assert batch_rows(cal, column[::-1]) == scalar_rows(cal, column[::-1])
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_random_sets_match_rows(self, data):
-        specs, cals, columns = [], [], []
+        cals, columns = [], []
         n = data.draw(st.integers(1, 12))
         for d in range(data.draw(st.integers(1, 3))):
             missing = data.draw(st.sampled_from(list(MissingPolicy)))
             size = 3 if missing is MissingPolicy.VERTEX else data.draw(st.integers(2, 4))
             top = float(size - 2 if missing is MissingPolicy.VERTEX else size - 1)
-            extra = {}  # the missing coordinate, learned or the top slice
+            learned = None  # the learned missing coordinate
             if missing is MissingPolicy.CALIBRATED:
-                extra["missing_value"] = data.draw(st.floats(0.0, float(size - 1)))
-            elif missing is MissingPolicy.VERTEX:
-                extra["missing_vertex"] = float(size - 1)
+                learned = data.draw(st.floats(0.0, float(size - 1)))
             if data.draw(st.booleans()):
                 knots = np.array(sorted(data.draw(
                     st.lists(st.floats(-100, 100), min_size=2, max_size=8, unique=True)
@@ -919,7 +905,7 @@ class TestCalibrateBatch:
                     st.floats(0.0, top), min_size=k, max_size=k
                 ))))
                 spec = cont_spec(name=f"f{d}", size=size, keypoints=k, missing=missing)
-                cal = ContinuousCalibrator(knots, outputs, top, missing, name=spec.name, **extra)
+                cal = ContinuousCalibrator(spec, knots, outputs, learned)
                 cell = st.one_of(
                     st.sampled_from(knots.tolist()),  # exactly on a knot
                     st.floats(knots[0] - 10, knots[-1] + 10),
@@ -939,19 +925,18 @@ class TestCalibrateBatch:
                 spec = cat_spec(name=f"g{d}", size=size, missing=missing,
                                 allow_unseen=allow_unseen)
                 cal = CategoricalCalibrator(
-                    names, np.array(values), top, missing, name=spec.name,
-                    other_index=len(names) - 1 if allow_unseen else None, **extra,
+                    spec, names, np.array(values), learned,
+                    len(names) - 1 if allow_unseen else None,
                 )
                 raw = [1, 1.0, True, 0.0, -0.0]  # same text as a category name
                 known = names + [v for v in raw if str(v) in names]
                 cell = st.sampled_from(known + (["zz", 7] if allow_unseen else []))
             if missing is not MissingPolicy.NONE:
                 cell = st.one_of(cell, st.sampled_from([None, float("nan")]))
-            specs.append(spec)
             cals.append(cal)
             columns.append(data.draw(st.lists(cell, min_size=n, max_size=n)))
 
-        cs = CalibratorSet(specs, cals)
+        cs = CalibratorSet(cals)
         x, grads = reference_calibrate_batch(cs, columns)
         for i in range(n):
             row = [col[i] for col in columns]
@@ -977,7 +962,7 @@ class TestCalibrateBatch:
         with pytest.raises(DataError) as scalar:
             cal.calibrate(float("nan"))
         with pytest.raises(DataError) as batch:
-            reference_calibrate_batch(CalibratorSet([spec], [cal]), [np.array([0.5, np.nan])])
+            reference_calibrate_batch(CalibratorSet([cal]), [np.array([0.5, np.nan])])
         assert str(batch.value) == str(scalar.value)
 
     def test_first_bad_category_raises_the_same_error(self):
@@ -987,7 +972,7 @@ class TestCalibrateBatch:
             with pytest.raises(DataError) as scalar:
                 cal.calibrate(first_bad)
             with pytest.raises(DataError) as batch:
-                reference_calibrate_batch(CalibratorSet([spec], [cal]), [column])
+                reference_calibrate_batch(CalibratorSet([cal]), [column])
             assert str(batch.value) == str(scalar.value)
 
     def test_set_matches_rows(self):

@@ -648,6 +648,16 @@ def _set(path, value):
     return corrupt
 
 
+def _delete(path):
+    def corrupt(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        del target[path[-1]]
+
+    return corrupt
+
+
 SIGNAL = ("features", 0, "calibrator")
 BUCKET = ("features", 1, "calibrator", "category_values")
 
@@ -678,6 +688,12 @@ CORRUPTIONS = {
         "'bucket': order pair ('low', 'nowhere') names an unknown category",
     ),
     "lattice-size": (_set(("lattice", 0), 4), "do not match the feature sizes"),
+    # each entry the loader reads, deleted
+    "no-theta": (_delete(("theta",)), "model file has no 'theta' entry"),
+    "no-lattice": (_delete(("lattice",)), "model file has no 'lattice' entry"),
+    "no-keypoints": (_delete(("features", 0, "keypoints")), "model file has no 'keypoints' entry"),
+    "no-calibrator": (_delete(("features", 1, "calibrator")), "model file has no 'calibrator' entry"),
+    "no-knots": (_delete((*SIGNAL, "knots")), "model file has no 'knots' entry"),
     # values of the wrong type or arity fail inside parsing, not in a check
     "order-pair-arity": (_set(("features", 1, "order"), [["low"]]), "malformed model file"),
     "category-values-list": (_set(BUCKET, lambda values: list(values.values())), "malformed model file"),

@@ -27,7 +27,7 @@ from monolattice import (
     TrainConfig,
     train,
 )
-from monolattice.calibrators import _spec_fields
+from monolattice.calibrators import _missing_start
 from monolattice.model import FORMAT_NAME, FORMAT_VERSION
 
 
@@ -118,7 +118,7 @@ class TestRoundTrip:
                 assert np.array_equal(a.values, b.values)
                 assert a.other_index == b.other_index
             assert a.missing_value == b.missing_value
-            assert a.missing_vertex == b.missing_vertex
+            assert a.spec == b.spec
 
     def test_specs_survive(self, trained):
         model, _ = trained
@@ -296,13 +296,7 @@ class TestValidation:
         model, _ = trained
         message = re.escape("theta has shape (17,), lattice needs (18,)")
         with pytest.raises(DataError, match=message):
-            Model(model.specs, model.shape, model.theta[:-1], model.calibrators)
-
-    def test_constructor_rejects_lattice_size_mismatch(self, trained):
-        model, _ = trained
-        message = re.escape("lattice sizes [3, 2] do not match the feature sizes [3, 2, 3]")
-        with pytest.raises(DataError, match=message):
-            Model(model.specs, LatticeShape([3, 2]), model.theta[:6], model.calibrators)
+            Model(model.calibrators, model.theta[:-1])
 
     def test_rejects_non_json(self):
         with pytest.raises(ValueError):
@@ -376,8 +370,7 @@ class TestValidation:
         # in code or from a file
         message = "feature 'wide': the gap between knots -1.7e+308 and 1.7e+308 overflows"
         with pytest.raises(DataError, match=re.escape(message)):
-            ContinuousCalibrator(knots=[-1.7e308, 1.7e308], outputs=[0.0, 2.0], axis_top=2.0,
-                                 name="wide")
+            ContinuousCalibrator(FeatureSpec("wide", size=3), [-1.7e308, 1.7e308], [0.0, 2.0])
         doc = self.doc(trained)
         doc["features"][0]["calibrator"].update(knots=[-1.7e308, 1.7e308], outputs=[0.0, 2.0])
         with pytest.raises(DataError, match=re.escape(message.replace("wide", "signal"))):
@@ -390,17 +383,16 @@ class TestValidation:
         assert doc["lattice"] == [3, 2, 3]
 
 
-def one_feature_model(spec, cal, theta=None, **fields):
-    shape = LatticeShape([spec.size])
-    theta = np.linspace(0.0, 1.0, spec.size) if theta is None else theta
-    return Model([spec], shape, theta, CalibratorSet([spec], [cal]), **fields)
+def one_feature_model(cal, theta=None, **fields):
+    theta = np.linspace(0.0, 1.0, cal.spec.size) if theta is None else theta
+    return Model(CalibratorSet([cal]), theta, **fields)
 
 
 def line(spec, **changes):
     """A calibrator of continuous ``spec`` on knots 0 and 1, its outputs the
     ends of the axis, with ``changes``."""
-    fields = dict(_spec_fields(spec), knots=[0.0, 1.0], outputs=[0.0, spec.axis_top])
-    return ContinuousCalibrator(**{**fields, **changes})
+    fields = dict(knots=[0.0, 1.0], outputs=[0.0, spec.axis_top])
+    return ContinuousCalibrator(spec, **{**fields, "missing_value": _missing_start(spec), **changes})
 
 
 class TestConstructionGate:
@@ -416,14 +408,14 @@ class TestConstructionGate:
     def test_theta_that_is_not_finite(self):
         spec = FeatureSpec("x")
         with pytest.raises(DataError, match=re.escape("theta[0] is not finite")):
-            one_feature_model(spec, line(spec), theta=[np.nan, np.inf])
-        model = one_feature_model(spec, line(spec))
+            one_feature_model(line(spec), theta=[np.nan, np.inf])
+        model = one_feature_model(line(spec))
         with pytest.raises(DataError, match=re.escape("theta[1] is not finite")):
             replace(model, theta=[0.0, np.inf])
 
     def test_kind_and_loss_given_as_text(self):
         spec = FeatureSpec("x")
-        model = one_feature_model(spec, line(spec), kind="simplex", loss="logistic")
+        model = one_feature_model(line(spec), kind="simplex", loss="logistic")
         assert model.kind is InterpolationKind.SIMPLEX and model.loss is Loss.LOGISTIC
         assert Model.from_json(model.to_json()).to_json() == model.to_json()
         with pytest.raises(DataError, match="interpolation 'cubic' is not one of"):
@@ -431,29 +423,28 @@ class TestConstructionGate:
         with pytest.raises(DataError, match="loss 'cubic' is not one of"):
             replace(model, loss="cubic")
 
-    def test_calibrated_calibrator_under_a_spec_without_a_missing_policy(self):
-        spec = FeatureSpec("x", size=3)
-        cal = line(replace(spec, missing=MissingPolicy.CALIBRATED))
-        with pytest.raises(DataError, match="feature 'x': the calibrator's missing is not the spec's"):
-            one_feature_model(spec, cal)
-
     def test_continuous_calibrator_under_a_categorical_spec(self):
         spec = FeatureSpec("x", kind=FeatureKind.CATEGORICAL)
-        cal = line(replace(spec, kind=FeatureKind.CONTINUOUS))
-        with pytest.raises(DataError, match="feature 'x': a categorical feature's calibrator"):
-            one_feature_model(spec, cal)
+        message = "feature 'x': a categorical feature's calibrator is ContinuousCalibrator"
+        with pytest.raises(DataError, match=message):
+            line(spec)
+
+    def test_categorical_calibrator_under_a_continuous_spec(self):
+        message = "feature 'y': a continuous feature's calibrator is CategoricalCalibrator"
+        with pytest.raises(DataError, match=message):
+            CategoricalCalibrator(FeatureSpec("y"), ["a"], [0.0])
 
     def test_category_that_is_not_text(self):
         # rows are looked up by their text, so such a category could never
         # match, and the model file could not be written
         spec = FeatureSpec("c", kind=FeatureKind.CATEGORICAL)
         with pytest.raises(DataError, match="feature 'c': category 1 is not text"):
-            CategoricalCalibrator(categories=[1, "b"], values=[0.0, 1.0], **_spec_fields(spec))
+            CategoricalCalibrator(spec, [1, "b"], [0.0, 1.0])
 
     def test_category_that_is_not_text_in_a_model_file(self):
         spec = FeatureSpec("c", kind=FeatureKind.CATEGORICAL)
-        cal = CategoricalCalibrator(categories=["1", "b"], values=[0.0, 1.0], **_spec_fields(spec))
-        doc = json.loads(one_feature_model(spec, cal).to_json())
+        cal = CategoricalCalibrator(spec, ["1", "b"], [0.0, 1.0])
+        doc = json.loads(one_feature_model(cal).to_json())
         doc["features"][0]["calibrator"]["category_order"] = [1, "b"]
         with pytest.raises(DataError) as err:
             Model.from_json(json.dumps(doc))
@@ -462,19 +453,13 @@ class TestConstructionGate:
     def test_metadata_that_json_cannot_write(self):
         spec = FeatureSpec("x")
         with pytest.raises(DataError) as err:
-            one_feature_model(spec, line(spec), metadata={"a": {1, 2}})
+            one_feature_model(line(spec), metadata={"a": {1, 2}})
         assert str(err.value) == "metadata['a'] is a set, which JSON cannot write"
         with pytest.raises(DataError) as err:
-            one_feature_model(spec, line(spec), metadata={"a": [0, {2: "b"}]})
+            one_feature_model(line(spec), metadata={"a": [0, {2: "b"}]})
         assert str(err.value) == "metadata['a'][1] has the key 2, which is not text"
-        model = one_feature_model(spec, line(spec), metadata={"a": [1, (2.5, None)], "b": {"c": True}})
+        model = one_feature_model(line(spec), metadata={"a": [1, (2.5, None)], "b": {"c": True}})
         assert Model.from_json(model.to_json()).to_json() == model.to_json()
-
-    def test_set_and_model_name_other_features(self):
-        spec, other = FeatureSpec("x"), FeatureSpec("y")
-        cs = CalibratorSet([other], [line(other)])
-        with pytest.raises(DataError, match="calibrators.specs are not the model's specs"):
-            Model([spec], LatticeShape([2]), [0.0, 1.0], cs)
 
     def test_lattice_size_below_two_is_the_spec_s_error(self, trained):
         doc = json.loads(trained[0].to_json())
@@ -531,7 +516,7 @@ def code_built_models(draw):
     def rarely() -> bool:
         return draw(st.integers(0, 11)) == 7
 
-    specs, cals = [], []
+    cals = []
     for d in range(draw(st.integers(1, 2))):
         kind = draw(st.sampled_from(list(FeatureKind)))
         names = draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=4, unique=True))
@@ -539,15 +524,14 @@ def code_built_models(draw):
         if kind is FeatureKind.CATEGORICAL and draw(st.booleans()):
             pairs = [tuple(draw(st.lists(st.sampled_from(names + ["z"] * rarely()), min_size=2,
                                          max_size=2)))]
+        if kind is FeatureKind.CATEGORICAL and rarely():
+            pairs = [("a", "b")]
         spec = FeatureSpec(f"f{d}", kind=kind, size=1 if rarely() else draw(st.integers(3, 4)),
                            missing=draw(st.sampled_from(list(MissingPolicy))), order_pairs=pairs)
-        fields = _spec_fields(spec)
-        if rarely():  # a calibrator made for another spec
-            fields = _spec_fields(replace(spec, missing=draw(st.sampled_from(list(MissingPolicy))),
-                                          name=draw(st.sampled_from(["f0", "f1"]))))
+        missing = _missing_start(spec)
         if rarely():
-            fields["missing_value"] = draw(st.sampled_from(_HOSTILE + [None, True, 1]))
-        top = fields["axis_top"]
+            missing = draw(st.sampled_from(_HOSTILE + [None, True, 1]))
+        top = spec.axis_top
         if (kind is FeatureKind.CONTINUOUS) is not rarely():
             k = draw(st.integers(2, 4))
             if rarely():
@@ -560,7 +544,7 @@ def code_built_models(draw):
                 outputs = _hostile_list(draw, k + draw(st.sampled_from([0, 1])))
             elif draw(st.booleans()):
                 outputs = sorted(draw(st.lists(st.floats(0.0, top), min_size=k, max_size=k)))
-            cal = ContinuousCalibrator(knots=knots, outputs=outputs, **fields)
+            cal = ContinuousCalibrator(spec, knots, outputs, missing)
         else:
             categories = names + [draw(st.sampled_from(names))] * rarely()
             values = draw(st.lists(st.floats(0.0, top), min_size=len(categories),
@@ -570,20 +554,14 @@ def code_built_models(draw):
             other = None
             if draw(st.booleans()):
                 other = draw(st.sampled_from([len(categories), -1, True])) if rarely() else 0
-            cal = CategoricalCalibrator(
-                categories=categories, values=values, other_index=other,
-                order_pairs=(("a", "b"),) if rarely() else spec.order_pairs, **fields,
-            )
-        specs.append(spec)
+            cal = CategoricalCalibrator(spec, categories, values, missing, other)
         cals.append(cal)
-    calibrated = [replace(specs[0], name="other")] + specs[1:] if rarely() else specs
-    shape = LatticeShape([s.size for s in specs])
-    theta = draw(st.lists(st.floats(-1e300, 1e300), min_size=shape.num_parameters,
-                          max_size=shape.num_parameters))
+    size = LatticeShape([cal.spec.size for cal in cals]).num_parameters
+    theta = draw(st.lists(st.floats(-1e300, 1e300), min_size=size, max_size=size))
     if rarely():
         theta[draw(st.integers(0, len(theta) - 1))] = draw(st.sampled_from(_HOSTILE))
     return Model(
-        specs, shape, theta, CalibratorSet(calibrated, cals),
+        CalibratorSet(cals), theta,
         kind=draw(st.sampled_from(list(InterpolationKind) + ["simplex", "multilinear"]
                                   + ["cubic"] * rarely())),
         loss=draw(st.sampled_from(list(Loss) + ["logistic"] + ["cubic"] * rarely())),

@@ -34,7 +34,7 @@ from monolattice import (
 from monolattice import interpolation
 from monolattice import model as model_module
 from monolattice.bench import bench_interpolation
-from monolattice.calibrators import CategoricalCalibrator, ContinuousCalibrator, _spec_fields
+from monolattice.calibrators import CategoricalCalibrator, ContinuousCalibrator, _missing_start
 from monolattice.interpolation import (
     ROW_NUMPY_MIN_VERTICES,
     RowPlan,
@@ -50,31 +50,22 @@ def unit_model(sizes, kind=InterpolationKind.MULTILINEAR, seed=0):
     rng = np.random.default_rng(seed)
     specs = [FeatureSpec(f"x{d}", size=m, bounds=(0.0, 1.0)) for d, m in enumerate(sizes)]
     columns = [rng.random(8) for _ in specs]
-    shape = LatticeShape(sizes)
-    return Model(
-        specs=specs,
-        shape=shape,
-        theta=rng.random(shape.num_parameters),
-        calibrators=CalibratorSet.fit(specs, columns),
-        kind=kind,
-    )
+    theta = rng.random(LatticeShape(sizes).num_parameters)
+    return Model(CalibratorSet.fit(specs, columns), theta, kind=kind)
 
 
 def replace_calibrator(model, d, **changes):
     """``model`` with calibrator ``d`` rebuilt with ``changes``."""
     cals = list(model.calibrators.calibrators)
     cals[d] = replace(cals[d], **changes)
-    return replace(model, calibrators=CalibratorSet(model.specs, cals))
+    return replace(model, calibrators=CalibratorSet(cals))
 
 
 def replace_spec(model, d, **changes):
-    """``model`` with spec ``d`` rebuilt with ``changes`` and calibrator
-    ``d`` taking the fields a calibrator takes from its spec."""
-    specs = list(model.specs)
-    specs[d] = replace(specs[d], **changes)
-    cals = list(model.calibrators.calibrators)
-    cals[d] = replace(cals[d], **_spec_fields(specs[d]))
-    return replace(model, specs=specs, calibrators=CalibratorSet(specs, cals))
+    """``model`` with calibrator ``d`` on its spec rebuilt with ``changes``,
+    its missing_value where fit starts it."""
+    spec = replace(model.specs[d], **changes)
+    return replace_calibrator(model, d, spec=spec, missing_value=_missing_start(spec))
 
 
 def unit_rows(D, seed=1, n=40):
@@ -134,12 +125,8 @@ class TestPredictEqualsPredictRow:
         # (1 - t) * 3 + t * 3 rounds to 3.0000000000000004 for some t in (0, 1)
         specs = [FeatureSpec("x", size=4, keypoints=3, bounds=(0.0, 2.1))]
         rng = np.random.default_rng(5)
-        model = Model(
-            specs=specs,
-            shape=LatticeShape([4]),
-            theta=rng.random(4),
-            calibrators=CalibratorSet.fit(specs, [rng.random(8)]),
-        )
+        theta = rng.random(4)
+        model = Model(CalibratorSet.fit(specs, [rng.random(8)]), theta)
         model = replace_calibrator(model, 0, knots=[0.0, 1.05, 2.1], outputs=[0.0, 3.0, 3.0])
         cal = model.calibrators.calibrators[0]
         data = Dataset([rng.uniform(1.05, 2.1, 10_000)], None)
@@ -229,12 +216,12 @@ def scored_models(draw):
                 rng.choice([0.0, 1.0, rng.random()]) * (spec.size - 1)
             )
         cals.append(replace(cal, **changes))
-    calibrators = CalibratorSet(specs, cals)
+    calibrators = CalibratorSet(cals)
     shape = LatticeShape(sizes)
     theta = rng.standard_normal(shape.num_parameters)
     theta[rng.random(len(theta)) < draw(st.sampled_from([0.0, 0.5, 1.0]))] = -0.0
     kind = draw(st.sampled_from(list(InterpolationKind)))
-    model = Model(specs=specs, shape=shape, theta=theta, calibrators=calibrators, kind=kind)
+    model = Model(calibrators, theta, kind=kind)
     n = draw(st.integers(1, 12))
     cols = []
     for (spec, value_kinds), cal in zip(drawn, calibrators.calibrators):
@@ -597,13 +584,13 @@ def mixed_model():
     columns = [list(rng.choice(["lo", "mid", "hi"], 30)), rng.random(30) * 10.0,
                list(rng.choice(["u", "v"], 30))]
     cat, cont, plain = CalibratorSet.fit(specs, columns, rng.random(30)).calibrators
-    cals = CalibratorSet(specs, [
+    cals = CalibratorSet([
         replace(cat, values=[0.2, 0.7, 1.9, 1.1]),
         replace(cont, outputs=[0.0, 0.4, 1.1, 1.5, 2.0]),
         replace(plain, values=[0.3, 0.9]),
     ])
     shape = LatticeShape([3, 4, 2])
-    model = Model(specs, shape, rng.standard_normal(shape.num_parameters), cals)
+    model = Model(cals, rng.standard_normal(shape.num_parameters))
     knots = cont.knots.tolist()
     cats = ["lo", "never seen", None, "mid", math.nan, "hi", "<OTHER>", "hi", "lo", "mid"] * 2
     xs = knots + [knots[0] - 1.0, knots[-1] + 1.0, None, math.nan, "nan"]
@@ -779,7 +766,7 @@ class TestRowEntries:
     def test_copies_do_not_share_parameters_or_row_entries(self, duplicate):
         model, data = mixed_model()
         scores = assert_fresh(model, data)  # binds the row calibration
-        twin = Model(model.specs, model.shape, model.theta, duplicate(model.calibrators))
+        twin = Model(duplicate(model.calibrators), model.theta)
         assert "_calibrate_row" not in vars(twin.calibrators)  # nothing derived is carried over
         for mine, theirs in zip(model.calibrators.calibrators, twin.calibrators.calibrators):
             assert not np.shares_memory(mine.points, theirs.points)
@@ -865,7 +852,7 @@ class TestTheta:
         assert "_row_plan" not in repr(model)
         assert "_row_plan" not in [f.name for f in fields(model)]
         with pytest.raises(TypeError):
-            Model(model.specs, model.shape, model.theta, model.calibrators, _row_plan=None)
+            Model(model.calibrators, model.theta, _row_plan=None)
 
     def test_assigning_theta_or_shape_is_refused(self):
         model = unit_model([2, 2])
@@ -909,7 +896,7 @@ class TestRowChecks:
     def test_nan_text_is_a_missing_value_on_both_paths(self, text):
         spec = FeatureSpec("x", size=3, keypoints=3, missing=MissingPolicy.CALIBRATED)
         cals = CalibratorSet.fit([spec], [np.linspace(0.0, 2.1, 9)])
-        model = Model([spec], LatticeShape([3]), np.array([0.0, 1.0, 3.0]), cals)
+        model = Model(cals, np.array([0.0, 1.0, 3.0]))
         assert model.predict_row([text]) == model.predict(Dataset([[text]], None))[0] == 1.0
         model = replace_spec(model, 0, missing=MissingPolicy.NONE)
         message = "feature x: missing value but no missing policy"

@@ -111,12 +111,12 @@ def compiled_models(draw):
         if spec.missing is MissingPolicy.CALIBRATED:
             changes["missing_value"] = float(rng.choice([0.0, 1.0, rng.random()]) * (spec.size - 1))
         cals.append(replace(cal, **changes))
-    cs = CalibratorSet(specs, cals)
+    cs = CalibratorSet(cals)
     shape = LatticeShape(sizes)
     theta = rng.standard_normal(shape.num_parameters)
     theta[rng.random(len(theta)) < 0.3] = -0.0
     kind = draw(st.sampled_from(list(InterpolationKind)))
-    model = Model(specs=specs, shape=shape, theta=theta, calibrators=cs, kind=kind)
+    model = Model(cs, theta, kind=kind)
     n = draw(st.integers(1, 6))
     cols = [values_for(spec, cal, rng, n) for spec, cal in zip(specs, cs.calibrators)]
     rows = [[col[i] for col in cols] for i in range(n)]
@@ -188,9 +188,8 @@ class TestCompiledRowProperty:
 def unit_model(sizes, kind, seed=0):
     rng = np.random.default_rng(seed)
     specs = [FeatureSpec(f"x{d}", size=m, bounds=(0.0, 1.0)) for d, m in enumerate(sizes)]
-    shape = LatticeShape(sizes)
-    return Model(specs, shape, rng.standard_normal(shape.num_parameters),
-                 CalibratorSet.fit(specs, [rng.random(8) for _ in specs]), kind)
+    theta = rng.standard_normal(LatticeShape(sizes).num_parameters)
+    return Model(CalibratorSet.fit(specs, [rng.random(8) for _ in specs]), theta, kind)
 
 
 class TestSharing:
@@ -273,7 +272,7 @@ class TestGeneratedSource:
         columns = [list(rng.choice(odd, 40)), rng.random(40)] + [rng.random(40) for _ in sizes[2:]]
         cs = CalibratorSet.fit(specs, columns)
         shape = LatticeShape(sizes)
-        model = Model(specs, shape, rng.random(shape.num_parameters), cs)
+        model = Model(cs, rng.random(shape.num_parameters))
         for kind in InterpolationKind:
             for row in ([odd[3], 0.5], [odd[1], None], [OTHER_CATEGORY, "nan"]):
                 row = row + [0.5] * (len(sizes) - 2)
