@@ -20,8 +20,8 @@ the one place its name, axis top, missing policy, missing vertex (the top
 slice) and order pairs are kept; a set's specs and a model's specs and
 lattice shape are read from its calibrators.  ``knots``, ``outputs`` and
 ``values`` are stored as read-only float64 copies and ``categories`` as a
-tuple, so what is derived from them (the knot list, the category lookup, a
-set's bound row calibration) is built once, on first use, and cannot go
+tuple, so what is derived from them (the knot list, the category lookup,
+a model's bound row scorer) is built once, on first use, and cannot go
 stale.  A calibrator checks its structure when made, whoever makes it
 (fit, ``with_table``, the model loader, code), and raises a ``DataError``
 that names the feature and the field: a spec of its own kind; finite
@@ -38,18 +38,18 @@ which training uses once, for the trained model, and which shares the
 set's layout); a copied or unpickled calibrator is rebuilt through its
 constructor.
 
-Single-row calibration (``CalibratorSet.calibrate_row``, behind
-``Model.predict_row``) is one function per set, generated from the set's
-*layout* (per feature: continuous or categorical, the missing policy,
-whether a missing coordinate exists, whether an OTHER bucket exists) and
-compiled once per layout (``_row_calibration``), so sets of equal layout
-share its code.  A set binds its own values into it when it first
-calibrates a row: knots and outputs, or the category lookup and values, as
-lists, the axis top or OTHER index, the missing coordinate.  The source is
-built from fixed templates and the features' positions alone; no float,
-category or name reaches it.  Each calibrator's ``calibrate`` is the
-scalar oracle of that path, and the function hands it every value it
-cannot place, for its error.
+Single-row calibration, inside ``Model.predict_row``, is generated from
+the set's *layout* (per feature: continuous or categorical, the missing
+policy, whether a missing coordinate exists, whether an OTHER bucket
+exists): this module gives the model's row scorer its calibration lines
+(``_row_calibration_lines``) and each calibrator's row entry
+(``_row_binding``), which the model binds in when it first scores a row:
+knots and outputs, or the category lookup and values, as lists, the axis
+top or OTHER index, the missing coordinate.  The lines are built from
+fixed templates and the features' positions alone; no float, category or
+name reaches them.  ``CalibratorSet.calibrate_row``, each calibrator's
+``calibrate`` in order, is the scalar oracle of those lines, and they
+hand it every value they cannot place, for its error.
 
 Batch calibration has two parts.  *Locate* depends only on the values
 and the fixed knots or categories: per value it finds two indices into a
@@ -75,8 +75,9 @@ table entry.  A continuous value's segment is the count of its feature's
 knots 1 .. last at or below it, which is ``bisect_right``'s segment for an
 inner value; the padding counts for no value, +inf included.  Then one
 gather gives every value's knot and one its segment's width.  A
-categorical column's distinct values are looked up once per call, and its
-rows are written by table entry.  Errors have one path: the checks inside
+categorical column's distinct values in a chunk are keyed by text as fit
+keys them (``_distinct_texts``) and looked up once, and its rows are
+written by table entry.  Errors have one path: the checks inside
 a chunk only detect a bad value, and a chunk that holds one is calibrated
 again row by row, so it raises the ``DataError`` that ``calibrate_row``
 raises on the first bad row, with that row's index.
@@ -86,7 +87,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import functools
 import math
 import operator
 from bisect import bisect_right
@@ -95,7 +95,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .interpolation import ChunkBuffers, _generated
+from .interpolation import ChunkBuffers
 from .monotonicity import ConstraintSet, Direction, read_only
 
 
@@ -686,6 +686,7 @@ class _KnotBlock:
     knot_at: np.ndarray  # (table size,)
     width_at: np.ndarray  # (table size,)
     numbers: tuple  # continuous features
+    categories: tuple  # categorical features
     strict: np.ndarray  # continuous features without a missing policy
     count: np.dtype  # the narrowest unsigned type that holds W - 1, a segment's count
 
@@ -721,6 +722,7 @@ class _KnotBlock:
             knot_at=read_only(knot_at),
             width_at=read_only(width_at),
             numbers=tuple(numbers),
+            categories=tuple(d for d, k in enumerate(continuous) if not k),
             strict=read_only([d for d in numbers if cals[d].spec.missing is MissingPolicy.NONE],
                              np.intp),
             count=np.min_scalar_type(width - 1),
@@ -739,48 +741,23 @@ def _number_chunk(column, start: int, stop: int):
         raise DataError("a value is not a number") from None
 
 
-def _text(v):
-    return None if is_missing(v) else str(v)
-
-
-def _category_codes(cal, column, offset: int):
-    """A categorical column's table entries for one call: a function that
-    writes the entries of rows start:stop into an int row.  Each distinct
-    value is looked up once per call, when a chunk first holds it, and a
-    value ``calibrate`` rejects (an unknown category without an OTHER
-    bucket, missing without a policy) raises a DataError.
-
-    Values are read as text, as ``calibrate`` reads them: a column of text
-    and None is keyed by its values, and from the first other value on
-    (a number, NaN) by each value's text, since values that compare equal
-    can print apart (1 and 1.0, 0.0 and -0.0)."""
+def _category_entries(cal, offset: int, part, out: np.ndarray) -> None:
+    """Write the table entries of ``part``, rows of a categorical column,
+    into the int row ``out``.  The rows are keyed by text as ``calibrate``
+    reads them (``_distinct_texts``, fit's rule), and each distinct text is
+    looked up once; a value ``calibrate`` rejects (an unknown category
+    without an OTHER bucket, missing without a policy) raises a DataError."""
+    texts, index = _distinct_texts(part)
     lookup = cal._lookup
     unknown = -1 if cal.other_index is None else offset + cal.other_index
     missing = -1 if cal.spec.missing is MissingPolicy.NONE else offset + len(cal.values)
-    code_of: dict = {}  # value, or its text, -> table entry (-1: rejected)
-    key = None  # _text once the column is keyed by text
-
-    def write(start: int, stop: int, out: np.ndarray) -> None:
-        nonlocal key
-        part = column[start:stop]
-        keys = part if key is None else list(map(key, part))
-        try:
-            out[...] = list(map(code_of.__getitem__, keys))
-        except KeyError:
-            new = dict.fromkeys(keys)
-            if key is None and not all(v is None or isinstance(v, str) for v in new):
-                key = _text
-                keys = list(map(key, part))
-                new = dict.fromkeys(keys)
-            for v in new:
-                if v not in code_of:
-                    i = lookup.get(v)
-                    code_of[v] = missing if v is None else unknown if i is None else offset + i
-            out[...] = list(map(code_of.__getitem__, keys))
-        if out.min(initial=0) < 0:
-            raise DataError("a value has no table entry")
-
-    return write
+    entries = []
+    for c in texts:
+        i = lookup.get(c)
+        entries.append(missing if c is None else unknown if i is None else offset + i)
+    if min(entries, default=0) < 0:
+        raise DataError("a value has no table entry")
+    np.take(entries, index, out=out)
 
 
 def _row_binding(cal) -> tuple[tuple, tuple]:
@@ -814,16 +791,15 @@ _ENTRY_NAMES = (
 )
 
 
-@functools.lru_cache(maxsize=64)
-def _row_calibration(layout: tuple):
-    """The single-row calibration of a set of ``layout``: a function
-    ``bind(width, *values)`` that binds a set's ``_check_width`` and its
-    calibrators' row entries (:func:`_row_binding`, laid end to end) into
-    ``calibrate_row(row)``.  Compiled once per layout; sets of equal layout
-    share its code.
+def _row_calibration_lines(layout: tuple) -> tuple[list, list, dict]:
+    """The calibration lines of ``Model.predict_row`` for calibrators of
+    ``layout``: the names a set's row entries (:func:`_row_binding`, laid
+    end to end) are bound to, the lines, indented one level, that leave
+    each value of ``row`` calibrated in ``x0`` .. ``x{D-1}``, and the names
+    they read besides.  They read ``width``, the set's ``_check_width``.
 
-    ``calibrate_row`` does ``calibrate``'s float operations in its order,
-    in straight-line code, one block per feature: the width check and the
+    The lines do ``calibrate``'s float operations in its order, in
+    straight-line code, one block per feature: the width check and the
     unpack, then per continuous value ``float()`` (None, which it rejects,
     is missing).  An inner value (strictly between the end knots) takes
     its segment j by ``bisect_right`` over the inner knots, ``t = (x -
@@ -832,59 +808,56 @@ def _row_calibration(layout: tuple):
     the axis top; other values take the end outputs, and NaN (also as
     text), which no comparison holds for, is missing.  Per categorical
     value: the missing test, then the lookup of its text, unknown text
-    going to the OTHER bucket.  A value a block cannot place
-    goes to the calibrator's ``calibrate``, which raises its error.
+    going to the OTHER bucket.  A value a block cannot place goes to the
+    calibrator's ``calibrate``, which raises its error.
 
-    The source is built from fixed templates, the feature positions and
+    The lines are built from fixed templates, the feature positions and
     the layout's flags; everything read from a model file is bound."""
     D = len(layout)
     vs = [f"v{d}" for d in range(D)]
     names = [name.format(d=d) for d, (continuous, *_) in enumerate(layout)
              for name in _ENTRY_NAMES[not continuous]]
     src = [
-        f"def bind(width, {', '.join(names)}):",
-        "    def calibrate_row(row):",
-        f"        if len(row) != {D}:",
-        "            width(len(row), 'values')",
-        f"        {', '.join(vs)}, = row",
+        f"    if len(row) != {D}:",
+        "        width(len(row), 'values')",
+        f"    {', '.join(vs)}, = row",
     ]
     for d, (continuous, _, has_missing, has_other) in enumerate(layout):
         v, x = f"v{d}", f"x{d}"
         missing = f"m{d}" if has_missing else f"c{d}({v})"
         if continuous:
             src += [
-                "        try:",
-                f"            {x} = float({v})",
-                "        except (TypeError, ValueError):",
-                f"            {x} = {missing} if {v} is None else c{d}({v})",
+                "    try:",
+                f"        {x} = float({v})",
+                "    except (TypeError, ValueError):",
+                f"        {x} = {missing} if {v} is None else c{d}({v})",
+                "    else:",
+                f"        if f{d} < {x} < l{d}:",
+                f"            j = bisect_right(B{d}, {x})",
+                f"            t = ({x} - K{d}[j]) / W{d}[j]",
+                f"            {x} = (1.0 - t) * P{d}[j] + t * P{d}[j + 1]",
+                f"            {x} = {x} if {x} <= T{d} else T{d}",
+                f"        elif {x} <= f{d}:",
+                f"            {x} = p{d}",
+                f"        elif {x} >= l{d}:",
+                f"            {x} = q{d}",
                 "        else:",
-                f"            if f{d} < {x} < l{d}:",
-                f"                j = bisect_right(B{d}, {x})",
-                f"                t = ({x} - K{d}[j]) / W{d}[j]",
-                f"                {x} = (1.0 - t) * P{d}[j] + t * P{d}[j + 1]",
-                f"                {x} = {x} if {x} <= T{d} else T{d}",
-                f"            elif {x} <= f{d}:",
-                f"                {x} = p{d}",
-                f"            elif {x} >= l{d}:",
-                f"                {x} = q{d}",
-                "            else:",
-                f"                {x} = {missing}",
+                f"            {x} = {missing}",
             ]
         else:
             src += [
-                f"        if {v} is None or isinstance({v}, float) and {v} != {v}:",
-                f"            {x} = {missing}",
-                "        else:",
+                f"    if {v} is None or isinstance({v}, float) and {v} != {v}:",
+                f"        {x} = {missing}",
+                "    else:",
             ]
             if has_other:
-                src.append(f"            {x} = V{d}[L{d}.get(str({v}), o{d})]")
+                src.append(f"        {x} = V{d}[L{d}.get(str({v}), o{d})]")
             else:
                 src += [
-                    f"            j = L{d}.get(str({v}))",
-                    f"            {x} = c{d}({v}) if j is None else V{d}[j]",
+                    f"        j = L{d}.get(str({v}))",
+                    f"        {x} = c{d}({v}) if j is None else V{d}[j]",
                 ]
-    src += [f"        return [{', '.join(f'x{d}' for d in range(D))}]", "    return calibrate_row"]
-    return _generated(src, "<row calibration>", {"bisect_right": bisect_right})
+    return names, src, {"bisect_right": bisect_right}
 
 
 # what a set works out from the kinds and sizes of its calibrators alone,
@@ -989,21 +962,13 @@ class CalibratorSet(Frozen):
                 f"got {count} {unit} for a model with {len(self.calibrators)} features"
             )
 
-    @cached_property
-    def _calibrate_row(self):
-        """This set's single-row calibration: its layout's function
-        (:func:`_row_calibration`) with the set's values bound in."""
-        bindings = [_row_binding(cal) for cal in self.calibrators]
-        layout = tuple(layout for layout, _ in bindings)
-        return _row_calibration(layout)(self._check_width, *[v for _, e in bindings for v in e])
-
     def calibrate_row(self, row) -> list[float]:
-        """The coordinates of one row, equal to each calibrator's
-        ``calibrate`` bit for bit, by one function generated for this set's
-        layout.  A value it cannot place (missing without a coordinate, not
-        a number, an unknown category) is handed to ``calibrate``, which
-        raises its error, so the first bad value of the row is reported."""
-        return self._calibrate_row(row)
+        """The coordinates of one row: the width check, then each
+        calibrator's ``calibrate`` in order, so the first bad value of the
+        row raises its error.  The oracle of ``Model.predict_row``'s
+        generated calibration, and the error path of :meth:`locate_chunks`."""
+        self._check_width(len(row), "values")
+        return [cal.calibrate(v) for cal, v in zip(self.calibrators, row)]
 
     def row_gradients(self, row) -> list[list[tuple[int, float]]]:
         """Per feature: (global alpha position, partial) pairs for this row."""
@@ -1037,23 +1002,17 @@ class CalibratorSet(Frozen):
         overwritten by the next chunk.  Columns of no rows yield one empty
         chunk.
 
-        A categorical column's distinct values are looked up once per call
-        (``_category_codes``).  A chunk whose locate finds a bad value is
+        A categorical column's distinct values are looked up once per chunk
+        (``_category_entries``).  A chunk whose locate finds a bad value is
         calibrated again row by row: the error is the ``DataError`` that
         :meth:`calibrate_row` raises on its first bad row, with that row's
         index in ``columns`` as its ``row``."""
         self._check_width(len(columns), "columns")
         rows = len(columns[0]) if len(columns) else 0
-        cals = enumerate(zip(self.calibrators, columns, self.table_offsets))
-        codes = [
-            (d, _category_codes(cal, col, start))
-            for d, (cal, col, start) in cals
-            if isinstance(cal, CategoricalCalibrator)
-        ]
         for start in range(0, max(rows, 1), size):
             stop = min(start + size, rows)
             try:
-                location = self._locate_rows(columns, codes, start, stop, buffers)
+                location = self._locate_rows(columns, start, stop, buffers)
             except DataError:
                 for i in range(start, stop):
                     try:
@@ -1064,7 +1023,7 @@ class CalibratorSet(Frozen):
                 raise
             yield slice(start, stop), location
 
-    def _locate_rows(self, columns, codes, start, stop, buffers) -> Location:
+    def _locate_rows(self, columns, start, stop, buffers) -> Location:
         # One pass over every feature, on (D, m) blocks.  A continuous
         # value's segment is the count of knots 1 .. last at or below it:
         # bisect_right's segment for an inner value, 0 at and below the
@@ -1085,7 +1044,7 @@ class CalibratorSet(Frozen):
         count = buffers.get("locate count " + kb.count.char, *x.shape, kb.count)
         for d in kb.numbers:
             x[d] = _number_chunk(columns[d], start, stop)
-        for d, _ in codes:
+        for d in kb.categories:
             x[d] = 0.0
         bits = flag.view(np.uint8)  # the flags as 0 and 1
         np.greater_equal(x, kb.columns[0], flag)
@@ -1100,8 +1059,9 @@ class CalibratorSet(Frozen):
             if missing[kb.strict].any():
                 raise DataError("a value is missing without a missing policy")
             np.copyto(lo, kb.missing_slots, where=missing)
-        for d, write in codes:
-            write(start, stop, lo[d])
+        for d in kb.categories:
+            cal = self.calibrators[d]
+            _category_entries(cal, self.table_offsets[d], columns[d][start:stop], lo[d])
         # the fraction of inner values only: a value beyond the knots can be
         # too far from its segment's knot to subtract without overflow.  t
         # takes the segment's knot, then x less the knot, over the width,

@@ -78,8 +78,8 @@ times the rows (``one_cell_rows``, 128 at D = 10) in the same bytes;
 CHANGES.md records its speed against the general path.  ``lattice.locate_block`` gives such a
 lattice's points a base of 0 and themselves as residuals.
 
-The batched kernel and the row plan below build multilinear weights with
-one doubling helper, ``_doubling_weights``, which fills an array the
+The batched kernel and the row kernels below build multilinear weights
+with one doubling helper, ``_doubling_weights``, which fills an array the
 caller passes: a (2^D, n) chunk from the rows of the (D, n) residuals, or
 a row's (2^D,) array from its D residuals as floats, over (near, far)
 views made once per buffer view (``ChunkBuffers.doubling``) or, by the
@@ -87,24 +87,23 @@ row kernel, once per workspace.  What the batched kernel reads from the
 shape alone (the strides, and ``locate_block``'s axis tops) comes from
 ``lattice.axis_arrays``, built once per shape.
 
-Single-row prediction goes through a :class:`RowPlan`, built once per
-theta and shape.  It does the scalar kernels' float operations in their
-order, so it gives their bits and their error messages, without their
-generic steps: it keeps no ``CellLocation`` or ``SparseWeights``.  Each
-kind's row is one function compiled once per shape and kind
-(``_row_kernel``) and bound to theta on the plan's first row of that
-kind; its source is built from the shape's sizes, strides and offsets as
-int literals and nothing else.  It converts and checks the coordinates
-and finds the cell's base and residuals in straight-line code (on a
-lattice of one cell the base is 0 and the residual is the point itself),
-then walks the simplex chain on theta's list, or runs the multilinear
-doubling pass on named locals, or, from ``ROW_NUMPY_MIN_VERTICES`` cell
-vertices on, runs ``_doubling_weights`` over the (near, far) views of a
-workspace the kernel keeps, multiplied in place by the vertex values: a
-gather at the cell's offsets, or, on a lattice of one cell, a view of
-theta's first 2^D entries.  The scalar kernels stay as the plan's oracle
-and as what ``bench_interpolation`` times; CHANGES.md records the row
-plan's speed.
+Single-row prediction (``Model.predict_row``) runs one function compiled
+per calibrator layout, lattice shape and kind; this module gives it the
+lines of its row kernel (``_row_kernel_lines``), built from the shape's
+sizes, strides and offsets as int literals and nothing else.  They do the
+scalar kernels' float operations in their order, so they give their bits,
+without their generic steps: no ``CellLocation`` or ``SparseWeights``.
+They take coordinates that calibration has placed inside the box, so they
+find the cell's base and residuals in straight-line code with no check
+(on a lattice of one cell the base is 0 and the residual is the point
+itself), then walk the simplex chain on theta's list, or run the
+multilinear doubling pass on named locals, or, from
+``ROW_NUMPY_MIN_VERTICES`` cell vertices on, run ``_doubling_weights``
+over the (near, far) views of a workspace the function keeps, multiplied
+in place by the vertex values: a gather at the cell's offsets, or, on a
+lattice of one cell, a view of theta's first 2^D entries.  The scalar
+kernels stay as the row kernels' oracle and as what ``bench_interpolation``
+times; CHANGES.md records the row path's speed.
 """
 
 from __future__ import annotations
@@ -119,8 +118,6 @@ import numpy as np
 from .lattice import (
     CellLocation,
     LatticeShape,
-    _coordinates,
-    _outside,
     as_block,
     axis_arrays,
     locate_block,
@@ -257,83 +254,29 @@ def evaluate_block(theta, shape: LatticeShape, block: np.ndarray, kind: Interpol
 
 
 # Multilinear cells with at least this many vertices (2^9: D >= 9) are
-# faster through the row plan's numpy pass than through its compiled
-# straight-line kernel (_row_kernel); CHANGES.md records the measurement.
+# faster through the row kernel's numpy pass than through its
+# straight-line body (_row_kernel_lines); CHANGES.md records the measurement.
 ROW_NUMPY_MIN_VERTICES = 1 << 9
-
-
-class RowPlan:
-    """:func:`evaluate` at one point at a time for a fixed theta and shape,
-    bit for bit, with :func:`evaluate`'s error messages.
-
-    Holds theta (a float64 array the caller does not change), the shape,
-    and one row kernel per kind, bound on the kind's first call: the
-    shape's kernel of that kind (:func:`_row_kernel`, compiled once per
-    shape and kind) with theta bound in.  A kernel holds only what it
-    reads: theta's list form (simplex, and multilinear cells below
-    ``ROW_NUMPY_MIN_VERTICES`` vertices), or theta, the view of its first
-    2^D entries on a lattice of one cell, and a ``spare`` list of
-    workspaces (larger multilinear cells).  A call writes nothing else the
-    plan holds and takes a workspace no other call holds, so threads may
-    share a plan.
-    """
-
-    def __init__(self, theta, shape: LatticeShape) -> None:
-        self._theta = np.asarray(theta, dtype=float)
-        self._shape = shape
-        self._multilinear = self._simplex = None
-
-    def evaluate(self, x, kind: InterpolationKind = InterpolationKind.MULTILINEAR) -> float:
-        """Interpolated value at ``x`` (in lattice coordinates)."""
-        if kind is InterpolationKind.MULTILINEAR:
-            row = self._multilinear or self._bind(kind)
-        elif kind is InterpolationKind.SIMPLEX:
-            row = self._simplex or self._bind(kind)
-        else:
-            try:
-                kind = InterpolationKind(kind)
-            except ValueError:
-                locate_cell(self._shape, x)  # evaluate reports a bad row before a bad kind
-                raise
-            return self.evaluate(x, kind)
-        return row(x)
-
-    def _bind(self, kind: InterpolationKind):
-        row = _row_kernel(self._shape, kind)(self._theta)
-        setattr(self, f"_{kind.value}", row)
-        return row
-
-
-def _generated(src: list[str], filename: str, namespace: dict):
-    """The function ``bind`` that the lines ``src`` define, run in
-    ``namespace``; its source is kept as its ``source``.  The one place
-    the package compiles code: the row generators (:func:`_row_kernel`,
-    ``calibrators._row_calibration``) call it."""
-    source = "\n".join(src)
-    exec(compile(source, filename, "exec"), namespace)
-    bind = namespace["bind"]
-    bind.source = source
-    return bind
 
 
 # terms per statement of a row kernel's sum, which keeps each expression shallow
 _SUM_TERMS = 16
 
 
-@functools.lru_cache(maxsize=64)
-def _row_kernel(shape: LatticeShape, kind: InterpolationKind):
-    """:class:`RowPlan`'s row of ``kind`` on ``shape``: a function
-    ``bind(theta)`` that binds a float64 theta into a straight-line
-    function of the point, compiled once per shape and kind (equal shapes
-    share its code).
+def _row_kernel_lines(shape: LatticeShape, kind: InterpolationKind) -> tuple[list, list, dict]:
+    """The lines of ``Model.predict_row``'s kernel of ``kind`` on ``shape``:
+    ``head``, run once when ``theta`` (a float64 array of the lattice's
+    size) is bound, ``body``, which scores the coordinates ``x0`` ..
+    ``x{D-1}``, and the names the lines read.  Both are indented one level,
+    ``body`` for the scoring function's own body; ``model._row_scorer``
+    compiles them after the calibration lines, which leave each coordinate
+    a float inside its axis.
 
-    It does :func:`evaluate`'s float operations in their order.  Every
-    kernel starts alike: unpack the row and pass each coordinate through
-    ``float()`` (a row of another width goes to :func:`_coordinates` for
-    :func:`locate_cell`'s error), then per dimension the range check, the
-    base ``int(v)`` (``top - 1`` on the top face) and the residual
-    ``v - base``; on an axis of two vertices the base is 0 and the residual
-    is ``v`` itself.  The flat base index sums base times stride.  Then:
+    The body does :func:`evaluate`'s float operations in their order.  Per
+    dimension it takes the base ``int(v)`` (``top - 1`` on the top face)
+    and the residual ``v - base``; on an axis of two vertices the base is
+    0 and the residual is ``v`` itself.  The flat base index sums base
+    times stride.  Then:
 
     * simplex: :func:`simplex_weights`' chain on theta's list, the
       dimensions sorted by residual (a stable sort, so tied residuals keep
@@ -344,40 +287,26 @@ def _row_kernel(shape: LatticeShape, kind: InterpolationKind):
       ``values[base + offset] * weight`` summed left to right from 0.0;
     * multilinear, larger cells: :func:`_doubling_weights` over the (near,
       far) views of a workspace (:func:`_row_workspace`) popped from the
-      kernel's ``spare`` list, the vertex values (a gather at the cell's
-      offsets into the workspace, or on a lattice of one cell the view of
-      theta's first 2^D entries) multiplied into the weights in place and
-      summed by ``add.accumulate``, which adds left to right; adding 0.0
-      turns a -0.0 total into +0.0.
+      bound function's ``spare`` list, so threads never share one, the
+      vertex values (a gather at the cell's offsets into the workspace, or
+      on a lattice of one cell the view of theta's first 2^D entries)
+      multiplied into the weights in place and summed by
+      ``add.accumulate``, which adds left to right; adding 0.0 turns a
+      -0.0 total into +0.0.
 
-    A theta too short for the cell raises ``IndexError``.  The source is
-    built only from Python ints, each passed through ``int()``: the shape's
-    sizes, tops, strides and vertex offsets, put into fixed templates.  No
-    text, float or name from a model file reaches it.
-    """
+    The lines are built only from Python ints, each passed through
+    ``int()``: the shape's sizes, tops, strides and vertex offsets, put
+    into fixed templates."""
     kind = InterpolationKind(kind)
     sizes = [int(m) for m in shape.sizes]
     strides = [int(s) for s in shape.strides]
     D = len(sizes)
-    xs = [f"x{d}" for d in range(D)]
-    body = [
-        "    try:",
-        f"        {', '.join(xs)}, = x",
-        "    except (TypeError, ValueError):",
-        f"        _coordinates(x, {D})",
-        "        raise",
-    ]
-    body += [f"    {v} = float({v})" for v in xs]
-    residuals, base = [], []
+    body, residuals, base = [], [], []
     for d, m in enumerate(sizes):
-        top = m - 1
-        body += [
-            f"    if not 0.0 <= x{d} <= {top}.0:",
-            f"        raise _outside(x{d}, {top}, {d})",
-        ]
         if m == 2:
             residuals.append(f"x{d}")
             continue
+        top = m - 1
         body += [
             f"    b{d} = int(x{d}) if x{d} < {top}.0 else {top - 1}",
             f"    r{d} = x{d} - b{d}",
@@ -386,10 +315,10 @@ def _row_kernel(shape: LatticeShape, kind: InterpolationKind):
         base.append(f"b{d}" if strides[d] == 1 else f"b{d} * {strides[d]}")
     if base or kind is InterpolationKind.SIMPLEX:
         body.append(f"    b = {' + '.join(base) if base else 0}")
-    namespace = {"_coordinates": _coordinates, "_outside": _outside}
+    namespace = {}
     k = 1 << D
     if kind is InterpolationKind.SIMPLEX:
-        head = ["def bind(theta):", "    values = theta.tolist()"]
+        head = ["    values = theta.tolist()"]
         body += [
             f"    res = [{', '.join(residuals)}]",
             "    t = 0.0",
@@ -402,7 +331,7 @@ def _row_kernel(shape: LatticeShape, kind: InterpolationKind):
             "    return t + values[b] * p",
         ]
     elif k < ROW_NUMPY_MIN_VERTICES:
-        head = ["def bind(theta):", "    values = theta.tolist()"]
+        head = ["    values = theta.tolist()"]
         body += ["    w1 = " + residuals[0], "    w0 = 1.0 - w1"]
         for d in range(1, D):
             half = 1 << d
@@ -422,13 +351,9 @@ def _row_kernel(shape: LatticeShape, kind: InterpolationKind):
         body.append("    return t")
     else:
         one = set(sizes) == {2}
-        far = int(_doubled_offsets(shape)[-1])
-        head = ["def bind(theta):", "    spare = []"]
-        if one:  # the one cell's vertex values, when theta holds them
-            head.append(f"    cell = theta[:{k}] if len(theta) >= {k} else None")
-            body += ["    if cell is None:", "        raise _short(len(theta))"]
-        else:
-            body += [f"    if b + {far} >= len(theta):", "        raise _short(len(theta))"]
+        head = ["    spare = []"]
+        if one:  # the one cell's vertex values
+            head.append(f"    cell = theta[:{k}]")
         body += [
             "    try:",
             "        work = spare.pop()",
@@ -450,11 +375,10 @@ def _row_kernel(shape: LatticeShape, kind: InterpolationKind):
             "    return t",
         ]
         namespace.update(
-            np=np, accumulate=np.add.accumulate, offsets=_doubled_offsets(shape), _short=_short,
+            np=np, accumulate=np.add.accumulate, offsets=_doubled_offsets(shape),
             _doubling_weights=_doubling_weights, _row_workspace=_row_workspace,
         )
-    src = head + ["    def row(x):"] + ["    " + line for line in body] + ["    return row"]
-    return _generated(src, f"<{kind.value} row kernel {tuple(sizes)}>", namespace)
+    return head, body, namespace
 
 
 def _short(size: int) -> IndexError:

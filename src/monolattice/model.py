@@ -11,21 +11,22 @@ pass, calibrated and scored by the batched kernel, all through one buffer
 set that the call takes from the process's spare sets and gives back
 (``interpolation.spare_buffers``), so a call's arrays are sized by the
 chunk and a warm process allocates no chunk array per call.
-``Model.predict_row`` scores one row through one path: the calibrators'
-``calibrate_row``, one function generated per calibrator layout with the
-set's parameters bound in, then the model's
-:class:`~.interpolation.RowPlan`, built by the first call.  The plan binds
-theta into the row kernel of a kind on that kind's first row: one
-function compiled per lattice shape and kind from the shape's ints alone.
-Both are compiled on first use, never when a model is loaded.
-``predict_row`` gives ``predict``'s bits and the scalar ``evaluate``'s
-error messages, and threads may share a model.
+``Model.predict_row`` scores one row through one function, generated per
+calibrator layout, lattice shape and kind (``_row_scorer``) from the
+calibration lines of :mod:`.calibrators` followed by the row kernel lines
+of :mod:`.interpolation`, so equal models share its code.  A model binds
+its calibrators' row entries and theta into it on a kind's first row,
+never when it is loaded.  The kernel lines take the calibrated
+coordinates as they stand: the model's checks make each a float inside
+its axis and theta as long as the lattice.  ``predict_row`` gives
+``predict``'s bits and the scalar path's error messages, and threads may
+share a model.
 
 A model is a frozen value, checked on construction: ``theta`` is stored
 as a read-only float64 copy of the lattice's size, ``metadata`` as a copy
 whose objects and arrays refuse changes in place, and its calibrators are
-frozen too, so the plan, the bound row calibration and the model file
-cannot fall out of date.  Each feature's schema is stored once, in its
+frozen too, so the bound row scorers and the model file cannot fall out
+of date.  Each feature's schema is stored once, in its
 calibrator's spec: ``specs`` and the lattice ``shape`` (one axis of
 ``spec.size`` vertices per feature) are read from the calibrators.  A
 changed model is a new one (``dataclasses.replace``); a copied or
@@ -46,6 +47,7 @@ lists the feature sizes.
 
 from __future__ import annotations
 
+import functools
 import json
 import operator
 from dataclasses import dataclass, field
@@ -64,13 +66,15 @@ from .calibrators import (
     Frozen,
     MissingPolicy,
     _check_finite,
+    _row_binding,
+    _row_calibration_lines,
     missing_vertex_dims,
     read_only,
 )
-from .interpolation import InterpolationKind, RowPlan, evaluate_block, spare_buffers
+from .interpolation import InterpolationKind, _row_kernel_lines, evaluate_block, spare_buffers
 
 # The benchmark's span tracer (perfbench/spans.py) patches this name on this
-# module; predict_row runs the row plan, not the scalar kernels.
+# module; predict_row runs its generated scorer, not the scalar kernels.
 from .interpolation import evaluate  # noqa: F401
 from .lattice import LatticeShape
 from .monotonicity import (
@@ -130,9 +134,9 @@ class Model(Frozen):
         return LatticeShape([s.size for s in self.specs])
 
     @cached_property
-    def _row_plan(self) -> RowPlan:
-        """predict_row's plan over theta and shape."""
-        return RowPlan(self.theta, self.shape)
+    def _scorers(self) -> dict:
+        """predict_row's bound scorer per kind, each added on its first row."""
+        return {}
 
     def __eq__(self, other):
         # identical models are those that write identical model files
@@ -143,10 +147,29 @@ class Model(Frozen):
     # ---- prediction
 
     def predict_row(self, row, kind: InterpolationKind | None = None) -> float:
-        """Score of one row, equal to :meth:`predict` bit for bit: the row
-        is calibrated, then scored by the model's row plan."""
-        x = self.calibrators.calibrate_row(row)
-        return self._row_plan.evaluate(x, kind or self.kind)
+        """Score of one row, equal to :meth:`predict` bit for bit, by the
+        model's generated scorer of ``kind``."""
+        kind = kind or self.kind
+        try:
+            score = self._scorers[kind]
+        except (KeyError, TypeError):
+            score = self._bind(row, kind)
+        return score(row)
+
+    def _bind(self, row, kind):
+        """The scorer of ``kind``, bound now and kept for the next row; a bad
+        ``row`` raises its DataError before a bad ``kind`` its ValueError."""
+        try:
+            kind = InterpolationKind(kind)
+        except ValueError:
+            self.calibrators.calibrate_row(row)
+            raise
+        cs = self.calibrators
+        bindings = [_row_binding(cal) for cal in cs.calibrators]
+        bind = _row_scorer(tuple(layout for layout, _ in bindings), self.shape, kind)
+        score = bind(cs._check_width, self.theta, *[v for _, entry in bindings for v in entry])
+        self._scorers[kind] = score
+        return score
 
     def predict(self, data, kind: InterpolationKind | None = None) -> np.ndarray:
         """Scores of every row of ``data``, equal to :meth:`predict_row` bit
@@ -270,11 +293,14 @@ class Model(Frozen):
             state = entry["calibrator"]
             missing = state["missing_value"]
             if spec.kind is FeatureKind.CONTINUOUS:
-                cal = ContinuousCalibrator(spec, state["knots"], state["outputs"], missing)
+                knots = _file_numbers(state["knots"], f"{where} knots")
+                outputs = _file_numbers(state["outputs"], f"{where} outputs")
+                cal = ContinuousCalibrator(spec, knots, outputs, missing)
             else:
                 order, values = state["category_order"], state["category_values"]
                 # JSON keys are text: the calibrator names any other category
-                values = [values[c] for c in order if isinstance(c, str)]
+                values = _file_numbers([values[c] for c in order if isinstance(c, str)],
+                                       f"{where} category_values")
                 cal = CategoricalCalibrator(spec, order, values, missing, state["other_index"])
             cals.append(cal)
         lattice, sizes = doc["lattice"], [cal.spec.size for cal in cals]
@@ -282,7 +308,7 @@ class Model(Frozen):
             raise DataError(f"lattice sizes {lattice} do not match the feature sizes {sizes}")
         return cls(
             CalibratorSet(cals),
-            doc["theta"],
+            _file_numbers(doc["theta"], "theta"),
             kind=doc["interpolation"],
             loss=doc["loss"],
             metadata=doc.get("metadata", {}),
@@ -291,6 +317,43 @@ class Model(Frozen):
     @classmethod
     def load(cls, path) -> "Model":
         return cls.from_json(Path(path).read_text())
+
+
+# --------------------------------------------------------------------------
+# the row scorer
+
+
+@functools.lru_cache(maxsize=64)
+def _row_scorer(layout: tuple, shape: LatticeShape, kind: InterpolationKind):
+    """:meth:`Model.predict_row` of a model whose calibrators have
+    ``layout`` (``calibrators._row_binding``), on ``shape``, of ``kind``: a
+    function ``bind(width, theta, *entries)`` that binds a set's
+    ``_check_width``, theta and the calibrators' row entries, laid end to
+    end, into ``predict_row(row)``.  Compiled once per layout, shape and
+    kind; equal models share its code.
+
+    ``predict_row`` runs the calibration lines, which leave the row's
+    coordinates in locals, then the kernel lines, which score them: one
+    function, with no list between the two.  The source holds only ints
+    and fixed text; everything read from a model file is bound."""
+    names, calibration, namespace = _row_calibration_lines(layout)
+    head, kernel, kernel_namespace = _row_kernel_lines(shape, kind)
+    src = [f"def bind(width, theta, {', '.join(names)}):", *head, "    def predict_row(row):"]
+    src += ["    " + line for line in calibration + kernel]
+    src.append("    return predict_row")
+    filename = f"<{kind.value} row scorer {shape.sizes}>"
+    return _generated(src, filename, {**namespace, **kernel_namespace})
+
+
+def _generated(src: list[str], filename: str, namespace: dict):
+    """The function ``bind`` that the lines ``src`` define, run in
+    ``namespace``; its source is kept as its ``source``.  The one place
+    the package compiles code, for :func:`_row_scorer`."""
+    source = "\n".join(src)
+    exec(compile(source, filename, "exec"), namespace)
+    bind = namespace["bind"]
+    bind.source = source
+    return bind
 
 
 # --------------------------------------------------------------------------
@@ -351,6 +414,16 @@ def _member(enum_cls, value, field: str):
     except ValueError:
         choices = ", ".join(m.value for m in enum_cls)
         raise DataError(f"{field} {value!r} is not one of {choices}") from None
+
+
+def _file_numbers(values, field: str):
+    """A model file's list of numbers as it stands; a DataError unless every
+    entry is a JSON number, since numpy would read text such as "0.5" and
+    the bools as numbers too."""
+    for i, v in enumerate(values):
+        if type(v) is bool or not isinstance(v, (int, float)):
+            raise DataError(f"malformed model file: {field}[{i}] is {v!r}, not a number")
+    return values
 
 
 def _check_feature(cal) -> None:

@@ -698,6 +698,16 @@ CORRUPTIONS = {
     "order-pair-arity": (_set(("features", 1, "order"), [["low"]]), "malformed model file"),
     "category-values-list": (_set(BUCKET, lambda values: list(values.values())), "malformed model file"),
     "size-infinite": (_set(("features", 0, "size"), float("inf")), "malformed model file"),
+    # text and bools that numpy would read as numbers
+    "text-knot": (_set((*SIGNAL, "knots", 1), str), "malformed model file: feature 'signal': knots[1] is '"),
+    "bool-output": (
+        _set((*SIGNAL, "outputs", 0), False),
+        "malformed model file: feature 'signal': outputs[0] is False, not a number",
+    ),
+    "text-category-value": (
+        _set((*BUCKET, "mid"), str), "malformed model file: feature 'bucket': category_values[1] is '",
+    ),
+    "bool-theta": (_set(("theta", 0), True), "malformed model file: theta[0] is True, not a number"),
     "naive-interpolation": (
         _set(("interpolation",), "multilinear-naive"),
         "interpolation 'multilinear-naive' is not one of multilinear, simplex",

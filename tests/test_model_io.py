@@ -490,6 +490,26 @@ class TestConstructionGate:
                 continue
             assert model.predict(batch)[0].hex() == want.hex()
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_calibrated_coordinates_are_floats_on_the_lattice(self, data):
+        # predict_row's kernel scores the calibrated coordinates with no
+        # check of their own, so every model that is made places each value
+        # it accepts at a float inside the lattice
+        try:
+            model = data.draw(code_built_models())
+        except DataError:
+            return
+        cals = model.calibrators
+        for _ in range(4):
+            row = [data.draw(_edge_values(cal)) for cal in cals.calibrators]
+            try:
+                coordinates = cals.calibrate_row(row)
+            except DataError:
+                continue
+            for x, spec in zip(coordinates, model.specs):
+                assert type(x) is float and 0.0 <= x <= spec.size - 1, (x, spec)
+
 
 # floats a user can hand in: signed zeros, a subnormal, the ends of the
 # axis and beyond, near the float limit, and values that are not finite
@@ -506,6 +526,19 @@ def _raw_values(spec):
     if spec.kind is FeatureKind.CONTINUOUS:
         return st.one_of(st.sampled_from(_HOSTILE + [None, "nan", "abc"]), st.floats(-2.0, 2.0))
     return st.sampled_from(_NAMES + ["zz", None, math.nan, 1.0])
+
+
+def _edge_values(cal):
+    """A calibrator's edge values: missing ones, ±inf, its knots and the
+    floats just past the end knots, or its categories and unknown ones;
+    then any raw value."""
+    edges = [None, math.nan, math.inf, -math.inf]
+    if isinstance(cal, ContinuousCalibrator):
+        knots = cal.knots.tolist()
+        edges += knots + [math.nextafter(knots[0], -math.inf), math.nextafter(knots[-1], math.inf)]
+    else:
+        edges += list(cal.categories) + ["zz", "<OTHER>"]
+    return st.one_of(st.sampled_from(edges), _raw_values(cal.spec))
 
 
 @st.composite

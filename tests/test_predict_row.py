@@ -1,5 +1,5 @@
-"""Single-row prediction: the row plan, held against the batch path and the
-scalar kernels, and the checks on the row itself."""
+"""Single-row prediction: the model's generated row scorer, held against
+the batch path and the scalar kernels, and the checks on the row itself."""
 
 import copy
 import math
@@ -35,12 +35,7 @@ from monolattice import interpolation
 from monolattice import model as model_module
 from monolattice.bench import bench_interpolation
 from monolattice.calibrators import CategoricalCalibrator, ContinuousCalibrator, _missing_start
-from monolattice.interpolation import (
-    ROW_NUMPY_MIN_VERTICES,
-    RowPlan,
-    _doubled_offsets,
-    _row_kernel,
-)
+from monolattice.interpolation import ROW_NUMPY_MIN_VERTICES, _doubled_offsets
 from monolattice.model import predict_rows
 
 
@@ -263,14 +258,6 @@ def _outcome(score):
         return f"error: {e}"
 
 
-def _coordinates(calibrate):
-    """Calibrated coordinates as hex, or the message of their ValueError."""
-    try:
-        return [x.hex() for x in calibrate()]
-    except ValueError as e:
-        return f"error: {e}"
-
-
 class TestRowPathProperty:
     @settings(max_examples=150, deadline=None)
     @given(scored_models())
@@ -283,13 +270,6 @@ class TestRowPathProperty:
             for r in rows
         ]
         assert [_outcome(lambda: model.predict_row(r, kind)) for r in rows] == oracle
-        # calibrate_row against each calibrator's scalar calibrate, value
-        # by value: the first bad value of a row raises
-        per_value = [
-            _coordinates(lambda: [cal.calibrate(v) for cal, v in zip(cals.calibrators, r)])
-            for r in rows
-        ]
-        assert [_coordinates(lambda: cals.calibrate_row(r)) for r in rows] == per_value
         # a calibrated coordinate can round past the top of its axis; then
         # every path reports the first such row alike
         errors = [o for o in oracle if o.startswith("error")]
@@ -301,6 +281,13 @@ class TestRowPathProperty:
             assert batch == oracle
 
 
+def scalar_path(model, row, kind=None):
+    """Each calibrator's ``calibrate`` (``calibrate_row``), then the scalar
+    ``evaluate``: the score's hex, or the message of its ValueError."""
+    theta, cals = model.theta.tolist(), model.calibrators
+    return _outcome(lambda: evaluate(theta, model.shape, cals.calibrate_row(row), kind or model.kind))
+
+
 class TestRowKernel:
     @pytest.mark.parametrize(
         "x",
@@ -310,26 +297,24 @@ class TestRowKernel:
         ],
     )
     def test_errors_match_the_scalar_path(self, x):
-        # a coordinate below or above the box, a NaN one, a wrong width, and
-        # a value float() rejects after one outside the box or in a row of
-        # the wrong width: every coordinate is converted first, then the
-        # width is checked, then the range in dimension order.  Each row
-        # meets every shape: the row kernel's (D <= 8) and the numpy pass's.
+        # a value below or above the knots, a NaN one (missing without a
+        # policy), a wrong width, and text that is no number after a value
+        # beyond the knots or in a row of the wrong width: predict_row
+        # scores or fails as the scalar path does, and as predict.  Each row
+        # meets every shape: the straight-line kernel's (D <= 8) and the
+        # numpy pass's.
         for sizes in ([2] * 7, [3, 2, 2, 4, 2, 2, 2], [3, 2], [2, 2], [2] * 9, [3] + [2] * 8):
-            shape = LatticeShape(sizes)
-            theta = np.random.default_rng(0).random(shape.num_parameters)
-            plan = RowPlan(theta, shape)
             for kind in InterpolationKind:
-                with pytest.raises(ValueError) as scalar:
-                    evaluate(theta.tolist(), shape, x, kind)
-                with pytest.raises(ValueError) as row:
-                    plan.evaluate(x, kind)
-                assert str(row.value) == str(scalar.value)
+                model = unit_model(sizes, kind)
+                got = _outcome(lambda: model.predict_row(x))
+                assert got == scalar_path(model, x)
+                if len(x) == len(sizes):
+                    assert got == _outcome(lambda: model.predict(Dataset([[v] for v in x], None))[0])
 
     def test_a_calibrator_off_its_axis_is_refused_by_the_model(self):
         # a calibrator that leaves the axis would hand the row kernel a
-        # coordinate outside the box (test_errors_match_the_scalar_path
-        # covers the kernel's message); the model refuses it when made
+        # coordinate outside the box, which it does not check; the model
+        # refuses it when made
         for sizes in ([2] * 7, [2] * 2):
             model = unit_model(sizes)
             outputs = model.calibrators.calibrators[0].outputs.copy()
@@ -368,16 +353,20 @@ def coordinates(top):
 
 @st.composite
 def kernel_rows(draw):
-    """A shape of sizes 2-4 in 1 to KERNEL_MAX_D + 1 dimensions, theta
-    with -0.0 entries, and rows drawn from :func:`coordinates`."""
+    """A model on a shape of sizes 2-4 in 1 to KERNEL_MAX_D + 1 dimensions
+    whose calibrators take a value to about the same coordinate (knots and
+    outputs 0, 1, .., top), theta with -0.0 entries, and rows drawn from
+    :func:`coordinates`."""
     D = draw(st.integers(1, KERNEL_MAX_D + 1))
     shape = LatticeShape(_shrink(draw(st.lists(st.integers(2, 4), min_size=D, max_size=D))))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     theta = rng.standard_normal(shape.num_parameters)
     theta[rng.random(len(theta)) < draw(st.sampled_from([0.0, 0.5, 1.0]))] = -0.0
+    cals = [ContinuousCalibrator(FeatureSpec(f"x{d}", size=m), np.arange(m), np.arange(m))
+            for d, m in enumerate(shape.sizes)]
     row = [coordinates(m - 1) for m in shape.sizes]
     rows = draw(st.lists(st.tuples(*row).map(list), min_size=1, max_size=8))
-    return shape, theta, rows
+    return Model(CalibratorSet(cals), theta), rows
 
 
 def closure(fn) -> dict:
@@ -389,34 +378,33 @@ class TestRowKernelProperty:
     @settings(max_examples=150, deadline=None)
     @given(kernel_rows())
     def test_plan_equals_the_scalar_kernel(self, drawn):
-        shape, theta, rows = drawn
-        plan = RowPlan(theta, shape)
+        model, rows = drawn
+        shape, theta = model.shape, model.theta
         for kind in InterpolationKind:
             for x in rows:
-                assert plan.evaluate(x, kind).hex() == evaluate(theta.tolist(), shape, x, kind).hex()
-        # once each kind's kernel is bound, a call writes nothing the plan holds
-        held = dict(vars(plan))
+                assert _outcome(lambda: model.predict_row(x, kind)) == scalar_path(model, x, kind)
+        # once each kind's scorer is bound, a call binds nothing new
+        held = dict(model._scorers)
         for kind in InterpolationKind:
             for x in rows:
-                plan.evaluate(x, kind)
-        assert vars(plan).keys() == held.keys()
-        assert all(vars(plan)[name] is value for name, value in held.items())
+                model.predict_row(x, kind)
+        assert model._scorers.keys() == held.keys()
+        assert all(model._scorers[kind] is score for kind, score in held.items())
+        twin = replace(model)
         for kind in InterpolationKind:
-            # one compiled kernel per shape and kind, shared by equal shapes
-            kernel = held[f"_{kind.value}"]
-            bind = _row_kernel(LatticeShape(list(shape.sizes)), kind)
-            assert kernel.__code__ is bind(theta).__code__
-            bound = closure(kernel)
+            # one compiled scorer per layout, shape and kind, shared by equal models
+            twin.predict_row(rows[0], kind)
+            score = held[kind]
+            assert twin._scorers[kind] is not score
+            assert twin._scorers[kind].__code__ is score.__code__
+            bound = closure(score)
             if kind is InterpolationKind.SIMPLEX or shape.ndim <= KERNEL_MAX_D:
                 assert bound["values"] == theta.tolist()
             else:
                 assert "values" not in bound
-        # a theta too short for the last cell
-        corner = [m - 1 for m in shape.sizes]
-        short = RowPlan(theta[:-1], shape)
-        for kind in InterpolationKind:
-            with pytest.raises(IndexError):
-                short.evaluate(corner, kind)
+        # a theta too short for the last cell is refused when the model is made
+        with pytest.raises(DataError, match=re.escape(f"theta has shape ({len(theta) - 1},)")):
+            replace(model, theta=theta[:-1])
 
 
 # the ends of [0, 1] and their nearest neighbours inside it, and -0.0
@@ -433,19 +421,20 @@ def one_cell_points(D, seed=0, n=30):
 
 
 class TestOneCellRows:
-    """The row plan on a lattice of one cell (every size 2), which skips the
-    cell search and, for multilinear cells, reads theta's first 2^D entries
-    without a gather."""
+    """The row scorer on a lattice of one cell (every size 2), which skips
+    the cell search and, for multilinear cells, reads theta's first 2^D
+    entries without a gather."""
 
     @pytest.mark.parametrize("kind", list(InterpolationKind))
     @pytest.mark.parametrize("D", [1, 2, 6, 7, 9, 10])
     def test_plan_equals_the_scalar_kernel(self, D, kind):
-        shape = LatticeShape([2] * D)
-        theta = np.random.default_rng(D).standard_normal(shape.num_parameters)
+        # unit_model's calibrators take [0, 1] onto [0, 1]
+        model = unit_model([2] * D, kind)
+        theta = np.random.default_rng(D).standard_normal(model.shape.num_parameters)
         theta[::3] = -0.0
-        plan = RowPlan(theta, shape)
+        model = replace(model, theta=theta)
         for x in one_cell_points(D, seed=D):
-            assert plan.evaluate(x, kind).hex() == evaluate(theta.tolist(), shape, x, kind).hex()
+            assert model.predict_row(x).hex() == scalar_path(model, x)
 
     @pytest.mark.parametrize("kind", list(InterpolationKind))
     @pytest.mark.parametrize("D", [1, 2, 6, 7, 9, 10])
@@ -457,10 +446,15 @@ class TestOneCellRows:
     @pytest.mark.parametrize("kind", list(InterpolationKind))
     @pytest.mark.parametrize("D", [1, 2, 6, 7, 9, 10])
     def test_short_theta_raises_index_error(self, D, kind):
+        # the model refuses a theta too short for its lattice, so its row
+        # scorer never meets one; the batched kernel, which takes any
+        # theta, raises IndexError
         shape = LatticeShape([2] * D)
-        plan = RowPlan(np.ones(shape.num_parameters - 1), shape)
+        short = np.ones(shape.num_parameters - 1)
+        with pytest.raises(DataError, match=re.escape(f"theta has shape ({len(short)},)")):
+            replace(unit_model([2] * D, kind), theta=short)
         with pytest.raises(IndexError):
-            plan.evaluate([0.5] * D, kind)
+            interpolation.evaluate_batch(short, shape, np.full((1, D), 0.5), kind)
 
     @pytest.mark.parametrize("D", [1, 6, 7, 10])
     def test_doubling_weights_of_a_row_and_a_one_column_chunk(self, D):
@@ -486,7 +480,7 @@ class TestOneCellRows:
         rows = [points[i].tolist() for i in range(len(points))]
         kinds = [None, InterpolationKind.SIMPLEX]
         serial = [[model.predict_row(r, kind).hex() for r in rows] for kind in kinds]
-        shared = replace(model)  # a fresh model: the threads build its plan
+        shared = replace(model)  # a fresh model: the threads bind its scorers
         results = [None] * 4
         errors = []
 
@@ -546,7 +540,7 @@ class TestWhichKernelRuns:
             model.predict_row([0.3] * D, kind="simplex")
             model.predict_row([1.0] * D, kind="multilinear")
         assert scalar_calls == []
-        # the row kernel/numpy crossover of the multilinear row pass, measured
+        # the straight-line/numpy crossover of the multilinear row kernel, measured
         assert ROW_NUMPY_MIN_VERTICES == 1 << 9
 
     def test_predict_row_never_calls_a_calibrators_calibrate(self, monkeypatch):
@@ -561,7 +555,7 @@ class TestWhichKernelRuns:
         for i in range(data.num_rows):
             model.predict_row(data.row(i))
         assert calls == []
-        # a value calibrate_row cannot place is handed to calibrate for its error
+        # a value the scorer cannot place is handed to calibrate for its error
         model = replace_calibrator(model, 0, other_index=None)
         with pytest.raises(DataError, match="feature c: unknown category 'never seen'"):
             model.predict_row(data.row(1))
@@ -719,7 +713,7 @@ class TestRowEntries:
 
     def test_assignment_is_refused(self):
         model, data = mixed_model()
-        scores = assert_fresh(model, data)  # binds the row calibration
+        scores = assert_fresh(model, data)  # binds the row scorer
         cat, cont, plain = model.calibrators.calibrators
         for cal, name, value in [
             (cont, "outputs", cont.outputs * 0.75),
@@ -765,9 +759,8 @@ class TestRowEntries:
     )
     def test_copies_do_not_share_parameters_or_row_entries(self, duplicate):
         model, data = mixed_model()
-        scores = assert_fresh(model, data)  # binds the row calibration
+        scores = assert_fresh(model, data)  # binds the row scorer
         twin = Model(duplicate(model.calibrators), model.theta)
-        assert "_calibrate_row" not in vars(twin.calibrators)  # nothing derived is carried over
         for mine, theirs in zip(model.calibrators.calibrators, twin.calibrators.calibrators):
             assert not np.shares_memory(mine.points, theirs.points)
             assert not theirs.points.flags.writeable
@@ -829,10 +822,9 @@ class TestTheta:
     )
     def test_duplicates_keep_theta_and_knots_read_only(self, duplicate):
         model, data = mixed_model()
-        scores = assert_fresh(model, data)  # builds the row plan and row calibration
+        scores = assert_fresh(model, data)  # binds the row scorer
         twin = duplicate(model)
-        assert "_row_plan" not in vars(twin)
-        assert "_calibrate_row" not in vars(twin.calibrators)
+        assert "_scorers" not in vars(twin)  # nothing derived is carried over
         cat, cont, _ = twin.calibrators.calibrators
         assert cont._knot_list == cont.knots.tolist()
         for array in (twin.theta, cont.knots, cont.outputs, cat.values):
@@ -845,26 +837,26 @@ class TestTheta:
         assert assert_fresh(model, data) == scores
 
     def test_list_cache_is_not_a_field_of_the_model(self):
-        # the row plan holds theta's list form; it is neither shown nor set
+        # the bound scorers hold theta's list form; they are neither shown nor set
         model = unit_model([2, 2])
         model.predict_row([0.5, 0.5])
-        assert model._row_plan is model._row_plan
-        assert "_row_plan" not in repr(model)
-        assert "_row_plan" not in [f.name for f in fields(model)]
+        assert model._scorers is model._scorers
+        assert "_scorers" not in repr(model)
+        assert "_scorers" not in [f.name for f in fields(model)]
         with pytest.raises(TypeError):
-            Model(model.calibrators, model.theta, _row_plan=None)
+            Model(model.calibrators, model.theta, _scorers=None)
 
     def test_assigning_theta_or_shape_is_refused(self):
         model = unit_model([2, 2])
         model.predict_row([0.5, 0.5])
-        plan = model._row_plan
+        score = model._scorers[model.kind]
         for name, value in (("theta", model.theta), ("shape", LatticeShape([2, 2]))):
             with pytest.raises(FrozenInstanceError):
                 setattr(model, name, value)
-        assert model._row_plan is plan
+        assert model._scorers[model.kind] is score
         twin = replace(model, theta=model.theta)
         twin.predict_row([0.5, 0.5])
-        assert twin._row_plan is not plan
+        assert twin._scorers[model.kind] is not score
 
 
 class TestRowChecks:
@@ -875,6 +867,17 @@ class TestRowChecks:
             model.predict_row(row + [99.0, "junk"])
         with pytest.raises(DataError, match="got 9 values for a model with 10 features"):
             model.predict_row(row[:9])
+
+    def test_a_bad_row_is_reported_before_a_bad_kind(self):
+        model = unit_model([2] * 3)
+        with pytest.raises(DataError, match="feature x1: 'abc' is not a number"):
+            model.predict_row([0.5, "abc", 0.5], kind="cubic")
+        with pytest.raises(DataError, match="got 2 values for a model with 3 features"):
+            model.predict_row([0.5, 0.5], kind="cubic")
+        for kind in ("cubic", ["simplex"]):
+            with pytest.raises(ValueError, match="is not a valid InterpolationKind"):
+                model.predict_row([0.5] * 3, kind=kind)
+        assert list(model._scorers) == []
 
     @pytest.mark.parametrize("width", [9, 12])
     def test_batch_column_count_is_checked(self, width):

@@ -1,6 +1,6 @@
-"""The compiled row path: ``calibrate_row`` generated per calibrator layout,
-the row plan's kernels generated per lattice shape and kind, and the
-one place the package compiles code."""
+"""The compiled row path: ``Model.predict_row`` generated per calibrator
+layout, lattice shape and kind, and the one place the package compiles
+code."""
 
 import ast
 import math
@@ -23,9 +23,9 @@ from monolattice import (
     Model,
     evaluate,
 )
-from monolattice import calibrators, interpolation
-from monolattice.calibrators import OTHER_CATEGORY, _row_binding, _row_calibration
-from monolattice.interpolation import ROW_NUMPY_MIN_VERTICES, _row_kernel
+from monolattice.calibrators import OTHER_CATEGORY, _row_binding
+from monolattice.interpolation import ROW_NUMPY_MIN_VERTICES
+from monolattice.model import _row_scorer
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "monolattice"
 CATEGORIES = ["a", "b", "c", "d"]
@@ -39,6 +39,12 @@ def closure(fn) -> dict:
 
 def layout_of(cs: CalibratorSet) -> tuple:
     return tuple(_row_binding(cal)[0] for cal in cs.calibrators)
+
+
+def scorer(model, row, kind=None):
+    """The model's scorer of ``kind``, bound by scoring ``row``."""
+    model.predict_row(row, kind)
+    return model._scorers[kind or model.kind]
 
 
 def shapes():
@@ -202,31 +208,41 @@ class TestSharing:
         one = CalibratorSet.fit(specs, [rng.random(20), list(rng.choice(CATEGORIES, 20))])
         two = CalibratorSet.fit(specs, [rng.random(20) * 5.0, list(rng.choice(["p", "q"], 20))])
         assert layout_of(one) == layout_of(two)
-        assert one._calibrate_row.__code__ is two._calibrate_row.__code__
-        assert closure(one._calibrate_row)["K0"] != closure(two._calibrate_row)["K0"]
         plain = CalibratorSet.fit(specs[:1] + [replace(specs[1], allow_unseen=False)],
                                   [rng.random(20), list(rng.choice(CATEGORIES, 20))])
-        assert plain._calibrate_row.__code__ is not one._calibrate_row.__code__
+        row = [0.5, "a"]
+        for kind in InterpolationKind:
+            first, second, other = (scorer(Model(cs, rng.random(4), kind=kind), row)
+                                    for cs in (one, two, plain))
+            assert first.__code__ is second.__code__
+            assert closure(first)["K0"] != closure(second)["K0"]
+            assert other.__code__ is not first.__code__
+        # equal models share the code and bind their own values
+        model = Model(one, rng.random(4))
+        twin = Model.from_json(model.to_json())
+        assert scorer(twin, row) is not scorer(model, row)
+        assert scorer(twin, row).__code__ is scorer(model, row).__code__
 
     @pytest.mark.parametrize("kind", list(InterpolationKind))
     def test_a_large_one_cell_multilinear_plan_holds_no_list(self, kind):
         model = unit_model([2] * 10, kind)
-        model.predict_row([0.5] * 10)
-        plan = model._row_plan
-        held = [*vars(plan).values(), *closure(plan._multilinear or plan._simplex).values()]
-        lists = [v for v in held if isinstance(v, list) and any(isinstance(e, float) for e in v)]
+        score = scorer(model, [0.5] * 10)
+        assert list(model._scorers) == [kind]  # no scorer of the other kind is bound
+        held = closure(score)
+        thetas = [v for v in held.values() if isinstance(v, list) and len(v) == len(model.theta)]
         if kind is InterpolationKind.MULTILINEAR:
-            assert plan._simplex is None and lists == []
+            assert thetas == [] and held["cell"].base is model.theta
         else:
-            # the simplex chain reads theta's list; no multilinear kernel is bound
-            assert plan._multilinear is None and lists == [model.theta.tolist()]
+            # the simplex chain reads theta's list
+            assert thetas == [model.theta.tolist()]
 
     def test_compiling_waits_for_the_first_row(self, tmp_path):
         model = unit_model([2] * 3, InterpolationKind.SIMPLEX)
         model.save(tmp_path / "m.json")
+        compiled = _row_scorer.cache_info()
         loaded = Model.load(tmp_path / "m.json")
-        assert "_row_plan" not in vars(loaded)
-        assert "_calibrate_row" not in vars(loaded.calibrators)
+        assert _row_scorer.cache_info() == compiled
+        assert "_scorers" not in vars(loaded)
 
 
 def _calls(tree, names):
@@ -252,13 +268,10 @@ class TestGeneratedSource:
             compiles += [(path.name, *c) for c in _calls(tree, {"exec", "compile", "eval"})]
             callers += [(path.name, where) for where, _ in _calls(tree, {"_generated"})]
         assert sorted(compiles) == [
-            ("interpolation.py", "_generated", "compile"),
-            ("interpolation.py", "_generated", "exec"),
+            ("model.py", "_generated", "compile"),
+            ("model.py", "_generated", "exec"),
         ]
-        assert sorted(callers) == [
-            ("calibrators.py", "_row_calibration"),
-            ("interpolation.py", "_row_kernel"),
-        ]
+        assert callers == [("model.py", "_row_scorer")]
 
     @pytest.mark.parametrize("sizes", [[3, 2], [2] * BIG_D, [2] * (BIG_D - 1) + [3]])
     def test_no_name_or_category_reaches_a_source(self, sizes):
@@ -279,8 +292,7 @@ class TestGeneratedSource:
                 assert model.predict_row(row, kind) == model.predict(
                     Dataset([[v] for v in row], None), kind
                 )[0]
-        sources = [_row_calibration(layout_of(cs)).source]
-        sources += [_row_kernel(shape, kind).source for kind in InterpolationKind]
+        sources = [_row_scorer(layout_of(cs), shape, kind).source for kind in InterpolationKind]
         texts = odd + [c for c in cs.calibrators[0].categories] + [s.name for s in specs]
         for source in sources:
             for text in texts:
@@ -294,12 +306,10 @@ class TestGeneratedSource:
                     assert node.value == int(node.value)
 
     def test_sources_of_bound_functions(self):
-        # a set's bound function runs its layout's code, a plan's kernel its shape's
+        # a model's bound scorer runs the code of its layout, shape and kind
         model = unit_model([3, 2, 2], InterpolationKind.SIMPLEX)
-        model.predict_row([0.5, 0.5, 0.5])
-        bind = _row_calibration(layout_of(model.calibrators))
-        assert model.calibrators._calibrate_row.__code__.co_filename == "<row calibration>"
-        assert "def calibrate_row(row):" in bind.source
-        kernel = model._row_plan._simplex
-        assert kernel.__code__.co_filename == "<simplex row kernel (3, 2, 2)>"
-        assert calibrators._generated is interpolation._generated
+        score = scorer(model, [0.5, 0.5, 0.5])
+        bind = _row_scorer(layout_of(model.calibrators), model.shape, InterpolationKind.SIMPLEX)
+        assert "def predict_row(row):" in bind.source
+        assert score.__code__.co_filename == "<simplex row scorer (3, 2, 2)>"
+        assert score.__code__ in bind.__code__.co_consts
