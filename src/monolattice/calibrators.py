@@ -1075,17 +1075,24 @@ class CalibratorSet(Frozen):
         hi = np.add(lo, inner, buffers.get("locate hi", *x.shape, np.intp))
         return Location(lo, hi, t, inner)
 
-    def apply(self, location: Location, table: np.ndarray, out=None) -> np.ndarray:
+    def apply(self, location: Location, table: np.ndarray, out=None, buffers=None) -> np.ndarray:
         """Coordinates (D, n) of located rows under the parameters in
         ``table`` (laid out as :meth:`table`, or a stack of such tables
         laid end to end that ``location`` indexes), written into ``out``
         when given; inner values are capped at their axis tops, as in
-        ``calibrate``."""
+        ``calibrate``.  With ``buffers`` the two (D, n) temporaries are its
+        arrays.  Every entry of ``lo`` and ``hi`` is in the table, so the
+        gathers need no bounds check (``mode="clip"`` writes straight into
+        their output)."""
         t = location.t
-        at_lo = table.take(location.lo, out=out)
-        inner = np.subtract(1.0, t)
+
+        def temporary(name):
+            return None if buffers is None else buffers.get(name, *t.shape)
+
+        at_lo = table.take(location.lo, out=out, mode="clip")
+        inner = np.subtract(1.0, t, out=temporary("apply near"))
         inner *= at_lo
-        at_hi = table.take(location.hi)
+        at_hi = table.take(location.hi, out=temporary("apply far"), mode="clip")
         at_hi *= t
         inner += at_hi
         np.minimum(inner, self._tops, out=inner)

@@ -47,7 +47,8 @@ slopes are written at each step's flat position (dimension * n + point).
 
 A chunk's (2^D, n) or (D+1, n) arrays (weights, vertex indices, gathered
 values, and a scratch array for the products and the slope collapse,
-which the gathered values stand in for when no slopes are wanted) come
+which the gathered values stand in for when no slopes are wanted), and
+the (D, n) inside mask, bases and residuals of its ``locate_block``, come
 from a :class:`ChunkBuffers` set and are reused from chunk to chunk.  An
 ``evaluate_batch`` or ``Model.predict`` call, or a whole training run,
 takes a set from a process-wide list of spare sets and gives it back when
@@ -78,12 +79,10 @@ times the rows (``one_cell_rows``, 128 at D = 10) in the same bytes;
 CHANGES.md records its speed against the general path.  ``lattice.locate_block`` gives such a
 lattice's points a base of 0 and themselves as residuals.
 
-The batched kernel and the row kernels below build multilinear weights
-with one doubling helper, ``_doubling_weights``, which fills an array the
-caller passes: a (2^D, n) chunk from the rows of the (D, n) residuals, or
-a row's (2^D,) array from its D residuals as floats, over (near, far)
-views made once per buffer view (``ChunkBuffers.doubling``) or, by the
-row kernel, once per workspace.  What the batched kernel reads from the
+The batched kernel builds multilinear weights with one doubling helper,
+``_doubling_weights``, which fills a (2^D, n) chunk from the rows of the
+(D, n) residuals over (near, far) views made once per buffer view
+(``ChunkBuffers.doubling``).  What the batched kernel reads from the
 shape alone (the strides, and ``locate_block``'s axis tops) comes from
 ``lattice.axis_arrays``, built once per shape.
 
@@ -97,13 +96,16 @@ They take coordinates that calibration has placed inside the box, so they
 find the cell's base and residuals in straight-line code with no check
 (on a lattice of one cell the base is 0 and the residual is the point
 itself), then walk the simplex chain on theta's list, or run the
-multilinear doubling pass on named locals, or, from
-``ROW_NUMPY_MIN_VERTICES`` cell vertices on, run ``_doubling_weights``
-over the (near, far) views of a workspace the function keeps, multiplied
-in place by the vertex values: a gather at the cell's offsets, or, on a
-lattice of one cell, a view of theta's first 2^D entries.  The scalar
-kernels stay as the row kernels' oracle and as what ``bench_interpolation``
-times; CHANGES.md records the row path's speed.
+multilinear doubling pass.  Below ``ROW_NUMPY_MIN_VERTICES`` cell
+vertices that pass runs on named locals; from it on, one hybrid form
+runs its first ``ROW_PREFIX_DIMS`` steps on named locals, writes them
+into a workspace the function keeps, and runs each remaining step as one
+numpy multiply and subtract on that workspace's (near, far) views, where
+a step's 2^d entries outweigh numpy's cost per call.  The weights are
+then multiplied in place by the vertex values: a gather at the cell's
+offsets, or, on a lattice of one cell, a view of theta's first 2^D
+entries.  The scalar kernels stay as the row kernels' oracle and as what
+``bench_interpolation`` times; CHANGES.md records the row path's speed.
 """
 
 from __future__ import annotations
@@ -111,6 +113,7 @@ from __future__ import annotations
 import contextlib
 import enum
 import functools
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,14 +256,35 @@ def evaluate_block(theta, shape: LatticeShape, block: np.ndarray, kind: Interpol
         )[0]
 
 
-# Multilinear cells with at least this many vertices (2^9: D >= 9) are
-# faster through the row kernel's numpy pass than through its
-# straight-line body (_row_kernel_lines); CHANGES.md records the measurement.
-ROW_NUMPY_MIN_VERTICES = 1 << 9
+# Multilinear cells with at least this many vertices (2^7: D >= 7) are
+# faster through the row kernel's hybrid form, ROW_PREFIX_DIMS doubling
+# steps on float locals and the rest as numpy calls, than through its
+# straight-line body, which doubles in size with every dimension
+# (_row_kernel_lines); CHANGES.md records the sweep.
+ROW_NUMPY_MIN_VERTICES = 1 << 7
+
+# the dimensions the hybrid form doubles on float locals before its first
+# numpy step, each of which costs about as much as 32 local statements
+# whatever its size; CHANGES.md records the sweep of 3, 4 and 5
+ROW_PREFIX_DIMS = 4
 
 
 # terms per statement of a row kernel's sum, which keeps each expression shallow
 _SUM_TERMS = 16
+
+
+def _doubling_lines(residuals: list) -> list:
+    # multilinear_weights' doubling pass over ``residuals`` on the locals
+    # w0 .. w{2^len - 1}: step d splits w{j} into itself and w{j + 2^d}
+    lines = ["    w1 = " + residuals[0], "    w0 = 1.0 - w1"]
+    for d in range(1, len(residuals)):
+        half = 1 << d
+        for j in range(half):
+            lines += [
+                f"    w{j + half} = w{j} * {residuals[d]}",
+                f"    w{j} = w{j} - w{j + half}",
+            ]
+    return lines
 
 
 def _row_kernel_lines(shape: LatticeShape, kind: InterpolationKind) -> tuple[list, list, dict]:
@@ -285,18 +309,23 @@ def _row_kernel_lines(shape: LatticeShape, kind: InterpolationKind) -> tuple[lis
     * multilinear, below ``ROW_NUMPY_MIN_VERTICES`` vertices: the doubling
       pass of :func:`multilinear_weights` on named locals, and
       ``values[base + offset] * weight`` summed left to right from 0.0;
-    * multilinear, larger cells: :func:`_doubling_weights` over the (near,
-      far) views of a workspace (:func:`_row_workspace`) popped from the
-      bound function's ``spare`` list, so threads never share one, the
-      vertex values (a gather at the cell's offsets into the workspace, or
-      on a lattice of one cell the view of theta's first 2^D entries)
+    * multilinear, larger cells: one hybrid form.  The first
+      ``ROW_PREFIX_DIMS`` doubling steps run on named locals, as above;
+      one ``Struct.pack_into`` call writes those 2^s weights into the
+      front of a workspace (:func:`_row_workspace`) popped from the bound
+      function's ``spare`` list, so threads never share one; each
+      remaining step is a ``multiply`` and a ``subtract`` on the
+      workspace's (near, far) views, written out inline.  The vertex
+      values (a gather at the cell's offsets into the workspace, or on a
+      lattice of one cell the view of theta's first 2^D entries) are
       multiplied into the weights in place and summed by
       ``add.accumulate``, which adds left to right; adding 0.0 turns a
       -0.0 total into +0.0.
 
-    The lines are built only from Python ints, each passed through
-    ``int()``: the shape's sizes, tops, strides and vertex offsets, put
-    into fixed templates."""
+    Each weight takes the same IEEE multiply and subtract in every form,
+    so every form gives :func:`evaluate`'s bits.  The lines are built only
+    from Python ints, each passed through ``int()``: the shape's sizes,
+    tops, strides and vertex offsets, put into fixed templates."""
     kind = InterpolationKind(kind)
     sizes = [int(m) for m in shape.sizes]
     strides = [int(s) for s in shape.strides]
@@ -332,14 +361,7 @@ def _row_kernel_lines(shape: LatticeShape, kind: InterpolationKind) -> tuple[lis
         ]
     elif k < ROW_NUMPY_MIN_VERTICES:
         head = ["    values = theta.tolist()"]
-        body += ["    w1 = " + residuals[0], "    w0 = 1.0 - w1"]
-        for d in range(1, D):
-            half = 1 << d
-            for j in range(half):
-                body += [
-                    f"    w{j + half} = w{j} * {residuals[d]}",
-                    f"    w{j} = w{j} - w{j + half}",
-                ]
+        body += _doubling_lines(residuals)
         at = [int(o) for o in _doubled_offsets(shape)]
         if base:
             at = ["b"] + [f"b + {o}" for o in at[1:]]
@@ -351,6 +373,8 @@ def _row_kernel_lines(shape: LatticeShape, kind: InterpolationKind) -> tuple[lis
         body.append("    return t")
     else:
         one = set(sizes) == {2}
+        s = ROW_PREFIX_DIMS  # < D, since 2^D >= ROW_NUMPY_MIN_VERTICES
+        views = [f"{side}{d}" for d in range(s, D) for side in ("near", "far")]
         head = ["    spare = []"]
         if one:  # the one cell's vertex values
             head.append(f"    cell = theta[:{k}]")
@@ -358,16 +382,22 @@ def _row_kernel_lines(shape: LatticeShape, kind: InterpolationKind) -> tuple[lis
             "    try:",
             "        work = spare.pop()",
             "    except IndexError:",
-            f"        work = _row_workspace({D}, {not one})",
-            "    w, halves, at, vals = work",
-            f"    _doubling_weights(w, ({', '.join(residuals)},), halves)",
+            f"        work = _row_workspace({D}, {s}, {not one})",
+            f"    {', '.join(['w', *views, 'at', 'vals'])} = work",
+            *_doubling_lines(residuals[:s]),
+            f"    prefix(w, 0, {', '.join(f'w{j}' for j in range(1 << s))})",
         ]
+        for d in range(s, D):
+            body += [
+                f"    multiply(near{d}, {residuals[d]}, far{d})",
+                f"    subtract(near{d}, far{d}, near{d})",
+            ]
         if one:
-            body.append("    np.multiply(cell, w, w)")
+            body.append("    multiply(cell, w, w)")
         else:
             body += [
                 "    np.add(offsets, b, at)",
-                "    np.multiply(theta.take(at, out=vals, mode='clip'), w, w)",
+                "    multiply(theta.take(at, out=vals, mode='clip'), w, w)",
             ]
         body += [
             "    t = accumulate(w, 0, None, w).item(-1) + 0.0",
@@ -375,8 +405,11 @@ def _row_kernel_lines(shape: LatticeShape, kind: InterpolationKind) -> tuple[lis
             "    return t",
         ]
         namespace.update(
-            np=np, accumulate=np.add.accumulate, offsets=_doubled_offsets(shape),
-            _doubling_weights=_doubling_weights, _row_workspace=_row_workspace,
+            np=np, multiply=np.multiply, subtract=np.subtract, accumulate=np.add.accumulate,
+            offsets=_doubled_offsets(shape), _row_workspace=_row_workspace,
+            # the locals' doubles, as a slice assignment from their tuple
+            # writes them, at less than half its cost
+            prefix=struct.Struct(f"{1 << s}d").pack_into,
         )
     return head, body, namespace
 
@@ -386,16 +419,16 @@ def _short(size: int) -> IndexError:
     return IndexError(f"cell vertex index out of bounds for theta of size {size}")
 
 
-def _row_workspace(D: int, gather: bool) -> tuple:
-    # a multilinear row kernel's arrays: the (2^D,) weights and the (near,
-    # far) views of each doubling step, and, where the kernel gathers, the
-    # vertex indices and values
+def _row_workspace(D: int, s: int, gather: bool) -> tuple:
+    # a hybrid row kernel's arrays: the (2^D,) weights, the (near, far)
+    # views of each doubling step from step s on, laid end to end, and,
+    # where the kernel gathers, the vertex indices and values
     k = 1 << D
     w = np.empty(k)
-    halves = [(w[: 1 << d], w[1 << d : 2 << d]) for d in range(D)]
+    halves = [v for d in range(s, D) for v in (w[: 1 << d], w[1 << d : 2 << d])]
     if not gather:
-        return w, halves, None, None
-    return w, halves, np.empty(k, dtype=np.int64), np.empty(k)
+        return w, *halves, None, None
+    return w, *halves, np.empty(k, dtype=np.int64), np.empty(k)
 
 
 # --------------------------------------------------------------------------
@@ -512,10 +545,12 @@ def _column_sums(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 class ChunkBuffers:
     """Named chunk arrays kept from one chunk to the next: the kernels'
-    (2^D, n) or (D+1, n) arrays, and in ``Model.predict`` also the located
-    and calibrated (D, n) blocks (``CalibratorSet.locate_chunks``); in
-    training also the scatters' sample-major arrays, a pair's signed loss
-    slopes and the calibrator scatter's terms and entries
+    (2^D, n) or (D+1, n) arrays and ``lattice.locate_block``'s (D, n) mask,
+    bases and residuals; in ``Model.predict`` also the located and
+    calibrated (D, n) blocks (``CalibratorSet.locate_chunks``) and
+    ``CalibratorSet.apply``'s two temporaries; in training also the
+    scatters' sample-major arrays, a pair's signed loss slopes and the
+    calibrator scatter's terms and entries
     (``CalibratorSet.add_apply_gradient``).
 
     Each array is the front of a flat, 64-byte aligned buffer, so it is
@@ -589,12 +624,12 @@ def spare_buffers():
 
 def _doubling_weights(w: np.ndarray, residual, halves=None) -> np.ndarray:
     # multilinear_weights' doubling pass into ``w``, one entry of the list
-    # per entry of ``w``: a (2^D,) array with a row's D residuals as floats,
-    # or a (2^D, n) chunk with the rows of its (D, n) residuals.  Step d
+    # per entry of ``w``: the batched kernel's (2^D, n) chunk with the rows
+    # of its (D, n) residuals (or a (2^D,) array with D floats).  Step d
     # splits ``w``'s first 2^d entries (near) into themselves and the next
-    # 2^d (far); ``halves`` holds those views made beforehand, as a row
-    # kernel and the chunk buffers keep them.  out= goes by position: as a
-    # keyword it costs about 0.4 us a call.
+    # 2^d (far); ``halves`` holds those views made beforehand, as the chunk
+    # buffers keep them.  out= goes by position: as a keyword it costs
+    # about 0.4 us a call.
     w[0] = 1.0
     if halves is None:
         halves = [(w[: 1 << d], w[1 << d : 2 << d]) for d in range(len(residual))]
@@ -645,7 +680,7 @@ def _forward_backward(theta, shape, points, kind, want_slopes, buffers: ChunkBuf
     # (K, P) stack of parameter vectors and point i reads row owner[i].
     kind = InterpolationKind(kind)
     th = np.asarray(theta, dtype=float)
-    base, residual = locate_block(shape, points)
+    base, residual = locate_block(shape, points, buffers)
     if one_cell(shape, kind):
         return _one_cell(th, residual, want_slopes, buffers, vertices, owner)
     strides = axis_arrays(shape)[2]

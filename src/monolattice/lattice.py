@@ -158,22 +158,38 @@ _ZERO = np.zeros(1, dtype=np.int64)  # the one-cell base's single entry, read-on
 _ZERO.flags.writeable = False
 
 
-def locate_block(shape: LatticeShape, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def locate_block(shape: LatticeShape, block: np.ndarray,
+                 buffers=None) -> tuple[np.ndarray, np.ndarray]:
     """:func:`locate_cells` of a feature-major (D, n) block of points: base
     vertices (D, n) and residuals (D, n), and the same error for the first
     coordinate outside the box in row order.  On a lattice of one cell
     (every size 2) the base is a read-only view of 0 and the residual is
-    the block itself, since v - 0 is v bit for bit."""
+    the block itself, since v - 0 is v bit for bit.
+
+    With ``buffers`` (an ``interpolation.ChunkBuffers`` set) the two
+    halves of the inside mask, the base and the residual are its arrays,
+    valid until its next locate.  The residual first holds the base as
+    floats: the block less those floats is the block less the int base,
+    bit for bit.  NaN is outside the box, since no comparison holds."""
     top, last_base, _ = axis_arrays(shape)
-    inside = (block >= 0.0) & (block <= top)  # NaN is outside too
+    D, n = block.shape
+
+    def array(name, dtype=float):
+        return np.empty((D, n), dtype) if buffers is None else buffers.get(name, D, n, dtype)
+
+    inside = np.greater_equal(block, 0.0, out=array("cell inside", bool))
+    below_top = np.less_equal(block, top, out=array("cell below top", bool))
+    np.logical_and(inside, below_top, out=inside)
     if not inside.all():
         i, d = divmod(int(np.argmin(inside.T)), shape.ndim)
         raise _outside(float(block[d, i]), shape.sizes[d] - 1, d)
     if max(shape.sizes) == 2:
         return np.ndarray(block.shape, np.int64, _ZERO, 0, (0, 0)), block
-    base = np.minimum(np.floor(block), last_base).astype(np.int64)
-    residual = block - base
-    return base, residual
+    residual = np.floor(block, out=array("cell residual"))
+    np.minimum(residual, last_base, out=residual)
+    base = array("cell base", np.int64)
+    np.copyto(base, residual, casting="unsafe")
+    return base, np.subtract(block, residual, out=residual)
 
 
 @functools.lru_cache(maxsize=64)

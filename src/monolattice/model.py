@@ -187,7 +187,7 @@ class Model(Frozen):
         with spare_buffers() as buffers:  # one set for every chunk of this call
             for rows, location in cs.locate_chunks(columns, size, buffers):
                 # the coordinates take the buffer of the values they come from
-                x = cs.apply(location, table, buffers.get("locate x", *location.t.shape))
+                x = cs.apply(location, table, buffers.get("locate x", *location.t.shape), buffers)
                 evaluate_block(self.theta, self.shape, x, kind or self.kind, buffers, out[rows])
         return out
 

@@ -6,6 +6,7 @@ import re
 import warnings
 from bisect import bisect_right
 from dataclasses import FrozenInstanceError, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from monolattice.calibrators import (
     OTHER_CATEGORY,
     CategoricalCalibrator,
     ContinuousCalibrator,
+    _fit_rows,
     build_categorical_calibrator,
 )
 from monolattice.interpolation import ChunkBuffers
@@ -482,6 +484,18 @@ class TestCategorical:
         cal = build_categorical_calibrator(spec, ["only"], np.array([1.0]))
         assert cal.values == pytest.approx([1.0])  # (size-1)/2
 
+    @pytest.mark.parametrize("allow_unseen", [False, True])
+    @pytest.mark.parametrize("column, start", [
+        (["only"], [1.0]),  # one category: the middle of the axis
+        (["p", "q", "p"], [0.0, 2.0]),  # two: the axis ends
+        (["p", "q", "r"], [0.0, 1.0, 2.0]),
+    ])
+    def test_fitted_categories_start_evenly_spread(self, column, start, allow_unseen):
+        spec = cat_spec(size=3, allow_unseen=allow_unseen)  # axis top 2.0
+        cal = build_categorical_calibrator(spec, column, None)
+        bucket = [1.0] if allow_unseen else []  # OTHER starts in the middle
+        assert cal.values.tolist() == start + bucket
+
     def test_no_labels_orders_by_name(self):
         spec = cat_spec()
         cal = build_categorical_calibrator(spec, ["z", "a", "m"], None)
@@ -648,6 +662,18 @@ class TestMissingPolicies:
         assert cal.gradient(float("nan")) == [(0, 1.0)]
         cal = replace(cal, missing_value=0.8)
         assert cal.calibrate(float("nan")) == pytest.approx(0.8)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_a_calibrated_missing_value_is_a_finite_number(self, value):
+        # each calibrator refuses it on its own, before any model's range rule
+        continuous = (ContinuousCalibrator, cont_spec, ([0.0, 1.0], [0.0, 1.0]))
+        categorical = (CategoricalCalibrator, cat_spec, (["a", "b"], [0.0, 1.0]))
+        for cls, spec, parts in (continuous, categorical):
+            spec = spec(missing=MissingPolicy.CALIBRATED)
+            assert cls(spec, *parts, missing_value=0.5).missing_value == 0.5
+            message = f"missing_value {value!r} is not a finite number"
+            with pytest.raises(DataError, match=re.escape(message)):
+                cls(spec, *parts, missing_value=value)
 
     def test_categorical_missing_calibrated(self):
         spec = cat_spec(missing=MissingPolicy.CALIBRATED)
@@ -1033,6 +1059,30 @@ class TestKnotGaps:
             cs = CalibratorSet.fit([cont_spec(name="x", keypoints=5)], [np.array([-1.7e308, 1.7e308])])
         a, b = -1.7e308, 1.7e308
         assert cs.calibrators[0].knots.tolist() == [a, a * 0.75 + b * 0.25, 0.0, a * 0.25 + b * 0.75, b]
+
+    def test_the_fallback_lerp_places_each_knot_exactly(self):
+        # Three columns of three values, each with one knot between order
+        # statistics more than the float limit apart and one between
+        # closer ones.  Every knot is lower * (1 - g) + higher * g with
+        # g = q * (n - 1) mod 1, here with no rounding, as fractions give it.
+        scale = 2.0**1016  # the float limit is just under 256 * scale
+        columns = [[-200.0, 100.0, 255.0], [-255.0, -100.0, 200.0], [-255.0, 1.0, 2.0]]
+        rows = np.array(columns) * scale
+        keypoints = 5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fitted = _fit_rows(rows, keypoints, [None] * len(rows))
+        for values, knots in zip(rows.tolist(), fitted):
+            n, want, overflowing = len(values), [values[0]], 0
+            for i in range(1, keypoints - 1):
+                h = Fraction(i, keypoints - 1) * (n - 1)
+                lower, higher = values[math.floor(h)], values[math.ceil(h)]
+                g = h - math.floor(h)
+                want.append(float(Fraction(lower) * (1 - g) + Fraction(higher) * g))
+                overflowing += higher - lower == math.inf
+            want.append(values[-1])
+            assert overflowing == 1
+            assert knots.tolist() == want
 
     @pytest.mark.parametrize("keypoints", [4, 5])
     def test_a_span_past_the_float_limit_trains(self, keypoints):

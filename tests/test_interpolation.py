@@ -422,16 +422,17 @@ class TestForwardBackwardBatch:
         assert batch.tobytes() == np.array([evaluate(theta, sh, x) for x in pts]).tobytes()
 
     def test_evaluate_batch_allocates_each_chunk_buffer_once(self, monkeypatch):
-        # one cell: the weights are the only array
+        # one cell: the weights, and the two halves of locate's inside mask
         sh = LatticeShape([2] * 8)
-        self.assert_buffers_allocated_once(monkeypatch, sh, one_cell_rows(sh), 1)
+        self.assert_buffers_allocated_once(monkeypatch, sh, one_cell_rows(sh), 3)
 
     def test_evaluate_batch_allocates_each_chunk_buffer_of_many_cells_once(self, monkeypatch):
         # weights, vertex indices and gathered values, which take the
-        # products, since no slopes read them
+        # products, since no slopes read them, and locate's two mask
+        # halves, bases and residuals
         sh = LatticeShape([3, 3] + [2] * 6)
         self.assert_buffers_allocated_once(
-            monkeypatch, sh, chunk_rows(sh, InterpolationKind.MULTILINEAR), 3
+            monkeypatch, sh, chunk_rows(sh, InterpolationKind.MULTILINEAR), 7
         )
 
     @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -301,8 +301,8 @@ class TestRowKernel:
         # policy), a wrong width, and text that is no number after a value
         # beyond the knots or in a row of the wrong width: predict_row
         # scores or fails as the scalar path does, and as predict.  Each row
-        # meets every shape: the straight-line kernel's (D <= 8) and the
-        # numpy pass's.
+        # meets every shape: the straight-line kernel's (D <= 6) and the
+        # hybrid form's.
         for sizes in ([2] * 7, [3, 2, 2, 4, 2, 2, 2], [3, 2], [2, 2], [2] * 9, [3] + [2] * 8):
             for kind in InterpolationKind:
                 model = unit_model(sizes, kind)
@@ -336,7 +336,7 @@ class TestRowKernel:
 
 
 # the largest D whose cells (2^D vertices) take the row kernel; a drawn
-# lattice goes up to one dimension past it, onto the numpy pass
+# lattice goes up to one dimension past it, onto the hybrid form
 KERNEL_MAX_D = ROW_NUMPY_MIN_VERTICES.bit_length() - 2
 
 
@@ -407,6 +407,45 @@ class TestRowKernelProperty:
             replace(model, theta=theta[:-1])
 
 
+def face_rows(sizes, rng, n=12):
+    """Rows on cell faces and inside cells, of an integer-knotted model
+    (knots and outputs 0, 1, .., top per axis), which takes each integer
+    to itself: the origin, the top corner (every residual 1.0), every
+    coordinate at 1 (residual 0.0 in the cell above it, or the top face
+    of an axis of two vertices), rows whose coordinates are integers or
+    inner values at random, and inner rows."""
+    tops = np.array(sizes) - 1
+    rows = [np.zeros(len(sizes)), tops.astype(float), np.ones(len(sizes))]
+    for _ in range(n):
+        faces = rng.integers(0, tops + 1).astype(float)
+        rows.append(np.where(rng.random(len(sizes)) < 0.5, faces, rng.random(len(sizes)) * tops))
+    rows += list(rng.random((4, len(sizes))) * tops)
+    return [row.tolist() for row in rows]
+
+
+class TestAcrossTheCrossover:
+    """The multilinear row scorer against batch predict and the scalar
+    path, bit for bit, for every D from 2 to 12: the straight-line form
+    below ``ROW_NUMPY_MIN_VERTICES`` cell vertices, the hybrid from it on,
+    on one cell and on many, at points on cell faces."""
+
+    @pytest.mark.parametrize("cells", ["one", "many"])
+    @pytest.mark.parametrize("D", range(2, 13))
+    def test_predict_row_equals_predict_and_the_scalar_path(self, D, cells):
+        assert 2 < ROW_NUMPY_MIN_VERTICES.bit_length() - 1 <= 12  # both forms are swept
+        sizes = [2] * D if cells == "one" else [3] + [2] * (D - 2) + [3]
+        rng = np.random.default_rng(1000 + 2 * D + (cells == "many"))
+        theta = rng.standard_normal(LatticeShape(sizes).num_parameters)
+        theta[rng.random(len(theta)) < 0.2] = -0.0
+        cals = [ContinuousCalibrator(FeatureSpec(f"x{d}", size=m), np.arange(m), np.arange(m))
+                for d, m in enumerate(sizes)]
+        model = Model(CalibratorSet(cals), theta)
+        rows = face_rows(sizes, rng)
+        batch = model.predict(Dataset([list(col) for col in zip(*rows)], None))
+        for row, value in zip(rows, batch.tolist()):
+            assert model.predict_row(row).hex() == value.hex() == scalar_path(model, row)
+
+
 # the ends of [0, 1] and their nearest neighbours inside it, and -0.0
 ONE_CELL_COORDINATES = [0.0, -0.0, 5e-324, 1.0 - 2.0**-53, 1.0]
 
@@ -466,7 +505,7 @@ class TestOneCellRows:
             assert row.tolist() == multilinear_weights(shape, locate_cell(shape, x)).weights
 
     def test_threads_sharing_a_model_get_the_serial_bits(self):
-        # the numpy pass and the simplex kernel on a lattice of one cell, for
+        # the hybrid form and the simplex kernel on a lattice of one cell, for
         # a model of either kind, and the row kernel on 3^4
         for sizes, kind in [([2] * 10, InterpolationKind.MULTILINEAR),
                             ([2] * 10, InterpolationKind.SIMPLEX),
@@ -540,8 +579,10 @@ class TestWhichKernelRuns:
             model.predict_row([0.3] * D, kind="simplex")
             model.predict_row([1.0] * D, kind="multilinear")
         assert scalar_calls == []
-        # the straight-line/numpy crossover of the multilinear row kernel, measured
-        assert ROW_NUMPY_MIN_VERTICES == 1 << 9
+        # the straight-line/hybrid crossover of the multilinear row kernel
+        # and the hybrid's float-local steps, measured
+        assert ROW_NUMPY_MIN_VERTICES == 1 << 7
+        assert interpolation.ROW_PREFIX_DIMS == 4
 
     def test_predict_row_never_calls_a_calibrators_calibrate(self, monkeypatch):
         model, data = mixed_model()

@@ -24,12 +24,12 @@ from monolattice import (
     evaluate,
 )
 from monolattice.calibrators import OTHER_CATEGORY, _row_binding
-from monolattice.interpolation import ROW_NUMPY_MIN_VERTICES
+from monolattice.interpolation import ROW_NUMPY_MIN_VERTICES, ROW_PREFIX_DIMS, _row_kernel_lines
 from monolattice.model import _row_scorer
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "monolattice"
 CATEGORIES = ["a", "b", "c", "d"]
-BIG_D = ROW_NUMPY_MIN_VERTICES.bit_length() - 1  # the fewest dimensions of a numpy-pass cell
+BIG_D = ROW_NUMPY_MIN_VERTICES.bit_length() - 1  # the fewest dimensions of a hybrid-form cell
 
 
 def closure(fn) -> dict:
@@ -53,7 +53,7 @@ def shapes():
     small_cells = st.lists(st.integers(2, 4), min_size=1, max_size=4)
     return st.one_of(
         st.integers(1, BIG_D - 1).map(lambda D: [2] * D),  # one cell, straight-line kernel
-        st.integers(BIG_D, BIG_D + 1).map(lambda D: [2] * D),  # one cell, numpy pass
+        st.integers(BIG_D, BIG_D + 1).map(lambda D: [2] * D),  # one cell, hybrid form
         small_cells.filter(lambda s: max(s) > 2),  # many cells, straight-line kernel
         st.integers(0, BIG_D - 1).map(lambda d: [2] * d + [3] + [2] * (BIG_D - 1 - d)),  # gather
     )
@@ -313,3 +313,45 @@ class TestGeneratedSource:
         assert "def predict_row(row):" in bind.source
         assert score.__code__.co_filename == "<simplex row scorer (3, 2, 2)>"
         assert score.__code__ in bind.__code__.co_consts
+
+
+def kernel_source(sizes) -> ast.Module:
+    """The multilinear row kernel's lines on ``sizes``, head and body, as
+    one parsed function."""
+    head, body, _ = _row_kernel_lines(LatticeShape(sizes), InterpolationKind.MULTILINEAR)
+    return ast.parse("\n".join(["def kernel():", *head, *body]))
+
+
+class TestKernelForms:
+    """The multilinear row kernel is straight-line below the crossover and
+    one hybrid form from it on: ROW_PREFIX_DIMS doubling steps on float
+    locals, then one numpy multiply and subtract per remaining step."""
+
+    @pytest.mark.parametrize("cells", ["one", "many"])
+    @pytest.mark.parametrize("D", range(1, 13))
+    def test_the_form_follows_the_cell_size(self, D, cells):
+        sizes = [2] * D if cells == "one" else [3] + [2] * (D - 1)
+        tree = kernel_source(sizes)
+        weights = {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                   for t in node.targets if isinstance(t, ast.Name) and t.id[0] == "w"
+                   and t.id[1:].isdigit()}
+        called = [node.func.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+        doubling = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name) and node.func.id in ("multiply", "subtract")
+                    and isinstance(node.args[0], ast.Name) and node.args[0].id.startswith("near")]
+        assert not any(isinstance(node, (ast.For, ast.While)) for node in ast.walk(tree))
+        assert "_doubling_weights" not in called
+        if 1 << D < ROW_NUMPY_MIN_VERTICES:
+            assert weights == {f"w{j}" for j in range(1 << D)}
+            assert set(called) <= {"int"}
+        else:
+            s = ROW_PREFIX_DIMS
+            assert s < D
+            assert weights == {f"w{j}" for j in range(1 << s)}
+            assert called.count("prefix") == 1
+            assert len(doubling) == 2 * (D - s)
+            # step d: far = near * r, then near = near - far, in source order
+            assert [(node.func.id, node.args[0].id) for node in doubling] == [
+                (op, f"near{d}") for d in range(s, D) for op in ("multiply", "subtract")
+            ]

@@ -8,6 +8,7 @@ list's helper, and a few sites whose arrays outlive a call."""
 import ast
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,8 @@ from monolattice import (
     train,
 )
 from monolattice import interpolation
-from monolattice.interpolation import ChunkBuffers
+from monolattice import model as model_module
+from monolattice.interpolation import ChunkBuffers, chunk_rows
 from monolattice.model import predict_rows
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "monolattice"
@@ -146,6 +148,37 @@ def test_a_second_predict_allocates_no_chunk_array(empty_pool, monkeypatch):
     allocations.clear()
     assert model.predict(data).tobytes() == first.tobytes()
     assert allocations == []
+
+
+def test_a_warm_predict_makes_no_array_of_its_chunks_size(monkeypatch):
+    # Every (D, n) array of a predict on a lattice of many cells comes from
+    # the call's set: the located and calibrated blocks, apply's two
+    # temporaries, locate_block's mask, bases and residuals, and the
+    # kernel's arrays.  So under tracemalloc a warm call's peak, beyond its
+    # output, stays below one (D, n) float block of its smaller chunk (the
+    # predict chunk, or the kernel's).  The chunks are 16 times their usual
+    # size, which keeps numpy's fixed-size iterator buffers (up to about
+    # 120 KB) well below such a block.
+    monkeypatch.setattr(model_module, "PREDICT_BYTES", 16 * model_module.PREDICT_BYTES)
+    monkeypatch.setattr(interpolation, "CHUNK_ENTRIES", 16 * interpolation.CHUNK_ENTRIES)
+    D, rng = 4, np.random.default_rng(5)
+    specs = [FeatureSpec(f"x{d}", size=3, keypoints=5, monotone=Direction.INCREASING)
+             for d in range(D)]
+    model = train(Dataset([rng.random(200) for _ in specs], rng.random(200)), specs,
+                  TrainConfig(step_size=0.2, seed=1))
+    n = predict_rows(D)
+    data = Dataset([rng.uniform(-0.2, 1.2, n) for _ in specs], None)
+    first = model.predict(data)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        again = model.predict(data)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert again.tobytes() == first.tobytes()
+    block = 8 * D * min(n, chunk_rows(model.shape, model.kind))
+    assert peak - again.nbytes < block
 
 
 def test_threads_predict_the_bits_of_serial_calls(empty_pool):
