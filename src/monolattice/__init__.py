@@ -16,7 +16,7 @@ from .calibrators import (
     MissingPolicy,
     fit_knots,
 )
-from .data import Dataset, PairDataset, load_dataset, load_pair_dataset, load_schema
+from .data import Dataset, load_dataset, load_pair_dataset, load_schema
 from .interpolation import (
     InterpolationKind,
     evaluate,

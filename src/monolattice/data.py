@@ -5,9 +5,14 @@ The schema is JSON: an optional label column name and one entry per feature
 missing policy, categories and order pairs).  Data is CSV with a header row;
 a configurable token (empty cell by default) marks missing values.
 
-Ranking data comes in two layouts: one row per pair with per-feature column
-suffixes ``+`` and ``-``, or two rows per pair sharing a pair-id column with
-the label column marking the preferred row.
+A :class:`Dataset` holds samples of one or two sides.  A labelled row is a
+sample of one side.  A ranking pair is a sample of two, its preferred row
+and its other row: a two-sided set of n pairs holds 2n rows a column, the
+n preferred rows first and then the n other rows, both in pair order, so
+row i and row n + i are pair i's.  Ranking files come in two layouts: one
+row per pair with per-feature column suffixes ``+`` and ``-``, or two rows
+per pair sharing a pair-id column with the label column marking the
+preferred row.
 
 Files are loaded a column at a time.  The records are read in one pass,
 their widths checked together, and transposed once; blank lines are skipped
@@ -16,7 +21,7 @@ once in the header.  A continuous or label column is parsed by one
 ``float`` per cell into one array (NaN for the missing token), and only a
 failure scans the column again, for the first bad cell.  Two-row pairs are
 grouped from the pair-id and label columns alone; each feature column is
-parsed once and split into its two sides by index.
+parsed once and gathered once, preferred rows then other rows, by index.
 """
 
 from __future__ import annotations
@@ -85,38 +90,65 @@ def load_schema(path) -> tuple[list[FeatureSpec], str | None]:
 # datasets
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
-    columns: list  # per feature: float ndarray (nan = missing) or list[str | None]
-    labels: np.ndarray | None
+    """Samples of one or two sides, one column per feature: a float array
+    (NaN = missing) or a list of str or None.  With ``sides=1`` a row is a
+    sample and ``labels`` (one per row, or None) are the targets.  With
+    ``sides=2`` the samples are ranking pairs, which take no labels: rows
+    0..n-1 are the preferred rows and rows n..2n-1 the other rows, both in
+    pair order (:meth:`pairs` builds this layout).  A malformed shape is a
+    DataError, and the fields cannot be set again once the rules hold."""
+
+    columns: list
+    labels: np.ndarray | None = None
+    sides: int = 1
+
+    def __post_init__(self):
+        if self.sides not in (1, 2):
+            raise DataError(f"a sample has 1 or 2 sides, not {self.sides}")
+        lengths = set(map(len, self.columns))
+        if len(lengths) > 1:
+            raise DataError(f"columns of unequal length: {sorted(lengths)} rows")
+        rows = lengths.pop() if lengths else 0
+        if self.sides == 2 and rows % 2:
+            raise DataError(f"pair data holds two rows a pair, not {rows} rows")
+        if self.sides == 2 and self.labels is not None:
+            raise DataError("pair data takes no labels")
+        if self.labels is not None and len(self.labels) != rows:
+            raise DataError(f"{len(self.labels)} labels for {rows} rows")
+
+    @classmethod
+    def pairs(cls, preferred: list, other: list) -> "Dataset":
+        """Ranking pairs from the columns of their preferred rows and of their
+        other rows, stacked in that order."""
+        lengths = [list(map(len, side)) for side in (preferred, other)]
+        if lengths[0] != lengths[1]:
+            raise DataError(f"pair sides of unequal length: {lengths[0]} and {lengths[1]} rows")
+        columns = [
+            np.concatenate([a, b]) if isinstance(a, np.ndarray) else [*a, *b]
+            for a, b in zip(preferred, other)
+        ]
+        return cls(columns, None, 2)
 
     @property
     def num_rows(self) -> int:
-        col = self.columns[0]
-        return len(col)
+        return len(self.columns[0])
+
+    @property
+    def num_samples(self) -> int:
+        return self.num_rows // self.sides
 
     def row(self, i: int) -> list:
         return [col[i] for col in self.columns]
 
-
-@dataclass
-class PairDataset:
-    plus_columns: list
-    minus_columns: list
-
-    @property
-    def num_pairs(self) -> int:
-        return len(self.plus_columns[0])
-
-    def fit_columns(self) -> list:
-        """Per feature, both sides pooled (for knot and category fitting)."""
-        out = []
-        for plus, minus in zip(self.plus_columns, self.minus_columns):
-            if isinstance(plus, np.ndarray):
-                out.append(np.concatenate([plus, minus]))
-            else:
-                out.append(list(plus) + list(minus))
-        return out
+    def where(self, row: int) -> str:
+        """The name an error gives row ``row`` of the columns: ``row i``, or
+        ``pair i (preferred row)`` or ``pair i (other row)``."""
+        if self.sides == 1:
+            return f"row {row}"
+        side, i = divmod(row, self.num_samples)
+        return f"pair {i} ({('preferred', 'other')[side]} row)"
 
 
 class _Table:
@@ -219,8 +251,9 @@ def load_pair_dataset(
     pair_id_column: str | None = None,
     label_column: str | None = None,
     missing_token: str = "",
-) -> PairDataset:
-    """Ranking pairs; column-suffix layout unless a pair-id column is given."""
+) -> Dataset:
+    """Ranking pairs, a two-sided :class:`Dataset`; column-suffix layout
+    unless a pair-id column is given."""
     table = _Table(path)
     where = str(path)
 
@@ -232,7 +265,7 @@ def load_pair_dataset(
                 if name not in table:
                     raise DataError(f"{path}: no column {name!r} for feature {spec.name!r}")
                 cols.append(_parse_column(spec, table.column(name), missing_token, where))
-        return PairDataset(plus_cols, minus_cols)
+        return Dataset.pairs(plus_cols, minus_cols)
 
     if pair_id_column not in table:
         raise DataError(f"{path}: pair-id column {pair_id_column!r} not found")
@@ -256,19 +289,15 @@ def load_pair_dataset(
         winner, loser = group if labels[0] == "1" else group[::-1]
         plus.append(winner)
         minus.append(loser)
-    # each feature is parsed once; a bad cell is reported for the first
-    # preferred row that has one, then for the first other row
+    # each feature is parsed once, and gathered once into the two-sided
+    # layout; a bad cell is reported for the first preferred row that has
+    # one, then for the first other row
     order = plus + minus
-    plus_at, minus_at = np.array(plus, dtype=np.intp), np.array(minus, dtype=np.intp)
-    plus_cols, minus_cols = [], []
+    at = np.array(order, dtype=np.intp)
+    columns = []
     for spec in specs:
         if spec.name not in table:
             raise DataError(f"{path}: no column for feature {spec.name!r}")
         values = _parse_column(spec, table.column(spec.name), missing_token, where, order)
-        if isinstance(values, np.ndarray):
-            plus_cols.append(values[plus_at])
-            minus_cols.append(values[minus_at])
-        else:
-            plus_cols.append(list(map(values.__getitem__, plus)))
-            minus_cols.append(list(map(values.__getitem__, minus)))
-    return PairDataset(plus_cols, minus_cols)
+        columns.append(values[at] if isinstance(values, np.ndarray) else [values[i] for i in order])
+    return Dataset(columns, None, 2)

@@ -28,16 +28,17 @@ Everything about the training samples that stays fixed during a run is
 worked out once, in ``prepare_state`` and shared by every worker: the
 calibrators are fitted (the knots of features that share their keypoints
 and number of finite values in one block), the *plan* is the location of
-every side (a row, or a pair's preferred row then the other) on the
-calibrators' knots and categories (``CalibratorSet.locate``,
-feature-major), the targets are held as floats, and the kernels' chunk
-buffers, a set taken from the spare sets for the run and given back at its
-end (``interpolation.spare_buffers``), are reused by every step.  The
-state also holds what every step would otherwise derive again: the chunk
-step (``chunk_step``, samples per chunk of the batched kernels, from
+every row of the data on the calibrators' knots and categories
+(``CalibratorSet.locate``, feature-major: sample i of a one-sided set is
+plan row i, and pair i of n pairs is plan rows i, its preferred row, and
+n + i, its other row), the targets are held as floats, and the kernels'
+chunk buffers, a set taken from the spare sets for the run and given back
+at its end (``interpolation.spare_buffers``), are reused by every step.
+The state also holds what every step would otherwise derive again: the
+chunk step (``chunk_step``, samples per chunk of the batched kernels, from
 ``chunk_rows``), and, for each pattern of workers and minibatch sizes a
-lockstep step takes, the worker of each side
-and its offset into the table stack, chunk by chunk, and the samples' loss
+lockstep step takes, the worker of each side and its offset into the
+table stack, chunk by chunk, and the samples' loss
 scale (one float when the sizes are equal), worked out on the pattern's
 first step (``_owner_plan``).  A step itself does only what depends on its
 minibatch or on the parameters: it gathers the sides from the plan,
@@ -55,10 +56,11 @@ most recently used.
 The workers run in lockstep, in one process: their j-th steps are one
 ``sgd_step``, whose ``batches`` map each worker that takes the step to its
 minibatch.  The loss subgradient is one batched pass over every worker's
-minibatch: the sides are gathered from the plan and calibrated under their
-worker's table row (``CalibratorSet.apply``, with signs +1 and -1 for the
-two sides of a pair), then located, weighted and differentiated as arrays
-against their worker's theta row.  Gradients are scattered in sample,
+minibatch: the sides are gathered from the plan (a pair's rows i and n + i
+next to each other) and calibrated under their worker's table row
+(``CalibratorSet.apply``, with signs +1 and -1 for the two sides of a
+pair), then located, weighted and differentiated as arrays against their
+worker's theta row.  Gradients are scattered in sample,
 side, vertex order for the lattice and feature, side, entry order for the
 calibrators (into a vector over the parameter table stack, read at the
 free entries; each feature owns its entries, so every entry takes its
@@ -96,7 +98,7 @@ from .calibrators import (
     Location,
     missing_vertex_dims,
 )
-from .data import Dataset, PairDataset
+from .data import Dataset
 from .interpolation import (
     ChunkBuffers,
     InterpolationKind,
@@ -235,10 +237,10 @@ class TrainerState:
     table: np.ndarray
     calibrators: CalibratorSet  # as fitted: locations, free entries, constraints
     config: TrainConfig
-    data: Dataset | PairDataset
+    data: Dataset
     theta_constraints: ConstraintSet
     alpha_constraints: ConstraintSet
-    plan: Location  # every side of ``data``, located once per run
+    plan: Location  # every row of ``data``, located once per run
     targets: np.ndarray  # float target per sample (1.0 for a pair)
     chunk_step: int  # samples per chunk of a step: chunk_rows over the sides a sample has
     reg_terms: list[tuple[RegularizerConfig, TermSet]] = field(default_factory=list)
@@ -303,46 +305,37 @@ def _linear_start(shape: LatticeShape, directions: tuple) -> np.ndarray:
     return theta
 
 
-def _interleave(a, b):
-    if isinstance(a, np.ndarray):
-        return np.stack([a, b], axis=1).ravel()
-    return [v for ab in zip(a, b) for v in ab]
-
-
-def _plan(calibrators: CalibratorSet, data) -> tuple[Location, np.ndarray]:
-    """Locate every side of ``data`` and convert its targets.  A labelled
-    row is one side; a pair is its preferred row, then the other, scored
-    against y = 1.  The first bad row or pair is named by its index."""
-    pairs = isinstance(data, PairDataset)
-    if pairs:
-        columns = [_interleave(p, m) for p, m in zip(data.plus_columns, data.minus_columns)]
-        targets = np.ones(data.num_pairs)
+def _plan(calibrators: CalibratorSet, data: Dataset) -> tuple[Location, np.ndarray]:
+    """Locate every row of ``data`` and convert its targets: a labelled row
+    against its label, a pair against y = 1."""
+    if data.sides == 2:
+        targets = np.ones(data.num_samples)
+    elif data.labels is None:
+        raise DataError("training rows have no labels")
     else:
-        if data.labels is None:
-            raise DataError("training rows have no labels")
-        columns, targets = data.columns, np.asarray(data.labels, dtype=float)
+        targets = np.asarray(data.labels, dtype=float)
         bad = np.flatnonzero(~np.isfinite(targets))
         if len(bad):
             raise DataError(f"training row {bad[0]}: label {targets[bad[0]]} is not finite")
+    return _naming_rows(data, "training ", calibrators.locate, data.columns), targets
+
+
+def _naming_rows(data: Dataset, prefix: str, fn, *args):
+    """``fn(*args)``, whose DataError at a row of ``data`` gains the row's
+    name (``data.where``): the first bad row, or pair and side."""
     try:
-        location = calibrators.locate(columns)
+        return fn(*args)
     except DataError as e:
         if e.row is None:
             raise
-        i, side = divmod(e.row, 2)
-        where = f"pair {i} ({('preferred', 'other')[side]} row)" if pairs else f"row {e.row}"
-        raise DataError(f"training {where}: {e}") from None
-    return location, targets
+        raise DataError(f"{prefix}{data.where(e.row)}: {e}") from None
 
 
-def prepare_state(data: Dataset | PairDataset, specs: list[FeatureSpec], config: TrainConfig) -> TrainerState:
+def prepare_state(data: Dataset, specs: list[FeatureSpec], config: TrainConfig) -> TrainerState:
     """Fit calibrators to the data, locate the training samples on them,
     and assemble a feasible starting state."""
     shape = LatticeShape([s.size for s in specs])
-    if isinstance(data, PairDataset):
-        calibrators = CalibratorSet.fit(specs, data.fit_columns(), None)
-    else:
-        calibrators = CalibratorSet.fit(specs, data.columns, data.labels)
+    calibrators = CalibratorSet.fit(specs, data.columns, data.labels)
     plan, targets = _plan(calibrators, data)
     missing_dims = missing_vertex_dims(specs)
     directions = tuple(s.monotone for s in specs)
@@ -353,7 +346,6 @@ def prepare_state(data: Dataset | PairDataset, specs: list[FeatureSpec], config:
     ]
     if config.loss in (Loss.LOGISTIC, Loss.HINGE) and not np.isin(targets, (0.0, 1.0)).all():
         raise DataError(f"{config.loss.value} loss needs binary {{0,1}} labels")
-    sides = 2 if isinstance(data, PairDataset) else 1
     return TrainerState(
         shape=shape,
         theta=np.tile(init_lattice(shape, directions), (config.workers, 1)),
@@ -365,16 +357,13 @@ def prepare_state(data: Dataset | PairDataset, specs: list[FeatureSpec], config:
         alpha_constraints=calibrators.constraints(),
         plan=plan,
         targets=targets,
-        chunk_step=max(1, chunk_rows(shape, config.kind) // sides),
+        chunk_step=max(1, chunk_rows(shape, config.kind) // data.sides),
         reg_terms=reg_terms,
     )
 
 
 # --------------------------------------------------------------------------
 # gradients and steps
-
-_SIDES = np.array([0, 1])  # plan rows 2i and 2i + 1 are the sides of pair i
-
 
 def loss_gradients(state: TrainerState, batches) -> tuple[np.ndarray, np.ndarray]:
     """Minibatch-mean loss subgradients w.r.t. theta and the calibrator
@@ -409,7 +398,9 @@ def loss_gradients(state: TrainerState, batches) -> tuple[np.ndarray, np.ndarray
     flat_table = state.table.ravel()
     want = state.trains_calibrators
     loss = state.config.loss
-    n_sides = state.plan.t.shape[1] // len(state.targets)  # the plan has 2 sides a pair
+    n_sides = state.data.sides
+    # a sample's sides, plan rows i and n + i of a pair, are taken side by side
+    offsets = np.arange(n_sides) * len(state.targets)
     step = state.chunk_step
     if K == 1:
         (batch,) = batches.values()
@@ -417,13 +408,11 @@ def loss_gradients(state: TrainerState, batches) -> tuple[np.ndarray, np.ndarray
         scale, owners = 1.0 / len(batch), None
     else:
         batch = np.concatenate([np.asarray(b, dtype=np.int64) for b in batches.values()])
-        scale, owners = _owner_plan(state, batches, n_sides)
+        scale, owners = _owner_plan(state, batches)
     for chunk, start in enumerate(range(0, len(batch), step)):
         samples = batch[start : start + step]
         side_owner, table_offset = (None, None) if owners is None else owners[chunk]
-        sides = state.plan.take(
-            samples if n_sides == 1 else (2 * samples[:, None] + _SIDES).ravel(), table_offset
-        )
+        sides = state.plan.take(np.add.outer(samples, offsets).ravel(), table_offset)
         x = cs.apply(sides, flat_table)
         values, indices, weights, dfdx = _forward_backward(
             state.theta[0] if owners is None else state.theta, state.shape, x,
@@ -463,7 +452,7 @@ def loss_gradients(state: TrainerState, batches) -> tuple[np.ndarray, np.ndarray
     return g_theta.reshape(K, P), cs.at_free(g_table.reshape(K, T))
 
 
-def _owner_plan(state: TrainerState, batches, n_sides: int):
+def _owner_plan(state: TrainerState, batches):
     """The samples' loss scale and, chunk by chunk, the worker of each side
     and its offset into the table stack, of a lockstep step whose workers
     and minibatch sizes are those of ``batches``: worked out on the first
@@ -478,7 +467,7 @@ def _owner_plan(state: TrainerState, batches, n_sides: int):
         T, step = state.table.shape[1], state.chunk_step
         chunks = []
         for start in range(0, len(owner), step):
-            side_owner = np.repeat(owner[start : start + step], n_sides)
+            side_owner = np.repeat(owner[start : start + step], state.data.sides)
             chunks.append((side_owner, side_owner * T))
         if len(set(sizes)) == 1:
             scale = 1.0 / sizes[0]
@@ -618,10 +607,6 @@ def _run_round(state: TrainerState, shards, rngs, epochs: range, where: str) -> 
 # training drivers
 
 
-def _num_samples(data) -> int:
-    return data.num_pairs if isinstance(data, PairDataset) else data.num_rows
-
-
 def train(data, specs: list[FeatureSpec], config: TrainConfig):
     """Train ``config.workers`` shards, averaged after each of
     ``config.sync_rounds`` rounds.  Each round's workers step in lockstep
@@ -632,7 +617,7 @@ def train(data, specs: list[FeatureSpec], config: TrainConfig):
     from it; the model takes row 0.  One worker trains on every sample in
     index order, and the mean of its one row is that row bit for bit."""
     state = prepare_state(data, specs, config)
-    n = _num_samples(data)
+    n = data.num_samples
     if n == 0:
         raise DataError("training data is empty")
     K = config.workers
@@ -689,17 +674,16 @@ parallel_train = train
 # objective and metrics
 
 
-def _scores(model, data) -> tuple[np.ndarray, np.ndarray]:
+def _scores(model, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Scores z and targets y per sample; a pair scores its preferred row
     minus the other, against y = 1."""
-    if isinstance(data, PairDataset):
-        z = model.predict(Dataset(data.plus_columns, None)) - model.predict(
-            Dataset(data.minus_columns, None)
-        )
-        return z, np.ones(len(z))
-    if data.labels is None:
+    if data.sides == 1 and data.labels is None:
         raise DataError("dataset has no labels to evaluate against")
-    return model.predict(data), np.asarray(data.labels, dtype=float)
+    z = _naming_rows(data, "", model.predict, data)
+    if data.sides == 2:
+        n = data.num_samples
+        return z[:n] - z[n:], np.ones(n)
+    return z, np.asarray(data.labels, dtype=float)
 
 
 def model_objective(model, data, config: TrainConfig) -> float:
@@ -743,7 +727,7 @@ def evaluate_metrics(model, data) -> dict:
     where the probability rounds to 0 or 1."""
     z, y = _scores(model, data)
     n = len(z)
-    if isinstance(data, PairDataset):
+    if data.sides == 2:
         wins = np.sum(z > 0) + 0.5 * np.sum(z == 0)
         return {"num_pairs": n, "pair_accuracy": float(wins) / n if n else float("nan")}
     out: dict = {"num_rows": n}

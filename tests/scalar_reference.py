@@ -6,7 +6,7 @@ kernels (``evaluate_with_gradients``, ``calibrate_row``, ``row_gradients``,
 the state's stacks; the batched ``loss_gradients`` must equal its stacks bit
 for bit.  ``loss_slope`` is the scalar derivative of ``loss_value``, which
 ``training._loss_slopes`` must equal sample by sample.  ``plus_row`` and
-``minus_row`` read one pair's two rows from a ``PairDataset``.
+``minus_row`` read one pair's two rows from a two-sided ``Dataset``.
 
 ``multilinear_weights_naive`` and ``multilinear_weights_naive_batch`` are
 the product-form multilinear weights, one product per cell vertex; the
@@ -89,7 +89,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from monolattice import CalibratorSet, Loss, PairDataset, TrainingError, training
+from monolattice import CalibratorSet, Loss, TrainingError, training
 from monolattice.calibrators import (
     ContinuousCalibrator,
     DataError,
@@ -129,11 +129,11 @@ def loss_slope(loss: Loss, y: float, z: float) -> float:
 
 
 def plus_row(data, i: int) -> list:
-    return [col[i] for col in data.plus_columns]
+    return data.row(i)
 
 
 def minus_row(data, i: int) -> list:
-    return [col[i] for col in data.minus_columns]
+    return data.row(data.num_samples + i)
 
 
 def multilinear_weights_naive(residual) -> list[float]:
@@ -218,7 +218,7 @@ def _reference_worker_gradients(state, k, minibatch, g_theta, g_alpha):
     cs = state.calibrators.with_table(state.table[k])
     scale = 1.0 / len(minibatch)
     for i in minibatch:
-        if isinstance(state.data, PairDataset):
+        if state.data.sides == 2:
             y = 1.0
             sides = ((1.0, plus_row(state.data, i)), (-1.0, minus_row(state.data, i)))
         else:
@@ -248,7 +248,7 @@ def _reference_worker_gradients(state, k, minibatch, g_theta, g_alpha):
 
 def reference_train(data, specs, config):
     state = training.prepare_state(data, specs, config)
-    n = data.num_pairs if isinstance(data, PairDataset) else data.num_rows
+    n = data.num_samples
     if n == 0:
         raise ValueError("training data is empty")
     K = config.workers
@@ -783,7 +783,7 @@ def reference_load_pair_dataset(
                         spec, [r[index[name]] for r in rows], missing_token, where
                     )
                 )
-        return PairDataset(plus_cols, minus_cols)
+        return Dataset.pairs(plus_cols, minus_cols)
 
     if pair_id_column not in index:
         raise DataError(f"{path}: pair-id column {pair_id_column!r} not found")
@@ -824,7 +824,7 @@ def reference_load_pair_dataset(
         minus_cols.append(
             _reference_parse_column(spec, [r[col] for r in minus_rows], missing_token, where)
         )
-    return PairDataset(plus_cols, minus_cols)
+    return Dataset.pairs(plus_cols, minus_cols)
 
 
 def _reference_axis_pairs(m, missing):

@@ -3,8 +3,10 @@ calibrated again row by row, and the error is the one ``calibrate_row``
 raises on the first bad row, with that row's index.  Every kind of bad
 value, in every column form, at the start, in a later chunk and in the
 last row, gives the same message and row through ``Model.predict``,
-``CalibratorSet.locate``, ``CalibratorSet.locate_chunks`` and
-``prepare_state``."""
+``CalibratorSet.locate`` and ``CalibratorSet.locate_chunks``.  Training
+(``prepare_state``) and evaluation (``evaluate_metrics``,
+``model_objective``) add the name of the first bad row, or of the first bad
+pair and its side: every preferred row comes before every other row."""
 
 import math
 
@@ -18,8 +20,10 @@ from monolattice import (
     FeatureKind,
     FeatureSpec,
     Model,
-    PairDataset,
+    Loss,
     TrainConfig,
+    evaluate_metrics,
+    model_objective,
 )
 from monolattice import model as model_module
 from monolattice.interpolation import ChunkBuffers
@@ -139,9 +143,56 @@ def test_prepare_state_names_the_training_row(served, case, position):
 @pytest.mark.parametrize("case", TRAINING_CASES, ids=lambda c: f"{c[1]}-{c[3]!r}")
 def test_prepare_state_names_the_pair_and_its_side(served, case):
     plus, minus = with_bad(case, []), with_bad(case, [N - 1])
-    data = PairDataset([col[::-1] for col in plus], [col[::-1] for col in minus])
+    data = Dataset.pairs([col[::-1] for col in plus], [col[::-1] for col in minus])
     with pytest.raises(DataError) as err:
         prepare_state(data, SPECS, TrainConfig(epochs=1))
     with pytest.raises(DataError) as scalar:
         served.calibrators.calibrate_row([col[N - 1] for col in minus])
     assert str(err.value) == f"training pair 0 (other row): {scalar.value}"
+
+
+def bad_pairs(case):
+    """Pairs whose first other row and last preferred row are bad: the
+    preferred row is named."""
+    return Dataset.pairs(with_bad(case, [N - 1]), with_bad(case, [0]))
+
+
+@pytest.mark.parametrize("case", TRAINING_CASES, ids=lambda c: f"{c[1]}-{c[3]!r}")
+def test_prepare_state_names_a_preferred_row_before_an_other_row(served, case):
+    with pytest.raises(DataError) as err:
+        prepare_state(bad_pairs(case), SPECS, TrainConfig(loss=Loss.LOGISTIC, epochs=1))
+    with pytest.raises(DataError) as scalar:
+        served.calibrators.calibrate_row([col[N - 1] for col in with_bad(case, [N - 1])])
+    assert str(err.value) == f"training pair {N - 1} (preferred row): {scalar.value}"
+
+
+EVALUATIONS = {
+    "evaluate_metrics": evaluate_metrics,
+    "model_objective": lambda model, data: model_objective(model, data, TrainConfig()),
+}
+
+
+@pytest.mark.parametrize("evaluation", EVALUATIONS)
+@pytest.mark.parametrize("position", POSITIONS)
+@pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}-{c[3]!r}")
+def test_evaluation_names_the_row(served, case, position, evaluation):
+    columns = with_bad(case, [position])
+    with pytest.raises(DataError) as err:
+        EVALUATIONS[evaluation](served, Dataset(columns, np.zeros(N)))
+    with pytest.raises(DataError) as scalar:
+        served.calibrators.calibrate_row([col[position] for col in columns])
+    assert str(err.value) == f"row {position}: {scalar.value}"
+
+
+@pytest.mark.parametrize("evaluation", EVALUATIONS)
+@pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}-{c[3]!r}")
+def test_evaluation_names_the_pair_and_its_side(served, case, evaluation):
+    with pytest.raises(DataError) as err:
+        EVALUATIONS[evaluation](served, bad_pairs(case))
+    with pytest.raises(DataError) as scalar:
+        served.calibrators.calibrate_row([col[N - 1] for col in with_bad(case, [N - 1])])
+    assert str(err.value) == f"pair {N - 1} (preferred row): {scalar.value}"
+    # with no bad preferred row, the first bad other row is named
+    with pytest.raises(DataError) as err:
+        EVALUATIONS[evaluation](served, Dataset.pairs(with_bad(case, []), with_bad(case, [3])))
+    assert str(err.value) == f"pair 3 (other row): {scalar.value}"

@@ -21,7 +21,6 @@ from monolattice import (
     FeatureSpec,
     MissingPolicy,
     Model,
-    PairDataset,
     TrainConfig,
     fit_knots,
     max_infeasibility,
@@ -214,8 +213,8 @@ class TestBlockFit:
         plus = [np.round(rng.standard_normal(50), 1) for _ in specs]
         minus = [np.round(rng.standard_normal(50), 1) for _ in specs]
         plus[1][::5] = np.nan  # fewer finite values: a block of its own
-        pairs = PairDataset(plus, minus)
-        cs = CalibratorSet.fit(specs, pairs.fit_columns())
+        pairs = Dataset.pairs(plus, minus)
+        cs = CalibratorSet.fit(specs, pairs.columns)
         for spec, cal, a, b in zip(specs, cs.calibrators, plus, minus):
             want = reference_fit_knots(np.concatenate([a, b]), spec.keypoints)
             assert cal.knots.tobytes() == want.tobytes()

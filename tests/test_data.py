@@ -1,6 +1,7 @@
 """The columnar CSV loader against the per-cell reference loader."""
 
 import csv
+import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monolattice import DataError, FeatureSpec, load_dataset, load_pair_dataset
+from monolattice import DataError, Dataset, FeatureSpec, load_dataset, load_pair_dataset
 from scalar_reference import reference_load_dataset, reference_load_pair_dataset
 
 MISSING_TOKENS = ["", "NA", "-999"]
@@ -139,8 +140,8 @@ def test_suffix_pair_layout_matches_the_reference(file, missing_token):
         )
     assert got_err == want_err
     if want is not None:
-        assert_same_columns(got.plus_columns, want.plus_columns)
-        assert_same_columns(got.minus_columns, want.minus_columns)
+        assert got.sides == want.sides == 2
+        assert_same_columns(got.columns, want.columns)
 
 
 @st.composite
@@ -181,8 +182,8 @@ def test_two_row_pair_layout_matches_the_reference(file, missing_token):
         )
     assert got_err == want_err
     if want is not None:
-        assert_same_columns(got.plus_columns, want.plus_columns)
-        assert_same_columns(got.minus_columns, want.minus_columns)
+        assert got.sides == want.sides == 2
+        assert_same_columns(got.columns, want.columns)
 
 
 def test_first_bad_pair_cell_is_reported_from_the_preferred_side(tmp_path):
@@ -236,3 +237,57 @@ class TestDuplicateHeaders:
         write_lines(path, ["x", "note", "note", "y"], [["1", "a", "b", "0"]])
         data = load_dataset(path, [FeatureSpec("x")], "y")
         assert data.columns[0].tolist() == [1.0]
+
+
+class TestDatasetShape:
+    """A malformed sample set is refused when it is built, not in a step."""
+
+    def test_pairs_stack_the_preferred_rows_then_the_other_rows(self):
+        preferred = [np.array([1.0, 2.0]), ["a", "b"]]
+        data = Dataset.pairs(preferred, [np.array([3.0, 4.0]), ["c", None]])
+        assert data.sides == 2 and data.labels is None
+        assert (data.num_rows, data.num_samples) == (4, 2)
+        assert data.columns[0].tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert data.columns[1] == ["a", "b", "c", None]
+        assert [data.where(i) for i in range(4)] == [
+            "pair 0 (preferred row)", "pair 1 (preferred row)",
+            "pair 0 (other row)", "pair 1 (other row)",
+        ]
+        rows = Dataset([np.zeros(3)], np.zeros(3))
+        assert (rows.sides, rows.num_samples, rows.where(2)) == (1, 3, "row 2")
+
+    def test_fields_are_not_set_again(self):
+        # the rules hold for the fields the set was built with
+        data = Dataset([np.zeros(4)], np.zeros(4))
+        for name, value in [("labels", np.zeros(2)), ("columns", [np.zeros(3)]), ("sides", 2)]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(data, name, value)
+
+    def test_labels_shorter_than_the_rows(self):
+        with pytest.raises(DataError, match="^2 labels for 3 rows$"):
+            Dataset([np.zeros(3)], np.zeros(2))
+
+    def test_labels_longer_than_the_rows(self):
+        with pytest.raises(DataError, match="^4 labels for 3 rows$"):
+            Dataset([np.zeros(3)], np.zeros(4))
+
+    def test_columns_of_unequal_length(self):
+        with pytest.raises(DataError, match=r"^columns of unequal length: \[2, 3\] rows$"):
+            Dataset([np.zeros(3), ["a", "b"]], None)
+
+    def test_pair_sides_of_unequal_length(self):
+        with pytest.raises(DataError, match=r"^pair sides of unequal length: \[3\] and \[2\] rows$"):
+            Dataset.pairs([np.zeros(3)], [np.zeros(2)])
+
+    @pytest.mark.parametrize("sides", [0, 3])
+    def test_sides_other_than_one_or_two(self, sides):
+        with pytest.raises(DataError, match=f"^a sample has 1 or 2 sides, not {sides}$"):
+            Dataset([np.zeros(6)], None, sides)
+
+    def test_odd_row_count_of_pairs(self):
+        with pytest.raises(DataError, match="^pair data holds two rows a pair, not 3 rows$"):
+            Dataset([np.zeros(3)], None, 2)
+
+    def test_labels_on_pairs(self):
+        with pytest.raises(DataError, match="^pair data takes no labels$"):
+            Dataset([np.zeros(4)], np.zeros(4), 2)

@@ -18,7 +18,7 @@ PUBLIC = {
     "CalibratorSet", "CategoricalCalibrator", "ContinuousCalibrator", "DataError",
     "FeatureKind", "FeatureSpec", "MissingPolicy", "fit_knots",
     # data
-    "Dataset", "PairDataset", "load_dataset", "load_pair_dataset", "load_schema",
+    "Dataset", "load_dataset", "load_pair_dataset", "load_schema",
     # interpolation
     "InterpolationKind", "evaluate", "evaluate_batch", "interpolation_weights",
     "multilinear_weights", "simplex_weights",

@@ -32,7 +32,6 @@ from monolattice import (
     Loss,
     MissingPolicy,
     Model,
-    PairDataset,
     RegularizerConfig,
     RegularizerKind,
     TrainConfig,
@@ -101,7 +100,7 @@ def random_models(draw):
 
     loss = draw(st.sampled_from(list(Loss)))
     if draw(st.booleans()):
-        data = PairDataset(columns(n), columns(n))
+        data = Dataset.pairs(columns(n), columns(n))
     else:
         labels = rng.random(n)
         data = Dataset(columns(n), labels if loss is Loss.SQUARED else np.round(labels))

@@ -24,7 +24,6 @@ from monolattice import (
     LatticeShape,
     Loss,
     MissingPolicy,
-    PairDataset,
     RegularizerConfig,
     RegularizerKind,
     TrainConfig,
@@ -822,14 +821,15 @@ class TestPlan:
         assert len(allocations) == plan
         assert len(interpolation._SPARE_BUFFERS) == 1
 
-    def test_plan_holds_interleaved_pair_sides_and_float_targets(self):
+    def test_plan_holds_stacked_pair_sides_and_float_targets(self):
         data, specs = mixed_problem(True, Loss.LOGISTIC, n=30)
         state = prepare_state(data, specs, TrainConfig(loss=Loss.LOGISTIC))
         cs = state.calibrators
         x = cs.apply(state.plan, cs.table()).T  # the plan is feature-major
+        assert len(x) == 60
         for i in (0, 7, 29):
-            assert x[2 * i].tolist() == cs.calibrate_row(plus_row(data, i))
-            assert x[2 * i + 1].tolist() == cs.calibrate_row(minus_row(data, i))
+            assert x[i].tolist() == cs.calibrate_row(plus_row(data, i))
+            assert x[30 + i].tolist() == cs.calibrate_row(minus_row(data, i))
         assert state.targets.dtype == float and state.targets.tolist() == [1.0] * 30
         rows, _ = mixed_problem(False, Loss.SQUARED, n=30)
         state = prepare_state(rows, specs, TrainConfig())
@@ -850,7 +850,7 @@ class TestPlan:
         rng = np.random.default_rng(0)
         plus, minus = rng.random(20), rng.random(20)
         minus[11] = np.nan
-        data = PairDataset([plus], [minus])
+        data = Dataset.pairs([plus], [minus])
         with pytest.raises(DataError, match=r"training pair 11 \(other row\): feature x"):
             prepare_state(data, [spec("x", keypoints=3)], TrainConfig(loss=Loss.LOGISTIC))
 
@@ -877,6 +877,27 @@ class TestPlan:
 
 
 class TestRanking:
+    def test_pair_fit_sees_the_pooled_order(self):
+        # The fitted knots keep the sign of a zero, and which of 0.0 and
+        # -0.0 a fit keeps depends on the order of the values: "low" has
+        # both at its minimum and "mid" at its inner quantile.  Training
+        # fits on the preferred rows, then the other rows, as a fit on the
+        # two sides pooled in that order; pair by pair, the knots differ.
+        preferred = [np.array([1.0, 2.0, 0.0]), np.array([1.0, 1.0, 0.0])]
+        other = [np.array([2.0, -0.0, 1.0]), np.array([-0.0, -1.0, -0.0])]
+        specs = [spec("low", keypoints=3), spec("mid", keypoints=3)]
+
+        def knots(calibrators):
+            return [cal.knots.tobytes() for cal in calibrators.calibrators]
+
+        pooled = CalibratorSet.fit(specs, [np.concatenate(c) for c in zip(preferred, other)])
+        by_pair = CalibratorSet.fit(specs, [np.stack(c, 1).ravel() for c in zip(preferred, other)])
+        assert knots(by_pair) != knots(pooled)  # the data tells the two orders apart
+        data = Dataset.pairs(preferred, other)
+        config = TrainConfig(loss=Loss.LOGISTIC, epochs=1)
+        assert knots(prepare_state(data, specs, config).calibrators) == knots(pooled)
+        assert knots(train(data, specs, config).calibrators) == knots(pooled)
+
     def make_pairs(self, n=300, seed=31):
         rng = np.random.default_rng(seed)
         plus = rng.random(n)
@@ -884,7 +905,7 @@ class TestRanking:
         lo = np.minimum(plus, minus)
         hi = np.maximum(plus, minus)
         keep = hi - lo > 0.05
-        return PairDataset([hi[keep]], [lo[keep]])
+        return Dataset.pairs([hi[keep]], [lo[keep]])
 
     def test_orders_held_out_pairs(self):
         pairs = self.make_pairs()
@@ -909,9 +930,10 @@ class TestRanking:
         specs = [spec("score", monotone=Direction.INCREASING, keypoints=3)]
         config = TrainConfig(loss=Loss.LOGISTIC, epochs=3, step_size=0.5, seed=2)
         model = train(pairs, specs, config)
-        z = model.predict(Dataset(pairs.plus_columns, None)) - model.predict(
-            Dataset(pairs.minus_columns, None)
-        )
+        n = pairs.num_samples
+        preferred = Dataset([col[:n] for col in pairs.columns])
+        other = Dataset([col[n:] for col in pairs.columns])
+        z = model.predict(preferred) - model.predict(other)
         expected = np.mean([loss_value(Loss.LOGISTIC, 1.0, v) for v in z])
         assert model_objective(model, pairs, config) == pytest.approx(expected, rel=1e-12)
 
@@ -921,7 +943,7 @@ class TestRanking:
         n = 80
         plus = [list(rng.choice(["easy", "hard"], size=n))]
         minus = [["hard" if v == "easy" else "easy" for v in plus[0]]]
-        pairs = PairDataset(plus, minus)
+        pairs = Dataset.pairs(plus, minus)
         specs = [spec("level", kind=FeatureKind.CATEGORICAL, order_pairs=[("hard", "easy")])]
         model = train(pairs, specs, TrainConfig(loss=Loss.LOGISTIC, epochs=2, seed=1))
         value = dict(zip(model.calibrators.calibrators[0].categories,
@@ -1017,7 +1039,7 @@ def mixed_problem(pairs: bool, loss: Loss, n=120, seed=0):
         spec("c", size=3, keypoints=3, missing=MissingPolicy.VERTEX),
     ]
     if pairs:
-        return PairDataset(columns()[0], columns()[0]), specs
+        return Dataset.pairs(columns()[0], columns()[0]), specs
     cols, b = columns()
     score = rng.random(n) * 0.5 + 0.25 * b
     labels = score if loss is Loss.SQUARED else (score > 0.5).astype(float)
@@ -1103,7 +1125,7 @@ class TestBatchedStepMatchesReference:
         n = 100
         specs = [spec(f"x{d}", keypoints=3) for d in range(10)]
         cols = lambda: [rng.random(n) for _ in range(10)]  # noqa: E731
-        data = PairDataset(cols(), cols()) if pairs else Dataset(cols(), rng.random(n))
+        data = Dataset.pairs(cols(), cols()) if pairs else Dataset(cols(), rng.random(n))
         config = TrainConfig(loss=Loss.LOGISTIC if pairs else Loss.SQUARED)
         state = perturbed_state(data, specs, config)
         assert_same_gradients(state, {0: rng.integers(0, n, size=90)})
@@ -1136,7 +1158,7 @@ class TestBatchedStepMatchesReference:
 
         specs = [spec(f"x{k}", bounds=(0.0, 1.0), keypoints=keypoints) for k in range(3)]
         if pairs:
-            data = PairDataset(columns(x0), columns(1.0 - x0))
+            data = Dataset.pairs(columns(x0), columns(1.0 - x0))
         else:
             data = Dataset(columns(x0), (x0 > 0.5).astype(float))
         state = prepare_state(data, specs, TrainConfig(loss=Loss.HINGE))
@@ -1219,7 +1241,7 @@ class TestBatchedStepMatchesReference:
             spec("two", bounds=(0.0, 4.0)),
         ] + [spec(f"x{k}", keypoints=3) for k in range(4)]
         if pairs:
-            data = PairDataset(columns(), columns())
+            data = Dataset.pairs(columns(), columns())
             config = TrainConfig(loss=Loss.LOGISTIC)
         else:
             data = Dataset(columns(), rng.random(n))
@@ -1404,7 +1426,7 @@ def one_cell_problem(d: int, pairs: bool, loss: Loss, n=80, seed=0):
         for k in range(d)
     ]
     if pairs:
-        return PairDataset(columns(), columns()), specs
+        return Dataset.pairs(columns(), columns()), specs
     cols = columns()
     category = [int(c[1]) if c[0] == "c" else 0 for c in cols[1]] if d > 1 else 0
     score = rng.random(n) * 0.5 + 0.25 * np.asarray(category)
