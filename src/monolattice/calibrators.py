@@ -87,6 +87,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import json
 import math
 import operator
 from bisect import bisect_right
@@ -121,9 +122,24 @@ class DataError(ValueError):
 
 @dataclass(frozen=True)
 class FeatureSpec:
-    """A feature's schema entry.  A frozen value: ``categories`` and
-    ``order_pairs`` are stored as tuples, and a changed spec is a new one
-    (``dataclasses.replace``), checked again on construction."""
+    """A feature's schema entry.  A frozen value: ``bounds``, ``categories``
+    and ``order_pairs`` are stored as tuples, and a changed spec is a new one
+    (``dataclasses.replace``), checked again on construction.
+
+    The constructor is the one gate for a spec, from a file or from code.
+    A field of the wrong type is a TypeError naming the feature and the
+    field: ``name`` is text; ``size`` and ``keypoints`` are integers (a
+    numpy integer is stored as a Python int; a bool, text or float is
+    refused); ``bounds`` is None or a pair of numbers; ``categories`` None or
+    a list of text; each order pair two texts; ``allow_unseen`` a bool.
+    ``kind``, ``monotone`` and ``missing`` that are not one of their choices,
+    a size below 2 (3 with a missing vertex) and fewer than 2 keypoints are
+    a DataError.  Whether the bounds are finite and in order is decided at
+    fit, where they place the knots.
+
+    :meth:`to_doc` and :meth:`from_doc` write and read the spec's JSON
+    entry, the same in a schema and a model file: one key per field, named
+    as the field but ``order`` for ``order_pairs``."""
 
     name: str
     kind: FeatureKind = FeatureKind.CONTINUOUS
@@ -137,14 +153,24 @@ class FeatureSpec:
     allow_unseen: bool = False
 
     def __post_init__(self):
-        coerced = {
-            "kind": FeatureKind(self.kind),
-            "monotone": Direction(self.monotone),
-            "missing": MissingPolicy(self.missing),
+        if not isinstance(self.name, str):
+            raise TypeError(f"feature name {self.name!r} is not text")
+        where = f"feature {self.name!r}:"
+        for key, (is_type, what) in _SPEC_TYPES.items():
+            value = getattr(self, _SPEC_KEYS[key])
+            if not is_type(value):
+                raise TypeError(f"{where} {key} {value!r} is not {what}")
+        checked = {
+            "kind": _member(FeatureKind, self.kind, f"{where} kind"),
+            "monotone": _member(Direction, self.monotone, f"{where} monotone"),
+            "missing": _member(MissingPolicy, self.missing, f"{where} missing"),
+            "size": int(self.size),  # a numpy integer as the int JSON writes
+            "keypoints": int(self.keypoints),
+            "bounds": None if self.bounds is None else tuple(self.bounds),
             "categories": None if self.categories is None else tuple(self.categories),
-            "order_pairs": tuple(tuple(p) for p in self.order_pairs),
+            "order_pairs": tuple(map(tuple, self.order_pairs)),
         }
-        for name, value in coerced.items():
+        for name, value in checked.items():
             object.__setattr__(self, name, value)
         if self.size < 2:
             raise DataError(f"feature {self.name}: lattice size must be >= 2")
@@ -159,6 +185,61 @@ class FeatureSpec:
         if self.missing is MissingPolicy.VERTEX:
             return float(self.size - 2)
         return float(self.size - 1)
+
+    def to_doc(self) -> dict:
+        """The spec's JSON entry, every key, as a file reads it back: enums
+        as their text, tuples as lists."""
+        return json.loads(json.dumps({key: getattr(self, f) for key, f in _SPEC_KEYS.items()}))
+
+    @classmethod
+    def from_doc(cls, entry: dict) -> "FeatureSpec":
+        """The spec of a JSON entry that holds every key :meth:`to_doc`
+        writes (a KeyError names the first one absent), its values passed
+        to the constructor as they stand."""
+        return cls(**{field: entry[key] for key, field in _SPEC_KEYS.items()})
+
+
+# a spec's JSON key per field: the field's name, but "order" for the pairs
+_SPEC_KEYS = {f.name.removesuffix("_pairs"): f.name for f in dataclasses.fields(FeatureSpec)}
+
+
+def _is_number(value) -> bool:
+    """Whether ``value`` is a JSON number: an int or a float, not a bool
+    (numpy would read text such as "0.5", and the bools, as numbers too)."""
+    return type(value) is not bool and isinstance(value, (int, float))
+
+
+def _is_list(v, count: int | None, item) -> bool:
+    """Whether ``v`` is a list or tuple, of ``count`` items if given, each
+    of which passes the test ``item``."""
+    return isinstance(v, (list, tuple)) and count in (None, len(v)) and all(map(item, v))
+
+
+def _is_texts(v, count: int | None = None) -> bool:
+    return _is_list(v, count, lambda x: isinstance(x, str))
+
+
+# the JSON type of each spec key other than the name and the choices: a
+# test of a value, and what an error calls the type
+_INTEGER = (lambda v: isinstance(v, (int, np.integer)) and type(v) is not bool, "an integer")
+_SPEC_TYPES = {
+    "size": _INTEGER,
+    "keypoints": _INTEGER,
+    "bounds": (lambda v: v is None or _is_list(v, 2, _is_number), "null or a pair of numbers"),
+    "categories": (lambda v: v is None or _is_texts(v), "null or a list of text"),
+    "order": (lambda v: _is_list(v, None, lambda p: _is_texts(p, 2)), "a list of pairs of texts"),
+    "allow_unseen": (lambda v: isinstance(v, bool), "true or false"),
+}
+
+
+def _member(enum_cls, value, field: str):
+    """``value`` as a member of ``enum_cls``; a DataError naming ``field``
+    and the choices unless it is one."""
+    try:
+        return enum_cls(value)
+    except ValueError:
+        choices = ", ".join(m.value for m in enum_cls)
+        raise DataError(f"{field} {value!r} is not one of {choices}") from None
 
 
 def missing_vertex_dims(specs) -> frozenset[int]:
@@ -294,7 +375,7 @@ def _check_spec(cal, kind: FeatureKind) -> str:
 def _check_missing_value(cal, where: str) -> None:
     value, missing = cal.missing_value, cal.spec.missing
     if missing is MissingPolicy.CALIBRATED:
-        if type(value) is bool or not isinstance(value, (int, float)) or not -math.inf < value < math.inf:
+        if not _is_number(value) or not -math.inf < value < math.inf:
             raise DataError(f"{where} missing_value {value!r} is not a finite number")
     elif value is not None:
         # never read under the other policies, so it would save back unchecked

@@ -2,8 +2,10 @@
 
 The schema is JSON: an optional label column name and one entry per feature
 (kind, lattice size, calibration keypoints, bounds, monotone direction,
-missing policy, categories and order pairs).  Data is CSV with a header row;
-a configurable token (empty cell by default) marks missing values.
+missing policy, categories and order pairs), a model file's feature entry
+read by ``FeatureSpec.from_doc``, with defaults and direction aliases.
+Data is CSV with a header row; a configurable token (empty cell by
+default) marks missing values.
 
 A :class:`Dataset` holds samples of one or two sides.  A labelled row is a
 sample of one side.  A ranking pair is a sample of two, its preferred row
@@ -41,7 +43,18 @@ from .monotonicity import parse_direction
 # schema
 
 
+# a schema entry's values for the keys it leaves out: those of a spec made
+# of defaults, whose lattice has room for a missing vertex if the entry asks
+# for one
+_DEFAULTS = FeatureSpec("").to_doc()
+_VERTEX_DEFAULTS = FeatureSpec("", size=3, missing=MissingPolicy.VERTEX).to_doc()
+
+
 def load_schema(path) -> tuple[list[FeatureSpec], str | None]:
+    """The feature specs and label column of a schema file.  A feature entry
+    is a model file's (:meth:`FeatureSpec.from_doc`), less the calibrator,
+    and with defaults for absent keys and aliases of the ``monotone``
+    directions (``+``, ``inc``, ...)."""
     try:
         raw = json.loads(Path(path).read_text())
     except json.JSONDecodeError as e:
@@ -52,31 +65,15 @@ def load_schema(path) -> tuple[list[FeatureSpec], str | None]:
     for entry in raw["features"]:
         if "name" not in entry:
             raise DataError(f"schema {path}: feature entry without a name")
-        bounds = entry.get("bounds")
         try:
-            kind = FeatureKind(entry.get("kind", "continuous"))
-            missing = MissingPolicy(entry.get("missing", "none"))
-            size = entry.get("size", 3 if missing is MissingPolicy.VERTEX else 2)
-            specs.append(
-                FeatureSpec(
-                    name=str(entry["name"]),
-                    kind=kind,
-                    size=int(size),
-                    keypoints=int(entry.get("keypoints", 2)),
-                    bounds=None if bounds is None else (float(bounds[0]), float(bounds[1])),
-                    monotone=parse_direction(str(entry.get("monotone", "none"))),
-                    missing=missing,
-                    categories=(
-                        None
-                        if entry.get("categories") is None
-                        else [str(c) for c in entry["categories"]]
-                    ),
-                    order_pairs=[(str(a), str(b)) for a, b in entry.get("order", [])],
-                    allow_unseen=bool(entry.get("allow_unseen", False)),
-                )
-            )
+            doc = {**(_VERTEX_DEFAULTS if entry.get("missing") == "vertex" else _DEFAULTS), **entry}
+            try:  # an alias (+, inc, ...) as its direction
+                doc["monotone"] = parse_direction(doc["monotone"])
+            except (AttributeError, ValueError):
+                pass  # not text, or no direction: the spec names the value
+            specs.append(FeatureSpec.from_doc(doc))
         except (TypeError, ValueError) as e:
-            raise DataError(f"schema {path}: feature {entry.get('name')}: {e}") from None
+            raise DataError(f"schema {path}: {e}") from None
     if not specs:
         raise DataError(f"schema {path}: no features")
     names = [s.name for s in specs]
@@ -93,18 +90,22 @@ def load_schema(path) -> tuple[list[FeatureSpec], str | None]:
 @dataclass(frozen=True)
 class Dataset:
     """Samples of one or two sides, one column per feature: a float array
-    (NaN = missing) or a list of str or None.  With ``sides=1`` a row is a
-    sample and ``labels`` (one per row, or None) are the targets.  With
+    (NaN = missing) or a sequence of str or None.  With ``sides=1`` a row is
+    a sample and ``labels`` (one per row, or None) are the targets.  With
     ``sides=2`` the samples are ranking pairs, which take no labels: rows
     0..n-1 are the preferred rows and rows n..2n-1 the other rows, both in
     pair order (:meth:`pairs` builds this layout).  A malformed shape is a
-    DataError, and the fields cannot be set again once the rules hold."""
+    DataError, and once the rules hold the shape cannot change: the fields
+    cannot be set again, and ``columns`` is stored as a tuple, each column
+    that is not an array as a tuple too."""
 
-    columns: list
+    columns: tuple
     labels: np.ndarray | None = None
     sides: int = 1
 
     def __post_init__(self):
+        columns = tuple(c if isinstance(c, np.ndarray) else tuple(c) for c in self.columns)
+        object.__setattr__(self, "columns", columns)
         if self.sides not in (1, 2):
             raise DataError(f"a sample has 1 or 2 sides, not {self.sides}")
         lengths = set(map(len, self.columns))

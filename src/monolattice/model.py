@@ -37,12 +37,13 @@ calibrator checks its structure and that its spec is of its kind (see
 :mod:`.calibrators`), and a model checks the rest: theta finite, ``kind``
 and ``loss`` members of their enums, the promises of a trained
 calibrator (nondecreasing outputs and category values inside the axis,
-declared category orders, a missing coordinate on the lattice), and
-metadata that JSON writes as it is (text keys, no sets).  So fit,
-``with_table``, the loader, ``replace``, copies and models made in code
-pass one gate, with one message per rule.  The loader parses, and checks
-the one thing a model does not hold: that the file's ``lattice`` entry
-lists the feature sizes.
+declared category orders, a missing coordinate on the lattice, end knots
+at the spec's bounds), and metadata that JSON writes as it is (text
+keys, no sets).  So fit, ``with_table``, the loader, ``replace``, copies
+and models made in code pass one gate, with one message per rule.  The
+loader parses, each feature's spec by ``FeatureSpec.from_doc``, which a
+schema shares, and checks the one thing a model does not hold: that the
+file's ``lattice`` entry lists the feature sizes.
 """
 
 from __future__ import annotations
@@ -66,6 +67,8 @@ from .calibrators import (
     Frozen,
     MissingPolicy,
     _check_finite,
+    _is_number,
+    _member,
     _row_binding,
     _row_calibration_lines,
     missing_vertex_dims,
@@ -77,11 +80,7 @@ from .interpolation import InterpolationKind, _row_kernel_lines, evaluate_block,
 # module; predict_row runs its generated scorer, not the scalar kernels.
 from .interpolation import evaluate  # noqa: F401
 from .lattice import LatticeShape
-from .monotonicity import (
-    Direction,
-    build_constraints,
-    describe_violations,
-)
+from .monotonicity import build_constraints, describe_violations
 from .training import Loss
 
 FORMAT_NAME = "monolattice-model"
@@ -208,19 +207,7 @@ class Model(Frozen):
     def to_json(self) -> str:
         features = []
         for cal in self.calibrators.calibrators:
-            spec = cal.spec
-            entry = {
-                "name": spec.name,
-                "kind": spec.kind.value,
-                "size": spec.size,
-                "keypoints": spec.keypoints,
-                "bounds": None if spec.bounds is None else list(spec.bounds),
-                "monotone": spec.monotone.value,
-                "missing": spec.missing.value,
-                "categories": spec.categories,
-                "order": [list(p) for p in spec.order_pairs],
-                "allow_unseen": spec.allow_unseen,
-            }
+            entry = cal.spec.to_doc()
             if isinstance(cal, ContinuousCalibrator):
                 entry["calibrator"] = {
                     "knots": cal.knots.tolist(),
@@ -276,19 +263,8 @@ class Model(Frozen):
             raise DataError("model file lists no features")
         cals = []
         for entry in doc["features"]:
-            where = f"feature {entry['name']!r}:"
-            spec = FeatureSpec(
-                name=entry["name"],
-                kind=_member(FeatureKind, entry["kind"], f"{where} kind"),
-                size=int(entry["size"]),
-                keypoints=int(entry["keypoints"]),
-                bounds=None if entry["bounds"] is None else tuple(entry["bounds"]),
-                monotone=_member(Direction, entry["monotone"], f"{where} monotone"),
-                missing=_member(MissingPolicy, entry["missing"], f"{where} missing"),
-                categories=entry["categories"],
-                order_pairs=[tuple(p) for p in entry["order"]],
-                allow_unseen=bool(entry["allow_unseen"]),
-            )
+            spec = FeatureSpec.from_doc(entry)
+            where = f"feature {spec.name!r}:"
             # the constructors store arrays and categories as their own copies
             state = entry["calibrator"]
             missing = state["missing_value"]
@@ -408,36 +384,31 @@ def _read_only_json(value, where: str = "metadata"):
 # validation
 
 
-def _member(enum_cls, value, field: str):
-    try:
-        return enum_cls(value)
-    except ValueError:
-        choices = ", ".join(m.value for m in enum_cls)
-        raise DataError(f"{field} {value!r} is not one of {choices}") from None
-
-
 def _file_numbers(values, field: str):
     """A model file's list of numbers as it stands; a DataError unless every
-    entry is a JSON number, since numpy would read text such as "0.5" and
-    the bools as numbers too."""
+    entry is a JSON number."""
     for i, v in enumerate(values):
-        if type(v) is bool or not isinstance(v, (int, float)):
+        if not _is_number(v):
             raise DataError(f"malformed model file: {field}[{i}] is {v!r}, not a number")
     return values
 
 
 def _check_feature(cal) -> None:
     """Raise a DataError naming the feature unless ``cal`` keeps the
-    promises of a trained calibrator: nondecreasing outputs and category
-    values inside the axis, declared category orders, and a learned missing
-    coordinate on the lattice.  The calibrator checks its own structure,
-    and that its spec is of its kind, when made."""
+    promises of a trained calibrator: end knots at the spec's bounds, when
+    it has them, nondecreasing outputs and category values inside the axis,
+    declared category orders, and a learned missing coordinate on the
+    lattice.  The calibrator checks its own structure, and that its spec is
+    of its kind, when made."""
     spec = cal.spec
     where = f"feature {spec.name!r}:"
     # the values as a list: numpy's fixed cost per call exceeds the work on
     # a calibrator's few values
     top, points = spec.axis_top, cal.points.tolist()
     if isinstance(cal, ContinuousCalibrator):
+        ends = [cal._knot_list[0], cal._knot_list[-1]]
+        if spec.bounds is not None and ends != [float(b) for b in spec.bounds]:
+            raise DataError(f"{where} bounds {list(spec.bounds)} are not the end knots {ends}")
         if not all(map(operator.le, points, points[1:])):
             raise DataError(f"{where} outputs decrease")
         if points[0] < 0.0 or points[-1] > top:

@@ -58,6 +58,8 @@ class RegularizerConfig:
                 object.__setattr__(self, name, value.item())
         if self.weight < 0 or not math.isfinite(self.weight):
             raise ValueError("regularizer weight must be finite and nonnegative")
+        if self.sample_count is not None and type(self.sample_count) is not int:
+            raise ValueError(f"sample_count must be an integer, not {self.sample_count!r}")
         if self.sample_count is not None and self.sample_count < 1:
             raise ValueError("sample count must be positive")
 

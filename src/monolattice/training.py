@@ -183,6 +183,7 @@ def _loss_slopes(loss: Loss, y: np.ndarray, z: np.ndarray, scale) -> np.ndarray:
 # TrainConfig's numbers, which the trained model's metadata records
 _NUMBERS = ("epochs", "minibatch_size", "step_size", "calibrator_step_scale", "seed", "workers",
             "sync_rounds")
+_COUNTS = ("epochs", "minibatch_size", "seed", "workers", "sync_rounds")  # ints, not bools
 
 
 @dataclass(frozen=True)
@@ -206,18 +207,16 @@ class TrainConfig:
             value = getattr(self, name)
             if isinstance(value, np.generic):  # as the Python number the model file writes
                 object.__setattr__(self, name, value.item())
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.minibatch_size < 1:
-            raise ValueError("minibatch size must be >= 1")
+        for name in _COUNTS:
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+            if value < 1 and name != "seed":
+                raise ValueError(f"{name.replace('_', ' ')} must be >= 1")
         if self.step_size < 0 or not math.isfinite(self.step_size):
             raise ValueError("step size must be finite and >= 0")
         if self.calibrator_step_scale < 0 or not math.isfinite(self.calibrator_step_scale):
             raise ValueError("calibrator step scale must be finite and >= 0")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.sync_rounds < 1:
-            raise ValueError("sync rounds must be >= 1")
 
 
 @dataclass
@@ -724,7 +723,9 @@ def evaluate_metrics(model, data) -> dict:
     scaled by their largest magnitude before squaring, so labels too large
     to square still give a finite RMSE, and a logistic model's log-loss is
     the loss it trains on, ``log(1 + exp(-margin))``, which stays finite
-    where the probability rounds to 0 or 1."""
+    where the probability rounds to 0 or 1: its mean is taken as
+    :func:`model_objective` takes it, so the two agree by bits when no
+    regularizer is set."""
     z, y = _scores(model, data)
     n = len(z)
     if data.sides == 2:
@@ -737,7 +738,7 @@ def evaluate_metrics(model, data) -> dict:
         threshold = 0.5 if model.loss is Loss.SQUARED else 0.0
         out["accuracy"] = float(np.mean((z >= threshold) == (y == 1.0)))
         if model.loss is Loss.LOGISTIC:
-            out["log_loss"] = float(np.mean(np.logaddexp(0.0, -(2.0 * y - 1.0) * z)))
+            out["log_loss"] = sum(_loss_values(Loss.LOGISTIC, y, z)) / n
         elif model.loss is Loss.SQUARED:
             probs = np.clip(z, 1e-12, 1.0 - 1e-12)
             out["log_loss"] = float(

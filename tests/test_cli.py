@@ -746,3 +746,64 @@ class TestCorruptedModelFiles:
         path = tmp_path / "clean.json"
         path.write_text(json.dumps(mixed_model_doc))
         assert main(["check", "--model", str(path)]) == 0
+
+
+# values of a feature entry that the spec refuses, in a model file and in a
+# schema file alike: (feature, key, value, what the error says); each would
+# otherwise load and save back as another value, or unchecked
+SPEC_VALUES = {
+    "size-float": (0, "size", 2.9, "feature 'signal': size 2.9 is not an integer"),
+    "size-text": (0, "size", "2", "feature 'signal': size '2' is not an integer"),
+    "keypoints-float": (0, "keypoints", 3.7, "feature 'signal': keypoints 3.7 is not an integer"),
+    "keypoints-text": (0, "keypoints", "3", "feature 'signal': keypoints '3' is not an integer"),
+    "allow-unseen-no": (1, "allow_unseen", "no", "feature 'bucket': allow_unseen 'no' is not true"),
+    "allow-unseen-false": (
+        1, "allow_unseen", "false", "feature 'bucket': allow_unseen 'false' is not true",
+    ),
+    "categories-text": (1, "categories", "abc", "feature 'bucket': categories 'abc' is not null"),
+    "bounds-text": (0, "bounds", ["a", "b"], "feature 'signal': bounds ['a', 'b'] is not null"),
+    "bounds-three": (0, "bounds", [0, 1, 2], "feature 'signal': bounds [0, 1, 2] is not null"),
+    # a pair out of order: refused at fit, and against the knots in a model
+    "bounds-reversed": (0, "bounds", [1, 0], "bounds [1, 0]"),
+    "name-number": (0, "name", 5, "feature name 5 is not text"),
+}
+
+
+class TestRefusedSpecValues:
+    @pytest.mark.parametrize("case", list(SPEC_VALUES))
+    def test_check_exits_two_and_names_the_field(self, mixed_model_doc, tmp_path, capsys, case):
+        d, key, value, message = SPEC_VALUES[case]
+        doc = json.loads(json.dumps(mixed_model_doc))
+        doc["features"][d][key] = value
+        with pytest.raises(DataError) as err:
+            Model.from_json(json.dumps(doc))
+        feature = doc["features"][d]["name"]
+        assert message in str(err.value) and (key == "name" or feature in str(err.value))
+        path = tmp_path / "corrupt.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", "--model", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", [None, *SPEC_VALUES])
+    def test_train_exits_two_and_names_the_field(self, mixed_model_doc, tmp_path, capsys, case):
+        # the model file's feature entries, less their calibrators, as a schema
+        features = [
+            {k: v for k, v in f.items() if k != "calibrator"} for f in mixed_model_doc["features"]
+        ]
+        if case is not None:
+            d, key, value, message = SPEC_VALUES[case]
+            features[d][key] = value
+        (tmp_path / "schema.json").write_text(json.dumps({"label": "y", "features": features}))
+        rng = np.random.default_rng(3)
+        rows = [["" if i % 7 == 0 else repr(rng.random() * 5), ["low", "mid", "high"][i % 3],
+                 repr(rng.random()), repr(rng.random())] for i in range(40)]
+        write_csv(tmp_path / "train.csv", ["signal", "bucket", "plain", "y"], rows)
+        code = main(["train", "--data", str(tmp_path / "train.csv"),
+                     "--schema", str(tmp_path / "schema.json"),
+                     "--out", str(tmp_path / "m.json"), "--epochs", "1"])
+        if case is None:
+            assert code == 0
+            return
+        err = capsys.readouterr().err
+        assert code == 2 and message in err
+        assert key == "name" or features[d]["name"] in err

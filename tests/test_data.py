@@ -52,7 +52,7 @@ def assert_same_columns(got, want):
             assert isinstance(g, np.ndarray)
             assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
         else:
-            assert isinstance(g, list)
+            assert isinstance(g, tuple)
             assert g == w
 
 
@@ -242,13 +242,23 @@ class TestDuplicateHeaders:
 class TestDatasetShape:
     """A malformed sample set is refused when it is built, not in a step."""
 
+    def test_columns_cannot_grow_in_place(self):
+        # an appended column, or a list column grown past its labels, would
+        # pass the shape rules unchecked and fail later with another error
+        data = Dataset([np.linspace(0, 1, 40), ["a"] * 40], np.zeros(40))
+        assert isinstance(data.columns, tuple) and data.columns[1] == ("a",) * 40
+        with pytest.raises(AttributeError):
+            data.columns.append(np.zeros(3))
+        with pytest.raises(AttributeError):
+            data.columns[1].append("b")
+
     def test_pairs_stack_the_preferred_rows_then_the_other_rows(self):
         preferred = [np.array([1.0, 2.0]), ["a", "b"]]
         data = Dataset.pairs(preferred, [np.array([3.0, 4.0]), ["c", None]])
         assert data.sides == 2 and data.labels is None
         assert (data.num_rows, data.num_samples) == (4, 2)
         assert data.columns[0].tolist() == [1.0, 2.0, 3.0, 4.0]
-        assert data.columns[1] == ["a", "b", "c", None]
+        assert data.columns[1] == ("a", "b", "c", None)
         assert [data.where(i) for i in range(4)] == [
             "pair 0 (preferred row)", "pair 1 (preferred row)",
             "pair 0 (other row)", "pair 1 (other row)",

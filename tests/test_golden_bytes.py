@@ -5,7 +5,8 @@ For each of the three workloads, seeds 11-20, and two training
 configurations (the benchmark's short runs and longer, converging ones,
 where the monotonicity walk binds), the corpus records the sha256 of the
 saved model file, of ``Model.predict`` on the held-out rows, and of
-``Model.predict_row`` on the first ``ROW_CALLS`` held-out rows.  The inputs
+``Model.predict_row`` on the first ``ROW_CALLS`` held-out rows, and checks
+that each model file loads and saves back to the same bytes.  The inputs
 come from the benchmark's own generator, ``perfbench/workloads.py``, which
 is imported and not changed; the configurations are pinned here, so a new
 benchmark configuration does not move the corpus.
@@ -35,6 +36,7 @@ import pytest
 from monolattice import (
     InterpolationKind,
     Loss,
+    Model,
     RegularizerConfig,
     RegularizerKind,
     TrainConfig,
@@ -113,6 +115,8 @@ def corpus(name: str, workdir: Path) -> dict[str, dict[str, str]]:
             model = train(data, specs, replace(config, seed=seed))
             path = workdir / f"{name}-{seed}" / f"{config_name}.json"
             model.save(path)
+            # a model file loads and saves back to the same bytes
+            assert Model.load(path).to_json() + "\n" == path.read_text(), path.name
             singles = [model.predict_row(rows.row(i)) for i in range(ROW_CALLS)]
             out[f"{config_name}/{seed}"] = {
                 "model": _sha256(path.read_bytes()),

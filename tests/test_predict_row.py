@@ -649,7 +649,7 @@ def assert_fresh(model, data):
 
 
 def tiled(data, n):
-    """The rows of ``data`` repeated to ``n`` rows, columns as lists."""
+    """The rows of ``data`` repeated to ``n`` rows, columns as tuples."""
     return Dataset([[col[i % data.num_rows] for i in range(n)] for col in data.columns], None)
 
 
@@ -698,9 +698,11 @@ class TestPredictChunks:
         model, data = mixed_model()
         n = 2 * MIXED_ROWS + 10
         for bad_rows in ([MIXED_ROWS + 7], [n - 1], [MIXED_ROWS + 7, n - 1]):
-            rows = tiled(data, n)
+            # a dataset's columns are fixed once made: change copies of them
+            columns = [list(col) for col in tiled(data, n).columns]
             for i in bad_rows:
-                rows.columns[feature][i] = value
+                columns[feature][i] = value
+            rows = Dataset(columns, None)
             with pytest.raises(DataError, match=message) as err:
                 model.predict(rows)
             assert err.value.row == bad_rows[0]
@@ -713,13 +715,14 @@ class TestPredictChunks:
         model, data = mixed_model()
         model = replace_spec(model, 1, missing=MissingPolicy.NONE)
         n = MIXED_ROWS + 20
-        rows = tiled(data, n)
-        xs = rows.columns[1]
+        columns = [list(col) for col in tiled(data, n).columns]
+        xs = columns[1]
         for i, v in enumerate(xs):
             if v is None or v == "nan" or v != v:  # missing: None, NaN text, NaN
                 xs[i] = 0.5
-        rows.columns[2][n - 1] = "zz"
-        rows.columns[1][MIXED_ROWS + 3] = None
+        columns[2][n - 1] = "zz"
+        columns[1][MIXED_ROWS + 3] = None
+        rows = Dataset(columns, None)
         with pytest.raises(DataError, match="feature x: missing value but no missing policy") as err:
             model.predict(rows)
         assert err.value.row == MIXED_ROWS + 3

@@ -467,6 +467,21 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="regularizer weight must be finite and nonnegative"):
             RegularizerConfig(RegularizerKind.TORSION, weight)
 
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 1.5), ("minibatch_size", 2.5), ("seed", 0.5), ("workers", True),
+        ("sync_rounds", 1.0),
+    ])
+    def test_config_counts_are_integers(self, field, value):
+        # refused when made, not with a bare TypeError inside train or as a
+        # bool in the model's metadata
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, not {value!r}$"):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("count", [2.5, True])
+    def test_sample_count_is_an_integer(self, count):
+        with pytest.raises(ValueError, match=f"^sample_count must be an integer, not {count!r}$"):
+            RegularizerConfig(RegularizerKind.LAPLACIAN, 0.5, count)
+
     def test_numpy_numbers_train_the_model_of_python_numbers(self):
         # the model's metadata records the config, and JSON writes only
         # Python numbers
@@ -994,6 +1009,17 @@ class TestMetrics:
         # scores whose exp overflows still say which side they are on
         metrics = evaluate_metrics(replace(model, theta=[-1000.0, 1000.0]), data)
         assert metrics["accuracy"] == 1.0 and metrics["log_loss"] == 0.0
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_logistic_log_loss_is_the_objective_by_bits(self, seed):
+        # the printed metric is the loss training minimises, to the last bit
+        rng = np.random.default_rng(seed)
+        a, b = rng.random(400), rng.random(400)
+        y = (a + b + 0.3 * rng.standard_normal(400) > 1.0).astype(float)
+        data = Dataset([a, b], y)
+        config = TrainConfig(loss=Loss.LOGISTIC, epochs=1, step_size=0.5, seed=seed)
+        model = train(data, [spec("a", size=3), spec("b")], config)
+        assert evaluate_metrics(model, data)["log_loss"] == model_objective(model, data, config)
 
     def test_huge_labels_have_a_finite_rmse(self):
         # residuals near 1e200, whose squares overflow
